@@ -4,7 +4,7 @@ Krylov post-processing (Toeplitz GEVP and Hankel least squares), and
 magnetization-curve assembly.  All energies are in units of eps = J/2."""
 
 from .hamiltonian import SpinHamiltonian, SpectrumResult, subspace_overlap
-from .krylov import KrylovEstimate, OverlapSeries, odmd, step_bounds, uvqpe, uvqpe_floquet
+from .krylov import KrylovEstimate, OverlapSeries, odmd, step_bounds, uvqpe
 from .lattice import KagomePatch, StarPlaquette, build_patch, build_star
 from .magnet import MagnetizationCurve, build_curve, estimate_sector_energies
 from .mirror import (
@@ -30,7 +30,7 @@ from .trotter import TrotterScheme, bond_scheme, cnot_count, evolve_trotter, flo
 
 __all__ = [
     "SpinHamiltonian", "SpectrumResult", "subspace_overlap",
-    "KrylovEstimate", "OverlapSeries", "odmd", "step_bounds", "uvqpe", "uvqpe_floquet",
+    "KrylovEstimate", "OverlapSeries", "odmd", "step_bounds", "uvqpe",
     "KagomePatch", "StarPlaquette", "build_patch", "build_star",
     "MagnetizationCurve", "build_curve", "estimate_sector_energies",
     "ExactEvolver", "FloquetEvolver", "OverlapEstimate", "ShotPlan", "TrotterEvolver",

@@ -5,6 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 
+from . import krylov
+from .hamiltonian import SpinHamiltonian
+from .lattice import build_star
+
 
 class ConfigError(ValueError):
     """Invalid configuration; commands exit with code 2."""
@@ -48,6 +52,15 @@ class AllocationSpec:
     realizations: int = 100
 
 
+_SECTIONS = {"initial": InitialStateSpec, "shots": ShotSpec, "noise": NoiseConfig,
+             "magnet": MagnetSpec, "allocation": AllocationSpec}
+_TUPLE_FIELDS = ("solvers", "deltas", "eigenvalue_band", "fractions", "m_totals", "f1_grid")
+
+
+def _with_tuples(fields: dict) -> dict:
+    return {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in fields.items()}
+
+
 @dataclass
 class RunConfig:
     n_triangles: int = 4
@@ -82,45 +95,39 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "initial" in kwargs and kwargs["initial"] is not None:
-            kwargs["initial"] = InitialStateSpec(**kwargs["initial"])
-        if kwargs.get("shots") is not None:
-            spec = dict(kwargs["shots"])
-            if "fractions" in spec:
-                spec["fractions"] = tuple(spec["fractions"])
-            kwargs["shots"] = ShotSpec(**spec)
-        if kwargs.get("noise") is not None:
-            kwargs["noise"] = NoiseConfig(**kwargs["noise"])
-        if "magnet" in kwargs and kwargs["magnet"] is not None:
-            kwargs["magnet"] = MagnetSpec(**kwargs["magnet"])
-        if "allocation" in kwargs and kwargs["allocation"] is not None:
-            spec = dict(kwargs["allocation"])
-            for key in ("m_totals", "f1_grid"):
-                if key in spec:
-                    spec[key] = tuple(spec[key])
-            kwargs["allocation"] = AllocationSpec(**spec)
-        for key in ("solvers", "deltas", "eigenvalue_band"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         try:
+            kwargs = _with_tuples(raw)
+            for key, spec_cls in _SECTIONS.items():
+                if kwargs.get(key) is not None:
+                    kwargs[key] = spec_cls(**_with_tuples(dict(kwargs[key])))
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, default=str)
 
     def validate(self) -> None:
-        if self.n_triangles < 4 or self.n_triangles % 2:
-            raise ConfigError("n_triangles must be an even integer >= 4")
-        if self.dt <= 0 or self.steps < 1:
-            raise ConfigError("dt must be positive and steps >= 1")
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
         if self.evolver not in ("exact", "trotter", "floquet"):
             raise ConfigError(f"unknown evolver {self.evolver!r}")
-        for s in self.solvers:
-            if s not in ("uvqpe", "odmd", "uvqpe_floquet"):
-                raise ConfigError(f"unknown solver {s!r}")
+        try:
+            star = build_star(self.n_triangles)
+            SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
+            series_kind = "floquet" if self.evolver == "floquet" else "unitary"
+            for s in self.solvers:
+                krylov.solver_spec(s, series_kind)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        try:  # magnetization solves exact unitary series at h = 0
+            first = krylov.solver_spec(self.magnet.solver).first_step
+            if self.magnet.n_steps is not None and self.magnet.n_steps < first:
+                raise ValueError(f"n_steps must be >= {first} for {self.magnet.solver}")
+            if self.magnet.dt is not None:
+                SpinHamiltonian(star).check_time_step(self.magnet.dt)
+        except ValueError as exc:
+            raise ConfigError(f"magnet: {exc}") from exc
         if self.initial.kind not in ("dressed", "pinwheel", "sector"):
             raise ConfigError(f"unknown initial state kind {self.initial.kind!r}")
         if self.magnitude_source not in ("f1_sqrt", "eq19"):

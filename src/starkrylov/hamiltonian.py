@@ -78,15 +78,13 @@ class SpectrumResult:
 class SpinHamiltonian:
     """Heisenberg model on a star plaquette or kagome patch."""
 
-    def __init__(self, lattice, h_field: float = 0.0, energy_unit: float = 1.0,
-                 qubit_cap: int = QUBIT_CAP):
+    def __init__(self, lattice, h_field: float = 0.0, qubit_cap: int = QUBIT_CAP):
         if lattice.n_sites > qubit_cap:
             raise ValueError(
                 f"{lattice.n_sites} sites exceeds the qubit cap of {qubit_cap}"
             )
         self.lattice = lattice
         self.h_field = float(h_field)
-        self.energy_unit = float(energy_unit)
         self.n_sites = lattice.n_sites
         self.dim = 1 << self.n_sites
         self._sectors = _sector_indices(self.n_sites)
@@ -209,6 +207,15 @@ class SpinHamiltonian:
         n_tri = self.lattice.n_triangles
         bound = 3.0 * n_tri + abs(self.h_field) * self.n_sites / 2.0
         return SpectralBounds(e_min=-bound, e_max=bound, dt_max=np.pi / bound)
+
+    def check_time_step(self, dt: float) -> None:
+        """Raise ValueError unless 0 < dt < pi/||H||, the admissibility bound
+        that keeps every eigenphase E dt inside (-pi, pi)."""
+        dt_max = self.spectral_bounds().dt_max
+        if not 0 < dt < dt_max:
+            raise ValueError(f"dt={dt:g} violates the admissibility bound 0 < dt < "
+                             f"{dt_max:.6g} (the spectral bound for {self.n_sites} "
+                             f"sites at h={self.h_field:g})")
 
     def reference_energy(self) -> float:
         """Energy of the fully polarized all-up state (the all-zero bitstring)."""

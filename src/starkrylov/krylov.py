@@ -1,15 +1,17 @@
 """Classical post-processing of overlap time series.
 
-Two solvers extract the ground-state energy from the series
-s_k = <psi0| U(k dt) |psi0>:
+Two solvers extract the ground-state energy from s_k = <psi0| U(k dt) |psi0>.
+They share one assembly and threshold path (``_truncated_svd`` drops singular
+values below delta * sigma_max) and differ only in their eigensolve:
 
-* ``uvqpe`` solves the Toeplitz generalized eigenvalue problem
-  T v = lambda S v with T_{jk} = s_{1+k-j} and S_{jk} = s_{k-j},
-  regularized by discarding singular values of S below delta * sigma_max
-  and projecting both matrices onto the retained singular subspaces.
-* ``odmd`` fits a linear propagator A through Hankel data matrices,
-  X' = A X, with the pseudoinverse truncated at the same threshold, and
-  reads energies off the eigenphases of A.
+* ``uvqpe``: Toeplitz pair T_{jk} = s_{1+k-j}, S_{jk} = s_{k-j}; QZ on the
+  pencil (T, S) projected onto the retained singular subspaces of S.
+* ``odmd``: Hankel pair X_{rc} = s_{r+c}, X'_{rc} = s_{r+c+1}; eigenvalues of
+  the one-step propagator A = X' X^+ with the truncated pseudoinverse.
+
+s_{-m} is conj(s_m) for a unitary series and the measured f_{-m} for a
+Floquet series.  ``SOLVERS`` maps configuration names to solvers;
+``uvqpe_floquet`` is ``uvqpe`` on a two-direction Floquet series.
 
 Eigenvalues map to energies as E = -arg(lambda)/dt; estimates keep only
 eigenvalues with |lambda| inside an admissibility band around the unit
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from math import ceil, log
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -39,6 +42,10 @@ class OverlapSeries:
         self.values = np.asarray(self.values, dtype=complex)
         if self.neg_values is not None:
             self.neg_values = np.asarray(self.neg_values, dtype=complex)
+        if self.kind == "floquet" and self.neg_values is None:
+            raise ValueError("Floquet series requires measured negative-direction values")
+        if self.neg_values is not None and len(self.neg_values) != len(self.values):
+            raise ValueError("neg_values must have the same length as values")
         if abs(self.values[0] - 1.0) > 1e-6:
             raise ValueError("series must start at s_0 = 1")
         # the three-fraction reconstruction is bounded by 3/sqrt(2) ~ 2.12,
@@ -54,11 +61,10 @@ class OverlapSeries:
         return len(self.values) - 1
 
     def value(self, m: int) -> complex:
+        """s_m, the element-wise reference for the array-built matrices."""
         if m >= 0:
             return complex(self.values[m])
         if self.kind == "floquet":
-            if self.neg_values is None:
-                raise ValueError("Floquet series requires measured negative-direction values")
             return complex(self.neg_values[-m])
         return complex(np.conj(self.values[-m]))
 
@@ -94,87 +100,102 @@ def _pick_minimum(lam: np.ndarray, vecs: np.ndarray | None, dt: float, band):
 
 
 def _toeplitz_pair(series: OverlapSeries, d: int):
-    T = np.empty((d, d), dtype=complex)
-    S = np.empty((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            T[j, k] = series.value(1 + k - j)
-            S[j, k] = series.value(k - j)
+    """T_{jk} = s_{1+k-j} and S_{jk} = s_{k-j} for j, k < d."""
+    pos = series.values[:d + 1]  # s_0 .. s_d
+    neg = series.neg_values if series.kind == "floquet" else series.values.conj()
+    neg = np.concatenate([pos[:1], neg[1:d]])  # s_0, s_{-1} .. s_{1-d}
+    T = scipy.linalg.toeplitz(np.concatenate([pos[1:2], neg[:d - 1]]), pos[1:])
+    S = scipy.linalg.toeplitz(neg, pos[:d])
     return T, S
 
 
-def _solve_filtered_gevp(T, S, delta, dt, band):
-    W, sig, Vh = np.linalg.svd(S)
+def _hankel_pair(series: OverlapSeries, n_steps: int, window: int | None = None,
+                 real_part: bool = False):
+    """X_{rc} = s_{r+c} and X'_{rc} = s_{r+c+1} over a window of d rows
+    (default ceil(n_steps / 2)) and n_steps - d + 1 columns."""
+    d = window if window is not None else ceil(n_steps / 2)
+    if d < 1 or d > n_steps:
+        raise ValueError("window does not fit the series length")
+    data = series.values.real.astype(complex) if real_part else series.values
+    X = scipy.linalg.hankel(data[:d], data[d - 1:n_steps])
+    Xp = scipy.linalg.hankel(data[1:d + 1], data[d:n_steps + 1])
+    return X, Xp
+
+
+def _truncated_svd(M: np.ndarray, delta: float):
+    """Thin SVD (U_r, sigma_r, V_r, flags) of M ~ U_r diag(sigma_r) V_r^H without
+    the singular values below delta * sigma_max; flags the case where none stay."""
+    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
     keep = sig >= delta * sig[0]
-    rank = int(np.sum(keep))
-    if rank == 0:
-        return None, None, None, 0, ("all_singular_values_filtered",)
-    Wr = W[:, keep]
-    Vr = Vh.conj().T[:, keep]
-    lam, vec = scipy.linalg.eig(Wr.conj().T @ T @ Vr, Wr.conj().T @ S @ Vr)
-    energy, eigenvalue, reduced, flags = _pick_minimum(lam, vec, dt, band)
-    ritz = None if reduced is None else Vr @ reduced
-    return energy, eigenvalue, ritz, rank, flags
+    flags = () if keep.any() else ("all_singular_values_filtered",)
+    return U[:, keep], sig[keep], Vh.conj().T[:, keep], flags
+
+
+def _check_steps(algorithm: str, series: OverlapSeries, n_steps: int) -> None:
+    first = SOLVERS[algorithm].first_step
+    if n_steps < first or n_steps > series.n_max:
+        raise ValueError(f"n_steps must be in [{first}, {series.n_max}]")
 
 
 def uvqpe(series: OverlapSeries, n_steps: int, delta: float,
           band=DEFAULT_BAND) -> KrylovEstimate:
-    """Toeplitz GEVP over the first ``n_steps`` Krylov states."""
-    if n_steps < 1 or n_steps > series.n_max:
-        raise ValueError(f"n_steps must be in [1, {series.n_max}]")
+    """Toeplitz GEVP over the first ``n_steps`` Krylov states, solved by QZ on
+    the pencil projected onto the retained singular subspaces of S."""
+    _check_steps("uvqpe", series, n_steps)
     T, S = _toeplitz_pair(series, n_steps)
-    energy, lam, ritz, rank, flags = _solve_filtered_gevp(T, S, delta, series.dt, band)
-    return KrylovEstimate("uvqpe", n_steps, delta, energy, lam, ritz, rank, flags)
-
-
-def uvqpe_floquet(series: OverlapSeries, n_steps: int, delta: float,
-                  band=DEFAULT_BAND, mode: str = "single_step") -> KrylovEstimate:
-    """Toeplitz GEVP over measured single-step expectation values f_{+-m}."""
-    if mode != "single_step":
-        raise ValueError("only the single_step mode is supported")
-    if series.kind != "floquet" or series.neg_values is None:
-        raise ValueError("uvqpe_floquet needs a Floquet series with both directions")
-    if n_steps < 1 or n_steps > series.n_max:
-        raise ValueError(f"n_steps must be in [1, {series.n_max}]")
-    T, S = _toeplitz_pair(series, n_steps)
-    energy, lam, ritz, rank, flags = _solve_filtered_gevp(T, S, delta, series.dt, band)
-    return KrylovEstimate("uvqpe_floquet", n_steps, delta, energy, lam, ritz, rank, flags)
+    W, _, V, flags = _truncated_svd(S, delta)
+    if flags:
+        return KrylovEstimate("uvqpe", n_steps, delta, None, None, None, 0, flags)
+    lam, vec = scipy.linalg.eig(W.conj().T @ T @ V, W.conj().T @ S @ V)
+    energy, eigenvalue, reduced, flags = _pick_minimum(lam, vec, series.dt, band)
+    ritz = None if reduced is None else V @ reduced
+    return KrylovEstimate("uvqpe", n_steps, delta, energy, eigenvalue, ritz,
+                          V.shape[1], flags)
 
 
 def odmd(series: OverlapSeries, n_steps: int, delta: float, band=DEFAULT_BAND,
          window: int | None = None, real_part: bool = False) -> KrylovEstimate:
     """Hankel least-squares fit of the one-step propagator."""
-    if n_steps < 2 or n_steps > series.n_max:
-        raise ValueError(f"n_steps must be in [2, {series.n_max}]")
-    d = window if window is not None else ceil(n_steps / 2)
-    cols = n_steps - d + 1
-    if d < 1 or cols < 1:
-        raise ValueError("window does not fit the series length")
-    data = series.values.real.astype(complex) if real_part else series.values
-    X = np.empty((d, cols), dtype=complex)
-    Xp = np.empty((d, cols), dtype=complex)
-    for r in range(d):
-        X[r, :] = data[r:r + cols]
-        Xp[r, :] = data[r + 1:r + 1 + cols]
-    U, sig, Vh = np.linalg.svd(X, full_matrices=False)
-    keep = sig >= delta * sig[0]
-    rank = int(np.sum(keep))
-    if rank == 0:
-        return KrylovEstimate("odmd", n_steps, delta, None, None, None, 0,
-                              ("all_singular_values_filtered",))
-    pinv = Vh.conj().T[:, keep] @ np.diag(1.0 / sig[keep]) @ U[:, keep].conj().T
-    A = Xp @ pinv
+    _check_steps("odmd", series, n_steps)
+    X, Xp = _hankel_pair(series, n_steps, window, real_part)
+    U, sig, V, flags = _truncated_svd(X, delta)
+    if flags:
+        return KrylovEstimate("odmd", n_steps, delta, None, None, None, 0, flags)
+    A = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T)
     lam, vec = np.linalg.eig(A)
     energy, eigenvalue, ritz, flags = _pick_minimum(lam, vec, series.dt, band)
-    return KrylovEstimate("odmd", n_steps, delta, energy, eigenvalue, ritz, rank, flags)
+    return KrylovEstimate("odmd", n_steps, delta, energy, eigenvalue, ritz,
+                          len(sig), flags)
+
+
+@dataclass(frozen=True)
+class SolverSpec:
+    solve: Callable[..., KrylovEstimate]
+    first_step: int  # smallest valid n_steps
+    floquet_only: bool = False  # needs a two-direction Floquet series
+
+
+SOLVERS = {
+    "uvqpe": SolverSpec(uvqpe, 1),
+    "uvqpe_floquet": SolverSpec(uvqpe, 1, floquet_only=True),
+    "odmd": SolverSpec(odmd, 2),
+}
+
+
+def solver_spec(algorithm: str, series_kind: str = "unitary") -> SolverSpec:
+    """The ``SOLVERS`` entry for ``algorithm`` on a series of ``series_kind``."""
+    spec = SOLVERS.get(algorithm)
+    if spec is None:
+        raise ValueError(f"unknown Krylov method {algorithm!r}; "
+                         f"expected one of {sorted(SOLVERS)}")
+    if spec.floquet_only and series_kind != "floquet":
+        raise ValueError(f"{algorithm} needs a Floquet series with both directions")
+    return spec
 
 
 def solve(algorithm: str, series: OverlapSeries, n_steps: int, delta: float,
           **kwargs) -> KrylovEstimate:
-    solvers = {"uvqpe": uvqpe, "odmd": odmd, "uvqpe_floquet": uvqpe_floquet}
-    if algorithm not in solvers:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return solvers[algorithm](series, n_steps, delta, **kwargs)
+    return solver_spec(algorithm, series.kind).solve(series, n_steps, delta, **kwargs)
 
 
 # -- Ritz-vector diagnostics -------------------------------------------------

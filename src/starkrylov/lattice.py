@@ -31,11 +31,6 @@ class StarPlaquette:
             out.append(((k + 1) % n, n + k))
         return tuple(out)
 
-    @property
-    def inner_bonds(self) -> tuple[tuple[int, int], ...]:
-        n = self.n_triangles
-        return tuple((k, (k + 1) % n) for k in range(n))
-
     def dimer_bonds(self, orientation: str = "cw") -> tuple[tuple[int, int], ...]:
         """One outer bond per triangle forming a pinwheel covering."""
         n = self.n_triangles

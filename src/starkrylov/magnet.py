@@ -11,10 +11,8 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import krylov
-from .hamiltonian import SpinHamiltonian
+from .mirror import ExactEvolver, overlap_series_exact
 from .prep import initial_state_for_sector
 
 
@@ -99,10 +97,13 @@ def sector_solver_settings(star) -> dict:
     return {"dt": 0.2, "n_steps": 40, "delta": 1e-6}
 
 
-def estimate_sector_energies(star, method: str = "uvqpe", delta: float = 1e-6,
+def estimate_sector_energies(ham, method: str = "uvqpe", delta: float = 1e-6,
                              n_steps: int = 40, dt: float = 0.1,
                              sz0_cz_bonds=None, oracle: bool = True):
     """Run the chosen solver on exact series in every S^z sector.
+
+    ``ham`` is the h = 0 Hamiltonian of the star ``ham.lattice``; its cached
+    sector eigendecompositions serve the exact series and the oracle alike.
 
     Returns (energies, meta); ``meta[sz]`` records the estimate trace, a
     plateau indicator (change < 1e-8 over the last 10 steps), and a
@@ -111,26 +112,21 @@ def estimate_sector_energies(star, method: str = "uvqpe", delta: float = 1e-6,
     above 1e-3 marks the sector unconverged, whether it plateaued on an
     excited level or is still drifting.
     """
-    if method not in ("uvqpe", "odmd"):
-        raise ValueError("method must be 'uvqpe' or 'odmd'")
-    ham = SpinHamiltonian(star)
-    if dt >= ham.spectral_bounds().dt_max:
-        raise ValueError(f"dt={dt:g} violates the admissibility bound")
+    if ham.h_field != 0:
+        raise ValueError("sector energies are estimated on the h = 0 Hamiltonian")
+    spec = krylov.solver_spec(method)
+    ham.check_time_step(dt)
+    star = ham.lattice
+    if sz0_cz_bonds is None:
+        sz0_cz_bonds = _default_sz0_cz_bonds(star)
+    evolver = ExactEvolver(ham)
     energies: dict[int, float] = {}
     meta: dict[int, dict] = {}
     for sz in range(star.n_triangles + 1):
-        prep = initial_state_for_sector(
-            star, sz, _default_sz0_cz_bonds(star) if sz == 0 else None)
-        psi = prep.state().amplitudes
-        values = [1.0 + 0.0j]
-        for k in range(1, n_steps + 1):
-            values.append(complex(np.vdot(psi, ham.evolve(psi, k * dt))))
-        series = krylov.OverlapSeries(dt, np.array(values), provenance="exact")
-        first = 1 if method == "uvqpe" else 2
-        trace = []
-        for ns in range(first, n_steps + 1):
-            est = krylov.solve(method, series, ns, delta)
-            trace.append(est.energy)
+        prep = initial_state_for_sector(star, sz, sz0_cz_bonds if sz == 0 else None)
+        series = overlap_series_exact(prep.state(), evolver, dt, n_steps)
+        trace = [krylov.solve(method, series, ns, delta).energy
+                 for ns in range(spec.first_step, n_steps + 1)]
         final = trace[-1]
         e_exact = ham.ground_state_energy(sector=float(sz)) if oracle else None
         tail = [e for e in trace[-10:] if e is not None]

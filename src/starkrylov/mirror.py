@@ -288,17 +288,13 @@ def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
 def overlap_series_exact(psi0_state: StateVector, evolver, dt: float,
                          kmax: int) -> krylov.OverlapSeries:
     """Series of direct inner products; Floquet evolvers fill both directions."""
-    values = [1.0 + 0.0j]
-    for k in range(1, kmax + 1):
-        values.append(exact_overlap(psi0_state, evolver, k * dt))
-    neg = None
+    def direction(sign: int) -> np.ndarray:
+        return np.array([1.0 + 0.0j] + [exact_overlap(psi0_state, evolver, k * dt)
+                                        for k in range(sign, sign * (kmax + 1), sign)])
+
     if evolver.kind == "floquet":
-        neg = [1.0 + 0.0j]
-        for k in range(1, kmax + 1):
-            neg.append(exact_overlap(psi0_state, evolver, -k * dt))
-        neg = np.array(neg)
-    kind = "floquet" if evolver.kind == "floquet" else "unitary"
-    return krylov.OverlapSeries(dt, np.array(values), neg, "exact", kind)
+        return krylov.OverlapSeries(dt, direction(1), direction(-1), "exact", "floquet")
+    return krylov.OverlapSeries(dt, direction(1), None, "exact", "unitary")
 
 
 def overlap_series_mirror_exact(psi0_prep: PrepCircuit, evolver, ham, dt: float,
@@ -322,27 +318,22 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
     For Floquet evolvers the negative-direction values are sampled from the
     reversed-step circuits under the same plan.
     """
-    values = [1.0 + 0.0j]
-    estimates = []
-    for k in range(1, kmax + 1):
-        est = estimate_overlap(psi0_prep, evolver, ham, k * dt, plan, seed,
-                               stream=(realization, k), noise=noise,
-                               magnitude_source=magnitude_source)
-        if est.value is None:
-            raise EstimateUndefined(f"estimate undefined at step {k}: {est.flags}")
-        values.append(est.value)
-        estimates.append(est)
-    neg = None
-    if evolver.kind == "floquet":
-        neg = [1.0 + 0.0j]
-        for k in range(1, kmax + 1):
-            est = estimate_overlap(psi0_prep, evolver, ham, -k * dt, plan, seed,
-                                   stream=(realization, -k), noise=noise,
+    def direction(sign: int) -> list[OverlapEstimate]:
+        out = []
+        for k in range(sign, sign * (kmax + 1), sign):
+            est = estimate_overlap(psi0_prep, evolver, ham, k * dt, plan, seed,
+                                   stream=(realization, k), noise=noise,
                                    magnitude_source=magnitude_source)
             if est.value is None:
-                raise EstimateUndefined(f"estimate undefined at step {-k}: {est.flags}")
-            neg.append(est.value)
-        neg = np.array(neg)
+                raise EstimateUndefined(f"estimate undefined at step {k}: {est.flags}")
+            out.append(est)
+        return out
+
+    estimates = direction(1)
+    values = [1.0 + 0.0j] + [est.value for est in estimates]
+    neg = None
+    if evolver.kind == "floquet":
+        neg = np.array([1.0 + 0.0j] + [est.value for est in direction(-1)])
     provenance = (f"noisy(p={noise.p_pauli:g}, M={plan.total}, seed={seed})"
                   if noise is not None and noise.active
                   else f"sampled(M={plan.total}, seed={seed})")

@@ -50,17 +50,10 @@ def noisy_apply(state: StateVector, gates, spec: NoiseSpec,
     return state
 
 
-def pair_parity_valid(bitstring: int, pairing) -> bool:
-    """Keep rule for measured strings: the number of dimer pairs observed in
-    the states 01 or 11 (second qubit of the pair set) must be even."""
-    count = 0
-    for (_a, b) in pairing:
-        count += (bitstring >> b) & 1
-    return count % 2 == 0
-
-
 def postselect_f1(samples: np.ndarray, pairing, n_sites: int):
-    """Filter sampled basis indices by the pair-parity rule.
+    """Filter sampled basis indices by the pair-parity rule: keep a string
+    when an even number of dimer pairs show their second qubit set (pair
+    states 01 or 11).
 
     Returns (kept samples, discard count).  The pairing must cover every
     site, as produced by the full dimer preparations.

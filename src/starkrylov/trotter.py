@@ -26,10 +26,6 @@ class TrotterScheme:
     kind: str  # "bond_by_bond" | "triangle_by_triangle"
     groups: tuple[tuple[tuple[int, ...], ...], ...]  # site tuples per commuting group
 
-    def terms(self):
-        for g in self.groups:
-            yield from g
-
 
 def triangle_scheme(lattice) -> TrotterScheme:
     even, odd = lattice.triangle_groups()

@@ -42,6 +42,23 @@ def test_unknown_config_key_refused(tmp_path):
     assert run(tmp_path, "overlaps", {"lattice": "star"}) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"magnet": {"solver": "nope"}},
+    {"magnet": {"solver": "uvqpe_floquet"}},
+    {"magnet": {"dt": 0.5}},
+    {"magnet": {"dt": 0}},
+    {"magnet": {"solver": "odmd", "n_steps": 1}},
+    {"initial": {"kind": "dressed", "bogus": 1}},
+], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
+        "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key"])
+def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
+    assert run(tmp_path, "magnetization", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # refused before ED or any output
+
+
 def test_overlaps_exact(tmp_path):
     assert run(tmp_path, "overlaps", {"steps": 10}) == 0
     rows = (tmp_path / "out" / "overlaps.csv").read_text().splitlines()

@@ -7,6 +7,7 @@ from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.krylov import (
     KrylovEstimate,
     OverlapSeries,
+    _hankel_pair,
     _toeplitz_pair,
     cluster_overlaps,
     odmd,
@@ -15,7 +16,6 @@ from starkrylov.krylov import (
     solve,
     step_bounds,
     uvqpe,
-    uvqpe_floquet,
 )
 from starkrylov.lattice import build_star
 from starkrylov.mirror import ExactEvolver, FloquetEvolver, overlap_series_exact
@@ -66,20 +66,48 @@ def test_odmd_exact_on_eigenstate():
     assert abs(odmd(series, 2, 1e-8).energy - (-4.1)) < 1e-10
 
 
+def random_values(rng, n):
+    vals = np.concatenate([[1.0], rng.normal(size=n) + 1j * rng.normal(size=n)])
+    vals[1:] /= np.abs(vals[1:]) * 1.3  # keep |s_k| < 1
+    return vals
+
+
 def test_toeplitz_structure():
     rng = np.random.default_rng(0)
-    vals = np.concatenate([[1.0], rng.normal(size=6) + 1j * rng.normal(size=6)])
-    vals[1:] /= np.abs(vals[1:]) * 1.3  # keep |s_k| < 1
-    series = OverlapSeries(DT, vals)
-    T, S = _toeplitz_pair(series, 5)
-    for j in range(5):
-        for k in range(5):
-            assert T[j, k] == series.value(1 + k - j)
-            assert S[j, k] == series.value(k - j)
+    unitary = OverlapSeries(DT, random_values(rng, 6))
+    # measured negative direction, independent of conj(values)
+    floquet = OverlapSeries(DT, random_values(rng, 6), random_values(rng, 6),
+                            kind="floquet")
+    for series in (unitary, floquet):
+        for d in (1, 2, 5, 6):
+            T, S = _toeplitz_pair(series, d)
+            assert T.shape == S.shape == (d, d)
+            for j in range(d):
+                for k in range(d):
+                    assert T[j, k] == series.value(1 + k - j)
+                    assert S[j, k] == series.value(k - j)
+    assert floquet.value(-2) != np.conj(floquet.value(2))
     # constant diagonals
+    T, S = _toeplitz_pair(unitary, 5)
     for off in range(-4, 5):
         d = np.diagonal(S, off)
         assert np.allclose(d, d[0])
+
+
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("real_part", [False, True])
+def test_hankel_pair_structure(window, real_part):
+    rng = np.random.default_rng(1)
+    series = OverlapSeries(DT, random_values(rng, 9))
+    data = series.values.real if real_part else series.values
+    n_steps = 8
+    X, Xp = _hankel_pair(series, n_steps, window, real_part)
+    d = window if window is not None else 4
+    assert X.shape == Xp.shape == (d, n_steps - d + 1)
+    for r in range(X.shape[0]):
+        for c in range(X.shape[1]):
+            assert X[r, c] == data[r + c]
+            assert Xp[r, c] == data[r + c + 1]
 
 
 def test_hankel_structure_via_window():
@@ -167,7 +195,7 @@ def test_uvqpe_floquet_pinwheel_single_step():
     star = build_star(4)
     ham = SpinHamiltonian(star)
     series = overlap_series_exact(pinwheel(star).state(), FloquetEvolver(ham), DT, 3)
-    est = uvqpe_floquet(series, 1, 1e-8)
+    est = uvqpe(series, 1, 1e-8)
     assert abs(est.energy - (-12.0)) < 1e-10
 
 
@@ -176,16 +204,19 @@ def test_uvqpe_floquet_dressed_converges():
     ham = SpinHamiltonian(star)
     series = overlap_series_exact(dressed_initial(star).state(),
                                   FloquetEvolver(ham), DT, 40)
-    est = uvqpe_floquet(series, 30, 1e-6)
+    est = uvqpe(series, 30, 1e-6)
     assert abs(est.energy - (-12.0)) < 1e-6
 
 
 def test_uvqpe_floquet_requires_both_directions():
-    series = eigenstate_series(-3.0, 6)
+    values = eigenstate_series(-3.0, 6).values
+    with pytest.raises(ValueError, match="negative-direction"):
+        OverlapSeries(DT, values, kind="floquet")
+    with pytest.raises(ValueError, match="same length"):
+        OverlapSeries(DT, values, values[:-1].conj(), kind="floquet")
+    # the configuration name refuses a one-direction series
     with pytest.raises(ValueError, match="both directions"):
-        uvqpe_floquet(series, 3, 1e-6)
-    with pytest.raises(ValueError, match="single_step"):
-        uvqpe_floquet(series, 3, 1e-6, mode="multi")
+        solve("uvqpe_floquet", eigenstate_series(-3.0, 6), 3, 1e-6)
 
 
 def test_floquet_agrees_with_unitary_to_second_order():
@@ -196,7 +227,7 @@ def test_floquet_agrees_with_unitary_to_second_order():
     def gap(dt):
         us = overlap_series_exact(psi, ExactEvolver(ham), dt, 2)
         fs = overlap_series_exact(psi, FloquetEvolver(ham), dt, 2)
-        return uvqpe_floquet(fs, 1, 1e-9).energy - uvqpe(us, 1, 1e-9).energy
+        return uvqpe(fs, 1, 1e-9).energy - uvqpe(us, 1, 1e-9).energy
 
     g1, g2 = gap(0.08), gap(0.04)
     assert abs(g1 / g2) == pytest.approx(4.0, abs=1.3)

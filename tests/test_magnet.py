@@ -81,7 +81,7 @@ def test_lieb_violation_rejected():
 def test_sector_estimates_8_spin(ed_energies):
     star = build_star(4)
     settings = sector_solver_settings(star)
-    energies, meta = estimate_sector_energies(star, **settings)
+    energies, meta = estimate_sector_energies(SpinHamiltonian(star), **settings)
     for sz, e in energies.items():
         assert meta[sz]["converged"]
         # every sector sits within 1e-6 of ED by step 20 already
@@ -92,16 +92,34 @@ def test_sector_estimates_8_spin(ed_energies):
 
 
 def test_sector_estimates_reject_bad_dt():
-    star = build_star(6)
+    ham = SpinHamiltonian(build_star(6))
     with pytest.raises(ValueError, match="admissibility"):
-        estimate_sector_energies(star, dt=0.2)
+        estimate_sector_energies(ham, dt=0.2)
     with pytest.raises(ValueError, match="method"):
-        estimate_sector_energies(star, method="vqe")
+        estimate_sector_energies(ham, method="vqe")
+
+
+def test_sector_estimates_reject_floquet_solver_and_field():
+    star = build_star(4)
+    with pytest.raises(ValueError, match="both directions"):
+        estimate_sector_energies(SpinHamiltonian(star), method="uvqpe_floquet")
+    with pytest.raises(ValueError, match="h = 0"):
+        estimate_sector_energies(SpinHamiltonian(star, 0.5))
+
+
+def test_sz0_dressing_override():
+    # without CZ dressing the S^z = 0 state is the pinwheel, an exact ground state
+    ham = SpinHamiltonian(build_star(4))
+    _, meta = estimate_sector_energies(ham, n_steps=2, dt=0.17, sz0_cz_bonds=[])
+    assert abs(meta[0]["trace"][0] + 12.0) < 1e-9
+    _, meta = estimate_sector_energies(ham, n_steps=2, dt=0.17)
+    assert abs(meta[0]["trace"][0] + 12.0) > 1e-3
 
 
 def test_solver_curve_matches_ed_8_spin(ed_energies):
     star = build_star(4)
-    energies, meta = estimate_sector_energies(star, **sector_solver_settings(star))
+    energies, meta = estimate_sector_energies(SpinHamiltonian(star),
+                                              **sector_solver_settings(star))
     curve = build_curve(energies, 8, source="uvqpe")
     exact = build_curve(ed_energies[4], 8)
     assert len(curve.crossing_fields) == len(exact.crossing_fields)
@@ -112,8 +130,8 @@ def test_solver_curve_matches_ed_8_spin(ed_energies):
 def test_12_spin_sz1_slower_than_sz2():
     star = build_star(6)
     settings = sector_solver_settings(star)
-    energies, meta = estimate_sector_energies(star, **settings)
     ham = SpinHamiltonian(star)
+    energies, meta = estimate_sector_energies(ham, **settings)
 
     def steps_to(sz, tol=5e-4):
         e0 = ham.ground_state_energy(sector=float(sz))
@@ -132,8 +150,8 @@ def test_unconverged_sector_flagged():
     # S^z=0 six-CZ-like state and parks the solver on an excited level
     star = build_star(6)
     free = star.free_outer_bonds("cw")
-    energies, meta = estimate_sector_energies(star, delta=0.1, n_steps=60,
-                                              dt=0.1, sz0_cz_bonds=free)
+    energies, meta = estimate_sector_energies(SpinHamiltonian(star), delta=0.1,
+                                              n_steps=60, dt=0.1, sz0_cz_bonds=free)
     assert meta[0]["converged"] is False
     assert meta[0]["final_error"] > 0.1
 
