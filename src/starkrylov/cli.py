@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,6 @@ from . import krylov, magnet, mirror
 from .config import ConfigError, RunConfig
 from .hamiltonian import SpinHamiltonian, write_spectrum_csv
 from .lattice import build_star
-from .noise import NoiseSpec
-from .prep import dressed_initial, pinwheel, sector_initial
 
 
 class NumericalFailure(RuntimeError):
@@ -32,41 +29,18 @@ def _build_problem(cfg: RunConfig):
     return star, SpinHamiltonian(star, cfg.h_field)
 
 
-def _initial_prep(cfg: RunConfig, star):
-    spec = cfg.initial
-    if spec.kind == "pinwheel":
-        return pinwheel(star)
-    if spec.kind == "dressed":
-        bonds = None if spec.cz_bonds is None else [tuple(b) for b in spec.cz_bonds]
-        return dressed_initial(star, bonds)
-    return sector_initial(star, spec.sz)
-
-
-def _noise_spec(cfg: RunConfig) -> NoiseSpec | None:
-    if cfg.noise is None:
-        return None
-    angle = cfg.noise.twirl_angle if cfg.noise.twirl_angle is not None else np.pi / 2
-    return NoiseSpec(cfg.noise.p_pauli, cfg.noise.enable_postselect,
-                     cfg.noise.enable_twirl, angle, cfg.seed)
-
-
-def _shot_plan(cfg: RunConfig) -> mirror.ShotPlan | None:
-    if cfg.shots is None:
-        return None
-    return mirror.ShotPlan(cfg.shots.total, tuple(cfg.shots.fractions),
-                           cfg.shots.twirl_fraction)
-
-
-def _series_for(cfg: RunConfig, star, ham, realization: int = 0):
-    prep = _initial_prep(cfg, star)
+def _series_for(cfg: RunConfig, star, ham):
+    """One (series, estimates) pair per realization; the exact series has no
+    estimates and stands for every realization."""
+    prep = cfg.initial_prep(star)
     evolver = mirror.make_evolver(cfg.evolver, ham, dt_step=cfg.dt,
                                   reverse_groups=cfg.reverse_trotter_groups)
-    plan = _shot_plan(cfg)
-    if plan is None:
-        return mirror.overlap_series_exact(prep.state(), evolver, cfg.dt, cfg.steps), None
+    if cfg.shots is None:
+        series = mirror.overlap_series_exact(prep.state(), evolver, cfg.dt, cfg.steps)
+        return [(series, None)] * cfg.realizations
     return mirror.overlap_series_sampled(
-        prep, evolver, ham, cfg.dt, cfg.steps, plan, cfg.seed,
-        noise=_noise_spec(cfg), realization=realization,
+        prep, evolver, ham, cfg.dt, cfg.steps, cfg.shots, cfg.seed,
+        noise=cfg.noise_spec(), realizations=range(cfg.realizations),
         magnitude_source=cfg.magnitude_source)
 
 
@@ -102,7 +76,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> None:
 def cmd_overlaps(cfg: RunConfig, out: Path) -> None:
     star, ham = _build_problem(cfg)
     if cfg.shots is None:
-        series, _ = _series_for(cfg, star, ham)
+        series, _ = _series_for(cfg, star, ham)[0]
         mirror.write_overlap_csv(out / "overlaps.csv", cfg.dt, series.values,
                                  None, mode="exact")
         if series.neg_values is not None:
@@ -110,43 +84,25 @@ def cmd_overlaps(cfg: RunConfig, out: Path) -> None:
                                      series.neg_values, None, mode="exact")
         return
     mode = "noisy" if (cfg.noise is not None and cfg.noise.p_pauli > 0) else "sampled"
-    for r in range(cfg.realizations):
-        series, estimates = _series_for(cfg, star, ham, realization=r)
+    for r, (series, estimates) in enumerate(_series_for(cfg, star, ham)):
         name = "overlaps.csv" if cfg.realizations == 1 else f"overlaps_r{r:03d}.csv"
         mirror.write_overlap_csv(out / name, cfg.dt, series.values, estimates, mode=mode)
     if mode == "noisy":
         from .noise import write_mitigation_csv
         # emulator-style ablation over at most 20 time steps (4 mitigation
         # combinations per step, each a full trajectory-sampled estimate)
-        rows = mirror.mitigation_ablation(_initial_prep(cfg, star), ham, cfg.dt,
-                                          min(cfg.steps, 20), _shot_plan(cfg),
-                                          _noise_spec(cfg), cfg.seed,
+        rows = mirror.mitigation_ablation(cfg.initial_prep(star), ham, cfg.dt,
+                                          min(cfg.steps, 20), cfg.shots,
+                                          cfg.noise_spec(), cfg.seed,
                                           cfg.magnitude_source)
         write_mitigation_csv(out / "mitigation_ablation.csv", rows)
 
 
-def cmd_converge(cfg: RunConfig, out: Path, threads: int = 1) -> None:
+def cmd_converge(cfg: RunConfig, out: Path) -> None:
     star, ham = _build_problem(cfg)
     sector = cfg.initial.sz if cfg.initial.kind == "sector" else 0
     e_exact = ham.ground_state_energy(sector=float(sector))
-
-    def one_realization(r: int):
-        series, _ = _series_for(cfg, star, ham, realization=r)
-        rows = {}
-        for solver in cfg.solvers:
-            for delta in cfg.deltas:
-                for ns in _solver_steps(cfg, solver):
-                    est = krylov.solve(solver, series, ns, delta,
-                                       **_solver_kwargs(cfg, solver))
-                    rows[(solver, delta, ns)] = (est.energy, est.retained_rank)
-        return rows
-
-    if cfg.realizations == 1:
-        all_rows = [one_realization(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            all_rows = list(pool.map(one_realization, range(cfg.realizations)))
-
+    runs = [series for series, _ in _series_for(cfg, star, ham)]
     csv_rows = []
     spread_rows = []
     summary = {}
@@ -154,15 +110,16 @@ def cmd_converge(cfg: RunConfig, out: Path, threads: int = 1) -> None:
         for delta in cfg.deltas:
             steps_to_tol = None
             for ns in _solver_steps(cfg, solver):
-                cell = [rows[(solver, delta, ns)] for rows in all_rows]
-                energies = [e for e, _ in cell if e is not None]
+                cell = [krylov.solve(solver, series, ns, delta, **_solver_kwargs(cfg, solver))
+                        for series in runs]
+                energies = [est.energy for est in cell if est.energy is not None]
                 if not energies:
                     csv_rows.append((solver, delta, ns, None, None, 0))
                     spread_rows.append((solver, delta, ns, None, None, 0))
                     continue
                 mean_e = float(np.mean(energies))
                 mean_err = float(np.mean([abs(e - e_exact) for e in energies]))
-                rank = int(round(np.mean([k for _, k in cell])))
+                rank = int(round(np.mean([est.retained_rank for est in cell])))
                 csv_rows.append((solver, delta, ns, mean_e, mean_e - e_exact, rank))
                 spread_rows.append((solver, delta, ns, float(np.std(energies)),
                                     mean_err, rank))
@@ -185,7 +142,7 @@ def cmd_converge(cfg: RunConfig, out: Path, threads: int = 1) -> None:
         json.dumps(summary, indent=2, sort_keys=True))
 
 
-def cmd_magnetization(cfg: RunConfig, out: Path, threads: int = 1) -> None:
+def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     star = build_star(cfg.n_triangles)
     ham = SpinHamiltonian(star)  # sector energies at h = 0
     ed_energies = {int(sz): e for sz, e in ham.sector_ground_energies().items()
@@ -228,7 +185,7 @@ def cmd_magnetization(cfg: RunConfig, out: Path, threads: int = 1) -> None:
 
 def cmd_allocation(cfg: RunConfig, out: Path) -> None:
     star, ham = _build_problem(cfg)
-    prep = _initial_prep(cfg, star)
+    prep = cfg.initial_prep(star)
     spec = cfg.allocation
     times = [(k + 1) * cfg.dt for k in range(spec.n_times)]
     rows = mirror.allocation_study(prep, ham, times, spec.m_totals, spec.f1_grid,
@@ -266,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("results"),
                        help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent cells")
+                       help="accepted for compatibility; has no effect (runs are serial)")
     return parser
 
 
@@ -280,11 +237,7 @@ def main(argv=None) -> int:
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         (out / "run_config.json").write_text(cfg.to_json())
-        command = COMMANDS[args.command]
-        if args.command in ("converge", "magnetization"):
-            command(cfg, out, threads=args.threads)
-        else:
-            command(cfg, out)
+        COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -3,11 +3,15 @@ published experiment settings (dt = 0.1, delta grid, 40/30/30 shot split)."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from . import krylov
 from .hamiltonian import SpinHamiltonian
 from .lattice import build_star
+from .mirror import ShotPlan
+from .noise import NoiseSpec, twirl_layer
+from .prep import PrepCircuit, dressed_initial, pinwheel, sector_initial
 
 
 class ConfigError(ValueError):
@@ -19,13 +23,6 @@ class InitialStateSpec:
     kind: str = "dressed"  # dressed | pinwheel | sector
     sz: int = 0
     cz_bonds: list | None = None  # None = all free outer bonds
-
-
-@dataclass
-class ShotSpec:
-    total: int = 1000
-    fractions: tuple[float, float, float] = (0.4, 0.3, 0.3)
-    twirl_fraction: float = 0.5
 
 
 @dataclass
@@ -52,7 +49,7 @@ class AllocationSpec:
     realizations: int = 100
 
 
-_SECTIONS = {"initial": InitialStateSpec, "shots": ShotSpec, "noise": NoiseConfig,
+_SECTIONS = {"initial": InitialStateSpec, "shots": ShotPlan, "noise": NoiseConfig,
              "magnet": MagnetSpec, "allocation": AllocationSpec}
 _TUPLE_FIELDS = ("solvers", "deltas", "eigenvalue_band", "fractions", "m_totals", "f1_grid")
 
@@ -71,7 +68,7 @@ class RunConfig:
     deltas: tuple[float, ...] = (1e-1, 1e-3, 1e-5)
     evolver: str = "exact"  # exact | trotter | floquet
     initial: InitialStateSpec = field(default_factory=InitialStateSpec)
-    shots: ShotSpec | None = None  # None = exact expectation values
+    shots: ShotPlan | None = None  # None = exact expectation values
     noise: NoiseConfig | None = None
     realizations: int = 1
     magnitude_source: str = "f1_sqrt"
@@ -85,12 +82,17 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path) as f:
-            raw = json.load(f)
+        try:
+            with open(path) as f:
+                raw = json.load(f)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
         return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("a configuration must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -107,17 +109,43 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, default=str)
 
+    def initial_prep(self, star) -> PrepCircuit:
+        spec = self.initial
+        if spec.kind == "pinwheel":
+            return pinwheel(star)
+        if spec.kind == "dressed":
+            bonds = None if spec.cz_bonds is None else [tuple(b) for b in spec.cz_bonds]
+            return dressed_initial(star, bonds)
+        return sector_initial(star, spec.sz)
+
+    def noise_spec(self) -> NoiseSpec | None:
+        if self.noise is None:
+            return None
+        angle = self.noise.twirl_angle if self.noise.twirl_angle is not None else math.pi / 2
+        return NoiseSpec(self.noise.p_pauli, self.noise.enable_postselect,
+                         self.noise.enable_twirl, angle, self.seed)
+
     def validate(self) -> None:
+        """Check everything a command builds from the config, before any ED."""
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.evolver not in ("exact", "trotter", "floquet"):
             raise ConfigError(f"unknown evolver {self.evolver!r}")
+        if self.initial.kind not in ("dressed", "pinwheel", "sector"):
+            raise ConfigError(f"unknown initial state kind {self.initial.kind!r}")
         try:
             star = build_star(self.n_triangles)
             SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
             series_kind = "floquet" if self.evolver == "floquet" else "unitary"
             for s in self.solvers:
                 krylov.solver_spec(s, series_kind)
+            self.initial_prep(star)
+            noise = self.noise_spec()
+            if noise is not None and noise.enable_twirl:
+                twirl_layer(star.n_sites, noise.twirl_angle, superposition_role=True)
+            if noise is not None and noise.active and self.evolver == "exact":
+                raise ValueError("noise.p_pauli > 0 needs a gate-based evolver "
+                                 "(trotter or floquet)")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:  # magnetization solves exact unitary series at h = 0
@@ -128,8 +156,6 @@ class RunConfig:
                 SpinHamiltonian(star).check_time_step(self.magnet.dt)
         except ValueError as exc:
             raise ConfigError(f"magnet: {exc}") from exc
-        if self.initial.kind not in ("dressed", "pinwheel", "sector"):
-            raise ConfigError(f"unknown initial state kind {self.initial.kind!r}")
         if self.magnitude_source not in ("f1_sqrt", "eq19"):
             raise ConfigError("magnitude_source must be 'f1_sqrt' or 'eq19'")
         if self.realizations < 1:

@@ -17,7 +17,8 @@ from math import comb
 
 import numpy as np
 
-QUBIT_CAP = 14
+from .statevec import MAX_QUBITS as QUBIT_CAP
+
 DEGENERACY_RTOL = 1e-9
 
 
@@ -78,11 +79,9 @@ class SpectrumResult:
 class SpinHamiltonian:
     """Heisenberg model on a star plaquette or kagome patch."""
 
-    def __init__(self, lattice, h_field: float = 0.0, qubit_cap: int = QUBIT_CAP):
-        if lattice.n_sites > qubit_cap:
-            raise ValueError(
-                f"{lattice.n_sites} sites exceeds the qubit cap of {qubit_cap}"
-            )
+    def __init__(self, lattice, h_field: float = 0.0):
+        if lattice.n_sites > QUBIT_CAP:
+            raise ValueError(f"{lattice.n_sites} sites exceeds the qubit cap of {QUBIT_CAP}")
         self.lattice = lattice
         self.h_field = float(h_field)
         self.n_sites = lattice.n_sites

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import krylov
 from .mirror import ExactEvolver, overlap_series_exact
-from .prep import initial_state_for_sector
+from .prep import dressed_initial, sector_initial
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def estimate_sector_energies(ham, method: str = "uvqpe", delta: float = 1e-6,
     energies: dict[int, float] = {}
     meta: dict[int, dict] = {}
     for sz in range(star.n_triangles + 1):
-        prep = initial_state_for_sector(star, sz, sz0_cz_bonds if sz == 0 else None)
+        prep = dressed_initial(star, sz0_cz_bonds) if sz == 0 else sector_initial(star, sz)
         series = overlap_series_exact(prep.state(), evolver, dt, n_steps)
         trace = [krylov.solve(method, series, ns, delta).energy
                  for ns in range(spec.first_step, n_steps + 1)]

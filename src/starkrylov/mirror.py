@@ -15,7 +15,7 @@ optionally replacing the magnitude by sqrt(F1).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def make_evolver(kind: str, ham, dt_step: float | None = None,
 
 @dataclass(frozen=True)
 class ShotPlan:
-    total: int
+    total: int = 1000
     fractions: tuple[float, float, float] = (0.4, 0.3, 0.3)
     twirl_fraction: float = 0.5
 
@@ -143,31 +143,66 @@ class OverlapEstimate:
     flags: tuple[str, ...] = ()
 
 
-# -- exact mirrored states -------------------------------------------------------
+# -- the three mirror circuits ----------------------------------------------------
 
-def _preparations(psi0_prep: PrepCircuit):
-    u_r = reference_superposition(psi0_prep, 1)
-    u_ri = reference_superposition(psi0_prep, 1j)
-    return psi0_prep, u_r, u_ri
+class _MirrorCircuits:
+    """F1, F2, F3 circuits of one psi0 preparation under one evolver.
+
+    The preparations U0, U_R, U_Ri and their inverses are built once.  The
+    noiseless starting states |u0>, |u_R> are prepared on the first call of
+    ``states``, so callers that only run noisy trajectories never build them.
+    """
+
+    def __init__(self, psi0_prep: PrepCircuit, evolver):
+        u_r = reference_superposition(psi0_prep, 1)
+        u_ri = reference_superposition(psi0_prep, 1j)
+        self.n = psi0_prep.n_sites
+        self.evolver = evolver
+        self.preps = (psi0_prep, u_r, u_r)  # prepared state of F1, F2, F3
+        self.inverses = tuple(invert(p).gates for p in (psi0_prep, u_r, u_ri))
+        self._starts = None
+
+    def states(self, t: float, twirl_angle: float | None = None):
+        """Mirrored states at t as ``pools[pool][circuit]``: pool 0 without
+        the twirl layer, pool 1 (only when ``twirl_angle`` is given) with it.
+
+        |u0> and |u_R> are evolved once each; F3 reuses the evolved |u_R>.
+        """
+        if self._starts is None:
+            self._starts = (self.preps[0].state(), self.preps[1].state())
+        u0_t, ur_t = (self.evolver.apply(s, t) for s in self._starts)
+        evolved = [(u0_t, ur_t)]
+        if twirl_angle is not None:
+            layer = twirl_layer(self.n, twirl_angle, superposition_role=True)
+            evolved.append(tuple(apply_circuit(s, layer) for s in (u0_t, ur_t)))
+        return tuple(tuple(apply_circuit(s, inv)
+                           for s, inv in zip((a, b, b), self.inverses))
+                     for a, b in evolved)
+
+    def gates(self, i: int, t: float, twirl_angle: float | None) -> list:
+        """Gate list of circuit i, for the per-shot noisy trajectories."""
+        evo = self.evolver.gates(t)
+        if evo is None:
+            raise ValueError("gate-based evolver required (exact evolution has no layers)")
+        gates = list(self.preps[i].gates) + evo
+        if twirl_angle is not None:
+            gates += twirl_layer(self.n, twirl_angle, superposition_role=i > 0)
+        return gates + list(self.inverses[i])
 
 
-def mirror_states(psi0_prep: PrepCircuit, evolver, t: float,
-                  twirl_gates=None) -> tuple[StateVector, StateVector, StateVector]:
+def mirror_states(psi0_prep: PrepCircuit, evolver,
+                  t: float) -> tuple[StateVector, StateVector, StateVector]:
     """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>."""
-    u0, u_r, u_ri = _preparations(psi0_prep)
-    out = []
-    for prep, inv in ((u0, u0), (u_r, u_r), (u_r, u_ri)):
-        state = evolver.apply(prep.state(), t)
-        if twirl_gates:
-            state = apply_circuit(state, twirl_gates)
-        out.append(apply_circuit(state, invert(inv).gates))
-    return tuple(out)
+    return _MirrorCircuits(psi0_prep, evolver).states(t)[0]
+
+
+def _zero_probabilities(states) -> tuple[float, float, float]:
+    return tuple(float(np.abs(s.amplitudes[0]) ** 2) for s in states)
 
 
 def exact_fractions(psi0_prep: PrepCircuit, evolver, t: float):
     """Noiseless all-zero probabilities (F1, F2, F3)."""
-    return tuple(float(np.abs(s.amplitudes[0]) ** 2)
-                 for s in mirror_states(psi0_prep, evolver, t))
+    return _zero_probabilities(mirror_states(psi0_prep, evolver, t))
 
 
 def exact_overlap(psi0_state: StateVector, evolver, t: float) -> complex:
@@ -194,40 +229,64 @@ def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
 
 # -- sampled estimation -------------------------------------------------------------
 
-def _circuit_gates(prep, inv_prep, evolver, t, twirled, twirl_angle, n):
-    gates = list(prep.gates)
-    evo = evolver.gates(t)
-    if evo is None:
-        raise ValueError("gate-based evolver required (exact evolution has no layers)")
-    gates += evo
-    if twirled:
-        gates += twirl_layer(n, twirl_angle,
-                             superposition_role=prep.role != "psi0")
-    gates += invert(inv_prep).gates
-    return gates
+def _sample_noisy(gates, n, shots, noise, seed, stream):
+    """One Pauli trajectory per shot, each on its own stream (stream, shot)."""
+    samples = np.empty(shots, dtype=np.int64)
+    for j in range(shots):
+        rng = rng_stream(seed, *stream, j)
+        state = noisy_apply(zero_state(n), gates, noise, rng)
+        probs = np.abs(state.amplitudes) ** 2
+        cdf = np.cumsum(probs)
+        samples[j] = np.searchsorted(cdf / cdf[-1], rng.random(), side="right")
+    return samples
 
 
-def _sample_circuit(prep, inv_prep, evolver, t, shots, twirled, noise, seed, stream):
-    """Sample basis indices from one mirrored circuit, optionally noisy."""
-    n = prep.n_sites
-    if noise is not None and noise.active:
-        gates = _circuit_gates(prep, inv_prep, evolver, t, twirled,
-                               noise.twirl_angle, n)
-        samples = np.empty(shots, dtype=np.int64)
-        for j in range(shots):
-            rng = rng_stream(seed, *stream, j)
-            state = noisy_apply(zero_state(n), gates, noise, rng)
-            probs = np.abs(state.amplitudes) ** 2
-            cdf = np.cumsum(probs)
-            samples[j] = np.searchsorted(cdf / cdf[-1], rng.random(), side="right")
-        return samples
-    state = evolver.apply(prep.state(), t)
-    if twirled:
-        angle = noise.twirl_angle if noise is not None else np.pi / 2
-        state = apply_circuit(state, twirl_layer(n, angle,
-                                                 superposition_role=prep.role != "psi0"))
-    state = apply_circuit(state, invert(inv_prep).gates)
-    return sample_bitstrings(state, shots, seed, tuple(stream))
+def _twirl_angle(noise: NoiseSpec | None) -> float | None:
+    return noise.twirl_angle if noise is not None and noise.enable_twirl else None
+
+
+def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
+                   magnitude_source, pools=None) -> OverlapEstimate:
+    """One estimation cell.  Noiseless cells draw from ``pools`` (as returned
+    by ``circuits.states``); noisy cells, passed ``pools=None``, run one
+    trajectory per shot.  The shots of circuit i's pool p use the stream
+    (*stream, i, p)."""
+    twirl_angle = _twirl_angle(noise)
+    fractions = [float("nan")] * 3
+    discards = [0, 0, 0]
+    flags: tuple[str, ...] = ()
+    for i, m_i in enumerate(plan.allocate()):
+        n_twirled = int(round(m_i * plan.twirl_fraction)) if twirl_angle is not None else 0
+        parts = []
+        for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
+            if shots == 0:
+                continue
+            key = (*stream, i, pool)
+            if pools is None:
+                gates = circuits.gates(i, t, twirl_angle if pool else None)
+                parts.append(_sample_noisy(gates, circuits.n, shots, noise, seed, key))
+            else:
+                parts.append(sample_bitstrings(pools[pool][i], shots, seed, key))
+        if not parts:
+            continue
+        samples = np.concatenate(parts)
+        if i == 0 and noise is not None and noise.enable_postselect:
+            samples, discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs,
+                                                 circuits.n)
+            if len(samples) == 0:
+                flags += ("all_shots_discarded",)
+                continue
+        fractions[i] = all_zero_fraction(samples)
+
+    f1, f2, f3 = fractions
+    if np.isnan(f1):
+        value, more = None, ("magnitude_unavailable",)
+    elif np.isnan(f2) or np.isnan(f3):
+        value, more = complex(np.sqrt(max(f1, 0.0))), ("phase_unavailable",)
+    else:
+        value, more = reconstruct(f1, f2, f3, ham.reference_energy(), t, magnitude_source)
+    return OverlapEstimate(value, magnitude_source, tuple(fractions), plan.allocate(),
+                           tuple(discards), flags + more)
 
 
 def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
@@ -240,47 +299,11 @@ def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
     index, realization, ...); all randomness is a pure function of
     (seed, stream, circuit, shot), so cells can run in any order.
     """
-    m_counts = plan.allocate()
-    twirl_on = noise is not None and noise.enable_twirl
-    u0, u_r, u_ri = _preparations(psi0_prep)
-    circuits = ((u0, u0), (u_r, u_r), (u_r, u_ri))
-    fractions = [float("nan")] * 3
-    discards = [0, 0, 0]
-    flags: list[str] = []
-    for i, ((prep, inv), m_i) in enumerate(zip(circuits, m_counts)):
-        if m_i == 0:
-            continue
-        pools = []
-        n_twirled = int(round(m_i * plan.twirl_fraction)) if twirl_on else 0
-        if m_i - n_twirled > 0:
-            pools.append(_sample_circuit(prep, inv, evolver, t, m_i - n_twirled,
-                                         False, noise, seed, (*stream, i, 0)))
-        if n_twirled > 0:
-            pools.append(_sample_circuit(prep, inv, evolver, t, n_twirled,
-                                         True, noise, seed, (*stream, i, 1)))
-        samples = np.concatenate(pools)
-        if i == 0 and noise is not None and noise.enable_postselect:
-            samples, discards[0] = postselect_f1(samples, psi0_prep.dimer_pairs,
-                                                 psi0_prep.n_sites)
-            if len(samples) == 0:
-                flags.append("all_shots_discarded")
-                continue
-        fractions[i] = all_zero_fraction(samples)
-
-    f1, f2, f3 = fractions
-    if np.isnan(f1):
-        return OverlapEstimate(None, magnitude_source, tuple(fractions),
-                               m_counts, tuple(discards),
-                               tuple(flags) + ("magnitude_unavailable",))
-    if np.isnan(f2) or np.isnan(f3):
-        value = complex(np.sqrt(max(f1, 0.0)))
-        return OverlapEstimate(value, magnitude_source, tuple(fractions),
-                               m_counts, tuple(discards),
-                               tuple(flags) + ("phase_unavailable",))
-    value, rec_flags = reconstruct(f1, f2, f3, ham.reference_energy(), t,
-                                   magnitude_source)
-    return OverlapEstimate(value, magnitude_source, tuple(fractions), m_counts,
-                           tuple(discards), tuple(flags) + rec_flags)
+    circuits = _MirrorCircuits(psi0_prep, evolver)
+    noisy = noise is not None and noise.active
+    pools = None if noisy else circuits.states(t, _twirl_angle(noise))
+    return _estimate_cell(circuits, ham, t, plan, seed, stream, noise,
+                          magnitude_source, pools)
 
 
 # -- series builders ----------------------------------------------------------------
@@ -302,46 +325,72 @@ def overlap_series_mirror_exact(psi0_prep: PrepCircuit, evolver, ham, dt: float,
                                 magnitude_source: str = "f1_sqrt") -> krylov.OverlapSeries:
     """Series reconstructed from exact F1/F2/F3 (no sampling)."""
     e_ref = ham.reference_energy()
+    circuits = _MirrorCircuits(psi0_prep, evolver)
     values = [1.0 + 0.0j]
     for k in range(1, kmax + 1):
-        f1, f2, f3 = exact_fractions(psi0_prep, evolver, k * dt)
+        f1, f2, f3 = _zero_probabilities(circuits.states(k * dt)[0])
         values.append(reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
     return krylov.OverlapSeries(dt, np.array(values), None, "exact_mirror", "unitary")
 
 
 def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
                            kmax: int, plan: ShotPlan, seed: int,
-                           noise: NoiseSpec | None = None, realization: int = 0,
+                           noise: NoiseSpec | None = None, realizations=(0,),
                            magnitude_source: str = "f1_sqrt"):
-    """Sampled series; returns (OverlapSeries, per-step OverlapEstimate list).
+    """Sampled series, one ``(OverlapSeries, per-step OverlapEstimate list)``
+    pair per entry of ``realizations``.
 
-    For Floquet evolvers the negative-direction values are sampled from the
-    reversed-step circuits under the same plan.
+    Times run in the outer loop: a noiseless time builds its mirrored states
+    once and every realization r draws from them on its own streams
+    (r, k, circuit, pool).  For Floquet evolvers the negative-direction values
+    are sampled from the reversed-step circuits under the same plan.
     """
-    def direction(sign: int) -> list[OverlapEstimate]:
-        out = []
+    realizations = tuple(realizations)
+    circuits = _MirrorCircuits(psi0_prep, evolver)
+    noisy = noise is not None and noise.active
+
+    def direction(sign: int) -> list[list[OverlapEstimate]]:
+        out: list[list[OverlapEstimate]] = [[] for _ in realizations]
         for k in range(sign, sign * (kmax + 1), sign):
-            est = estimate_overlap(psi0_prep, evolver, ham, k * dt, plan, seed,
-                                   stream=(realization, k), noise=noise,
-                                   magnitude_source=magnitude_source)
-            if est.value is None:
-                raise EstimateUndefined(f"estimate undefined at step {k}: {est.flags}")
-            out.append(est)
+            pools = None if noisy else circuits.states(k * dt, _twirl_angle(noise))
+            for r, estimates in zip(realizations, out):
+                est = _estimate_cell(circuits, ham, k * dt, plan, seed, (r, k), noise,
+                                     magnitude_source, pools)
+                if est.value is None:
+                    raise EstimateUndefined(
+                        f"estimate undefined at step {k} of realization {r}: {est.flags}")
+                estimates.append(est)
         return out
 
-    estimates = direction(1)
-    values = [1.0 + 0.0j] + [est.value for est in estimates]
-    neg = None
-    if evolver.kind == "floquet":
-        neg = np.array([1.0 + 0.0j] + [est.value for est in direction(-1)])
+    def values(estimates) -> np.ndarray:
+        return np.array([1.0 + 0.0j] + [est.value for est in estimates])
+
+    positive = direction(1)
+    negative = direction(-1) if evolver.kind == "floquet" else [None] * len(realizations)
     provenance = (f"noisy(p={noise.p_pauli:g}, M={plan.total}, seed={seed})"
-                  if noise is not None and noise.active
-                  else f"sampled(M={plan.total}, seed={seed})")
+                  if noisy else f"sampled(M={plan.total}, seed={seed})")
     kind = "floquet" if evolver.kind == "floquet" else "unitary"
-    return krylov.OverlapSeries(dt, np.array(values), neg, provenance, kind), estimates
+    return [(krylov.OverlapSeries(dt, values(pos), None if neg is None else values(neg),
+                                  provenance, kind), pos)
+            for pos, neg in zip(positive, negative)]
 
 
 # -- shot-budget studies ---------------------------------------------------------------
+
+def _binomial_overlaps(rng, counts, probs, e_ref, t, modes) -> list[complex]:
+    """Draw F1, F2, F3 binomially in that order (nan for a circuit with no
+    shots) and reconstruct the overlap in each magnitude mode."""
+    f1, f2, f3 = (rng.binomial(m, p) / m if m else np.nan for m, p in zip(counts, probs))
+    return [reconstruct(f1, f2, f3, e_ref, t, mode)[0] for mode in modes]
+
+
+def _exact_cells(psi0_prep: PrepCircuit, evolver, times):
+    """(exact fractions, exact overlap) at each time."""
+    circuits = _MirrorCircuits(psi0_prep, evolver)
+    psi0 = psi0_prep.state()
+    return [(_zero_probabilities(circuits.states(t)[0]), exact_overlap(psi0, evolver, t))
+            for t in times]
+
 
 def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
                      n_realizations: int, seed: int,
@@ -356,26 +405,19 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     if evolver is None:
         evolver = ExactEvolver(ham)
     e_ref = ham.reference_energy()
-    cells = []
-    for t in times:
-        f_exact = exact_fractions(psi0_prep, evolver, t)
-        o_exact = exact_overlap(psi0_prep.state(), evolver, t)
-        cells.append((t, f_exact, o_exact))
+    cells = _exact_cells(psi0_prep, evolver, times)
+    modes = ("f1_sqrt", "eq19")
     rows = []
     for m_total in m_totals:
         for f1_frac in f1_grid:
             rest = (1.0 - f1_frac) / 2.0
-            plan = ShotPlan(m_total, (f1_frac, rest, rest), 0.0)
-            m1, m2, m3 = plan.allocate()
-            errs = {"f1_sqrt": [], "eq19": []}
-            for it, (t, (p1, p2, p3), o_exact) in enumerate(cells):
+            counts = ShotPlan(m_total, (f1_frac, rest, rest), 0.0).allocate()
+            errs = {mode: [] for mode in modes}
+            for it, (t, (probs, o_exact)) in enumerate(zip(times, cells)):
                 for r in range(n_realizations):
                     rng = rng_stream(seed, it, r, int(m_total), int(round(f1_frac * 1000)))
-                    f1 = rng.binomial(m1, p1) / m1 if m1 else np.nan
-                    f2 = rng.binomial(m2, p2) / m2 if m2 else np.nan
-                    f3 = rng.binomial(m3, p3) / m3 if m3 else np.nan
-                    for mode in ("f1_sqrt", "eq19"):
-                        o_m, _ = reconstruct(f1, f2, f3, e_ref, t, mode)
+                    for mode, o_m in zip(modes, _binomial_overlaps(rng, counts, probs,
+                                                                   e_ref, t, modes)):
                         errs[mode].append(abs(o_m - o_exact) ** 2)
             for mode, e in errs.items():
                 e = np.array(e)
@@ -394,17 +436,6 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
 MITIGATION_MODES = ("none", "postselect", "twirl", "both")
 
 
-def _noise_with_toggles(base: NoiseSpec, mode: str) -> NoiseSpec:
-    return NoiseSpec(
-        p_pauli=base.p_pauli,
-        enable_postselect=mode in ("postselect", "both"),
-        enable_twirl=mode in ("twirl", "both"),
-        twirl_angle=base.twirl_angle,
-        seed=base.seed,
-        paulis=base.paulis,
-    )
-
-
 def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
                         plan: ShotPlan, noise: NoiseSpec, seed: int,
                         magnitude_source: str = "f1_sqrt"):
@@ -415,13 +446,13 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
     evolver = FloquetEvolver(ham)
+    times = [k * dt for k in range(1, kmax + 1)]
     rows = []
-    for k in range(1, kmax + 1):
-        t = k * dt
-        exact_f = exact_fractions(psi0_prep, evolver, t)
-        o_exact = exact_overlap(psi0_prep.state(), evolver, t)
+    for k, (t, (exact_f, o_exact)) in enumerate(
+            zip(times, _exact_cells(psi0_prep, evolver, times)), 1):
         for mode in MITIGATION_MODES:
-            spec = _noise_with_toggles(noise, mode)
+            spec = replace(noise, enable_postselect=mode in ("postselect", "both"),
+                           enable_twirl=mode in ("twirl", "both"))
             est = estimate_overlap(psi0_prep, evolver, ham, t, plan, seed,
                                    stream=(k, MITIGATION_MODES.index(mode)),
                                    noise=spec, magnitude_source=magnitude_source)
@@ -438,19 +469,14 @@ def shot_noise_reference(psi0_prep: PrepCircuit, evolver, ham, dt: float,
                          magnitude_source: str = "f1_sqrt"):
     """Per-step std of the noiseless sampled estimate over realizations."""
     e_ref = ham.reference_energy()
-    m1, m2, m3 = plan.allocate()
+    counts = plan.allocate()
+    times = [k * dt for k in range(1, kmax + 1)]
     sigmas = []
-    for k in range(1, kmax + 1):
-        p1, p2, p3 = exact_fractions(psi0_prep, evolver, k * dt)
-        o_exact = exact_overlap(psi0_prep.state(), evolver, k * dt)
-        errors = []
-        for r in range(n_realizations):
-            rng = rng_stream(seed, k, r)
-            f1 = rng.binomial(m1, p1) / m1
-            f2 = rng.binomial(m2, p2) / m2
-            f3 = rng.binomial(m3, p3) / m3
-            o_m, _ = reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)
-            errors.append(abs(o_m - o_exact))
+    for k, (t, (probs, o_exact)) in enumerate(
+            zip(times, _exact_cells(psi0_prep, evolver, times)), 1):
+        errors = [abs(_binomial_overlaps(rng_stream(seed, k, r), counts, probs, e_ref, t,
+                                         (magnitude_source,))[0] - o_exact)
+                  for r in range(n_realizations)]
         sigmas.append(float(np.std(errors)))
     return np.array(sigmas)
 

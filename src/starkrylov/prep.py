@@ -147,13 +147,6 @@ def sector_initial(star: StarPlaquette, sz: int) -> PrepCircuit:
     )
 
 
-def initial_state_for_sector(star: StarPlaquette, sz: int, cz_bonds=None) -> PrepCircuit:
-    """Sector initial state; sz=0 is the CZ-dressed pinwheel."""
-    if sz == 0:
-        return dressed_initial(star, cz_bonds)
-    return sector_initial(star, sz)
-
-
 def reference_superposition(psi0_prep: PrepCircuit, phase=1) -> PrepCircuit:
     """Circuit preparing (phase * |psi0> + |all-up>)/sqrt(2), phase in {1, i}.
 

@@ -42,9 +42,6 @@ class StateVector:
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy(), check=False)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

@@ -212,9 +212,8 @@ def test_criterion_7_shot_noise_thresholds(stars, hams):
     plan = ShotPlan(1000)
     n_real = 100
     traces = {"uvqpe": {1e-1: [], 1e-2: []}, "odmd": {1e-1: [], 1e-2: []}}
-    for r in range(n_real):
-        series, _ = overlap_series_sampled(prep, ExactEvolver(ham), ham, DT, 55,
-                                           plan, seed=2026, realization=r)
+    for series, _ in overlap_series_sampled(prep, ExactEvolver(ham), ham, DT, 55,
+                                            plan, seed=2026, realizations=range(n_real)):
         for algorithm in traces:
             first = 1 if algorithm == "uvqpe" else 2
             for delta in traces[algorithm]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ def run(tmp_path, command, config=None, extra=()):
     args = [command, "--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         args += ["--config", str(path)]
     args += list(extra)
     return main(args)
@@ -49,8 +50,18 @@ def test_unknown_config_key_refused(tmp_path):
     {"magnet": {"dt": 0}},
     {"magnet": {"solver": "odmd", "n_steps": 1}},
     {"initial": {"kind": "dressed", "bogus": 1}},
+    {"shots": {"total": 100, "fractions": [0.5, 0.2, 0.2]}},
+    {"shots": {"total": 0}},
+    {"noise": {"p_pauli": 1.5}},
+    {"initial": {"kind": "sector", "sz": 9}},
+    '{"steps": 5,',
+    {"evolver": "floquet", "noise": {"enable_twirl": True, "twirl_angle": 0.3}},
+    {"noise": {"p_pauli": 0.001}},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
-        "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key"])
+        "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
+        "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
+        "sector-sz-outside-table", "malformed-json", "twirl-angle-dephases-reference",
+        "noise-with-exact-evolver"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert run(tmp_path, "magnetization", config) == 2
     err = capsys.readouterr().err
@@ -179,3 +190,10 @@ def test_converge_sampled_writes_spread(tmp_path):
            "shots": {"total": 200}, "realizations": 3}
     assert run(tmp_path, "converge", cfg) == 0
     assert (tmp_path / "out" / "convergence_spread.csv").exists()
+
+
+def test_shipped_configs_validate():
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        RunConfig.from_json(path).validate()

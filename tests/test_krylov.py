@@ -241,9 +241,9 @@ def test_sampled_noise_threshold_failure_modes():
     from starkrylov.mirror import ShotPlan, overlap_series_sampled
     failures = 0
     n_real = 12
-    for r in range(n_real):
-        series, _ = overlap_series_sampled(prep, ExactEvolver(ham), ham, DT, 50,
-                                           ShotPlan(1000), seed=3, realization=r)
+    for series, _ in overlap_series_sampled(prep, ExactEvolver(ham), ham, DT, 50,
+                                            ShotPlan(1000), seed=3,
+                                            realizations=range(n_real)):
         est = uvqpe(series, 50, 1e-2)
         if est.energy is None or abs(est.energy + 12.0) > 0.5:
             failures += 1

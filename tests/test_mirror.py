@@ -20,8 +20,9 @@ from starkrylov.mirror import (
     reconstruct,
     shot_noise_reference,
 )
-from starkrylov.noise import NoiseSpec
-from starkrylov.prep import dressed_initial, pinwheel
+from starkrylov.noise import NoiseSpec, postselect_f1, twirl_layer
+from starkrylov.prep import dressed_initial, invert, pinwheel, reference_superposition
+from starkrylov.statevec import all_zero_fraction, apply_circuit, sample_bitstrings
 
 DT = 0.1
 
@@ -179,7 +180,7 @@ def test_sampled_series_consistent_with_sigma_reference(problem):
     ev = ExactEvolver(ham)
     plan = ShotPlan(1000)
     kmax = 10
-    series, estimates = overlap_series_sampled(prep, ev, ham, DT, kmax, plan, seed=2)
+    [(series, estimates)] = overlap_series_sampled(prep, ev, ham, DT, kmax, plan, seed=2)
     assert len(series.values) == kmax + 1
     assert len(estimates) == kmax
     exact = overlap_series_exact(prep.state(), ev, DT, kmax)
@@ -188,6 +189,80 @@ def test_sampled_series_consistent_with_sigma_reference(problem):
     # sampled error is the same order as the shot-noise reference curve
     assert np.mean(errs) < 5 * np.mean(sigma)
     assert np.mean(errs) > np.mean(sigma) / 5
+
+
+def _per_cell_reference(prep, evolver, ham, t, plan, seed, stream, noise):
+    """The per-cell procedure the shared mirrored states replace: each sampled
+    pool prepares its circuit's state, evolves it, twirls it, inverts it and
+    samples it on the stream (*stream, circuit, pool)."""
+    u_r, u_ri = reference_superposition(prep, 1), reference_superposition(prep, 1j)
+    twirl_on = noise is not None and noise.enable_twirl
+    fractions = []
+    for i, ((p, inv), m_i) in enumerate(zip(((prep, prep), (u_r, u_r), (u_r, u_ri)),
+                                            plan.allocate())):
+        n_twirled = int(round(m_i * plan.twirl_fraction)) if twirl_on else 0
+        pools = []
+        for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
+            if shots == 0:
+                continue
+            state = evolver.apply(p.state(), t)
+            if pool:
+                state = apply_circuit(state, twirl_layer(prep.n_sites, noise.twirl_angle))
+            state = apply_circuit(state, invert(inv).gates)
+            pools.append(sample_bitstrings(state, shots, seed, (*stream, i, pool)))
+        samples = np.concatenate(pools)
+        if i == 0 and noise is not None and noise.enable_postselect:
+            samples, _ = postselect_f1(samples, prep.dimer_pairs, prep.n_sites)
+        fractions.append(all_zero_fraction(samples))
+    value, _ = reconstruct(*fractions, ham.reference_energy(), t)
+    return tuple(fractions), value
+
+
+@pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
+@pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl-p0"])
+def test_shared_states_match_per_cell_reference(problem, kind, twirl):
+    _, ham, prep = problem
+    ev = make_evolver(kind, ham, dt_step=DT)
+    plan = ShotPlan(201, twirl_fraction=0.5)
+    noise = (NoiseSpec(p_pauli=0.0, enable_postselect=True, enable_twirl=True)
+             if twirl else None)
+    kmax, realizations = 3, (0, 1, 2)
+    runs = overlap_series_sampled(prep, ev, ham, DT, kmax, plan, seed=9, noise=noise,
+                                  realizations=realizations)
+    signs = (1, -1) if kind == "floquet" else (1,)
+    for r, (series, estimates) in zip(realizations, runs):
+        for sign in signs:
+            values = series.values if sign == 1 else series.neg_values
+            for k in range(1, kmax + 1):
+                t = sign * k * DT
+                ref_f, ref_v = _per_cell_reference(prep, ev, ham, t, plan, 9,
+                                                   (r, sign * k), noise)
+                est = estimate_overlap(prep, ev, ham, t, plan, seed=9,
+                                       stream=(r, sign * k), noise=noise)
+                assert est.fractions == ref_f and est.value == ref_v
+                assert values[k] == ref_v
+                if sign == 1:
+                    assert estimates[k - 1].fractions == ref_f
+        [(alone, alone_estimates)] = overlap_series_sampled(
+            prep, ev, ham, DT, kmax, plan, seed=9, noise=noise, realizations=(r,))
+        assert np.array_equal(alone.values, series.values)
+        if kind == "floquet":
+            assert np.array_equal(alone.neg_values, series.neg_values)
+        assert [e.fractions for e in alone_estimates] == [e.fractions for e in estimates]
+
+
+def test_noisy_series_realizations_match_single_cells(problem):
+    _, ham, prep = problem
+    ev = FloquetEvolver(ham)
+    plan = ShotPlan(12)
+    noise = NoiseSpec(p_pauli=0.02)
+    runs = overlap_series_sampled(prep, ev, ham, DT, 1, plan, seed=4, noise=noise,
+                                  realizations=(0, 5))
+    for r, (series, estimates) in zip((0, 5), runs):
+        pos, neg = (estimate_overlap(prep, ev, ham, sign * DT, plan, seed=4,
+                                     stream=(r, sign), noise=noise) for sign in (1, -1))
+        assert series.values[1] == pos.value and estimates[0].fractions == pos.fractions
+        assert series.neg_values[1] == neg.value
 
 
 def test_floquet_series_has_both_directions(problem):
