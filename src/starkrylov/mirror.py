@@ -26,6 +26,7 @@ from .statevec import (
     StateVector,
     all_zero_fraction,
     apply_circuit,
+    apply_gate,
     evolve_exact,
     inner,
     rng_stream,
@@ -151,6 +152,8 @@ class _MirrorCircuits:
     The preparations U0, U_R, U_Ri and their inverses are built once.  The
     noiseless starting states |u0>, |u_R> are prepared on the first call of
     ``states``, so callers that only run noisy trajectories never build them.
+    ``gates`` builds the evolver's gate list once per time and every circuit
+    and pool at that time shares it.
     """
 
     def __init__(self, psi0_prep: PrepCircuit, evolver):
@@ -161,6 +164,7 @@ class _MirrorCircuits:
         self.preps = (psi0_prep, u_r, u_r)  # prepared state of F1, F2, F3
         self.inverses = tuple(invert(p).gates for p in (psi0_prep, u_r, u_ri))
         self._starts = None
+        self._evolution = (None, None)  # (t, evolver gate list at t)
 
     def states(self, t: float, twirl_angle: float | None = None):
         """Mirrored states at t as ``pools[pool][circuit]``: pool 0 without
@@ -181,7 +185,9 @@ class _MirrorCircuits:
 
     def gates(self, i: int, t: float, twirl_angle: float | None) -> list:
         """Gate list of circuit i, for the per-shot noisy trajectories."""
-        evo = self.evolver.gates(t)
+        if self._evolution[0] != t:
+            self._evolution = (t, self.evolver.gates(t))
+        evo = self._evolution[1]
         if evo is None:
             raise ValueError("gate-based evolver required (exact evolution has no layers)")
         gates = list(self.preps[i].gates) + evo
@@ -229,15 +235,47 @@ def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
 
 # -- sampled estimation -------------------------------------------------------------
 
+def _cdf(state: StateVector) -> np.ndarray:
+    cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
+    return cdf / cdf[-1]
+
+
 def _sample_noisy(gates, n, shots, noise, seed, stream):
-    """One Pauli trajectory per shot, each on its own stream (stream, shot)."""
+    """One Pauli trajectory per shot, each on its own stream (*stream, shot).
+
+    A shot's stream draws one uniform per error slot (each site of each gate
+    with two or more sites, in gate order), each followed, when it falls below
+    p, by one integer that picks the Pauli; then the uniform that samples the
+    final state by inverse CDF.  The gates are applied once without errors,
+    keeping the state before each gate.  Each shot draws its slot uniforms and
+    one more in a single call: when no slot errs, that last uniform is the
+    sample uniform and the shot reads the shared noiseless CDF.  A shot with
+    an error reopens its stream, redraws the slot uniforms before the erring
+    gate and resumes ``noisy_apply`` from the state before that gate.
+    """
+    # per gate: the state and the slot count before it; per slot: its gate
+    prefix, before, owner = [], [], []
+    state = zero_state(n)
+    for gi, g in enumerate(gates):
+        prefix.append(state)
+        before.append(len(owner))
+        state = apply_gate(state, g)
+        if noise.p_pauli > 0 and len(g.sites) >= 2:
+            owner += [gi] * len(g.sites)
+    cdf = _cdf(state)
+    n_slots = len(owner)
     samples = np.empty(shots, dtype=np.int64)
     for j in range(shots):
+        u = rng_stream(seed, *stream, j).random(n_slots + 1)
+        hits = np.flatnonzero(u[:n_slots] < noise.p_pauli)
+        if len(hits) == 0:
+            samples[j] = np.searchsorted(cdf, u[n_slots], side="right")
+            continue
+        gi = owner[hits[0]]
         rng = rng_stream(seed, *stream, j)
-        state = noisy_apply(zero_state(n), gates, noise, rng)
-        probs = np.abs(state.amplitudes) ** 2
-        cdf = np.cumsum(probs)
-        samples[j] = np.searchsorted(cdf / cdf[-1], rng.random(), side="right")
+        rng.random(before[gi])
+        state = noisy_apply(prefix[gi], gates[gi:], noise, rng)
+        samples[j] = np.searchsorted(_cdf(state), rng.random(), side="right")
     return samples
 
 
@@ -247,11 +285,14 @@ def _twirl_angle(noise: NoiseSpec | None) -> float | None:
 
 def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
                    magnitude_source, pools=None) -> OverlapEstimate:
-    """One estimation cell.  Noiseless cells draw from ``pools`` (as returned
-    by ``circuits.states``); noisy cells, passed ``pools=None``, run one
-    trajectory per shot.  The shots of circuit i's pool p use the stream
-    (*stream, i, p)."""
+    """One estimation cell.  Noisy cells run one trajectory per shot;
+    noiseless cells draw from ``pools`` (as returned by ``circuits.states``,
+    built here when not given).  The shots of circuit i's pool p use the
+    stream (*stream, i, p)."""
     twirl_angle = _twirl_angle(noise)
+    noisy = noise is not None and noise.active
+    if not noisy and pools is None:
+        pools = circuits.states(t, twirl_angle)
     fractions = [float("nan")] * 3
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
@@ -262,7 +303,7 @@ def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
             if shots == 0:
                 continue
             key = (*stream, i, pool)
-            if pools is None:
+            if noisy:
                 gates = circuits.gates(i, t, twirl_angle if pool else None)
                 parts.append(_sample_noisy(gates, circuits.n, shots, noise, seed, key))
             else:
@@ -299,11 +340,8 @@ def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
     index, realization, ...); all randomness is a pure function of
     (seed, stream, circuit, shot), so cells can run in any order.
     """
-    circuits = _MirrorCircuits(psi0_prep, evolver)
-    noisy = noise is not None and noise.active
-    pools = None if noisy else circuits.states(t, _twirl_angle(noise))
-    return _estimate_cell(circuits, ham, t, plan, seed, stream, noise,
-                          magnitude_source, pools)
+    return _estimate_cell(_MirrorCircuits(psi0_prep, evolver), ham, t, plan, seed,
+                          stream, noise, magnitude_source)
 
 
 # -- series builders ----------------------------------------------------------------
@@ -384,11 +422,11 @@ def _binomial_overlaps(rng, counts, probs, e_ref, t, modes) -> list[complex]:
     return [reconstruct(f1, f2, f3, e_ref, t, mode)[0] for mode in modes]
 
 
-def _exact_cells(psi0_prep: PrepCircuit, evolver, times):
+def _exact_cells(circuits: _MirrorCircuits, times):
     """(exact fractions, exact overlap) at each time."""
-    circuits = _MirrorCircuits(psi0_prep, evolver)
-    psi0 = psi0_prep.state()
-    return [(_zero_probabilities(circuits.states(t)[0]), exact_overlap(psi0, evolver, t))
+    psi0 = circuits.preps[0].state()
+    return [(_zero_probabilities(circuits.states(t)[0]),
+             exact_overlap(psi0, circuits.evolver, t))
             for t in times]
 
 
@@ -405,7 +443,7 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     if evolver is None:
         evolver = ExactEvolver(ham)
     e_ref = ham.reference_energy()
-    cells = _exact_cells(psi0_prep, evolver, times)
+    cells = _exact_cells(_MirrorCircuits(psi0_prep, evolver), times)
     modes = ("f1_sqrt", "eq19")
     rows = []
     for m_total in m_totals:
@@ -445,17 +483,15 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     noisy sampled fractions and overlaps against the noiseless exact values.
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
-    evolver = FloquetEvolver(ham)
+    circuits = _MirrorCircuits(psi0_prep, FloquetEvolver(ham))
     times = [k * dt for k in range(1, kmax + 1)]
     rows = []
-    for k, (t, (exact_f, o_exact)) in enumerate(
-            zip(times, _exact_cells(psi0_prep, evolver, times)), 1):
+    for k, (t, (exact_f, o_exact)) in enumerate(zip(times, _exact_cells(circuits, times)), 1):
         for mode in MITIGATION_MODES:
             spec = replace(noise, enable_postselect=mode in ("postselect", "both"),
                            enable_twirl=mode in ("twirl", "both"))
-            est = estimate_overlap(psi0_prep, evolver, ham, t, plan, seed,
-                                   stream=(k, MITIGATION_MODES.index(mode)),
-                                   noise=spec, magnitude_source=magnitude_source)
+            est = _estimate_cell(circuits, ham, t, plan, seed,
+                                 (k, MITIGATION_MODES.index(mode)), spec, magnitude_source)
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")
                       for f, fx in zip(est.fractions, exact_f)]
             o_err = float("nan") if est.value is None else abs(est.value - o_exact)
@@ -473,7 +509,7 @@ def shot_noise_reference(psi0_prep: PrepCircuit, evolver, ham, dt: float,
     times = [k * dt for k in range(1, kmax + 1)]
     sigmas = []
     for k, (t, (probs, o_exact)) in enumerate(
-            zip(times, _exact_cells(psi0_prep, evolver, times)), 1):
+            zip(times, _exact_cells(_MirrorCircuits(psi0_prep, evolver), times)), 1):
         errors = [abs(_binomial_overlaps(rng_stream(seed, k, r), counts, probs, e_ref, t,
                                          (magnitude_source,))[0] - o_exact)
                   for r in range(n_realizations)]

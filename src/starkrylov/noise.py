@@ -4,6 +4,14 @@ Noise model: after every applied multi-qubit gate, each touched qubit
 independently suffers a uniform X/Y/Z error with probability p.  This is a
 trajectory (pure-state) channel; ensemble quantities are averages over
 trajectories with independent streams.
+
+Stream contract of one trajectory: one uniform per error slot (each site of
+each gate with two or more sites, in gate order), compared against p; after
+a slot's uniform falls below p, one integer picks its Pauli.  The mirror
+estimator then draws one more uniform to sample the final state.  It relies
+on this order: a shot whose slot uniforms all reach p reads a shared
+noiseless distribution, and a shot with an error resumes ``noisy_apply``
+from the noiseless state before the erring gate.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ i.e. a CNOT on sites (c, t) is the textbook matrix in the |c t> basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,13 @@ def h_gate(q: int) -> GateOp:
 
 
 def pauli_gate(name: str, q: int) -> GateOp:
+    """The shared X/Y/Z gate on site q (a plain function over the cache, so
+    call-level instrumentation still sees every error a trajectory draws)."""
+    return _pauli_gate(name, q)
+
+
+@lru_cache(maxsize=None)  # at most 3 * MAX_QUBITS entries
+def _pauli_gate(name: str, q: int) -> GateOp:
     return GateOp((q,), PAULIS[name], name)
 
 
@@ -108,19 +116,27 @@ def unitary_gate(sites: tuple[int, ...], matrix: np.ndarray, label: str = "U") -
     return GateOp(tuple(sites), matrix, label)
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    n = state.n_qubits
-    for q in gate.sites:
+@lru_cache(maxsize=None)  # one entry per gate placement the circuits use
+def _gather_index(n: int, sites: tuple[int, ...]) -> np.ndarray:
+    """Basis indices ordered so that ``amps[idx].reshape(2**k, -1)`` has the
+    sites' local index (sites[0] most significant) as its row and the other
+    qubits, most significant first, as its column."""
+    for q in sites:
         if not 0 <= q < n:
             raise ValueError(f"site {q} out of range for {n} qubits")
-    k = len(gate.sites)
-    tensor = state.amplitudes.reshape([2] * n)
-    axes = [n - 1 - q for q in gate.sites]  # axis of site q
-    tensor = np.moveaxis(tensor, axes, range(k))
-    shape = tensor.shape
-    tensor = gate.matrix @ tensor.reshape(1 << k, -1)
-    tensor = np.moveaxis(tensor.reshape(shape), range(k), axes)
-    return StateVector(n, np.ascontiguousarray(tensor).reshape(-1), check=False)
+    axes = [n - 1 - q for q in sites]  # axis of site q in the (2,)*n tensor
+    idx = np.moveaxis(np.arange(1 << n).reshape([2] * n), axes, range(len(sites)))
+    idx = idx.reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
+def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
+    amps = state.amplitudes
+    idx = _gather_index(state.n_qubits, gate.sites)
+    out = np.empty_like(amps)
+    out[idx] = (gate.matrix @ amps[idx].reshape(len(gate.matrix), -1)).reshape(-1)
+    return StateVector(state.n_qubits, out, check=False)
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:

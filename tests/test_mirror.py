@@ -1,28 +1,41 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from starkrylov import mirror as mirror_module
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.mirror import (
+    MITIGATION_MODES,
     ExactEvolver,
     FloquetEvolver,
     ShotPlan,
     TrotterEvolver,
+    _MirrorCircuits,
+    _sample_noisy,
     allocation_study,
     estimate_overlap,
     exact_fractions,
     exact_overlap,
     make_evolver,
     mirror_states,
+    mitigation_ablation,
     overlap_series_exact,
     overlap_series_mirror_exact,
     overlap_series_sampled,
     reconstruct,
     shot_noise_reference,
 )
-from starkrylov.noise import NoiseSpec, postselect_f1, twirl_layer
+from starkrylov.noise import NoiseSpec, noisy_apply, postselect_f1, twirl_layer
 from starkrylov.prep import dressed_initial, invert, pinwheel, reference_superposition
-from starkrylov.statevec import all_zero_fraction, apply_circuit, sample_bitstrings
+from starkrylov.statevec import (
+    all_zero_fraction,
+    apply_circuit,
+    rng_stream,
+    sample_bitstrings,
+    zero_state,
+)
 
 DT = 0.1
 
@@ -249,6 +262,68 @@ def test_shared_states_match_per_cell_reference(problem, kind, twirl):
         if kind == "floquet":
             assert np.array_equal(alone.neg_values, series.neg_values)
         assert [e.fractions for e in alone_estimates] == [e.fractions for e in estimates]
+
+
+def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream):
+    """The per-shot loop the shared noiseless pass replaces: every shot runs
+    its whole trajectory from |0..0> and samples its own final state."""
+    samples = np.empty(shots, dtype=np.int64)
+    for j in range(shots):
+        rng = rng_stream(seed, *stream, j)
+        state = noisy_apply(zero_state(n), gates, noise, rng)
+        cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
+        samples[j] = np.searchsorted(cdf / cdf[-1], rng.random(), side="right")
+    return samples
+
+
+@pytest.mark.parametrize("kind", ["trotter", "floquet"])
+@pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl"])
+def test_noisy_sampling_matches_per_shot_reference(problem, monkeypatch, kind, twirl):
+    _, ham, prep = problem
+    circuits = _MirrorCircuits(prep, make_evolver(kind, ham, dt_step=DT))
+    replays = []
+
+    def counted_noisy_apply(*args):
+        replays.append(1)
+        return noisy_apply(*args)
+
+    monkeypatch.setattr(mirror_module, "noisy_apply", counted_noisy_apply)
+    cases = [(p, paulis) for p in (1e-3, 0.05, 0.5, 1.0)
+             for paulis in (("Z",), ("X", "Y", "Z"))]
+    for case, (p, paulis) in enumerate(cases):
+        gates = circuits.gates(case % 3, 2 * DT, np.pi / 2 if twirl else None)
+        noise = NoiseSpec(p_pauli=p, paulis=paulis)
+        shots = 300 if p == 1e-3 else 60
+        replays.clear()
+        got = _sample_noisy(gates, prep.n_sites, shots, noise, 6, (case, 1))
+        assert np.array_equal(got, _per_shot_noisy_reference(gates, prep.n_sites, shots,
+                                                             noise, 6, (case, 1)))
+        # p = 1e-3 runs both branches: error-free shots and shots that replay
+        # from a prefix; at p = 1 every shot errs at its first slot
+        if p == 1e-3:
+            assert 0 < len(replays) < shots
+        if p == 1.0:
+            assert len(replays) == shots
+
+
+def test_ablation_matches_per_mode_estimates(problem):
+    # the ablation shares one set of mirror circuits across steps and modes;
+    # a fresh estimate per (step, mode) must give the same rows
+    _, ham, prep = problem
+    ev = FloquetEvolver(ham)
+    plan, noise = ShotPlan(60), NoiseSpec(p_pauli=0.02)
+    expected = []
+    for k in (1, 2, 3):
+        t = k * DT
+        exact_f, o_exact = exact_fractions(prep, ev, t), exact_overlap(prep.state(), ev, t)
+        for m, mode in enumerate(MITIGATION_MODES):
+            spec = replace(noise, enable_postselect=mode in ("postselect", "both"),
+                           enable_twirl=mode in ("twirl", "both"))
+            est = estimate_overlap(prep, ev, ham, t, plan, seed=4, stream=(k, m),
+                                   noise=spec)
+            expected.append((t, mode, *(abs(f - fx) for f, fx in zip(est.fractions, exact_f)),
+                             abs(est.value - o_exact)))
+    assert mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4) == expected
 
 
 def test_noisy_series_realizations_match_single_cells(problem):

@@ -18,6 +18,7 @@ from starkrylov.statevec import (
     format_bitstring,
     h_gate,
     inner,
+    pauli_gate,
     rng_stream,
     sample_bitstrings,
     total_variation,
@@ -64,6 +65,50 @@ def test_rejects_non_unitary_and_bad_sites():
         GateOp((1, 1), np.eye(4, dtype=complex), "dup")
     with pytest.raises(ValueError, match="range"):
         apply_gate(zero_state(2), x_gate(5))
+
+
+def _moveaxis_apply(state, gate):
+    """The moveaxis kernel the index gather replaced, kept as the reference."""
+    n, k = state.n_qubits, len(gate.sites)
+    tensor = state.amplitudes.reshape([2] * n)
+    axes = [n - 1 - q for q in gate.sites]
+    tensor = np.moveaxis(tensor, axes, range(k))
+    shape = tensor.shape
+    tensor = gate.matrix @ tensor.reshape(1 << k, -1)
+    tensor = np.moveaxis(tensor.reshape(shape), range(k), axes)
+    return np.ascontiguousarray(tensor).reshape(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gather_kernel_bitwise_equals_moveaxis_kernel(n):
+    rng = np.random.default_rng(100 + n)
+    for k in range(1, min(3, n) + 1):
+        for trial in range(6):
+            chosen = sorted(int(q) for q in rng.choice(n, size=k, replace=False))
+            for sites in (tuple(chosen), tuple(reversed(chosen))):
+                psi = random_state(n, seed=1000 * n + 10 * k + trial)
+                gate = unitary_gate(sites, random_unitary(1 << k, rng))
+                out = apply_gate(psi, gate)
+                assert np.array_equal(out.amplitudes, _moveaxis_apply(psi, gate))
+                assert out.amplitudes is not psi.amplitudes
+
+
+def test_gather_kernel_still_rejects_bad_sites():
+    for _ in range(2):  # the second call must not hit a cached index
+        with pytest.raises(ValueError, match="range"):
+            apply_gate(zero_state(3), cz_gate(0, 3))
+        with pytest.raises(ValueError, match="range"):
+            apply_gate(zero_state(3), x_gate(-1))
+    with pytest.raises(ValueError, match="distinct"):
+        cz_gate(2, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        unitary_gate((0, 1, 0), np.eye(8, dtype=complex))
+
+
+def test_pauli_gates_are_shared():
+    assert pauli_gate("Y", 3) is pauli_gate("Y", 3)
+    assert pauli_gate("Y", 3) is not pauli_gate("Z", 3)
+    assert pauli_gate("X", 1).sites == (1,)
 
 
 def test_gate_embedding_matches_kron_oracle():
