@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +110,11 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
     for solver in cfg.solvers:
         for delta in cfg.deltas:
             steps_to_tol = None
+            flag_counts: Counter = Counter()
             for ns in _solver_steps(cfg, solver):
                 cell = [krylov.solve(solver, series, ns, delta, **_solver_kwargs(cfg, solver))
                         for series in runs]
+                flag_counts.update(flag for est in cell for flag in est.flags)
                 energies = [est.energy for est in cell if est.energy is not None]
                 if not energies:
                     csv_rows.append((solver, delta, ns, None, None, 0))
@@ -130,6 +133,7 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
                 "final_energy": final[3],
                 "final_error": final[4],
                 "steps_to_1e-6": steps_to_tol,
+                "flag_counts": dict(sorted(flag_counts.items())),
             }
     krylov.write_convergence_csv(out / "convergence.csv", csv_rows)
     if cfg.realizations > 1:
@@ -145,8 +149,8 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
 def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     star = build_star(cfg.n_triangles)
     ham = SpinHamiltonian(star)  # sector energies at h = 0
-    ed_energies = {int(sz): e for sz, e in ham.sector_ground_energies().items()
-                   if sz == int(sz) and sz >= 0}
+    ed_energies = {sz: ham.ground_state_energy(sector=sz)
+                   for sz in range(star.n_sites // 2 + 1)}
     ed_curve = magnet.build_curve(ed_energies, star.n_sites, source="exact")
     magnet.write_sector_csv(out / "sectors_ed.csv", ed_energies)
     magnet.write_curve_csv(out / "magnetization_ed.csv", ed_curve)

@@ -199,6 +199,24 @@ class SpinHamiltonian:
                 out[basis] = v @ (np.exp(-1j * w * t) * (v.conj().T @ part))
         return out
 
+    def autocorrelation(self, vec: np.ndarray, times) -> np.ndarray:
+        """<vec| exp(-i H t) |vec> for every t in ``times``.
+
+        Summed from the sector spectra as sum_i |<E_i|vec>|^2 exp(-i E_i t),
+        one matrix product per S^z sector that ``vec`` touches, so no state
+        is evolved.
+        """
+        if len(vec) != self.dim:
+            raise ValueError("state dimension does not match Hamiltonian")
+        times = np.asarray(times, dtype=float)
+        out = np.zeros(times.shape, dtype=complex)
+        for n_down, basis in enumerate(self._sectors):
+            part = vec[basis]
+            if np.any(part):
+                w, v = self._sector_eig(n_down)
+                out += np.exp(-1j * np.outer(times, w)) @ np.abs(v.conj().T @ part) ** 2
+        return out
+
     # -- analytic quantities -------------------------------------------------
 
     def spectral_bounds(self) -> SpectralBounds:

@@ -153,7 +153,7 @@ class _MirrorCircuits:
     noiseless starting states |u0>, |u_R> are prepared on the first call of
     ``states``, so callers that only run noisy trajectories never build them.
     ``gates`` builds the evolver's gate list once per time and every circuit
-    and pool at that time shares it.
+    and pool at that time shares it; each twirl layer is built once.
     """
 
     def __init__(self, psi0_prep: PrepCircuit, evolver):
@@ -165,6 +165,13 @@ class _MirrorCircuits:
         self.inverses = tuple(invert(p).gates for p in (psi0_prep, u_r, u_ri))
         self._starts = None
         self._evolution = (None, None)  # (t, evolver gate list at t)
+        self._twirls: dict[tuple[float, bool], list] = {}
+
+    def _twirl(self, angle: float, superposition_role: bool) -> list:
+        key = (angle, superposition_role)
+        if key not in self._twirls:
+            self._twirls[key] = twirl_layer(self.n, angle, superposition_role)
+        return self._twirls[key]
 
     def states(self, t: float, twirl_angle: float | None = None):
         """Mirrored states at t as ``pools[pool][circuit]``: pool 0 without
@@ -177,7 +184,7 @@ class _MirrorCircuits:
         u0_t, ur_t = (self.evolver.apply(s, t) for s in self._starts)
         evolved = [(u0_t, ur_t)]
         if twirl_angle is not None:
-            layer = twirl_layer(self.n, twirl_angle, superposition_role=True)
+            layer = self._twirl(twirl_angle, True)
             evolved.append(tuple(apply_circuit(s, layer) for s in (u0_t, ur_t)))
         return tuple(tuple(apply_circuit(s, inv)
                            for s, inv in zip((a, b, b), self.inverses))
@@ -192,7 +199,7 @@ class _MirrorCircuits:
             raise ValueError("gate-based evolver required (exact evolution has no layers)")
         gates = list(self.preps[i].gates) + evo
         if twirl_angle is not None:
-            gates += twirl_layer(self.n, twirl_angle, superposition_role=i > 0)
+            gates += self._twirl(twirl_angle, i > 0)
         return gates + list(self.inverses[i])
 
 
@@ -348,7 +355,14 @@ def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
 
 def overlap_series_exact(psi0_state: StateVector, evolver, dt: float,
                          kmax: int) -> krylov.OverlapSeries:
-    """Series of direct inner products; Floquet evolvers fill both directions."""
+    """Series of direct inner products; Floquet evolvers fill both directions.
+    The exact evolver sums the series from the sector spectra in one call."""
+    if evolver.kind == "exact":
+        values = evolver.ham.autocorrelation(psi0_state.amplitudes,
+                                             np.arange(1, kmax + 1) * dt)
+        return krylov.OverlapSeries(dt, np.concatenate([[1.0 + 0.0j], values]), None,
+                                    "exact", "unitary")
+
     def direction(sign: int) -> np.ndarray:
         return np.array([1.0 + 0.0j] + [exact_overlap(psi0_state, evolver, k * dt)
                                         for k in range(sign, sign * (kmax + 1), sign)])

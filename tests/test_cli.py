@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from starkrylov.cli import main
+from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, RunConfig
 
 
@@ -101,6 +101,25 @@ def test_converge_exact_summary(tmp_path):
     assert abs(summary[key]["final_error"]) < 1e-6
     rows = (out / "convergence.csv").read_text().splitlines()
     assert len(rows) == 1 + 30
+
+
+def test_converge_summary_counts_flags(tmp_path):
+    cfg = {"steps": 6, "deltas": [1e-6], "solvers": ["uvqpe", "odmd"]}
+    assert run(tmp_path, "converge", cfg) == 0
+    summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
+    assert summary["uvqpe:delta=1e-06"]["flag_counts"] == {}
+    # a band that excludes the unit circle is refused by validate, so the
+    # command runs directly: every cell's estimate carries the flag
+    bad = RunConfig.from_dict({**cfg, "eigenvalue_band": [1.5, 2.0]})
+    with pytest.raises(ConfigError, match="unit circle"):
+        bad.validate()
+    cmd_converge(bad, tmp_path)
+    summary = json.loads((tmp_path / "convergence_summary.json").read_text())
+    assert summary["uvqpe:delta=1e-06"]["flag_counts"] == {"no_admissible_eigenvalue": 6}
+    assert summary["odmd:delta=1e-06"]["flag_counts"] == {"no_admissible_eigenvalue": 5}
+    header, *rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert header == "algorithm,delta,step,energy,energy_error,retained_rank"
+    assert len(rows) == 6 + 5
 
 
 def test_converge_sampled_threads_match(tmp_path):

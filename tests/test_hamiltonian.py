@@ -12,7 +12,7 @@ from starkrylov.hamiltonian import (
     write_spectrum_csv,
 )
 from starkrylov.lattice import build_patch, build_star
-from starkrylov.prep import dressed_initial, pinwheel
+from starkrylov.prep import dressed_initial, pinwheel, reference_superposition, sector_initial
 
 
 @dataclass(frozen=True)
@@ -186,3 +186,31 @@ def test_evolve_blocks_match_dense_expm(tmp_path):
     lines = (tmp_path / "s.csv").read_text().splitlines()
     assert lines[0] == "sector,index,energy"
     assert len(lines) == 1 + 256
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+def test_autocorrelation_matches_evolve_loop(n_tri):
+    # the spectral sum against the per-time evolution it replaces, on states
+    # in one sector, in two (psi0 plus the all-up reference) and in all
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star)
+    times = np.arange(1, 61) * 0.17
+    states = {
+        "dressed": dressed_initial(star).state().amplitudes,
+        "sector_sz1": sector_initial(star, 1).state().amplitudes,
+        "reference_superposition": reference_superposition(
+            dressed_initial(star), 1j).state().amplitudes,
+        "random": _random_state(star.n_sites, n_tri),
+    }
+    for name, psi in states.items():
+        loop = np.array([np.vdot(psi, ham.evolve(psi, t)) for t in times])
+        spectral = ham.autocorrelation(psi, times)
+        assert np.max(np.abs(spectral - loop)) <= 1e-13, name
+    with pytest.raises(ValueError, match="dimension"):
+        ham.autocorrelation(np.ones(4), times)

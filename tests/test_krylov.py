@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.krylov import (
+    DEFAULT_BAND,
     KrylovEstimate,
     OverlapSeries,
     _hankel_pair,
     _toeplitz_pair,
+    _truncated_svd,
     cluster_overlaps,
     odmd,
     ritz_ground_overlap,
@@ -18,7 +21,13 @@ from starkrylov.krylov import (
     uvqpe,
 )
 from starkrylov.lattice import build_star
-from starkrylov.mirror import ExactEvolver, FloquetEvolver, overlap_series_exact
+from starkrylov.mirror import (
+    ExactEvolver,
+    FloquetEvolver,
+    ShotPlan,
+    overlap_series_exact,
+    overlap_series_sampled,
+)
 from starkrylov.prep import dressed_initial, pinwheel
 
 DT = 0.1
@@ -183,6 +192,55 @@ def test_ritz_step_zero_matches_psi0(series8):
     direct = spec.overlaps(psi)
     for idx, _e, ov in rows[:5]:
         assert abs(ov - direct[idx]) < 1e-10
+
+
+def _uvqpe_qz(series, n_steps, delta, band=DEFAULT_BAND):
+    """Reference: QZ on the projected pencil (W^H T V, W^H S V), with the
+    finite-eigenvalue mask it needed; returns (energy, ritz, rank, flags)."""
+    T, S = _toeplitz_pair(series, n_steps)
+    W, _, V, flags = _truncated_svd(S, delta)
+    if flags:
+        return None, None, 0, flags
+    lam, vec = scipy.linalg.eig(W.conj().T @ T @ V, W.conj().T @ S @ V)
+    finite = np.isfinite(lam)
+    lam, vec = lam[finite], vec[:, finite]
+    if len(lam) == 0:
+        return None, None, V.shape[1], ("no_eigenvalues",)
+    energies = -np.angle(lam) / series.dt
+    ok = (np.abs(lam) >= band[0]) & (np.abs(lam) <= band[1])
+    flags = ()
+    if not np.any(ok):
+        ok = np.ones_like(energies, dtype=bool)
+        flags = ("no_admissible_eigenvalue",)
+    i = int(np.argmin(np.where(ok, energies, np.inf)))
+    return float(energies[i]), V @ vec[:, i], V.shape[1], flags
+
+
+def test_uvqpe_matches_qz_reference(series8, series12):
+    star = build_star(4)
+    ham = SpinHamiltonian(star)
+    psi = dressed_initial(star)
+    floquet = overlap_series_exact(psi.state(), FloquetEvolver(ham), DT, 40)
+    sampled = [series for series, _ in overlap_series_sampled(
+        psi, ExactEvolver(ham), ham, DT, 40, ShotPlan(1000), seed=5,
+        realizations=range(3))]
+    cases = {"exact8": series8, "exact12": series12[2], "floquet8": floquet}
+    cases.update({f"sampled8_r{r}": s for r, s in enumerate(sampled)})
+    for name, series in cases.items():
+        for delta in (1e-1, 1e-2, 1e-3, 1e-6, 1e-8):
+            for ns in range(1, series.n_max + 1):
+                est = uvqpe(series, ns, delta)
+                energy, ritz, rank, flags = _uvqpe_qz(series, ns, delta)
+                where = f"{name} delta={delta:g} n_steps={ns}"
+                assert est.retained_rank == rank, where
+                assert est.flags == flags, where
+                if energy is None:
+                    assert est.energy is None and est.ritz is None, where
+                    continue
+                assert abs(est.energy - energy) <= 1e-9, where
+                cos = abs(np.vdot(est.ritz, ritz)) / (
+                    np.linalg.norm(est.ritz) * np.linalg.norm(ritz))
+                assert 1.0 - cos <= 1e-12, where
 
 
 def test_ritz_requires_coefficients():

@@ -326,6 +326,25 @@ def test_ablation_matches_per_mode_estimates(problem):
     assert mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4) == expected
 
 
+def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
+    # all circuits, pools, times and directions of a series share the twirl
+    # layers: one with the reference-branch check, one without (F1, noisy only)
+    _, ham, prep = problem
+    built = []
+
+    def counted_twirl_layer(*args):
+        built.append(args)
+        return twirl_layer(*args)
+
+    monkeypatch.setattr(mirror_module, "twirl_layer", counted_twirl_layer)
+    noise = NoiseSpec(p_pauli=0.02, enable_twirl=True)
+    for spec, roles in ((noise, [False, True]), (replace(noise, p_pauli=0.0), [True])):
+        built.clear()
+        overlap_series_sampled(prep, FloquetEvolver(ham), ham, DT, 3, ShotPlan(12),
+                               seed=4, noise=spec, realizations=(0, 1))
+        assert sorted(args[2] for args in built) == roles
+
+
 def test_noisy_series_realizations_match_single_cells(problem):
     _, ham, prep = problem
     ev = FloquetEvolver(ham)
@@ -347,6 +366,17 @@ def test_floquet_series_has_both_directions(problem):
     assert series.kind == "floquet"
     assert series.neg_values is not None
     assert abs(series.value(-2) - exact_overlap(prep.state(), ev, -2 * DT)) < 1e-12
+
+
+def test_exact_series_matches_per_step_overlaps(problem):
+    # the spectral exact series against the per-step inner products it replaced
+    _, ham, prep = problem
+    ev = ExactEvolver(ham)
+    for state in (prep.state(), reference_superposition(prep, 1).state()):
+        series = overlap_series_exact(state, ev, DT, 40)
+        loop = [exact_overlap(state, ev, k * DT) for k in range(1, 41)]
+        assert series.values[0] == 1.0 and series.kind == "unitary"
+        assert np.max(np.abs(series.values[1:] - loop)) <= 1e-13
 
 
 def test_mirror_exact_series_matches_direct(problem):
