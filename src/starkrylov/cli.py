@@ -2,7 +2,8 @@
 
 Subcommands: spectrum | overlaps | converge | magnetization | allocation.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
-Identical config and seed produce byte-identical output files.
+Identical config and seed produce byte-identical output files on one machine
+with one BLAS thread count.
 """
 from __future__ import annotations
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 
 from . import krylov
 from .hamiltonian import SpinHamiltonian
@@ -54,8 +55,49 @@ _SECTIONS = {"initial": InitialStateSpec, "shots": ShotPlan, "noise": NoiseConfi
 _TUPLE_FIELDS = ("solvers", "deltas", "eigenvalue_band", "fractions", "m_totals", "f1_grid")
 
 
+# The type of every numeric or boolean field, per section ("" is the top
+# level): int takes no float or bool, float any finite real number but no
+# bool, (kind, ...) a list of any length and (kind, kind) a pair.  A field or
+# section whose default is None may also be null.
+_FIELD_TYPES = {
+    "": {"n_triangles": int, "steps": int, "realizations": int, "seed": int,
+         "odmd_window": int, "h_field": float, "dt": float, "deltas": (float, ...),
+         "eigenvalue_band": (float, float), "odmd_real_part": bool,
+         "reverse_trotter_groups": bool},
+    "initial": {"sz": int},
+    "shots": {"total": int, "fractions": (float,) * 3, "twirl_fraction": float},
+    "noise": {"p_pauli": float, "twirl_angle": float, "enable_postselect": bool,
+              "enable_twirl": bool},
+    "magnet": {"n_steps": int, "delta": float, "dt": float},
+    "allocation": {"m_totals": (int, ...), "f1_grid": (float, ...), "n_times": int,
+                   "realizations": int},
+}
+_TYPE_NAMES = {int: ("an integer", "integers"), bool: ("true or false", "booleans"),
+               float: ("a finite real number", "finite real numbers")}
+
+
 def _with_tuples(fields: dict) -> dict:
     return {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in fields.items()}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        if not isinstance(value, tuple):
+            return False
+        kinds = kind[:1] * len(value) if kind[-1] is Ellipsis else kind
+        return len(value) == len(kinds) and all(map(_has_type, value, kinds))
+    if isinstance(value, bool) or kind is bool:
+        return type(value) is kind
+    if kind is int:
+        return isinstance(value, Integral)
+    return isinstance(value, Real) and abs(value) < math.inf  # no NaN, no overflow
+
+
+def _describe(kind) -> str:
+    if not isinstance(kind, tuple):
+        return _TYPE_NAMES[kind][0]
+    size = "" if kind[-1] is Ellipsis else f"{len(kind)} "
+    return f"a list of {size}{_TYPE_NAMES[kind[0]][1]}"
 
 
 @dataclass
@@ -125,10 +167,37 @@ class RunConfig:
         return NoiseSpec(self.noise.p_pauli, self.noise.enable_postselect,
                          self.noise.enable_twirl, angle, self.seed)
 
+    def _check_types(self) -> None:
+        for section, types in _FIELD_TYPES.items():
+            obj = getattr(self, section) if section else self
+            if obj is None:
+                if self.__dataclass_fields__[section].default is None:
+                    continue
+                raise ConfigError(f"{section} must be an object")
+            for name, kind in types.items():
+                value = getattr(obj, name)
+                if value is None and obj.__dataclass_fields__[name].default is None:
+                    continue
+                if not _has_type(value, kind):
+                    where = f"{section}.{name}" if section else name
+                    raise ConfigError(f"{where} must be {_describe(kind)}, got {value!r}")
+
     def validate(self) -> None:
-        """Check everything a command builds from the config, before any ED."""
+        """Check everything a command builds from the config, before any ED.
+
+        Thresholds (``deltas``, ``magnet.delta``) must be at least
+        ``krylov.DELTA_FLOOR``: below it the SVD keeps rounding noise and the
+        solvers report energies far below the spectrum (the ``krylov`` module
+        docstring gives the measurement)."""
+        self._check_types()
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.odmd_window is not None and not 1 <= self.odmd_window <= self.steps:
+            raise ConfigError(f"odmd_window must lie in [1, steps={self.steps}]")
+        magnet_delta = () if self.magnet.delta is None else (self.magnet.delta,)
+        if any(d < krylov.DELTA_FLOOR for d in (*self.deltas, *magnet_delta)):
+            raise ConfigError(f"deltas and magnet.delta must be >= "
+                              f"{krylov.DELTA_FLOOR:g}, the rounding floor of the SVD")
         if self.evolver not in ("exact", "trotter", "floquet"):
             raise ConfigError(f"unknown evolver {self.evolver!r}")
         if self.initial.kind not in ("dressed", "pinwheel", "sector"):
@@ -138,7 +207,9 @@ class RunConfig:
             SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
             series_kind = "floquet" if self.evolver == "floquet" else "unitary"
             for s in self.solvers:
-                krylov.solver_spec(s, series_kind)
+                first = krylov.solver_spec(s, series_kind).first_step
+                if self.steps < first:
+                    raise ValueError(f"steps must be >= {first} for {s}")
             self.initial_prep(star)
             noise = self.noise_spec()
             if noise is not None and noise.enable_twirl:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -31,13 +30,6 @@ def _sector_indices(n: int) -> list[np.ndarray]:
     return [idx[pop == k] for k in range(n + 1)]
 
 
-def sz_sector_dimension(n: int, sz: float) -> int:
-    n_down = n / 2 - sz
-    if n_down != int(n_down) or not 0 <= n_down <= n:
-        return 0
-    return comb(n, int(n_down))
-
-
 @dataclass
 class SpectralBounds:
     e_min: float
@@ -46,15 +38,11 @@ class SpectralBounds:
 
 
 class SpectrumResult:
-    """Eigen-decomposition of H (full or restricted to one S^z sector).
+    """Eigen-decomposition of H restricted to one S^z sector; ``vectors``
+    columns live on ``basis`` (basis-state indices)."""
 
-    ``vectors`` columns live on ``basis`` (basis-state indices); use
-    ``vector(i)`` for the embedding into the full 2^n space.
-    """
-
-    def __init__(self, n_qubits, energies, vectors, basis, sector=None):
+    def __init__(self, energies, vectors, basis, sector):
         order = np.argsort(energies, kind="stable")
-        self.n_qubits = n_qubits
         self.energies = np.asarray(energies)[order]
         self.vectors = np.asarray(vectors)[:, order]
         self.basis = np.asarray(basis, dtype=np.int64)
@@ -65,11 +53,6 @@ class SpectrumResult:
         e0 = self.energies[0]
         tol = DEGENERACY_RTOL * max(1.0, abs(e0)) + 1e-12
         return np.nonzero(self.energies <= e0 + tol)[0]
-
-    def vector(self, i: int) -> np.ndarray:
-        full = np.zeros(1 << self.n_qubits, dtype=complex)
-        full[self.basis] = self.vectors[:, i]
-        return full
 
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """|<v_i|psi>|^2 for every eigenvector."""
@@ -142,28 +125,10 @@ class SpinHamiltonian:
             self._eigs[n_down] = (w, v)
         return self._eigs[n_down]
 
-    def diagonalize(self, sector: float | None = None) -> SpectrumResult:
-        if sector is not None:
-            n_down = self._ndown_of_sz(sector)
-            w, v = self._sector_eig(n_down)
-            return SpectrumResult(self.n_sites, w, v, self._sectors[n_down], sector)
-        energies, columns, basis = [], [], []
-        for n_down, bas in enumerate(self._sectors):
-            w, v = self._sector_eig(n_down)
-            energies.append(w)
-            basis.append(bas)
-            columns.append(v)
-        # assemble block-diagonal eigenvectors over the concatenated basis
-        all_basis = np.concatenate(basis)
-        total = self.dim
-        vecs = np.zeros((total, total))
-        offset_r = offset_c = 0
-        for v in columns:
-            d = v.shape[0]
-            vecs[offset_r:offset_r + d, offset_c:offset_c + d] = v
-            offset_r += d
-            offset_c += d
-        return SpectrumResult(self.n_sites, np.concatenate(energies), vecs, all_basis)
+    def diagonalize(self, sector: float) -> SpectrumResult:
+        n_down = self._ndown_of_sz(sector)
+        w, v = self._sector_eig(n_down)
+        return SpectrumResult(w, v, self._sectors[n_down], sector)
 
     def ground_state_energy(self, sector: float | None = None) -> float:
         if sector is not None:

@@ -21,6 +21,13 @@ Floquet series.  ``SOLVERS`` maps configuration names to solvers;
 Eigenvalues map to energies as E = -arg(lambda)/dt; estimates keep only
 eigenvalues with |lambda| inside an admissibility band around the unit
 circle and return the minimum admissible energy.
+
+A threshold delta below ``DELTA_FLOOR`` keeps singular values that are
+rounding noise of the SVD, whose spurious directions give eigenvalues far
+below the spectrum.  On exact 8- and 12-spin series, uvqpe gave energies up
+to 36 below the ground energy in some series at every delta up to 2e-15, and
+within 1e-9 of it in all of them from 5e-15 to 1e-13; the floor sits a
+factor 5 above the largest delta that failed.
 """
 from __future__ import annotations
 
@@ -30,9 +37,10 @@ from math import ceil, log
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_BAND = (0.5, 1.5)
+DELTA_FLOOR = 1e-14  # smallest threshold a configuration may ask for
 
 
 @dataclass
@@ -98,25 +106,29 @@ def _pick_minimum(lam: np.ndarray, vecs: np.ndarray, dt: float, band):
 
 
 def _toeplitz_pair(series: OverlapSeries, d: int):
-    """T_{jk} = s_{1+k-j} and S_{jk} = s_{k-j} for j, k < d."""
+    """T_{jk} = s_{1+k-j} and S_{jk} = s_{k-j} for j, k < d.
+
+    Row j of T is s_{1-j} .. s_{d-j} and row j of S is row j + 1 of T, so
+    both are windows of d consecutive values of s_{1-d} .. s_d, read from
+    the last window back."""
     pos = series.values[:d + 1]  # s_0 .. s_d
-    neg = series.neg_values if series.kind == "floquet" else series.values.conj()
-    neg = np.concatenate([pos[:1], neg[1:d]])  # s_0, s_{-1} .. s_{1-d}
-    T = scipy.linalg.toeplitz(np.concatenate([pos[1:2], neg[:d - 1]]), pos[1:])
-    S = scipy.linalg.toeplitz(neg, pos[:d])
-    return T, S
+    neg = series.neg_values[1:d] if series.kind == "floquet" else pos[1:d].conj()
+    rows = sliding_window_view(np.concatenate([neg[::-1], pos]), d)[::-1]
+    return rows[:d].copy(), rows[1:].copy()
 
 
 def _hankel_pair(series: OverlapSeries, n_steps: int, window: int | None = None,
                  real_part: bool = False):
     """X_{rc} = s_{r+c} and X'_{rc} = s_{r+c+1} over a window of d rows
-    (default ceil(n_steps / 2)) and n_steps - d + 1 columns."""
+    (default ceil(n_steps / 2)) and n_steps - d + 1 columns: row r is the
+    window of n_steps - d + 1 values that starts at s_r (s_{r+1} for X')."""
     d = window if window is not None else ceil(n_steps / 2)
     if d < 1 or d > n_steps:
         raise ValueError("window does not fit the series length")
     data = series.values.real.astype(complex) if real_part else series.values
-    X = scipy.linalg.hankel(data[:d], data[d - 1:n_steps])
-    Xp = scipy.linalg.hankel(data[1:d + 1], data[d:n_steps + 1])
+    width = n_steps - d + 1
+    X = sliding_window_view(data[:n_steps], width).copy()
+    Xp = sliding_window_view(data[1:n_steps + 1], width).copy()
     return X, Xp
 
 
@@ -279,12 +291,3 @@ def write_convergence_csv(path, rows) -> None:
                 "" if err is None else f"{err:.12e}",
                 rank,
             ])
-
-
-def write_ritz_csv(path, rows) -> None:
-    """Rows of (step, eig_index, eig_energy, overlap_sq)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "eig_index", "eig_energy", "overlap_sq"])
-        for step, idx, energy, ov in rows:
-            writer.writerow([step, idx, f"{energy:.12f}", f"{ov:.12e}"])

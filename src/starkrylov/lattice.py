@@ -7,7 +7,6 @@ parity k mod 2.  Every other module relies on this numbering.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -59,16 +58,6 @@ class StarPlaquette:
         even = tuple(t for k, t in enumerate(self.triangles) if k % 2 == 0)
         odd = tuple(t for k, t in enumerate(self.triangles) if k % 2 == 1)
         return even, odd
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sites": list(range(self.n_sites)),
-                "bonds": [list(b) for b in self.bonds],
-                "triangles": [list(t) for t in self.triangles],
-                "parity": list(self.parity),
-            }
-        )
 
 
 def build_star(n_triangles: int) -> StarPlaquette:
@@ -123,16 +112,6 @@ class KagomePatch:
         up = tuple(t for t, p in zip(self.triangles, self.parity) if p == 0)
         down = tuple(t for t, p in zip(self.triangles, self.parity) if p == 1)
         return up, down
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sites": list(range(self.n_sites)),
-                "bonds": [list(b) for b in self.bonds],
-                "triangles": [list(t) for t in self.triangles],
-                "parity": list(self.parity),
-            }
-        )
 
 
 def build_patch(rows: int, cols: int) -> KagomePatch:

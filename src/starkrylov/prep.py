@@ -9,7 +9,6 @@ sites with a local two-qubit mapper sending |00> -> |00> and
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +71,6 @@ class PrepCircuit:
 
     def state(self) -> StateVector:
         return apply_circuit(zero_state(self.n_sites), self.gates)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "label": g.label,
-                    "sites": list(g.sites),
-                    "matrix": [[[z.real, z.imag] for z in row] for row in g.matrix],
-                }
-                for g in self.gates
-            ]
-        )
 
 
 def _dimer_gates(pairs) -> list[GateOp]:

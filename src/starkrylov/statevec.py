@@ -185,15 +185,6 @@ def sample_bitstrings(state: StateVector, shots: int, seed: int, stream=0) -> np
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def format_bitstring(index: int, n_qubits: int) -> str:
-    """Site 0 first (left) in the printed string."""
-    return "".join(str((index >> q) & 1) for q in range(n_qubits))
-
-
 def all_zero_fraction(samples: np.ndarray) -> float:
     return float(np.mean(samples == 0)) if len(samples) else float("nan")
 
-
-def total_variation(samples: np.ndarray, probs: np.ndarray) -> float:
-    counts = np.bincount(samples, minlength=len(probs)) / len(samples)
-    return 0.5 * float(np.abs(counts - probs).sum())

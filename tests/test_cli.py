@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import starkrylov
 from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, RunConfig
 
@@ -57,17 +61,60 @@ def test_unknown_config_key_refused(tmp_path):
     '{"steps": 5,',
     {"evolver": "floquet", "noise": {"enable_twirl": True, "twirl_angle": 0.3}},
     {"noise": {"p_pauli": 0.001}},
+    {"steps": 2.5},
+    {"steps": True},
+    {"n_triangles": 4.0},
+    {"realizations": 2.5},
+    {"dt": "x"},
+    {"seed": "x", "shots": {"total": 100}},
+    {"deltas": ["x"]},
+    {"eigenvalue_band": [0.5]},
+    {"magnet": {"n_steps": 10.5}},
+    {"deltas": [0.0]},
+    '{"deltas": [NaN]}',
+    {"deltas": [1e-3, 1e-15]},
+    {"magnet": {"delta": 0.0}},
+    {"odmd_window": 50, "steps": 10},
+    {"steps": 1},
+    {"magnet": None},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
         "sector-sz-outside-table", "malformed-json", "twirl-angle-dephases-reference",
-        "noise-with-exact-evolver"])
+        "noise-with-exact-evolver", "steps-float", "steps-bool", "n-triangles-float",
+        "realizations-float", "dt-string", "seed-string", "deltas-string",
+        "eigenvalue-band-single", "magnet-n-steps-float", "delta-zero", "delta-nan",
+        "delta-below-floor", "magnet-delta-zero", "odmd-window-above-steps",
+        "steps-below-odmd-first-step", "magnet-section-null"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert run(tmp_path, "magnetization", config) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # refused before ED or any output
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: spectrum and a short converge
+    exit 0 in an interpreter where importing scipy fails."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 12, "deltas": [1e-3]}))
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from starkrylov.cli import main",
+        f"assert main(['spectrum', '--out', {str(tmp_path / 'spectrum')!r}]) == 0",
+        f"assert main(['converge', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'converge')!r}]) == 0",
+        "assert 'scipy.linalg' not in sys.modules",
+    ])
+    src = str(Path(starkrylov.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "converge" / "convergence_summary.json").exists()
 
 
 def test_overlaps_exact(tmp_path):

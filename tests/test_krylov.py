@@ -1,3 +1,5 @@
+from math import ceil
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -124,6 +126,31 @@ def test_hankel_structure_via_window():
     est = odmd(series, 9, 1e-10, window=3)
     assert abs(est.energy - (-2.0)) < 1e-9
     assert len(est.ritz) == 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 55, 150])
+def test_window_assembly_matches_scipy(d):
+    """T, S, X and X' from sliding windows equal scipy's toeplitz and hankel,
+    which assembled them before."""
+    rng = np.random.default_rng(d)
+    unitary = OverlapSeries(DT, random_values(rng, 150))
+    floquet = OverlapSeries(DT, random_values(rng, 150), random_values(rng, 150),
+                            kind="floquet")
+    for series in (unitary, floquet):
+        s = series.value
+        T, S = _toeplitz_pair(series, d)
+        col = [s(1 - j) for j in range(d)]
+        assert np.array_equal(T, scipy.linalg.toeplitz(col, [s(k + 1) for k in range(d)]))
+        assert np.array_equal(S, scipy.linalg.toeplitz([s(-j) for j in range(d)],
+                                                       [s(k) for k in range(d)]))
+        for window in sorted({1, ceil(d / 2), d}):
+            for real_part in (False, True):
+                data = series.values.real.astype(complex) if real_part else series.values
+                X, Xp = _hankel_pair(series, d, window, real_part)
+                assert np.array_equal(X, scipy.linalg.hankel(data[:window],
+                                                             data[window - 1:d]))
+                assert np.array_equal(Xp, scipy.linalg.hankel(data[1:window + 1],
+                                                              data[window:d + 1]))
 
 
 def test_overlap_matrix_hermitian_psd(series8):
@@ -371,12 +398,10 @@ def test_real_part_only_mode():
 
 
 def test_csv_writers(tmp_path):
-    from starkrylov.krylov import write_convergence_csv, write_ritz_csv
+    from starkrylov.krylov import write_convergence_csv
     write_convergence_csv(tmp_path / "c.csv",
                           [("uvqpe", 1e-3, 5, -11.9, 0.1, 4),
                            ("odmd", 1e-3, 5, None, None, 0)])
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert lines[0].startswith("algorithm,delta,step")
     assert len(lines) == 3
-    write_ritz_csv(tmp_path / "r.csv", [(3, 0, -12.0, 0.99)])
-    assert (tmp_path / "r.csv").read_text().count("\n") == 2

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import pytest
@@ -111,14 +110,6 @@ def test_dimer_and_free_bonds():
     }
     with pytest.raises(ValueError):
         star.dimer_bonds("sideways")
-
-
-def test_geometry_json():
-    star = build_star(4)
-    doc = json.loads(star.to_json())
-    assert set(doc) == {"sites", "bonds", "triangles", "parity"}
-    assert doc["sites"] == list(range(8))
-    assert len(doc["bonds"]) == 12
 
 
 @pytest.mark.parametrize(

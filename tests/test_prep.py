@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -199,12 +197,3 @@ def test_inverse_is_unitary_on_random_states(stars):
     psi = StateVector(8, amps)
     roundtrip = apply_circuit(apply_circuit(psi, sup.gates), invert(sup).gates)
     assert np.linalg.norm(roundtrip.amplitudes - psi.amplitudes) < 1e-10
-
-
-def test_circuit_json(stars):
-    prep = pinwheel(stars[4])
-    doc = json.loads(prep.to_json())
-    assert len(doc) == len(prep.gates)
-    assert set(doc[0]) == {"label", "sites", "matrix"}
-    m = np.array([[complex(re, im) for re, im in row] for row in doc[2]["matrix"]])
-    assert np.allclose(m, prep.gates[2].matrix)
