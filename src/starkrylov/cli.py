@@ -156,32 +156,30 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     magnet.write_sector_csv(out / "sectors_ed.csv", ed_energies)
     magnet.write_curve_csv(out / "magnetization_ed.csv", ed_curve)
 
-    settings = magnet.sector_solver_settings(star)
     spec = cfg.magnet
     solver_energies, meta = magnet.estimate_sector_energies(
-        ham,
-        method=spec.solver,
-        delta=spec.delta if spec.delta is not None else settings["delta"],
-        n_steps=spec.n_steps if spec.n_steps is not None else settings["n_steps"],
-        dt=spec.dt if spec.dt is not None else settings["dt"],
-    )
+        ham, method=spec.solver, delta=spec.delta, n_steps=spec.n_steps, dt=spec.dt)
     unconverged = [sz for sz, m in meta.items() if not m["converged"]]
     magnet.write_sector_csv(out / f"sectors_{spec.solver}.csv", solver_energies)
     summary = {
         "crossing_fields_ed": list(ed_curve.crossing_fields),
         "sector_errors": {str(sz): meta[sz]["final_error"] for sz in sorted(meta)},
+        "sector_ranks": {str(sz): meta[sz]["retained_rank"] for sz in sorted(meta)},
+        "sector_flags": {str(sz): list(meta[sz]["flags"]) for sz in sorted(meta)},
         "unconverged_sectors": unconverged,
     }
     if not unconverged:
         solver_curve = magnet.build_curve(solver_energies, star.n_sites,
                                           source=spec.solver)
         magnet.write_curve_csv(out / f"magnetization_{spec.solver}.csv", solver_curve)
-        summary[f"crossing_fields_{spec.solver}"] = list(solver_curve.crossing_fields)
-        summary["max_crossing_deviation"] = max(
-            (abs(a - b) for a, b in zip(ed_curve.crossing_fields,
-                                        solver_curve.crossing_fields)),
-            default=math.inf if len(ed_curve.crossing_fields)
-            != len(solver_curve.crossing_fields) else 0.0)
+        ed_fields, solver_fields = ed_curve.crossing_fields, solver_curve.crossing_fields
+        summary[f"crossing_fields_{spec.solver}"] = list(solver_fields)
+        if len(ed_fields) != len(solver_fields):
+            deviation = math.inf  # different plateau counts: no crossings pair up
+        else:
+            deviation = max((abs(a - b) for a, b in zip(ed_fields, solver_fields)),
+                            default=0.0)
+        summary["max_crossing_deviation"] = deviation
     (out / "magnetization_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True))
     if unconverged:

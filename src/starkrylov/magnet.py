@@ -73,15 +73,6 @@ def build_curve(sector_energies: dict[int, float], n_sites: int,
     return MagnetizationCurve(n_sites, energies, tuple(plateaus), source)
 
 
-def _default_sz0_cz_bonds(star):
-    """S^z=0 dressing: every free outer bond for the 8-spin star, every
-    other one for the 12-spin star (the higher-overlap variant)."""
-    free = star.free_outer_bonds("cw")
-    if star.n_triangles == 6:
-        return free[::2]
-    return free
-
-
 def sector_solver_settings(star) -> dict:
     """Per-lattice solver defaults that converge every sector.
 
@@ -97,50 +88,50 @@ def sector_solver_settings(star) -> dict:
     return {"dt": 0.2, "n_steps": 40, "delta": 1e-6}
 
 
-def estimate_sector_energies(ham, method: str = "uvqpe", delta: float = 1e-6,
-                             n_steps: int = 40, dt: float = 0.1,
-                             sz0_cz_bonds=None, oracle: bool = True):
-    """Run the chosen solver on exact series in every S^z sector.
+def sector_series(ham, sz: int, dt: float, n_steps: int, sz0_cz_bonds=None):
+    """Exact series s_0 .. s_{n_steps} of sector ``sz``'s initial state on the
+    h = 0 Hamiltonian ``ham``: ``sector_initial`` for S^z != 0, and for S^z = 0
+    the pinwheel dressed with CZ gates on ``sz0_cz_bonds`` (default: every
+    free outer bond of the 8-spin star, every other one of the 12-spin star,
+    the higher-overlap variant)."""
+    star = ham.lattice
+    if sz0_cz_bonds is None:
+        free = star.free_outer_bonds("cw")
+        sz0_cz_bonds = free[::2] if star.n_triangles == 6 else free
+    prep = dressed_initial(star, sz0_cz_bonds) if sz == 0 else sector_initial(star, sz)
+    return overlap_series_exact(prep.state(), ExactEvolver(ham), dt, n_steps)
 
-    ``ham`` is the h = 0 Hamiltonian of the star ``ham.lattice``; its cached
-    sector eigendecompositions serve the exact series and the oracle alike.
 
-    Returns (energies, meta); ``meta[sz]`` records the estimate trace, a
-    plateau indicator (change < 1e-8 over the last 10 steps), and a
-    ``converged`` flag.  Convergence is judged against the exact sector
-    ground energy when the oracle is available (desk scale): a final error
-    above 1e-3 marks the sector unconverged, whether it plateaued on an
+def estimate_sector_energies(ham, method: str = "uvqpe", delta: float | None = None,
+                             n_steps: int | None = None, dt: float | None = None,
+                             sz0_cz_bonds=None):
+    """One ``method`` solve of every S^z sector's ``sector_series`` at ``n_steps``.
+
+    ``delta``, ``n_steps`` and ``dt`` default to
+    ``sector_solver_settings(ham.lattice)``.  Returns (energies, meta);
+    ``meta[sz]`` holds the exact sector ground energy, the estimate's error
+    against it, its retained rank and flags, and ``converged``: an error
+    above 1e-3 marks the sector unconverged, whether the solver settled on an
     excited level or is still drifting.
     """
     if ham.h_field != 0:
         raise ValueError("sector energies are estimated on the h = 0 Hamiltonian")
-    spec = krylov.solver_spec(method)
+    krylov.solver_spec(method)  # an unknown or Floquet-only solver fails before any ED
+    settings = sector_solver_settings(ham.lattice)
+    delta = settings["delta"] if delta is None else delta
+    n_steps = settings["n_steps"] if n_steps is None else n_steps
+    dt = settings["dt"] if dt is None else dt
     ham.check_time_step(dt)
-    star = ham.lattice
-    if sz0_cz_bonds is None:
-        sz0_cz_bonds = _default_sz0_cz_bonds(star)
-    evolver = ExactEvolver(ham)
     energies: dict[int, float] = {}
     meta: dict[int, dict] = {}
-    for sz in range(star.n_triangles + 1):
-        prep = dressed_initial(star, sz0_cz_bonds) if sz == 0 else sector_initial(star, sz)
-        series = overlap_series_exact(prep.state(), evolver, dt, n_steps)
-        trace = [krylov.solve(method, series, ns, delta).energy
-                 for ns in range(spec.first_step, n_steps + 1)]
-        final = trace[-1]
-        e_exact = ham.ground_state_energy(sector=float(sz)) if oracle else None
-        tail = [e for e in trace[-10:] if e is not None]
-        plateaued = len(tail) == 10 and max(tail) - min(tail) < 1e-8
-        error = None if e_exact is None else abs(final - e_exact)
-        converged = error is None or error <= 1e-3
-        energies[sz] = final
-        meta[sz] = {
-            "trace": trace,
-            "plateaued": plateaued,
-            "converged": converged,
-            "exact": e_exact,
-            "final_error": error,
-        }
+    for sz in range(ham.lattice.n_triangles + 1):
+        estimate = krylov.solve(method, sector_series(ham, sz, dt, n_steps, sz0_cz_bonds),
+                                n_steps, delta)
+        e_exact = ham.ground_state_energy(sector=float(sz))
+        error = abs(estimate.energy - e_exact)
+        energies[sz] = estimate.energy
+        meta[sz] = {"converged": error <= 1e-3, "exact": e_exact, "final_error": error,
+                    "retained_rank": estimate.retained_rank, "flags": estimate.flags}
     return energies, meta
 
 

@@ -31,6 +31,7 @@ from .statevec import (
     inner,
     rng_stream,
     sample_bitstrings,
+    sampling_cdf,
     zero_state,
 )
 from .trotter import floquet_step_gates, step_unitaries, triangle_scheme
@@ -242,11 +243,6 @@ def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
 
 # -- sampled estimation -------------------------------------------------------------
 
-def _cdf(state: StateVector) -> np.ndarray:
-    cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
-    return cdf / cdf[-1]
-
-
 def _sample_noisy(gates, n, shots, noise, seed, stream):
     """One Pauli trajectory per shot, each on its own stream (*stream, shot).
 
@@ -269,7 +265,7 @@ def _sample_noisy(gates, n, shots, noise, seed, stream):
         state = apply_gate(state, g)
         if noise.p_pauli > 0 and len(g.sites) >= 2:
             owner += [gi] * len(g.sites)
-    cdf = _cdf(state)
+    cdf = sampling_cdf(state)
     n_slots = len(owner)
     samples = np.empty(shots, dtype=np.int64)
     for j in range(shots):
@@ -282,7 +278,7 @@ def _sample_noisy(gates, n, shots, noise, seed, stream):
         rng = rng_stream(seed, *stream, j)
         rng.random(before[gi])
         state = noisy_apply(prefix[gi], gates[gi:], noise, rng)
-        samples[j] = np.searchsorted(_cdf(state), rng.random(), side="right")
+        samples[j] = np.searchsorted(sampling_cdf(state), rng.random(), side="right")
     return samples
 
 

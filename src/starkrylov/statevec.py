@@ -172,13 +172,18 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def sampling_cdf(state: StateVector) -> np.ndarray:
+    """Cumulative |amplitude|^2 normalized to end at 1: basis index
+    ``searchsorted(cdf, u, side="right")`` for a uniform u is one sample."""
+    cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
+    return cdf / cdf[-1]
+
+
 def sample_bitstrings(state: StateVector, shots: int, seed: int, stream=0) -> np.ndarray:
     """Sample basis-state indices i.i.d. from |amplitude|^2 by inverse CDF."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = np.abs(state.amplitudes) ** 2
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
+    cdf = sampling_cdf(state)
     parts = stream if isinstance(stream, tuple) else (stream,)
     rng = rng_stream(seed, *parts)
     u = rng.random(shots)

@@ -193,6 +193,27 @@ def test_magnetization_8_spin(tmp_path):
     assert (out / "magnetization_uvqpe.csv").exists()
     assert (out / "sectors_ed.csv").exists()
     assert (out / "sectors_uvqpe.csv").exists()
+    sectors = [str(sz) for sz in range(5)]
+    assert sorted(summary["sector_ranks"]) == sectors
+    assert sorted(summary["sector_flags"]) == sectors
+    assert all(rank >= 1 for rank in summary["sector_ranks"].values())
+
+
+def test_magnetization_plateau_count_mismatch_is_inf(tmp_path, monkeypatch):
+    # sector 3 raised by 5 drops a plateau: 3 solver crossings against ED's 4,
+    # whose overlapping prefix alone would deviate by about 1.7
+    ham = starkrylov.SpinHamiltonian(starkrylov.build_star(4))
+    energies = {sz: ham.ground_state_energy(sector=float(sz)) for sz in range(5)}
+    energies[3] += 5.0
+    meta = {sz: {"converged": True, "exact": None, "final_error": 0.0,
+                 "retained_rank": 1, "flags": ()} for sz in energies}
+    monkeypatch.setattr(starkrylov.magnet, "estimate_sector_energies",
+                        lambda ham, **kwargs: (energies, meta))
+    assert run(tmp_path, "magnetization") == 0
+    summary = json.loads((tmp_path / "out" / "magnetization_summary.json").read_text())
+    assert len(summary["crossing_fields_ed"]) == 4
+    assert len(summary["crossing_fields_uvqpe"]) == 3
+    assert summary["max_crossing_deviation"] == float("inf")
 
 
 def test_magnetization_numerical_failure_exit(tmp_path):

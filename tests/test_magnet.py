@@ -3,15 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from starkrylov import krylov
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.magnet import (
     build_curve,
     estimate_sector_energies,
+    sector_series,
     sector_solver_settings,
     write_curve_csv,
     write_sector_csv,
 )
+from starkrylov.mirror import ExactEvolver, overlap_series_exact
+from starkrylov.prep import dressed_initial, sector_initial
+
+
+def prefix_energies(ham, sz, dt, n_steps, delta, sz0_cz_bonds=None, method="uvqpe"):
+    """Solver energies at every valid prefix up to n_steps of the sector's series."""
+    series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+    first = krylov.SOLVERS[method].first_step
+    return [krylov.solve(method, series, ns, delta).energy
+            for ns in range(first, n_steps + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +93,16 @@ def test_lieb_violation_rejected():
 def test_sector_estimates_8_spin(ed_energies):
     star = build_star(4)
     settings = sector_solver_settings(star)
-    energies, meta = estimate_sector_energies(SpinHamiltonian(star), **settings)
+    ham = SpinHamiltonian(star)
+    energies, meta = estimate_sector_energies(ham, **settings)
+    trace = {sz: prefix_energies(ham, sz, **settings) for sz in energies}
     for sz, e in energies.items():
         assert meta[sz]["converged"]
         # every sector sits within 1e-6 of ED by step 20 already
-        assert abs(meta[sz]["trace"][19] - ed_energies[4][sz]) < 1e-6
+        assert abs(trace[sz][19] - ed_energies[4][sz]) < 1e-6
         assert abs(e - ed_energies[4][sz]) < 1e-8
     # the polarized sector is a single state: exact from the first step
-    assert abs(meta[4]["trace"][0] - ed_energies[4][4]) < 1e-9
+    assert abs(trace[4][0] - ed_energies[4][4]) < 1e-9
 
 
 def test_sector_estimates_reject_bad_dt():
@@ -110,10 +124,11 @@ def test_sector_estimates_reject_floquet_solver_and_field():
 def test_sz0_dressing_override():
     # without CZ dressing the S^z = 0 state is the pinwheel, an exact ground state
     ham = SpinHamiltonian(build_star(4))
-    _, meta = estimate_sector_energies(ham, n_steps=2, dt=0.17, sz0_cz_bonds=[])
-    assert abs(meta[0]["trace"][0] + 12.0) < 1e-9
-    _, meta = estimate_sector_energies(ham, n_steps=2, dt=0.17)
-    assert abs(meta[0]["trace"][0] + 12.0) > 1e-3
+    delta = sector_solver_settings(ham.lattice)["delta"]
+    trace = prefix_energies(ham, 0, 0.17, 2, delta, sz0_cz_bonds=[])
+    assert abs(trace[0] + 12.0) < 1e-9
+    trace = prefix_energies(ham, 0, 0.17, 2, delta)
+    assert abs(trace[0] + 12.0) > 1e-3
 
 
 def test_solver_curve_matches_ed_8_spin(ed_energies):
@@ -131,11 +146,10 @@ def test_12_spin_sz1_slower_than_sz2():
     star = build_star(6)
     settings = sector_solver_settings(star)
     ham = SpinHamiltonian(star)
-    energies, meta = estimate_sector_energies(ham, **settings)
 
     def steps_to(sz, tol=5e-4):
         e0 = ham.ground_state_energy(sector=float(sz))
-        for i, e in enumerate(meta[sz]["trace"]):
+        for i, e in enumerate(prefix_energies(ham, sz, **settings)):
             if e is not None and abs(e - e0) < tol:
                 return i + 1
         return None
@@ -143,6 +157,26 @@ def test_12_spin_sz1_slower_than_sz2():
     s1, s2 = steps_to(1), steps_to(2)
     assert s1 is not None and s2 is not None
     assert s1 > s2  # slower despite the larger initial overlap
+
+
+@pytest.mark.parametrize("method", ["uvqpe", "odmd"])
+def test_one_solve_matches_all_prefix_loop(method):
+    # reference: the all-prefix loop that solved every prefix and kept the last
+    star = build_star(4)
+    ham = SpinHamiltonian(star)
+    settings = sector_solver_settings(star)
+    energies, meta = estimate_sector_energies(ham, method=method, **settings)
+    evolver = ExactEvolver(ham)
+    first = krylov.SOLVERS[method].first_step
+    for sz in range(star.n_triangles + 1):
+        # the 8-spin default dresses every free outer bond
+        prep = dressed_initial(star) if sz == 0 else sector_initial(star, sz)
+        series = overlap_series_exact(prep.state(), evolver, settings["dt"],
+                                      settings["n_steps"])
+        trace = [krylov.solve(method, series, ns, settings["delta"]).energy
+                 for ns in range(first, settings["n_steps"] + 1)]
+        assert energies[sz] == trace[-1]
+        assert meta[sz]["final_error"] == abs(trace[-1] - meta[sz]["exact"])
 
 
 def test_unconverged_sector_flagged():
