@@ -26,7 +26,7 @@ from .prep import (
     sector_initial,
 )
 from .statevec import GateOp, StateVector, apply_gate, evolve_exact, inner, sample_bitstrings, zero_state
-from .trotter import TrotterScheme, bond_scheme, cnot_count, evolve_trotter, floquet_expectation, triangle_scheme
+from .trotter import TrotterScheme, bond_scheme, cnot_count, triangle_scheme
 
 __all__ = [
     "SpinHamiltonian", "SpectrumResult", "subspace_overlap",
@@ -40,6 +40,5 @@ __all__ = [
     "reference_superposition", "sector_initial",
     "GateOp", "StateVector", "apply_gate", "evolve_exact", "inner",
     "sample_bitstrings", "zero_state",
-    "TrotterScheme", "bond_scheme", "cnot_count", "evolve_trotter",
-    "floquet_expectation", "triangle_scheme",
+    "TrotterScheme", "bond_scheme", "cnot_count", "triangle_scheme",
 ]

@@ -1,16 +1,24 @@
 """Run configuration: a single JSON document whose defaults reproduce the
-published experiment settings (dt = 0.1, delta grid, 40/30/30 shot split)."""
+published experiment settings (dt = 0.1, delta grid, 40/30/30 shot split).
+
+The dataclass annotations are the schema, so a new field needs only its
+annotation and default.  ``_parse`` reads them: a section dataclass takes an
+object without unknown keys, a ``tuple`` a list of that length, a ``Literal``
+one of its strings, ``X | None`` also null, an int no float or bool, and a
+float any finite real number but no bool."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from . import krylov
 from .hamiltonian import SpinHamiltonian
 from .lattice import build_star
-from .mirror import ShotPlan
+from .mirror import ShotPlan, allocation_plan
 from .noise import NoiseSpec, twirl_layer
 from .prep import PrepCircuit, dressed_initial, pinwheel, sector_initial
 
@@ -21,9 +29,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class InitialStateSpec:
-    kind: str = "dressed"  # dressed | pinwheel | sector
+    kind: Literal["dressed", "pinwheel", "sector"] = "dressed"
     sz: int = 0
-    cz_bonds: list | None = None  # None = all free outer bonds
+    cz_bonds: tuple[tuple[int, int], ...] | None = None  # None = all free outer bonds
 
 
 @dataclass
@@ -50,54 +58,53 @@ class AllocationSpec:
     realizations: int = 100
 
 
-_SECTIONS = {"initial": InitialStateSpec, "shots": ShotPlan, "noise": NoiseConfig,
-             "magnet": MagnetSpec, "allocation": AllocationSpec}
-_TUPLE_FIELDS = ("solvers", "deltas", "eigenvalue_band", "fractions", "m_totals", "f1_grid")
-
-
-# The type of every numeric or boolean field, per section ("" is the top
-# level): int takes no float or bool, float any finite real number but no
-# bool, (kind, ...) a list of any length and (kind, kind) a pair.  A field or
-# section whose default is None may also be null.
-_FIELD_TYPES = {
-    "": {"n_triangles": int, "steps": int, "realizations": int, "seed": int,
-         "odmd_window": int, "h_field": float, "dt": float, "deltas": (float, ...),
-         "eigenvalue_band": (float, float), "odmd_real_part": bool,
-         "reverse_trotter_groups": bool},
-    "initial": {"sz": int},
-    "shots": {"total": int, "fractions": (float,) * 3, "twirl_fraction": float},
-    "noise": {"p_pauli": float, "twirl_angle": float, "enable_postselect": bool,
-              "enable_twirl": bool},
-    "magnet": {"n_steps": int, "delta": float, "dt": float},
-    "allocation": {"m_totals": (int, ...), "f1_grid": (float, ...), "n_times": int,
-                   "realizations": int},
-}
-_TYPE_NAMES = {int: ("an integer", "integers"), bool: ("true or false", "booleans"),
-               float: ("a finite real number", "finite real numbers")}
-
-
-def _with_tuples(fields: dict) -> dict:
-    return {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in fields.items()}
+_SCALAR_NAMES = {int: "an integer", bool: "true or false",
+                 float: "a finite real number", str: "a string"}
 
 
 def _has_type(value, kind) -> bool:
-    if isinstance(kind, tuple):
-        if not isinstance(value, tuple):
-            return False
-        kinds = kind[:1] * len(value) if kind[-1] is Ellipsis else kind
-        return len(value) == len(kinds) and all(map(_has_type, value, kinds))
     if isinstance(value, bool) or kind is bool:
         return type(value) is kind
     if kind is int:
         return isinstance(value, Integral)
-    return isinstance(value, Real) and abs(value) < math.inf  # no NaN, no overflow
+    if kind is float:
+        return isinstance(value, Real) and abs(value) < math.inf  # no NaN, no overflow
+    return isinstance(value, kind)
 
 
-def _describe(kind) -> str:
-    if not isinstance(kind, tuple):
-        return _TYPE_NAMES[kind][0]
-    size = "" if kind[-1] is Ellipsis else f"{len(kind)} "
-    return f"a list of {size}{_TYPE_NAMES[kind[0]][1]}"
+def _parse(kind, value, where: str):
+    """``value`` checked against the annotation ``kind``: objects become section
+    dataclasses and lists tuples; ``where`` names the value in errors."""
+    origin, args = get_origin(kind), get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _parse(args[0], value, where)
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'a configuration'} must be an object, got {value!r}")
+        types = get_type_hints(kind)
+        unknown = set(value) - {f.name for f in fields(kind)}
+        if unknown:
+            raise ConfigError(f"unknown keys in {where or 'the configuration'}: {sorted(unknown)}")
+        prefix = f"{where}." if where else ""
+        parsed = {k: _parse(types[k], v, prefix + k) for k, v in value.items()}
+        try:
+            return kind(**parsed)
+        except ValueError as exc:  # the section's own checks (ShotPlan)
+            raise ConfigError(f"{where}: {exc}") from exc
+    if origin is tuple:
+        size = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+            raise ConfigError(f"{where} must be a list{f' of {size} items' if size else ''}, "
+                              f"got {value!r}")
+        kinds = args if size else args[:1] * len(value)
+        return tuple(_parse(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if origin is Literal:
+        if not (isinstance(value, str) and value in args):
+            raise ConfigError(f"{where} must be one of {list(args)}, got {value!r}")
+        return value
+    if not _has_type(value, kind):
+        raise ConfigError(f"{where} must be {_SCALAR_NAMES[kind]}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -108,12 +115,12 @@ class RunConfig:
     steps: int = 60
     solvers: tuple[str, ...] = ("uvqpe", "odmd")
     deltas: tuple[float, ...] = (1e-1, 1e-3, 1e-5)
-    evolver: str = "exact"  # exact | trotter | floquet
+    evolver: Literal["exact", "trotter", "floquet"] = "exact"
     initial: InitialStateSpec = field(default_factory=InitialStateSpec)
     shots: ShotPlan | None = None  # None = exact expectation values
     noise: NoiseConfig | None = None
     realizations: int = 1
-    magnitude_source: str = "f1_sqrt"
+    magnitude_source: Literal["f1_sqrt", "eq19"] = "f1_sqrt"
     eigenvalue_band: tuple[float, float] = (0.5, 1.5)
     odmd_window: int | None = None
     odmd_real_part: bool = False
@@ -133,20 +140,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("a configuration must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            kwargs = _with_tuples(raw)
-            for key, spec_cls in _SECTIONS.items():
-                if kwargs.get(key) is not None:
-                    kwargs[key] = spec_cls(**_with_tuples(dict(kwargs[key])))
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return _parse(cls, raw, "")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, default=str)
@@ -156,8 +150,7 @@ class RunConfig:
         if spec.kind == "pinwheel":
             return pinwheel(star)
         if spec.kind == "dressed":
-            bonds = None if spec.cz_bonds is None else [tuple(b) for b in spec.cz_bonds]
-            return dressed_initial(star, bonds)
+            return dressed_initial(star, spec.cz_bonds)
         return sector_initial(star, spec.sz)
 
     def noise_spec(self) -> NoiseSpec | None:
@@ -165,43 +158,25 @@ class RunConfig:
             return None
         angle = self.noise.twirl_angle if self.noise.twirl_angle is not None else math.pi / 2
         return NoiseSpec(self.noise.p_pauli, self.noise.enable_postselect,
-                         self.noise.enable_twirl, angle, self.seed)
-
-    def _check_types(self) -> None:
-        for section, types in _FIELD_TYPES.items():
-            obj = getattr(self, section) if section else self
-            if obj is None:
-                if self.__dataclass_fields__[section].default is None:
-                    continue
-                raise ConfigError(f"{section} must be an object")
-            for name, kind in types.items():
-                value = getattr(obj, name)
-                if value is None and obj.__dataclass_fields__[name].default is None:
-                    continue
-                if not _has_type(value, kind):
-                    where = f"{section}.{name}" if section else name
-                    raise ConfigError(f"{where} must be {_describe(kind)}, got {value!r}")
+                         self.noise.enable_twirl, angle)
 
     def validate(self) -> None:
         """Check everything a command builds from the config, before any ED.
 
-        Thresholds (``deltas``, ``magnet.delta``) must be at least
-        ``krylov.DELTA_FLOOR``: below it the SVD keeps rounding noise and the
-        solvers report energies far below the spectrum (the ``krylov`` module
-        docstring gives the measurement)."""
-        self._check_types()
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        Thresholds (``deltas``, ``magnet.delta``) must lie in
+        [``krylov.DELTA_FLOOR``, 1]: below the floor the SVD keeps rounding
+        noise and the solvers report energies far below the spectrum (the
+        ``krylov`` module docstring gives the measurement); above 1 it keeps
+        no singular value.  Configs built in Python are re-parsed first, so
+        they get the type checks of ``from_dict``."""
+        _parse(type(self), asdict(self), "")
+        if self.steps < 1 or self.realizations < 1:
+            raise ConfigError("steps and realizations must be >= 1")
         if self.odmd_window is not None and not 1 <= self.odmd_window <= self.steps:
             raise ConfigError(f"odmd_window must lie in [1, steps={self.steps}]")
         magnet_delta = () if self.magnet.delta is None else (self.magnet.delta,)
-        if any(d < krylov.DELTA_FLOOR for d in (*self.deltas, *magnet_delta)):
-            raise ConfigError(f"deltas and magnet.delta must be >= "
-                              f"{krylov.DELTA_FLOOR:g}, the rounding floor of the SVD")
-        if self.evolver not in ("exact", "trotter", "floquet"):
-            raise ConfigError(f"unknown evolver {self.evolver!r}")
-        if self.initial.kind not in ("dressed", "pinwheel", "sector"):
-            raise ConfigError(f"unknown initial state kind {self.initial.kind!r}")
+        if not all(krylov.DELTA_FLOOR <= d <= 1 for d in (*self.deltas, *magnet_delta)):
+            raise ConfigError(f"deltas and magnet.delta must lie in [{krylov.DELTA_FLOOR:g}, 1]")
         try:
             star = build_star(self.n_triangles)
             SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
@@ -227,10 +202,14 @@ class RunConfig:
                 SpinHamiltonian(star).check_time_step(self.magnet.dt)
         except ValueError as exc:
             raise ConfigError(f"magnet: {exc}") from exc
-        if self.magnitude_source not in ("f1_sqrt", "eq19"):
-            raise ConfigError("magnitude_source must be 'f1_sqrt' or 'eq19'")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
+        spec = self.allocation
+        try:
+            if spec.n_times < 1 or spec.realizations < 1 or not spec.f1_grid:
+                raise ValueError("needs n_times >= 1, realizations >= 1 and an f1_grid")
+            for m_total, f1_frac in itertools.product(spec.m_totals, spec.f1_grid):
+                allocation_plan(m_total, f1_frac)  # as allocation_study builds it
+        except ValueError as exc:
+            raise ConfigError(f"allocation: {exc}") from exc
         lo, hi = self.eigenvalue_band
         if not 0 < lo < 1 < hi:
             raise ConfigError("eigenvalue_band must bracket the unit circle")

@@ -440,9 +440,14 @@ def _exact_cells(circuits: _MirrorCircuits, times):
             for t in times]
 
 
+def allocation_plan(m_total: int, f1_frac: float) -> ShotPlan:
+    """The plan of one allocation grid point: F1 gets f1_frac, F2 and F3 split the rest."""
+    rest = (1.0 - f1_frac) / 2.0
+    return ShotPlan(m_total, (f1_frac, rest, rest), 0.0)
+
+
 def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
-                     n_realizations: int, seed: int,
-                     evolver=None):
+                     n_realizations: int, seed: int):
     """Typical overlap error per (shot budget, F1 fraction, magnitude mode).
 
     The estimator error O_m - O is zero-mean up to the sqrt(F1) bias, so its
@@ -450,16 +455,13 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     |O - O_m|; that is the typical error reported, along with its spread
     over per-time batches.
     """
-    if evolver is None:
-        evolver = ExactEvolver(ham)
     e_ref = ham.reference_energy()
-    cells = _exact_cells(_MirrorCircuits(psi0_prep, evolver), times)
+    cells = _exact_cells(_MirrorCircuits(psi0_prep, ExactEvolver(ham)), times)
     modes = ("f1_sqrt", "eq19")
     rows = []
     for m_total in m_totals:
         for f1_frac in f1_grid:
-            rest = (1.0 - f1_frac) / 2.0
-            counts = ShotPlan(m_total, (f1_frac, rest, rest), 0.0).allocate()
+            counts = allocation_plan(m_total, f1_frac).allocate()
             errs = {mode: [] for mode in modes}
             for it, (t, (probs, o_exact)) in enumerate(zip(times, cells)):
                 for r in range(n_realizations):

@@ -31,7 +31,6 @@ class NoiseSpec:
     enable_postselect: bool = False
     enable_twirl: bool = False
     twirl_angle: float = np.pi / 2
-    seed: int = 0
     paulis: tuple[str, ...] = _PAULI_NAMES  # restrictable for diagnostics
 
     def __post_init__(self):

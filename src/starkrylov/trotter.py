@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevec import GateOp, StateVector, apply_circuit, inner, rz_gate, unitary_gate
+from .statevec import GateOp, rz_gate, unitary_gate
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -85,27 +85,9 @@ def step_unitaries(scheme: TrotterScheme, ham, dt: float,
     return gates
 
 
-def evolve_trotter(state: StateVector, scheme: TrotterScheme, ham, T: float,
-                   m: int, reverse_groups: bool = False) -> StateVector:
-    """m first-order steps of size T/m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    gates = step_unitaries(scheme, ham, T / m, reverse_groups)
-    for _ in range(m):
-        state = apply_circuit(state, gates)
-    return state
-
-
 def floquet_step_gates(ham, t: float, reverse_groups: bool = False) -> list[GateOp]:
     """One triangle-by-triangle step of size t (t may be negative)."""
     return step_unitaries(triangle_scheme(ham.lattice), ham, t, reverse_groups)
-
-
-def floquet_expectation(psi0: StateVector, ham, t: float, direction: int = 1,
-                        reverse_groups: bool = False) -> complex:
-    """<psi0| F_{direction * t} |psi0> for the single Trotter step F."""
-    gates = floquet_step_gates(ham, direction * t, reverse_groups)
-    return inner(psi0, apply_circuit(psi0, gates))
 
 
 CNOTS_PER_TERM = {

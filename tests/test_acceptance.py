@@ -46,8 +46,6 @@ from starkrylov.statevec import (
 from starkrylov.trotter import (
     bond_scheme,
     cnot_count,
-    evolve_trotter,
-    floquet_expectation,
     triangle_scheme,
 )
 
@@ -196,7 +194,7 @@ def test_criterion_6_floquet_exactness(stars, hams):
         pw = pinwheel(stars[n_tri]).state()
         ham = hams[n_tri]
         for t in (0.05, 0.5, 5.0):
-            val = floquet_expectation(pw, ham, t)
+            val = exact_overlap(pw, FloquetEvolver(ham), t)
             assert abs(val - np.exp(1j * 3.0 * n_tri * t)) < 1e-10
         series = overlap_series_exact(pw, FloquetEvolver(ham), DT, 2)
         est = uvqpe(series, 1, 1e-9)
@@ -326,8 +324,8 @@ def test_criterion_11_property_suites(stars, hams):
     outside = sum(((idx >> q) & 1) for q in range(8)) != 4
     for out in (
         evolve_exact(psi, ham, 0.9),
-        evolve_trotter(psi, triangle_scheme(star), ham, 0.9, 3),
-        evolve_trotter(psi, bond_scheme(star), ham, 0.9, 3),
+        TrotterEvolver(ham, 0.9 / 3).apply(psi, 0.9),
+        TrotterEvolver(ham, 0.9 / 3, scheme=bond_scheme(star)).apply(psi, 0.9),
         FloquetEvolver(ham).apply(psi, 0.9),
     ):
         assert float(np.sum(np.abs(out.amplitudes[outside]) ** 2)) < 1e-10
@@ -350,7 +348,7 @@ def test_criterion_11_property_suites(stars, hams):
     exact = evolve_exact(rnd, ham, 1.0)
     ms = np.array([4, 8, 16, 32, 64])
     errs = [np.linalg.norm(
-        evolve_trotter(rnd, triangle_scheme(star), ham, 1.0, int(m)).amplitudes
+        TrotterEvolver(ham, 1.0 / m).apply(rnd, 1.0).amplitudes
         - exact.amplitudes) for m in ms]
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
     assert abs(slope + 1.0) < 0.1

@@ -8,7 +8,8 @@ import pytest
 
 import starkrylov
 from starkrylov.cli import cmd_converge, main
-from starkrylov.config import ConfigError, RunConfig
+from starkrylov.config import ConfigError, InitialStateSpec, RunConfig
+from starkrylov.lattice import build_star
 
 
 def run(tmp_path, command, config=None, extra=()):
@@ -77,6 +78,15 @@ def test_unknown_config_key_refused(tmp_path):
     {"odmd_window": 50, "steps": 10},
     {"steps": 1},
     {"magnet": None},
+    {"initial": {"cz_bonds": 5}},
+    {"initial": {"cz_bonds": [["a", "b"]]}},
+    {"deltas": [2.0]},
+    {"magnet": {"delta": 2.0}},
+    {"allocation": {"f1_grid": [1.5]}},
+    {"allocation": {"m_totals": [0]}},
+    {"allocation": {"n_times": 0}},
+    {"allocation": {"realizations": 0}},
+    {"allocation": {"f1_grid": []}},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
@@ -85,7 +95,10 @@ def test_unknown_config_key_refused(tmp_path):
         "realizations-float", "dt-string", "seed-string", "deltas-string",
         "eigenvalue-band-single", "magnet-n-steps-float", "delta-zero", "delta-nan",
         "delta-below-floor", "magnet-delta-zero", "odmd-window-above-steps",
-        "steps-below-odmd-first-step", "magnet-section-null"])
+        "steps-below-odmd-first-step", "magnet-section-null", "cz-bonds-int",
+        "cz-bonds-strings", "delta-above-one", "magnet-delta-above-one",
+        "allocation-f1-above-one", "allocation-m-total-zero", "allocation-n-times-zero",
+        "allocation-realizations-zero", "allocation-f1-grid-empty"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert run(tmp_path, "magnetization", config) == 2
     err = capsys.readouterr().err
@@ -277,6 +290,34 @@ def test_converge_sampled_writes_spread(tmp_path):
            "shots": {"total": 200}, "realizations": 3}
     assert run(tmp_path, "converge", cfg) == 0
     assert (tmp_path / "out" / "convergence_spread.csv").exists()
+
+
+def test_validate_reparses_python_built_configs():
+    """Fields set in Python get the type checks of from_dict."""
+    for bad in ({"steps": 2.5}, {"evolver": "euler"}, {"seed": True},
+                {"initial": InitialStateSpec(cz_bonds=((6, "x"),))}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad).validate()
+    cfg = RunConfig(initial=InitialStateSpec(cz_bonds=[[1, 4]]))
+    cfg.validate()  # lists stand for tuples, as in JSON
+    assert cfg.initial_prep(build_star(4)).cz_bonds == ((1, 4),)
+
+
+# the benchmark's magnet12 and noisy8 workload configs
+WORKLOAD_CONFIGS = [
+    {"n_triangles": 6},
+    {"evolver": "floquet", "steps": 10, "shots": {"total": 200},
+     "noise": {"p_pauli": 0.001, "enable_postselect": True, "enable_twirl": True}},
+]
+
+
+def test_config_json_round_trip():
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    for raw in [json.loads(path.read_text()) for path in configs] + WORKLOAD_CONFIGS:
+        cfg = RunConfig.from_dict(raw)
+        again = RunConfig.from_dict(json.loads(cfg.to_json()))
+        assert again == cfg
+        assert again.to_json() == cfg.to_json()
 
 
 def test_shipped_configs_validate():

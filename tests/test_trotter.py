@@ -3,13 +3,12 @@ import pytest
 
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_patch, build_star
+from starkrylov.mirror import FloquetEvolver, TrotterEvolver, exact_overlap
 from starkrylov.prep import dressed_initial, pinwheel
 from starkrylov.statevec import StateVector, apply_circuit, evolve_exact, inner, zero_state
 from starkrylov.trotter import (
     bond_scheme,
     cnot_count,
-    evolve_trotter,
-    floquet_expectation,
     floquet_step_gates,
     step_unitaries,
     term_unitary,
@@ -73,14 +72,14 @@ def test_parity_groups_commute(star8, ham8):
 
 def test_trotter_T0_is_identity(star8, ham8):
     psi = random_state(8, 1)
-    out = evolve_trotter(psi, triangle_scheme(star8), ham8, 0.0, 3)
+    out = TrotterEvolver(ham8, 0.1).apply(psi, 0.0)
     assert np.linalg.norm(out.amplitudes - psi.amplitudes) < 1e-12
 
 
 def test_trotter_exact_on_pinwheel(star8, ham8):
     pw = pinwheel(star8).state()
     for T in (0.4, 2.0):
-        trotterized = evolve_trotter(pw, triangle_scheme(star8), ham8, T, 1)
+        trotterized = TrotterEvolver(ham8, T).apply(pw, T)
         exact = evolve_exact(pw, ham8, T)
         fidelity = abs(inner(trotterized, exact))
         assert abs(fidelity - 1.0) < 1e-10
@@ -91,7 +90,7 @@ def test_trotter_conserves_sz(star8):
         ham = SpinHamiltonian(star8, h)
         psi = dressed_initial(star8).state()
         for scheme in (triangle_scheme(star8), bond_scheme(star8)):
-            out = evolve_trotter(psi, scheme, ham, 0.9, 3)
+            out = TrotterEvolver(ham, 0.9 / 3, scheme=scheme).apply(psi, 0.9)
             # population outside the S^z = 0 sector stays zero
             weights = np.abs(out.amplitudes) ** 2
             idx = np.arange(256)
@@ -106,7 +105,7 @@ def test_first_order_error_slope(star8, ham8):
     ms = np.array([4, 8, 16, 32, 64])
     errs = []
     for m in ms:
-        out = evolve_trotter(psi, triangle_scheme(star8), ham8, T, int(m))
+        out = TrotterEvolver(ham8, T / m).apply(psi, T)
         errs.append(np.linalg.norm(out.amplitudes - exact.amplitudes))
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
     assert abs(slope + 1.0) < 0.1
@@ -117,7 +116,7 @@ def test_error_halves_when_m_doubles(star8, ham8):
     exact = evolve_exact(psi, ham8, 1.0)
 
     def err(m):
-        out = evolve_trotter(psi, triangle_scheme(star8), ham8, 1.0, m)
+        out = TrotterEvolver(ham8, 1.0 / m).apply(psi, 1.0)
         return np.linalg.norm(out.amplitudes - exact.amplitudes)
 
     ratio = err(32) / err(16)
@@ -127,38 +126,38 @@ def test_error_halves_when_m_doubles(star8, ham8):
 @pytest.mark.parametrize("t", [0.05, 0.5, 5.0])
 def test_floquet_pinwheel_eigenvalue(star8, ham8, t):
     pw = pinwheel(star8).state()
-    val = floquet_expectation(pw, ham8, t)
+    val = exact_overlap(pw, FloquetEvolver(ham8), t)
     assert abs(val - np.exp(1j * 12.0 * t)) < 1e-10
 
 
 def test_floquet_t0_and_direction(star8, ham8):
     psi = dressed_initial(star8).state()
-    assert abs(floquet_expectation(psi, ham8, 0.0) - 1.0) < 1e-12
+    floquet = FloquetEvolver(ham8)
+    assert abs(exact_overlap(psi, floquet, 0.0) - 1.0) < 1e-12
     # real states enjoy <F_-t> = conj<F_t> by transposition symmetry, so a
     # complex state is needed to exhibit the generic inequality
     cplx = random_state(8, 7)
-    fwd = floquet_expectation(cplx, ham8, 0.7)
-    bwd = floquet_expectation(cplx, ham8, 0.7, direction=-1)
+    fwd = exact_overlap(cplx, floquet, 0.7)
+    bwd = exact_overlap(cplx, floquet, -0.7)
     assert abs(bwd - np.conj(fwd)) > 1e-6
     real = dressed_initial(star8).state()
     assert abs(
-        floquet_expectation(real, ham8, 0.7, direction=-1)
-        - np.conj(floquet_expectation(real, ham8, 0.7))
+        exact_overlap(real, floquet, -0.7) - np.conj(exact_overlap(real, floquet, 0.7))
     ) < 1e-12
 
 
 def test_floquet_matches_direct_product(star8, ham8):
     psi = dressed_initial(star8).state()
     t = 0.1
-    val = floquet_expectation(psi, ham8, t)
+    val = exact_overlap(psi, FloquetEvolver(ham8), t)
     direct = inner(psi, apply_circuit(psi, floquet_step_gates(ham8, t)))
     assert abs(val - direct) < 1e-12
 
 
 def test_reverse_groups_equal_on_pinwheel(star8, ham8):
     pw = pinwheel(star8).state()
-    a = floquet_expectation(pw, ham8, 0.6)
-    b = floquet_expectation(pw, ham8, 0.6, reverse_groups=True)
+    a = exact_overlap(pw, FloquetEvolver(ham8), 0.6)
+    b = exact_overlap(pw, FloquetEvolver(ham8, reverse_groups=True), 0.6)
     assert abs(a - b) < 1e-10
 
 
