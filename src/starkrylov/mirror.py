@@ -32,6 +32,7 @@ from .statevec import (
     rng_stream,
     sample_bitstrings,
     sampling_cdf,
+    stream_uniforms,
     zero_state,
 )
 from .trotter import floquet_step_gates, step_unitaries, triangle_scheme
@@ -147,14 +148,42 @@ class OverlapEstimate:
 
 # -- the three mirror circuits ----------------------------------------------------
 
+@dataclass(frozen=True)
+class _NoiselessPass:
+    """One circuit's gates applied once without errors.  An error slot is
+    one site of a gate with two or more sites, in gate order."""
+
+    gates: list
+    prefix: list  # the state before each gate
+    before: list  # the slot count before each gate
+    owner: np.ndarray  # the gate index of each slot
+    cdf: np.ndarray  # the sampling CDF of the final state
+
+
+def _noiseless_pass(gates: list, n: int) -> _NoiselessPass:
+    prefix, before, owner = [], [], []
+    state = zero_state(n)
+    for gi, g in enumerate(gates):
+        prefix.append(state)
+        before.append(len(owner))
+        state = apply_gate(state, g)
+        if len(g.sites) >= 2:
+            owner += [gi] * len(g.sites)
+    return _NoiselessPass(gates, prefix, before, np.array(owner, dtype=np.int64),
+                          sampling_cdf(state))
+
+
 class _MirrorCircuits:
     """F1, F2, F3 circuits of one psi0 preparation under one evolver.
 
     The preparations U0, U_R, U_Ri and their inverses are built once.  The
     noiseless starting states |u0>, |u_R> are prepared on the first call of
     ``states``, so callers that only run noisy trajectories never build them.
-    ``gates`` builds the evolver's gate list once per time and every circuit
-    and pool at that time shares it; each twirl layer is built once.
+    The evolver's gate list is built once per time, and so is the noiseless
+    pass of each (circuit, twirl angle): every pool, mitigation mode and
+    realization at that time shares them.  Both are dropped when the time
+    changes, so the cache holds at most one time's passes.  Each twirl layer
+    is built once.
     """
 
     def __init__(self, psi0_prep: PrepCircuit, evolver):
@@ -165,7 +194,8 @@ class _MirrorCircuits:
         self.preps = (psi0_prep, u_r, u_r)  # prepared state of F1, F2, F3
         self.inverses = tuple(invert(p).gates for p in (psi0_prep, u_r, u_ri))
         self._starts = None
-        self._evolution = (None, None)  # (t, evolver gate list at t)
+        # (t, evolver gate list at t, noiseless passes at t by (circuit, twirl angle))
+        self._evolution = (None, None, {})
         self._twirls: dict[tuple[float, bool], list] = {}
 
     def _twirl(self, angle: float, superposition_role: bool) -> list:
@@ -191,17 +221,21 @@ class _MirrorCircuits:
                            for s, inv in zip((a, b, b), self.inverses))
                      for a, b in evolved)
 
-    def gates(self, i: int, t: float, twirl_angle: float | None) -> list:
-        """Gate list of circuit i, for the per-shot noisy trajectories."""
+    def noiseless_pass(self, i: int, t: float, twirl_angle: float | None) -> _NoiselessPass:
+        """The noiseless pass of circuit i at t (with the twirl layer when
+        ``twirl_angle`` is given), built on first use at t."""
         if self._evolution[0] != t:
-            self._evolution = (t, self.evolver.gates(t))
-        evo = self._evolution[1]
-        if evo is None:
-            raise ValueError("gate-based evolver required (exact evolution has no layers)")
-        gates = list(self.preps[i].gates) + evo
-        if twirl_angle is not None:
-            gates += self._twirl(twirl_angle, i > 0)
-        return gates + list(self.inverses[i])
+            self._evolution = (t, self.evolver.gates(t), {})
+        _, evo, passes = self._evolution
+        key = (i, twirl_angle)
+        if key not in passes:
+            if evo is None:
+                raise ValueError("gate-based evolver required (exact evolution has no layers)")
+            gates = list(self.preps[i].gates) + evo
+            if twirl_angle is not None:
+                gates += self._twirl(twirl_angle, i > 0)
+            passes[key] = _noiseless_pass(gates + list(self.inverses[i]), self.n)
+        return passes[key]
 
 
 def mirror_states(psi0_prep: PrepCircuit, evolver,
@@ -243,41 +277,30 @@ def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
 
 # -- sampled estimation -------------------------------------------------------------
 
-def _sample_noisy(gates, n, shots, noise, seed, stream):
+def _sample_noisy(npass: _NoiselessPass, shots, noise, seed, stream):
     """One Pauli trajectory per shot, each on its own stream (*stream, shot).
 
-    A shot's stream draws one uniform per error slot (each site of each gate
-    with two or more sites, in gate order), each followed, when it falls below
-    p, by one integer that picks the Pauli; then the uniform that samples the
-    final state by inverse CDF.  The gates are applied once without errors,
-    keeping the state before each gate.  Each shot draws its slot uniforms and
-    one more in a single call: when no slot errs, that last uniform is the
-    sample uniform and the shot reads the shared noiseless CDF.  A shot with
-    an error reopens its stream, redraws the slot uniforms before the erring
-    gate and resumes ``noisy_apply`` from the state before that gate.
+    A shot's stream draws one uniform per error slot of ``npass``, each
+    followed, when it falls below p, by one integer that picks the Pauli; then
+    the uniform that samples the final state by inverse CDF.  The slot
+    uniforms and one more of every shot are drawn as one block
+    (``stream_uniforms``).  A shot whose slot uniforms all reach p draws
+    nothing else, so its last uniform is its sample uniform; all such shots
+    read the pass's noiseless CDF together.  A shot with an error reopens its
+    stream, redraws the slot uniforms before the erring gate and resumes
+    ``noisy_apply`` from the pass's state before that gate.  Callers sample
+    here only with p > 0, when every slot draws.
     """
-    # per gate: the state and the slot count before it; per slot: its gate
-    prefix, before, owner = [], [], []
-    state = zero_state(n)
-    for gi, g in enumerate(gates):
-        prefix.append(state)
-        before.append(len(owner))
-        state = apply_gate(state, g)
-        if noise.p_pauli > 0 and len(g.sites) >= 2:
-            owner += [gi] * len(g.sites)
-    cdf = sampling_cdf(state)
-    n_slots = len(owner)
-    samples = np.empty(shots, dtype=np.int64)
-    for j in range(shots):
-        u = rng_stream(seed, *stream, j).random(n_slots + 1)
-        hits = np.flatnonzero(u[:n_slots] < noise.p_pauli)
-        if len(hits) == 0:
-            samples[j] = np.searchsorted(cdf, u[n_slots], side="right")
-            continue
-        gi = owner[hits[0]]
+    n_slots = len(npass.owner)
+    u = stream_uniforms(seed, stream, shots, n_slots + 1)
+    hit = u[:, :n_slots] < noise.p_pauli
+    samples = np.searchsorted(npass.cdf, u[:, n_slots], side="right")
+    erring = np.flatnonzero(hit.any(axis=1))
+    for j, slot in zip(erring, hit[erring].argmax(axis=1)):
+        gi = npass.owner[slot]
         rng = rng_stream(seed, *stream, j)
-        rng.random(before[gi])
-        state = noisy_apply(prefix[gi], gates[gi:], noise, rng)
+        rng.random(npass.before[gi])
+        state = noisy_apply(npass.prefix[gi], npass.gates[gi:], noise, rng)
         samples[j] = np.searchsorted(sampling_cdf(state), rng.random(), side="right")
     return samples
 
@@ -307,8 +330,8 @@ def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
                 continue
             key = (*stream, i, pool)
             if noisy:
-                gates = circuits.gates(i, t, twirl_angle if pool else None)
-                parts.append(_sample_noisy(gates, circuits.n, shots, noise, seed, key))
+                npass = circuits.noiseless_pass(i, t, twirl_angle if pool else None)
+                parts.append(_sample_noisy(npass, shots, noise, seed, key))
             else:
                 parts.append(sample_bitstrings(pools[pool][i], shots, seed, key))
         if not parts:

@@ -11,7 +11,10 @@ a slot's uniform falls below p, one integer picks its Pauli.  The mirror
 estimator then draws one more uniform to sample the final state.  It relies
 on this order: a shot whose slot uniforms all reach p reads a shared
 noiseless distribution, and a shot with an error resumes ``noisy_apply``
-from the noiseless state before the erring gate.
+from the noiseless state before the erring gate.  It draws a pool's slot
+uniforms, and the sample uniform after them, as one block with one row per
+shot stream (``statevec.stream_uniforms``); these are the same draws, in the
+same order, as the per-slot ``rng.random()`` calls of ``noisy_apply``.
 """
 from __future__ import annotations
 

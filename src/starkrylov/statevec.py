@@ -158,18 +158,48 @@ def evolve_exact(state: StateVector, ham, t: float) -> StateVector:
     return StateVector(state.n_qubits, ham.evolve(state.amplitudes, t), check=False)
 
 
+_KEY_MASK = (1 << 64) - 1
+
+
+def _stream_key(seed: int, stream_id, sid: int = 0) -> tuple[int, int]:
+    """The two Philox key words of stream (seed, *stream_id): the seed masked
+    to 64 bits, and the stream id parts folded into one word onto ``sid``, the
+    folded word of a stream prefix (0 for the empty prefix)."""
+    for part in stream_id:
+        sid = (sid * 0x9E3779B97F4A7C15 + int(part) + 1) & _KEY_MASK
+    return int(seed) & _KEY_MASK, sid
+
+
 def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     """Counter-based Philox generator keyed by (seed, stream id).
 
     Draw j from a stream is a pure function of the key and j, so parallel
     consumers that own distinct stream ids never interact.
     """
-    mask = (1 << 64) - 1
-    sid = 0
-    for part in stream_id:
-        sid = (sid * 0x9E3779B97F4A7C15 + int(part) + 1) & mask
-    key = np.array([int(seed) & mask, sid], dtype=np.uint64)
+    key = np.array(_stream_key(seed, stream_id), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def stream_uniforms(seed: int, stream: tuple, count: int, n: int) -> np.ndarray:
+    """The first n uniforms of each stream (seed, *stream, j), j < count, as
+    row j of a (count, n) array: row j equals
+    ``rng_stream(seed, *stream, j).random(n)``.
+
+    One Philox serves every row.  Setting its state to the row's key with
+    counter zero and an empty buffer is where a freshly keyed Philox starts,
+    without the entropy draw its constructor makes.
+    """
+    seed_word, prefix = _stream_key(seed, stream)
+    bits = np.random.Philox(key=np.array([seed_word, prefix], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    out = np.empty((count, n))
+    for j, row in enumerate(out):
+        key[1] = _stream_key(seed, (j,), prefix)[1]
+        bits.state = state
+        gen.random(out=row)
+    return out
 
 
 def sampling_cdf(state: StateVector) -> np.ndarray:

@@ -291,13 +291,13 @@ def test_noisy_sampling_matches_per_shot_reference(problem, monkeypatch, kind, t
     cases = [(p, paulis) for p in (1e-3, 0.05, 0.5, 1.0)
              for paulis in (("Z",), ("X", "Y", "Z"))]
     for case, (p, paulis) in enumerate(cases):
-        gates = circuits.gates(case % 3, 2 * DT, np.pi / 2 if twirl else None)
+        npass = circuits.noiseless_pass(case % 3, 2 * DT, np.pi / 2 if twirl else None)
         noise = NoiseSpec(p_pauli=p, paulis=paulis)
         shots = 300 if p == 1e-3 else 60
         replays.clear()
-        got = _sample_noisy(gates, prep.n_sites, shots, noise, 6, (case, 1))
-        assert np.array_equal(got, _per_shot_noisy_reference(gates, prep.n_sites, shots,
-                                                             noise, 6, (case, 1)))
+        got = _sample_noisy(npass, shots, noise, 6, (case, 1))
+        assert np.array_equal(got, _per_shot_noisy_reference(npass.gates, prep.n_sites,
+                                                             shots, noise, 6, (case, 1)))
         # p = 1e-3 runs both branches: error-free shots and shots that replay
         # from a prefix; at p = 1 every shot errs at its first slot
         if p == 1e-3:
@@ -324,6 +324,37 @@ def test_ablation_matches_per_mode_estimates(problem):
             expected.append((t, mode, *(abs(f - fx) for f, fx in zip(est.fractions, exact_f)),
                              abs(est.value - o_exact)))
     assert mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4) == expected
+
+
+def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
+    # the mitigation modes of one time and the realizations of a series share
+    # each (time, circuit, pool) noiseless pass
+    _, ham, prep = problem
+    built, requested = [], []
+    build = mirror_module._noiseless_pass
+    noiseless_pass = _MirrorCircuits.noiseless_pass
+
+    def counted_build(*args):
+        built.append(1)
+        return build(*args)
+
+    def recorded_pass(self, i, t, twirl_angle):
+        requested.append((i, t, twirl_angle))
+        return noiseless_pass(self, i, t, twirl_angle)
+
+    monkeypatch.setattr(mirror_module, "_noiseless_pass", counted_build)
+    monkeypatch.setattr(_MirrorCircuits, "noiseless_pass", recorded_pass)
+    plan, noise = ShotPlan(60), NoiseSpec(p_pauli=0.02)
+    mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4)
+    # per step: 3 circuits untwirled and 3 twirled, asked for by 18 mode pools
+    assert len(built) == 3 * 6 and len(requested) == 3 * 18
+    built.clear()
+    requested.clear()
+    overlap_series_sampled(prep, FloquetEvolver(ham), ham, DT, 3, plan, seed=4,
+                           noise=replace(noise, enable_twirl=True), realizations=(0, 1))
+    # 3 steps in each direction, 6 passes each, asked for by both realizations
+    assert len(built) == len(set(requested)) == 6 * 6
+    assert len(requested) == 2 * 6 * 6
 
 
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):

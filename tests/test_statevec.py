@@ -20,6 +20,7 @@ from starkrylov.statevec import (
     pauli_gate,
     rng_stream,
     sample_bitstrings,
+    stream_uniforms,
     unitary_gate,
     x_gate,
     zero_state,
@@ -222,6 +223,21 @@ def test_streams_reproducible_and_independent():
     r1 = rng_stream(7, 5).random(4)
     r2 = rng_stream(7, 5).random(4)
     assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, -1], ids=["0", "2^63+5", "-1"])
+def test_stream_uniforms_match_rng_stream(seed):
+    # the block draw re-keys one Philox per row; every row must equal a fresh
+    # stream's draws for every n % 4 buffer remainder, and the key masks the
+    # seed to 64 bits
+    for stream in ((), (3, -1, 4)):
+        for n in (1, 3, 4, 5, 73):
+            for count in (1, 100):
+                block = stream_uniforms(seed, stream, count, n)
+                reference = np.array([rng_stream(seed, *stream, j).random(n)
+                                      for j in range(count)])
+                assert block.shape == (count, n)
+                assert np.array_equal(block, reference)
 
 
 def test_dense_qubit_cap():
