@@ -24,9 +24,10 @@ from .noise import NoiseSpec, noisy_apply, postselect_f1, twirl_layer
 from .prep import PrepCircuit, invert, reference_superposition
 from .statevec import (
     StateVector,
+    _stream_opener,
     all_zero_fraction,
     apply_circuit,
-    apply_gate,
+    apply_gate_amps,
     evolve_exact,
     inner,
     rng_stream,
@@ -151,26 +152,49 @@ class OverlapEstimate:
 @dataclass(frozen=True)
 class _NoiselessPass:
     """One circuit's gates applied once without errors.  An error slot is
-    one site of a gate with two or more sites, in gate order."""
+    one site of a gate with two or more sites, in gate order.
 
+    The state before gate k depends only on gates[:k], so two passes whose
+    gate lists start with the same run of ``GateOp`` objects (compared by
+    identity) hold the same prefix arrays over that run: a pass built from a
+    ``base`` shares them instead of applying those gates again.
+    """
+
+    n: int
     gates: list
-    prefix: list  # the state before each gate
+    prefix: list  # the amplitudes before each gate
     before: list  # the slot count before each gate
     owner: np.ndarray  # the gate index of each slot
     cdf: np.ndarray  # the sampling CDF of the final state
 
 
-def _noiseless_pass(gates: list, n: int) -> _NoiselessPass:
-    prefix, before, owner = [], [], []
-    state = zero_state(n)
+def _shared_run(a: list, b: list) -> int:
+    """The length of the leading run of identical objects of a and b."""
+    run = 0
+    for x, y in zip(a, b):
+        if x is not y:
+            break
+        run += 1
+    return run
+
+
+def _noiseless_pass(gates: list, n: int, base: _NoiselessPass | None) -> _NoiselessPass:
+    """The pass of ``gates`` from |0..0>, reusing the prefix arrays of ``base``
+    over the leading gates the two lists share."""
+    prefix, amps = [], zero_state(n).amplitudes
+    if base is not None and base.prefix:
+        start = min(_shared_run(gates, base.gates), len(base.prefix) - 1)
+        prefix, amps = base.prefix[:start], base.prefix[start]
+    for g in gates[len(prefix):]:
+        prefix.append(amps)
+        amps = apply_gate_amps(amps, g)
+    before, owner = [], []
     for gi, g in enumerate(gates):
-        prefix.append(state)
         before.append(len(owner))
-        state = apply_gate(state, g)
         if len(g.sites) >= 2:
             owner += [gi] * len(g.sites)
-    return _NoiselessPass(gates, prefix, before, np.array(owner, dtype=np.int64),
-                          sampling_cdf(state))
+    return _NoiselessPass(n, gates, prefix, before, np.array(owner, dtype=np.int64),
+                          sampling_cdf(StateVector(n, amps, check=False)))
 
 
 class _MirrorCircuits:
@@ -184,6 +208,13 @@ class _MirrorCircuits:
     realization at that time shares them.  Both are dropped when the time
     changes, so the cache holds at most one time's passes.  Each twirl layer
     is built once.
+
+    The circuits at one time share gate objects: F2 and F3 apply the same U_R
+    preparation and evolution, the twirled F2 and F3 the same twirl layer
+    after them, and a twirled pass equals its untwirled pass up to the layer.
+    A new pass therefore starts from the already-built pass at that time whose
+    gate list shares the longest leading run of identical ``GateOp`` objects,
+    and holds that pass's prefix arrays rather than copies (``_NoiselessPass``).
     """
 
     def __init__(self, psi0_prep: PrepCircuit, evolver):
@@ -234,7 +265,10 @@ class _MirrorCircuits:
             gates = list(self.preps[i].gates) + evo
             if twirl_angle is not None:
                 gates += self._twirl(twirl_angle, i > 0)
-            passes[key] = _noiseless_pass(gates + list(self.inverses[i]), self.n)
+            gates += self.inverses[i]
+            base = max(passes.values(), key=lambda p: _shared_run(gates, p.gates),
+                       default=None)
+            passes[key] = _noiseless_pass(gates, self.n, base)
         return passes[key]
 
 
@@ -287,7 +321,8 @@ def _sample_noisy(npass: _NoiselessPass, shots, noise, seed, stream):
     (``stream_uniforms``).  A shot whose slot uniforms all reach p draws
     nothing else, so its last uniform is its sample uniform; all such shots
     read the pass's noiseless CDF together.  A shot with an error reopens its
-    stream, redraws the slot uniforms before the erring gate and resumes
+    stream (one Philox per call, re-keyed for each shot by ``_stream_opener``),
+    redraws the slot uniforms before the erring gate and resumes
     ``noisy_apply`` from the pass's state before that gate.  Callers sample
     here only with p > 0, when every slot draws.
     """
@@ -296,11 +331,13 @@ def _sample_noisy(npass: _NoiselessPass, shots, noise, seed, stream):
     hit = u[:, :n_slots] < noise.p_pauli
     samples = np.searchsorted(npass.cdf, u[:, n_slots], side="right")
     erring = np.flatnonzero(hit.any(axis=1))
+    open_stream = _stream_opener(seed, stream)
     for j, slot in zip(erring, hit[erring].argmax(axis=1)):
         gi = npass.owner[slot]
-        rng = rng_stream(seed, *stream, j)
+        rng = open_stream(j)
         rng.random(npass.before[gi])
-        state = noisy_apply(npass.prefix[gi], npass.gates[gi:], noise, rng)
+        state = noisy_apply(StateVector(npass.n, npass.prefix[gi], check=False),
+                            npass.gates[gi:], noise, rng)
         samples[j] = np.searchsorted(sampling_cdf(state), rng.random(), side="right")
     return samples
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import GateOp, StateVector, apply_gate, pauli_gate, rz_gate
+from .statevec import GateOp, StateVector, apply_gate_amps, pauli_gate, rz_gate
 
 _PAULI_NAMES = ("X", "Y", "Z")
 
@@ -50,14 +50,15 @@ class NoiseSpec:
 def noisy_apply(state: StateVector, gates, spec: NoiseSpec,
                 rng: np.random.Generator) -> StateVector:
     """Apply gates, inserting per-qubit Pauli errors after multi-qubit ones."""
+    amps = state.amplitudes
     for g in gates:
-        state = apply_gate(state, g)
+        amps = apply_gate_amps(amps, g)
         if spec.p_pauli > 0 and len(g.sites) >= 2:
             for q in g.sites:
                 if rng.random() < spec.p_pauli:
                     name = spec.paulis[rng.integers(len(spec.paulis))]
-                    state = apply_gate(state, pauli_gate(name, q))
-    return state
+                    amps = apply_gate_amps(amps, pauli_gate(name, q))
+    return StateVector(state.n_qubits, amps, check=False)
 
 
 def postselect_f1(samples: np.ndarray, pairing, n_sites: int):

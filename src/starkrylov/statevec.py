@@ -4,10 +4,26 @@ Bit convention: site i is bit i of the basis index, bit 0 least significant;
 bit value 1 is spin down (S^z = -1/2), so the all-zero state is all-up.
 Gate matrices are indexed with sites[0] as the most significant local bit,
 i.e. a CNOT on sites (c, t) is the textbook matrix in the |c t> basis.
+
+One kernel, ``apply_gate_amps``, applies a gate to a raw amplitude array;
+``apply_gate`` wraps it for ``StateVector``.  It has two paths:
+
+- A general gate gathers the amplitudes into a (2^k, 2^(n-k)) block through a
+  cached index, multiplies by the matrix and scatters the result back.
+- A monomial gate, one whose matrix has exactly one nonzero in each row and
+  column and every nonzero exactly 1, -1, 1j or -1j (X, Y, Z, CNOT, CZ), is a
+  signed permutation of the basis.  It is applied as ``amps[src]``,
+  ``amps * phase`` or ``amps[src] * phase`` from full-length arrays cached
+  per (n, sites, pattern).  Every product with 0, +-1 or +-i is exact in
+  IEEE arithmetic, and adding the zero terms of the matrix product changes
+  at most the sign of a zero, so both paths give the same amplitudes up to
+  the sign of zeros, which ``np.array_equal`` and |amp|^2 ignore.
+  ``GateOp`` classifies its matrix once, at construction; a rotation by
+  pi/2 is not monomial, because ``np.exp(1j * np.pi / 2)`` is not exactly 1j.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,11 +69,34 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps, check=False)
 
 
+_UNIT_PHASES = (1, -1, 1j, -1j)
+
+
+def _monomial_pattern(m: np.ndarray):
+    """``(src, phases)`` when the unitary m is monomial with every nonzero
+    exactly one of 1, -1, 1j, -1j: row r's only nonzero is
+    ``m[r, src[r]] == phases[r]``, and ``phases`` is None when every phase is
+    1.  None otherwise.  A unitary has no zero row or column, so it is
+    monomial exactly when it has as many nonzeros as rows."""
+    rows, cols = np.nonzero(m)
+    if len(rows) != len(m):
+        return None
+    src = tuple(cols.tolist())
+    phases = m[rows, cols].tolist()
+    if not all(p in _UNIT_PHASES for p in phases):
+        return None
+    if all(p == 1 for p in phases):
+        return src, None
+    return src, tuple(_UNIT_PHASES[_UNIT_PHASES.index(p)] for p in phases)
+
+
 @dataclass(frozen=True)
 class GateOp:
     sites: tuple[int, ...]
     matrix: np.ndarray
     label: str = ""
+    # (src, phases) of a monomial matrix (see ``_monomial_pattern``), else None
+    monomial: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.sites)
@@ -71,6 +110,7 @@ class GateOp:
         if np.linalg.norm(m.conj().T @ m - np.eye(1 << k)) > UNITARY_TOL:
             raise ValueError(f"gate {self.label!r} is not unitary")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "monomial", _monomial_pattern(m))
 
     def dagger(self) -> "GateOp":
         return GateOp(self.sites, self.matrix.conj().T, self.label + "+")
@@ -116,27 +156,66 @@ def unitary_gate(sites: tuple[int, ...], matrix: np.ndarray, label: str = "U") -
     return GateOp(tuple(sites), matrix, label)
 
 
-@lru_cache(maxsize=None)  # one entry per gate placement the circuits use
-def _gather_index(n: int, sites: tuple[int, ...]) -> np.ndarray:
-    """Basis indices ordered so that ``amps[idx].reshape(2**k, -1)`` has the
-    sites' local index (sites[0] most significant) as its row and the other
-    qubits, most significant first, as its column."""
+def _site_index(n: int, sites: tuple[int, ...]) -> np.ndarray:
+    """Basis indices as a (2**k, 2**(n-k)) array: row r holds the basis states
+    whose sites' local index (sites[0] most significant) is r, and the other
+    qubits, most significant first, run along the columns."""
     for q in sites:
         if not 0 <= q < n:
             raise ValueError(f"site {q} out of range for {n} qubits")
     axes = [n - 1 - q for q in sites]  # axis of site q in the (2,)*n tensor
     idx = np.moveaxis(np.arange(1 << n).reshape([2] * n), axes, range(len(sites)))
-    idx = idx.reshape(-1)
+    return idx.reshape(1 << len(sites), -1)
+
+
+@lru_cache(maxsize=None)  # one entry per general gate placement the circuits use
+def _gather_index(n: int, sites: tuple[int, ...]) -> np.ndarray:
+    """``_site_index`` flattened, so that ``amps[idx].reshape(2**k, -1)`` is
+    the gate's block."""
+    idx = _site_index(n, sites).reshape(-1)
     idx.flags.writeable = False
     return idx
 
 
+@lru_cache(maxsize=None)  # one entry per monomial gate placement the circuits use
+def _monomial_index(n: int, sites: tuple[int, ...], pattern: tuple):
+    """Full-length ``(src, phase)`` of a monomial gate: the gate maps ``amps``
+    to ``amps[src] * phase``.  ``src`` is None for the identity permutation and
+    ``phase`` is None when every phase is 1; ``phase`` is float64 when every
+    phase is real."""
+    local_src, phases = pattern
+    blocks = _site_index(n, sites)
+    src = None
+    if local_src != tuple(range(len(local_src))):
+        src = np.empty(1 << n, dtype=np.intp)
+        src[blocks] = blocks[list(local_src)]
+        src.flags.writeable = False
+    phase = None
+    if phases is not None:
+        local = np.array(phases, dtype=float if all(p in (1, -1) for p in phases) else complex)
+        phase = np.empty(1 << n, dtype=local.dtype)
+        phase[blocks] = local[:, None]
+        phase.flags.writeable = False
+    return src, phase
+
+
+def apply_gate_amps(amps: np.ndarray, gate: GateOp) -> np.ndarray:
+    """The amplitudes of ``gate`` applied to the 2^n amplitudes ``amps``, as a
+    new array (the module docstring describes the two paths)."""
+    n = len(amps).bit_length() - 1
+    if gate.monomial is None:
+        idx = _gather_index(n, gate.sites)
+        out = np.empty_like(amps)
+        out[idx] = (gate.matrix @ amps[idx].reshape(len(gate.matrix), -1)).reshape(-1)
+        return out
+    src, phase = _monomial_index(n, gate.sites, gate.monomial)
+    if phase is None:
+        return amps.copy() if src is None else amps[src]
+    return (amps if src is None else amps[src]) * phase
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    amps = state.amplitudes
-    idx = _gather_index(state.n_qubits, gate.sites)
-    out = np.empty_like(amps)
-    out[idx] = (gate.matrix @ amps[idx].reshape(len(gate.matrix), -1)).reshape(-1)
-    return StateVector(state.n_qubits, out, check=False)
+    return StateVector(state.n_qubits, apply_gate_amps(state.amplitudes, gate), check=False)
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:
@@ -180,25 +259,39 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_uniforms(seed: int, stream: tuple, count: int, n: int) -> np.ndarray:
-    """The first n uniforms of each stream (seed, *stream, j), j < count, as
-    row j of a (count, n) array: row j equals
-    ``rng_stream(seed, *stream, j).random(n)``.
+def _stream_opener(seed: int, stream: tuple):
+    """A function of j that returns a generator at the start of stream
+    (seed, *stream, j), equal in its draws to ``rng_stream(seed, *stream, j)``.
 
-    One Philox serves every row.  Setting its state to the row's key with
-    counter zero and an empty buffer is where a freshly keyed Philox starts,
-    without the entropy draw its constructor makes.
+    Every call re-keys and returns the same Generator over one Philox, so a
+    generator it returned earlier is reset too.  Setting the Philox state to
+    the stream's key with counter zero and an empty buffer is where a freshly
+    keyed Philox starts, without the entropy draw its constructor makes.
     """
     seed_word, prefix = _stream_key(seed, stream)
     bits = np.random.Philox(key=np.array([seed_word, prefix], dtype=np.uint64))
     gen = np.random.Generator(bits)
     state = bits.state
     key = state["state"]["key"]
-    out = np.empty((count, n))
-    for j, row in enumerate(out):
+
+    def open_stream(j: int) -> np.random.Generator:
         key[1] = _stream_key(seed, (j,), prefix)[1]
         bits.state = state
-        gen.random(out=row)
+        return gen
+
+    return open_stream
+
+
+def stream_uniforms(seed: int, stream: tuple, count: int, n: int) -> np.ndarray:
+    """The first n uniforms of each stream (seed, *stream, j), j < count, as
+    row j of a (count, n) array: row j equals
+    ``rng_stream(seed, *stream, j).random(n)``.  One Philox serves every row
+    (``_stream_opener``).
+    """
+    open_stream = _stream_opener(seed, stream)
+    out = np.empty((count, n))
+    for j, row in enumerate(out):
+        open_stream(j).random(out=row)
     return out
 
 

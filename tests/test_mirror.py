@@ -357,6 +357,47 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     assert len(requested) == 2 * 6 * 6
 
 
+@pytest.mark.parametrize("kind", ["trotter", "floquet"])
+@pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl"])
+def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl):
+    # a pass starts from the already-built pass at its time that shares the
+    # longest run of gate objects; it must hold what it would hold alone
+    _, ham, prep = problem
+    evolver = make_evolver(kind, ham, dt_step=DT)
+    t, angle = 2 * DT, np.pi / 2 if twirl else None
+    keys = [(i, a) for i in range(3) for a in dict.fromkeys((None, angle))]
+    kernel_calls = []
+    kernel = mirror_module.apply_gate_amps
+
+    def counted_kernel(amps, gate):
+        kernel_calls.append(1)
+        return kernel(amps, gate)
+
+    monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
+    circuits = _MirrorCircuits(prep, evolver)
+    passes = {key: circuits.noiseless_pass(key[0], t, key[1]) for key in keys}
+    applied = len(kernel_calls)
+    for (i, a), npass in passes.items():
+        alone = _MirrorCircuits(prep, evolver).noiseless_pass(i, t, a)
+        assert [g.label for g in npass.gates] == [g.label for g in alone.gates]
+        for field in ("prefix", "before", "owner", "cdf"):
+            assert np.array_equal(getattr(npass, field), getattr(alone, field)), field
+    # F3 shares the U_R preparation and the evolution (and, twirled, the twirl
+    # layer) with F2: the states before its first own gate are F2's objects
+    for a in dict.fromkeys((None, angle)):
+        f2, f3 = passes[(1, a)], passes[(2, a)]
+        run = next(k for k, (g2, g3) in enumerate(zip(f2.gates, f3.gates)) if g2 is not g3)
+        layer = 0 if a is None else prep.n_sites
+        assert run == len(circuits.preps[1].gates) + len(evolver.gates(t)) + layer
+        assert all(f3.prefix[k] is f2.prefix[k] for k in range(run + 1))
+    total = sum(len(npass.gates) for npass in passes.values())
+    if kind == "floquet" and twirl:
+        # the six passes of one noisy8 time: 258 gates, 92 of them shared
+        assert (total, applied) == (258, 166)
+    else:
+        assert applied < total
+
+
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
     # all circuits, pools, times and directions of a series share the twirl
     # layers: one with the reference-branch check, one without (F1, noisy only)

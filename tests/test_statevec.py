@@ -5,20 +5,23 @@ from hypothesis import strategies as st
 
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
-from starkrylov.prep import pinwheel
+from starkrylov.prep import MAPPER_MATRIX, pinwheel
 from starkrylov.statevec import (
     GateOp,
     StateVector,
     all_zero_fraction,
     apply_circuit,
     apply_gate,
+    apply_gate_amps,
     cnot_gate,
     cz_gate,
     evolve_exact,
     h_gate,
     inner,
     pauli_gate,
+    phase_gate,
     rng_stream,
+    rz_gate,
     sample_bitstrings,
     stream_uniforms,
     unitary_gate,
@@ -90,6 +93,58 @@ def test_gather_kernel_bitwise_equals_moveaxis_kernel(n):
                 out = apply_gate(psi, gate)
                 assert np.array_equal(out.amplitudes, _moveaxis_apply(psi, gate))
                 assert out.amplitudes is not psi.amplitudes
+
+
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+_ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+
+
+def _signed_permutation(k, rng):
+    """A random 2**k x 2**k permutation matrix with phases from +-1, +-i."""
+    dim = 1 << k
+    phases = np.array([1, -1, 1j, -1j])[rng.integers(4, size=dim)]
+    return np.eye(dim, dtype=complex)[rng.permutation(dim)] * phases[:, None]
+
+
+def _monomial_gates(n, rng):
+    """X, Y, Z, CNOT both ways, CZ, SWAP, iSWAP and random 2- and 3-site
+    signed permutations, with their daggers, on random ascending and
+    descending sites."""
+    gates = []
+    for k in range(1, min(3, n) + 1):
+        chosen = sorted(int(q) for q in rng.choice(n, size=k, replace=False))
+        for sites in (tuple(chosen), tuple(reversed(chosen))):
+            if k == 1:
+                gates += [x_gate(sites[0])] + [pauli_gate(p, sites[0]) for p in "YZ"]
+            elif k == 2:
+                gates += [cnot_gate(*sites), cz_gate(*sites), unitary_gate(sites, _SWAP),
+                          unitary_gate(sites, _ISWAP)]
+            if k >= 2:
+                gates.append(unitary_gate(sites, _signed_permutation(k, rng)))
+    return gates + [g.dagger() for g in gates]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_monomial_kernel_equals_matmul_kernel(n):
+    # products with 0, +-1 and +-i are exact, so the permutation-phase path
+    # equals the matrix product up to the sign of zeros
+    rng = np.random.default_rng(200 + n)
+    for trial, gate in enumerate(_monomial_gates(n, rng)):
+        assert gate.monomial is not None, gate.label
+        psi = random_state(n, seed=2000 * n + trial)
+        out = apply_gate_amps(psi.amplitudes, gate)
+        assert np.array_equal(out, _moveaxis_apply(psi, gate))
+        assert out is not psi.amplitudes
+        assert np.array_equal(apply_gate(psi, gate).amplitudes, out)
+    identity = unitary_gate((0,), np.eye(2))
+    assert identity.monomial is not None
+    psi = random_state(n, seed=7)
+    out = apply_gate_amps(psi.amplitudes, identity)
+    assert np.array_equal(out, psi.amplitudes) and out is not psi.amplitudes
+    # pi/2 rotations carry np.exp(1j * pi / 2) = 6.1e-17+1j, not 1j
+    for gate in (h_gate(0), rz_gate(0, np.pi / 2), phase_gate(0, np.pi / 2),
+                 unitary_gate((0, 1), MAPPER_MATRIX), unitary_gate((0,), random_unitary(2, rng))):
+        assert gate.monomial is None, gate.label
 
 
 def test_gather_kernel_still_rejects_bad_sites():
