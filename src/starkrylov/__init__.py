@@ -3,7 +3,7 @@ plaquettes: statevector simulation, mirror-circuit overlap measurement,
 Krylov post-processing (Toeplitz GEVP and Hankel least squares), and
 magnetization-curve assembly.  All energies are in units of eps = J/2."""
 
-from .hamiltonian import SpinHamiltonian, SpectrumResult, subspace_overlap
+from .hamiltonian import SpinHamiltonian, SpectrumResult
 from .krylov import KrylovEstimate, OverlapSeries, odmd, step_bounds, uvqpe
 from .lattice import KagomePatch, StarPlaquette, build_patch, build_star
 from .magnet import MagnetizationCurve, build_curve, estimate_sector_energies
@@ -29,7 +29,7 @@ from .statevec import GateOp, StateVector, apply_gate, evolve_exact, inner, samp
 from .trotter import TrotterScheme, bond_scheme, cnot_count, triangle_scheme
 
 __all__ = [
-    "SpinHamiltonian", "SpectrumResult", "subspace_overlap",
+    "SpinHamiltonian", "SpectrumResult",
     "KrylovEstimate", "OverlapSeries", "odmd", "step_bounds", "uvqpe",
     "KagomePatch", "StarPlaquette", "build_patch", "build_star",
     "MagnetizationCurve", "build_curve", "estimate_sector_energies",

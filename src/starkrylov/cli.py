@@ -2,8 +2,9 @@
 
 Subcommands: spectrum | overlaps | converge | magnetization | allocation.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
-Identical config and seed produce byte-identical output files on one machine
-with one BLAS thread count.
+Identical config and seed produce byte-identical output files on one machine,
+whatever its BLAS thread count: ``main`` runs each command on one OpenBLAS
+thread and restores the previous count afterwards.
 """
 from __future__ import annotations
 
@@ -230,8 +231,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_threads():
+    """The get and set thread-count functions of numpy's bundled OpenBLAS, or
+    None when they are not found (the run then stays unpinned)."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        get, set_ = (getattr(dll, f"scipy_openblas_{op}_num_threads64_", None)
+                     for op in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    blas = _openblas_threads()
+    previous = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
     try:
         cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
         if args.seed is not None:
@@ -247,6 +268,9 @@ def main(argv=None) -> int:
     except (NumericalFailure, mirror.EstimateUndefined) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if blas:
+            blas[1](previous)
     return 0
 
 

@@ -5,9 +5,17 @@ S^z = sigma^z / 2 and eps = J/2.  All energies, fields, and times are in
 units of eps, which makes the bond term eigenvalues {-3, +1} and each
 triangle term exactly {-3 (x4), +3 (x4)}.
 
-H commutes with total S^z, so it is block diagonal over magnetization
-sectors; diagonalization, evolution, and the full spectrum all go through
-the sector blocks (dimension C(n, n/2 - Sz)) rather than the 2^n matrix.
+H commutes with total S^z and with the lattice's site permutation
+``rotation`` T (the star's turn by one triangle; T is the identity for a
+lattice without one).  Each S^z sector, of dimension C(n, n/2 - Sz), splits
+into momentum blocks m < N, N the order of T on the sector.  Block m acts on
+the T-orbit representatives r (smallest basis index of an orbit of length
+L_r) with m L_r divisible by N, in the states
+|r, m> = L_r^(-1/2) sum_{j < L_r} w^(-m j) T^j |r>, w = exp(2 pi i / N); it is
+built from the representatives' bond flips as
+H_m[r', r] = sum over flips of r onto T^j r' of 2 w^(m j) sqrt(L_r / L_r'),
+and is real for m = 0 and m = N/2.  Spectra, evolution and overlap series all
+go through the blocks, whose eigenvectors stay in block form.
 """
 from __future__ import annotations
 
@@ -59,6 +67,30 @@ class SpectrumResult:
         return np.abs(self.vectors.conj().T @ psi[self.basis]) ** 2
 
 
+@dataclass
+class _SectorBlocks:
+    """Momentum blocks (m, representatives admitting m, eigenvalues,
+    eigenvectors) of one S^z sector.  Sector basis state b is T^shift[b] of
+    representative orbit[b]; scale[r] = L_r^(-1/2); omega[j, m] = w^(j m)."""
+
+    orbit: np.ndarray
+    shift: np.ndarray
+    scale: np.ndarray
+    omega: np.ndarray
+    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    energies: np.ndarray  # every eigenvalue of the sector, ascending
+
+    def fold(self, part: np.ndarray) -> np.ndarray:
+        """<r, m|part> as an (orbits, N) array, for amplitudes on the sector basis."""
+        a = np.zeros((len(self.scale), len(self.omega)), dtype=complex)
+        a[self.orbit, self.shift] = part
+        return (a @ self.omega) * self.scale[:, None]
+
+    def unfold(self, c: np.ndarray) -> np.ndarray:
+        """Amplitudes on the sector basis of sum_{r, m} c[r, m] |r, m>."""
+        return ((c * self.scale[:, None]) @ self.omega.conj())[self.orbit, self.shift]
+
+
 class SpinHamiltonian:
     """Heisenberg model on a star plaquette or kagome patch."""
 
@@ -70,8 +102,13 @@ class SpinHamiltonian:
         self.n_sites = lattice.n_sites
         self.dim = 1 << self.n_sites
         self._sectors = _sector_indices(self.n_sites)
-        self._blocks: dict[int, np.ndarray] = {}
-        self._eigs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._eigs: dict[int, _SectorBlocks] = {}
+        rot = tuple(getattr(lattice, "rotation", None) or range(self.n_sites))
+        if (sorted(rot) != list(range(self.n_sites)) or set(map(frozenset, lattice.bonds))
+                != {frozenset((rot[i], rot[j])) for i, j in lattice.bonds}):
+            raise ValueError("lattice rotation is not a site permutation that maps "
+                             "the bonds onto themselves")
+        self._rotation = rot
 
     # -- construction ------------------------------------------------------
 
@@ -84,90 +121,103 @@ class SpinHamiltonian:
             raise ValueError(f"empty S^z sector {sz} for {self.n_sites} sites")
         return int(n_down)
 
-    def sector_basis(self, sz: float) -> np.ndarray:
-        return self._sectors[self._ndown_of_sz(sz)]
-
-    def _block(self, n_down: int) -> np.ndarray:
-        """Dense sector block, built by bitwise accumulation."""
-        if n_down in self._blocks:
-            return self._blocks[n_down]
-        basis = self._sectors[n_down]
-        pos = {int(b): i for i, b in enumerate(basis)}
-        d = len(basis)
-        H = np.zeros((d, d))
-        bits = [(basis >> q) & 1 for q in range(self.n_sites)]
-        diag = np.zeros(d)
-        for (i, j) in self.lattice.bonds:
-            zi = 1 - 2 * bits[i]
-            zj = 1 - 2 * bits[j]
-            diag += (zi * zj).astype(float)
-            differ = np.nonzero(bits[i] != bits[j])[0]
-            mask = (1 << i) | (1 << j)
-            for row in differ:
-                H[pos[int(basis[row]) ^ mask], row] += 2.0
-        sz = self._sz_of_ndown(n_down)
-        np.fill_diagonal(H, diag - self.h_field * sz)
-        self._blocks[n_down] = H
-        return H
-
-    def dense_matrix(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix (real symmetric in this basis)."""
-        H = np.zeros((self.dim, self.dim))
-        for n_down, basis in enumerate(self._sectors):
-            H[np.ix_(basis, basis)] = self._block(n_down)
-        return H
-
     # -- spectra -----------------------------------------------------------
 
-    def _sector_eig(self, n_down: int):
-        if n_down not in self._eigs:
-            w, v = np.linalg.eigh(self._block(n_down))
-            self._eigs[n_down] = (w, v)
+    def _sector_eig(self, n_down: int) -> _SectorBlocks:
+        """One ``eigh`` per momentum block of the sector, cached."""
+        if n_down in self._eigs:
+            return self._eigs[n_down]
+        basis = self._sectors[n_down]
+        images = [basis]
+        while True:
+            nxt = sum(((images[-1] >> s) & 1) << t for s, t in enumerate(self._rotation))
+            if np.array_equal(nxt, basis):
+                break
+            images.append(nxt)
+        images, n_rot = np.array(images), len(images)
+        reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
+        shift = -images.argmin(axis=0) % n_rot  # basis[b] = T^shift[b] reps[orbit[b]]
+        length = np.bincount(orbit)
+        scale = 1.0 / np.sqrt(length)
+        root = np.exp(2j * np.pi * np.arange(n_rot) / n_rot)
+        if n_rot % 2 == 0:
+            root[n_rot // 2] = -1.0  # exact, so the m = N/2 block is real
+        omega = root[np.outer(np.arange(n_rot), np.arange(n_rot)) % n_rot]
+
+        zz, src, dst, hop = np.zeros(len(reps), dtype=np.int64), [], [], []
+        for (i, j) in self.lattice.bonds:
+            differ = ((reps >> i) ^ (reps >> j)) & 1
+            zz += 1 - 2 * differ
+            flip = np.nonzero(differ)[0]
+            b = np.searchsorted(basis, reps[flip] ^ ((1 << i) | (1 << j)))
+            src.append(flip)
+            dst.append(orbit[b])
+            hop.append(shift[b])
+        src, dst, hop = (np.concatenate(x) for x in (src, dst, hop))
+        amp = 2.0 * scale[dst] / scale[src]
+        diag = zz - self.h_field * self._sz_of_ndown(n_down)
+        blocks = []
+        for m in range(n_rot):
+            keep = np.nonzero(m * length % n_rot == 0)[0]
+            h = np.zeros((len(reps), len(reps)), dtype=complex)
+            np.add.at(h, (dst, src), amp * omega[hop, m])
+            h = h[np.ix_(keep, keep)] + np.diag(diag[keep])
+            blocks.append((m, keep, *np.linalg.eigh(h.real if 2 * m % n_rot == 0 else h)))
+        energies = np.sort(np.concatenate([w for _, _, w, _ in blocks]))
+        self._eigs[n_down] = _SectorBlocks(orbit, shift, scale, omega, blocks, energies)
         return self._eigs[n_down]
 
     def diagonalize(self, sector: float) -> SpectrumResult:
+        """The sector's spectrum with its eigenvectors unfolded onto the sector
+        basis (complex, d x d)."""
         n_down = self._ndown_of_sz(sector)
-        w, v = self._sector_eig(n_down)
-        return SpectrumResult(w, v, self._sectors[n_down], sector)
+        sec = self._sector_eig(n_down)
+        energies, vectors = [], []
+        for m, keep, w, v in sec.blocks:
+            padded = np.zeros((len(sec.scale), len(w)), dtype=complex)
+            padded[keep] = v * sec.scale[keep, None]
+            vectors.append(sec.omega[sec.shift, m].conj()[:, None] * padded[sec.orbit])
+            energies.append(w)
+        return SpectrumResult(np.concatenate(energies), np.hstack(vectors),
+                              self._sectors[n_down], sector)
 
     def ground_state_energy(self, sector: float | None = None) -> float:
         if sector is not None:
-            return float(self._sector_eig(self._ndown_of_sz(sector))[0][0])
-        return min(float(self._sector_eig(k)[0][0]) for k in range(self.n_sites + 1))
+            return float(self._sector_eig(self._ndown_of_sz(sector)).energies[0])
+        return min(float(self._sector_eig(k).energies[0]) for k in range(self.n_sites + 1))
 
     def sector_ground_energies(self) -> dict[float, float]:
         return {
-            self._sz_of_ndown(k): float(self._sector_eig(k)[0][0])
+            self._sz_of_ndown(k): float(self._sector_eig(k).energies[0])
             for k in range(self.n_sites + 1)
         }
 
     # -- operators on vectors ----------------------------------------------
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec, dtype=complex)
+    def _projections(self, vec: np.ndarray):
+        """(basis, blocks, V^H <r, m|vec> per block) for each S^z sector that
+        ``vec`` touches."""
         for n_down, basis in enumerate(self._sectors):
             part = vec[basis]
             if np.any(part):
-                out[basis] = self._block(n_down) @ part
-        return out
-
-    def expectation(self, vec: np.ndarray) -> float:
-        return float(np.real(np.vdot(vec, self.matvec(vec))))
+                sec = self._sector_eig(n_down)
+                c = sec.fold(part)
+                yield basis, sec, [v.conj().T @ c[keep, m] for m, keep, _, v in sec.blocks]
 
     def evolve(self, vec: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) applied blockwise over S^z sectors."""
+        """exp(-i H t) applied blockwise over S^z sectors and momenta."""
         out = np.zeros_like(vec, dtype=complex)
-        for n_down, basis in enumerate(self._sectors):
-            part = vec[basis]
-            if np.any(part):
-                w, v = self._sector_eig(n_down)
-                out[basis] = v @ (np.exp(-1j * w * t) * (v.conj().T @ part))
+        for basis, sec, coeffs in self._projections(vec):
+            c = np.zeros((len(sec.scale), len(sec.omega)), dtype=complex)
+            for (m, keep, w, v), a in zip(sec.blocks, coeffs):
+                c[keep, m] = v @ (np.exp(-1j * w * t) * a)
+            out[basis] = sec.unfold(c)
         return out
 
     def autocorrelation(self, vec: np.ndarray, times) -> np.ndarray:
         """<vec| exp(-i H t) |vec> for every t in ``times``.
 
-        Summed from the sector spectra as sum_i |<E_i|vec>|^2 exp(-i E_i t),
+        Summed from the block spectra as sum_i |<E_i|vec>|^2 exp(-i E_i t),
         one matrix product per S^z sector that ``vec`` touches, so no state
         is evolved.
         """
@@ -175,11 +225,9 @@ class SpinHamiltonian:
             raise ValueError("state dimension does not match Hamiltonian")
         times = np.asarray(times, dtype=float)
         out = np.zeros(times.shape, dtype=complex)
-        for n_down, basis in enumerate(self._sectors):
-            part = vec[basis]
-            if np.any(part):
-                w, v = self._sector_eig(n_down)
-                out += np.exp(-1j * np.outer(times, w)) @ np.abs(v.conj().T @ part) ** 2
+        for _, sec, coeffs in self._projections(vec):
+            w = np.concatenate([w for _, _, w, _ in sec.blocks])
+            out += np.exp(-1j * np.outer(times, w)) @ (np.abs(np.concatenate(coeffs)) ** 2)
         return out
 
     # -- analytic quantities -------------------------------------------------
@@ -204,14 +252,6 @@ class SpinHamiltonian:
         return float(len(self.lattice.bonds) - self.h_field * self.n_sites / 2.0)
 
 
-def subspace_overlap(psi: np.ndarray, spectrum: SpectrumResult) -> float:
-    """Total weight of psi on the (degenerate) ground subspace."""
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("state must be normalized")
-    ov = spectrum.overlaps(psi)
-    return float(np.sum(ov[spectrum.ground_subspace]))
-
-
 def write_spectrum_csv(path, ham: SpinHamiltonian) -> None:
     """Per-sector spectrum as ``sector,index,energy`` (energies in eps units)."""
     with open(path, "w", newline="") as f:
@@ -219,6 +259,5 @@ def write_spectrum_csv(path, ham: SpinHamiltonian) -> None:
         writer.writerow(["sector", "index", "energy"])
         for n_down in range(ham.n_sites + 1):
             sz = ham._sz_of_ndown(n_down)
-            res = ham.diagonalize(sz)
-            for i, e in enumerate(res.energies):
+            for i, e in enumerate(ham._sector_eig(n_down).energies):
                 writer.writerow([f"{sz:g}", i, f"{e:.12f}"])

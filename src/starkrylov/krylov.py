@@ -217,46 +217,6 @@ def solve(algorithm: str, series: OverlapSeries, n_steps: int, delta: float,
     return solver_spec(algorithm, series.kind).solve(series, n_steps, delta, **kwargs)
 
 
-# -- Ritz-vector diagnostics -------------------------------------------------
-
-def ritz_state(estimate: KrylovEstimate, basis_states) -> np.ndarray:
-    """Normalized sum_k v_k |psi_k> over the Krylov basis."""
-    if estimate.ritz is None:
-        raise ValueError("estimate carries no Ritz coefficients")
-    coeffs = estimate.ritz
-    state = sum(c * b for c, b in zip(coeffs, basis_states))
-    norm = np.linalg.norm(state)
-    if norm < 1e-12:
-        raise ValueError("Ritz combination has zero norm")
-    return state / norm
-
-
-def ritz_overlaps(estimate: KrylovEstimate, basis_states, spectrum):
-    """Per-eigenstate overlap table [(eig_index, energy, overlap_sq)], sorted
-    by decreasing overlap."""
-    state = ritz_state(estimate, basis_states)
-    ov = spectrum.overlaps(state)
-    order = np.argsort(ov)[::-1]
-    return [(int(i), float(spectrum.energies[i]), float(ov[i])) for i in order]
-
-
-def ritz_ground_overlap(estimate: KrylovEstimate, basis_states, spectrum) -> float:
-    state = ritz_state(estimate, basis_states)
-    ov = spectrum.overlaps(state)
-    return float(np.sum(ov[spectrum.ground_subspace]))
-
-
-def cluster_overlaps(rows, atol: float = 1e-6):
-    """Merge the per-eigenstate table over degenerate energies."""
-    merged: list[list[float]] = []
-    for _i, energy, ov in sorted(rows, key=lambda r: r[1]):
-        if merged and abs(merged[-1][0] - energy) <= atol:
-            merged[-1][1] += ov
-        else:
-            merged.append([energy, ov])
-    return [(float(e), float(o)) for e, o in merged]
-
-
 # -- step-count estimators ----------------------------------------------------
 
 def step_bounds(spectral_range: float, p0: float, eps_target: float,

@@ -19,6 +19,7 @@ class StarPlaquette:
     parity: tuple[int, ...]  # parity[k] = k % 2
     inner_sites: tuple[int, ...]
     apex_sites: tuple[int, ...]
+    rotation: tuple[int, ...]  # site k -> rotation[k]: triangle k onto triangle k+1
 
     @property
     def outer_bonds(self) -> tuple[tuple[int, int], ...]:
@@ -85,6 +86,7 @@ def build_star(n_triangles: int) -> StarPlaquette:
         parity=tuple(k % 2 for k in range(n)),
         inner_sites=tuple(range(n)),
         apex_sites=tuple(range(n, 2 * n)),
+        rotation=tuple((k + 1) % n for k in range(n)) + tuple(n + (k + 1) % n for k in range(n)),
     )
 
 

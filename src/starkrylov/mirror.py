@@ -321,17 +321,17 @@ def _sample_noisy(npass: _NoiselessPass, shots, noise, seed, stream):
     (``stream_uniforms``).  A shot whose slot uniforms all reach p draws
     nothing else, so its last uniform is its sample uniform; all such shots
     read the pass's noiseless CDF together.  A shot with an error reopens its
-    stream (one Philox per call, re-keyed for each shot by ``_stream_opener``),
+    stream (the block's Philox, re-keyed for the shot by ``_stream_opener``),
     redraws the slot uniforms before the erring gate and resumes
     ``noisy_apply`` from the pass's state before that gate.  Callers sample
     here only with p > 0, when every slot draws.
     """
     n_slots = len(npass.owner)
-    u = stream_uniforms(seed, stream, shots, n_slots + 1)
+    open_stream = _stream_opener(seed, stream)
+    u = stream_uniforms(open_stream, shots, n_slots + 1)
     hit = u[:, :n_slots] < noise.p_pauli
     samples = np.searchsorted(npass.cdf, u[:, n_slots], side="right")
     erring = np.flatnonzero(hit.any(axis=1))
-    open_stream = _stream_opener(seed, stream)
     for j, slot in zip(erring, hit[erring].argmax(axis=1)):
         gi = npass.owner[slot]
         rng = open_stream(j)

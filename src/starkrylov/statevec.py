@@ -282,13 +282,12 @@ def _stream_opener(seed: int, stream: tuple):
     return open_stream
 
 
-def stream_uniforms(seed: int, stream: tuple, count: int, n: int) -> np.ndarray:
-    """The first n uniforms of each stream (seed, *stream, j), j < count, as
-    row j of a (count, n) array: row j equals
-    ``rng_stream(seed, *stream, j).random(n)``.  One Philox serves every row
-    (``_stream_opener``).
+def stream_uniforms(open_stream, count: int, n: int) -> np.ndarray:
+    """The first n uniforms of each stream j < count of ``open_stream`` (a
+    ``_stream_opener(seed, stream)``) as row j of a (count, n) array: row j
+    equals ``rng_stream(seed, *stream, j).random(n)``.  The opener's one
+    Philox serves every row.
     """
-    open_stream = _stream_opener(seed, stream)
     out = np.empty((count, n))
     for j, row in enumerate(out):
         open_stream(j).random(out=row)

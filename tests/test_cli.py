@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import starkrylov
+from starkrylov import cli
 from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, InitialStateSpec, RunConfig
 from starkrylov.lattice import build_star
@@ -189,6 +190,26 @@ def test_converge_sampled_threads_match(tmp_path):
     serial = (tmp_path / "out" / "convergence.csv").read_bytes()
     assert run(tmp_path, "converge", cfg, extra=("--threads", "4")) == 0
     assert (tmp_path / "out" / "convergence.csv").read_bytes() == serial
+
+
+def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
+    """main pins OpenBLAS to one thread for the command and restores the
+    caller's count after a successful run and after a configuration error."""
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread functions are not available")
+    get, set_ = blas
+    before = get()
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "spectrum", lambda cfg, out: seen.append(get()))
+    set_(2)
+    try:
+        assert run(tmp_path, "spectrum") == 0
+        assert seen == [1] and get() == 2
+        assert run(tmp_path, "spectrum", {"dt": 0.3}) == 2
+        assert seen == [1] and get() == 2
+    finally:
+        set_(before)
 
 
 def test_converge_floquet_solver_requires_floquet_evolver(tmp_path):

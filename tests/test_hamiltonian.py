@@ -1,15 +1,11 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 import pytest
 
-from starkrylov.hamiltonian import (
-    QUBIT_CAP,
-    SpinHamiltonian,
-    subspace_overlap,
-    write_spectrum_csv,
-)
+from oracles import dense_matrix, sector_basis, sector_block, subspace_overlap
+from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian, write_spectrum_csv
 from starkrylov.lattice import build_patch, build_star
 from starkrylov.prep import dressed_initial, pinwheel, reference_superposition, sector_initial
 
@@ -54,18 +50,18 @@ def test_dense_matches_kron_oracle():
     star = build_star(4)
     ham = SpinHamiltonian(star, h_field=0.7)
     oracle = dense_oracle(8, star.bonds, h=0.7)
-    assert np.max(np.abs(ham.dense_matrix() - oracle)) < 1e-12
+    assert np.max(np.abs(dense_matrix(ham) - oracle)) < 1e-12
 
 
 def test_single_bond_spectrum():
     ham = SpinHamiltonian(ToyLattice(2, ((0, 1),)))
-    w = np.sort(np.linalg.eigvalsh(ham.dense_matrix()))
+    w = np.sort(np.linalg.eigvalsh(dense_matrix(ham)))
     assert np.allclose(w, [-3.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_single_triangle_spectrum():
     ham = SpinHamiltonian(ToyLattice(3, ((0, 1), (0, 2), (1, 2))))
-    w = np.sort(np.linalg.eigvalsh(ham.dense_matrix()))
+    w = np.sort(np.linalg.eigvalsh(dense_matrix(ham)))
     assert np.allclose(w, [-3.0] * 4 + [3.0] * 4, atol=1e-12)
 
 
@@ -84,10 +80,10 @@ def test_qubit_cap():
 
 def test_sector_dimensions():
     ham = SpinHamiltonian(build_star(4))
-    assert len(ham.sector_basis(0.0)) == 70  # C(8,4)
-    assert len(ham.sector_basis(4.0)) == 1
-    assert sum(len(ham.sector_basis(ham._sz_of_ndown(k))) for k in range(9)) == 256
-    assert len(ham.sector_basis(1.0)) == comb(8, 3)
+    assert len(sector_basis(ham, 0.0)) == 70  # C(8,4)
+    assert len(sector_basis(ham, 4.0)) == 1
+    assert sum(len(sector_basis(ham, ham._sz_of_ndown(k))) for k in range(9)) == 256
+    assert len(sector_basis(ham, 1.0)) == comb(8, 3)
     with pytest.raises(ValueError, match="empty"):
         ham.diagonalize(sector=5.0)
 
@@ -103,7 +99,7 @@ def test_polarized_sector_eigenvalue_with_field():
 def test_commutes_with_total_sz():
     star = build_star(4)
     ham = SpinHamiltonian(star, h_field=0.3)
-    H = ham.dense_matrix()
+    H = dense_matrix(ham)
     idx = np.arange(256)
     sz = sum(0.5 * (1 - 2 * ((idx >> q) & 1)) for q in range(8))
     comm = H * sz[None, :] - sz[:, None] * H
@@ -113,7 +109,7 @@ def test_commutes_with_total_sz():
 def test_eigen_residuals_and_bounds():
     ham = SpinHamiltonian(build_star(4), h_field=0.5)
     bounds = ham.spectral_bounds()
-    H = ham.dense_matrix()
+    H = dense_matrix(ham)
     n_pairs = 0
     for k in range(9):
         res = ham.diagonalize(sector=ham._sz_of_ndown(k))
@@ -121,7 +117,7 @@ def test_eigen_residuals_and_bounds():
         assert np.all(res.energies <= bounds.e_max + 1e-9)
         assert np.all(np.diff(res.energies) >= -1e-12)
         for i, e in enumerate(res.energies):
-            v = np.zeros(256)
+            v = np.zeros(256, dtype=complex)
             v[res.basis] = res.vectors[:, i]
             assert np.linalg.norm(H @ v - e * v) < 1e-9
             n_pairs += 1
@@ -152,7 +148,7 @@ def test_reference_energy(n_tri, h, expected):
     # oracle: expectation of the dense matrix in the all-up state
     all_up = np.zeros(1 << ham.n_sites)
     all_up[0] = 1.0
-    direct = float(all_up @ ham.dense_matrix() @ all_up)
+    direct = float(all_up @ dense_matrix(ham) @ all_up)
     assert abs(ham.reference_energy() - direct) < 1e-12
 
 
@@ -183,7 +179,7 @@ def test_evolve_blocks_match_dense_expm(tmp_path):
     rng = np.random.default_rng(0)
     v = rng.normal(size=256) + 1j * rng.normal(size=256)
     v /= np.linalg.norm(v)
-    w, vecs = np.linalg.eigh(ham.dense_matrix())
+    w, vecs = np.linalg.eigh(dense_matrix(ham))
     expected = vecs @ (np.exp(-1j * w * 0.6) * (vecs.conj().T @ v))
     assert np.linalg.norm(ham.evolve(v, 0.6) - expected) < 1e-9
     write_spectrum_csv(tmp_path / "s.csv", ham)
@@ -218,3 +214,46 @@ def test_autocorrelation_matches_evolve_loop(n_tri):
         assert np.max(np.abs(spectral - loop)) <= 1e-13, name
     with pytest.raises(ValueError, match="dimension"):
         ham.autocorrelation(np.ones(4), times)
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+@pytest.mark.parametrize("h", [0.0, 0.5])
+def test_momentum_blocks_match_dense_sectors(n_tri, h):
+    # the rotation-momentum blocks against eigh of each full sector block
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star, h_field=h)
+    times = np.arange(1, 61) * 0.17
+    states = [_random_state(star.n_sites, n_tri), _random_state(star.n_sites, 7),
+              pinwheel(star).state().amplitudes]
+    evolved = [np.zeros(ham.dim, dtype=complex) for _ in states]
+    autocorrelations = [np.zeros(len(times), dtype=complex) for _ in states]
+    for n_down in range(star.n_sites + 1):
+        sz = ham._sz_of_ndown(n_down)
+        basis = sector_basis(ham, sz)
+        w, v = np.linalg.eigh(sector_block(ham, n_down))
+        spec = ham.diagonalize(sz)
+        assert np.max(np.abs(spec.energies - w)) <= 1e-12
+        ground = w <= w[0] + 1e-9 * max(1.0, abs(w[0])) + 1e-12
+        for psi, out, auto in zip(states, evolved, autocorrelations):
+            proj = v.T @ psi[basis]
+            out[basis] = v @ (np.exp(-1j * w * 0.6) * proj)
+            auto += np.exp(-1j * np.outer(times, w)) @ np.abs(proj) ** 2
+            assert abs(subspace_overlap(psi, spec) - np.sum(np.abs(proj[ground]) ** 2)) <= 1e-12
+    for psi, out, auto in zip(states, evolved, autocorrelations):
+        assert np.max(np.abs(ham.evolve(psi, 0.6) - out)) <= 1e-12
+        assert np.max(np.abs(ham.autocorrelation(psi, times) - auto)) <= 1e-12
+
+
+def test_rotation_must_map_bonds_onto_bonds():
+    star = build_star(4)
+    inner_only = (1, 2, 3, 0, 4, 5, 6, 7)  # moves the ring but not the apexes
+    with pytest.raises(ValueError, match="rotation"):
+        SpinHamiltonian(replace(star, rotation=inner_only))
+    with pytest.raises(ValueError, match="rotation"):
+        SpinHamiltonian(replace(star, rotation=(0,) * 8))
+    # a rotation by two triangles is a symmetry too: a group of order 2, same spectrum
+    twice = SpinHamiltonian(replace(star, rotation=tuple(star.rotation[s] for s in star.rotation)))
+    ham = SpinHamiltonian(star)
+    for n_down in range(star.n_sites + 1):
+        assert np.max(np.abs(twice._sector_eig(n_down).energies
+                             - ham._sector_eig(n_down).energies)) <= 1e-12

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cluster_overlaps, ritz_ground_overlap, ritz_overlaps
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.krylov import (
     DEFAULT_BAND,
@@ -14,10 +15,7 @@ from starkrylov.krylov import (
     _hankel_pair,
     _toeplitz_pair,
     _truncated_svd,
-    cluster_overlaps,
     odmd,
-    ritz_ground_overlap,
-    ritz_overlaps,
     solve,
     step_bounds,
     uvqpe,

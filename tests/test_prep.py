@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from starkrylov.hamiltonian import SpinHamiltonian, subspace_overlap
+from oracles import expectation, matvec, subspace_overlap
+from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.prep import (
     MAPPER_MATRIX,
@@ -60,13 +61,13 @@ def test_pinwheel_matches_singlet_oracle(stars):
 @pytest.mark.parametrize("n_tri,energy", [(4, -12.0), (6, -18.0)])
 def test_pinwheel_energy(stars, hams, n_tri, energy):
     psi = pinwheel(stars[n_tri]).state().amplitudes
-    assert abs(hams[n_tri].expectation(psi) - energy) < 1e-10
+    assert abs(expectation(hams[n_tri], psi) - energy) < 1e-10
 
 
 @pytest.mark.parametrize("n_tri", [4, 6])
 def test_pinwheel_is_exact_eigenstate(stars, hams, n_tri):
     psi = pinwheel(stars[n_tri]).state().amplitudes
-    residual = hams[n_tri].matvec(psi) + 3.0 * n_tri * psi
+    residual = matvec(hams[n_tri], psi) + 3.0 * n_tri * psi
     assert np.linalg.norm(residual) < 1e-9
 
 

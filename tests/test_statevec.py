@@ -7,6 +7,7 @@ from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.prep import MAPPER_MATRIX, pinwheel
 from starkrylov.statevec import (
+    _stream_opener,
     GateOp,
     StateVector,
     all_zero_fraction,
@@ -288,7 +289,7 @@ def test_stream_uniforms_match_rng_stream(seed):
     for stream in ((), (3, -1, 4)):
         for n in (1, 3, 4, 5, 73):
             for count in (1, 100):
-                block = stream_uniforms(seed, stream, count, n)
+                block = stream_uniforms(_stream_opener(seed, stream), count, n)
                 reference = np.array([rng_stream(seed, *stream, j).random(n)
                                       for j in range(count)])
                 assert block.shape == (count, n)
