@@ -5,17 +5,30 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 Identical config and seed produce byte-identical output files on one machine,
 whatever its BLAS thread count: ``main`` runs each command on one OpenBLAS
 thread and restores the previous count afterwards.
+
+A process that imports this module before numpy (``python -m starkrylov.cli``,
+the ``starkrylov`` script) starts OpenBLAS with one thread, so it never spawns
+the thread pool that ``main`` would leave idle.  ``OPENBLAS_NUM_THREADS`` is
+set only while numpy loads, and only when unset, so a count the user chose is
+kept and child processes see the environment unchanged.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+_ONE_THREAD_START = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _ONE_THREAD_START:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np  # noqa: E402  (OpenBLAS reads its thread count on load)
+
+if _ONE_THREAD_START:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import krylov, magnet, mirror
 from .config import ConfigError, RunConfig

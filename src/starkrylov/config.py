@@ -172,6 +172,8 @@ class RunConfig:
         _parse(type(self), asdict(self), "")
         if self.steps < 1 or self.realizations < 1:
             raise ConfigError("steps and realizations must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:  # the random streams key on 64 bits
+            raise ConfigError("seed must lie in [0, 2**64 - 1]")
         if self.odmd_window is not None and not 1 <= self.odmd_window <= self.steps:
             raise ConfigError(f"odmd_window must lie in [1, steps={self.steps}]")
         magnet_delta = () if self.magnet.delta is None else (self.magnet.delta,)

@@ -92,7 +92,7 @@ class _SectorBlocks:
 
 
 class SpinHamiltonian:
-    """Heisenberg model on a star plaquette or kagome patch."""
+    """Heisenberg model on a star plaquette (or any lattice with sites and bonds)."""
 
     def __init__(self, lattice, h_field: float = 0.0):
         if lattice.n_sites > QUBIT_CAP:

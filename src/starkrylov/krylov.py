@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import ceil, log
+from math import ceil
 from typing import Callable
 
 import numpy as np
@@ -215,25 +215,6 @@ def solver_spec(algorithm: str, series_kind: str = "unitary") -> SolverSpec:
 def solve(algorithm: str, series: OverlapSeries, n_steps: int, delta: float,
           **kwargs) -> KrylovEstimate:
     return solver_spec(algorithm, series.kind).solve(series, n_steps, delta, **kwargs)
-
-
-# -- step-count estimators ----------------------------------------------------
-
-def step_bounds(spectral_range: float, p0: float, eps_target: float,
-                gap: float, dt: float) -> tuple[int, int]:
-    """Predicted step counts (j for the GEVP route, d for the Hankel route)."""
-    if not 0 < p0 <= 1:
-        raise ValueError("p0 must lie in (0, 1]")
-    if gap <= 0 or dt <= 0 or eps_target <= 0 or spectral_range <= 0:
-        raise ValueError("spectral_range, gap, dt, eps_target must be positive")
-    d = ceil(1.0 / (gap * dt))
-    sin_sq = 1.0 - p0
-    if sin_sq <= 0:
-        return 1, d
-    arg = spectral_range * sin_sq / (p0 * eps_target)
-    denom = 2.0 * log(1.0 + 3.0 * gap * dt / (2.0 * np.pi))
-    j = max(1, ceil(log(arg) / denom)) if arg > 1 else 1
-    return j, d
 
 
 # -- CSV surfaces --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Star-plaquette and kagome-patch geometries.
+"""Star-plaquette geometry.
 
 A star plaquette is a closed loop of N corner-sharing triangles (N even).
 Sites are numbered canonically: the inner ring is 0..N-1, the apex of
@@ -87,63 +87,4 @@ def build_star(n_triangles: int) -> StarPlaquette:
         inner_sites=tuple(range(n)),
         apex_sites=tuple(range(n, 2 * n)),
         rotation=tuple((k + 1) % n for k in range(n)) + tuple(n + (k + 1) % n for k in range(n)),
-    )
-
-
-@dataclass(frozen=True)
-class KagomePatch:
-    """Open-boundary kagome patch of rows x cols unit cells, 3 sites per cell.
-
-    Up triangles live inside cells; down triangles connect neighboring cells.
-    Every bond belongs to exactly one triangle, so the patch supports the
-    same triangle-wise decomposition and resource accounting as the stars.
-    """
-
-    rows: int
-    cols: int
-    n_sites: int
-    bonds: tuple[tuple[int, int], ...]
-    triangles: tuple[tuple[int, int, int], ...]
-    parity: tuple[int, ...]  # 0 = up, 1 = down
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
-    def triangle_groups(self):
-        up = tuple(t for t, p in zip(self.triangles, self.parity) if p == 0)
-        down = tuple(t for t, p in zip(self.triangles, self.parity) if p == 1)
-        return up, down
-
-
-def build_patch(rows: int, cols: int) -> KagomePatch:
-    """Open-boundary kagome patch; geometry only, no size cap."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
-
-    def site(r, c, s):  # s in {0: A, 1: B, 2: C}
-        return 3 * (r * cols + c) + s
-
-    triangles = []
-    parity = []
-    for r in range(rows):
-        for c in range(cols):
-            triangles.append((site(r, c, 0), site(r, c, 1), site(r, c, 2)))
-            parity.append(0)
-    # down triangles: B(r,c) - A(r,c+1) - C(r-1,c+1)
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols and r - 1 >= 0:
-                triangles.append((site(r, c, 1), site(r, c + 1, 0), site(r - 1, c + 1, 2)))
-                parity.append(1)
-    bonds = []
-    for (a, b, c) in triangles:
-        bonds += [(a, b), (a, c), (b, c)]
-    return KagomePatch(
-        rows=rows,
-        cols=cols,
-        n_sites=3 * rows * cols,
-        bonds=tuple(bonds),
-        triangles=tuple(triangles),
-        parity=tuple(parity),
     )

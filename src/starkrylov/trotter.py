@@ -1,6 +1,6 @@
 """Suzuki-Trotter schemes: bond-by-bond (four site-disjoint groups) and
 triangle-by-triangle (two parity groups of exact 3-qubit exponentials),
-the single-step Floquet operator, and analytic CNOT accounting.
+and the single-step Floquet operator.
 
 Gate lists are in application order.  A triangle step therefore returns the
 odd-parity group first so that the step operator, as a matrix product, is
@@ -88,24 +88,3 @@ def step_unitaries(scheme: TrotterScheme, ham, dt: float,
 def floquet_step_gates(ham, t: float, reverse_groups: bool = False) -> list[GateOp]:
     """One triangle-by-triangle step of size t (t may be negative)."""
     return step_unitaries(triangle_scheme(ham.lattice), ham, t, reverse_groups)
-
-
-CNOTS_PER_TERM = {
-    ("triangle_by_triangle", "full"): 8,
-    ("triangle_by_triangle", "linear"): 12,
-    ("bond_by_bond", "full"): 9,
-    ("bond_by_bond", "linear"): 15,
-}
-
-
-def cnot_count(scheme: TrotterScheme, connectivity: str = "full",
-               n_triangles: int | None = None) -> int:
-    """Analytic CNOTs per Trotter step (counts per triangle x N_triangles)."""
-    if connectivity not in ("full", "linear"):
-        raise ValueError("connectivity must be 'full' or 'linear'")
-    if n_triangles is None:
-        if scheme.kind == "triangle_by_triangle":
-            n_triangles = sum(len(g) for g in scheme.groups)
-        else:
-            n_triangles = sum(len(g) for g in scheme.groups) // 3
-    return CNOTS_PER_TERM[(scheme.kind, connectivity)] * n_triangles

@@ -1,7 +1,13 @@
 """Reference constructions and diagnostics that only the tests use: the full
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
-2^n matrix, products with it, the ground-subspace weight of a state, and the
-overlaps of a Krylov estimate's Ritz vector with the exact eigenstates."""
+2^n matrix, products with it, the ground-subspace weight of a state, the
+overlaps of a Krylov estimate's Ritz vector with the exact eigenstates, kagome
+patches, analytic CNOT counts per Trotter step, and predicted step counts."""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import ceil, log
+
 import numpy as np
 
 
@@ -97,3 +103,104 @@ def cluster_overlaps(rows, atol: float = 1e-6):
         else:
             merged.append([energy, ov])
     return [(float(e), float(o)) for e, o in merged]
+
+
+# -- kagome patches and CNOT accounting --------------------------------------
+
+@dataclass(frozen=True)
+class KagomePatch:
+    """Open-boundary kagome patch of rows x cols unit cells, 3 sites per cell.
+
+    Up triangles live inside cells; down triangles connect neighboring cells.
+    Every bond belongs to exactly one triangle, so the patch supports the
+    same triangle-wise decomposition and resource accounting as the stars.
+    """
+
+    rows: int
+    cols: int
+    n_sites: int
+    bonds: tuple[tuple[int, int], ...]
+    triangles: tuple[tuple[int, int, int], ...]
+    parity: tuple[int, ...]  # 0 = up, 1 = down
+
+    @property
+    def n_triangles(self) -> int:
+        return len(self.triangles)
+
+    def triangle_groups(self):
+        up = tuple(t for t, p in zip(self.triangles, self.parity) if p == 0)
+        down = tuple(t for t, p in zip(self.triangles, self.parity) if p == 1)
+        return up, down
+
+
+def build_patch(rows: int, cols: int) -> KagomePatch:
+    """Open-boundary kagome patch; geometry only, no size cap."""
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be >= 1")
+
+    def site(r, c, s):  # s in {0: A, 1: B, 2: C}
+        return 3 * (r * cols + c) + s
+
+    triangles = []
+    parity = []
+    for r in range(rows):
+        for c in range(cols):
+            triangles.append((site(r, c, 0), site(r, c, 1), site(r, c, 2)))
+            parity.append(0)
+    # down triangles: B(r,c) - A(r,c+1) - C(r-1,c+1)
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols and r - 1 >= 0:
+                triangles.append((site(r, c, 1), site(r, c + 1, 0), site(r - 1, c + 1, 2)))
+                parity.append(1)
+    bonds = []
+    for (a, b, c) in triangles:
+        bonds += [(a, b), (a, c), (b, c)]
+    return KagomePatch(
+        rows=rows,
+        cols=cols,
+        n_sites=3 * rows * cols,
+        bonds=tuple(bonds),
+        triangles=tuple(triangles),
+        parity=tuple(parity),
+    )
+
+
+CNOTS_PER_TERM = {
+    ("triangle_by_triangle", "full"): 8,
+    ("triangle_by_triangle", "linear"): 12,
+    ("bond_by_bond", "full"): 9,
+    ("bond_by_bond", "linear"): 15,
+}
+
+
+def cnot_count(scheme, connectivity: str = "full",
+               n_triangles: int | None = None) -> int:
+    """Analytic CNOTs per Trotter step (counts per triangle x N_triangles)."""
+    if connectivity not in ("full", "linear"):
+        raise ValueError("connectivity must be 'full' or 'linear'")
+    if n_triangles is None:
+        if scheme.kind == "triangle_by_triangle":
+            n_triangles = sum(len(g) for g in scheme.groups)
+        else:
+            n_triangles = sum(len(g) for g in scheme.groups) // 3
+    return CNOTS_PER_TERM[(scheme.kind, connectivity)] * n_triangles
+
+
+# -- step-count estimators ----------------------------------------------------
+
+def step_bounds(spectral_range: float, p0: float, eps_target: float,
+                gap: float, dt: float) -> tuple[int, int]:
+    """Predicted step counts (j for the GEVP route, d for the Hankel route)."""
+    if not 0 < p0 <= 1:
+        raise ValueError("p0 must lie in (0, 1]")
+    if gap <= 0 or dt <= 0 or eps_target <= 0 or spectral_range <= 0:
+        raise ValueError("spectral_range, gap, dt, eps_target must be positive")
+    d = ceil(1.0 / (gap * dt))
+    sin_sq = 1.0 - p0
+    if sin_sq <= 0:
+        return 1, d
+    arg = spectral_range * sin_sq / (p0 * eps_target)
+    denom = 2.0 * log(1.0 + 3.0 * gap * dt / (2.0 * np.pi))
+    j = max(1, ceil(log(arg) / denom)) if arg > 1 else 1
+    return j, d

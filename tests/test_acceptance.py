@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     cluster_overlaps,
+    cnot_count,
     matvec,
     ritz_ground_overlap,
     ritz_overlaps,
@@ -47,11 +48,7 @@ from starkrylov.statevec import (
     evolve_exact,
     sample_bitstrings,
 )
-from starkrylov.trotter import (
-    bond_scheme,
-    cnot_count,
-    triangle_scheme,
-)
+from starkrylov.trotter import bond_scheme, triangle_scheme
 
 DT = 0.1
 

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy  # noqa: F401  (before starkrylov.cli: this process keeps OpenBLAS's default threads)
 import pytest
 
 import starkrylov
 from starkrylov import cli
 from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, InitialStateSpec, RunConfig
+from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 
 
@@ -88,6 +90,8 @@ def test_unknown_config_key_refused(tmp_path):
     {"allocation": {"n_times": 0}},
     {"allocation": {"realizations": 0}},
     {"allocation": {"f1_grid": []}},
+    {"seed": -1},
+    {"seed": 2 ** 64},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
@@ -99,13 +103,28 @@ def test_unknown_config_key_refused(tmp_path):
         "steps-below-odmd-first-step", "magnet-section-null", "cz-bonds-int",
         "cz-bonds-strings", "delta-above-one", "magnet-delta-above-one",
         "allocation-f1-above-one", "allocation-m-total-zero", "allocation-n-times-zero",
-        "allocation-realizations-zero", "allocation-f1-grid-empty"])
+        "allocation-realizations-zero", "allocation-f1-grid-empty", "seed-negative",
+        "seed-above-64-bits"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert run(tmp_path, "magnetization", config) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # refused before ED or any output
+
+
+def _fresh_interpreter(code: str, openblas_threads: str | None) -> str:
+    """Standard output of ``code`` in a new interpreter that finds this package,
+    with ``OPENBLAS_NUM_THREADS`` set to ``openblas_threads`` or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -122,12 +141,7 @@ def test_commands_run_without_scipy(tmp_path):
         f"'--out', {str(tmp_path / 'converge')!r}]) == 0",
         "assert 'scipy.linalg' not in sys.modules",
     ])
-    src = str(Path(starkrylov.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _fresh_interpreter(script, os.environ.get("OPENBLAS_NUM_THREADS"))
     assert (tmp_path / "converge" / "convergence_summary.json").exists()
 
 
@@ -212,6 +226,44 @@ def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
         set_(before)
 
 
+def _start_threads(first: str, openblas_threads: str | None) -> str:
+    """The OpenBLAS thread count and ``OPENBLAS_NUM_THREADS`` after a new
+    interpreter runs ``first`` and then imports ``starkrylov.cli``."""
+    if cli._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS thread functions are not available")
+    return _fresh_interpreter("\n".join([
+        "import os", first, "from starkrylov import cli",
+        "print(cli._openblas_threads()[0](), os.environ.get('OPENBLAS_NUM_THREADS'))",
+    ]), openblas_threads)
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, starkrylov\nprint('numpy' in sys.modules)"
+    assert _fresh_interpreter(code, None) == "False"
+
+
+def test_cli_process_starts_on_one_blas_thread():
+    """Imported before numpy, the CLI starts OpenBLAS on one thread and leaves
+    OPENBLAS_NUM_THREADS unset again for child processes."""
+    assert _start_threads("", None) == "1 None"
+
+
+def test_cli_process_keeps_a_preset_blas_thread_count():
+    # OpenBLAS caps the count at the CPUs present, so compare with the count a
+    # process gets that loads numpy before the CLI
+    started = _start_threads("", "2")
+    assert started.endswith(" 2")
+    assert started == _start_threads("import numpy", "2")
+
+
+def test_cli_imported_after_numpy_keeps_the_blas_thread_count():
+    """An interpreter that loaded numpy first, as this one did, keeps its
+    OpenBLAS thread count when it imports the CLI."""
+    preset = os.environ.get("OPENBLAS_NUM_THREADS")
+    started = _start_threads("import numpy", preset)
+    assert started == f"{cli._openblas_threads()[0]()} {preset}"
+
+
 def test_converge_floquet_solver_requires_floquet_evolver(tmp_path):
     cfg = {"solvers": ["uvqpe_floquet"], "evolver": "exact", "steps": 5}
     assert run(tmp_path, "converge", cfg) == 2
@@ -236,7 +288,7 @@ def test_magnetization_8_spin(tmp_path):
 def test_magnetization_plateau_count_mismatch_is_inf(tmp_path, monkeypatch):
     # sector 3 raised by 5 drops a plateau: 3 solver crossings against ED's 4,
     # whose overlapping prefix alone would deviate by about 1.7
-    ham = starkrylov.SpinHamiltonian(starkrylov.build_star(4))
+    ham = SpinHamiltonian(build_star(4))
     energies = {sz: ham.ground_state_energy(sector=float(sz)) for sz in range(5)}
     energies[3] += 5.0
     meta = {sz: {"converged": True, "exact": None, "final_error": 0.0,
@@ -273,6 +325,12 @@ def test_seed_flag_overrides(tmp_path):
     assert run(tmp_path, "overlaps", cfg, extra=("--seed", "2")) == 0
     echoed = json.loads((tmp_path / "out" / "run_config.json").read_text())
     assert echoed["seed"] == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_flag_outside_64_bits_refused(tmp_path, capsys, seed):
+    assert run(tmp_path, "overlaps", extra=("--seed", seed)) == 2
+    assert capsys.readouterr().err == "configuration error: seed must lie in [0, 2**64 - 1]\n"
 
 
 def test_config_validation_direct():

@@ -4,9 +4,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import dense_matrix, sector_basis, sector_block, subspace_overlap
+from oracles import build_patch, dense_matrix, sector_basis, sector_block, subspace_overlap
 from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian, write_spectrum_csv
-from starkrylov.lattice import build_patch, build_star
+from starkrylov.lattice import build_star
 from starkrylov.prep import dressed_initial, pinwheel, reference_superposition, sector_initial
 
 

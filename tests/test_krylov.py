@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cluster_overlaps, ritz_ground_overlap, ritz_overlaps
+from oracles import cluster_overlaps, ritz_ground_overlap, ritz_overlaps, step_bounds
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.krylov import (
     DEFAULT_BAND,
@@ -17,7 +17,6 @@ from starkrylov.krylov import (
     _truncated_svd,
     odmd,
     solve,
-    step_bounds,
     uvqpe,
 )
 from starkrylov.lattice import build_star

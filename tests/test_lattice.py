@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starkrylov.lattice import build_patch, build_star
+from oracles import build_patch
+from starkrylov.lattice import build_star
 
 even_sizes = st.integers(min_value=2, max_value=10).map(lambda k: 2 * k)
 

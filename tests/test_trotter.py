@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from starkrylov.hamiltonian import SpinHamiltonian
-from starkrylov.lattice import build_patch, build_star
+from oracles import build_patch, cnot_count
+from starkrylov.lattice import build_star
 from starkrylov.mirror import FloquetEvolver, TrotterEvolver, exact_overlap
 from starkrylov.prep import dressed_initial, pinwheel
 from starkrylov.statevec import StateVector, apply_circuit, evolve_exact, inner, zero_state
 from starkrylov.trotter import (
     bond_scheme,
-    cnot_count,
     floquet_step_gates,
     step_unitaries,
     term_unitary,
