@@ -197,6 +197,8 @@ class SpinHamiltonian:
     def _projections(self, vec: np.ndarray):
         """(basis, blocks, V^H <r, m|vec> per block) for each S^z sector that
         ``vec`` touches."""
+        if len(vec) != self.dim:
+            raise ValueError("state dimension does not match Hamiltonian")
         for n_down, basis in enumerate(self._sectors):
             part = vec[basis]
             if np.any(part):
@@ -221,8 +223,6 @@ class SpinHamiltonian:
         one matrix product per S^z sector that ``vec`` touches, so no state
         is evolved.
         """
-        if len(vec) != self.dim:
-            raise ValueError("state dimension does not match Hamiltonian")
         times = np.asarray(times, dtype=float)
         out = np.zeros(times.shape, dtype=complex)
         for _, sec, coeffs in self._projections(vec):

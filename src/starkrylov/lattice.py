@@ -69,10 +69,9 @@ def build_star(n_triangles: int) -> StarPlaquette:
     would not decompose into two commuting groups.
     """
     if n_triangles < 4 or n_triangles % 2 != 0:
-        raise ValueError(
-            f"n_triangles must be an even integer >= 4 (got {n_triangles}): "
-            "an odd triangle loop has no two-coloring"
-        )
+        reason = ("an odd triangle loop has no two-coloring" if n_triangles % 2 else
+                  "a loop of fewer than 4 triangles lists a bond twice or has no bonds")
+        raise ValueError(f"n_triangles must be an even integer >= 4 (got {n_triangles}): {reason}")
     n = n_triangles
     triangles = tuple((k, (k + 1) % n, n + k) for k in range(n))
     bonds = []

@@ -23,18 +23,15 @@ from . import krylov
 from .noise import NoiseSpec, noisy_apply, postselect_f1, twirl_layer
 from .prep import PrepCircuit, invert, reference_superposition
 from .statevec import (
-    StateVector,
     _stream_opener,
     all_zero_fraction,
     apply_circuit,
     apply_gate_amps,
-    evolve_exact,
-    inner,
     rng_stream,
     sample_bitstrings,
     sampling_cdf,
     stream_uniforms,
-    zero_state,
+    zero_amps,
 )
 from .trotter import floquet_step_gates, step_unitaries, triangle_scheme
 
@@ -54,8 +51,8 @@ class ExactEvolver:
     def __init__(self, ham):
         self.ham = ham
 
-    def apply(self, state: StateVector, t: float) -> StateVector:
-        return evolve_exact(state, self.ham, t)
+    def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
+        return self.ham.evolve(amps, t)
 
     def gates(self, t: float):
         return None
@@ -78,8 +75,8 @@ class TrotterEvolver:
         m = max(1, int(np.ceil(abs(t) / self.dt_step - 1e-12)))
         return step_unitaries(self.scheme, self.ham, t / m, self.reverse_groups) * m
 
-    def apply(self, state: StateVector, t: float) -> StateVector:
-        return apply_circuit(state, self.gates(t))
+    def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
+        return apply_circuit(amps, self.gates(t))
 
 
 class FloquetEvolver:
@@ -94,8 +91,8 @@ class FloquetEvolver:
     def gates(self, t: float):
         return [] if t == 0 else floquet_step_gates(self.ham, t, self.reverse_groups)
 
-    def apply(self, state: StateVector, t: float) -> StateVector:
-        return apply_circuit(state, self.gates(t))
+    def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
+        return apply_circuit(amps, self.gates(t))
 
 
 def make_evolver(kind: str, ham, dt_step: float | None = None,
@@ -160,7 +157,6 @@ class _NoiselessPass:
     ``base`` shares them instead of applying those gates again.
     """
 
-    n: int
     gates: list
     prefix: list  # the amplitudes before each gate
     before: list  # the slot count before each gate
@@ -181,7 +177,7 @@ def _shared_run(a: list, b: list) -> int:
 def _noiseless_pass(gates: list, n: int, base: _NoiselessPass | None) -> _NoiselessPass:
     """The pass of ``gates`` from |0..0>, reusing the prefix arrays of ``base``
     over the leading gates the two lists share."""
-    prefix, amps = [], zero_state(n).amplitudes
+    prefix, amps = [], zero_amps(n)
     if base is not None and base.prefix:
         start = min(_shared_run(gates, base.gates), len(base.prefix) - 1)
         prefix, amps = base.prefix[:start], base.prefix[start]
@@ -193,8 +189,8 @@ def _noiseless_pass(gates: list, n: int, base: _NoiselessPass | None) -> _Noisel
         before.append(len(owner))
         if len(g.sites) >= 2:
             owner += [gi] * len(g.sites)
-    return _NoiselessPass(n, gates, prefix, before, np.array(owner, dtype=np.int64),
-                          sampling_cdf(StateVector(n, amps, check=False)))
+    return _NoiselessPass(gates, prefix, before, np.array(owner, dtype=np.int64),
+                          sampling_cdf(amps))
 
 
 class _MirrorCircuits:
@@ -272,24 +268,13 @@ class _MirrorCircuits:
         return passes[key]
 
 
-def mirror_states(psi0_prep: PrepCircuit, evolver,
-                  t: float) -> tuple[StateVector, StateVector, StateVector]:
-    """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>."""
-    return _MirrorCircuits(psi0_prep, evolver).states(t)[0]
-
-
 def _zero_probabilities(states) -> tuple[float, float, float]:
-    return tuple(float(np.abs(s.amplitudes[0]) ** 2) for s in states)
+    return tuple(float(np.abs(s[0]) ** 2) for s in states)
 
 
-def exact_fractions(psi0_prep: PrepCircuit, evolver, t: float):
-    """Noiseless all-zero probabilities (F1, F2, F3)."""
-    return _zero_probabilities(mirror_states(psi0_prep, evolver, t))
-
-
-def exact_overlap(psi0_state: StateVector, evolver, t: float) -> complex:
+def exact_overlap(psi0: np.ndarray, evolver, t: float) -> complex:
     """Direct inner-product oracle <psi0| W(t) |psi0>."""
-    return inner(psi0_state, evolver.apply(psi0_state, t))
+    return complex(np.vdot(psi0, evolver.apply(psi0, t)))
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -336,8 +321,7 @@ def _sample_noisy(npass: _NoiselessPass, shots, noise, seed, stream):
         gi = npass.owner[slot]
         rng = open_stream(j)
         rng.random(npass.before[gi])
-        state = noisy_apply(StateVector(npass.n, npass.prefix[gi], check=False),
-                            npass.gates[gi:], noise, rng)
+        state = noisy_apply(npass.prefix[gi], npass.gates[gi:], noise, rng)
         samples[j] = np.searchsorted(sampling_cdf(state), rng.random(), side="right")
     return samples
 
@@ -409,36 +393,22 @@ def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
 
 # -- series builders ----------------------------------------------------------------
 
-def overlap_series_exact(psi0_state: StateVector, evolver, dt: float,
+def overlap_series_exact(psi0: np.ndarray, evolver, dt: float,
                          kmax: int) -> krylov.OverlapSeries:
     """Series of direct inner products; Floquet evolvers fill both directions.
     The exact evolver sums the series from the sector spectra in one call."""
     if evolver.kind == "exact":
-        values = evolver.ham.autocorrelation(psi0_state.amplitudes,
-                                             np.arange(1, kmax + 1) * dt)
+        values = evolver.ham.autocorrelation(psi0, np.arange(1, kmax + 1) * dt)
         return krylov.OverlapSeries(dt, np.concatenate([[1.0 + 0.0j], values]), None,
                                     "exact", "unitary")
 
     def direction(sign: int) -> np.ndarray:
-        return np.array([1.0 + 0.0j] + [exact_overlap(psi0_state, evolver, k * dt)
+        return np.array([1.0 + 0.0j] + [exact_overlap(psi0, evolver, k * dt)
                                         for k in range(sign, sign * (kmax + 1), sign)])
 
     if evolver.kind == "floquet":
         return krylov.OverlapSeries(dt, direction(1), direction(-1), "exact", "floquet")
     return krylov.OverlapSeries(dt, direction(1), None, "exact", "unitary")
-
-
-def overlap_series_mirror_exact(psi0_prep: PrepCircuit, evolver, ham, dt: float,
-                                kmax: int,
-                                magnitude_source: str = "f1_sqrt") -> krylov.OverlapSeries:
-    """Series reconstructed from exact F1/F2/F3 (no sampling)."""
-    e_ref = ham.reference_energy()
-    circuits = _MirrorCircuits(psi0_prep, evolver)
-    values = [1.0 + 0.0j]
-    for k in range(1, kmax + 1):
-        f1, f2, f3 = _zero_probabilities(circuits.states(k * dt)[0])
-        values.append(reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
-    return krylov.OverlapSeries(dt, np.array(values), None, "exact_mirror", "unitary")
 
 
 def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
@@ -569,24 +539,6 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
             o_err = float("nan") if est.value is None else abs(est.value - o_exact)
             rows.append((t, mode, *f_errs, o_err))
     return rows
-
-
-def shot_noise_reference(psi0_prep: PrepCircuit, evolver, ham, dt: float,
-                         kmax: int, plan: ShotPlan, seed: int,
-                         n_realizations: int = 100,
-                         magnitude_source: str = "f1_sqrt"):
-    """Per-step std of the noiseless sampled estimate over realizations."""
-    e_ref = ham.reference_energy()
-    counts = plan.allocate()
-    times = [k * dt for k in range(1, kmax + 1)]
-    sigmas = []
-    for k, (t, (probs, o_exact)) in enumerate(
-            zip(times, _exact_cells(_MirrorCircuits(psi0_prep, evolver), times)), 1):
-        errors = [abs(_binomial_overlaps(rng_stream(seed, k, r), counts, probs, e_ref, t,
-                                         (magnitude_source,))[0] - o_exact)
-                  for r in range(n_realizations)]
-        sigmas.append(float(np.std(errors)))
-    return np.array(sigmas)
 
 
 # -- CSV surface ------------------------------------------------------------------------

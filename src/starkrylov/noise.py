@@ -2,8 +2,8 @@
 
 Noise model: after every applied multi-qubit gate, each touched qubit
 independently suffers a uniform X/Y/Z error with probability p.  This is a
-trajectory (pure-state) channel; ensemble quantities are averages over
-trajectories with independent streams.
+trajectory (pure-state) channel on a raw amplitude array; ensemble quantities
+are averages over trajectories with independent streams.
 
 Stream contract of one trajectory: one uniform per error slot (each site of
 each gate with two or more sites, in gate order), compared against p; after
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import GateOp, StateVector, apply_gate_amps, pauli_gate, rz_gate
+from .statevec import GateOp, apply_gate_amps, pauli_gate, rz_gate
 
 _PAULI_NAMES = ("X", "Y", "Z")
 
@@ -47,10 +47,9 @@ class NoiseSpec:
         return self.p_pauli > 0
 
 
-def noisy_apply(state: StateVector, gates, spec: NoiseSpec,
-                rng: np.random.Generator) -> StateVector:
-    """Apply gates, inserting per-qubit Pauli errors after multi-qubit ones."""
-    amps = state.amplitudes
+def noisy_apply(amps: np.ndarray, gates, spec: NoiseSpec,
+                rng: np.random.Generator) -> np.ndarray:
+    """Apply gates to ``amps``, inserting per-qubit Pauli errors after multi-qubit ones."""
     for g in gates:
         amps = apply_gate_amps(amps, g)
         if spec.p_pauli > 0 and len(g.sites) >= 2:
@@ -58,7 +57,7 @@ def noisy_apply(state: StateVector, gates, spec: NoiseSpec,
                 if rng.random() < spec.p_pauli:
                     name = spec.paulis[rng.integers(len(spec.paulis))]
                     amps = apply_gate_amps(amps, pauli_gate(name, q))
-    return StateVector(state.n_qubits, amps, check=False)
+    return amps
 
 
 def postselect_f1(samples: np.ndarray, pairing, n_sites: int):

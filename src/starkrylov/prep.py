@@ -16,7 +16,6 @@ import numpy as np
 from .lattice import StarPlaquette
 from .statevec import (
     GateOp,
-    StateVector,
     apply_circuit,
     cnot_gate,
     cz_gate,
@@ -24,7 +23,7 @@ from .statevec import (
     phase_gate,
     unitary_gate,
     x_gate,
-    zero_state,
+    zero_amps,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -69,8 +68,9 @@ class PrepCircuit:
     cz_bonds: tuple[tuple[int, int], ...] = ()
     sector: float | None = None  # declared total S^z of the output (psi0 roles)
 
-    def state(self) -> StateVector:
-        return apply_circuit(zero_state(self.n_sites), self.gates)
+    def state(self) -> np.ndarray:
+        """The amplitudes this circuit prepares from |0..0>."""
+        return apply_circuit(zero_amps(self.n_sites), self.gates)
 
 
 def _dimer_gates(pairs) -> list[GateOp]:
@@ -144,8 +144,7 @@ def reference_superposition(psi0_prep: PrepCircuit, phase=1) -> PrepCircuit:
         raise ValueError("phase must be 1 or 1j")
     if psi0_prep.role != "psi0" or not psi0_prep.dimer_pairs:
         raise ValueError("reference superposition needs a dimer-product psi0 preparation")
-    psi0 = psi0_prep.state()
-    if abs(psi0.amplitudes[0]) > 1e-10:
+    if abs(psi0_prep.state()[0]) > 1e-10:
         raise ValueError("psi0 is not orthogonal to the all-up reference state")
 
     covered = sorted({q for pair in psi0_prep.dimer_pairs for q in pair})

@@ -1,12 +1,12 @@
-"""Dense statevector engine.
+"""Dense statevector engine; a state is a raw 1-D array of 2^n complex amplitudes.
 
 Bit convention: site i is bit i of the basis index, bit 0 least significant;
 bit value 1 is spin down (S^z = -1/2), so the all-zero state is all-up.
 Gate matrices are indexed with sites[0] as the most significant local bit,
 i.e. a CNOT on sites (c, t) is the textbook matrix in the |c t> basis.
 
-One kernel, ``apply_gate_amps``, applies a gate to a raw amplitude array;
-``apply_gate`` wraps it for ``StateVector``.  It has two paths:
+One kernel, ``apply_gate_amps``, applies a gate to an amplitude array;
+``apply_circuit`` loops it over a gate list.  The kernel has two paths:
 
 - A general gate gathers the amplitudes into a (2^k, 2^(n-k)) block through a
   cached index, multiplies by the matrix and scatters the result back.
@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 UNITARY_TOL = 1e-10
-NORM_TOL = 1e-10
-MAX_QUBITS = 14  # dense amplitudes only; geometry alone has no cap
+MAX_QUBITS = 14  # dense amplitudes only, enforced by SpinHamiltonian; geometry has no cap
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,30 +42,9 @@ _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 PAULIS = {"X": _X, "Y": _Y, "Z": _Z}
 
 
-class StateVector:
-    """Normalized 2^n complex amplitude vector."""
-
-    __slots__ = ("n_qubits", "amplitudes")
-
-    def __init__(self, n_qubits: int, amplitudes: np.ndarray, check: bool = True):
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(f"{n_qubits} qubits exceeds the dense cap of {MAX_QUBITS}")
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (1 << n_qubits,):
-            raise ValueError(f"expected {1 << n_qubits} amplitudes, got {amplitudes.shape}")
-        if check and abs(np.linalg.norm(amplitudes) - 1.0) > NORM_TOL:
-            raise ValueError("state vector is not normalized")
-        self.n_qubits = n_qubits
-        self.amplitudes = amplitudes
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps, check=False)
+def zero_amps(n_qubits: int) -> np.ndarray:
+    """The amplitudes of |0..0>, the all-up state."""
+    return np.eye(1, 1 << n_qubits, dtype=complex)[0]
 
 
 _UNIT_PHASES = (1, -1, 1j, -1j)
@@ -214,27 +192,10 @@ def apply_gate_amps(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     return (amps if src is None else amps[src]) * phase
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    return StateVector(state.n_qubits, apply_gate_amps(state.amplitudes, gate), check=False)
-
-
-def apply_circuit(state: StateVector, gates) -> StateVector:
+def apply_circuit(amps: np.ndarray, gates) -> np.ndarray:
     for g in gates:
-        state = apply_gate(state, g)
-    return state
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("dimension mismatch")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def evolve_exact(state: StateVector, ham, t: float) -> StateVector:
-    """Apply exp(-i H t) using the Hamiltonian's eigendecomposition."""
-    if (1 << state.n_qubits) != ham.dim:
-        raise ValueError("state dimension does not match Hamiltonian")
-    return StateVector(state.n_qubits, ham.evolve(state.amplitudes, t), check=False)
+        amps = apply_gate_amps(amps, g)
+    return amps
 
 
 _KEY_MASK = (1 << 64) - 1
@@ -294,18 +255,18 @@ def stream_uniforms(open_stream, count: int, n: int) -> np.ndarray:
     return out
 
 
-def sampling_cdf(state: StateVector) -> np.ndarray:
+def sampling_cdf(amps: np.ndarray) -> np.ndarray:
     """Cumulative |amplitude|^2 normalized to end at 1: basis index
     ``searchsorted(cdf, u, side="right")`` for a uniform u is one sample."""
-    cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
+    cdf = np.cumsum(np.abs(amps) ** 2)
     return cdf / cdf[-1]
 
 
-def sample_bitstrings(state: StateVector, shots: int, seed: int, stream=0) -> np.ndarray:
+def sample_bitstrings(amps: np.ndarray, shots: int, seed: int, stream=0) -> np.ndarray:
     """Sample basis-state indices i.i.d. from |amplitude|^2 by inverse CDF."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    cdf = sampling_cdf(state)
+    cdf = sampling_cdf(amps)
     parts = stream if isinstance(stream, tuple) else (stream,)
     rng = rng_stream(seed, *parts)
     u = rng.random(shots)

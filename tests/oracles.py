@@ -2,13 +2,25 @@
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
 overlaps of a Krylov estimate's Ritz vector with the exact eigenstates, kagome
-patches, analytic CNOT counts per Trotter step, and predicted step counts."""
+patches, analytic CNOT counts per Trotter step, predicted step counts, and the
+noiseless mirror-circuit quantities: mirrored states, exact F1/F2/F3, the
+series reconstructed from them and the shot-noise reference curve."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log
 
 import numpy as np
+
+from starkrylov import krylov
+from starkrylov.mirror import (
+    _binomial_overlaps,
+    _exact_cells,
+    _MirrorCircuits,
+    _zero_probabilities,
+    reconstruct,
+)
+from starkrylov.statevec import rng_stream
 
 
 def sector_basis(ham, sz: float) -> np.ndarray:
@@ -204,3 +216,43 @@ def step_bounds(spectral_range: float, p0: float, eps_target: float,
     denom = 2.0 * log(1.0 + 3.0 * gap * dt / (2.0 * np.pi))
     j = max(1, ceil(log(arg) / denom)) if arg > 1 else 1
     return j, d
+
+
+# -- noiseless mirror circuits --------------------------------------------------
+
+def mirror_states(psi0_prep, evolver, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>."""
+    return _MirrorCircuits(psi0_prep, evolver).states(t)[0]
+
+
+def exact_fractions(psi0_prep, evolver, t: float):
+    """Noiseless all-zero probabilities (F1, F2, F3)."""
+    return _zero_probabilities(mirror_states(psi0_prep, evolver, t))
+
+
+def overlap_series_mirror_exact(psi0_prep, evolver, ham, dt: float, kmax: int,
+                                magnitude_source: str = "f1_sqrt") -> krylov.OverlapSeries:
+    """Series reconstructed from exact F1/F2/F3 (no sampling)."""
+    e_ref = ham.reference_energy()
+    circuits = _MirrorCircuits(psi0_prep, evolver)
+    values = [1.0 + 0.0j]
+    for k in range(1, kmax + 1):
+        f1, f2, f3 = _zero_probabilities(circuits.states(k * dt)[0])
+        values.append(reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
+    return krylov.OverlapSeries(dt, np.array(values), None, "exact_mirror", "unitary")
+
+
+def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, seed: int,
+                         n_realizations: int = 100, magnitude_source: str = "f1_sqrt"):
+    """Per-step std of the noiseless sampled estimate over realizations."""
+    e_ref = ham.reference_energy()
+    counts = plan.allocate()
+    times = [k * dt for k in range(1, kmax + 1)]
+    sigmas = []
+    for k, (t, (probs, o_exact)) in enumerate(
+            zip(times, _exact_cells(_MirrorCircuits(psi0_prep, evolver), times)), 1):
+        errors = [abs(_binomial_overlaps(rng_stream(seed, k, r), counts, probs, e_ref, t,
+                                         (magnitude_source,))[0] - o_exact)
+                  for r in range(n_realizations)]
+        sigmas.append(float(np.std(errors)))
+    return np.array(sigmas)

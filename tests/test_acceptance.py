@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     cluster_overlaps,
     cnot_count,
+    exact_fractions,
     matvec,
     ritz_ground_overlap,
     ritz_overlaps,
@@ -34,7 +35,6 @@ from starkrylov.mirror import (
     ShotPlan,
     TrotterEvolver,
     allocation_study,
-    exact_fractions,
     exact_overlap,
     overlap_series_exact,
     overlap_series_sampled,
@@ -42,12 +42,7 @@ from starkrylov.mirror import (
 )
 from starkrylov.noise import postselect_f1, twirl_layer
 from starkrylov.prep import dressed_initial, invert, pinwheel, sector_initial
-from starkrylov.statevec import (
-    StateVector,
-    apply_circuit,
-    evolve_exact,
-    sample_bitstrings,
-)
+from starkrylov.statevec import apply_circuit, sample_bitstrings
 from starkrylov.trotter import bond_scheme, triangle_scheme
 
 DT = 0.1
@@ -73,7 +68,7 @@ def test_criterion_1_exact_ground_states(stars, hams):
         ham = hams[n_tri]
         e0 = ham.ground_state_energy()
         assert abs(e0 - (-3.0 * n_tri)) < 1e-9
-        psi = pinwheel(stars[n_tri]).state().amplitudes
+        psi = pinwheel(stars[n_tri]).state()
         residual = np.linalg.norm(matvec(ham, psi) - e0 * psi)
         assert residual < 1e-9
     elapsed = time.time() - start
@@ -86,12 +81,12 @@ def test_criterion_2_initial_state_overlaps(stars, hams):
     spec8 = hams[4].diagonalize(sector=0.0)
     spec12 = hams[6].diagonalize(sector=0.0)
     checks = [
-        (subspace_overlap(dressed_initial(star8).state().amplitudes, spec8),
+        (subspace_overlap(dressed_initial(star8).state(), spec8),
          0.286, 1e-3),
         (subspace_overlap(
             dressed_initial(star12, star12.free_outer_bonds("cw")[::2])
-            .state().amplitudes, spec12), 0.016, 1e-3),
-        (subspace_overlap(dressed_initial(star12).state().amplitudes, spec12),
+            .state(), spec12), 0.016, 1e-3),
+        (subspace_overlap(dressed_initial(star12).state(), spec12),
          0.001, 1e-3),
     ]
     for value, target, tol in checks:
@@ -105,7 +100,7 @@ def test_criterion_2_initial_state_overlaps(stars, hams):
         for sz, target in targets.items():
             spec = hams[n_tri].diagonalize(sector=float(sz))
             value = subspace_overlap(
-                sector_initial(stars[n_tri], sz).state().amplitudes, spec)
+                sector_initial(stars[n_tri], sz).state(), spec)
             assert abs(value - target) < 2e-3, (n_tri, sz, value)
             count += 1
     assert count == 10
@@ -168,8 +163,8 @@ def test_criterion_4_fig5_convergence_ordering(stars, hams):
 def test_criterion_5_low_overlap_excursion(stars, hams):
     star, ham = stars[6], hams[6]
     prep = dressed_initial(star)  # six CZ gates, ground overlap 1e-3
-    psi = prep.state().amplitudes
-    series = overlap_series_exact(prep.state(), ExactEvolver(ham), DT, 60)
+    psi = prep.state()
+    series = overlap_series_exact(psi, ExactEvolver(ham), DT, 60)
     stuck = uvqpe(series, 50, 1e-1)
     assert stuck.energy - (-18.0) > 0.1
     spec = ham.diagonalize(sector=0.0)
@@ -265,23 +260,22 @@ def test_criterion_8_shot_allocation(stars, hams):
 def test_criterion_9_twirling_identity(stars, hams):
     star = stars[4]
     prep = dressed_initial(star)
-    psi0 = prep.state().amplitudes
+    psi0 = prep.state()
     leak = np.zeros(256, dtype=complex)
     leak[1 << 5] = 1.0  # one flipped spin: sigma^z total off by 2
     a, b = np.sqrt(0.92), np.sqrt(0.08) * np.exp(1.1j)
-    mixed = StateVector(8, a * psi0 + b * leak)
+    mixed = a * psi0 + b * leak
     c, s = np.cos(0.15), np.sin(0.15)
     from starkrylov.statevec import unitary_gate
     ry = np.array([[c, -s], [s, c]], dtype=complex)
     final = [unitary_gate((q,), ry, "RY") for q in range(8)] + list(invert(prep).gates)
 
     def p_zero(state):
-        return float(np.abs(apply_circuit(state, final).amplitudes[0]) ** 2)
+        return float(np.abs(apply_circuit(state, final)[0]) ** 2)
 
     averaged = 0.5 * (p_zero(mixed)
                       + p_zero(apply_circuit(mixed, twirl_layer(8, np.pi / 2))))
-    diagonal = (abs(a) ** 2 * p_zero(StateVector(8, psi0))
-                + abs(b) ** 2 * p_zero(StateVector(8, leak)))
+    diagonal = abs(a) ** 2 * p_zero(psi0) + abs(b) ** 2 * p_zero(leak)
     assert abs(averaged - diagonal) < 1e-10
     report(9, "two-term twirl average reproduces the diagonal sector mixture "
               "(interference < 1e-10)")
@@ -324,12 +318,12 @@ def test_criterion_11_property_suites(stars, hams):
     idx = np.arange(256)
     outside = sum(((idx >> q) & 1) for q in range(8)) != 4
     for out in (
-        evolve_exact(psi, ham, 0.9),
+        ham.evolve(psi, 0.9),
         TrotterEvolver(ham, 0.9 / 3).apply(psi, 0.9),
         TrotterEvolver(ham, 0.9 / 3, scheme=bond_scheme(star)).apply(psi, 0.9),
         FloquetEvolver(ham).apply(psi, 0.9),
     ):
-        assert float(np.sum(np.abs(out.amplitudes[outside]) ** 2)) < 1e-10
+        assert float(np.sum(np.abs(out[outside]) ** 2)) < 1e-10
 
     # Toeplitz structural identity on a sampled-series snippet
     series = overlap_series_exact(psi, ExactEvolver(ham), DT, 12)
@@ -345,19 +339,17 @@ def test_criterion_11_property_suites(stars, hams):
     # first-order Trotter error slope
     rng = np.random.default_rng(1)
     amps = rng.normal(size=256) + 1j * rng.normal(size=256)
-    rnd = StateVector(8, amps / np.linalg.norm(amps))
-    exact = evolve_exact(rnd, ham, 1.0)
+    rnd = amps / np.linalg.norm(amps)
+    exact = ham.evolve(rnd, 1.0)
     ms = np.array([4, 8, 16, 32, 64])
-    errs = [np.linalg.norm(
-        TrotterEvolver(ham, 1.0 / m).apply(rnd, 1.0).amplitudes
-        - exact.amplitudes) for m in ms]
+    errs = [np.linalg.norm(TrotterEvolver(ham, 1.0 / m).apply(rnd, 1.0) - exact) for m in ms]
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
     assert abs(slope + 1.0) < 0.1
 
     # post-selection zero-discard on noiseless runs, both plaquettes
     for n_tri in (4, 6):
         prep_n = dressed_initial(stars[n_tri])
-        state = evolve_exact(prep_n.state(), hams[n_tri], 0.4)
+        state = hams[n_tri].evolve(prep_n.state(), 0.4)
         state = apply_circuit(state, invert(prep_n).gates)
         samples = sample_bitstrings(state, 10 ** 5, seed=31, stream=n_tri)
         _, dropped = postselect_f1(samples, prep_n.dimer_pairs,

@@ -92,6 +92,8 @@ def test_unknown_config_key_refused(tmp_path):
     {"allocation": {"f1_grid": []}},
     {"seed": -1},
     {"seed": 2 ** 64},
+    {"n_triangles": 8},
+    {"n_triangles": 2},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
@@ -104,7 +106,7 @@ def test_unknown_config_key_refused(tmp_path):
         "cz-bonds-strings", "delta-above-one", "magnet-delta-above-one",
         "allocation-f1-above-one", "allocation-m-total-zero", "allocation-n-times-zero",
         "allocation-realizations-zero", "allocation-f1-grid-empty", "seed-negative",
-        "seed-above-64-bits"])
+        "seed-above-64-bits", "n-triangles-above-qubit-cap", "n-triangles-two"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert run(tmp_path, "magnetization", config) == 2
     err = capsys.readouterr().err

@@ -162,8 +162,8 @@ def test_subspace_overlap_examples():
     star = build_star(4)
     ham = SpinHamiltonian(star)
     spec = ham.diagonalize(sector=0.0)
-    assert abs(subspace_overlap(pinwheel(star).state().amplitudes, spec) - 1.0) < 1e-10
-    ov = subspace_overlap(dressed_initial(star).state().amplitudes, spec)
+    assert abs(subspace_overlap(pinwheel(star).state(), spec) - 1.0) < 1e-10
+    ov = subspace_overlap(dressed_initial(star).state(), spec)
     assert abs(ov - 0.286) < 1e-3
     # basis state from the Sz=4 sector is orthogonal to the Sz=0 ground space
     polarized = np.zeros(256, dtype=complex)
@@ -202,18 +202,22 @@ def test_autocorrelation_matches_evolve_loop(n_tri):
     ham = SpinHamiltonian(star)
     times = np.arange(1, 61) * 0.17
     states = {
-        "dressed": dressed_initial(star).state().amplitudes,
-        "sector_sz1": sector_initial(star, 1).state().amplitudes,
+        "dressed": dressed_initial(star).state(),
+        "sector_sz1": sector_initial(star, 1).state(),
         "reference_superposition": reference_superposition(
-            dressed_initial(star), 1j).state().amplitudes,
+            dressed_initial(star), 1j).state(),
         "random": _random_state(star.n_sites, n_tri),
     }
     for name, psi in states.items():
         loop = np.array([np.vdot(psi, ham.evolve(psi, t)) for t in times])
         spectral = ham.autocorrelation(psi, times)
         assert np.max(np.abs(spectral - loop)) <= 1e-13, name
-    with pytest.raises(ValueError, match="dimension"):
-        ham.autocorrelation(np.ones(4), times)
+    # a state of another size is refused, not truncated or padded
+    for wrong in (np.ones(4), np.ones(2 * ham.dim)):
+        with pytest.raises(ValueError, match="dimension"):
+            ham.autocorrelation(wrong, times)
+        with pytest.raises(ValueError, match="dimension"):
+            ham.evolve(wrong, 0.1)
 
 
 @pytest.mark.parametrize("n_tri", [4, 6])
@@ -224,7 +228,7 @@ def test_momentum_blocks_match_dense_sectors(n_tri, h):
     ham = SpinHamiltonian(star, h_field=h)
     times = np.arange(1, 61) * 0.17
     states = [_random_state(star.n_sites, n_tri), _random_state(star.n_sites, 7),
-              pinwheel(star).state().amplitudes]
+              pinwheel(star).state()]
     evolved = [np.zeros(ham.dim, dtype=complex) for _ in states]
     autocorrelations = [np.zeros(len(times), dtype=complex) for _ in states]
     for n_down in range(star.n_sites + 1):

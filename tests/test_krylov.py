@@ -195,7 +195,7 @@ def test_low_overlap_excited_convergence(series12):
 def test_ritz_trace_12_spin(series12):
     star, ham, series = series12
     spec = ham.diagonalize(sector=0.0)
-    psi = dressed_initial(star).state().amplitudes
+    psi = dressed_initial(star).state()
     basis = [ham.evolve(psi, k * DT) for k in range(61)]
     est10 = uvqpe(series, 10, 1e-6)
     rows = ritz_overlaps(est10, basis[:10], spec)
@@ -210,7 +210,7 @@ def test_ritz_step_zero_matches_psi0(series8):
     star = build_star(4)
     ham = SpinHamiltonian(star)
     spec = ham.diagonalize(sector=0.0)
-    psi = dressed_initial(star).state().amplitudes
+    psi = dressed_initial(star).state()
     est = uvqpe(series8, 1, 1e-8)
     rows = ritz_overlaps(est, [psi], spec)
     direct = spec.overlaps(psi)

@@ -28,7 +28,9 @@ def test_build_star_6_counts():
 
 @pytest.mark.parametrize("bad", [3, 5, 2, 0, -4, 7])
 def test_build_star_rejects_odd_or_small(bad):
-    with pytest.raises(ValueError, match="two-coloring|even"):
+    # an even count below 4 has a two-coloring; its loop repeats a bond or has none
+    reason = "two-coloring" if bad % 2 else "fewer than 4 triangles"
+    with pytest.raises(ValueError, match=f"even.*{reason}"):
         build_star(bad)
 
 

@@ -7,15 +7,13 @@ from starkrylov.mirror import FloquetEvolver, TrotterEvolver
 from starkrylov.noise import NoiseSpec, noisy_apply, postselect_f1, twirl_layer
 from starkrylov.prep import dressed_initial, invert, reference_superposition
 from starkrylov.statevec import (
-    StateVector,
     apply_circuit,
-    evolve_exact,
     h_gate,
     rng_stream,
     sample_bitstrings,
     unitary_gate,
     x_gate,
-    zero_state,
+    zero_amps,
 )
 
 
@@ -28,18 +26,18 @@ def problem8():
 def test_p0_is_clean(problem8):
     star, ham, prep = problem8
     gates = list(prep.gates) + TrotterEvolver(ham, 0.1).gates(0.2)
-    clean = apply_circuit(zero_state(8), gates)
-    noisy = noisy_apply(zero_state(8), gates, NoiseSpec(0.0), rng_stream(1, 0))
-    assert np.linalg.norm(clean.amplitudes - noisy.amplitudes) < 1e-12
+    clean = apply_circuit(zero_amps(8), gates)
+    noisy = noisy_apply(zero_amps(8), gates, NoiseSpec(0.0), rng_stream(1, 0))
+    assert np.linalg.norm(clean - noisy) < 1e-12
 
 
 def test_p1_z_only_flips_plus_states():
-    plus = apply_circuit(zero_state(2), [h_gate(0), h_gate(1)])
+    plus = apply_circuit(zero_amps(2), [h_gate(0), h_gate(1)])
     layer = [unitary_gate((0, 1), np.eye(4, dtype=complex), "I2")]
     spec = NoiseSpec(p_pauli=1.0, paulis=("Z",))
     out = noisy_apply(plus, layer, spec, rng_stream(0, 0))
-    minus = apply_circuit(zero_state(2), [x_gate(0), h_gate(0), x_gate(1), h_gate(1)])
-    assert abs(abs(np.vdot(out.amplitudes, minus.amplitudes)) - 1.0) < 1e-12
+    minus = apply_circuit(zero_amps(2), [x_gate(0), h_gate(0), x_gate(1), h_gate(1)])
+    assert abs(abs(np.vdot(out, minus)) - 1.0) < 1e-12
 
 
 def test_noise_spec_validation():
@@ -60,11 +58,11 @@ def test_error_grows_with_depth(problem8):
     means = []
     for m in (1, 2, 4):
         gates = _f1_circuit(prep, ham, m)
-        clean = float(np.abs(apply_circuit(zero_state(8), gates).amplitudes[0]) ** 2)
+        clean = float(np.abs(apply_circuit(zero_amps(8), gates)[0]) ** 2)
         errs = []
         for traj in range(200):
-            out = noisy_apply(zero_state(8), gates, spec, rng_stream(17, m, traj))
-            errs.append(abs(float(np.abs(out.amplitudes[0]) ** 2) - clean))
+            out = noisy_apply(zero_amps(8), gates, spec, rng_stream(17, m, traj))
+            errs.append(abs(float(np.abs(out[0]) ** 2) - clean))
         means.append(np.mean(errs))
     assert means[0] < means[1] < means[2]
 
@@ -94,7 +92,7 @@ def test_postselect_zero_discard_noiseless(n_tri):
     star = build_star(n_tri)
     ham = SpinHamiltonian(star)
     prep = dressed_initial(star)
-    state = evolve_exact(prep.state(), ham, 0.3)
+    state = ham.evolve(prep.state(), 0.3)
     state = apply_circuit(state, invert(prep).gates)
     samples = sample_bitstrings(state, 10 ** 5, seed=23)
     _, dropped = postselect_f1(samples, prep.dimer_pairs, star.n_sites)
@@ -105,11 +103,11 @@ def test_twirl_identity_cases(problem8):
     star, ham, prep = problem8
     psi = prep.state()  # pure S^z = 0
     twirled = apply_circuit(psi, twirl_layer(8, np.pi / 2))
-    p0 = np.abs(apply_circuit(psi, invert(prep).gates).amplitudes[0]) ** 2
-    p1 = np.abs(apply_circuit(twirled, invert(prep).gates).amplitudes[0]) ** 2
+    p0 = np.abs(apply_circuit(psi, invert(prep).gates)[0]) ** 2
+    p1 = np.abs(apply_circuit(twirled, invert(prep).gates)[0]) ** 2
     assert abs(p0 - p1) < 1e-12
     zero = apply_circuit(psi, twirl_layer(8, 0.0))
-    assert np.linalg.norm(zero.amplitudes - psi.amplitudes) < 1e-12
+    assert np.linalg.norm(zero - psi) < 1e-12
 
 
 def test_twirl_angle_validation():
@@ -121,13 +119,13 @@ def test_twirl_angle_validation():
 def test_twirl_cancels_intersector_coherence(problem8):
     """Two-term average reproduces the diagonal sector mixture exactly."""
     star, ham, prep = problem8
-    psi0 = prep.state().amplitudes  # S^z = 0
+    psi0 = prep.state()  # S^z = 0
     leak = np.zeros(256, dtype=complex)
     # single flip relative to the valid sector, the dominant error channel
     leak_idx = 1 << 3
     leak[leak_idx] = 1.0
     a, b = np.sqrt(0.9), np.sqrt(0.1) * np.exp(0.7j)
-    mixed = StateVector(8, a * psi0 + b * leak)
+    mixed = a * psi0 + b * leak
     # measurement circuit that mixes the sectors, so the coherence actually
     # reaches the all-zero probability: a layer of y rotations, then U0^dag
     c, s = np.cos(0.2), np.sin(0.2)
@@ -135,13 +133,13 @@ def test_twirl_cancels_intersector_coherence(problem8):
     final = [unitary_gate((q,), ry, "RY") for q in range(8)] + list(invert(prep).gates)
 
     def all_zero_prob(state):
-        return float(np.abs(apply_circuit(state, final).amplitudes[0]) ** 2)
+        return float(np.abs(apply_circuit(state, final)[0]) ** 2)
 
     p_plain = all_zero_prob(mixed)
     p_twirl = all_zero_prob(apply_circuit(mixed, twirl_layer(8, np.pi / 2)))
     averaged = 0.5 * (p_plain + p_twirl)
-    psi0_only = all_zero_prob(StateVector(8, psi0))
-    leak_only = all_zero_prob(StateVector(8, leak))
+    psi0_only = all_zero_prob(psi0)
+    leak_only = all_zero_prob(leak)
     diagonal = abs(a) ** 2 * psi0_only + abs(b) ** 2 * leak_only
     assert abs(averaged - diagonal) < 1e-10
     # without averaging the interference term is visible
@@ -155,8 +153,8 @@ def test_mitigation_reduces_f1_error(problem8):
     spec = NoiseSpec(p_pauli=5e-3)
     gates = (list(prep.gates) + FloquetEvolver(ham).gates(0.2)
              + list(invert(prep).gates))
-    clean_state = apply_circuit(zero_state(8), gates)
-    f1_clean = float(np.abs(clean_state.amplitudes[0]) ** 2)
+    clean_state = apply_circuit(zero_amps(8), gates)
+    f1_clean = float(np.abs(clean_state[0]) ** 2)
     mask = 0
     for (_a, b) in prep.dimer_pairs:
         mask |= 1 << b
@@ -170,9 +168,9 @@ def test_mitigation_reduces_f1_error(problem8):
     for batch in range(n_batches):
         zero_mass = kept_mass = raw_mass = 0.0
         for j in range(per_batch):
-            out = noisy_apply(zero_state(8), gates, spec,
+            out = noisy_apply(zero_amps(8), gates, spec,
                               rng_stream(29, batch * per_batch + j))
-            probs = np.abs(out.amplitudes) ** 2
+            probs = np.abs(out) ** 2
             raw_mass += probs[0]
             zero_mass += probs[0]
             kept_mass += float(np.sum(probs[keep]))
@@ -190,7 +188,7 @@ def test_reference_superposition_twirl_is_identity(problem8):
     sup = reference_superposition(prep, 1)
     psi = sup.state()
     out = apply_circuit(psi, twirl_layer(8, np.pi / 2, superposition_role=True))
-    assert abs(abs(np.vdot(out.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(out, psi)) - 1.0) < 1e-12
 
 
 def test_mitigation_ablation_rows_and_csv(problem8, tmp_path):

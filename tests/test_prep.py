@@ -12,7 +12,7 @@ from starkrylov.prep import (
     reference_superposition,
     sector_initial,
 )
-from starkrylov.statevec import StateVector, apply_circuit, inner
+from starkrylov.statevec import apply_circuit
 
 
 def singlet_product_oracle(n, pairs):
@@ -53,20 +53,20 @@ def hams(stars):
 
 def test_pinwheel_matches_singlet_oracle(stars):
     star = stars[4]
-    psi = pinwheel(star).state().amplitudes
+    psi = pinwheel(star).state()
     oracle = singlet_product_oracle(8, star.dimer_bonds("cw"))
     assert np.linalg.norm(psi - oracle) < 1e-12
 
 
 @pytest.mark.parametrize("n_tri,energy", [(4, -12.0), (6, -18.0)])
 def test_pinwheel_energy(stars, hams, n_tri, energy):
-    psi = pinwheel(stars[n_tri]).state().amplitudes
+    psi = pinwheel(stars[n_tri]).state()
     assert abs(expectation(hams[n_tri], psi) - energy) < 1e-10
 
 
 @pytest.mark.parametrize("n_tri", [4, 6])
 def test_pinwheel_is_exact_eigenstate(stars, hams, n_tri):
-    psi = pinwheel(stars[n_tri]).state().amplitudes
+    psi = pinwheel(stars[n_tri]).state()
     residual = matvec(hams[n_tri], psi) + 3.0 * n_tri * psi
     assert np.linalg.norm(residual) < 1e-9
 
@@ -75,7 +75,7 @@ def test_pinwheel_is_exact_eigenstate(stars, hams, n_tri):
 def test_pinwheel_orientations_overlap(stars, n_tri, value):
     cw = pinwheel(stars[n_tri], "cw").state()
     ccw = pinwheel(stars[n_tri], "ccw").state()
-    ov = abs(inner(cw, ccw))
+    ov = abs(np.vdot(cw, ccw))
     assert 0.0 < ov < 1.0
     oracle = abs(np.vdot(
         singlet_product_oracle(2 * n_tri, stars[n_tri].dimer_bonds("cw")),
@@ -94,8 +94,30 @@ def test_dressed_overlaps(stars, hams, n_tri, cz_every, target):
     bonds = star.free_outer_bonds("cw")[::cz_every]
     prep = dressed_initial(star, bonds)
     spec = hams[n_tri].diagonalize(sector=0.0)
-    ov = subspace_overlap(prep.state().amplitudes, spec)
+    ov = subspace_overlap(prep.state(), spec)
     assert abs(ov - target) < 1e-3
+
+
+# every preparation: name -> (triangle count, builder from the star)
+PREPARATIONS = {
+    **{f"pinwheel-{o}-{n}": (n, lambda star, o=o: pinwheel(star, o))
+       for n in (4, 6) for o in ("cw", "ccw")},
+    **{f"dressed-{n}": (n, dressed_initial) for n in (4, 6)},
+    **{f"sector-{n}-sz{sz}": (n, lambda star, sz=sz: sector_initial(star, sz))
+       for n in (4, 6) for sz in range(1, n + 1)},
+    **{f"reference-{n}-{p}": (n, lambda star, phase=phase:
+                              reference_superposition(dressed_initial(star), phase))
+       for n in (4, 6) for p, phase in (("1", 1), ("i", 1j))},
+}
+
+
+@pytest.mark.parametrize("name", PREPARATIONS)
+def test_prepared_state_is_normalized_amplitude_array(stars, name):
+    n_tri, build = PREPARATIONS[name]
+    psi = build(stars[n_tri]).state()
+    assert isinstance(psi, np.ndarray) and psi.dtype == np.complex128
+    assert psi.shape == (1 << stars[n_tri].n_sites,)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
 def test_dressed_rejects_bad_bonds(stars):
@@ -117,7 +139,7 @@ def test_sector_overlaps(stars, hams, n_tri):
     for sz, target in SECTOR_TARGETS[n_tri].items():
         prep = sector_initial(stars[n_tri], sz)
         spec = hams[n_tri].diagonalize(sector=float(sz))
-        ov = subspace_overlap(prep.state().amplitudes, spec)
+        ov = subspace_overlap(prep.state(), spec)
         assert abs(ov - target) < 2e-3, f"sz={sz}: {ov} vs {target}"
 
 
@@ -125,7 +147,7 @@ def test_sector_states_have_sharp_sz(stars):
     for n_tri, star in stars.items():
         for sz in range(0, n_tri + 1):
             prep = sector_initial(star, sz) if sz else dressed_initial(star)
-            psi = prep.state().amplitudes
+            psi = prep.state()
             mean, var = sz_moments(psi, star.n_sites)
             assert abs(mean - sz) < 1e-10
             assert var < 1e-10
@@ -142,9 +164,9 @@ def test_sector_initial_rejections(stars):
 def test_reference_superposition_state(stars, phase):
     star = stars[4]
     prep = dressed_initial(star)
-    psi0 = prep.state().amplitudes
+    psi0 = prep.state()
     sup = reference_superposition(prep, phase)
-    out = sup.state().amplitudes
+    out = sup.state()
     expected = psi0 * phase
     expected[0] += 1.0
     expected /= np.sqrt(2.0)
@@ -157,8 +179,8 @@ def test_reference_superposition_sector_state(stars):
     # partial coverings leave free sites out of the GHZ ladder
     star = stars[4]
     prep = sector_initial(star, 2)
-    out = reference_superposition(prep, 1).state().amplitudes
-    expected = prep.state().amplitudes.copy()
+    out = reference_superposition(prep, 1).state()
+    expected = prep.state().copy()
     expected[0] += 1.0
     expected /= np.sqrt(2.0)
     assert np.linalg.norm(out - expected) < 1e-10
@@ -182,7 +204,7 @@ def test_invert_roundtrip(stars):
     star = stars[4]
     prep = dressed_initial(star)
     out = apply_circuit(prep.state(), invert(prep).gates)
-    assert abs(out.amplitudes[0] - 1.0) < 1e-10
+    assert abs(out[0] - 1.0) < 1e-10
     again = invert(invert(prep))
     for g1, g2 in zip(prep.gates, again.gates):
         assert np.allclose(g1.matrix, g2.matrix)
@@ -195,6 +217,5 @@ def test_inverse_is_unitary_on_random_states(stars):
     rng = np.random.default_rng(3)
     amps = rng.normal(size=256) + 1j * rng.normal(size=256)
     amps /= np.linalg.norm(amps)
-    psi = StateVector(8, amps)
-    roundtrip = apply_circuit(apply_circuit(psi, sup.gates), invert(sup).gates)
-    assert np.linalg.norm(roundtrip.amplitudes - psi.amplitudes) < 1e-10
+    roundtrip = apply_circuit(apply_circuit(amps, sup.gates), invert(sup).gates)
+    assert np.linalg.norm(roundtrip - amps) < 1e-10

@@ -9,16 +9,12 @@ from starkrylov.prep import MAPPER_MATRIX, pinwheel
 from starkrylov.statevec import (
     _stream_opener,
     GateOp,
-    StateVector,
     all_zero_fraction,
     apply_circuit,
-    apply_gate,
     apply_gate_amps,
     cnot_gate,
     cz_gate,
-    evolve_exact,
     h_gate,
-    inner,
     pauli_gate,
     phase_gate,
     rng_stream,
@@ -27,14 +23,14 @@ from starkrylov.statevec import (
     stream_uniforms,
     unitary_gate,
     x_gate,
-    zero_state,
+    zero_amps,
 )
 
 
 def random_state(n, seed=0):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def random_unitary(dim, rng):
@@ -44,21 +40,21 @@ def random_unitary(dim, rng):
 
 
 def test_x_on_site0_flips_lsb():
-    out = apply_gate(zero_state(3), x_gate(0))
-    assert abs(out.amplitudes[0b001] - 1.0) < 1e-12
+    out = apply_gate_amps(zero_amps(3), x_gate(0))
+    assert abs(out[0b001] - 1.0) < 1e-12
 
 
 def test_cz_flips_bell_sign():
-    bell = apply_circuit(zero_state(2), [h_gate(0), cnot_gate(0, 1)])
-    assert abs(bell.amplitudes[0b00] - 1 / np.sqrt(2)) < 1e-12
-    out = apply_gate(bell, cz_gate(0, 1))
-    assert abs(out.amplitudes[0b11] + 1 / np.sqrt(2)) < 1e-12
+    bell = apply_circuit(zero_amps(2), [h_gate(0), cnot_gate(0, 1)])
+    assert abs(bell[0b00] - 1 / np.sqrt(2)) < 1e-12
+    out = apply_gate_amps(bell, cz_gate(0, 1))
+    assert abs(out[0b11] + 1 / np.sqrt(2)) < 1e-12
 
 
 def test_h_twice_is_identity():
     psi = random_state(3, seed=1)
-    out = apply_gate(apply_gate(psi, h_gate(1)), h_gate(1))
-    assert np.linalg.norm(out.amplitudes - psi.amplitudes) < 1e-12
+    out = apply_gate_amps(apply_gate_amps(psi, h_gate(1)), h_gate(1))
+    assert np.linalg.norm(out - psi) < 1e-12
 
 
 def test_rejects_non_unitary_and_bad_sites():
@@ -67,13 +63,13 @@ def test_rejects_non_unitary_and_bad_sites():
     with pytest.raises(ValueError, match="distinct"):
         GateOp((1, 1), np.eye(4, dtype=complex), "dup")
     with pytest.raises(ValueError, match="range"):
-        apply_gate(zero_state(2), x_gate(5))
+        apply_gate_amps(zero_amps(2), x_gate(5))
 
 
-def _moveaxis_apply(state, gate):
+def _moveaxis_apply(amps, gate):
     """The moveaxis kernel the index gather replaced, kept as the reference."""
-    n, k = state.n_qubits, len(gate.sites)
-    tensor = state.amplitudes.reshape([2] * n)
+    n, k = len(amps).bit_length() - 1, len(gate.sites)
+    tensor = amps.reshape([2] * n)
     axes = [n - 1 - q for q in gate.sites]
     tensor = np.moveaxis(tensor, axes, range(k))
     shape = tensor.shape
@@ -91,9 +87,9 @@ def test_gather_kernel_bitwise_equals_moveaxis_kernel(n):
             for sites in (tuple(chosen), tuple(reversed(chosen))):
                 psi = random_state(n, seed=1000 * n + 10 * k + trial)
                 gate = unitary_gate(sites, random_unitary(1 << k, rng))
-                out = apply_gate(psi, gate)
-                assert np.array_equal(out.amplitudes, _moveaxis_apply(psi, gate))
-                assert out.amplitudes is not psi.amplitudes
+                out = apply_gate_amps(psi, gate)
+                assert np.array_equal(out, _moveaxis_apply(psi, gate))
+                assert out is not psi
 
 
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -133,15 +129,15 @@ def test_monomial_kernel_equals_matmul_kernel(n):
     for trial, gate in enumerate(_monomial_gates(n, rng)):
         assert gate.monomial is not None, gate.label
         psi = random_state(n, seed=2000 * n + trial)
-        out = apply_gate_amps(psi.amplitudes, gate)
+        out = apply_gate_amps(psi, gate)
         assert np.array_equal(out, _moveaxis_apply(psi, gate))
-        assert out is not psi.amplitudes
-        assert np.array_equal(apply_gate(psi, gate).amplitudes, out)
+        assert out is not psi
+        assert np.array_equal(apply_circuit(psi, [gate]), out)
     identity = unitary_gate((0,), np.eye(2))
     assert identity.monomial is not None
     psi = random_state(n, seed=7)
-    out = apply_gate_amps(psi.amplitudes, identity)
-    assert np.array_equal(out, psi.amplitudes) and out is not psi.amplitudes
+    out = apply_gate_amps(psi, identity)
+    assert np.array_equal(out, psi) and out is not psi
     # pi/2 rotations carry np.exp(1j * pi / 2) = 6.1e-17+1j, not 1j
     for gate in (h_gate(0), rz_gate(0, np.pi / 2), phase_gate(0, np.pi / 2),
                  unitary_gate((0, 1), MAPPER_MATRIX), unitary_gate((0,), random_unitary(2, rng))):
@@ -151,9 +147,9 @@ def test_monomial_kernel_equals_matmul_kernel(n):
 def test_gather_kernel_still_rejects_bad_sites():
     for _ in range(2):  # the second call must not hit a cached index
         with pytest.raises(ValueError, match="range"):
-            apply_gate(zero_state(3), cz_gate(0, 3))
+            apply_gate_amps(zero_amps(3), cz_gate(0, 3))
         with pytest.raises(ValueError, match="range"):
-            apply_gate(zero_state(3), x_gate(-1))
+            apply_gate_amps(zero_amps(3), x_gate(-1))
     with pytest.raises(ValueError, match="distinct"):
         cz_gate(2, 2)
     with pytest.raises(ValueError, match="distinct"):
@@ -171,7 +167,7 @@ def test_gate_embedding_matches_kron_oracle():
     rng = np.random.default_rng(5)
     u = random_unitary(4, rng)
     psi = random_state(4, seed=6)
-    out = apply_gate(psi, unitary_gate((3, 1), u, "U"))
+    out = apply_gate_amps(psi, unitary_gate((3, 1), u, "U"))
     # build the full 16x16 operator: bit q of the index is site q
     full = np.zeros((16, 16), dtype=complex)
     for col in range(16):
@@ -180,8 +176,8 @@ def test_gate_embedding_matches_kron_oracle():
         for local_out in range(4):
             row = (col & ~0b1010) | (((local_out >> 1) & 1) << 3) | ((local_out & 1) << 1)
             full[row, col] += u[local_out, local_in]
-    expected = full @ psi.amplitudes
-    assert np.linalg.norm(out.amplitudes - expected) < 1e-12
+    expected = full @ psi
+    assert np.linalg.norm(out - expected) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -189,12 +185,12 @@ def test_gate_embedding_matches_kron_oracle():
 def test_random_circuits_preserve_norm(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
-    psi = zero_state(n)
+    psi = zero_amps(n)
     for _ in range(12):
         k = int(rng.integers(1, min(3, n) + 1))
         sites = tuple(rng.choice(n, size=k, replace=False).astype(int))
-        psi = apply_gate(psi, unitary_gate(sites, random_unitary(1 << k, rng)))
-    assert abs(psi.norm() - 1.0) < 1e-10
+        psi = apply_gate_amps(psi, unitary_gate(sites, random_unitary(1 << k, rng)))
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -203,42 +199,32 @@ def star8():
     return star, SpinHamiltonian(star)
 
 
-def test_evolve_exact_identity_and_composition(star8):
+def test_exact_evolution_identity_and_composition(star8):
     _, ham = star8
     psi = random_state(8, seed=2)
-    out0 = evolve_exact(psi, ham, 0.0)
-    assert np.linalg.norm(out0.amplitudes - psi.amplitudes) < 1e-12
-    a = evolve_exact(evolve_exact(psi, ham, 0.3), ham, 0.7)
-    b = evolve_exact(psi, ham, 1.0)
-    assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-9
-    assert abs(a.norm() - 1.0) < 1e-10
+    out0 = ham.evolve(psi, 0.0)
+    assert np.linalg.norm(out0 - psi) < 1e-12
+    a = ham.evolve(ham.evolve(psi, 0.3), 0.7)
+    b = ham.evolve(psi, 1.0)
+    assert np.linalg.norm(a - b) < 1e-9
+    assert abs(np.linalg.norm(a) - 1.0) < 1e-10
 
 
-def test_evolve_exact_eigenstate_phase(star8):
+def test_exact_evolution_eigenstate_phase(star8):
     star, ham = star8
     pw = pinwheel(star).state()
-    out = evolve_exact(pw, ham, 0.37)
-    phase = inner(pw, out)
+    out = ham.evolve(pw, 0.37)
+    phase = np.vdot(pw, out)
     assert abs(phase - np.exp(1j * 12 * 0.37)) < 1e-10
 
 
-def test_inner_products(star8):
-    psi = random_state(6, seed=3)
-    assert abs(inner(psi, psi) - 1.0) < 1e-12
-    e0 = zero_state(2)
-    e1 = apply_gate(e0, x_gate(0))
-    assert inner(e0, e1) == 0
-    with pytest.raises(ValueError):
-        inner(zero_state(2), zero_state(3))
-
-
 def test_sampling_deterministic_states():
-    samples = sample_bitstrings(zero_state(3), 100, seed=1)
+    samples = sample_bitstrings(zero_amps(3), 100, seed=1)
     assert np.all(samples == 0)
 
 
 def test_sampling_binomial_fraction():
-    plus = apply_gate(zero_state(1), h_gate(0))
+    plus = apply_gate_amps(zero_amps(1), h_gate(0))
     samples = sample_bitstrings(plus, 10 ** 6, seed=42)
     # 4 sigma of a fair binomial with 1e6 draws is 0.002
     assert abs(all_zero_fraction(samples) - 0.5) < 0.002
@@ -246,8 +232,8 @@ def test_sampling_binomial_fraction():
 
 def test_sampling_matches_evolved_amplitude(star8):
     star, ham = star8
-    psi = evolve_exact(pinwheel(star).state(), ham, 0.1)
-    p_exact = float(np.abs(psi.amplitudes[0]) ** 2)
+    psi = ham.evolve(pinwheel(star).state(), 0.1)
+    p_exact = float(np.abs(psi[0]) ** 2)
     shots = 10 ** 5
     frac = all_zero_fraction(sample_bitstrings(psi, shots, seed=9))
     sigma = np.sqrt(max(p_exact * (1 - p_exact), 1e-12) / shots)
@@ -263,7 +249,7 @@ def test_sampling_total_variation_bound():
     psi = random_state(6, seed=11)
     shots = 4096
     samples = sample_bitstrings(psi, shots, seed=13)
-    probs = np.abs(psi.amplitudes) ** 2
+    probs = np.abs(psi) ** 2
     assert total_variation(samples, probs) < 4 * np.sqrt((1 << 6) / shots)
 
 
@@ -294,8 +280,3 @@ def test_stream_uniforms_match_rng_stream(seed):
                                       for j in range(count)])
                 assert block.shape == (count, n)
                 assert np.array_equal(block, reference)
-
-
-def test_dense_qubit_cap():
-    with pytest.raises(ValueError, match="cap"):
-        zero_state(15)
