@@ -30,7 +30,7 @@ import numpy as np  # noqa: E402  (OpenBLAS reads its thread count on load)
 if _ONE_THREAD_START:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import krylov, magnet, mirror
+from . import krylov, magnet, mirror, noise
 from .config import ConfigError, RunConfig
 from .hamiltonian import SpinHamiltonian, write_spectrum_csv
 from .lattice import build_star
@@ -56,7 +56,7 @@ def _series_for(cfg: RunConfig, star, ham):
         return [(series, None)] * cfg.realizations
     return mirror.overlap_series_sampled(
         prep, evolver, ham, cfg.dt, cfg.steps, cfg.shots, cfg.seed,
-        noise=cfg.noise_spec(), realizations=range(cfg.realizations),
+        noise=cfg.noise, realizations=range(cfg.realizations),
         magnitude_source=cfg.magnitude_source)
 
 
@@ -104,14 +104,12 @@ def cmd_overlaps(cfg: RunConfig, out: Path) -> None:
         name = "overlaps.csv" if cfg.realizations == 1 else f"overlaps_r{r:03d}.csv"
         mirror.write_overlap_csv(out / name, cfg.dt, series.values, estimates, mode=mode)
     if mode == "noisy":
-        from .noise import write_mitigation_csv
         # emulator-style ablation over at most 20 time steps (4 mitigation
         # combinations per step, each a full trajectory-sampled estimate)
         rows = mirror.mitigation_ablation(cfg.initial_prep(star), ham, cfg.dt,
                                           min(cfg.steps, 20), cfg.shots,
-                                          cfg.noise_spec(), cfg.seed,
-                                          cfg.magnitude_source)
-        write_mitigation_csv(out / "mitigation_ablation.csv", rows)
+                                          cfg.noise, cfg.seed, cfg.magnitude_source)
+        noise.write_mitigation_csv(out / "mitigation_ablation.csv", rows)
 
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:
@@ -272,7 +270,10 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         cfg.validate()
         out = args.out
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"cannot create the output directory {out}: {exc.strerror}") from exc
         (out / "run_config.json").write_text(cfg.to_json())
         COMMANDS[args.command](cfg, out)
     except ConfigError as exc:

@@ -5,7 +5,9 @@ The dataclass annotations are the schema, so a new field needs only its
 annotation and default.  ``_parse`` reads them: a section dataclass takes an
 object without unknown keys, a ``tuple`` a list of that length, a ``Literal``
 one of its strings, ``X | None`` also null, an int no float or bool, and a
-float any finite real number but no bool."""
+float any finite real number but no bool.  The ``shots`` and ``noise``
+sections are the library's own ``mirror.ShotPlan`` and ``noise.NoiseSpec``;
+a ValueError from their checks is a configuration error."""
 from __future__ import annotations
 
 import itertools
@@ -19,7 +21,7 @@ from . import krylov
 from .hamiltonian import SpinHamiltonian
 from .lattice import build_star
 from .mirror import ShotPlan, allocation_plan
-from .noise import NoiseSpec, twirl_layer
+from .noise import NoiseSpec, twirl_angle, twirl_layer
 from .prep import PrepCircuit, dressed_initial, pinwheel, sector_initial
 
 
@@ -32,14 +34,6 @@ class InitialStateSpec:
     kind: Literal["dressed", "pinwheel", "sector"] = "dressed"
     sz: int = 0
     cz_bonds: tuple[tuple[int, int], ...] | None = None  # None = all free outer bonds
-
-
-@dataclass
-class NoiseConfig:
-    p_pauli: float = 0.0
-    enable_postselect: bool = False
-    enable_twirl: bool = False
-    twirl_angle: float | None = None  # None = pi/2
 
 
 @dataclass
@@ -118,7 +112,7 @@ class RunConfig:
     evolver: Literal["exact", "trotter", "floquet"] = "exact"
     initial: InitialStateSpec = field(default_factory=InitialStateSpec)
     shots: ShotPlan | None = None  # None = exact expectation values
-    noise: NoiseConfig | None = None
+    noise: NoiseSpec | None = None  # None = noiseless
     realizations: int = 1
     magnitude_source: Literal["f1_sqrt", "eq19"] = "f1_sqrt"
     eigenvalue_band: tuple[float, float] = (0.5, 1.5)
@@ -153,13 +147,6 @@ class RunConfig:
             return dressed_initial(star, spec.cz_bonds)
         return sector_initial(star, spec.sz)
 
-    def noise_spec(self) -> NoiseSpec | None:
-        if self.noise is None:
-            return None
-        angle = self.noise.twirl_angle if self.noise.twirl_angle is not None else math.pi / 2
-        return NoiseSpec(self.noise.p_pauli, self.noise.enable_postselect,
-                         self.noise.enable_twirl, angle)
-
     def validate(self) -> None:
         """Check everything a command builds from the config, before any ED.
 
@@ -188,12 +175,15 @@ class RunConfig:
                 if self.steps < first:
                     raise ValueError(f"steps must be >= {first} for {s}")
             self.initial_prep(star)
-            noise = self.noise_spec()
-            if noise is not None and noise.enable_twirl:
-                twirl_layer(star.n_sites, noise.twirl_angle, superposition_role=True)
-            if noise is not None and noise.active and self.evolver == "exact":
+            noise = self.noise or NoiseSpec()
+            if noise.enable_twirl:
+                twirl_layer(star.n_sites, twirl_angle(noise), superposition_role=True)
+            if noise.p_pauli > 0 and self.evolver == "exact":
                 raise ValueError("noise.p_pauli > 0 needs a gate-based evolver "
                                  "(trotter or floquet)")
+            if self.shots is None and (noise.p_pauli > 0 or noise.enable_postselect
+                                       or noise.enable_twirl):
+                raise ValueError("noise.p_pauli > 0, post-selection and twirl need shots")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:  # magnetization solves exact unitary series at h = 0

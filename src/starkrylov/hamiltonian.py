@@ -38,23 +38,15 @@ def _sector_indices(n: int) -> list[np.ndarray]:
     return [idx[pop == k] for k in range(n + 1)]
 
 
-@dataclass
-class SpectralBounds:
-    e_min: float
-    e_max: float
-    dt_max: float
-
-
 class SpectrumResult:
     """Eigen-decomposition of H restricted to one S^z sector; ``vectors``
     columns live on ``basis`` (basis-state indices)."""
 
-    def __init__(self, energies, vectors, basis, sector):
+    def __init__(self, energies, vectors, basis):
         order = np.argsort(energies, kind="stable")
         self.energies = np.asarray(energies)[order]
         self.vectors = np.asarray(vectors)[:, order]
         self.basis = np.asarray(basis, dtype=np.int64)
-        self.sector = sector
 
     @property
     def ground_subspace(self) -> np.ndarray:
@@ -179,7 +171,7 @@ class SpinHamiltonian:
             vectors.append(sec.omega[sec.shift, m].conj()[:, None] * padded[sec.orbit])
             energies.append(w)
         return SpectrumResult(np.concatenate(energies), np.hstack(vectors),
-                              self._sectors[n_down], sector)
+                              self._sectors[n_down])
 
     def ground_state_energy(self, sector: float | None = None) -> float:
         if sector is not None:
@@ -232,16 +224,14 @@ class SpinHamiltonian:
 
     # -- analytic quantities -------------------------------------------------
 
-    def spectral_bounds(self) -> SpectralBounds:
-        """||H|| bound 3*N_tri + |h|*n/2 and the admissible time step."""
-        n_tri = self.lattice.n_triangles
-        bound = 3.0 * n_tri + abs(self.h_field) * self.n_sites / 2.0
-        return SpectralBounds(e_min=-bound, e_max=bound, dt_max=np.pi / bound)
+    def norm_bound(self) -> float:
+        """The bound 3*N_tri + |h|*n/2 on ||H||: every eigenvalue lies within it."""
+        return 3.0 * self.lattice.n_triangles + abs(self.h_field) * self.n_sites / 2.0
 
     def check_time_step(self, dt: float) -> None:
         """Raise ValueError unless 0 < dt < pi/||H||, the admissibility bound
         that keeps every eigenphase E dt inside (-pi, pi)."""
-        dt_max = self.spectral_bounds().dt_max
+        dt_max = np.pi / self.norm_bound()
         if not 0 < dt < dt_max:
             raise ValueError(f"dt={dt:g} violates the admissibility bound 0 < dt < "
                              f"{dt_max:.6g} (the spectral bound for {self.n_sites} "

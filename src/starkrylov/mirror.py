@@ -10,7 +10,9 @@ probability is kept:
 with O = r e^{i theta} and E_R the analytic reference-state energy.  The
 complex overlap is recovered as
   O = [2 F2 + 2i F3 - (F1 + 1)(i + 1)/2] e^{-i E_R t},
-optionally replacing the magnitude by sqrt(F1).
+optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
+(``ExactEvolver``) or m gate steps of t/m (``GateEvolver``: Trotter, or the
+single Floquet step F_t); ``_MirrorCircuits`` builds what one time needs once.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import krylov
-from .noise import NoiseSpec, noisy_apply, postselect_f1, twirl_layer
+from .noise import NoiseSpec, noisy_apply, postselect_f1, twirl_angle, twirl_layer
 from .prep import PrepCircuit, invert, reference_superposition
 from .statevec import (
     _stream_opener,
@@ -33,7 +35,7 @@ from .statevec import (
     stream_uniforms,
     zero_amps,
 )
-from .trotter import floquet_step_gates, step_unitaries, triangle_scheme
+from .trotter import step_unitaries, triangle_scheme
 
 
 class EstimateUndefined(RuntimeError):
@@ -58,38 +60,24 @@ class ExactEvolver:
         return None
 
 
-class TrotterEvolver:
-    """W(t) = m first-order steps of size t/m with m = ceil(|t| / dt_step)."""
+class GateEvolver:
+    """W(t) = m first-order steps of size t/m of ``scheme`` (the triangle
+    scheme by default), with m = ceil(|t| / dt_step); without ``dt_step``,
+    m = 1 and W(t) is the single triangle-by-triangle step F_t."""
 
-    kind = "trotter"
-
-    def __init__(self, ham, dt_step: float, scheme=None, reverse_groups: bool = False):
+    def __init__(self, ham, dt_step: float | None = None, scheme=None,
+                 reverse_groups: bool = False):
         self.ham = ham
-        self.dt_step = float(dt_step)
+        self.dt_step = None if dt_step is None else float(dt_step)
+        self.kind = "floquet" if dt_step is None else "trotter"
         self.scheme = scheme if scheme is not None else triangle_scheme(ham.lattice)
         self.reverse_groups = reverse_groups
 
     def gates(self, t: float):
         if t == 0:
             return []
-        m = max(1, int(np.ceil(abs(t) / self.dt_step - 1e-12)))
+        m = 1 if self.dt_step is None else max(1, int(np.ceil(abs(t) / self.dt_step - 1e-12)))
         return step_unitaries(self.scheme, self.ham, t / m, self.reverse_groups) * m
-
-    def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
-        return apply_circuit(amps, self.gates(t))
-
-
-class FloquetEvolver:
-    """W(t) = F_t, a single triangle-by-triangle step of size t."""
-
-    kind = "floquet"
-
-    def __init__(self, ham, reverse_groups: bool = False):
-        self.ham = ham
-        self.reverse_groups = reverse_groups
-
-    def gates(self, t: float):
-        return [] if t == 0 else floquet_step_gates(self.ham, t, self.reverse_groups)
 
     def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
         return apply_circuit(amps, self.gates(t))
@@ -102,9 +90,9 @@ def make_evolver(kind: str, ham, dt_step: float | None = None,
     if kind == "trotter":
         if dt_step is None:
             raise ValueError("trotter evolver needs dt_step")
-        return TrotterEvolver(ham, dt_step, reverse_groups=reverse_groups)
+        return GateEvolver(ham, dt_step, reverse_groups=reverse_groups)
     if kind == "floquet":
-        return FloquetEvolver(ham, reverse_groups)
+        return GateEvolver(ham, reverse_groups=reverse_groups)
     raise ValueError(f"unknown evolver kind {kind!r}")
 
 
@@ -137,9 +125,7 @@ class ShotPlan:
 @dataclass
 class OverlapEstimate:
     value: complex | None
-    magnitude_source: str
     fractions: tuple[float, float, float]
-    shots: tuple[int, int, int]
     discards: tuple[int, int, int]
     flags: tuple[str, ...] = ()
 
@@ -196,14 +182,14 @@ def _noiseless_pass(gates: list, n: int, base: _NoiselessPass | None) -> _Noisel
 class _MirrorCircuits:
     """F1, F2, F3 circuits of one psi0 preparation under one evolver.
 
-    The preparations U0, U_R, U_Ri and their inverses are built once.  The
-    noiseless starting states |u0>, |u_R> are prepared on the first call of
-    ``states``, so callers that only run noisy trajectories never build them.
-    The evolver's gate list is built once per time, and so is the noiseless
-    pass of each (circuit, twirl angle): every pool, mitigation mode and
-    realization at that time shares them.  Both are dropped when the time
-    changes, so the cache holds at most one time's passes.  Each twirl layer
-    is built once.
+    The preparations U0, U_R, U_Ri and their inverses are built once, and so
+    is each twirl layer.  The noiseless starting states |u0>, |u_R> are
+    prepared on first use, so callers that only run noisy trajectories never
+    build them.  Everything else is built once per time, on first use, and
+    held until the time changes, so every pool, mitigation mode and
+    realization at that time shares it: the evolver's gate list, the evolved
+    |u0> and |u_R>, the mirrored states and their sampling CDFs per twirl
+    angle, and the noiseless pass of each (circuit, twirl angle).
 
     The circuits at one time share gate objects: F2 and F3 apply the same U_R
     preparation and evolution, the twirled F2 and F3 the same twirl layer
@@ -220,10 +206,17 @@ class _MirrorCircuits:
         self.evolver = evolver
         self.preps = (psi0_prep, u_r, u_r)  # prepared state of F1, F2, F3
         self.inverses = tuple(invert(p).gates for p in (psi0_prep, u_r, u_ri))
-        self._starts = None
-        # (t, evolver gate list at t, noiseless passes at t by (circuit, twirl angle))
-        self._evolution = (None, None, {})
+        self.starts = None  # |u0>, |u_R>
+        self._time, self._built = None, {}  # the current time and what is built at it
         self._twirls: dict[tuple[float, bool], list] = {}
+
+    def _at(self, t: float, key: tuple, build):
+        """``build()``, called once per time t and key."""
+        if self._time != t:
+            self._time, self._built = t, {}
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def _twirl(self, angle: float, superposition_role: bool) -> list:
         key = (angle, superposition_role)
@@ -231,41 +224,52 @@ class _MirrorCircuits:
             self._twirls[key] = twirl_layer(self.n, angle, superposition_role)
         return self._twirls[key]
 
-    def states(self, t: float, twirl_angle: float | None = None):
-        """Mirrored states at t as ``pools[pool][circuit]``: pool 0 without
-        the twirl layer, pool 1 (only when ``twirl_angle`` is given) with it.
+    def gates(self, t: float):
+        """The evolver's gate list at t; None for exact evolution."""
+        return self._at(t, ("gates",), lambda: self.evolver.gates(t))
 
-        |u0> and |u_R> are evolved once each; F3 reuses the evolved |u_R>.
-        """
-        if self._starts is None:
-            self._starts = (self.preps[0].state(), self.preps[1].state())
-        u0_t, ur_t = (self.evolver.apply(s, t) for s in self._starts)
-        evolved = [(u0_t, ur_t)]
-        if twirl_angle is not None:
-            layer = self._twirl(twirl_angle, True)
-            evolved.append(tuple(apply_circuit(s, layer) for s in (u0_t, ur_t)))
-        return tuple(tuple(apply_circuit(s, inv)
-                           for s, inv in zip((a, b, b), self.inverses))
-                     for a, b in evolved)
+    def evolved(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """|u0> and |u_R> evolved to t."""
+        if self.starts is None:
+            self.starts = (self.preps[0].state(), self.preps[1].state())
+
+        def build():
+            gates = self.gates(t)
+            return tuple(self.evolver.apply(s, t) if gates is None else apply_circuit(s, gates)
+                         for s in self.starts)
+        return self._at(t, ("evolved",), build)
+
+    def states(self, t: float, twirl_angle: float | None = None) -> tuple:
+        """The mirrored states of F1, F2, F3 at t, with the twirl layer
+        after the evolution when ``twirl_angle`` is given.  F3 reuses the
+        evolved |u_R> of F2."""
+        def build():
+            layer = [] if twirl_angle is None else self._twirl(twirl_angle, True)
+            u0_t, ur_t = (apply_circuit(s, layer) for s in self.evolved(t))
+            return tuple(apply_circuit(s, inv)
+                         for s, inv in zip((u0_t, ur_t, ur_t), self.inverses))
+        return self._at(t, ("states", twirl_angle), build)
+
+    def cdf(self, i: int, t: float, twirl_angle: float | None) -> np.ndarray:
+        """The sampling CDF of circuit i's mirrored state at t."""
+        return self._at(t, ("cdf", i, twirl_angle),
+                        lambda: sampling_cdf(self.states(t, twirl_angle)[i]))
 
     def noiseless_pass(self, i: int, t: float, twirl_angle: float | None) -> _NoiselessPass:
         """The noiseless pass of circuit i at t (with the twirl layer when
-        ``twirl_angle`` is given), built on first use at t."""
-        if self._evolution[0] != t:
-            self._evolution = (t, self.evolver.gates(t), {})
-        _, evo, passes = self._evolution
-        key = (i, twirl_angle)
-        if key not in passes:
+        ``twirl_angle`` is given)."""
+        def build():
+            evo = self.gates(t)
             if evo is None:
                 raise ValueError("gate-based evolver required (exact evolution has no layers)")
             gates = list(self.preps[i].gates) + evo
             if twirl_angle is not None:
                 gates += self._twirl(twirl_angle, i > 0)
             gates += self.inverses[i]
-            base = max(passes.values(), key=lambda p: _shared_run(gates, p.gates),
-                       default=None)
-            passes[key] = _noiseless_pass(gates, self.n, base)
-        return passes[key]
+            passes = [p for p in self._built.values() if isinstance(p, _NoiselessPass)]
+            base = max(passes, key=lambda p: _shared_run(gates, p.gates), default=None)
+            return _noiseless_pass(gates, self.n, base)
+        return self._at(t, ("pass", i, twirl_angle), build)
 
 
 def _zero_probabilities(states) -> tuple[float, float, float]:
@@ -326,35 +330,29 @@ def _sample_noisy(npass: _NoiselessPass, shots, noise, seed, stream):
     return samples
 
 
-def _twirl_angle(noise: NoiseSpec | None) -> float | None:
-    return noise.twirl_angle if noise is not None and noise.enable_twirl else None
-
-
 def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
-                   magnitude_source, pools=None) -> OverlapEstimate:
+                   magnitude_source) -> OverlapEstimate:
     """One estimation cell.  Noisy cells run one trajectory per shot;
-    noiseless cells draw from ``pools`` (as returned by ``circuits.states``,
-    built here when not given).  The shots of circuit i's pool p use the
-    stream (*stream, i, p)."""
-    twirl_angle = _twirl_angle(noise)
-    noisy = noise is not None and noise.active
-    if not noisy and pools is None:
-        pools = circuits.states(t, twirl_angle)
+    noiseless cells draw from the mirrored states' CDFs.  Pool 0 of each
+    circuit runs without the twirl layer and pool 1 with it, and the shots
+    of circuit i's pool p use the stream (*stream, i, p)."""
+    angle = twirl_angle(noise)
+    noisy = noise is not None and noise.p_pauli > 0
     fractions = [float("nan")] * 3
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
     for i, m_i in enumerate(plan.allocate()):
-        n_twirled = int(round(m_i * plan.twirl_fraction)) if twirl_angle is not None else 0
+        n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
         parts = []
         for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
             if shots == 0:
                 continue
-            key = (*stream, i, pool)
+            key, pool_angle = (*stream, i, pool), angle if pool else None
             if noisy:
-                npass = circuits.noiseless_pass(i, t, twirl_angle if pool else None)
+                npass = circuits.noiseless_pass(i, t, pool_angle)
                 parts.append(_sample_noisy(npass, shots, noise, seed, key))
             else:
-                parts.append(sample_bitstrings(pools[pool][i], shots, seed, key))
+                parts.append(sample_bitstrings(circuits.cdf(i, t, pool_angle), shots, seed, key))
         if not parts:
             continue
         samples = np.concatenate(parts)
@@ -373,8 +371,7 @@ def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
         value, more = complex(np.sqrt(max(f1, 0.0))), ("phase_unavailable",)
     else:
         value, more = reconstruct(f1, f2, f3, ham.reference_energy(), t, magnitude_source)
-    return OverlapEstimate(value, magnitude_source, tuple(fractions), plan.allocate(),
-                           tuple(discards), flags + more)
+    return OverlapEstimate(value, tuple(fractions), tuple(discards), flags + more)
 
 
 def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
@@ -418,22 +415,21 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
     """Sampled series, one ``(OverlapSeries, per-step OverlapEstimate list)``
     pair per entry of ``realizations``.
 
-    Times run in the outer loop: a noiseless time builds its mirrored states
-    once and every realization r draws from them on its own streams
+    Times run in the outer loop, so every realization r at a time draws from
+    what the circuits build once at that time, on its own streams
     (r, k, circuit, pool).  For Floquet evolvers the negative-direction values
     are sampled from the reversed-step circuits under the same plan.
     """
     realizations = tuple(realizations)
     circuits = _MirrorCircuits(psi0_prep, evolver)
-    noisy = noise is not None and noise.active
+    noisy = noise is not None and noise.p_pauli > 0
 
     def direction(sign: int) -> list[list[OverlapEstimate]]:
         out: list[list[OverlapEstimate]] = [[] for _ in realizations]
         for k in range(sign, sign * (kmax + 1), sign):
-            pools = None if noisy else circuits.states(k * dt, _twirl_angle(noise))
             for r, estimates in zip(realizations, out):
                 est = _estimate_cell(circuits, ham, k * dt, plan, seed, (r, k), noise,
-                                     magnitude_source, pools)
+                                     magnitude_source)
                 if est.value is None:
                     raise EstimateUndefined(
                         f"estimate undefined at step {k} of realization {r}: {est.flags}")
@@ -463,11 +459,11 @@ def _binomial_overlaps(rng, counts, probs, e_ref, t, modes) -> list[complex]:
 
 
 def _exact_cells(circuits: _MirrorCircuits, times):
-    """(exact fractions, exact overlap) at each time."""
-    psi0 = circuits.preps[0].state()
-    return [(_zero_probabilities(circuits.states(t)[0]),
-             exact_overlap(psi0, circuits.evolver, t))
-            for t in times]
+    """(exact fractions, exact overlap) at each time, built as it is read;
+    the overlap is <psi0|u0(t)> from the evolved |u0> the F1 state starts from."""
+    for t in times:
+        u0_t = circuits.evolved(t)[0]
+        yield _zero_probabilities(circuits.states(t)), complex(np.vdot(circuits.starts[0], u0_t))
 
 
 def allocation_plan(m_total: int, f1_frac: float) -> ShotPlan:
@@ -486,7 +482,7 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     over per-time batches.
     """
     e_ref = ham.reference_energy()
-    cells = _exact_cells(_MirrorCircuits(psi0_prep, ExactEvolver(ham)), times)
+    cells = list(_exact_cells(_MirrorCircuits(psi0_prep, ExactEvolver(ham)), times))
     modes = ("f1_sqrt", "eq19")
     rows = []
     for m_total in m_totals:
@@ -525,7 +521,7 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     noisy sampled fractions and overlaps against the noiseless exact values.
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
-    circuits = _MirrorCircuits(psi0_prep, FloquetEvolver(ham))
+    circuits = _MirrorCircuits(psi0_prep, GateEvolver(ham))
     times = [k * dt for k in range(1, kmax + 1)]
     rows = []
     for k, (t, (exact_f, o_exact)) in enumerate(zip(times, _exact_cells(circuits, times)), 1):

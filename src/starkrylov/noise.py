@@ -15,6 +15,8 @@ from the noiseless state before the erring gate.  It draws a pool's slot
 uniforms, and the sample uniform after them, as one block with one row per
 shot stream (``statevec.stream_uniforms``); these are the same draws, in the
 same order, as the per-slot ``rng.random()`` calls of ``noisy_apply``.
+``NoiseSpec`` is the ``noise`` section of the run configuration, and
+``twirl_angle`` the one place that resolves its twirl angle.
 """
 from __future__ import annotations
 
@@ -30,21 +32,24 @@ _PAULI_NAMES = ("X", "Y", "Z")
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """The error rate p and the mitigations: F1 post-selection and the twirl layer."""
+
     p_pauli: float = 0.0
     enable_postselect: bool = False
     enable_twirl: bool = False
-    twirl_angle: float = np.pi / 2
-    paulis: tuple[str, ...] = _PAULI_NAMES  # restrictable for diagnostics
+    twirl_angle: float | None = None  # None = pi/2
 
     def __post_init__(self):
         if not 0.0 <= self.p_pauli <= 1.0:
             raise ValueError("p_pauli must lie in [0, 1]")
-        if not set(self.paulis) <= {"X", "Y", "Z"} or not self.paulis:
-            raise ValueError("paulis must be a nonempty subset of X, Y, Z")
 
-    @property
-    def active(self) -> bool:
-        return self.p_pauli > 0
+
+def twirl_angle(noise: NoiseSpec | None) -> float | None:
+    """The angle of the twirl layer ``noise`` asks for, pi/2 when it names
+    none, or None when it asks for no twirling."""
+    if noise is None or not noise.enable_twirl:
+        return None
+    return np.pi / 2 if noise.twirl_angle is None else noise.twirl_angle
 
 
 def noisy_apply(amps: np.ndarray, gates, spec: NoiseSpec,
@@ -55,7 +60,7 @@ def noisy_apply(amps: np.ndarray, gates, spec: NoiseSpec,
         if spec.p_pauli > 0 and len(g.sites) >= 2:
             for q in g.sites:
                 if rng.random() < spec.p_pauli:
-                    name = spec.paulis[rng.integers(len(spec.paulis))]
+                    name = _PAULI_NAMES[rng.integers(len(_PAULI_NAMES))]
                     amps = apply_gate_amps(amps, pauli_gate(name, q))
     return amps
 

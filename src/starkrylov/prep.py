@@ -21,7 +21,6 @@ from .statevec import (
     cz_gate,
     h_gate,
     phase_gate,
-    unitary_gate,
     x_gate,
     zero_amps,
 )
@@ -66,7 +65,6 @@ class PrepCircuit:
     role: str  # psi0 | psi0_plus_ref | psi0_plus_i_ref
     dimer_pairs: tuple[tuple[int, int], ...] = ()
     cz_bonds: tuple[tuple[int, int], ...] = ()
-    sector: float | None = None  # declared total S^z of the output (psi0 roles)
 
     def state(self) -> np.ndarray:
         """The amplitudes this circuit prepares from |0..0>."""
@@ -88,7 +86,6 @@ def pinwheel(star: StarPlaquette, orientation: str = "cw") -> PrepCircuit:
         gates=tuple(_dimer_gates(pairs)),
         role="psi0",
         dimer_pairs=pairs,
-        sector=0.0,
     )
 
 
@@ -111,7 +108,6 @@ def dressed_initial(star: StarPlaquette, cz_bonds=None) -> PrepCircuit:
         role="psi0",
         dimer_pairs=base.dimer_pairs,
         cz_bonds=cz_bonds,
-        sector=0.0,
     )
 
 
@@ -130,7 +126,6 @@ def sector_initial(star: StarPlaquette, sz: int) -> PrepCircuit:
         gates=tuple(_dimer_gates(pairs)),
         role="psi0",
         dimer_pairs=pairs,
-        sector=float(sz),
     )
 
 
@@ -154,7 +149,7 @@ def reference_superposition(psi0_prep: PrepCircuit, phase=1) -> PrepCircuit:
     if phase == 1j:
         gates.append(phase_gate(covered[0], np.pi / 2))
     for (a, b) in psi0_prep.dimer_pairs:
-        gates.append(unitary_gate((a, b), MAPPER_MATRIX, "DIMER_MAP"))
+        gates.append(GateOp((a, b), MAPPER_MATRIX, "DIMER_MAP"))
     gates += [cz_gate(a, b) for (a, b) in psi0_prep.cz_bonds]
     return PrepCircuit(
         n_sites=psi0_prep.n_sites,
@@ -172,5 +167,4 @@ def invert(prep: PrepCircuit) -> PrepCircuit:
         role=prep.role + "_inverse",
         dimer_pairs=prep.dimer_pairs,
         cz_bonds=prep.cz_bonds,
-        sector=None,
     )

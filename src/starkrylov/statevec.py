@@ -130,10 +130,6 @@ def cz_gate(a: int, b: int) -> GateOp:
     return GateOp((a, b), _CZ, "CZ")
 
 
-def unitary_gate(sites: tuple[int, ...], matrix: np.ndarray, label: str = "U") -> GateOp:
-    return GateOp(tuple(sites), matrix, label)
-
-
 def _site_index(n: int, sites: tuple[int, ...]) -> np.ndarray:
     """Basis indices as a (2**k, 2**(n-k)) array: row r holds the basis states
     whose sites' local index (sites[0] most significant) is r, and the other
@@ -262,14 +258,12 @@ def sampling_cdf(amps: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def sample_bitstrings(amps: np.ndarray, shots: int, seed: int, stream=0) -> np.ndarray:
-    """Sample basis-state indices i.i.d. from |amplitude|^2 by inverse CDF."""
+def sample_bitstrings(cdf: np.ndarray, shots: int, seed: int, stream=(0,)) -> np.ndarray:
+    """Basis-state indices drawn i.i.d. by inverse CDF from ``cdf`` (a
+    ``sampling_cdf``) with the uniforms of stream (seed, *stream)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    cdf = sampling_cdf(amps)
-    parts = stream if isinstance(stream, tuple) else (stream,)
-    rng = rng_stream(seed, *parts)
-    u = rng.random(shots)
+    u = rng_stream(seed, *stream).random(shots)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 

@@ -1,6 +1,5 @@
 """Suzuki-Trotter schemes: bond-by-bond (four site-disjoint groups) and
-triangle-by-triangle (two parity groups of exact 3-qubit exponentials),
-and the single-step Floquet operator.
+triangle-by-triangle (two parity groups of exact 3-qubit exponentials).
 
 Gate lists are in application order.  A triangle step therefore returns the
 odd-parity group first so that the step operator, as a matrix product, is
@@ -14,11 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevec import GateOp, rz_gate, unitary_gate
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
+from .statevec import PAULIS, GateOp, rz_gate
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ def _coupling_matrix(k: int) -> np.ndarray:
     dim = 1 << k
     out = np.zeros((dim, dim), dtype=complex)
     for (a, b) in bonds:
-        for P in (_X, _Y, _Z):
+        for P in PAULIS.values():  # X, Y, Z
             mats = [np.eye(2, dtype=complex)] * k
             mats[a] = P
             mats[b] = P
@@ -77,14 +72,10 @@ def step_unitaries(scheme: TrotterScheme, ham, dt: float,
     gates: list[GateOp] = []
     for group in groups:
         for sites in group:
-            gates.append(unitary_gate(tuple(sites), term_unitary(len(sites), dt),
-                                      f"{scheme.kind}[{len(sites)}]"))
+            gates.append(GateOp(tuple(sites), term_unitary(len(sites), dt),
+                                f"{scheme.kind}[{len(sites)}]"))
     if ham.h_field != 0.0:
         # evolution under -h * S^z over dt: diag(e^{+i h dt/2}, e^{-i h dt/2})
         gates += [rz_gate(q, ham.h_field * dt / 2.0) for q in range(ham.n_sites)]
     return gates
 
-
-def floquet_step_gates(ham, t: float, reverse_groups: bool = False) -> list[GateOp]:
-    """One triangle-by-triangle step of size t (t may be negative)."""
-    return step_unitaries(triangle_scheme(ham.lattice), ham, t, reverse_groups)

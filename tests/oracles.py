@@ -222,7 +222,7 @@ def step_bounds(spectral_range: float, p0: float, eps_target: float,
 
 def mirror_states(psi0_prep, evolver, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>."""
-    return _MirrorCircuits(psi0_prep, evolver).states(t)[0]
+    return _MirrorCircuits(psi0_prep, evolver).states(t)
 
 
 def exact_fractions(psi0_prep, evolver, t: float):
@@ -237,7 +237,7 @@ def overlap_series_mirror_exact(psi0_prep, evolver, ham, dt: float, kmax: int,
     circuits = _MirrorCircuits(psi0_prep, evolver)
     values = [1.0 + 0.0j]
     for k in range(1, kmax + 1):
-        f1, f2, f3 = _zero_probabilities(circuits.states(k * dt)[0])
+        f1, f2, f3 = _zero_probabilities(circuits.states(k * dt))
         values.append(reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
     return krylov.OverlapSeries(dt, np.array(values), None, "exact_mirror", "unitary")
 

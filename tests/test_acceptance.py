@@ -31,9 +31,8 @@ from starkrylov.magnet import (
 )
 from starkrylov.mirror import (
     ExactEvolver,
-    FloquetEvolver,
+    GateEvolver,
     ShotPlan,
-    TrotterEvolver,
     allocation_study,
     exact_overlap,
     overlap_series_exact,
@@ -42,7 +41,7 @@ from starkrylov.mirror import (
 )
 from starkrylov.noise import postselect_f1, twirl_layer
 from starkrylov.prep import dressed_initial, invert, pinwheel, sector_initial
-from starkrylov.statevec import apply_circuit, sample_bitstrings
+from starkrylov.statevec import GateOp, apply_circuit, sample_bitstrings, sampling_cdf
 from starkrylov.trotter import bond_scheme, triangle_scheme
 
 DT = 0.1
@@ -117,9 +116,9 @@ def test_criterion_3_mirror_exactness(stars, hams):
             if kind == "exact":
                 ev = ExactEvolver(ham)
             elif kind == "trotter":
-                ev = TrotterEvolver(ham, DT)
+                ev = GateEvolver(ham, DT)
             else:
-                ev = FloquetEvolver(ham)
+                ev = GateEvolver(ham)
             for k in range(1, 41):
                 t = k * DT
                 f1, f2, f3 = exact_fractions(prep, ev, t)
@@ -190,9 +189,9 @@ def test_criterion_6_floquet_exactness(stars, hams):
         pw = pinwheel(stars[n_tri]).state()
         ham = hams[n_tri]
         for t in (0.05, 0.5, 5.0):
-            val = exact_overlap(pw, FloquetEvolver(ham), t)
+            val = exact_overlap(pw, GateEvolver(ham), t)
             assert abs(val - np.exp(1j * 3.0 * n_tri * t)) < 1e-10
-        series = overlap_series_exact(pw, FloquetEvolver(ham), DT, 2)
+        series = overlap_series_exact(pw, GateEvolver(ham), DT, 2)
         est = uvqpe(series, 1, 1e-9)
         assert abs(est.energy - (-3.0 * n_tri)) < 1e-9
     report(6, "pinwheel Floquet eigenphase exact at t in {0.05, 0.5, 5.0}; "
@@ -266,9 +265,8 @@ def test_criterion_9_twirling_identity(stars, hams):
     a, b = np.sqrt(0.92), np.sqrt(0.08) * np.exp(1.1j)
     mixed = a * psi0 + b * leak
     c, s = np.cos(0.15), np.sin(0.15)
-    from starkrylov.statevec import unitary_gate
     ry = np.array([[c, -s], [s, c]], dtype=complex)
-    final = [unitary_gate((q,), ry, "RY") for q in range(8)] + list(invert(prep).gates)
+    final = [GateOp((q,), ry, "RY") for q in range(8)] + list(invert(prep).gates)
 
     def p_zero(state):
         return float(np.abs(apply_circuit(state, final)[0]) ** 2)
@@ -319,9 +317,9 @@ def test_criterion_11_property_suites(stars, hams):
     outside = sum(((idx >> q) & 1) for q in range(8)) != 4
     for out in (
         ham.evolve(psi, 0.9),
-        TrotterEvolver(ham, 0.9 / 3).apply(psi, 0.9),
-        TrotterEvolver(ham, 0.9 / 3, scheme=bond_scheme(star)).apply(psi, 0.9),
-        FloquetEvolver(ham).apply(psi, 0.9),
+        GateEvolver(ham, 0.9 / 3).apply(psi, 0.9),
+        GateEvolver(ham, 0.9 / 3, scheme=bond_scheme(star)).apply(psi, 0.9),
+        GateEvolver(ham).apply(psi, 0.9),
     ):
         assert float(np.sum(np.abs(out[outside]) ** 2)) < 1e-10
 
@@ -342,7 +340,7 @@ def test_criterion_11_property_suites(stars, hams):
     rnd = amps / np.linalg.norm(amps)
     exact = ham.evolve(rnd, 1.0)
     ms = np.array([4, 8, 16, 32, 64])
-    errs = [np.linalg.norm(TrotterEvolver(ham, 1.0 / m).apply(rnd, 1.0) - exact) for m in ms]
+    errs = [np.linalg.norm(GateEvolver(ham, 1.0 / m).apply(rnd, 1.0) - exact) for m in ms]
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
     assert abs(slope + 1.0) < 0.1
 
@@ -351,7 +349,7 @@ def test_criterion_11_property_suites(stars, hams):
         prep_n = dressed_initial(stars[n_tri])
         state = hams[n_tri].evolve(prep_n.state(), 0.4)
         state = apply_circuit(state, invert(prep_n).gates)
-        samples = sample_bitstrings(state, 10 ** 5, seed=31, stream=n_tri)
+        samples = sample_bitstrings(sampling_cdf(state), 10 ** 5, seed=31, stream=(n_tri,))
         _, dropped = postselect_f1(samples, prep_n.dimer_pairs,
                                    stars[n_tri].n_sites)
         assert dropped == 0

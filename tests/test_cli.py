@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,9 @@ def test_unknown_config_key_refused(tmp_path):
     {"seed": 2 ** 64},
     {"n_triangles": 8},
     {"n_triangles": 2},
+    {"evolver": "floquet", "noise": {"p_pauli": 0.01}},
+    {"noise": {"enable_postselect": True}},
+    {"evolver": "trotter", "noise": {"enable_twirl": True}},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
@@ -106,13 +110,26 @@ def test_unknown_config_key_refused(tmp_path):
         "cz-bonds-strings", "delta-above-one", "magnet-delta-above-one",
         "allocation-f1-above-one", "allocation-m-total-zero", "allocation-n-times-zero",
         "allocation-realizations-zero", "allocation-f1-grid-empty", "seed-negative",
-        "seed-above-64-bits", "n-triangles-above-qubit-cap", "n-triangles-two"])
+        "seed-above-64-bits", "n-triangles-above-qubit-cap", "n-triangles-two",
+        "noise-without-shots", "postselect-without-shots", "twirl-without-shots"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert run(tmp_path, "magnetization", config) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # refused before ED or any output
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "path-under-file"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "out" if below else blocker
+    assert main(["spectrum", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create the output directory {out}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == "kept"
 
 
 def _fresh_interpreter(code: str, openblas_threads: str | None) -> str:
@@ -343,6 +360,8 @@ def test_config_validation_direct():
     cfg = RunConfig.from_dict({"shots": {"total": 100, "fractions": [0.4, 0.3, 0.3]}})
     cfg.validate()
     assert cfg.shots.total == 100
+    # a noise section that asks for nothing needs no shots
+    RunConfig.from_dict({"noise": {"p_pauli": 0.0, "twirl_angle": 0.3}}).validate()
 
 
 def test_noisy_overlaps_write_ablation(tmp_path):
@@ -399,6 +418,16 @@ def test_config_json_round_trip():
         again = RunConfig.from_dict(json.loads(cfg.to_json()))
         assert again == cfg
         assert again.to_json() == cfg.to_json()
+
+
+def test_noisy8_run_config_bytes_unchanged():
+    # the digest of the run_config.json the noisy8 config wrote while the
+    # config had a noise section class of its own beside noise.NoiseSpec
+    cfg = RunConfig.from_dict(WORKLOAD_CONFIGS[1])
+    assert json.loads(cfg.to_json())["noise"] == {
+        "enable_postselect": True, "enable_twirl": True, "p_pauli": 0.001, "twirl_angle": None}
+    assert hashlib.sha256(cfg.to_json().encode()).hexdigest() == (
+        "6b24a46846c2a3e243f74fb772bfa0891d9031f5c9bf4352168d6966c3c8667e")
 
 
 def test_shipped_configs_validate():

@@ -108,13 +108,12 @@ def test_commutes_with_total_sz():
 
 def test_eigen_residuals_and_bounds():
     ham = SpinHamiltonian(build_star(4), h_field=0.5)
-    bounds = ham.spectral_bounds()
+    bound = ham.norm_bound()
     H = dense_matrix(ham)
     n_pairs = 0
     for k in range(9):
         res = ham.diagonalize(sector=ham._sz_of_ndown(k))
-        assert np.all(res.energies >= bounds.e_min - 1e-9)
-        assert np.all(res.energies <= bounds.e_max + 1e-9)
+        assert np.all(np.abs(res.energies) <= bound + 1e-9)
         assert np.all(np.diff(res.energies) >= -1e-12)
         for i, e in enumerate(res.energies):
             v = np.zeros(256, dtype=complex)
@@ -129,14 +128,17 @@ def test_eigen_residuals_and_bounds():
 )
 def test_spectral_bounds_values(n_tri, h, bound):
     ham = SpinHamiltonian(build_star(n_tri), h_field=h)
-    b = ham.spectral_bounds()
-    assert b.e_max == bound and b.e_min == -bound
-    assert abs(b.dt_max - np.pi / bound) < 1e-12
+    assert ham.norm_bound() == bound
+    ham.check_time_step(np.pi / bound * (1 - 1e-12))  # dt_max = pi / bound
+    with pytest.raises(ValueError, match="admissibility"):
+        ham.check_time_step(np.pi / bound)
 
 
 def test_dt_max_8_spin_value():
-    b = SpinHamiltonian(build_star(4)).spectral_bounds()
-    assert abs(b.dt_max - 2 * np.pi / 24) < 1e-12
+    ham = SpinHamiltonian(build_star(4))
+    ham.check_time_step(2 * np.pi / 24 - 1e-12)
+    with pytest.raises(ValueError, match=f"{2 * np.pi / 24:.6g}"):
+        ham.check_time_step(2 * np.pi / 24)
 
 
 @pytest.mark.parametrize(

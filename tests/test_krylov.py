@@ -22,7 +22,7 @@ from starkrylov.krylov import (
 from starkrylov.lattice import build_star
 from starkrylov.mirror import (
     ExactEvolver,
-    FloquetEvolver,
+    GateEvolver,
     ShotPlan,
     overlap_series_exact,
     overlap_series_sampled,
@@ -244,7 +244,7 @@ def test_uvqpe_matches_qz_reference(series8, series12):
     star = build_star(4)
     ham = SpinHamiltonian(star)
     psi = dressed_initial(star)
-    floquet = overlap_series_exact(psi.state(), FloquetEvolver(ham), DT, 40)
+    floquet = overlap_series_exact(psi.state(), GateEvolver(ham), DT, 40)
     sampled = [series for series, _ in overlap_series_sampled(
         psi, ExactEvolver(ham), ham, DT, 40, ShotPlan(1000), seed=5,
         realizations=range(3))]
@@ -276,7 +276,7 @@ def test_ritz_requires_coefficients():
 def test_uvqpe_floquet_pinwheel_single_step():
     star = build_star(4)
     ham = SpinHamiltonian(star)
-    series = overlap_series_exact(pinwheel(star).state(), FloquetEvolver(ham), DT, 3)
+    series = overlap_series_exact(pinwheel(star).state(), GateEvolver(ham), DT, 3)
     est = uvqpe(series, 1, 1e-8)
     assert abs(est.energy - (-12.0)) < 1e-10
 
@@ -285,7 +285,7 @@ def test_uvqpe_floquet_dressed_converges():
     star = build_star(4)
     ham = SpinHamiltonian(star)
     series = overlap_series_exact(dressed_initial(star).state(),
-                                  FloquetEvolver(ham), DT, 40)
+                                  GateEvolver(ham), DT, 40)
     est = uvqpe(series, 30, 1e-6)
     assert abs(est.energy - (-12.0)) < 1e-6
 
@@ -308,7 +308,7 @@ def test_floquet_agrees_with_unitary_to_second_order():
 
     def gap(dt):
         us = overlap_series_exact(psi, ExactEvolver(ham), dt, 2)
-        fs = overlap_series_exact(psi, FloquetEvolver(ham), dt, 2)
+        fs = overlap_series_exact(psi, GateEvolver(ham), dt, 2)
         return uvqpe(fs, 1, 1e-9).energy - uvqpe(us, 1, 1e-9).energy
 
     g1, g2 = gap(0.08), gap(0.04)

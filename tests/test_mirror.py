@@ -10,15 +10,16 @@ from oracles import (
     shot_noise_reference,
 )
 from starkrylov import mirror as mirror_module
+from starkrylov import statevec as statevec_module
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.mirror import (
     MITIGATION_MODES,
     ExactEvolver,
-    FloquetEvolver,
+    GateEvolver,
     ShotPlan,
-    TrotterEvolver,
     _MirrorCircuits,
+    _exact_cells,
     _sample_noisy,
     allocation_study,
     estimate_overlap,
@@ -29,13 +30,14 @@ from starkrylov.mirror import (
     overlap_series_sampled,
     reconstruct,
 )
-from starkrylov.noise import NoiseSpec, noisy_apply, postselect_f1, twirl_layer
+from starkrylov.noise import NoiseSpec, noisy_apply, postselect_f1, twirl_angle, twirl_layer
 from starkrylov.prep import dressed_initial, invert, pinwheel, reference_superposition
 from starkrylov.statevec import (
     all_zero_fraction,
     apply_circuit,
     rng_stream,
     sample_bitstrings,
+    sampling_cdf,
     zero_amps,
 )
 
@@ -222,9 +224,9 @@ def _per_cell_reference(prep, evolver, ham, t, plan, seed, stream, noise):
                 continue
             state = evolver.apply(p.state(), t)
             if pool:
-                state = apply_circuit(state, twirl_layer(prep.n_sites, noise.twirl_angle))
+                state = apply_circuit(state, twirl_layer(prep.n_sites, twirl_angle(noise)))
             state = apply_circuit(state, invert(inv).gates)
-            pools.append(sample_bitstrings(state, shots, seed, (*stream, i, pool)))
+            pools.append(sample_bitstrings(sampling_cdf(state), shots, seed, (*stream, i, pool)))
         samples = np.concatenate(pools)
         if i == 0 and noise is not None and noise.enable_postselect:
             samples, _ = postselect_f1(samples, prep.dimer_pairs, prep.n_sites)
@@ -290,11 +292,9 @@ def test_noisy_sampling_matches_per_shot_reference(problem, monkeypatch, kind, t
         return noisy_apply(*args)
 
     monkeypatch.setattr(mirror_module, "noisy_apply", counted_noisy_apply)
-    cases = [(p, paulis) for p in (1e-3, 0.05, 0.5, 1.0)
-             for paulis in (("Z",), ("X", "Y", "Z"))]
-    for case, (p, paulis) in enumerate(cases):
+    for case, p in enumerate((1e-3, 0.05, 0.5, 1.0)):
         npass = circuits.noiseless_pass(case % 3, 2 * DT, np.pi / 2 if twirl else None)
-        noise = NoiseSpec(p_pauli=p, paulis=paulis)
+        noise = NoiseSpec(p_pauli=p)
         shots = 300 if p == 1e-3 else 60
         replays.clear()
         got = _sample_noisy(npass, shots, noise, 6, (case, 1))
@@ -312,7 +312,7 @@ def test_ablation_matches_per_mode_estimates(problem):
     # the ablation shares one set of mirror circuits across steps and modes;
     # a fresh estimate per (step, mode) must give the same rows
     _, ham, prep = problem
-    ev = FloquetEvolver(ham)
+    ev = GateEvolver(ham)
     plan, noise = ShotPlan(60), NoiseSpec(p_pauli=0.02)
     expected = []
     for k in (1, 2, 3):
@@ -326,6 +326,38 @@ def test_ablation_matches_per_mode_estimates(problem):
             expected.append((t, mode, *(abs(f - fx) for f, fx in zip(est.fractions, exact_f)),
                              abs(est.value - o_exact)))
     assert mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4) == expected
+
+
+def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
+    # the realizations of a noiseless sampled series share the CDF of each
+    # (time, circuit, pool) mirrored state
+    _, ham, prep = problem
+    built = []
+
+    def counted_cdf(amps):
+        built.append(1)
+        return sampling_cdf(amps)
+
+    monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
+    monkeypatch.setattr(statevec_module, "sampling_cdf", counted_cdf)
+    overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, ShotPlan(60), seed=4,
+                           noise=NoiseSpec(enable_twirl=True), realizations=(0, 1, 2))
+    # 3 steps in each direction, 3 circuits, an untwirled and a twirled pool each
+    assert len(built) == 2 * 3 * 3 * 2
+
+
+@pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
+def test_exact_cells_equal_exact_overlap(problem, kind):
+    # the cells read <psi0|u0(t)> from the circuits' evolved |u0>; it must be
+    # the direct inner product bit for bit
+    _, ham, prep = problem
+    ev = make_evolver(kind, ham, dt_step=DT)
+    times = [k * DT for k in (1, 2, 7, -3)]
+    cells = _exact_cells(_MirrorCircuits(prep, ev), times)
+    psi0 = prep.state()
+    for t, (fractions, overlap) in zip(times, cells):
+        assert overlap == exact_overlap(psi0, ev, t)
+        assert fractions == exact_fractions(prep, ev, t)
 
 
 def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
@@ -352,7 +384,7 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     assert len(built) == 3 * 6 and len(requested) == 3 * 18
     built.clear()
     requested.clear()
-    overlap_series_sampled(prep, FloquetEvolver(ham), ham, DT, 3, plan, seed=4,
+    overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, plan, seed=4,
                            noise=replace(noise, enable_twirl=True), realizations=(0, 1))
     # 3 steps in each direction, 6 passes each, asked for by both realizations
     assert len(built) == len(set(requested)) == 6 * 6
@@ -414,14 +446,14 @@ def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
     noise = NoiseSpec(p_pauli=0.02, enable_twirl=True)
     for spec, roles in ((noise, [False, True]), (replace(noise, p_pauli=0.0), [True])):
         built.clear()
-        overlap_series_sampled(prep, FloquetEvolver(ham), ham, DT, 3, ShotPlan(12),
+        overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, ShotPlan(12),
                                seed=4, noise=spec, realizations=(0, 1))
         assert sorted(args[2] for args in built) == roles
 
 
 def test_noisy_series_realizations_match_single_cells(problem):
     _, ham, prep = problem
-    ev = FloquetEvolver(ham)
+    ev = GateEvolver(ham)
     plan = ShotPlan(12)
     noise = NoiseSpec(p_pauli=0.02)
     runs = overlap_series_sampled(prep, ev, ham, DT, 1, plan, seed=4, noise=noise,
@@ -435,7 +467,7 @@ def test_noisy_series_realizations_match_single_cells(problem):
 
 def test_floquet_series_has_both_directions(problem):
     star, ham, prep = problem
-    ev = FloquetEvolver(ham)
+    ev = GateEvolver(ham)
     series = overlap_series_exact(prep.state(), ev, DT, 4)
     assert series.kind == "floquet"
     assert series.neg_values is not None
@@ -463,7 +495,7 @@ def test_mirror_exact_series_matches_direct(problem):
 
 def test_trotter_evolver_step_counts(problem):
     _, ham, _ = problem
-    ev = TrotterEvolver(ham, dt_step=DT)
+    ev = GateEvolver(ham, dt_step=DT)
     assert len(ev.gates(0.0)) == 0
     assert len(ev.gates(DT)) == 4
     assert len(ev.gates(5 * DT)) == 20
@@ -507,7 +539,7 @@ def test_sector_error_discards_every_shot(problem):
         kind = "floquet"
 
         def __init__(self, ham):
-            self.inner = FloquetEvolver(ham)
+            self.inner = GateEvolver(ham)
 
         def gates(self, t):
             return self.inner.gates(t) + [x_gate(4)]

@@ -20,8 +20,8 @@ from starkrylov.statevec import (
     rng_stream,
     rz_gate,
     sample_bitstrings,
+    sampling_cdf,
     stream_uniforms,
-    unitary_gate,
     x_gate,
     zero_amps,
 )
@@ -86,7 +86,7 @@ def test_gather_kernel_bitwise_equals_moveaxis_kernel(n):
             chosen = sorted(int(q) for q in rng.choice(n, size=k, replace=False))
             for sites in (tuple(chosen), tuple(reversed(chosen))):
                 psi = random_state(n, seed=1000 * n + 10 * k + trial)
-                gate = unitary_gate(sites, random_unitary(1 << k, rng))
+                gate = GateOp(sites, random_unitary(1 << k, rng))
                 out = apply_gate_amps(psi, gate)
                 assert np.array_equal(out, _moveaxis_apply(psi, gate))
                 assert out is not psi
@@ -114,10 +114,10 @@ def _monomial_gates(n, rng):
             if k == 1:
                 gates += [x_gate(sites[0])] + [pauli_gate(p, sites[0]) for p in "YZ"]
             elif k == 2:
-                gates += [cnot_gate(*sites), cz_gate(*sites), unitary_gate(sites, _SWAP),
-                          unitary_gate(sites, _ISWAP)]
+                gates += [cnot_gate(*sites), cz_gate(*sites), GateOp(sites, _SWAP),
+                          GateOp(sites, _ISWAP)]
             if k >= 2:
-                gates.append(unitary_gate(sites, _signed_permutation(k, rng)))
+                gates.append(GateOp(sites, _signed_permutation(k, rng)))
     return gates + [g.dagger() for g in gates]
 
 
@@ -133,14 +133,14 @@ def test_monomial_kernel_equals_matmul_kernel(n):
         assert np.array_equal(out, _moveaxis_apply(psi, gate))
         assert out is not psi
         assert np.array_equal(apply_circuit(psi, [gate]), out)
-    identity = unitary_gate((0,), np.eye(2))
+    identity = GateOp((0,), np.eye(2))
     assert identity.monomial is not None
     psi = random_state(n, seed=7)
     out = apply_gate_amps(psi, identity)
     assert np.array_equal(out, psi) and out is not psi
     # pi/2 rotations carry np.exp(1j * pi / 2) = 6.1e-17+1j, not 1j
     for gate in (h_gate(0), rz_gate(0, np.pi / 2), phase_gate(0, np.pi / 2),
-                 unitary_gate((0, 1), MAPPER_MATRIX), unitary_gate((0,), random_unitary(2, rng))):
+                 GateOp((0, 1), MAPPER_MATRIX), GateOp((0,), random_unitary(2, rng))):
         assert gate.monomial is None, gate.label
 
 
@@ -153,7 +153,7 @@ def test_gather_kernel_still_rejects_bad_sites():
     with pytest.raises(ValueError, match="distinct"):
         cz_gate(2, 2)
     with pytest.raises(ValueError, match="distinct"):
-        unitary_gate((0, 1, 0), np.eye(8, dtype=complex))
+        GateOp((0, 1, 0), np.eye(8, dtype=complex))
 
 
 def test_pauli_gates_are_shared():
@@ -167,7 +167,7 @@ def test_gate_embedding_matches_kron_oracle():
     rng = np.random.default_rng(5)
     u = random_unitary(4, rng)
     psi = random_state(4, seed=6)
-    out = apply_gate_amps(psi, unitary_gate((3, 1), u, "U"))
+    out = apply_gate_amps(psi, GateOp((3, 1), u, "U"))
     # build the full 16x16 operator: bit q of the index is site q
     full = np.zeros((16, 16), dtype=complex)
     for col in range(16):
@@ -189,7 +189,7 @@ def test_random_circuits_preserve_norm(seed):
     for _ in range(12):
         k = int(rng.integers(1, min(3, n) + 1))
         sites = tuple(rng.choice(n, size=k, replace=False).astype(int))
-        psi = apply_gate_amps(psi, unitary_gate(sites, random_unitary(1 << k, rng)))
+        psi = apply_gate_amps(psi, GateOp(sites, random_unitary(1 << k, rng)))
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
@@ -219,13 +219,13 @@ def test_exact_evolution_eigenstate_phase(star8):
 
 
 def test_sampling_deterministic_states():
-    samples = sample_bitstrings(zero_amps(3), 100, seed=1)
+    samples = sample_bitstrings(sampling_cdf(zero_amps(3)), 100, seed=1)
     assert np.all(samples == 0)
 
 
 def test_sampling_binomial_fraction():
     plus = apply_gate_amps(zero_amps(1), h_gate(0))
-    samples = sample_bitstrings(plus, 10 ** 6, seed=42)
+    samples = sample_bitstrings(sampling_cdf(plus), 10 ** 6, seed=42)
     # 4 sigma of a fair binomial with 1e6 draws is 0.002
     assert abs(all_zero_fraction(samples) - 0.5) < 0.002
 
@@ -235,7 +235,7 @@ def test_sampling_matches_evolved_amplitude(star8):
     psi = ham.evolve(pinwheel(star).state(), 0.1)
     p_exact = float(np.abs(psi[0]) ** 2)
     shots = 10 ** 5
-    frac = all_zero_fraction(sample_bitstrings(psi, shots, seed=9))
+    frac = all_zero_fraction(sample_bitstrings(sampling_cdf(psi), shots, seed=9))
     sigma = np.sqrt(max(p_exact * (1 - p_exact), 1e-12) / shots)
     assert abs(frac - p_exact) <= 5 * sigma + 1e-9
 
@@ -248,20 +248,20 @@ def total_variation(samples: np.ndarray, probs: np.ndarray) -> float:
 def test_sampling_total_variation_bound():
     psi = random_state(6, seed=11)
     shots = 4096
-    samples = sample_bitstrings(psi, shots, seed=13)
+    samples = sample_bitstrings(sampling_cdf(psi), shots, seed=13)
     probs = np.abs(psi) ** 2
     assert total_variation(samples, probs) < 4 * np.sqrt((1 << 6) / shots)
 
 
 def test_streams_reproducible_and_independent():
     psi = random_state(4, seed=20)
-    a = sample_bitstrings(psi, 50, seed=7, stream=(1, 2))
-    b = sample_bitstrings(psi, 50, seed=7, stream=(1, 2))
+    a = sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 2))
+    b = sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 2))
     assert np.array_equal(a, b)
-    c = sample_bitstrings(psi, 50, seed=7, stream=(1, 3))
+    c = sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 3))
     assert not np.array_equal(a, c)
     # drawing stream (1,3) first does not change stream (1,2)
-    assert np.array_equal(a, sample_bitstrings(psi, 50, seed=7, stream=(1, 2)))
+    assert np.array_equal(a, sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 2)))
     r1 = rng_stream(7, 5).random(4)
     r2 = rng_stream(7, 5).random(4)
     assert np.array_equal(r1, r2)

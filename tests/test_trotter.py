@@ -4,12 +4,11 @@ import pytest
 from starkrylov.hamiltonian import SpinHamiltonian
 from oracles import build_patch, cnot_count
 from starkrylov.lattice import build_star
-from starkrylov.mirror import FloquetEvolver, TrotterEvolver, exact_overlap
+from starkrylov.mirror import GateEvolver, exact_overlap
 from starkrylov.prep import dressed_initial, pinwheel
 from starkrylov.statevec import apply_circuit, zero_amps
 from starkrylov.trotter import (
     bond_scheme,
-    floquet_step_gates,
     step_unitaries,
     term_unitary,
     triangle_scheme,
@@ -72,14 +71,14 @@ def test_parity_groups_commute(star8, ham8):
 
 def test_trotter_T0_is_identity(star8, ham8):
     psi = random_state(8, 1)
-    out = TrotterEvolver(ham8, 0.1).apply(psi, 0.0)
+    out = GateEvolver(ham8, 0.1).apply(psi, 0.0)
     assert np.linalg.norm(out - psi) < 1e-12
 
 
 def test_trotter_exact_on_pinwheel(star8, ham8):
     pw = pinwheel(star8).state()
     for T in (0.4, 2.0):
-        trotterized = TrotterEvolver(ham8, T).apply(pw, T)
+        trotterized = GateEvolver(ham8, T).apply(pw, T)
         exact = ham8.evolve(pw, T)
         fidelity = abs(np.vdot(trotterized, exact))
         assert abs(fidelity - 1.0) < 1e-10
@@ -90,7 +89,7 @@ def test_trotter_conserves_sz(star8):
         ham = SpinHamiltonian(star8, h)
         psi = dressed_initial(star8).state()
         for scheme in (triangle_scheme(star8), bond_scheme(star8)):
-            out = TrotterEvolver(ham, 0.9 / 3, scheme=scheme).apply(psi, 0.9)
+            out = GateEvolver(ham, 0.9 / 3, scheme=scheme).apply(psi, 0.9)
             # population outside the S^z = 0 sector stays zero
             weights = np.abs(out) ** 2
             idx = np.arange(256)
@@ -105,7 +104,7 @@ def test_first_order_error_slope(star8, ham8):
     ms = np.array([4, 8, 16, 32, 64])
     errs = []
     for m in ms:
-        out = TrotterEvolver(ham8, T / m).apply(psi, T)
+        out = GateEvolver(ham8, T / m).apply(psi, T)
         errs.append(np.linalg.norm(out - exact))
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
     assert abs(slope + 1.0) < 0.1
@@ -116,7 +115,7 @@ def test_error_halves_when_m_doubles(star8, ham8):
     exact = ham8.evolve(psi, 1.0)
 
     def err(m):
-        out = TrotterEvolver(ham8, 1.0 / m).apply(psi, 1.0)
+        out = GateEvolver(ham8, 1.0 / m).apply(psi, 1.0)
         return np.linalg.norm(out - exact)
 
     ratio = err(32) / err(16)
@@ -126,13 +125,13 @@ def test_error_halves_when_m_doubles(star8, ham8):
 @pytest.mark.parametrize("t", [0.05, 0.5, 5.0])
 def test_floquet_pinwheel_eigenvalue(star8, ham8, t):
     pw = pinwheel(star8).state()
-    val = exact_overlap(pw, FloquetEvolver(ham8), t)
+    val = exact_overlap(pw, GateEvolver(ham8), t)
     assert abs(val - np.exp(1j * 12.0 * t)) < 1e-10
 
 
 def test_floquet_t0_and_direction(star8, ham8):
     psi = dressed_initial(star8).state()
-    floquet = FloquetEvolver(ham8)
+    floquet = GateEvolver(ham8)
     assert abs(exact_overlap(psi, floquet, 0.0) - 1.0) < 1e-12
     # real states enjoy <F_-t> = conj<F_t> by transposition symmetry, so a
     # complex state is needed to exhibit the generic inequality
@@ -149,16 +148,45 @@ def test_floquet_t0_and_direction(star8, ham8):
 def test_floquet_matches_direct_product(star8, ham8):
     psi = dressed_initial(star8).state()
     t = 0.1
-    val = exact_overlap(psi, FloquetEvolver(ham8), t)
-    direct = np.vdot(psi, apply_circuit(psi, floquet_step_gates(ham8, t)))
+    val = exact_overlap(psi, GateEvolver(ham8), t)
+    direct = np.vdot(psi, apply_circuit(psi, step_unitaries(triangle_scheme(star8), ham8, t)))
     assert abs(val - direct) < 1e-12
 
 
 def test_reverse_groups_equal_on_pinwheel(star8, ham8):
     pw = pinwheel(star8).state()
-    a = exact_overlap(pw, FloquetEvolver(ham8), 0.6)
-    b = exact_overlap(pw, FloquetEvolver(ham8, reverse_groups=True), 0.6)
+    a = exact_overlap(pw, GateEvolver(ham8), 0.6)
+    b = exact_overlap(pw, GateEvolver(ham8, reverse_groups=True), 0.6)
     assert abs(a - b) < 1e-10
+
+
+def _old_trotter_gates(ham, dt_step, t, reverse_groups, scheme):
+    """The gate list of the former TrotterEvolver, inlined."""
+    if t == 0:
+        return []
+    m = max(1, int(np.ceil(abs(t) / dt_step - 1e-12)))
+    return step_unitaries(scheme, ham, t / m, reverse_groups) * m
+
+
+def _old_floquet_gates(ham, t, reverse_groups):
+    """The gate list of the former FloquetEvolver and floquet_step_gates, inlined."""
+    return [] if t == 0 else step_unitaries(triangle_scheme(ham.lattice), ham, t, reverse_groups)
+
+
+@pytest.mark.parametrize("reverse_groups", [False, True])
+@pytest.mark.parametrize("h", [0.0, 0.4])
+def test_gate_evolver_matches_old_trotter_and_floquet_gates(star8, h, reverse_groups):
+    ham, dt = SpinHamiltonian(star8, h), 0.1
+    for t in (0.0, dt, -dt, 2.5 * dt):
+        pairs = [(GateEvolver(ham, reverse_groups=reverse_groups).gates(t),
+                  _old_floquet_gates(ham, t, reverse_groups))]
+        for scheme in (triangle_scheme(star8), bond_scheme(star8)):
+            pairs.append((GateEvolver(ham, dt, scheme, reverse_groups).gates(t),
+                          _old_trotter_gates(ham, dt, t, reverse_groups, scheme)))
+        for new, old in pairs:
+            assert [(g.sites, g.label) for g in new] == [(g.sites, g.label) for g in old]
+            assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(new, old))
+    assert len(GateEvolver(ham, dt).gates(2.5 * dt)) == 3 * len(GateEvolver(ham).gates(dt))
 
 
 def test_field_layer_phases():
