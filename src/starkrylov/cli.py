@@ -164,7 +164,7 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     ham = SpinHamiltonian(star)  # sector energies at h = 0
     ed_energies = {sz: ham.ground_state_energy(sector=sz)
                    for sz in range(star.n_sites // 2 + 1)}
-    ed_curve = magnet.build_curve(ed_energies, star.n_sites, source="exact")
+    ed_curve = magnet.build_curve(ed_energies, star.n_sites)
     magnet.write_sector_csv(out / "sectors_ed.csv", ed_energies)
     magnet.write_curve_csv(out / "magnetization_ed.csv", ed_curve)
 
@@ -181,8 +181,7 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
         "unconverged_sectors": unconverged,
     }
     if not unconverged:
-        solver_curve = magnet.build_curve(solver_energies, star.n_sites,
-                                          source=spec.solver)
+        solver_curve = magnet.build_curve(solver_energies, star.n_sites)
         magnet.write_curve_csv(out / f"magnetization_{spec.solver}.csv", solver_curve)
         ed_fields, solver_fields = ed_curve.crossing_fields, solver_curve.crossing_fields
         summary[f"crossing_fields_{spec.solver}"] = list(solver_fields)

@@ -17,12 +17,14 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
 from typing import Literal, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import krylov
 from .hamiltonian import SpinHamiltonian
 from .lattice import build_star
 from .mirror import ShotPlan, allocation_plan
-from .noise import NoiseSpec, twirl_angle, twirl_layer
-from .prep import PrepCircuit, dressed_initial, pinwheel, sector_initial
+from .noise import NoiseSpec, postselect_f1, twirl_angle, twirl_layer
+from .prep import PrepCircuit, dressed_initial, pinwheel, reference_superposition, sector_initial
 
 
 class ConfigError(ValueError):
@@ -174,7 +176,7 @@ class RunConfig:
                 first = krylov.solver_spec(s, series_kind).first_step
                 if self.steps < first:
                     raise ValueError(f"steps must be >= {first} for {s}")
-            self.initial_prep(star)
+            prep = self.initial_prep(star)
             noise = self.noise or NoiseSpec()
             if noise.enable_twirl:
                 twirl_layer(star.n_sites, twirl_angle(noise), superposition_role=True)
@@ -184,6 +186,10 @@ class RunConfig:
             if self.shots is None and (noise.p_pauli > 0 or noise.enable_postselect
                                        or noise.enable_twirl):
                 raise ValueError("noise.p_pauli > 0, post-selection and twirl need shots")
+            if self.shots is not None:  # the mirror circuits' own checks
+                reference_superposition(prep, 1)
+                if noise.enable_postselect:
+                    postselect_f1(np.zeros(0, dtype=np.int64), prep.dimer_pairs, star.n_sites)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:  # magnetization solves exact unitary series at h = 0

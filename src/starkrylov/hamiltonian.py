@@ -26,8 +26,6 @@ import numpy as np
 
 from .statevec import MAX_QUBITS as QUBIT_CAP
 
-DEGENERACY_RTOL = 1e-9
-
 
 def _sector_indices(n: int) -> list[np.ndarray]:
     """Basis indices grouped by number of down spins (popcount)."""
@@ -36,27 +34,6 @@ def _sector_indices(n: int) -> list[np.ndarray]:
     for q in range(n):
         pop += (idx >> q) & 1
     return [idx[pop == k] for k in range(n + 1)]
-
-
-class SpectrumResult:
-    """Eigen-decomposition of H restricted to one S^z sector; ``vectors``
-    columns live on ``basis`` (basis-state indices)."""
-
-    def __init__(self, energies, vectors, basis):
-        order = np.argsort(energies, kind="stable")
-        self.energies = np.asarray(energies)[order]
-        self.vectors = np.asarray(vectors)[:, order]
-        self.basis = np.asarray(basis, dtype=np.int64)
-
-    @property
-    def ground_subspace(self) -> np.ndarray:
-        e0 = self.energies[0]
-        tol = DEGENERACY_RTOL * max(1.0, abs(e0)) + 1e-12
-        return np.nonzero(self.energies <= e0 + tol)[0]
-
-    def overlaps(self, psi: np.ndarray) -> np.ndarray:
-        """|<v_i|psi>|^2 for every eigenvector."""
-        return np.abs(self.vectors.conj().T @ psi[self.basis]) ** 2
 
 
 @dataclass
@@ -158,20 +135,6 @@ class SpinHamiltonian:
         energies = np.sort(np.concatenate([w for _, _, w, _ in blocks]))
         self._eigs[n_down] = _SectorBlocks(orbit, shift, scale, omega, blocks, energies)
         return self._eigs[n_down]
-
-    def diagonalize(self, sector: float) -> SpectrumResult:
-        """The sector's spectrum with its eigenvectors unfolded onto the sector
-        basis (complex, d x d)."""
-        n_down = self._ndown_of_sz(sector)
-        sec = self._sector_eig(n_down)
-        energies, vectors = [], []
-        for m, keep, w, v in sec.blocks:
-            padded = np.zeros((len(sec.scale), len(w)), dtype=complex)
-            padded[keep] = v * sec.scale[keep, None]
-            vectors.append(sec.omega[sec.shift, m].conj()[:, None] * padded[sec.orbit])
-            energies.append(w)
-        return SpectrumResult(np.concatenate(energies), np.hstack(vectors),
-                              self._sectors[n_down])
 
     def ground_state_energy(self, sector: float | None = None) -> float:
         if sector is not None:

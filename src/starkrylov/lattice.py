@@ -3,7 +3,10 @@
 A star plaquette is a closed loop of N corner-sharing triangles (N even).
 Sites are numbered canonically: the inner ring is 0..N-1, the apex of
 triangle k is N+k, and triangle k is the triple (k, (k+1) mod N, N+k) with
-parity k mod 2.  Every other module relies on this numbering.
+parity k mod 2.  Every other module relies on this numbering.  The triangle
+parity classes (``triangle_groups``) are the two groups of the
+triangle-by-triangle scheme; the four site-disjoint bond groups of the
+bond-by-bond scheme live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -16,9 +19,6 @@ class StarPlaquette:
     n_sites: int
     bonds: tuple[tuple[int, int], ...]
     triangles: tuple[tuple[int, int, int], ...]
-    parity: tuple[int, ...]  # parity[k] = k % 2
-    inner_sites: tuple[int, ...]
-    apex_sites: tuple[int, ...]
     rotation: tuple[int, ...]  # site k -> rotation[k]: triangle k onto triangle k+1
 
     @property
@@ -44,15 +44,6 @@ class StarPlaquette:
         """Outer bonds not covered by the pinwheel dimers of the given orientation."""
         dimers = set(map(frozenset, self.dimer_bonds(orientation)))
         return tuple(b for b in self.outer_bonds if frozenset(b) not in dimers)
-
-    def bond_groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Four site-disjoint bond groups: outer-even, outer-odd, inner-even, inner-odd."""
-        n = self.n_triangles
-        outer_even = tuple((k, n + k) for k in range(n))
-        outer_odd = tuple((n + k, (k + 1) % n) for k in range(n))
-        inner_even = tuple((k, k + 1) for k in range(0, n, 2))
-        inner_odd = tuple(((k, (k + 1) % n)) for k in range(1, n, 2))
-        return (outer_even, outer_odd, inner_even, inner_odd)
 
     def triangle_groups(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """(even, odd) parity classes; triangles within a class share no site."""
@@ -82,8 +73,5 @@ def build_star(n_triangles: int) -> StarPlaquette:
         n_sites=2 * n,
         bonds=tuple(bonds),
         triangles=triangles,
-        parity=tuple(k % 2 for k in range(n)),
-        inner_sites=tuple(range(n)),
-        apex_sites=tuple(range(n, 2 * n)),
         rotation=tuple((k + 1) % n for k in range(n)) + tuple(n + (k + 1) % n for k in range(n)),
     )

@@ -26,27 +26,14 @@ class Plateau:
 
 @dataclass
 class MagnetizationCurve:
-    n_sites: int
-    sector_energies: dict[int, float]
-    plateaus: tuple[Plateau, ...]
-    source: str = "exact"
+    plateaus: tuple[Plateau, ...]  # half-open intervals [h_start, h_end) from h = 0
 
     @property
     def crossing_fields(self) -> tuple[float, ...]:
         return tuple(p.h_start for p in self.plateaus[1:])
 
-    def magnetization(self, h: float, per_site: bool = False) -> float:
-        """Step function M(h); plateau intervals are half-open [h_k, h_{k+1})."""
-        if h < 0:
-            raise ValueError("h must be >= 0")
-        for p in self.plateaus:
-            if p.h_start <= h < p.h_end:
-                return 2 * p.sz / self.n_sites if per_site else float(p.sz)
-        raise AssertionError("plateaus do not cover h >= 0")
 
-
-def build_curve(sector_energies: dict[int, float], n_sites: int,
-                source: str = "exact") -> MagnetizationCurve:
+def build_curve(sector_energies: dict[int, float], n_sites: int) -> MagnetizationCurve:
     """Lower envelope of the sector lines E_S - h S over h >= 0."""
     needed = set(range(n_sites // 2 + 1))
     present = {int(s) for s in sector_energies}
@@ -70,7 +57,7 @@ def build_curve(sector_energies: dict[int, float], n_sites: int,
         plateaus.append(Plateau(h, h_next, sz, energies[sz] - h * sz))
         sz, h = s_next, h_next
     plateaus.append(Plateau(h, math.inf, smax, energies[smax] - h * smax))
-    return MagnetizationCurve(n_sites, energies, tuple(plateaus), source)
+    return MagnetizationCurve(tuple(plateaus))
 
 
 def sector_solver_settings(star) -> dict:

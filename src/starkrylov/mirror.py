@@ -61,16 +61,15 @@ class ExactEvolver:
 
 
 class GateEvolver:
-    """W(t) = m first-order steps of size t/m of ``scheme`` (the triangle
-    scheme by default), with m = ceil(|t| / dt_step); without ``dt_step``,
-    m = 1 and W(t) is the single triangle-by-triangle step F_t."""
+    """W(t) = m first-order triangle-by-triangle steps of size t/m, with
+    m = ceil(|t| / dt_step); without ``dt_step``, m = 1 and W(t) is the
+    single step F_t."""
 
-    def __init__(self, ham, dt_step: float | None = None, scheme=None,
-                 reverse_groups: bool = False):
+    def __init__(self, ham, dt_step: float | None = None, reverse_groups: bool = False):
         self.ham = ham
         self.dt_step = None if dt_step is None else float(dt_step)
         self.kind = "floquet" if dt_step is None else "trotter"
-        self.scheme = scheme if scheme is not None else triangle_scheme(ham.lattice)
+        self.scheme = triangle_scheme(ham.lattice)
         self.reverse_groups = reverse_groups
 
     def gates(self, t: float):
@@ -372,20 +371,6 @@ def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
     else:
         value, more = reconstruct(f1, f2, f3, ham.reference_energy(), t, magnitude_source)
     return OverlapEstimate(value, tuple(fractions), tuple(discards), flags + more)
-
-
-def estimate_overlap(psi0_prep: PrepCircuit, evolver, ham, t: float,
-                     plan: ShotPlan, seed: int, stream=(0,),
-                     noise: NoiseSpec | None = None,
-                     magnitude_source: str = "f1_sqrt") -> OverlapEstimate:
-    """Sample the three mirrored circuits and reconstruct the overlap.
-
-    ``stream`` is a tuple of integers naming this estimation cell (time
-    index, realization, ...); all randomness is a pure function of
-    (seed, stream, circuit, shot), so cells can run in any order.
-    """
-    return _estimate_cell(_MirrorCircuits(psi0_prep, evolver), ham, t, plan, seed,
-                          stream, noise, magnitude_source)
 
 
 # -- series builders ----------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Suzuki-Trotter schemes: bond-by-bond (four site-disjoint groups) and
-triangle-by-triangle (two parity groups of exact 3-qubit exponentials).
+"""The triangle-by-triangle Suzuki-Trotter scheme (two parity groups of exact
+3-qubit exponentials) and the gates of one step of a scheme.
 
 Gate lists are in application order.  A triangle step therefore returns the
 odd-parity group first so that the step operator, as a matrix product, is
 exp(-i dt H_even) exp(-i dt H_odd): the even group is the left factor, the
-convention used by the single-step solver variant.
+convention used by the single-step solver variant.  ``step_unitaries`` takes
+any scheme of 2- and 3-site terms; the bond-by-bond scheme of the CNOT-count
+comparison lives in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -18,17 +20,13 @@ from .statevec import PAULIS, GateOp, rz_gate
 
 @dataclass(frozen=True)
 class TrotterScheme:
-    kind: str  # "bond_by_bond" | "triangle_by_triangle"
+    kind: str  # "triangle_by_triangle" ("bond_by_bond" in tests/oracles.py)
     groups: tuple[tuple[tuple[int, ...], ...], ...]  # site tuples per commuting group
 
 
 def triangle_scheme(lattice) -> TrotterScheme:
     even, odd = lattice.triangle_groups()
     return TrotterScheme(kind="triangle_by_triangle", groups=(even, odd))
-
-
-def bond_scheme(star) -> TrotterScheme:
-    return TrotterScheme(kind="bond_by_bond", groups=star.bond_groups())
 
 
 @lru_cache(maxsize=None)

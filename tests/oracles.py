@@ -1,10 +1,13 @@
-"""Reference constructions and diagnostics that only the tests use: the full
+"""Reference constructions and diagnostics that only the tests use: a sector's
+spectrum with its eigenvectors unfolded from the momentum blocks, the full
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
 overlaps of a Krylov estimate's Ritz vector with the exact eigenstates, kagome
-patches, analytic CNOT counts per Trotter step, predicted step counts, and the
-noiseless mirror-circuit quantities: mirrored states, exact F1/F2/F3, the
-series reconstructed from them and the shot-noise reference curve."""
+patches, the bond-by-bond Trotter scheme, analytic CNOT counts per Trotter
+step, predicted step counts, the magnetization M(h) read off a curve, and the
+mirror-circuit quantities: mirrored states, exact F1/F2/F3, one sampled
+estimation cell, the series reconstructed from exact fractions and the
+shot-noise reference curve."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -15,12 +18,51 @@ import numpy as np
 from starkrylov import krylov
 from starkrylov.mirror import (
     _binomial_overlaps,
+    _estimate_cell,
     _exact_cells,
     _MirrorCircuits,
     _zero_probabilities,
     reconstruct,
 )
 from starkrylov.statevec import rng_stream
+from starkrylov.trotter import TrotterScheme
+
+DEGENERACY_RTOL = 1e-9
+
+
+class SpectrumResult:
+    """Eigen-decomposition of H restricted to one S^z sector; ``vectors``
+    columns live on ``basis`` (basis-state indices)."""
+
+    def __init__(self, energies, vectors, basis):
+        order = np.argsort(energies, kind="stable")
+        self.energies = np.asarray(energies)[order]
+        self.vectors = np.asarray(vectors)[:, order]
+        self.basis = np.asarray(basis, dtype=np.int64)
+
+    @property
+    def ground_subspace(self) -> np.ndarray:
+        e0 = self.energies[0]
+        tol = DEGENERACY_RTOL * max(1.0, abs(e0)) + 1e-12
+        return np.nonzero(self.energies <= e0 + tol)[0]
+
+    def overlaps(self, psi: np.ndarray) -> np.ndarray:
+        """|<v_i|psi>|^2 for every eigenvector."""
+        return np.abs(self.vectors.conj().T @ psi[self.basis]) ** 2
+
+
+def diagonalize(ham, sz: float) -> SpectrumResult:
+    """Sector sz's spectrum with the momentum-block eigenvectors of
+    ``ham._sector_eig`` unfolded onto the sector basis (complex, d x d)."""
+    n_down = ham._ndown_of_sz(sz)
+    sec = ham._sector_eig(n_down)
+    energies, vectors = [], []
+    for m, keep, w, v in sec.blocks:
+        padded = np.zeros((len(sec.scale), len(w)), dtype=complex)
+        padded[keep] = v * sec.scale[keep, None]
+        vectors.append(sec.omega[sec.shift, m].conj()[:, None] * padded[sec.orbit])
+        energies.append(w)
+    return SpectrumResult(np.concatenate(energies), np.hstack(vectors), ham._sectors[n_down])
 
 
 def sector_basis(ham, sz: float) -> np.ndarray:
@@ -178,6 +220,22 @@ def build_patch(rows: int, cols: int) -> KagomePatch:
     )
 
 
+def bond_groups(star) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Four site-disjoint bond groups of a star: outer-even, outer-odd,
+    inner-even, inner-odd."""
+    n = star.n_triangles
+    outer_even = tuple((k, n + k) for k in range(n))
+    outer_odd = tuple((n + k, (k + 1) % n) for k in range(n))
+    inner_even = tuple((k, k + 1) for k in range(0, n, 2))
+    inner_odd = tuple(((k, (k + 1) % n)) for k in range(1, n, 2))
+    return (outer_even, outer_odd, inner_even, inner_odd)
+
+
+def bond_scheme(star) -> TrotterScheme:
+    """The bond-by-bond scheme, one exact 2-qubit exponential per bond."""
+    return TrotterScheme(kind="bond_by_bond", groups=bond_groups(star))
+
+
 CNOTS_PER_TERM = {
     ("triangle_by_triangle", "full"): 8,
     ("triangle_by_triangle", "linear"): 12,
@@ -218,7 +276,22 @@ def step_bounds(spectral_range: float, p0: float, eps_target: float,
     return j, d
 
 
-# -- noiseless mirror circuits --------------------------------------------------
+# -- magnetization curves ------------------------------------------------------
+
+def magnetization(curve, h: float, per_site: bool = False) -> float:
+    """Step function M(h) of a ``magnet.MagnetizationCurve``; plateau
+    intervals are half-open [h_k, h_{k+1}).  The saturated plateau's S^z is
+    n/2, which gives the site count n for ``per_site``."""
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    n_sites = 2 * curve.plateaus[-1].sz
+    for p in curve.plateaus:
+        if p.h_start <= h < p.h_end:
+            return 2 * p.sz / n_sites if per_site else float(p.sz)
+    raise AssertionError("plateaus do not cover h >= 0")
+
+
+# -- mirror circuits ---------------------------------------------------------------
 
 def mirror_states(psi0_prep, evolver, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>."""
@@ -256,3 +329,16 @@ def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, se
                   for r in range(n_realizations)]
         sigmas.append(float(np.std(errors)))
     return np.array(sigmas)
+
+
+def estimate_overlap(psi0_prep, evolver, ham, t: float, plan, seed: int, stream=(0,),
+                     noise=None, magnitude_source: str = "f1_sqrt"):
+    """Sample the three mirrored circuits and reconstruct the overlap: one
+    estimation cell on circuits of its own.
+
+    ``stream`` is a tuple of integers naming this estimation cell (time
+    index, realization, ...); all randomness is a pure function of
+    (seed, stream, circuit, shot), so cells can run in any order.
+    """
+    return _estimate_cell(_MirrorCircuits(psi0_prep, evolver), ham, t, plan, seed,
+                          stream, noise, magnitude_source)

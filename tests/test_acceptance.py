@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bond_scheme,
     cluster_overlaps,
     cnot_count,
+    diagonalize,
     exact_fractions,
+    magnetization,
     matvec,
     ritz_ground_overlap,
     ritz_overlaps,
@@ -42,7 +45,7 @@ from starkrylov.mirror import (
 from starkrylov.noise import postselect_f1, twirl_layer
 from starkrylov.prep import dressed_initial, invert, pinwheel, sector_initial
 from starkrylov.statevec import GateOp, apply_circuit, sample_bitstrings, sampling_cdf
-from starkrylov.trotter import bond_scheme, triangle_scheme
+from starkrylov.trotter import step_unitaries, triangle_scheme
 
 DT = 0.1
 
@@ -77,8 +80,8 @@ def test_criterion_1_exact_ground_states(stars, hams):
 
 def test_criterion_2_initial_state_overlaps(stars, hams):
     star8, star12 = stars[4], stars[6]
-    spec8 = hams[4].diagonalize(sector=0.0)
-    spec12 = hams[6].diagonalize(sector=0.0)
+    spec8 = diagonalize(hams[4], 0.0)
+    spec12 = diagonalize(hams[6], 0.0)
     checks = [
         (subspace_overlap(dressed_initial(star8).state(), spec8),
          0.286, 1e-3),
@@ -97,7 +100,7 @@ def test_criterion_2_initial_state_overlaps(stars, hams):
     count = 0
     for n_tri, targets in sector_targets.items():
         for sz, target in targets.items():
-            spec = hams[n_tri].diagonalize(sector=float(sz))
+            spec = diagonalize(hams[n_tri], float(sz))
             value = subspace_overlap(
                 sector_initial(stars[n_tri], sz).state(), spec)
             assert abs(value - target) < 2e-3, (n_tri, sz, value)
@@ -166,7 +169,7 @@ def test_criterion_5_low_overlap_excursion(stars, hams):
     series = overlap_series_exact(psi, ExactEvolver(ham), DT, 60)
     stuck = uvqpe(series, 50, 1e-1)
     assert stuck.energy - (-18.0) > 0.1
-    spec = ham.diagonalize(sector=0.0)
+    spec = diagonalize(ham, 0.0)
     basis = [ham.evolve(psi, k * DT) for k in range(61)]
     excited_seen = False
     for ns in range(5, 21):
@@ -290,7 +293,7 @@ def test_criterion_10_magnetization_curves(stars, hams):
         szs = [p.sz for p in curve.plateaus]
         assert szs == sorted(szs)
         last = curve.crossing_fields[-1]
-        assert curve.magnetization(last + 0.5) == n_tri  # saturated
+        assert magnetization(curve, last + 0.5) == n_tri  # saturated
     # solver-sourced curves: the 8-spin star within the 40-step budget, the
     # 12-spin star at its own converged settings (150 steps, dt=0.17)
     for n_tri in (4, 6):
@@ -299,7 +302,7 @@ def test_criterion_10_magnetization_curves(stars, hams):
             assert settings["n_steps"] <= 40
         energies, meta = estimate_sector_energies(hams[n_tri], **settings)
         assert all(m["converged"] for m in meta.values())
-        solver_curve = build_curve(energies, 2 * n_tri, source="uvqpe")
+        solver_curve = build_curve(energies, 2 * n_tri)
         assert len(solver_curve.crossing_fields) == len(curves[n_tri].crossing_fields)
         for hx, he in zip(solver_curve.crossing_fields, curves[n_tri].crossing_fields):
             assert abs(hx - he) < 1e-3
@@ -318,7 +321,7 @@ def test_criterion_11_property_suites(stars, hams):
     for out in (
         ham.evolve(psi, 0.9),
         GateEvolver(ham, 0.9 / 3).apply(psi, 0.9),
-        GateEvolver(ham, 0.9 / 3, scheme=bond_scheme(star)).apply(psi, 0.9),
+        apply_circuit(psi, step_unitaries(bond_scheme(star), ham, 0.9 / 3) * 3),
         GateEvolver(ham).apply(psi, 0.9),
     ):
         assert float(np.sum(np.abs(out[outside]) ** 2)) < 1e-10

@@ -98,6 +98,9 @@ def test_unknown_config_key_refused(tmp_path):
     {"evolver": "floquet", "noise": {"p_pauli": 0.01}},
     {"noise": {"enable_postselect": True}},
     {"evolver": "trotter", "noise": {"enable_twirl": True}},
+    {"initial": {"kind": "sector", "sz": 1}, "evolver": "floquet", "steps": 2,
+     "shots": {"total": 100}, "noise": {"enable_postselect": True}},
+    {"initial": {"kind": "sector", "sz": 4}, "steps": 2, "shots": {"total": 100}},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
@@ -111,7 +114,8 @@ def test_unknown_config_key_refused(tmp_path):
         "allocation-f1-above-one", "allocation-m-total-zero", "allocation-n-times-zero",
         "allocation-realizations-zero", "allocation-f1-grid-empty", "seed-negative",
         "seed-above-64-bits", "n-triangles-above-qubit-cap", "n-triangles-two",
-        "noise-without-shots", "postselect-without-shots", "twirl-without-shots"])
+        "noise-without-shots", "postselect-without-shots", "twirl-without-shots",
+        "postselect-pairing-leaves-sites-out", "sampled-state-without-dimers"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert run(tmp_path, "magnetization", config) == 2
     err = capsys.readouterr().err
@@ -144,6 +148,18 @@ def _fresh_interpreter(code: str, openblas_threads: str | None) -> str:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def test_bench_tracer_installs_against_src():
+    """bench/tracer.py wraps the package's functions and reads some names by
+    attribute (``krylov.OverlapSeries.value``, ``statevec.GateOp.__post_init__``):
+    it must still install on this source tree."""
+    pytest.importorskip("scipy")  # the tracer also wraps scipy.linalg
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    _fresh_interpreter("\n".join([
+        "import sys", f"sys.path.insert(0, {str(bench)!r})",
+        "from tracer import Tracer", "Tracer().install()",
+    ]), os.environ.get("OPENBLAS_NUM_THREADS"))
 
 
 def test_commands_run_without_scipy(tmp_path):

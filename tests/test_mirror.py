@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    estimate_overlap,
     exact_fractions,
     mirror_states,
     overlap_series_mirror_exact,
@@ -22,7 +23,6 @@ from starkrylov.mirror import (
     _exact_cells,
     _sample_noisy,
     allocation_study,
-    estimate_overlap,
     exact_overlap,
     make_evolver,
     mitigation_ablation,

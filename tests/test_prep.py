@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import expectation, matvec, subspace_overlap
+from oracles import diagonalize, expectation, matvec, subspace_overlap
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.prep import (
@@ -93,7 +93,7 @@ def test_dressed_overlaps(stars, hams, n_tri, cz_every, target):
     star = stars[n_tri]
     bonds = star.free_outer_bonds("cw")[::cz_every]
     prep = dressed_initial(star, bonds)
-    spec = hams[n_tri].diagonalize(sector=0.0)
+    spec = diagonalize(hams[n_tri], 0.0)
     ov = subspace_overlap(prep.state(), spec)
     assert abs(ov - target) < 1e-3
 
@@ -138,7 +138,7 @@ SECTOR_TARGETS = {
 def test_sector_overlaps(stars, hams, n_tri):
     for sz, target in SECTOR_TARGETS[n_tri].items():
         prep = sector_initial(stars[n_tri], sz)
-        spec = hams[n_tri].diagonalize(sector=float(sz))
+        spec = diagonalize(hams[n_tri], float(sz))
         ov = subspace_overlap(prep.state(), spec)
         assert abs(ov - target) < 2e-3, f"sz={sz}: {ov} vs {target}"
 

@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from starkrylov.hamiltonian import SpinHamiltonian
-from oracles import build_patch, cnot_count
+from oracles import bond_scheme, build_patch, cnot_count
 from starkrylov.lattice import build_star
 from starkrylov.mirror import GateEvolver, exact_overlap
 from starkrylov.prep import dressed_initial, pinwheel
 from starkrylov.statevec import apply_circuit, zero_amps
-from starkrylov.trotter import (
-    bond_scheme,
-    step_unitaries,
-    term_unitary,
-    triangle_scheme,
-)
+from starkrylov.trotter import step_unitaries, term_unitary, triangle_scheme
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +83,8 @@ def test_trotter_conserves_sz(star8):
     for h in (0.0, 0.8):
         ham = SpinHamiltonian(star8, h)
         psi = dressed_initial(star8).state()
-        for scheme in (triangle_scheme(star8), bond_scheme(star8)):
-            out = GateEvolver(ham, 0.9 / 3, scheme=scheme).apply(psi, 0.9)
+        for out in (GateEvolver(ham, 0.9 / 3).apply(psi, 0.9),
+                    apply_circuit(psi, step_unitaries(bond_scheme(star8), ham, 0.9 / 3) * 3)):
             # population outside the S^z = 0 sector stays zero
             weights = np.abs(out) ** 2
             idx = np.arange(256)
@@ -160,12 +155,12 @@ def test_reverse_groups_equal_on_pinwheel(star8, ham8):
     assert abs(a - b) < 1e-10
 
 
-def _old_trotter_gates(ham, dt_step, t, reverse_groups, scheme):
-    """The gate list of the former TrotterEvolver, inlined."""
+def _old_trotter_gates(ham, dt_step, t, reverse_groups):
+    """The gate list of the former TrotterEvolver with the triangle scheme, inlined."""
     if t == 0:
         return []
     m = max(1, int(np.ceil(abs(t) / dt_step - 1e-12)))
-    return step_unitaries(scheme, ham, t / m, reverse_groups) * m
+    return step_unitaries(triangle_scheme(ham.lattice), ham, t / m, reverse_groups) * m
 
 
 def _old_floquet_gates(ham, t, reverse_groups):
@@ -179,10 +174,9 @@ def test_gate_evolver_matches_old_trotter_and_floquet_gates(star8, h, reverse_gr
     ham, dt = SpinHamiltonian(star8, h), 0.1
     for t in (0.0, dt, -dt, 2.5 * dt):
         pairs = [(GateEvolver(ham, reverse_groups=reverse_groups).gates(t),
-                  _old_floquet_gates(ham, t, reverse_groups))]
-        for scheme in (triangle_scheme(star8), bond_scheme(star8)):
-            pairs.append((GateEvolver(ham, dt, scheme, reverse_groups).gates(t),
-                          _old_trotter_gates(ham, dt, t, reverse_groups, scheme)))
+                  _old_floquet_gates(ham, t, reverse_groups)),
+                 (GateEvolver(ham, dt, reverse_groups=reverse_groups).gates(t),
+                  _old_trotter_gates(ham, dt, t, reverse_groups))]
         for new, old in pairs:
             assert [(g.sites, g.label) for g in new] == [(g.sites, g.label) for g in old]
             assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(new, old))
