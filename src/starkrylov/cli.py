@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("results"),
                        help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect (runs are serial)")
+                       help="accepted for compatibility, at least 1; has no effect "
+                            "(runs are serial)")
     return parser
 
 
@@ -264,6 +265,8 @@ def main(argv=None) -> int:
     if blas:
         blas[1](1)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed

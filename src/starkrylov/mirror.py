@@ -22,17 +22,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import krylov
-from .noise import NoiseSpec, noisy_apply, postselect_f1, twirl_angle, twirl_layer
+from .noise import PAULI_NAMES, NoiseSpec, postselect_f1, twirl_angle, twirl_layer
 from .prep import PrepCircuit, invert, reference_superposition
 from .statevec import (
-    _stream_opener,
+    _StreamOpener,
     all_zero_fraction,
     apply_circuit,
     apply_gate_amps,
-    rng_stream,
+    pauli_gate,
     sample_bitstrings,
     sampling_cdf,
-    stream_uniforms,
     zero_amps,
 )
 from .trotter import step_unitaries, triangle_scheme
@@ -131,24 +130,6 @@ class OverlapEstimate:
 
 # -- the three mirror circuits ----------------------------------------------------
 
-@dataclass(frozen=True)
-class _NoiselessPass:
-    """One circuit's gates applied once without errors.  An error slot is
-    one site of a gate with two or more sites, in gate order.
-
-    The state before gate k depends only on gates[:k], so two passes whose
-    gate lists start with the same run of ``GateOp`` objects (compared by
-    identity) hold the same prefix arrays over that run: a pass built from a
-    ``base`` shares them instead of applying those gates again.
-    """
-
-    gates: list
-    prefix: list  # the amplitudes before each gate
-    before: list  # the slot count before each gate
-    owner: np.ndarray  # the gate index of each slot
-    cdf: np.ndarray  # the sampling CDF of the final state
-
-
 def _shared_run(a: list, b: list) -> int:
     """The length of the leading run of identical objects of a and b."""
     run = 0
@@ -157,25 +138,6 @@ def _shared_run(a: list, b: list) -> int:
             break
         run += 1
     return run
-
-
-def _noiseless_pass(gates: list, n: int, base: _NoiselessPass | None) -> _NoiselessPass:
-    """The pass of ``gates`` from |0..0>, reusing the prefix arrays of ``base``
-    over the leading gates the two lists share."""
-    prefix, amps = [], zero_amps(n)
-    if base is not None and base.prefix:
-        start = min(_shared_run(gates, base.gates), len(base.prefix) - 1)
-        prefix, amps = base.prefix[:start], base.prefix[start]
-    for g in gates[len(prefix):]:
-        prefix.append(amps)
-        amps = apply_gate_amps(amps, g)
-    before, owner = [], []
-    for gi, g in enumerate(gates):
-        before.append(len(owner))
-        if len(g.sites) >= 2:
-            owner += [gi] * len(g.sites)
-    return _NoiselessPass(gates, prefix, before, np.array(owner, dtype=np.int64),
-                          sampling_cdf(amps))
 
 
 class _MirrorCircuits:
@@ -187,15 +149,14 @@ class _MirrorCircuits:
     build them.  Everything else is built once per time, on first use, and
     held until the time changes, so every pool, mitigation mode and
     realization at that time shares it: the evolver's gate list, the evolved
-    |u0> and |u_R>, the mirrored states and their sampling CDFs per twirl
-    angle, and the noiseless pass of each (circuit, twirl angle).
+    |u0> and |u_R>, and the mirrored states and their sampling CDFs per twirl
+    angle.
 
-    The circuits at one time share gate objects: F2 and F3 apply the same U_R
-    preparation and evolution, the twirled F2 and F3 the same twirl layer
-    after them, and a twirled pass equals its untwirled pass up to the layer.
-    A new pass therefore starts from the already-built pass at that time whose
-    gate list shares the longest leading run of identical ``GateOp`` objects,
-    and holds that pass's prefix arrays rather than copies (``_NoiselessPass``).
+    The gate lists of the noisy passes (``pass_gates``) share gate objects:
+    F2 and F3 apply the same U_R preparation and evolution, the twirled F2
+    and F3 the same twirl layer after them, and a twirled pass equals its
+    untwirled pass up to the layer.  ``_evolve_passes`` applies each leading
+    run of identical ``GateOp`` objects once for all the passes that share it.
     """
 
     def __init__(self, psi0_prep: PrepCircuit, evolver):
@@ -254,21 +215,16 @@ class _MirrorCircuits:
         return self._at(t, ("cdf", i, twirl_angle),
                         lambda: sampling_cdf(self.states(t, twirl_angle)[i]))
 
-    def noiseless_pass(self, i: int, t: float, twirl_angle: float | None) -> _NoiselessPass:
-        """The noiseless pass of circuit i at t (with the twirl layer when
-        ``twirl_angle`` is given)."""
-        def build():
-            evo = self.gates(t)
-            if evo is None:
-                raise ValueError("gate-based evolver required (exact evolution has no layers)")
-            gates = list(self.preps[i].gates) + evo
-            if twirl_angle is not None:
-                gates += self._twirl(twirl_angle, i > 0)
-            gates += self.inverses[i]
-            passes = [p for p in self._built.values() if isinstance(p, _NoiselessPass)]
-            base = max(passes, key=lambda p: _shared_run(gates, p.gates), default=None)
-            return _noiseless_pass(gates, self.n, base)
-        return self._at(t, ("pass", i, twirl_angle), build)
+    def pass_gates(self, i: int, t: float, twirl_angle: float | None) -> list:
+        """The gates of circuit i at t from |0..0>, with the twirl layer
+        after the evolution when ``twirl_angle`` is given."""
+        evo = self.gates(t)
+        if evo is None:
+            raise ValueError("gate-based evolver required (exact evolution has no layers)")
+        gates = list(self.preps[i].gates) + evo
+        if twirl_angle is not None:
+            gates += self._twirl(twirl_angle, i > 0)
+        return gates + list(self.inverses[i])
 
 
 def _zero_probabilities(states) -> tuple[float, float, float]:
@@ -299,62 +255,206 @@ def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
 
 # -- sampled estimation -------------------------------------------------------------
 
-def _sample_noisy(npass: _NoiselessPass, shots, noise, seed, stream):
-    """One Pauli trajectory per shot, each on its own stream (*stream, shot).
+class _Pass:
+    """The gates of one circuit at one time, with or without the twirl layer.
+    An error slot is one site of a gate with two or more sites, in gate
+    order; ``slots`` holds the (gate index, site) of each.  ``cdf``, the
+    sampling CDF of the noiseless final state, is set by ``_evolve_passes``."""
 
-    A shot's stream draws one uniform per error slot of ``npass``, each
-    followed, when it falls below p, by one integer that picks the Pauli; then
-    the uniform that samples the final state by inverse CDF.  The slot
-    uniforms and one more of every shot are drawn as one block
-    (``stream_uniforms``).  A shot whose slot uniforms all reach p draws
-    nothing else, so its last uniform is its sample uniform; all such shots
-    read the pass's noiseless CDF together.  A shot with an error reopens its
-    stream (the block's Philox, re-keyed for the shot by ``_stream_opener``),
-    redraws the slot uniforms before the erring gate and resumes
-    ``noisy_apply`` from the pass's state before that gate.  Callers sample
-    here only with p > 0, when every slot draws.
+    def __init__(self, gates: list):
+        self.gates = gates
+        self.slots = [(gi, q) for gi, g in enumerate(gates) if len(g.sites) >= 2
+                      for q in g.sites]
+        self.cdf = None
+
+
+@dataclass(eq=False)
+class _ErringShot:
+    """A shot with an error: its pass, its errors as (gate index, site, Pauli
+    name) in stream order, the uniform that samples its final state, and its
+    sample, set by ``_evolve_passes``."""
+
+    npass: _Pass
+    errors: list
+    uniform: float
+    sample: int = -1
+
+
+def _replay_errors(slots: list, streams, stream: tuple, first: int, p: float):
+    """The errors and the sample uniform of the shot on ``stream`` whose first
+    slot uniform below p is that of slot ``first``.
+
+    The shot's draws are replayed from its reopened stream in the order of the
+    stream contract (``noise``), with block draws: the slot uniforms up to a
+    hit as one ``random(k)``, then the hit's ``integers(3)``.  After each hit
+    one block draws the remaining slot uniforms and the sample uniform.  When
+    that block shows another hit, its draws past that hit are void: the
+    generator goes back to where it stood after the last hit (the reopened
+    stream replays the first hit; later hits keep a copy of the Philox state)
+    and draws up to the new hit.
     """
-    n_slots = len(npass.owner)
-    open_stream = _stream_opener(seed, stream)
-    u = stream_uniforms(open_stream, shots, n_slots + 1)
-    hit = u[:, :n_slots] < noise.p_pauli
-    samples = np.searchsorted(npass.cdf, u[:, n_slots], side="right")
-    erring = np.flatnonzero(hit.any(axis=1))
-    for j, slot in zip(erring, hit[erring].argmax(axis=1)):
-        gi = npass.owner[slot]
-        rng = open_stream(j)
-        rng.random(npass.before[gi])
-        state = noisy_apply(npass.prefix[gi], npass.gates[gi:], noise, rng)
-        samples[j] = np.searchsorted(sampling_cdf(state), rng.random(), side="right")
-    return samples
+    rng = streams(stream)
+    rng.random(first + 1)
+    hits, picks, saved = [first], [int(rng.integers(len(PAULI_NAMES)))], None
+    while True:
+        done = hits[-1] + 1
+        rest = rng.random(len(slots) - done + 1)
+        more = np.flatnonzero(rest[:-1] < p)
+        if len(more) == 0:
+            return [(*slots[h], PAULI_NAMES[k]) for h, k in zip(hits, picks)], float(rest[-1])
+        if saved is None:
+            rng = streams(stream)
+            rng.random(first + 1)
+            rng.integers(len(PAULI_NAMES))
+        else:
+            rng.bit_generator.state = saved
+        rng.random(more[0] + 1)
+        hits.append(done + int(more[0]))
+        picks.append(int(rng.integers(len(PAULI_NAMES))))
+        saved = rng.bit_generator.state
 
 
-def _estimate_cell(circuits: _MirrorCircuits, ham, t, plan, seed, stream, noise,
+class _NoisyPool:
+    """One noisy pool: shot j runs one Pauli trajectory through ``npass`` on
+    the stream (*stream, j).
+
+    Construction draws every shot's streams.  The slot uniforms and one more
+    of every shot are drawn as one block (``_StreamOpener.uniforms``).  A
+    shot whose slot uniforms all reach p draws nothing else, so its last
+    uniform is its sample uniform.  A shot with a hit becomes an
+    ``_ErringShot``, with its errors replayed from its stream
+    (``_replay_errors``).  ``samples`` reads the shots' samples once
+    ``_evolve_passes`` has run.
+    """
+
+    def __init__(self, npass: _Pass, shots: int, p: float, streams, stream: tuple):
+        n_slots = len(npass.slots)
+        u = streams.uniforms(stream, shots, n_slots + 1)
+        hit = u[:, :n_slots] < p
+        self.npass, self.uniforms = npass, u[:, n_slots]
+        self.erring = np.flatnonzero(hit.any(axis=1))
+        self.shots = [_ErringShot(npass, *_replay_errors(npass.slots, streams,
+                                                         (*stream, j), first, p))
+                      for j, first in zip(self.erring, hit[self.erring].argmax(axis=1))]
+
+    def samples(self) -> np.ndarray:
+        samples = np.searchsorted(self.npass.cdf, self.uniforms, side="right")
+        samples[self.erring] = [shot.sample for shot in self.shots]
+        return samples
+
+
+def _evolve_passes(passes: list, shots: list, n: int) -> None:
+    """Evolve the noiseless state of each of ``passes`` and the erring
+    ``shots`` that run them from |0..0>, and sample them: set each pass's
+    ``cdf`` and each shot's ``sample``.
+
+    The rows of one (B, 2^n) batch are the noiseless state, row 0, and the
+    erring shots that have joined it.  A shot joins at its first erring gate
+    as a copy of row 0 after that gate, and each of its errors is a Pauli on
+    its row after the error's gate.  Passes whose gate lists start with the
+    same run of ``GateOp`` objects (compared by identity) share one batch, and
+    so apply each gate of that run once, until their lists diverge.
+    """
+    _evolve_group(passes, 0, zero_amps(n)[None],
+                  sorted(shots, key=lambda shot: shot.errors[0][0]))
+
+
+def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> None:
+    """Evolve a group of ``passes`` that share their first ``start`` gates.
+
+    ``shots`` are the group's erring shots, sorted by first erring gate;
+    ``batch`` holds the state after those gates: row 0 noiseless, and row
+    1 + k for each shot k that erred among them.
+    """
+    gates = passes[0].gates
+    end = min(_shared_run(gates, npass.gates) for npass in passes)
+    joined = sum(shot.errors[0][0] < start for shot in shots)
+    errors: dict[int, list] = {}  # gate index -> (row, site, Pauli name) after it
+    for row, shot in enumerate(shots, 1):
+        for gi, q, name in shot.errors:
+            errors.setdefault(gi, []).append((row, q, name))
+    for gi in range(start, end):
+        batch = apply_gate_amps(batch, gates[gi])
+        joining = joined
+        while joining < len(shots) and shots[joining].errors[0][0] == gi:
+            joining += 1
+        if joining > joined:
+            batch = np.concatenate([batch, np.repeat(batch[:1], joining - joined, axis=0)])
+            joined = joining
+        for row, q, name in errors.get(gi, ()):
+            batch[row] = apply_gate_amps(batch[row], pauli_gate(name, q))
+    branches: dict[int, list] = {}  # the passes that go on, by their next gate
+    for npass in passes:
+        if len(npass.gates) == end:
+            npass.cdf = sampling_cdf(batch[0])
+        else:
+            branches.setdefault(id(npass.gates[end]), []).append(npass)
+    for row, shot in enumerate(shots, 1):
+        if len(shot.npass.gates) == end:
+            shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
+                                              side="right"))
+    for group in branches.values():
+        members = [k for k, shot in enumerate(shots) if shot.npass in group]
+        _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
+                      [shots[k] for k in members])
+
+
+def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
+                    magnitude_source) -> list[OverlapEstimate]:
+    """The estimation cells at time t, one per (stream, noise) pair of
+    ``cells``: the realizations of a series step, or the mitigation modes of
+    an ablation step.  Pool 0 of each circuit runs without the twirl layer
+    and pool 1 with it; circuit i's pool p draws from the stream
+    (*stream, i, p), or, noisy, shot j from (*stream, i, p, j).
+
+    Noiseless pools draw from the mirrored states' CDFs.  Noisy pools run in
+    three phases: every pool draws its shots' streams (``_NoisyPool``); the
+    passes, one per (circuit, twirl) that a pool runs, evolve their noiseless
+    states and erring shots in batches (``_evolve_passes``); then every pool
+    reads its samples.
+    """
+    passes: dict[tuple, _Pass] = {}
+    erring: list[_ErringShot] = []
+    drawn = []  # per cell, per circuit: its pools' samples or _NoisyPool
+    for stream, noise in cells:
+        angle = twirl_angle(noise)
+        noisy = noise is not None and noise.p_pauli > 0
+        circuit_pools = []
+        for i, m_i in enumerate(plan.allocate()):
+            n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
+            pools = []
+            for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
+                if shots == 0:
+                    continue
+                key, pool_angle = (*stream, i, pool), angle if pool else None
+                if noisy:
+                    if (i, pool_angle) not in passes:
+                        passes[i, pool_angle] = _Pass(circuits.pass_gates(i, t, pool_angle))
+                    pools.append(_NoisyPool(passes[i, pool_angle], shots, noise.p_pauli,
+                                            streams, key))
+                    erring += pools[-1].shots
+                else:
+                    pools.append(sample_bitstrings(circuits.cdf(i, t, pool_angle), shots,
+                                                   streams(key)))
+            circuit_pools.append(pools)
+        drawn.append(circuit_pools)
+    if passes:
+        _evolve_passes(list(passes.values()), erring, circuits.n)
+    return [_cell_estimate(circuits, ham, t, noise, circuit_pools, magnitude_source)
+            for (_, noise), circuit_pools in zip(cells, drawn)]
+
+
+def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_pools,
                    magnitude_source) -> OverlapEstimate:
-    """One estimation cell.  Noisy cells run one trajectory per shot;
-    noiseless cells draw from the mirrored states' CDFs.  Pool 0 of each
-    circuit runs without the twirl layer and pool 1 with it, and the shots
-    of circuit i's pool p use the stream (*stream, i, p)."""
-    angle = twirl_angle(noise)
-    noisy = noise is not None and noise.p_pauli > 0
+    """The estimate of one cell from its pools, per circuit."""
     fractions = [float("nan")] * 3
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
-    for i, m_i in enumerate(plan.allocate()):
-        n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
-        parts = []
-        for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
-            if shots == 0:
-                continue
-            key, pool_angle = (*stream, i, pool), angle if pool else None
-            if noisy:
-                npass = circuits.noiseless_pass(i, t, pool_angle)
-                parts.append(_sample_noisy(npass, shots, noise, seed, key))
-            else:
-                parts.append(sample_bitstrings(circuits.cdf(i, t, pool_angle), shots, seed, key))
-        if not parts:
+    for i, pools in enumerate(circuit_pools):
+        if not pools:
             continue
-        samples = np.concatenate(parts)
+        samples = np.concatenate([pool if isinstance(pool, np.ndarray) else pool.samples()
+                                  for pool in pools])
         if i == 0 and noise is not None and noise.enable_postselect:
             samples, discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs,
                                                  circuits.n)
@@ -400,21 +500,24 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
     """Sampled series, one ``(OverlapSeries, per-step OverlapEstimate list)``
     pair per entry of ``realizations``.
 
-    Times run in the outer loop, so every realization r at a time draws from
-    what the circuits build once at that time, on its own streams
-    (r, k, circuit, pool).  For Floquet evolvers the negative-direction values
-    are sampled from the reversed-step circuits under the same plan.
+    Times run in the outer loop, and all realizations at a time are estimated
+    together (``_estimate_cells``): each draws from what the circuits build
+    once at that time, on its own streams (r, k, circuit, pool).  For Floquet
+    evolvers the negative-direction values are sampled from the
+    reversed-step circuits under the same plan.
     """
     realizations = tuple(realizations)
     circuits = _MirrorCircuits(psi0_prep, evolver)
+    streams = _StreamOpener(seed)
     noisy = noise is not None and noise.p_pauli > 0
 
     def direction(sign: int) -> list[list[OverlapEstimate]]:
         out: list[list[OverlapEstimate]] = [[] for _ in realizations]
         for k in range(sign, sign * (kmax + 1), sign):
-            for r, estimates in zip(realizations, out):
-                est = _estimate_cell(circuits, ham, k * dt, plan, seed, (r, k), noise,
-                                     magnitude_source)
+            cells = [((r, k), noise) for r in realizations]
+            ests = _estimate_cells(circuits, ham, k * dt, plan, streams, cells,
+                                   magnitude_source)
+            for r, est, estimates in zip(realizations, ests, out):
                 if est.value is None:
                     raise EstimateUndefined(
                         f"estimate undefined at step {k} of realization {r}: {est.flags}")
@@ -467,6 +570,7 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     over per-time batches.
     """
     e_ref = ham.reference_energy()
+    streams = _StreamOpener(seed)
     cells = list(_exact_cells(_MirrorCircuits(psi0_prep, ExactEvolver(ham)), times))
     modes = ("f1_sqrt", "eq19")
     rows = []
@@ -476,7 +580,7 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
             errs = {mode: [] for mode in modes}
             for it, (t, (probs, o_exact)) in enumerate(zip(times, cells)):
                 for r in range(n_realizations):
-                    rng = rng_stream(seed, it, r, int(m_total), int(round(f1_frac * 1000)))
+                    rng = streams((it, r, int(m_total), int(round(f1_frac * 1000))))
                     for mode, o_m in zip(modes, _binomial_overlaps(rng, counts, probs,
                                                                    e_ref, t, modes)):
                         errs[mode].append(abs(o_m - o_exact) ** 2)
@@ -507,14 +611,15 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
     circuits = _MirrorCircuits(psi0_prep, GateEvolver(ham))
+    streams = _StreamOpener(seed)
+    specs = [replace(noise, enable_postselect=mode in ("postselect", "both"),
+                     enable_twirl=mode in ("twirl", "both")) for mode in MITIGATION_MODES]
     times = [k * dt for k in range(1, kmax + 1)]
     rows = []
     for k, (t, (exact_f, o_exact)) in enumerate(zip(times, _exact_cells(circuits, times)), 1):
-        for mode in MITIGATION_MODES:
-            spec = replace(noise, enable_postselect=mode in ("postselect", "both"),
-                           enable_twirl=mode in ("twirl", "both"))
-            est = _estimate_cell(circuits, ham, t, plan, seed,
-                                 (k, MITIGATION_MODES.index(mode)), spec, magnitude_source)
+        cells = [((k, m), spec) for m, spec in enumerate(specs)]
+        ests = _estimate_cells(circuits, ham, t, plan, streams, cells, magnitude_source)
+        for mode, est in zip(MITIGATION_MODES, ests):
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")
                       for f, fx in zip(est.fractions, exact_f)]
             o_err = float("nan") if est.value is None else abs(est.value - o_exact)

@@ -2,21 +2,23 @@
 
 Noise model: after every applied multi-qubit gate, each touched qubit
 independently suffers a uniform X/Y/Z error with probability p.  This is a
-trajectory (pure-state) channel on a raw amplitude array; ensemble quantities
-are averages over trajectories with independent streams.
+trajectory (pure-state) channel; ensemble quantities are averages over
+trajectories with independent streams.
 
 Stream contract of one trajectory: one uniform per error slot (each site of
 each gate with two or more sites, in gate order), compared against p; after
-a slot's uniform falls below p, one integer picks its Pauli.  The mirror
-estimator then draws one more uniform to sample the final state.  It relies
-on this order: a shot whose slot uniforms all reach p reads a shared
-noiseless distribution, and a shot with an error resumes ``noisy_apply``
-from the noiseless state before the erring gate.  It draws a pool's slot
-uniforms, and the sample uniform after them, as one block with one row per
-shot stream (``statevec.stream_uniforms``); these are the same draws, in the
-same order, as the per-slot ``rng.random()`` calls of ``noisy_apply``.
-``NoiseSpec`` is the ``noise`` section of the run configuration, and
-``twirl_angle`` the one place that resolves its twirl angle.
+a slot's uniform falls below p, one integer ``integers(3)`` picks its Pauli
+from ``PAULI_NAMES``, applied after the slot's gate.  The mirror estimator
+then draws one more uniform to sample the final state.  It does not run one
+trajectory at a time: a shot whose slot uniforms all reach p reads the
+noiseless distribution of its circuit, and the shots with an error evolve
+as rows of one batch with that noiseless state, each joining it at its
+first erring gate (``mirror._NoisyPool`` and ``mirror._evolve_passes``).
+The draws are the same, in the same order, as a per-shot loop that applies
+the gates and draws ``rng.random()`` after each slot; ``tests/oracles.py``
+keeps that loop as the reference.  ``NoiseSpec`` is the ``noise`` section
+of the run configuration, and ``twirl_angle`` the one place that resolves
+its twirl angle.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import GateOp, apply_gate_amps, pauli_gate, rz_gate
+from .statevec import GateOp, rz_gate
 
-_PAULI_NAMES = ("X", "Y", "Z")
+PAULI_NAMES = ("X", "Y", "Z")  # the Pauli of an error, by its integer draw
 
 
 @dataclass(frozen=True)
@@ -50,19 +52,6 @@ def twirl_angle(noise: NoiseSpec | None) -> float | None:
     if noise is None or not noise.enable_twirl:
         return None
     return np.pi / 2 if noise.twirl_angle is None else noise.twirl_angle
-
-
-def noisy_apply(amps: np.ndarray, gates, spec: NoiseSpec,
-                rng: np.random.Generator) -> np.ndarray:
-    """Apply gates to ``amps``, inserting per-qubit Pauli errors after multi-qubit ones."""
-    for g in gates:
-        amps = apply_gate_amps(amps, g)
-        if spec.p_pauli > 0 and len(g.sites) >= 2:
-            for q in g.sites:
-                if rng.random() < spec.p_pauli:
-                    name = _PAULI_NAMES[rng.integers(len(_PAULI_NAMES))]
-                    amps = apply_gate_amps(amps, pauli_gate(name, q))
-    return amps
 
 
 def postselect_f1(samples: np.ndarray, pairing, n_sites: int):

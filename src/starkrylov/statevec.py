@@ -1,19 +1,22 @@
-"""Dense statevector engine; a state is a raw 1-D array of 2^n complex amplitudes.
+"""Dense statevector engine; a state is a raw 1-D array of 2^n complex amplitudes,
+and a batch of states a (B, 2^n) array with one state per row.
 
 Bit convention: site i is bit i of the basis index, bit 0 least significant;
 bit value 1 is spin down (S^z = -1/2), so the all-zero state is all-up.
 Gate matrices are indexed with sites[0] as the most significant local bit,
 i.e. a CNOT on sites (c, t) is the textbook matrix in the |c t> basis.
 
-One kernel, ``apply_gate_amps``, applies a gate to an amplitude array;
-``apply_circuit`` loops it over a gate list.  The kernel has two paths:
+One kernel, ``apply_gate_amps``, applies a gate to a state or to every row of
+a batch, with the same arithmetic per row; ``apply_circuit`` loops it over a
+gate list.  The kernel has two paths:
 
 - A general gate gathers the amplitudes into a (2^k, 2^(n-k)) block through a
-  cached index, multiplies by the matrix and scatters the result back.
+  cached index, multiplies by the matrix and puts the result back in basis
+  order through the inverse index.
 - A monomial gate, one whose matrix has exactly one nonzero in each row and
   column and every nonzero exactly 1, -1, 1j or -1j (X, Y, Z, CNOT, CZ), is a
-  signed permutation of the basis.  It is applied as ``amps[src]``,
-  ``amps * phase`` or ``amps[src] * phase`` from full-length arrays cached
+  signed permutation of the basis.  It is applied as ``amps[..., src]``,
+  ``amps * phase`` or ``amps[..., src] * phase`` from full-length arrays cached
   per (n, sites, pattern).  Every product with 0, +-1 or +-i is exact in
   IEEE arithmetic, and adding the zero terms of the matrix product changes
   at most the sign of a zero, so both paths give the same amplitudes up to
@@ -143,12 +146,14 @@ def _site_index(n: int, sites: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)  # one entry per general gate placement the circuits use
-def _gather_index(n: int, sites: tuple[int, ...]) -> np.ndarray:
-    """``_site_index`` flattened, so that ``amps[idx].reshape(2**k, -1)`` is
-    the gate's block."""
-    idx = _site_index(n, sites).reshape(-1)
-    idx.flags.writeable = False
-    return idx
+def _general_index(n: int, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(gather, scatter)`` of a general gate: ``amps.take(gather)``, reshaped
+    to (2**k, 2**(n-k)), is the gate's block (``_site_index`` flattened), and
+    ``block.take(scatter)`` puts a flattened block back in basis order."""
+    gather = _site_index(n, sites).reshape(-1)
+    scatter = np.argsort(gather)
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, scatter
 
 
 @lru_cache(maxsize=None)  # one entry per monomial gate placement the circuits use
@@ -173,19 +178,38 @@ def _monomial_index(n: int, sites: tuple[int, ...], pattern: tuple):
     return src, phase
 
 
-def apply_gate_amps(amps: np.ndarray, gate: GateOp) -> np.ndarray:
-    """The amplitudes of ``gate`` applied to the 2^n amplitudes ``amps``, as a
-    new array (the module docstring describes the two paths)."""
-    n = len(amps).bit_length() - 1
+# a (B, 2^n) batch larger than this many bytes goes through the kernel in
+# chunks of rows, so that a chunk's gathered block stays in cache
+_CHUNK_BYTES = 1 << 18
+
+
+def _apply(amps: np.ndarray, gate: GateOp) -> np.ndarray:
+    shape = amps.shape
+    n = shape[-1].bit_length() - 1
     if gate.monomial is None:
-        idx = _gather_index(n, gate.sites)
-        out = np.empty_like(amps)
-        out[idx] = (gate.matrix @ amps[idx].reshape(len(gate.matrix), -1)).reshape(-1)
-        return out
+        gather, scatter = _general_index(n, gate.sites)
+        block = amps.take(gather, axis=-1)
+        block.shape = shape[:-1] + (len(gate.matrix), -1)
+        return (gate.matrix @ block).reshape(shape).take(scatter, axis=-1)
     src, phase = _monomial_index(n, gate.sites, gate.monomial)
     if phase is None:
-        return amps.copy() if src is None else amps[src]
-    return (amps if src is None else amps[src]) * phase
+        return amps.copy() if src is None else amps.take(src, axis=-1)
+    return (amps if src is None else amps.take(src, axis=-1)) * phase
+
+
+def apply_gate_amps(amps: np.ndarray, gate: GateOp) -> np.ndarray:
+    """The amplitudes of ``gate`` applied to ``amps``, as a new array: one
+    state of 2^n amplitudes, or a (B, 2^n) batch of them, one per row (the
+    module docstring describes the two paths).  Each row gets the same
+    products as a state alone: the general path's stacked matrix product runs
+    one gemm of the 1-D shape per row."""
+    if amps.ndim == 1 or amps.nbytes <= _CHUNK_BYTES:
+        return _apply(amps, gate)
+    rows = max(1, _CHUNK_BYTES // amps[0].nbytes)
+    out = np.empty_like(amps)
+    for start in range(0, len(amps), rows):
+        out[start:start + rows] = _apply(amps[start:start + rows], gate)
+    return out
 
 
 def apply_circuit(amps: np.ndarray, gates) -> np.ndarray:
@@ -195,60 +219,58 @@ def apply_circuit(amps: np.ndarray, gates) -> np.ndarray:
 
 
 _KEY_MASK = (1 << 64) - 1
+_KEY_STEP = 0x9E3779B97F4A7C15
 
 
-def _stream_key(seed: int, stream_id, sid: int = 0) -> tuple[int, int]:
-    """The two Philox key words of stream (seed, *stream_id): the seed masked
-    to 64 bits, and the stream id parts folded into one word onto ``sid``, the
-    folded word of a stream prefix (0 for the empty prefix)."""
-    for part in stream_id:
-        sid = (sid * 0x9E3779B97F4A7C15 + int(part) + 1) & _KEY_MASK
-    return int(seed) & _KEY_MASK, sid
+def _fold(stream: tuple) -> int:
+    """The parts of ``stream`` folded into one 64-bit word, one at a time."""
+    word = 0
+    for part in stream:
+        word = (word * _KEY_STEP + int(part) + 1) & _KEY_MASK
+    return word
 
 
-def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
-    """Counter-based Philox generator keyed by (seed, stream id).
+class _StreamOpener:
+    """The streams (seed, *stream) of one seed, on one Philox.
 
-    Draw j from a stream is a pure function of the key and j, so parallel
-    consumers that own distinct stream ids never interact.
+    A stream's Philox key is two words: the seed masked to 64 bits, and the
+    stream's parts folded onto 0 (``_fold``).  Draw j of a stream is a pure
+    function of its key and j (a counter-based Philox), so consumers that own
+    distinct streams never interact.
+
+    Opening a stream re-keys the Philox and returns the same Generator over
+    it, so a generator opened earlier is reset too.  The Philox state it sets
+    holds plain ints: the stream's key, counter zero and an empty buffer, where
+    a Philox constructed with that key starts, without the entropy draw its
+    constructor makes.
     """
-    key = np.array(_stream_key(seed, stream_id), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
+    def __init__(self, seed: int):
+        self._key = [int(seed) & _KEY_MASK, 0]
+        self._bits = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bits)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+                       "uinteger": 0}
 
-def _stream_opener(seed: int, stream: tuple):
-    """A function of j that returns a generator at the start of stream
-    (seed, *stream, j), equal in its draws to ``rng_stream(seed, *stream, j)``.
+    def _rekey(self, word: int) -> np.random.Generator:
+        self._key[1] = word
+        self._bits.state = self._state
+        return self._gen
 
-    Every call re-keys and returns the same Generator over one Philox, so a
-    generator it returned earlier is reset too.  Setting the Philox state to
-    the stream's key with counter zero and an empty buffer is where a freshly
-    keyed Philox starts, without the entropy draw its constructor makes.
-    """
-    seed_word, prefix = _stream_key(seed, stream)
-    bits = np.random.Philox(key=np.array([seed_word, prefix], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
+    def __call__(self, stream: tuple) -> np.random.Generator:
+        """A generator at the start of stream (seed, *stream)."""
+        return self._rekey(_fold(stream))
 
-    def open_stream(j: int) -> np.random.Generator:
-        key[1] = _stream_key(seed, (j,), prefix)[1]
-        bits.state = state
-        return gen
-
-    return open_stream
-
-
-def stream_uniforms(open_stream, count: int, n: int) -> np.ndarray:
-    """The first n uniforms of each stream j < count of ``open_stream`` (a
-    ``_stream_opener(seed, stream)``) as row j of a (count, n) array: row j
-    equals ``rng_stream(seed, *stream, j).random(n)``.  The opener's one
-    Philox serves every row.
-    """
-    out = np.empty((count, n))
-    for j, row in enumerate(out):
-        open_stream(j).random(out=row)
-    return out
+    def uniforms(self, stream: tuple, count: int, n: int) -> np.ndarray:
+        """The first n uniforms of each stream (seed, *stream, j), j < count,
+        as row j of a (count, n) array."""
+        step = _fold(stream) * _KEY_STEP + 1  # folding j onto it is (step + j) & mask
+        out = np.empty((count, n))
+        for j, row in enumerate(out):
+            self._rekey((step + j) & _KEY_MASK).random(out=row)
+        return out
 
 
 def sampling_cdf(amps: np.ndarray) -> np.ndarray:
@@ -258,13 +280,12 @@ def sampling_cdf(amps: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def sample_bitstrings(cdf: np.ndarray, shots: int, seed: int, stream=(0,)) -> np.ndarray:
+def sample_bitstrings(cdf: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Basis-state indices drawn i.i.d. by inverse CDF from ``cdf`` (a
-    ``sampling_cdf``) with the uniforms of stream (seed, *stream)."""
+    ``sampling_cdf``) with the first ``shots`` uniforms of ``rng``."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    u = rng_stream(seed, *stream).random(shots)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
 
 
 def all_zero_fraction(samples: np.ndarray) -> float:

@@ -7,7 +7,8 @@ patches, the bond-by-bond Trotter scheme, analytic CNOT counts per Trotter
 step, predicted step counts, the magnetization M(h) read off a curve, and the
 mirror-circuit quantities: mirrored states, exact F1/F2/F3, one sampled
 estimation cell, the series reconstructed from exact fractions and the
-shot-noise reference curve."""
+shot-noise reference curve; and the freshly keyed stream generator and the
+one-trajectory-at-a-time noise channel that the batched sampler replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,13 +19,14 @@ import numpy as np
 from starkrylov import krylov
 from starkrylov.mirror import (
     _binomial_overlaps,
-    _estimate_cell,
+    _estimate_cells,
     _exact_cells,
     _MirrorCircuits,
     _zero_probabilities,
     reconstruct,
 )
-from starkrylov.statevec import rng_stream
+from starkrylov.noise import PAULI_NAMES
+from starkrylov.statevec import _StreamOpener, apply_gate_amps, pauli_gate
 from starkrylov.trotter import TrotterScheme
 
 DEGENERACY_RTOL = 1e-9
@@ -340,5 +342,34 @@ def estimate_overlap(psi0_prep, evolver, ham, t: float, plan, seed: int, stream=
     index, realization, ...); all randomness is a pure function of
     (seed, stream, circuit, shot), so cells can run in any order.
     """
-    return _estimate_cell(_MirrorCircuits(psi0_prep, evolver), ham, t, plan, seed,
-                          stream, noise, magnitude_source)
+    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), ham, t, plan,
+                                 _StreamOpener(seed), [(stream, noise)], magnitude_source)
+    return estimate
+
+
+# -- streams and trajectories --------------------------------------------------------
+
+def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
+    """A freshly constructed Philox generator keyed by the seed modulo 2^64
+    and the stream id parts folded into one word: the reference for the
+    re-keyed generators of ``statevec._StreamOpener``."""
+    word = 0
+    for part in stream_id:
+        word = (word * 0x9E3779B97F4A7C15 + int(part) + 1) % 2 ** 64
+    key = np.array([int(seed) % 2 ** 64, word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def noisy_apply(amps: np.ndarray, gates, spec, rng: np.random.Generator) -> np.ndarray:
+    """One Pauli trajectory, one gate and one draw at a time: apply ``gates``
+    to ``amps``, and after each gate with two or more sites draw one uniform
+    per site, and a Pauli on that site when the uniform falls below p.  The
+    reference for the batched trajectories of ``mirror._evolve_passes``."""
+    for g in gates:
+        amps = apply_gate_amps(amps, g)
+        if spec.p_pauli > 0 and len(g.sites) >= 2:
+            for q in g.sites:
+                if rng.random() < spec.p_pauli:
+                    name = PAULI_NAMES[rng.integers(len(PAULI_NAMES))]
+                    amps = apply_gate_amps(amps, pauli_gate(name, q))
+    return amps

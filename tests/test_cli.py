@@ -101,6 +101,8 @@ def test_unknown_config_key_refused(tmp_path):
     {"initial": {"kind": "sector", "sz": 1}, "evolver": "floquet", "steps": 2,
      "shots": {"total": 100}, "noise": {"enable_postselect": True}},
     {"initial": {"kind": "sector", "sz": 4}, "steps": 2, "shots": {"total": 100}},
+    ("--threads", "0"),
+    ("--threads", "-3"),
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
@@ -115,9 +117,12 @@ def test_unknown_config_key_refused(tmp_path):
         "allocation-realizations-zero", "allocation-f1-grid-empty", "seed-negative",
         "seed-above-64-bits", "n-triangles-above-qubit-cap", "n-triangles-two",
         "noise-without-shots", "postselect-without-shots", "twirl-without-shots",
-        "postselect-pairing-leaves-sites-out", "sampled-state-without-dimers"])
+        "postselect-pairing-leaves-sites-out", "sampled-state-without-dimers",
+        "threads-zero", "threads-negative"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
-    assert run(tmp_path, "magnetization", config) == 2
+    # a tuple row holds command-line arguments rather than a config
+    extra = config if isinstance(config, tuple) else ()
+    assert run(tmp_path, "magnetization", None if extra else config, extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err

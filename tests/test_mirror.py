@@ -7,7 +7,9 @@ from oracles import (
     estimate_overlap,
     exact_fractions,
     mirror_states,
+    noisy_apply,
     overlap_series_mirror_exact,
+    rng_stream,
     shot_noise_reference,
 )
 from starkrylov import mirror as mirror_module
@@ -19,9 +21,14 @@ from starkrylov.mirror import (
     ExactEvolver,
     GateEvolver,
     ShotPlan,
+    _ErringShot,
     _MirrorCircuits,
+    _NoisyPool,
+    _Pass,
+    _estimate_cells,
+    _evolve_passes,
     _exact_cells,
-    _sample_noisy,
+    _shared_run,
     allocation_study,
     exact_overlap,
     make_evolver,
@@ -30,12 +37,12 @@ from starkrylov.mirror import (
     overlap_series_sampled,
     reconstruct,
 )
-from starkrylov.noise import NoiseSpec, noisy_apply, postselect_f1, twirl_angle, twirl_layer
+from starkrylov.noise import NoiseSpec, postselect_f1, twirl_angle, twirl_layer
 from starkrylov.prep import dressed_initial, invert, pinwheel, reference_superposition
 from starkrylov.statevec import (
+    _StreamOpener,
     all_zero_fraction,
     apply_circuit,
-    rng_stream,
     sample_bitstrings,
     sampling_cdf,
     zero_amps,
@@ -226,7 +233,8 @@ def _per_cell_reference(prep, evolver, ham, t, plan, seed, stream, noise):
             if pool:
                 state = apply_circuit(state, twirl_layer(prep.n_sites, twirl_angle(noise)))
             state = apply_circuit(state, invert(inv).gates)
-            pools.append(sample_bitstrings(sampling_cdf(state), shots, seed, (*stream, i, pool)))
+            pools.append(sample_bitstrings(sampling_cdf(state), shots,
+                                            rng_stream(seed, *stream, i, pool)))
         samples = np.concatenate(pools)
         if i == 0 and noise is not None and noise.enable_postselect:
             samples, _ = postselect_f1(samples, prep.dimer_pairs, prep.n_sites)
@@ -269,8 +277,8 @@ def test_shared_states_match_per_cell_reference(problem, kind, twirl):
 
 
 def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream):
-    """The per-shot loop the shared noiseless pass replaces: every shot runs
-    its whole trajectory from |0..0> and samples its own final state."""
+    """The per-shot loop the batched passes replace: every shot runs its whole
+    trajectory from |0..0> and samples its own final state."""
     samples = np.empty(shots, dtype=np.int64)
     for j in range(shots):
         rng = rng_stream(seed, *stream, j)
@@ -282,30 +290,71 @@ def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream):
 
 @pytest.mark.parametrize("kind", ["trotter", "floquet"])
 @pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl"])
-def test_noisy_sampling_matches_per_shot_reference(problem, monkeypatch, kind, twirl):
+def test_noisy_sampling_matches_per_shot_reference(problem, kind, twirl):
     _, ham, prep = problem
     circuits = _MirrorCircuits(prep, make_evolver(kind, ham, dt_step=DT))
-    replays = []
-
-    def counted_noisy_apply(*args):
-        replays.append(1)
-        return noisy_apply(*args)
-
-    monkeypatch.setattr(mirror_module, "noisy_apply", counted_noisy_apply)
     for case, p in enumerate((1e-3, 0.05, 0.5, 1.0)):
-        npass = circuits.noiseless_pass(case % 3, 2 * DT, np.pi / 2 if twirl else None)
+        gates = circuits.pass_gates(case % 3, 2 * DT, np.pi / 2 if twirl else None)
         noise = NoiseSpec(p_pauli=p)
         shots = 300 if p == 1e-3 else 60
-        replays.clear()
-        got = _sample_noisy(npass, shots, noise, 6, (case, 1))
-        assert np.array_equal(got, _per_shot_noisy_reference(npass.gates, prep.n_sites,
+        npass = _Pass(gates)
+        pool = _NoisyPool(npass, shots, p, _StreamOpener(6), (case, 1))
+        _evolve_passes([npass], pool.shots, prep.n_sites)
+        got = pool.samples()
+        assert np.array_equal(got, _per_shot_noisy_reference(gates, prep.n_sites,
                                                              shots, noise, 6, (case, 1)))
-        # p = 1e-3 runs both branches: error-free shots and shots that replay
-        # from a prefix; at p = 1 every shot errs at its first slot
+        # p = 1e-3 runs both branches: error-free shots and shots that join the
+        # batch at an erring gate; p = 0.5 replays several errors per shot; at
+        # p = 1 every shot errs at every slot, from its first on
         if p == 1e-3:
-            assert 0 < len(replays) < shots
+            assert 0 < len(pool.shots) < shots
+        if p == 0.5:
+            assert max(len(shot.errors) for shot in pool.shots) > 1
         if p == 1.0:
-            assert len(replays) == shots
+            assert len(pool.shots) == shots
+            assert all([e[:2] for e in shot.errors] == npass.slots for shot in pool.shots)
+
+
+def _noisy_cell_reference(prep, evolver, t, plan, seed, stream, noise):
+    """The fractions of one noisy cell from per-shot trajectories: circuit i's
+    pool p samples shot j on the stream (*stream, i, p, j)."""
+    circuits = _MirrorCircuits(prep, evolver)
+    angle = twirl_angle(noise)
+    fractions = []
+    for i, m_i in enumerate(plan.allocate()):
+        n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
+        samples = np.concatenate([
+            _per_shot_noisy_reference(circuits.pass_gates(i, t, angle if pool else None),
+                                      prep.n_sites, shots, noise, seed, (*stream, i, pool))
+            for pool, shots in enumerate((m_i - n_twirled, n_twirled)) if shots])
+        if i == 0 and noise.enable_postselect:
+            samples, _ = postselect_f1(samples, prep.dimer_pairs, prep.n_sites)
+        fractions.append(all_zero_fraction(samples))
+    return tuple(fractions)
+
+
+@pytest.mark.parametrize("kind", ["trotter", "floquet"])
+def test_batched_cells_match_cells_alone(problem, kind):
+    # the realizations of a series step, and the mitigation modes of an
+    # ablation step, run as one batch per time; each cell must give what it
+    # gives alone, and what per-shot trajectories give
+    _, ham, prep = problem
+    ev = make_evolver(kind, ham, dt_step=DT)
+    t, plan = 2 * DT, ShotPlan(90)
+    noise = NoiseSpec(p_pauli=0.05, enable_postselect=True, enable_twirl=True)
+    realizations = [((r, 2), noise) for r in range(3)]
+    modes = [((2, m), replace(noise, enable_postselect=mode in ("postselect", "both"),
+                              enable_twirl=mode in ("twirl", "both")))
+             for m, mode in enumerate(MITIGATION_MODES)]
+    for cells in (realizations, modes):
+        batched = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, plan, _StreamOpener(5),
+                                  cells, "f1_sqrt")
+        assert len(batched) == len(cells)
+        for (stream, spec), est in zip(cells, batched):
+            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, plan,
+                                      _StreamOpener(5), [(stream, spec)], "f1_sqrt")
+            assert est == alone
+            assert est.fractions == _noisy_cell_reference(prep, ev, t, plan, 5, stream, spec)
 
 
 def test_ablation_matches_per_mode_estimates(problem):
@@ -362,74 +411,119 @@ def test_exact_cells_equal_exact_overlap(problem, kind):
 
 def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     # the mitigation modes of one time and the realizations of a series share
-    # each (time, circuit, pool) noiseless pass
+    # each (time, circuit, pool) pass, and each pass is evolved once per time
     _, ham, prep = problem
-    built, requested = [], []
-    build = mirror_module._noiseless_pass
-    noiseless_pass = _MirrorCircuits.noiseless_pass
+    evolved, pools = [], []
+    evolve, pool_init = mirror_module._evolve_passes, _NoisyPool.__init__
 
-    def counted_build(*args):
-        built.append(1)
-        return build(*args)
+    def recorded_evolve(passes, shots, n):
+        evolved.append(passes)
+        return evolve(passes, shots, n)
 
-    def recorded_pass(self, i, t, twirl_angle):
-        requested.append((i, t, twirl_angle))
-        return noiseless_pass(self, i, t, twirl_angle)
+    def recorded_pool(self, npass, *args):
+        pools.append(npass)
+        pool_init(self, npass, *args)
 
-    monkeypatch.setattr(mirror_module, "_noiseless_pass", counted_build)
-    monkeypatch.setattr(_MirrorCircuits, "noiseless_pass", recorded_pass)
+    monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
+    monkeypatch.setattr(_NoisyPool, "__init__", recorded_pool)
+
+    def check(n_times, n_pools):
+        # one evolution per time, of distinct passes with distinct gate lists,
+        # and every pool runs one of them
+        assert [len(passes) for passes in evolved] == [6] * n_times
+        for passes in evolved:
+            assert len({tuple(map(id, npass.gates)) for npass in passes}) == 6
+        ids = [id(npass) for passes in evolved for npass in passes]
+        assert len(set(ids)) == len(ids) and set(map(id, pools)) == set(ids)
+        assert len(pools) == n_pools
+
     plan, noise = ShotPlan(60), NoiseSpec(p_pauli=0.02)
     mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4)
-    # per step: 3 circuits untwirled and 3 twirled, asked for by 18 mode pools
-    assert len(built) == 3 * 6 and len(requested) == 3 * 18
-    built.clear()
-    requested.clear()
+    # per step: 3 circuits untwirled and 3 twirled, run by 18 mode pools
+    check(3, 3 * 18)
+    evolved.clear()
+    pools.clear()
     overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, plan, seed=4,
                            noise=replace(noise, enable_twirl=True), realizations=(0, 1))
-    # 3 steps in each direction, 6 passes each, asked for by both realizations
-    assert len(built) == len(set(requested)) == 6 * 6
-    assert len(requested) == 2 * 6 * 6
+    # 3 steps in each direction, 6 passes each, run by both realizations' pools
+    check(6, 2 * 6 * 6)
 
 
 @pytest.mark.parametrize("kind", ["trotter", "floquet"])
 @pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl"])
 def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl):
-    # a pass starts from the already-built pass at its time that shares the
-    # longest run of gate objects; it must hold what it would hold alone
+    # passes evolve as one batch over the leading run of gate objects their
+    # lists share; each pass must give what it gives evolved alone
     _, ham, prep = problem
     evolver = make_evolver(kind, ham, dt_step=DT)
     t, angle = 2 * DT, np.pi / 2 if twirl else None
-    keys = [(i, a) for i in range(3) for a in dict.fromkeys((None, angle))]
-    kernel_calls = []
-    kernel = mirror_module.apply_gate_amps
+    angles = list(dict.fromkeys((None, angle)))
+    keys = [(i, a) for i in range(3) for a in angles]
+    circuits = _MirrorCircuits(prep, evolver)
+    rows, cdfs = [], []
+    kernel, cdf = mirror_module.apply_gate_amps, mirror_module.sampling_cdf
 
     def counted_kernel(amps, gate):
-        kernel_calls.append(1)
+        if amps.ndim == 2:  # a gate on a batch, not a Pauli on one row
+            rows.append(len(amps))
         return kernel(amps, gate)
 
+    def recorded_cdf(amps):
+        cdfs.append(amps.tobytes())
+        return cdf(amps)
+
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
-    circuits = _MirrorCircuits(prep, evolver)
-    passes = {key: circuits.noiseless_pass(key[0], t, key[1]) for key in keys}
-    applied = len(kernel_calls)
-    for (i, a), npass in passes.items():
-        alone = _MirrorCircuits(prep, evolver).noiseless_pass(i, t, a)
-        assert [g.label for g in npass.gates] == [g.label for g in alone.gates]
-        for field in ("prefix", "before", "owner", "cdf"):
-            assert np.array_equal(getattr(npass, field), getattr(alone, field)), field
-    # F3 shares the U_R preparation and the evolution (and, twirled, the twirl
-    # layer) with F2: the states before its first own gate are F2's objects
-    for a in dict.fromkeys((None, angle)):
-        f2, f3 = passes[(1, a)], passes[(2, a)]
-        run = next(k for k, (g2, g3) in enumerate(zip(f2.gates, f3.gates)) if g2 is not g3)
-        layer = 0 if a is None else prep.n_sites
-        assert run == len(circuits.preps[1].gates) + len(evolver.gates(t)) + layer
-        assert all(f3.prefix[k] is f2.prefix[k] for k in range(run + 1))
+    monkeypatch.setattr(mirror_module, "sampling_cdf", recorded_cdf)
+
+    def drawn(circuits, key, m):
+        npass = _Pass(circuits.pass_gates(key[0], t, key[1]))
+        return npass, _NoisyPool(npass, 40, 0.05, _StreamOpener(3), (m,)).shots
+
+    # every gate of each distinct gate-list prefix is applied once, to the
+    # whole batch; the six passes of one noisy8 time hold 258 gates, 92 of
+    # them shared
+    passes = {key: _Pass(circuits.pass_gates(key[0], t, key[1])) for key in keys}
+    _evolve_passes(list(passes.values()), [], prep.n_sites)
+    prefixes = {tuple(map(id, npass.gates[:k])) for npass in passes.values()
+                for k in range(1, len(npass.gates) + 1)}
     total = sum(len(npass.gates) for npass in passes.values())
+    assert len(rows) == len(prefixes) < total
     if kind == "floquet" and twirl:
-        # the six passes of one noisy8 time: 258 gates, 92 of them shared
-        assert (total, applied) == (258, 166)
-    else:
-        assert applied < total
+        assert (total, len(rows)) == (258, 166)
+
+    # F3 shares the U_R preparation and the evolution (and, twirled, the twirl
+    # layer) with F2.  With one erring shot per pass that joins after gate 0,
+    # the noiseless row and the shots of every F2 and F3 pass ride in one
+    # batch through the rest of the U_R preparation and the evolution
+    shared = len(circuits.preps[1].gates) + len(evolver.gates(t))
+    for a in angles:
+        layer = 0 if a is None else prep.n_sites
+        assert _shared_run(passes[(1, a)].gates, passes[(2, a)].gates) == shared + layer
+    shots = [_ErringShot(npass, [(0, npass.gates[0].sites[0], "Y")], 0.5)
+             for npass in passes.values()]
+    rows.clear()
+    _evolve_passes(list(passes.values()), shots, prep.n_sites)
+    assert rows.count(1 + 2 * len(angles)) == shared - 1
+
+    # with the shots the pools draw, each pass's noiseless CDF, its shots'
+    # samples and the final states behind them equal the pass built alone, on
+    # circuits of its own, and evolved alone
+    passes = {key: drawn(circuits, key, m) for m, key in enumerate(keys)}
+    assert all(shots for _, shots in passes.values())
+    cdfs.clear()
+    _evolve_passes([npass for npass, _ in passes.values()],
+                   [shot for _, shots in passes.values() for shot in shots], prep.n_sites)
+    together = sorted(cdfs)
+    cdfs.clear()
+    for m, (key, (npass, shots)) in enumerate(passes.items()):
+        alone, alone_shots = drawn(_MirrorCircuits(prep, evolver), key, m)
+        assert [g.label for g in alone.gates] == [g.label for g in npass.gates]
+        assert alone.slots == npass.slots
+        _evolve_passes([alone], alone_shots, prep.n_sites)
+        assert np.array_equal(alone.cdf, npass.cdf)
+        assert [s.errors for s in alone_shots] == [s.errors for s in shots]
+        assert [s.sample for s in alone_shots] == [s.sample for s in shots]
+    assert sorted(cdfs) == together
 
 
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import noisy_apply, rng_stream
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.mirror import GateEvolver
-from starkrylov.noise import NoiseSpec, noisy_apply, postselect_f1, twirl_layer
+from starkrylov.noise import NoiseSpec, postselect_f1, twirl_layer
 from starkrylov.prep import dressed_initial, invert, reference_superposition
 from starkrylov.statevec import (
     GateOp,
     apply_circuit,
-    rng_stream,
     sample_bitstrings,
     sampling_cdf,
     zero_amps,
@@ -84,7 +84,7 @@ def test_postselect_zero_discard_noiseless(n_tri):
     prep = dressed_initial(star)
     state = ham.evolve(prep.state(), 0.3)
     state = apply_circuit(state, invert(prep).gates)
-    samples = sample_bitstrings(sampling_cdf(state), 10 ** 5, seed=23)
+    samples = sample_bitstrings(sampling_cdf(state), 10 ** 5, rng_stream(23, 0))
     _, dropped = postselect_f1(samples, prep.dimer_pairs, star.n_sites)
     assert dropped == 0
 

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rng_stream
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.prep import MAPPER_MATRIX, pinwheel
 from starkrylov.statevec import (
-    _stream_opener,
     GateOp,
+    _StreamOpener,
     all_zero_fraction,
     apply_circuit,
     apply_gate_amps,
@@ -17,11 +18,9 @@ from starkrylov.statevec import (
     h_gate,
     pauli_gate,
     phase_gate,
-    rng_stream,
     rz_gate,
     sample_bitstrings,
     sampling_cdf,
-    stream_uniforms,
     x_gate,
     zero_amps,
 )
@@ -144,6 +143,27 @@ def test_monomial_kernel_equals_matmul_kernel(n):
         assert gate.monomial is None, gate.label
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_batched_kernel_bitwise_equals_rows(n):
+    # a (B, 2^n) batch gets, row by row, the very bytes the 1-D kernel gives
+    # each row alone, through the general and the monomial path; 17 and 65
+    # rows cross a chunk boundary (4 rows at 12 qubits, 64 at 8)
+    rng = np.random.default_rng(300 + n)
+    gates = _monomial_gates(n, rng)
+    for k in (1, 2, 3):
+        chosen = [int(q) for q in rng.choice(n, size=k, replace=False)]
+        for sites in (tuple(sorted(chosen)), tuple(chosen)):
+            gates.append(GateOp(sites, random_unitary(1 << k, rng)))
+    for rows in (1, 2, 3, 17, 65):
+        batch = np.array([random_state(n, seed=rows * 100 + r) for r in range(rows)])
+        for gate in gates:
+            out = apply_gate_amps(batch, gate)
+            assert out.shape == batch.shape and out is not batch
+            for row, amps in zip(out, batch):
+                assert row.tobytes() == apply_gate_amps(amps, gate).tobytes(), gate.label
+    assert [g.monomial is None for g in gates].count(True) == 6
+
+
 def test_gather_kernel_still_rejects_bad_sites():
     for _ in range(2):  # the second call must not hit a cached index
         with pytest.raises(ValueError, match="range"):
@@ -219,13 +239,13 @@ def test_exact_evolution_eigenstate_phase(star8):
 
 
 def test_sampling_deterministic_states():
-    samples = sample_bitstrings(sampling_cdf(zero_amps(3)), 100, seed=1)
+    samples = sample_bitstrings(sampling_cdf(zero_amps(3)), 100, rng_stream(1, 0))
     assert np.all(samples == 0)
 
 
 def test_sampling_binomial_fraction():
     plus = apply_gate_amps(zero_amps(1), h_gate(0))
-    samples = sample_bitstrings(sampling_cdf(plus), 10 ** 6, seed=42)
+    samples = sample_bitstrings(sampling_cdf(plus), 10 ** 6, rng_stream(42, 0))
     # 4 sigma of a fair binomial with 1e6 draws is 0.002
     assert abs(all_zero_fraction(samples) - 0.5) < 0.002
 
@@ -235,7 +255,7 @@ def test_sampling_matches_evolved_amplitude(star8):
     psi = ham.evolve(pinwheel(star).state(), 0.1)
     p_exact = float(np.abs(psi[0]) ** 2)
     shots = 10 ** 5
-    frac = all_zero_fraction(sample_bitstrings(sampling_cdf(psi), shots, seed=9))
+    frac = all_zero_fraction(sample_bitstrings(sampling_cdf(psi), shots, rng_stream(9, 0)))
     sigma = np.sqrt(max(p_exact * (1 - p_exact), 1e-12) / shots)
     assert abs(frac - p_exact) <= 5 * sigma + 1e-9
 
@@ -248,23 +268,43 @@ def total_variation(samples: np.ndarray, probs: np.ndarray) -> float:
 def test_sampling_total_variation_bound():
     psi = random_state(6, seed=11)
     shots = 4096
-    samples = sample_bitstrings(sampling_cdf(psi), shots, seed=13)
+    samples = sample_bitstrings(sampling_cdf(psi), shots, rng_stream(13, 0))
     probs = np.abs(psi) ** 2
     assert total_variation(samples, probs) < 4 * np.sqrt((1 << 6) / shots)
 
 
 def test_streams_reproducible_and_independent():
     psi = random_state(4, seed=20)
-    a = sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 2))
-    b = sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 2))
+    streams = _StreamOpener(7)
+    a = sample_bitstrings(sampling_cdf(psi), 50, streams((1, 2)))
+    b = sample_bitstrings(sampling_cdf(psi), 50, streams((1, 2)))
     assert np.array_equal(a, b)
-    c = sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 3))
+    c = sample_bitstrings(sampling_cdf(psi), 50, streams((1, 3)))
     assert not np.array_equal(a, c)
     # drawing stream (1,3) first does not change stream (1,2)
-    assert np.array_equal(a, sample_bitstrings(sampling_cdf(psi), 50, seed=7, stream=(1, 2)))
-    r1 = rng_stream(7, 5).random(4)
-    r2 = rng_stream(7, 5).random(4)
+    assert np.array_equal(a, sample_bitstrings(sampling_cdf(psi), 50, streams((1, 2))))
+    r1 = _StreamOpener(7)((5,)).random(4)
+    r2 = _StreamOpener(7)((5,)).random(4)
     assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2^64-1"])
+def test_stream_opener_matches_rng_stream(seed):
+    # one re-keyed Philox serves every stream; each opened stream must draw
+    # what a freshly keyed Philox draws, whatever the stream opened before it
+    # left behind (a half-used 32-bit word after integers(3), a part-used
+    # buffer), for the empty stream, streams that extend one another and
+    # negative parts (Floquet steps k < 0)
+    streams = _StreamOpener(seed)
+    cases = [(), (0,), (3,), (3, -1), (3, -1, 4), (3, -1, 4, 0, 2), (-5, 7), (2**40, -2**40)]
+    for stream in cases + cases[::-1]:
+        rng, ref = streams(stream), rng_stream(seed, *stream)
+        assert np.array_equal(rng.random(5), ref.random(5))
+        assert rng.integers(3) == ref.integers(3)
+        assert np.array_equal(rng.random(3), ref.random(3))
+        assert rng.integers(3) == ref.integers(3)
+        assert rng.binomial(40, 0.3) == ref.binomial(40, 0.3)
+        assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, -1], ids=["0", "2^63+5", "-1"])
@@ -275,7 +315,7 @@ def test_stream_uniforms_match_rng_stream(seed):
     for stream in ((), (3, -1, 4)):
         for n in (1, 3, 4, 5, 73):
             for count in (1, 100):
-                block = stream_uniforms(_stream_opener(seed, stream), count, n)
+                block = _StreamOpener(seed).uniforms(stream, count, n)
                 reference = np.array([rng_stream(seed, *stream, j).random(n)
                                       for j in range(count)])
                 assert block.shape == (count, n)
