@@ -289,29 +289,29 @@ def _replay_errors(slots: list, streams, stream: tuple, first: int, p: float):
     hit as one ``random(k)``, then the hit's ``integers(3)``.  After each hit
     one block draws the remaining slot uniforms and the sample uniform.  When
     that block shows another hit, its draws past that hit are void: the
-    generator goes back to where it stood after the last hit (the reopened
-    stream replays the first hit; later hits keep a copy of the Philox state)
-    and draws up to the new hit.
+    generator goes back to the Philox state it saved after the last hit and
+    draws up to the new hit.
     """
     rng = streams(stream)
     rng.random(first + 1)
-    hits, picks, saved = [first], [int(rng.integers(len(PAULI_NAMES)))], None
+    hits, picks = [first], [int(rng.integers(len(PAULI_NAMES)))]
     while True:
+        saved = rng.bit_generator.state
         done = hits[-1] + 1
         rest = rng.random(len(slots) - done + 1)
         more = np.flatnonzero(rest[:-1] < p)
         if len(more) == 0:
             return [(*slots[h], PAULI_NAMES[k]) for h, k in zip(hits, picks)], float(rest[-1])
-        if saved is None:
-            rng = streams(stream)
-            rng.random(first + 1)
-            rng.integers(len(PAULI_NAMES))
-        else:
-            rng.bit_generator.state = saved
+        rng.bit_generator.state = saved
         rng.random(more[0] + 1)
         hits.append(done + int(more[0]))
         picks.append(int(rng.integers(len(PAULI_NAMES))))
-        saved = rng.bit_generator.state
+
+
+# the most bytes one block of a pool's slot uniforms, or one batch of rows,
+# holds; the erring shots that would join a full batch evolve in a later batch
+# (``_evolve_group``)
+_BATCH_BYTES = 1 << 21
 
 
 class _NoisyPool:
@@ -319,23 +319,29 @@ class _NoisyPool:
     the stream (*stream, j).
 
     Construction draws every shot's streams.  The slot uniforms and one more
-    of every shot are drawn as one block (``_StreamOpener.uniforms``).  A
-    shot whose slot uniforms all reach p draws nothing else, so its last
-    uniform is its sample uniform.  A shot with a hit becomes an
-    ``_ErringShot``, with its errors replayed from its stream
-    (``_replay_errors``).  ``samples`` reads the shots' samples once
+    of every shot are drawn as one block (``_StreamOpener.uniforms``) per at
+    most ``_BATCH_BYTES`` of them.  A shot whose slot uniforms all reach p
+    draws nothing else, so its last uniform is its sample uniform.  A shot
+    with a hit becomes an ``_ErringShot``, with its errors replayed from its
+    stream (``_replay_errors``).  ``samples`` reads the shots' samples once
     ``_evolve_passes`` has run.
     """
 
     def __init__(self, npass: _Pass, shots: int, p: float, streams, stream: tuple):
         n_slots = len(npass.slots)
-        u = streams.uniforms(stream, shots, n_slots + 1)
-        hit = u[:, :n_slots] < p
-        self.npass, self.uniforms = npass, u[:, n_slots]
-        self.erring = np.flatnonzero(hit.any(axis=1))
-        self.shots = [_ErringShot(npass, *_replay_errors(npass.slots, streams,
-                                                         (*stream, j), first, p))
-                      for j, first in zip(self.erring, hit[self.erring].argmax(axis=1))]
+        block = max(1, _BATCH_BYTES // (8 * (n_slots + 1)))
+        self.npass, self.uniforms = npass, np.empty(shots)
+        erring, self.shots = [], []
+        for start in range(0, shots, block):
+            u = streams.uniforms(stream, min(block, shots - start), n_slots + 1, start)
+            hit = u[:, :n_slots] < p
+            self.uniforms[start:start + len(u)] = u[:, n_slots]
+            rows = np.flatnonzero(hit.any(axis=1))
+            erring.append(start + rows)
+            self.shots += [_ErringShot(npass, *_replay_errors(npass.slots, streams,
+                                                              (*stream, start + j), first, p))
+                           for j, first in zip(rows, hit[rows].argmax(axis=1))]
+        self.erring = np.concatenate(erring)
 
     def samples(self) -> np.ndarray:
         samples = np.searchsorted(self.npass.cdf, self.uniforms, side="right")
@@ -365,38 +371,56 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
     ``shots`` are the group's erring shots, sorted by first erring gate;
     ``batch`` holds the state after those gates: row 0 noiseless, and row
     1 + k for each shot k that erred among them.
+
+    A batch holds at most ``_BATCH_BYTES`` (and at least two rows), so memory
+    does not grow with the shot count.  The shots that would join a full
+    batch wait: once the batch has run through every pass, they run as the
+    next batch, which starts from a copy of row 0 before the first of their
+    first erring gates and follows only the passes they run.
     """
     gates = passes[0].gates
     end = min(_shared_run(gates, npass.gates) for npass in passes)
-    joined = sum(shot.errors[0][0] < start for shot in shots)
-    errors: dict[int, list] = {}  # gate index -> (row, site, Pauli name) after it
-    for row, shot in enumerate(shots, 1):
-        for gi, q, name in shot.errors:
-            errors.setdefault(gi, []).append((row, q, name))
-    for gi in range(start, end):
-        batch = apply_gate_amps(batch, gates[gi])
-        joining = joined
-        while joining < len(shots) and shots[joining].errors[0][0] == gi:
-            joining += 1
-        if joining > joined:
-            batch = np.concatenate([batch, np.repeat(batch[:1], joining - joined, axis=0)])
-            joined = joining
-        for row, q, name in errors.get(gi, ()):
-            batch[row] = apply_gate_amps(batch[row], pauli_gate(name, q))
-    branches: dict[int, list] = {}  # the passes that go on, by their next gate
-    for npass in passes:
-        if len(npass.gates) == end:
-            npass.cdf = sampling_cdf(batch[0])
-        else:
-            branches.setdefault(id(npass.gates[end]), []).append(npass)
-    for row, shot in enumerate(shots, 1):
-        if len(shot.npass.gates) == end:
-            shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
-                                              side="right"))
-    for group in branches.values():
-        members = [k for k, shot in enumerate(shots) if shot.npass in group]
-        _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
-                      [shots[k] for k in members])
+    while True:
+        rows = max(2, _BATCH_BYTES // batch[0].nbytes)
+        waiting, resume = [], end
+        if len(shots) >= rows and shots[rows - 1].errors[0][0] < end:
+            shots, waiting = shots[:rows - 1], shots[rows - 1:]
+            resume = waiting[0].errors[0][0]
+        joined = len(batch) - 1
+        errors: dict[int, list] = {}  # gate index -> (row, site, Pauli name) after it
+        for row, shot in enumerate(shots, 1):
+            for gi, q, name in shot.errors:
+                errors.setdefault(gi, []).append((row, q, name))
+        for gi in range(start, end):
+            if gi == resume:
+                restart = batch[:1].copy()
+            batch = apply_gate_amps(batch, gates[gi])
+            joining = joined
+            while joining < len(shots) and shots[joining].errors[0][0] == gi:
+                joining += 1
+            if joining > joined:
+                batch = np.concatenate([batch, np.repeat(batch[:1], joining - joined, axis=0)])
+                joined = joining
+            for row, q, name in errors.get(gi, ()):
+                batch[row] = apply_gate_amps(batch[row], pauli_gate(name, q))
+        branches: dict[int, list] = {}  # the passes that go on, by their next gate
+        for npass in passes:
+            if len(npass.gates) > end:
+                branches.setdefault(id(npass.gates[end]), []).append(npass)
+            elif npass.cdf is None:
+                npass.cdf = sampling_cdf(batch[0])
+        for row, shot in enumerate(shots, 1):
+            if len(shot.npass.gates) == end:
+                shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
+                                                  side="right"))
+        for group in branches.values():
+            members = [k for k, shot in enumerate(shots) if shot.npass in group]
+            if members or any(npass.cdf is None for npass in group):
+                _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
+                              [shots[k] for k in members])
+        if not waiting:
+            return
+        start, batch, shots = resume, restart, waiting
 
 
 def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
@@ -415,7 +439,7 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
     """
     passes: dict[tuple, _Pass] = {}
     erring: list[_ErringShot] = []
-    drawn = []  # per cell, per circuit: its pools' samples or _NoisyPool
+    drawn = []  # per cell: whether it is noisy, and per circuit its pools
     for stream, noise in cells:
         angle = twirl_angle(noise)
         noisy = noise is not None and noise.p_pauli > 0
@@ -437,24 +461,25 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
                     pools.append(sample_bitstrings(circuits.cdf(i, t, pool_angle), shots,
                                                    streams(key)))
             circuit_pools.append(pools)
-        drawn.append(circuit_pools)
+        drawn.append((noisy, circuit_pools))
     if passes:
         _evolve_passes(list(passes.values()), erring, circuits.n)
-    return [_cell_estimate(circuits, ham, t, noise, circuit_pools, magnitude_source)
-            for (_, noise), circuit_pools in zip(cells, drawn)]
+    samples = [[[pool.samples() for pool in pools] for pools in circuit_pools]
+               if noisy else circuit_pools for noisy, circuit_pools in drawn]
+    return [_cell_estimate(circuits, ham, t, noise, circuit_samples, magnitude_source)
+            for (_, noise), circuit_samples in zip(cells, samples)]
 
 
-def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_pools,
+def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_samples,
                    magnitude_source) -> OverlapEstimate:
-    """The estimate of one cell from its pools, per circuit."""
+    """The estimate of one cell from its pools' samples, per circuit."""
     fractions = [float("nan")] * 3
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
-    for i, pools in enumerate(circuit_pools):
+    for i, pools in enumerate(circuit_samples):
         if not pools:
             continue
-        samples = np.concatenate([pool if isinstance(pool, np.ndarray) else pool.samples()
-                                  for pool in pools])
+        samples = np.concatenate(pools)
         if i == 0 and noise is not None and noise.enable_postselect:
             samples, discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs,
                                                  circuits.n)

@@ -263,12 +263,12 @@ class _StreamOpener:
         """A generator at the start of stream (seed, *stream)."""
         return self._rekey(_fold(stream))
 
-    def uniforms(self, stream: tuple, count: int, n: int) -> np.ndarray:
-        """The first n uniforms of each stream (seed, *stream, j), j < count,
-        as row j of a (count, n) array."""
+    def uniforms(self, stream: tuple, count: int, n: int, start: int = 0) -> np.ndarray:
+        """The first n uniforms of each stream (seed, *stream, j),
+        start <= j < start + count, as row j - start of a (count, n) array."""
         step = _fold(stream) * _KEY_STEP + 1  # folding j onto it is (step + j) & mask
         out = np.empty((count, n))
-        for j, row in enumerate(out):
+        for j, row in enumerate(out, start):
             self._rekey((step + j) & _KEY_MASK).random(out=row)
         return out
 

@@ -526,6 +526,51 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
     assert sorted(cdfs) == together
 
 
+@pytest.mark.parametrize("kind", ["trotter", "floquet"])
+@pytest.mark.parametrize("rows", [2, 3, 7])
+def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
+    # with a batch of at most `rows` rows, the erring shots that do not fit
+    # evolve in later batches, and with rows < 7 some pools draw their slot
+    # uniforms in more than one block; every pass's noiseless CDF and every
+    # shot's sample must equal the one-batch evolution and the per-shot
+    # reference
+    _, ham, prep = problem
+    evolver = make_evolver(kind, ham, dt_step=DT)
+    t, angle, p = 2 * DT, np.pi / 2, 0.05
+    keys = [(i, a) for i in range(3) for a in (None, angle)]
+
+    def drawn():
+        circuits = _MirrorCircuits(prep, evolver)
+        pools = [_NoisyPool(_Pass(circuits.pass_gates(i, t, a)), 30, p, _StreamOpener(5), (m,))
+                 for m, (i, a) in enumerate(keys)]
+        _evolve_passes([pool.npass for pool in pools],
+                       [shot for pool in pools for shot in pool.shots], prep.n_sites)
+        return pools
+
+    one_batch = drawn()
+    assert max(len(pool.shots) for pool in one_batch) > rows
+    batches = []
+    kernel = mirror_module.apply_gate_amps
+
+    def counted_kernel(amps, gate):
+        if amps.ndim == 2:
+            batches.append(len(amps))
+        return kernel(amps, gate)
+
+    monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
+    monkeypatch.setattr(mirror_module, "_BATCH_BYTES", rows * 16 << prep.n_sites)
+    bounded = drawn()
+    assert max(batches) == rows
+    if rows < 7:
+        assert any(8 * (len(pool.npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
+                   for pool in bounded)
+    for m, (pool, alone) in enumerate(zip(bounded, one_batch)):
+        assert np.array_equal(pool.npass.cdf, alone.npass.cdf)
+        assert [s.sample for s in pool.shots] == [s.sample for s in alone.shots]
+        assert np.array_equal(pool.samples(), _per_shot_noisy_reference(
+            pool.npass.gates, prep.n_sites, 30, NoiseSpec(p_pauli=p), 5, (m,)))
+
+
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
     # all circuits, pools, times and directions of a series share the twirl
     # layers: one with the reference-branch check, one without (F1, noisy only)
