@@ -11,8 +11,12 @@ with O = r e^{i theta} and E_R the analytic reference-state energy.  The
 complex overlap is recovered as
   O = [2 F2 + 2i F3 - (F1 + 1)(i + 1)/2] e^{-i E_R t},
 optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
-(``ExactEvolver``) or m gate steps of t/m (``GateEvolver``: Trotter, or the
-single Floquet step F_t); ``_MirrorCircuits`` builds what one time needs once.
+(``ExactEvolver``, one step of a gate list) or m gate steps of t/m
+(``GateEvolver``: Trotter, or the single Floquet step F_t).
+``_MirrorCircuits`` builds the passes one time needs once, and
+``_evolve_passes`` builds every mirrored state: the noiseless state that
+noiseless pools sample and exact cells read, and the shots that draw an
+error, as rows of one batch.
 """
 from __future__ import annotations
 
@@ -55,8 +59,20 @@ class ExactEvolver:
     def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
         return self.ham.evolve(amps, t)
 
-    def gates(self, t: float):
-        return None
+    def gates(self, t: float) -> list:
+        return [_Evolution(self.ham, t)]
+
+
+class _Evolution:
+    """exp(-i H t) as one step of a gate list.  It acts on no sites, so it
+    has no error slot (``_Pass``), and ``ham.evolve`` applies it to each row
+    of a batch (``_evolve_group``); noisy cells refuse the exact evolver, so
+    the noiseless row is the only one it meets."""
+
+    sites = ()
+
+    def __init__(self, ham, t: float):
+        self.ham, self.t = ham, t
 
 
 class GateEvolver:
@@ -144,19 +160,17 @@ class _MirrorCircuits:
     """F1, F2, F3 circuits of one psi0 preparation under one evolver.
 
     The preparations U0, U_R, U_Ri and their inverses are built once, and so
-    is each twirl layer.  The noiseless starting states |u0>, |u_R> are
-    prepared on first use, so callers that only run noisy trajectories never
-    build them.  Everything else is built once per time, on first use, and
-    held until the time changes, so every pool, mitigation mode and
-    realization at that time shares it: the evolver's gate list, the evolved
-    |u0> and |u_R>, and the mirrored states and their sampling CDFs per twirl
-    angle.
+    is the twirl layer of each angle.  The evolver's gate list and the
+    passes, one ``_Pass`` per (circuit, twirl angle), are built once per
+    time, on first use, and held until the time changes, so every pool,
+    mitigation mode, realization and exact cell at that time shares them.
+    ``_evolve_passes`` is the one place their mirrored states are built.
 
-    The gate lists of the noisy passes (``pass_gates``) share gate objects:
-    F2 and F3 apply the same U_R preparation and evolution, the twirled F2
-    and F3 the same twirl layer after them, and a twirled pass equals its
-    untwirled pass up to the layer.  ``_evolve_passes`` applies each leading
-    run of identical ``GateOp`` objects once for all the passes that share it.
+    The gate lists of the passes share gate objects: F2 and F3 apply the
+    same U_R preparation and evolution, the twirled F2 and F3 the same twirl
+    layer after them, and a twirled pass equals its untwirled pass up to the
+    layer.  ``_evolve_passes`` applies each leading run of identical gate
+    objects once for all the passes that share it.
     """
 
     def __init__(self, psi0_prep: PrepCircuit, evolver):
@@ -166,9 +180,8 @@ class _MirrorCircuits:
         self.evolver = evolver
         self.preps = (psi0_prep, u_r, u_r)  # prepared state of F1, F2, F3
         self.inverses = tuple(invert(p).gates for p in (psi0_prep, u_r, u_ri))
-        self.starts = None  # |u0>, |u_R>
         self._time, self._built = None, {}  # the current time and what is built at it
-        self._twirls: dict[tuple[float, bool], list] = {}
+        self._twirls: dict[float, list] = {}
 
     def _at(self, t: float, key: tuple, build):
         """``build()``, called once per time t and key."""
@@ -178,57 +191,24 @@ class _MirrorCircuits:
             self._built[key] = build()
         return self._built[key]
 
-    def _twirl(self, angle: float, superposition_role: bool) -> list:
-        key = (angle, superposition_role)
-        if key not in self._twirls:
-            self._twirls[key] = twirl_layer(self.n, angle, superposition_role)
-        return self._twirls[key]
-
-    def gates(self, t: float):
-        """The evolver's gate list at t; None for exact evolution."""
-        return self._at(t, ("gates",), lambda: self.evolver.gates(t))
-
-    def evolved(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """|u0> and |u_R> evolved to t."""
-        if self.starts is None:
-            self.starts = (self.preps[0].state(), self.preps[1].state())
-
-        def build():
-            gates = self.gates(t)
-            return tuple(self.evolver.apply(s, t) if gates is None else apply_circuit(s, gates)
-                         for s in self.starts)
-        return self._at(t, ("evolved",), build)
-
-    def states(self, t: float, twirl_angle: float | None = None) -> tuple:
-        """The mirrored states of F1, F2, F3 at t, with the twirl layer
-        after the evolution when ``twirl_angle`` is given.  F3 reuses the
-        evolved |u_R> of F2."""
-        def build():
-            layer = [] if twirl_angle is None else self._twirl(twirl_angle, True)
-            u0_t, ur_t = (apply_circuit(s, layer) for s in self.evolved(t))
-            return tuple(apply_circuit(s, inv)
-                         for s, inv in zip((u0_t, ur_t, ur_t), self.inverses))
-        return self._at(t, ("states", twirl_angle), build)
-
-    def cdf(self, i: int, t: float, twirl_angle: float | None) -> np.ndarray:
-        """The sampling CDF of circuit i's mirrored state at t."""
-        return self._at(t, ("cdf", i, twirl_angle),
-                        lambda: sampling_cdf(self.states(t, twirl_angle)[i]))
+    def _twirl(self, angle: float) -> list:
+        """The twirl layer of ``angle``, checked for the reference branch:
+        F2 and F3 carry it, and F1 shares the layer."""
+        if angle not in self._twirls:
+            self._twirls[angle] = twirl_layer(self.n, angle, True)
+        return self._twirls[angle]
 
     def pass_gates(self, i: int, t: float, twirl_angle: float | None) -> list:
         """The gates of circuit i at t from |0..0>, with the twirl layer
         after the evolution when ``twirl_angle`` is given."""
-        evo = self.gates(t)
-        if evo is None:
-            raise ValueError("gate-based evolver required (exact evolution has no layers)")
-        gates = list(self.preps[i].gates) + evo
+        gates = list(self.preps[i].gates) + self._at(t, ("gates",), lambda: self.evolver.gates(t))
         if twirl_angle is not None:
-            gates += self._twirl(twirl_angle, i > 0)
+            gates += self._twirl(twirl_angle)
         return gates + list(self.inverses[i])
 
-
-def _zero_probabilities(states) -> tuple[float, float, float]:
-    return tuple(float(np.abs(s[0]) ** 2) for s in states)
+    def npass(self, i: int, t: float, twirl_angle: float | None) -> "_Pass":
+        """The pass of circuit i at t (``pass_gates``), built once per time."""
+        return self._at(t, (i, twirl_angle), lambda: _Pass(self.pass_gates(i, t, twirl_angle)))
 
 
 def exact_overlap(psi0: np.ndarray, evolver, t: float) -> complex:
@@ -259,13 +239,14 @@ class _Pass:
     """The gates of one circuit at one time, with or without the twirl layer.
     An error slot is one site of a gate with two or more sites, in gate
     order; ``slots`` holds the (gate index, site) of each.  ``cdf``, the
-    sampling CDF of the noiseless final state, is set by ``_evolve_passes``."""
+    sampling CDF of the noiseless final state, and ``zero``, its all-zero
+    probability, are set by ``_evolve_passes``."""
 
     def __init__(self, gates: list):
         self.gates = gates
         self.slots = [(gi, q) for gi, g in enumerate(gates) if len(g.sites) >= 2
                       for q in g.sites]
-        self.cdf = None
+        self.cdf = self.zero = None
 
 
 @dataclass(eq=False)
@@ -352,7 +333,7 @@ class _NoisyPool:
 def _evolve_passes(passes: list, shots: list, n: int) -> None:
     """Evolve the noiseless state of each of ``passes`` and the erring
     ``shots`` that run them from |0..0>, and sample them: set each pass's
-    ``cdf`` and each shot's ``sample``.
+    ``cdf`` and ``zero`` and each shot's ``sample``.
 
     The rows of one (B, 2^n) batch are the noiseless state, row 0, and the
     erring shots that have joined it.  A shot joins at its first erring gate
@@ -394,7 +375,11 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
         for gi in range(start, end):
             if gi == resume:
                 restart = batch[:1].copy()
-            batch = apply_gate_amps(batch, gates[gi])
+            step = gates[gi]
+            if step.sites:
+                batch = apply_gate_amps(batch, step)
+            else:  # the exact evolver's exp(-i H t)
+                batch = np.array([step.ham.evolve(row, step.t) for row in batch])
             joining = joined
             while joining < len(shots) and shots[joining].errors[0][0] == gi:
                 joining += 1
@@ -409,6 +394,7 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
                 branches.setdefault(id(npass.gates[end]), []).append(npass)
             elif npass.cdf is None:
                 npass.cdf = sampling_cdf(batch[0])
+                npass.zero = float(np.abs(batch[0, 0]) ** 2)
         for row, shot in enumerate(shots, 1):
             if len(shot.npass.gates) == end:
                 shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
@@ -423,6 +409,12 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
         start, batch, shots = resume, restart, waiting
 
 
+def _noiseless_pool(npass: _Pass, shots: int, streams, stream: tuple):
+    """One noiseless pool: a function that draws its samples from the pass's
+    CDF on ``stream``, once ``_evolve_passes`` has set it."""
+    return lambda: sample_bitstrings(npass.cdf, shots, streams(stream))
+
+
 def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
                     magnitude_source) -> list[OverlapEstimate]:
     """The estimation cells at time t, one per (stream, noise) pair of
@@ -431,18 +423,19 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
     and pool 1 with it; circuit i's pool p draws from the stream
     (*stream, i, p), or, noisy, shot j from (*stream, i, p, j).
 
-    Noiseless pools draw from the mirrored states' CDFs.  Noisy pools run in
-    three phases: every pool draws its shots' streams (``_NoisyPool``); the
-    passes, one per (circuit, twirl) that a pool runs, evolve their noiseless
-    states and erring shots in batches (``_evolve_passes``); then every pool
-    reads its samples.
+    Pools run in three phases: noisy pools draw their shots' streams
+    (``_NoisyPool``); the passes, one per (circuit, twirl) that a pool runs,
+    evolve their noiseless states and erring shots in batches
+    (``_evolve_passes``); then every pool draws or reads its samples.
     """
     passes: dict[tuple, _Pass] = {}
     erring: list[_ErringShot] = []
-    drawn = []  # per cell: whether it is noisy, and per circuit its pools
+    drawn = []  # per cell, per circuit: its pools' sample functions
     for stream, noise in cells:
         angle = twirl_angle(noise)
         noisy = noise is not None and noise.p_pauli > 0
+        if noisy and circuits.evolver.kind == "exact":
+            raise ValueError("gate-based evolver required (exact evolution has no error slots)")
         circuit_pools = []
         for i, m_i in enumerate(plan.allocate()):
             n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
@@ -451,23 +444,21 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
                 if shots == 0:
                     continue
                 key, pool_angle = (*stream, i, pool), angle if pool else None
+                npass = passes[i, pool_angle] = circuits.npass(i, t, pool_angle)
                 if noisy:
-                    if (i, pool_angle) not in passes:
-                        passes[i, pool_angle] = _Pass(circuits.pass_gates(i, t, pool_angle))
-                    pools.append(_NoisyPool(passes[i, pool_angle], shots, noise.p_pauli,
-                                            streams, key))
-                    erring += pools[-1].shots
+                    noisy_pool = _NoisyPool(npass, shots, noise.p_pauli, streams, key)
+                    erring += noisy_pool.shots
+                    pools.append(noisy_pool.samples)
                 else:
-                    pools.append(sample_bitstrings(circuits.cdf(i, t, pool_angle), shots,
-                                                   streams(key)))
+                    pools.append(_noiseless_pool(npass, shots, streams, key))
             circuit_pools.append(pools)
-        drawn.append((noisy, circuit_pools))
+        drawn.append(circuit_pools)
     if passes:
         _evolve_passes(list(passes.values()), erring, circuits.n)
-    samples = [[[pool.samples() for pool in pools] for pools in circuit_pools]
-               if noisy else circuit_pools for noisy, circuit_pools in drawn]
-    return [_cell_estimate(circuits, ham, t, noise, circuit_samples, magnitude_source)
-            for (_, noise), circuit_samples in zip(cells, samples)]
+    return [_cell_estimate(circuits, ham, t, noise,
+                           [[samples() for samples in pools] for pools in circuit_pools],
+                           magnitude_source)
+            for (_, noise), circuit_pools in zip(cells, drawn)]
 
 
 def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_samples,
@@ -572,11 +563,16 @@ def _binomial_overlaps(rng, counts, probs, e_ref, t, modes) -> list[complex]:
 
 
 def _exact_cells(circuits: _MirrorCircuits, times):
-    """(exact fractions, exact overlap) at each time, built as it is read;
-    the overlap is <psi0|u0(t)> from the evolved |u0> the F1 state starts from."""
+    """(exact fractions, exact overlap) at each time, built as it is read.
+    The fractions are the all-zero probabilities of the untwirled passes,
+    evolved here unless cells at that time have evolved them already."""
+    psi0 = circuits.preps[0].state()
     for t in times:
-        u0_t = circuits.evolved(t)[0]
-        yield _zero_probabilities(circuits.states(t)), complex(np.vdot(circuits.starts[0], u0_t))
+        passes = [circuits.npass(i, t, None) for i in range(3)]
+        unevolved = [npass for npass in passes if npass.cdf is None]
+        if unevolved:
+            _evolve_passes(unevolved, [], circuits.n)
+        yield tuple(npass.zero for npass in passes), exact_overlap(psi0, circuits.evolver, t)
 
 
 def allocation_plan(m_total: int, f1_frac: float) -> ShotPlan:
@@ -632,7 +628,8 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     """Per-step estimation error with each mitigation combination.
 
     Uses the single-step evolver (the hardware-style circuit) and compares
-    noisy sampled fractions and overlaps against the noiseless exact values.
+    noisy sampled fractions and overlaps against the noiseless exact values,
+    read from the passes the noisy cells evolved at that time.
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
     circuits = _MirrorCircuits(psi0_prep, GateEvolver(ham))
@@ -640,10 +637,12 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     specs = [replace(noise, enable_postselect=mode in ("postselect", "both"),
                      enable_twirl=mode in ("twirl", "both")) for mode in MITIGATION_MODES]
     times = [k * dt for k in range(1, kmax + 1)]
+    exact_cells = _exact_cells(circuits, times)
     rows = []
-    for k, (t, (exact_f, o_exact)) in enumerate(zip(times, _exact_cells(circuits, times)), 1):
+    for k, t in enumerate(times, 1):
         cells = [((k, m), spec) for m, spec in enumerate(specs)]
         ests = _estimate_cells(circuits, ham, t, plan, streams, cells, magnitude_source)
+        exact_f, o_exact = next(exact_cells)
         for mode, est in zip(MITIGATION_MODES, ests):
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")
                       for f, fx in zip(est.fractions, exact_f)]

@@ -105,14 +105,9 @@ def h_gate(q: int) -> GateOp:
     return GateOp((q,), _H, "H")
 
 
-def pauli_gate(name: str, q: int) -> GateOp:
-    """The shared X/Y/Z gate on site q (a plain function over the cache, so
-    call-level instrumentation still sees every error a trajectory draws)."""
-    return _pauli_gate(name, q)
-
-
 @lru_cache(maxsize=None)  # at most 3 * MAX_QUBITS entries
-def _pauli_gate(name: str, q: int) -> GateOp:
+def pauli_gate(name: str, q: int) -> GateOp:
+    """The shared X/Y/Z gate on site q."""
     return GateOp((q,), PAULIS[name], name)
 
 

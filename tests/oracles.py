@@ -5,10 +5,11 @@ S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 overlaps of a Krylov estimate's Ritz vector with the exact eigenstates, kagome
 patches, the bond-by-bond Trotter scheme, analytic CNOT counts per Trotter
 step, predicted step counts, the magnetization M(h) read off a curve, and the
-mirror-circuit quantities: mirrored states, exact F1/F2/F3, one sampled
-estimation cell, the series reconstructed from exact fractions and the
-shot-noise reference curve; and the freshly keyed stream generator and the
-one-trajectory-at-a-time noise channel that the batched sampler replaces."""
+mirror-circuit quantities: mirrored states built one state at a time, their
+all-zero probabilities, exact F1/F2/F3, one sampled estimation cell, the
+series reconstructed from exact fractions and the shot-noise reference curve;
+and the freshly keyed stream generator and the one-trajectory-at-a-time noise
+channel that the batched sampler replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -22,11 +23,11 @@ from starkrylov.mirror import (
     _estimate_cells,
     _exact_cells,
     _MirrorCircuits,
-    _zero_probabilities,
     reconstruct,
 )
-from starkrylov.noise import PAULI_NAMES
-from starkrylov.statevec import _StreamOpener, apply_gate_amps, pauli_gate
+from starkrylov.noise import PAULI_NAMES, twirl_layer
+from starkrylov.prep import invert, reference_superposition
+from starkrylov.statevec import _StreamOpener, apply_circuit, apply_gate_amps, pauli_gate
 from starkrylov.trotter import TrotterScheme
 
 DEGENERACY_RTOL = 1e-9
@@ -295,24 +296,35 @@ def magnetization(curve, h: float, per_site: bool = False) -> float:
 
 # -- mirror circuits ---------------------------------------------------------------
 
-def mirror_states(psi0_prep, evolver, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>."""
-    return _MirrorCircuits(psi0_prep, evolver).states(t)
+def mirror_states(psi0_prep, evolver, t: float,
+                  twirl_angle: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>, each built on
+    its own: its preparation's state, evolved by ``evolver.apply``, then the
+    twirl layer when ``twirl_angle`` is given, then the inverse preparation."""
+    u_r, u_ri = reference_superposition(psi0_prep, 1), reference_superposition(psi0_prep, 1j)
+    layer = [] if twirl_angle is None else twirl_layer(psi0_prep.n_sites, twirl_angle)
+    return tuple(apply_circuit(apply_circuit(evolver.apply(prep.state(), t), layer),
+                               invert(inverse).gates)
+                 for prep, inverse in ((psi0_prep, psi0_prep), (u_r, u_r), (u_r, u_ri)))
+
+
+def zero_probabilities(states) -> tuple[float, float, float]:
+    """The all-zero probability |<0..0|s>|^2 of each state."""
+    return tuple(float(np.abs(s[0]) ** 2) for s in states)
 
 
 def exact_fractions(psi0_prep, evolver, t: float):
     """Noiseless all-zero probabilities (F1, F2, F3)."""
-    return _zero_probabilities(mirror_states(psi0_prep, evolver, t))
+    return zero_probabilities(mirror_states(psi0_prep, evolver, t))
 
 
 def overlap_series_mirror_exact(psi0_prep, evolver, ham, dt: float, kmax: int,
                                 magnitude_source: str = "f1_sqrt") -> krylov.OverlapSeries:
     """Series reconstructed from exact F1/F2/F3 (no sampling)."""
     e_ref = ham.reference_energy()
-    circuits = _MirrorCircuits(psi0_prep, evolver)
     values = [1.0 + 0.0j]
     for k in range(1, kmax + 1):
-        f1, f2, f3 = _zero_probabilities(circuits.states(k * dt))
+        f1, f2, f3 = exact_fractions(psi0_prep, evolver, k * dt)
         values.append(reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
     return krylov.OverlapSeries(dt, np.array(values), None, "exact_mirror", "unitary")
 

@@ -11,6 +11,7 @@ from oracles import (
     overlap_series_mirror_exact,
     rng_stream,
     shot_noise_reference,
+    zero_probabilities,
 )
 from starkrylov import mirror as mirror_module
 from starkrylov import statevec as statevec_module
@@ -56,6 +57,12 @@ def problem():
     star = build_star(4)
     ham = SpinHamiltonian(star)
     return star, ham, dressed_initial(star)
+
+
+@pytest.fixture(scope="module")
+def problem12():
+    star = build_star(6)
+    return star, SpinHamiltonian(star), dressed_initial(star)
 
 
 def test_fractions_at_t0(problem):
@@ -396,25 +403,50 @@ def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
-def test_exact_cells_equal_exact_overlap(problem, kind):
-    # the cells read <psi0|u0(t)> from the circuits' evolved |u0>; it must be
-    # the direct inner product bit for bit
-    _, ham, prep = problem
-    ev = make_evolver(kind, ham, dt_step=DT)
-    times = [k * DT for k in (1, 2, 7, -3)]
-    cells = _exact_cells(_MirrorCircuits(prep, ev), times)
-    psi0 = prep.state()
-    for t, (fractions, overlap) in zip(times, cells):
-        assert overlap == exact_overlap(psi0, ev, t)
-        assert fractions == exact_fractions(prep, ev, t)
+def test_exact_cells_equal_exact_overlap(problem, problem12, kind):
+    # the cells read each untwirled pass's all-zero probability and take the
+    # overlap from exact_overlap.  Every pass's noiseless CDF and all-zero
+    # probability, twirled or not, must equal those of the mirrored states the
+    # oracle builds one at a time, bit for bit, on the 8- and the 12-spin star
+    angle = np.pi / 2
+    for star, ham, prep in (problem, problem12):
+        ev = make_evolver(kind, ham, dt_step=DT)
+        times = [k * DT for k in (1, 2, 7, -3)]
+        circuits = _MirrorCircuits(prep, ev)
+        psi0 = prep.state()
+        for t, (fractions, overlap) in zip(times, _exact_cells(circuits, times)):
+            assert overlap == exact_overlap(psi0, ev, t)
+            assert fractions == exact_fractions(prep, ev, t)
+            _evolve_passes([circuits.npass(i, t, angle) for i in range(3)], [], star.n_sites)
+            for pass_angle in (None, angle):
+                states = mirror_states(prep, ev, t, pass_angle)
+                for i, zero in enumerate(zero_probabilities(states)):
+                    npass = circuits.npass(i, t, pass_angle)
+                    assert np.array_equal(npass.cdf, sampling_cdf(states[i]))
+                    assert npass.zero == zero
 
 
 def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     # the mitigation modes of one time and the realizations of a series share
-    # each (time, circuit, pool) pass, and each pass is evolved once per time
+    # each (time, circuit, pool) pass, and each pass is evolved once per time;
+    # the ablation's exact cells read the passes its noisy cells evolved
     _, ham, prep = problem
-    evolved, pools = [], []
+    evolved, pools, kernel_calls, exact_steps = [], [], [], []
     evolve, pool_init = mirror_module._evolve_passes, _NoisyPool.__init__
+    kernel, exact_cells = statevec_module._apply, mirror_module._exact_cells
+
+    def counted_kernel(amps, gate):
+        kernel_calls.append(gate)
+        return kernel(amps, gate)
+
+    def recorded_exact_cells(circuits, times):
+        # per exact cell: the pass evolutions and the kernel calls it adds
+        cells = exact_cells(circuits, times)
+        for _ in times:
+            evolutions, calls = len(evolved), len(kernel_calls)
+            cell = next(cells)
+            exact_steps.append((len(evolved) - evolutions, len(kernel_calls) - calls))
+            yield cell
 
     def recorded_evolve(passes, shots, n):
         evolved.append(passes)
@@ -426,6 +458,8 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
 
     monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
     monkeypatch.setattr(_NoisyPool, "__init__", recorded_pool)
+    monkeypatch.setattr(statevec_module, "_apply", counted_kernel)
+    monkeypatch.setattr(mirror_module, "_exact_cells", recorded_exact_cells)
 
     def check(n_times, n_pools):
         # one evolution per time, of distinct passes with distinct gate lists,
@@ -441,6 +475,11 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4)
     # per step: 3 circuits untwirled and 3 twirled, run by 18 mode pools
     check(3, 3 * 18)
+    # the exact cells evolve no pass and build no mirrored state of their own:
+    # their only gates are psi0's preparation, once, and W(t) of each
+    # exact_overlap
+    w_gates = len(GateEvolver(ham).gates(DT))
+    assert exact_steps == [(0, len(prep.gates) + w_gates), (0, w_gates), (0, w_gates)]
     evolved.clear()
     pools.clear()
     overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, plan, seed=4,
@@ -572,8 +611,8 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
 
 
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
-    # all circuits, pools, times and directions of a series share the twirl
-    # layers: one with the reference-branch check, one without (F1, noisy only)
+    # all circuits, pools, times and directions of a series share one twirl
+    # layer per angle, checked for the reference branch, noisy or not
     _, ham, prep = problem
     built = []
 
@@ -583,7 +622,7 @@ def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
 
     monkeypatch.setattr(mirror_module, "twirl_layer", counted_twirl_layer)
     noise = NoiseSpec(p_pauli=0.02, enable_twirl=True)
-    for spec, roles in ((noise, [False, True]), (replace(noise, p_pauli=0.0), [True])):
+    for spec, roles in ((noise, [True]), (replace(noise, p_pauli=0.0), [True])):
         built.clear()
         overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, ShotPlan(12),
                                seed=4, noise=spec, realizations=(0, 1))
