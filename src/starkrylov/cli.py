@@ -117,6 +117,7 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
     sector = cfg.initial.sz if cfg.initial.kind == "sector" else 0
     e_exact = ham.ground_state_energy(sector=float(sector))
     runs = [series for series, _ in _series_for(cfg, star, ham)]
+    distinct = {id(series): series for series in runs}  # an exact series serves every run
     csv_rows = []
     spread_rows = []
     summary = {}
@@ -125,8 +126,9 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
             steps_to_tol = None
             flag_counts: Counter = Counter()
             for ns in _solver_steps(cfg, solver):
-                cell = [krylov.solve(solver, series, ns, delta, **_solver_kwargs(cfg, solver))
-                        for series in runs]
+                solved = {key: krylov.solve(solver, s, ns, delta, **_solver_kwargs(cfg, solver))
+                          for key, s in distinct.items()}
+                cell = [solved[id(series)] for series in runs]
                 flag_counts.update(flag for est in cell for flag in est.flags)
                 energies = [est.energy for est in cell if est.energy is not None]
                 if not energies:

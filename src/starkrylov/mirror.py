@@ -13,10 +13,10 @@ complex overlap is recovered as
 optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
 (``ExactEvolver``, one step of a gate list) or m gate steps of t/m
 (``GateEvolver``: Trotter, or the single Floquet step F_t).
-``_MirrorCircuits`` builds the passes one time needs once, and
-``_evolve_passes`` builds every mirrored state: the noiseless state that
-noiseless pools sample and exact cells read, and the shots that draw an
-error, as rows of one batch.
+``_estimate_cells`` builds the passes one time needs once, for all its cells:
+sampled, noisy and ``EXACT`` (the noiseless fractions and <psi0|W(t)|psi0>).
+``_evolve_passes`` builds every state they read: each pass's noiseless state
+and the shots that draw an error, as rows of one batch.
 """
 from __future__ import annotations
 
@@ -56,9 +56,6 @@ class ExactEvolver:
     def __init__(self, ham):
         self.ham = ham
 
-    def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
-        return self.ham.evolve(amps, t)
-
     def gates(self, t: float) -> list:
         return [_Evolution(self.ham, t)]
 
@@ -92,9 +89,6 @@ class GateEvolver:
             return []
         m = 1 if self.dt_step is None else max(1, int(np.ceil(abs(t) / self.dt_step - 1e-12)))
         return step_unitaries(self.scheme, self.ham, t / m, self.reverse_groups) * m
-
-    def apply(self, amps: np.ndarray, t: float) -> np.ndarray:
-        return apply_circuit(amps, self.gates(t))
 
 
 def make_evolver(kind: str, ham, dt_step: float | None = None,
@@ -160,11 +154,9 @@ class _MirrorCircuits:
     """F1, F2, F3 circuits of one psi0 preparation under one evolver.
 
     The preparations U0, U_R, U_Ri and their inverses are built once, and so
-    is the twirl layer of each angle.  The evolver's gate list and the
-    passes, one ``_Pass`` per (circuit, twirl angle), are built once per
-    time, on first use, and held until the time changes, so every pool,
-    mitigation mode, realization and exact cell at that time shares them.
-    ``_evolve_passes`` is the one place their mirrored states are built.
+    is the twirl layer of each angle; ``pass_gates`` puts them around the
+    gate list of one time.  The circuits hold nothing per time: each
+    ``_estimate_cells`` call builds its time's gate list and passes.
 
     The gate lists of the passes share gate objects: F2 and F3 apply the
     same U_R preparation and evolution, the twirled F2 and F3 the same twirl
@@ -180,16 +172,7 @@ class _MirrorCircuits:
         self.evolver = evolver
         self.preps = (psi0_prep, u_r, u_r)  # prepared state of F1, F2, F3
         self.inverses = tuple(invert(p).gates for p in (psi0_prep, u_r, u_ri))
-        self._time, self._built = None, {}  # the current time and what is built at it
         self._twirls: dict[float, list] = {}
-
-    def _at(self, t: float, key: tuple, build):
-        """``build()``, called once per time t and key."""
-        if self._time != t:
-            self._time, self._built = t, {}
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
 
     def _twirl(self, angle: float) -> list:
         """The twirl layer of ``angle``, checked for the reference branch:
@@ -198,22 +181,14 @@ class _MirrorCircuits:
             self._twirls[angle] = twirl_layer(self.n, angle, True)
         return self._twirls[angle]
 
-    def pass_gates(self, i: int, t: float, twirl_angle: float | None) -> list:
-        """The gates of circuit i at t from |0..0>, with the twirl layer
-        after the evolution when ``twirl_angle`` is given."""
-        gates = list(self.preps[i].gates) + self._at(t, ("gates",), lambda: self.evolver.gates(t))
+    def pass_gates(self, i: int, evolution: list, twirl_angle: float | None) -> list:
+        """The gates of circuit i from |0..0> around ``evolution``, the
+        evolver's gate list of one time, with the twirl layer after it when
+        ``twirl_angle`` is given."""
+        gates = list(self.preps[i].gates) + evolution
         if twirl_angle is not None:
             gates += self._twirl(twirl_angle)
         return gates + list(self.inverses[i])
-
-    def npass(self, i: int, t: float, twirl_angle: float | None) -> "_Pass":
-        """The pass of circuit i at t (``pass_gates``), built once per time."""
-        return self._at(t, (i, twirl_angle), lambda: _Pass(self.pass_gates(i, t, twirl_angle)))
-
-
-def exact_overlap(psi0: np.ndarray, evolver, t: float) -> complex:
-    """Direct inner-product oracle <psi0| W(t) |psi0>."""
-    return complex(np.vdot(psi0, evolver.apply(psi0, t)))
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -238,15 +213,15 @@ def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
 class _Pass:
     """The gates of one circuit at one time, with or without the twirl layer.
     An error slot is one site of a gate with two or more sites, in gate
-    order; ``slots`` holds the (gate index, site) of each.  ``cdf``, the
-    sampling CDF of the noiseless final state, and ``zero``, its all-zero
-    probability, are set by ``_evolve_passes``."""
+    order; ``slots`` holds the (gate index, site) of each.  ``state``, the
+    noiseless final state, and ``cdf``, its sampling CDF, are set by
+    ``_evolve_passes``."""
 
     def __init__(self, gates: list):
         self.gates = gates
         self.slots = [(gi, q) for gi, g in enumerate(gates) if len(g.sites) >= 2
                       for q in g.sites]
-        self.cdf = self.zero = None
+        self.state = self.cdf = None
 
 
 @dataclass(eq=False)
@@ -332,8 +307,8 @@ class _NoisyPool:
 
 def _evolve_passes(passes: list, shots: list, n: int) -> None:
     """Evolve the noiseless state of each of ``passes`` and the erring
-    ``shots`` that run them from |0..0>, and sample them: set each pass's
-    ``cdf`` and ``zero`` and each shot's ``sample``.
+    ``shots`` that run them from |0..0>: set each pass's ``state`` and
+    ``cdf`` and each shot's ``sample``.
 
     The rows of one (B, 2^n) batch are the noiseless state, row 0, and the
     erring shots that have joined it.  A shot joins at its first erring gate
@@ -392,16 +367,16 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
         for npass in passes:
             if len(npass.gates) > end:
                 branches.setdefault(id(npass.gates[end]), []).append(npass)
-            elif npass.cdf is None:
-                npass.cdf = sampling_cdf(batch[0])
-                npass.zero = float(np.abs(batch[0, 0]) ** 2)
+            elif npass.state is None:
+                npass.state = batch[0].copy()
+                npass.cdf = sampling_cdf(npass.state)
         for row, shot in enumerate(shots, 1):
             if len(shot.npass.gates) == end:
                 shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
                                                   side="right"))
         for group in branches.values():
             members = [k for k, shot in enumerate(shots) if shot.npass in group]
-            if members or any(npass.cdf is None for npass in group):
+            if members or any(npass.state is None for npass in group):
                 _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
                               [shots[k] for k in members])
         if not waiting:
@@ -415,23 +390,46 @@ def _noiseless_pool(npass: _Pass, shots: int, streams, stream: tuple):
     return lambda: sample_bitstrings(npass.cdf, shots, streams(stream))
 
 
-def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
-                    magnitude_source) -> list[OverlapEstimate]:
-    """The estimation cells at time t, one per (stream, noise) pair of
-    ``cells``: the realizations of a series step, or the mitigation modes of
-    an ablation step.  Pool 0 of each circuit runs without the twirl layer
-    and pool 1 with it; circuit i's pool p draws from the stream
-    (*stream, i, p), or, noisy, shot j from (*stream, i, p, j).
+# the cell of the noiseless exact values (``_estimate_cells``)
+EXACT = object()
 
-    Pools run in three phases: noisy pools draw their shots' streams
-    (``_NoisyPool``); the passes, one per (circuit, twirl) that a pool runs,
-    evolve their noiseless states and erring shots in batches
-    (``_evolve_passes``); then every pool draws or reads its samples.
+
+def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan=None, streams=None,
+                    magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
+    """The estimation cells at time t, one per entry of ``cells``: ``EXACT``,
+    or a (stream, noise) pair for a realization of a series step or a
+    mitigation mode of an ablation step.  Pool 0 of each circuit runs without
+    the twirl layer and pool 1 with it; circuit i's pool p draws from the
+    stream (*stream, i, p), or, noisy, shot j from (*stream, i, p, j).  The
+    ``EXACT`` cell draws nothing: its fractions are the untwirled passes'
+    all-zero probabilities, and its value <psi0|W(t)|psi0> comes from two more
+    passes, psi0's preparation with and without W(t), on F1's leading run.
+
+    The evolver's gate list and each pass, one per (circuit, twirl) that a
+    pool runs, are built once.  Pools run in three phases: noisy pools draw
+    their shots' streams (``_NoisyPool``); the passes evolve their noiseless
+    states and erring shots in batches (``_evolve_passes``); then every pool
+    draws or reads its samples.
     """
-    passes: dict[tuple, _Pass] = {}
+    evolution = circuits.evolver.gates(t)
+    passes: dict = {}  # (circuit, twirl angle), or a psi0 state's name -> _Pass
+
+    def npass(i, angle):
+        if (i, angle) not in passes:
+            passes[i, angle] = _Pass(circuits.pass_gates(i, evolution, angle))
+        return passes[i, angle]
+
     erring: list[_ErringShot] = []
     drawn = []  # per cell, per circuit: its pools' sample functions
-    for stream, noise in cells:
+    for cell in cells:
+        if cell is EXACT:
+            prep = list(circuits.preps[0].gates)
+            passes["psi0"], passes["W psi0"] = _Pass(prep), _Pass(prep + evolution)
+            for i in range(3):
+                npass(i, None)
+            drawn.append(None)
+            continue
+        stream, noise = cell
         angle = twirl_angle(noise)
         noisy = noise is not None and noise.p_pauli > 0
         if noisy and circuits.evolver.kind == "exact":
@@ -444,21 +442,29 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, plan, streams, cells,
                 if shots == 0:
                     continue
                 key, pool_angle = (*stream, i, pool), angle if pool else None
-                npass = passes[i, pool_angle] = circuits.npass(i, t, pool_angle)
+                pool_pass = npass(i, pool_angle)
                 if noisy:
-                    noisy_pool = _NoisyPool(npass, shots, noise.p_pauli, streams, key)
+                    noisy_pool = _NoisyPool(pool_pass, shots, noise.p_pauli, streams, key)
                     erring += noisy_pool.shots
                     pools.append(noisy_pool.samples)
                 else:
-                    pools.append(_noiseless_pool(npass, shots, streams, key))
+                    pools.append(_noiseless_pool(pool_pass, shots, streams, key))
             circuit_pools.append(pools)
         drawn.append(circuit_pools)
     if passes:
         _evolve_passes(list(passes.values()), erring, circuits.n)
-    return [_cell_estimate(circuits, ham, t, noise,
+    return [_exact_estimate(passes) if cell is EXACT else
+            _cell_estimate(circuits, ham, t, cell[1],
                            [[samples() for samples in pools] for pools in circuit_pools],
                            magnitude_source)
-            for (_, noise), circuit_pools in zip(cells, drawn)]
+            for cell, circuit_pools in zip(cells, drawn)]
+
+
+def _exact_estimate(passes: dict) -> OverlapEstimate:
+    """The ``EXACT`` cell's estimate from the evolved passes of its time."""
+    fractions = tuple(float(np.abs(passes[i, None].state[0]) ** 2) for i in range(3))
+    value = complex(np.vdot(passes["psi0"].state, passes["W psi0"].state))
+    return OverlapEstimate(value, fractions, (0, 0, 0))
 
 
 def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_samples,
@@ -501,7 +507,7 @@ def overlap_series_exact(psi0: np.ndarray, evolver, dt: float,
                                     "exact", "unitary")
 
     def direction(sign: int) -> np.ndarray:
-        return np.array([1.0 + 0.0j] + [exact_overlap(psi0, evolver, k * dt)
+        return np.array([1.0 + 0.0j] + [np.vdot(psi0, apply_circuit(psi0, evolver.gates(k * dt)))
                                         for k in range(sign, sign * (kmax + 1), sign)])
 
     if evolver.kind == "floquet":
@@ -531,7 +537,7 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
         out: list[list[OverlapEstimate]] = [[] for _ in realizations]
         for k in range(sign, sign * (kmax + 1), sign):
             cells = [((r, k), noise) for r in realizations]
-            ests = _estimate_cells(circuits, ham, k * dt, plan, streams, cells,
+            ests = _estimate_cells(circuits, ham, k * dt, cells, plan, streams,
                                    magnitude_source)
             for r, est, estimates in zip(realizations, ests, out):
                 if est.value is None:
@@ -562,19 +568,6 @@ def _binomial_overlaps(rng, counts, probs, e_ref, t, modes) -> list[complex]:
     return [reconstruct(f1, f2, f3, e_ref, t, mode)[0] for mode in modes]
 
 
-def _exact_cells(circuits: _MirrorCircuits, times):
-    """(exact fractions, exact overlap) at each time, built as it is read.
-    The fractions are the all-zero probabilities of the untwirled passes,
-    evolved here unless cells at that time have evolved them already."""
-    psi0 = circuits.preps[0].state()
-    for t in times:
-        passes = [circuits.npass(i, t, None) for i in range(3)]
-        unevolved = [npass for npass in passes if npass.cdf is None]
-        if unevolved:
-            _evolve_passes(unevolved, [], circuits.n)
-        yield tuple(npass.zero for npass in passes), exact_overlap(psi0, circuits.evolver, t)
-
-
 def allocation_plan(m_total: int, f1_frac: float) -> ShotPlan:
     """The plan of one allocation grid point: F1 gets f1_frac, F2 and F3 split the rest."""
     rest = (1.0 - f1_frac) / 2.0
@@ -592,19 +585,20 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     """
     e_ref = ham.reference_energy()
     streams = _StreamOpener(seed)
-    cells = list(_exact_cells(_MirrorCircuits(psi0_prep, ExactEvolver(ham)), times))
+    circuits = _MirrorCircuits(psi0_prep, ExactEvolver(ham))
+    cells = [_estimate_cells(circuits, ham, t, [EXACT])[0] for t in times]
     modes = ("f1_sqrt", "eq19")
     rows = []
     for m_total in m_totals:
         for f1_frac in f1_grid:
             counts = allocation_plan(m_total, f1_frac).allocate()
             errs = {mode: [] for mode in modes}
-            for it, (t, (probs, o_exact)) in enumerate(zip(times, cells)):
+            for it, (t, exact) in enumerate(zip(times, cells)):
                 for r in range(n_realizations):
                     rng = streams((it, r, int(m_total), int(round(f1_frac * 1000))))
-                    for mode, o_m in zip(modes, _binomial_overlaps(rng, counts, probs,
+                    for mode, o_m in zip(modes, _binomial_overlaps(rng, counts, exact.fractions,
                                                                    e_ref, t, modes)):
-                        errs[mode].append(abs(o_m - o_exact) ** 2)
+                        errs[mode].append(abs(o_m - exact.value) ** 2)
             for mode, e in errs.items():
                 e = np.array(e)
                 batches = e.reshape(len(cells), n_realizations)
@@ -629,24 +623,22 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
 
     Uses the single-step evolver (the hardware-style circuit) and compares
     noisy sampled fractions and overlaps against the noiseless exact values,
-    read from the passes the noisy cells evolved at that time.
+    the ``EXACT`` cell of each step, read from the passes the noisy cells evolve.
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
     circuits = _MirrorCircuits(psi0_prep, GateEvolver(ham))
     streams = _StreamOpener(seed)
     specs = [replace(noise, enable_postselect=mode in ("postselect", "both"),
                      enable_twirl=mode in ("twirl", "both")) for mode in MITIGATION_MODES]
-    times = [k * dt for k in range(1, kmax + 1)]
-    exact_cells = _exact_cells(circuits, times)
     rows = []
-    for k, t in enumerate(times, 1):
-        cells = [((k, m), spec) for m, spec in enumerate(specs)]
-        ests = _estimate_cells(circuits, ham, t, plan, streams, cells, magnitude_source)
-        exact_f, o_exact = next(exact_cells)
+    for k in range(1, kmax + 1):
+        t = k * dt
+        cells = [((k, m), spec) for m, spec in enumerate(specs)] + [EXACT]
+        *ests, exact = _estimate_cells(circuits, ham, t, cells, plan, streams, magnitude_source)
         for mode, est in zip(MITIGATION_MODES, ests):
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")
-                      for f, fx in zip(est.fractions, exact_f)]
-            o_err = float("nan") if est.value is None else abs(est.value - o_exact)
+                      for f, fx in zip(est.fractions, exact.fractions)]
+            o_err = float("nan") if est.value is None else abs(est.value - exact.value)
             rows.append((t, mode, *f_errs, o_err))
     return rows
 

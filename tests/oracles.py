@@ -5,11 +5,12 @@ S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 overlaps of a Krylov estimate's Ritz vector with the exact eigenstates, kagome
 patches, the bond-by-bond Trotter scheme, analytic CNOT counts per Trotter
 step, predicted step counts, the magnetization M(h) read off a curve, and the
-mirror-circuit quantities: mirrored states built one state at a time, their
-all-zero probabilities, exact F1/F2/F3, one sampled estimation cell, the
-series reconstructed from exact fractions and the shot-noise reference curve;
-and the freshly keyed stream generator and the one-trajectory-at-a-time noise
-channel that the batched sampler replaces."""
+mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
+overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
+at a time, their all-zero probabilities, exact F1/F2/F3, one sampled
+estimation cell, the series reconstructed from exact fractions and the
+shot-noise reference curve; and the freshly keyed stream generator and the
+one-trajectory-at-a-time noise channel that the batched sampler replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,13 +19,7 @@ from math import ceil, log
 import numpy as np
 
 from starkrylov import krylov
-from starkrylov.mirror import (
-    _binomial_overlaps,
-    _estimate_cells,
-    _exact_cells,
-    _MirrorCircuits,
-    reconstruct,
-)
+from starkrylov.mirror import _binomial_overlaps, _estimate_cells, _MirrorCircuits, reconstruct
 from starkrylov.noise import PAULI_NAMES, twirl_layer
 from starkrylov.prep import invert, reference_superposition
 from starkrylov.statevec import _StreamOpener, apply_circuit, apply_gate_amps, pauli_gate
@@ -296,14 +291,27 @@ def magnetization(curve, h: float, per_site: bool = False) -> float:
 
 # -- mirror circuits ---------------------------------------------------------------
 
+def evolve(evolver, amps: np.ndarray, t: float) -> np.ndarray:
+    """W(t) applied to one state: ``ham.evolve`` for the exact evolver, the
+    evolver's gate list of t otherwise."""
+    if evolver.kind == "exact":
+        return evolver.ham.evolve(amps, t)
+    return apply_circuit(amps, evolver.gates(t))
+
+
+def exact_overlap(psi0: np.ndarray, evolver, t: float) -> complex:
+    """The direct inner product <psi0| W(t) |psi0>."""
+    return complex(np.vdot(psi0, evolve(evolver, psi0, t)))
+
+
 def mirror_states(psi0_prep, evolver, t: float,
                   twirl_angle: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>, each built on
-    its own: its preparation's state, evolved by ``evolver.apply``, then the
-    twirl layer when ``twirl_angle`` is given, then the inverse preparation."""
+    its own: its preparation's state, evolved by ``evolve``, then the twirl
+    layer when ``twirl_angle`` is given, then the inverse preparation."""
     u_r, u_ri = reference_superposition(psi0_prep, 1), reference_superposition(psi0_prep, 1j)
     layer = [] if twirl_angle is None else twirl_layer(psi0_prep.n_sites, twirl_angle)
-    return tuple(apply_circuit(apply_circuit(evolver.apply(prep.state(), t), layer),
+    return tuple(apply_circuit(apply_circuit(evolve(evolver, prep.state(), t), layer),
                                invert(inverse).gates)
                  for prep, inverse in ((psi0_prep, psi0_prep), (u_r, u_r), (u_r, u_ri)))
 
@@ -334,10 +342,11 @@ def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, se
     """Per-step std of the noiseless sampled estimate over realizations."""
     e_ref = ham.reference_energy()
     counts = plan.allocate()
-    times = [k * dt for k in range(1, kmax + 1)]
+    psi0 = psi0_prep.state()
     sigmas = []
-    for k, (t, (probs, o_exact)) in enumerate(
-            zip(times, _exact_cells(_MirrorCircuits(psi0_prep, evolver), times)), 1):
+    for k in range(1, kmax + 1):
+        t = k * dt
+        probs, o_exact = exact_fractions(psi0_prep, evolver, t), exact_overlap(psi0, evolver, t)
         errors = [abs(_binomial_overlaps(rng_stream(seed, k, r), counts, probs, e_ref, t,
                                          (magnitude_source,))[0] - o_exact)
                   for r in range(n_realizations)]
@@ -354,8 +363,8 @@ def estimate_overlap(psi0_prep, evolver, ham, t: float, plan, seed: int, stream=
     index, realization, ...); all randomness is a pure function of
     (seed, stream, circuit, shot), so cells can run in any order.
     """
-    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), ham, t, plan,
-                                 _StreamOpener(seed), [(stream, noise)], magnitude_source)
+    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), ham, t, [(stream, noise)],
+                                 plan, _StreamOpener(seed), magnitude_source)
     return estimate
 
 

@@ -12,7 +12,9 @@ from oracles import (
     cluster_overlaps,
     cnot_count,
     diagonalize,
+    evolve,
     exact_fractions,
+    exact_overlap,
     magnetization,
     matvec,
     ritz_ground_overlap,
@@ -38,7 +40,6 @@ from starkrylov.mirror import (
     GateEvolver,
     ShotPlan,
     allocation_study,
-    exact_overlap,
     overlap_series_exact,
     overlap_series_sampled,
     reconstruct,
@@ -321,9 +322,9 @@ def test_criterion_11_property_suites(stars, hams):
     outside = sum(((idx >> q) & 1) for q in range(8)) != 4
     for out in (
         ham.evolve(psi, 0.9),
-        GateEvolver(ham, 0.9 / 3).apply(psi, 0.9),
+        evolve(GateEvolver(ham, 0.9 / 3), psi, 0.9),
         apply_circuit(psi, step_unitaries(bond_scheme(star), ham, 0.9 / 3) * 3),
-        GateEvolver(ham).apply(psi, 0.9),
+        evolve(GateEvolver(ham), psi, 0.9),
     ):
         assert float(np.sum(np.abs(out[outside]) ** 2)) < 1e-10
 
@@ -344,7 +345,7 @@ def test_criterion_11_property_suites(stars, hams):
     rnd = amps / np.linalg.norm(amps)
     exact = ham.evolve(rnd, 1.0)
     ms = np.array([4, 8, 16, 32, 64])
-    errs = [np.linalg.norm(GateEvolver(ham, 1.0 / m).apply(rnd, 1.0) - exact) for m in ms]
+    errs = [np.linalg.norm(evolve(GateEvolver(ham, 1.0 / m), rnd, 1.0) - exact) for m in ms]
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
     assert abs(slope + 1.0) < 0.1
 

@@ -218,6 +218,29 @@ def test_converge_exact_summary(tmp_path):
     assert len(rows) == 1 + 30
 
 
+def test_converge_solves_each_distinct_series_once(tmp_path, monkeypatch):
+    # the exact series stands for every realization, so each (solver, delta,
+    # step) cell solves it once; sampled realizations are solved one by one
+    solve, calls = starkrylov.krylov.solve, []
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args[:3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(starkrylov.krylov, "solve", counted_solve)
+    assert run(tmp_path, "converge", {"steps": 20, "realizations": 3}) == 0
+    # 3 deltas x (20 uvqpe + 19 odmd prefix lengths), not 3 x that
+    assert len(calls) == 3 * (20 + 19) == 117
+    summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
+    assert summary["realizations"] == 3
+    assert (tmp_path / "out" / "convergence_spread.csv").exists()
+    calls.clear()
+    cfg = {"steps": 6, "deltas": [0.1], "solvers": ["uvqpe"], "shots": {"total": 100},
+           "realizations": 2}
+    assert run(tmp_path, "converge", cfg) == 0
+    assert len(calls) == 2 * 6 and len({id(series) for _, series, _ in calls}) == 2
+
+
 def test_converge_summary_counts_flags(tmp_path):
     cfg = {"steps": 6, "deltas": [1e-6], "solvers": ["uvqpe", "odmd"]}
     assert run(tmp_path, "converge", cfg) == 0

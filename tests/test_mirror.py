@@ -5,7 +5,9 @@ import pytest
 
 from oracles import (
     estimate_overlap,
+    evolve,
     exact_fractions,
+    exact_overlap,
     mirror_states,
     noisy_apply,
     overlap_series_mirror_exact,
@@ -18,6 +20,7 @@ from starkrylov import statevec as statevec_module
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.mirror import (
+    EXACT,
     MITIGATION_MODES,
     ExactEvolver,
     GateEvolver,
@@ -28,10 +31,8 @@ from starkrylov.mirror import (
     _Pass,
     _estimate_cells,
     _evolve_passes,
-    _exact_cells,
     _shared_run,
     allocation_study,
-    exact_overlap,
     make_evolver,
     mitigation_ablation,
     overlap_series_exact,
@@ -236,7 +237,7 @@ def _per_cell_reference(prep, evolver, ham, t, plan, seed, stream, noise):
         for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
             if shots == 0:
                 continue
-            state = evolver.apply(p.state(), t)
+            state = evolve(evolver, p.state(), t)
             if pool:
                 state = apply_circuit(state, twirl_layer(prep.n_sites, twirl_angle(noise)))
             state = apply_circuit(state, invert(inv).gates)
@@ -300,8 +301,9 @@ def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream):
 def test_noisy_sampling_matches_per_shot_reference(problem, kind, twirl):
     _, ham, prep = problem
     circuits = _MirrorCircuits(prep, make_evolver(kind, ham, dt_step=DT))
+    evolution = circuits.evolver.gates(2 * DT)
     for case, p in enumerate((1e-3, 0.05, 0.5, 1.0)):
-        gates = circuits.pass_gates(case % 3, 2 * DT, np.pi / 2 if twirl else None)
+        gates = circuits.pass_gates(case % 3, evolution, np.pi / 2 if twirl else None)
         noise = NoiseSpec(p_pauli=p)
         shots = 300 if p == 1e-3 else 60
         npass = _Pass(gates)
@@ -326,12 +328,13 @@ def _noisy_cell_reference(prep, evolver, t, plan, seed, stream, noise):
     """The fractions of one noisy cell from per-shot trajectories: circuit i's
     pool p samples shot j on the stream (*stream, i, p, j)."""
     circuits = _MirrorCircuits(prep, evolver)
+    evolution = evolver.gates(t)
     angle = twirl_angle(noise)
     fractions = []
     for i, m_i in enumerate(plan.allocate()):
         n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
         samples = np.concatenate([
-            _per_shot_noisy_reference(circuits.pass_gates(i, t, angle if pool else None),
+            _per_shot_noisy_reference(circuits.pass_gates(i, evolution, angle if pool else None),
                                       prep.n_sites, shots, noise, seed, (*stream, i, pool))
             for pool, shots in enumerate((m_i - n_twirled, n_twirled)) if shots])
         if i == 0 and noise.enable_postselect:
@@ -354,12 +357,12 @@ def test_batched_cells_match_cells_alone(problem, kind):
                               enable_twirl=mode in ("twirl", "both")))
              for m, mode in enumerate(MITIGATION_MODES)]
     for cells in (realizations, modes):
-        batched = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, plan, _StreamOpener(5),
-                                  cells, "f1_sqrt")
+        batched = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, cells, plan,
+                                  _StreamOpener(5), "f1_sqrt")
         assert len(batched) == len(cells)
         for (stream, spec), est in zip(cells, batched):
-            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, plan,
-                                      _StreamOpener(5), [(stream, spec)], "f1_sqrt")
+            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, [(stream, spec)],
+                                      plan, _StreamOpener(5), "f1_sqrt")
             assert est == alone
             assert est.fractions == _noisy_cell_reference(prep, ev, t, plan, 5, stream, spec)
 
@@ -404,53 +407,56 @@ def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
 def test_exact_cells_equal_exact_overlap(problem, problem12, kind):
-    # the cells read each untwirled pass's all-zero probability and take the
-    # overlap from exact_overlap.  Every pass's noiseless CDF and all-zero
+    # the EXACT cell reads each untwirled pass's all-zero probability and
+    # takes <psi0|W(t)|psi0> from two more passes; its value and fractions
+    # must equal the oracle's.  Every pass's noiseless CDF and all-zero
     # probability, twirled or not, must equal those of the mirrored states the
     # oracle builds one at a time, bit for bit, on the 8- and the 12-spin star
     angle = np.pi / 2
     for star, ham, prep in (problem, problem12):
         ev = make_evolver(kind, ham, dt_step=DT)
-        times = [k * DT for k in (1, 2, 7, -3)]
         circuits = _MirrorCircuits(prep, ev)
         psi0 = prep.state()
-        for t, (fractions, overlap) in zip(times, _exact_cells(circuits, times)):
-            assert overlap == exact_overlap(psi0, ev, t)
-            assert fractions == exact_fractions(prep, ev, t)
-            _evolve_passes([circuits.npass(i, t, angle) for i in range(3)], [], star.n_sites)
+        for t in (k * DT for k in (1, 2, 7, -3)):
+            [exact] = _estimate_cells(circuits, ham, t, [EXACT])
+            assert exact.value == exact_overlap(psi0, ev, t)
+            assert exact.fractions == exact_fractions(prep, ev, t)
+            assert exact.discards == (0, 0, 0) and exact.flags == ()
+            evolution = ev.gates(t)
+            passes = {(i, a): _Pass(circuits.pass_gates(i, evolution, a))
+                      for i in range(3) for a in (None, angle)}
+            _evolve_passes(list(passes.values()), [], star.n_sites)
             for pass_angle in (None, angle):
                 states = mirror_states(prep, ev, t, pass_angle)
                 for i, zero in enumerate(zero_probabilities(states)):
-                    npass = circuits.npass(i, t, pass_angle)
+                    npass = passes[i, pass_angle]
                     assert np.array_equal(npass.cdf, sampling_cdf(states[i]))
-                    assert npass.zero == zero
+                    assert float(np.abs(npass.state[0]) ** 2) == zero
 
 
 def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     # the mitigation modes of one time and the realizations of a series share
     # each (time, circuit, pool) pass, and each pass is evolved once per time;
-    # the ablation's exact cells read the passes its noisy cells evolved
+    # the ablation's exact cell reads the passes its noisy cells evolve
     _, ham, prep = problem
-    evolved, pools, kernel_calls, exact_steps = [], [], [], []
-    evolve, pool_init = mirror_module._evolve_passes, _NoisyPool.__init__
-    kernel, exact_cells = statevec_module._apply, mirror_module._exact_cells
+    evolved, pools, kernel_calls, steps = [], [], [], []
+    evolve_passes, pool_init = mirror_module._evolve_passes, _NoisyPool.__init__
+    kernel, estimate = statevec_module._apply, mirror_module._estimate_cells
 
     def counted_kernel(amps, gate):
         kernel_calls.append(gate)
         return kernel(amps, gate)
 
-    def recorded_exact_cells(circuits, times):
-        # per exact cell: the pass evolutions and the kernel calls it adds
-        cells = exact_cells(circuits, times)
-        for _ in times:
-            evolutions, calls = len(evolved), len(kernel_calls)
-            cell = next(cells)
-            exact_steps.append((len(evolved) - evolutions, len(kernel_calls) - calls))
-            yield cell
+    def recorded_estimate(*args, **kwargs):
+        # per call: the pass evolutions and the kernel calls it makes
+        evolutions, calls = len(evolved), len(kernel_calls)
+        estimates = estimate(*args, **kwargs)
+        steps.append((len(evolved) - evolutions, len(kernel_calls) - calls))
+        return estimates
 
     def recorded_evolve(passes, shots, n):
         evolved.append(passes)
-        return evolve(passes, shots, n)
+        return evolve_passes(passes, shots, n)
 
     def recorded_pool(self, npass, *args):
         pools.append(npass)
@@ -459,27 +465,34 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
     monkeypatch.setattr(_NoisyPool, "__init__", recorded_pool)
     monkeypatch.setattr(statevec_module, "_apply", counted_kernel)
-    monkeypatch.setattr(mirror_module, "_exact_cells", recorded_exact_cells)
+    monkeypatch.setattr(mirror_module, "_estimate_cells", recorded_estimate)
 
-    def check(n_times, n_pools):
-        # one evolution per time, of distinct passes with distinct gate lists,
-        # and every pool runs one of them
-        assert [len(passes) for passes in evolved] == [6] * n_times
+    def check(n_times, n_pools, n_exact=0):
+        # one evolution per time, of distinct passes with distinct gate lists;
+        # every pool runs one of them, and the rest are the exact cell's two
+        assert [len(passes) for passes in evolved] == [6 + n_exact] * n_times
         for passes in evolved:
-            assert len({tuple(map(id, npass.gates)) for npass in passes}) == 6
+            assert len({tuple(map(id, npass.gates)) for npass in passes}) == 6 + n_exact
         ids = [id(npass) for passes in evolved for npass in passes]
-        assert len(set(ids)) == len(ids) and set(map(id, pools)) == set(ids)
+        assert len(set(ids)) == len(ids) and set(map(id, pools)) <= set(ids)
+        assert len(set(ids) - set(map(id, pools))) == n_exact * n_times
         assert len(pools) == n_pools
 
     plan, noise = ShotPlan(60), NoiseSpec(p_pauli=0.02)
     mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4)
-    # per step: 3 circuits untwirled and 3 twirled, run by 18 mode pools
-    check(3, 3 * 18)
-    # the exact cells evolve no pass and build no mirrored state of their own:
-    # their only gates are psi0's preparation, once, and W(t) of each
-    # exact_overlap
-    w_gates = len(GateEvolver(ham).gates(DT))
-    assert exact_steps == [(0, len(prep.gates) + w_gates), (0, w_gates), (0, w_gates)]
+    # per step: 3 circuits untwirled and 3 twirled, run by 18 mode pools, and
+    # the exact cell's psi0 and W(t) psi0
+    check(3, 3 * 18, n_exact=2)
+    # the exact cell adds no pass evolution and no kernel call: each step
+    # makes as many as its mode cells make without it
+    with_exact = steps[:]
+    circuits = _MirrorCircuits(prep, GateEvolver(ham))
+    for k in (1, 2, 3):
+        modes = [((k, m), replace(noise, enable_postselect=mode in ("postselect", "both"),
+                                  enable_twirl=mode in ("twirl", "both")))
+                 for m, mode in enumerate(MITIGATION_MODES)]
+        recorded_estimate(circuits, ham, k * DT, modes, plan, _StreamOpener(4))
+    assert steps[3:] == with_exact and [e for e, _ in with_exact] == [1, 1, 1]
     evolved.clear()
     pools.clear()
     overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, plan, seed=4,
@@ -514,14 +527,16 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "sampling_cdf", recorded_cdf)
 
-    def drawn(circuits, key, m):
-        npass = _Pass(circuits.pass_gates(key[0], t, key[1]))
+    evolution = evolver.gates(t)
+
+    def drawn(circuits, key, m, evolution):
+        npass = _Pass(circuits.pass_gates(key[0], evolution, key[1]))
         return npass, _NoisyPool(npass, 40, 0.05, _StreamOpener(3), (m,)).shots
 
     # every gate of each distinct gate-list prefix is applied once, to the
     # whole batch; the six passes of one noisy8 time hold 258 gates, 92 of
     # them shared
-    passes = {key: _Pass(circuits.pass_gates(key[0], t, key[1])) for key in keys}
+    passes = {key: _Pass(circuits.pass_gates(key[0], evolution, key[1])) for key in keys}
     _evolve_passes(list(passes.values()), [], prep.n_sites)
     prefixes = {tuple(map(id, npass.gates[:k])) for npass in passes.values()
                 for k in range(1, len(npass.gates) + 1)}
@@ -547,7 +562,7 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
     # with the shots the pools draw, each pass's noiseless CDF, its shots'
     # samples and the final states behind them equal the pass built alone, on
     # circuits of its own, and evolved alone
-    passes = {key: drawn(circuits, key, m) for m, key in enumerate(keys)}
+    passes = {key: drawn(circuits, key, m, evolution) for m, key in enumerate(keys)}
     assert all(shots for _, shots in passes.values())
     cdfs.clear()
     _evolve_passes([npass for npass, _ in passes.values()],
@@ -555,10 +570,11 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
     together = sorted(cdfs)
     cdfs.clear()
     for m, (key, (npass, shots)) in enumerate(passes.items()):
-        alone, alone_shots = drawn(_MirrorCircuits(prep, evolver), key, m)
+        alone, alone_shots = drawn(_MirrorCircuits(prep, evolver), key, m, evolver.gates(t))
         assert [g.label for g in alone.gates] == [g.label for g in npass.gates]
         assert alone.slots == npass.slots
         _evolve_passes([alone], alone_shots, prep.n_sites)
+        assert np.array_equal(alone.state, npass.state)
         assert np.array_equal(alone.cdf, npass.cdf)
         assert [s.errors for s in alone_shots] == [s.errors for s in shots]
         assert [s.sample for s in alone_shots] == [s.sample for s in shots]
@@ -579,8 +595,9 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
     keys = [(i, a) for i in range(3) for a in (None, angle)]
 
     def drawn():
-        circuits = _MirrorCircuits(prep, evolver)
-        pools = [_NoisyPool(_Pass(circuits.pass_gates(i, t, a)), 30, p, _StreamOpener(5), (m,))
+        circuits, evolution = _MirrorCircuits(prep, evolver), evolver.gates(t)
+        pools = [_NoisyPool(_Pass(circuits.pass_gates(i, evolution, a)), 30, p,
+                            _StreamOpener(5), (m,))
                  for m, (i, a) in enumerate(keys)]
         _evolve_passes([pool.npass for pool in pools],
                        [shot for pool in pools for shot in pool.shots], prep.n_sites)
@@ -709,7 +726,7 @@ def test_sector_error_discards_every_shot(problem):
     # a spin flip during evolution moves the state one sector over; the
     # pair-parity rule then rejects every measured string deterministically
     from starkrylov.noise import NoiseSpec
-    from starkrylov.statevec import apply_circuit, x_gate
+    from starkrylov.statevec import x_gate
 
     star, ham, prep = problem
 
@@ -721,9 +738,6 @@ def test_sector_error_discards_every_shot(problem):
 
         def gates(self, t):
             return self.inner.gates(t) + [x_gate(4)]
-
-        def apply(self, state, t):
-            return apply_circuit(state, self.gates(t))
 
     spec = NoiseSpec(enable_postselect=True)
     est = estimate_overlap(prep, LeakyEvolver(ham), ham, DT,
