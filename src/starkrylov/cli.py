@@ -60,14 +60,6 @@ def _series_for(cfg: RunConfig, star, ham):
         magnitude_source=cfg.magnitude_source)
 
 
-def _solver_kwargs(cfg: RunConfig, solver: str) -> dict:
-    kwargs = {"band": tuple(cfg.eigenvalue_band)}
-    if solver == "odmd":
-        kwargs["window"] = cfg.odmd_window
-        kwargs["real_part"] = cfg.odmd_real_part
-    return kwargs
-
-
 def _solver_steps(cfg: RunConfig, solver: str) -> range:
     """Valid prefix lengths; an ODMD window of d rows needs at least d steps."""
     first = krylov.SOLVERS[solver].first_step
@@ -118,17 +110,19 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
     e_exact = ham.ground_state_energy(sector=float(sector))
     runs = [series for series, _ in _series_for(cfg, star, ham)]
     distinct = {id(series): series for series in runs}  # an exact series serves every run
+    slot = {key: i for i, key in enumerate(distinct)}
     csv_rows = []
     spread_rows = []
     summary = {}
     for solver in cfg.solvers:
+        solved = krylov.sweep(solver, list(distinct.values()), _solver_steps(cfg, solver),
+                              cfg.deltas, tuple(cfg.eigenvalue_band), cfg.odmd_window,
+                              cfg.odmd_real_part)
         for delta in cfg.deltas:
             steps_to_tol = None
             flag_counts: Counter = Counter()
             for ns in _solver_steps(cfg, solver):
-                solved = {key: krylov.solve(solver, s, ns, delta, **_solver_kwargs(cfg, solver))
-                          for key, s in distinct.items()}
-                cell = [solved[id(series)] for series in runs]
+                cell = [solved[ns, delta][slot[id(series)]] for series in runs]
                 flag_counts.update(flag for est in cell for flag in est.flags)
                 energies = [est.energy for est in cell if est.energy is not None]
                 if not energies:

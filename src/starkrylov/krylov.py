@@ -1,22 +1,21 @@
 """Classical post-processing of overlap time series.
 
-Two solvers extract the ground-state energy from s_k = <psi0| U(k dt) |psi0>.
-They share one assembly and threshold path (``_truncated_svd`` drops singular
-values below delta * sigma_max) and differ only in their eigensolve:
+Two solvers extract the ground-state energy from s_k = <psi0| U(k dt) |psi0>,
+from a pair of matrices built on the first n_steps values:
 
-* ``uvqpe``: Toeplitz pair T_{jk} = s_{1+k-j}, S_{jk} = s_{k-j}.  On the
-  retained singular subspaces of S ~ W_r Sigma_r V_r^H the projected pencil
-  (W_r^H T V_r, W_r^H S V_r) has W_r^H S V_r = Sigma_r up to rounding, which
-  is nonsingular, so no QZ is needed: it is solved as the standard
-  eigenproblem (W_r^H S V_r)^{-1} W_r^H T V_r (the thresholded pencil of
-  Epperly, Lin and Nakatsukasa, "A theory of quantum subspace
-  diagonalization", SIAM J. Matrix Anal. Appl., 2022).
+* ``uvqpe``: Toeplitz pair T_{jk} = s_{1+k-j}, S_{jk} = s_{k-j}; the
+  thresholded pencil (T, S) on the retained singular subspaces of S
+  (Epperly, Lin and Nakatsukasa, "A theory of quantum subspace
+  diagonalization", SIAM J. Matrix Anal. Appl., 2022), solved as a standard
+  eigenproblem, so no QZ is needed.
 * ``odmd``: Hankel pair X_{rc} = s_{r+c}, X'_{rc} = s_{r+c+1}; eigenvalues of
   the one-step propagator A = X' X^+ with the truncated pseudoinverse.
 
 s_{-m} is conj(s_m) for a unitary series and the measured f_{-m} for a
 Floquet series.  ``SOLVERS`` maps configuration names to solvers;
-``uvqpe_floquet`` is ``uvqpe`` on a two-direction Floquet series.
+``uvqpe_floquet`` is ``uvqpe`` on a two-direction Floquet series.  ``sweep``,
+the one solver core, solves every run (series), prefix length and threshold
+delta of a solver at once, dropping singular values below delta * sigma_max.
 
 Eigenvalues map to energies as E = -arg(lambda)/dt; estimates keep only
 eigenvalues with |lambda| inside an admissibility band around the unit
@@ -34,7 +33,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from math import ceil
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,19 +80,17 @@ class OverlapSeries:
         return complex(np.conj(self.values[-m]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrylovEstimate:
-    algorithm: str
-    n_steps: int
-    delta: float
     energy: float | None
-    eigenvalue: complex | None
-    ritz: np.ndarray | None  # coefficients over the Krylov basis states
     retained_rank: int
     flags: tuple[str, ...] = ()
 
 
-def _pick_minimum(lam: np.ndarray, vecs: np.ndarray, dt: float, band):
+_FILTERED = KrylovEstimate(None, 0, ("all_singular_values_filtered",))
+
+
+def _pick_minimum(lam: np.ndarray, dt: float, band, rank: int) -> KrylovEstimate:
     energies = -np.angle(lam) / dt
     ok = (np.abs(lam) >= band[0]) & (np.abs(lam) <= band[1])
     flags: tuple[str, ...] = ()
@@ -102,7 +98,7 @@ def _pick_minimum(lam: np.ndarray, vecs: np.ndarray, dt: float, band):
         ok = np.ones_like(energies, dtype=bool)
         flags = ("no_admissible_eigenvalue",)
     i = int(np.argmin(np.where(ok, energies, np.inf)))
-    return float(energies[i]), complex(lam[i]), vecs[:, i], flags
+    return KrylovEstimate(float(energies[i]), rank, flags)
 
 
 def _toeplitz_pair(series: OverlapSeries, d: int):
@@ -132,72 +128,17 @@ def _hankel_pair(series: OverlapSeries, n_steps: int, window: int | None = None,
     return X, Xp
 
 
-def _truncated_svd(M: np.ndarray, delta: float):
-    """Thin SVD (U_r, sigma_r, V_r, flags) of M ~ U_r diag(sigma_r) V_r^H without
-    the singular values below delta * sigma_max; flags the case where none stay."""
-    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
-    keep = sig >= delta * sig[0]
-    flags = () if keep.any() else ("all_singular_values_filtered",)
-    return U[:, keep], sig[keep], Vh.conj().T[:, keep], flags
-
-
-def _check_steps(algorithm: str, series: OverlapSeries, n_steps: int) -> None:
-    first = SOLVERS[algorithm].first_step
-    if n_steps < first or n_steps > series.n_max:
-        raise ValueError(f"n_steps must be in [{first}, {series.n_max}]")
-
-
-def uvqpe(series: OverlapSeries, n_steps: int, delta: float,
-          band=DEFAULT_BAND) -> KrylovEstimate:
-    """Toeplitz GEVP T c = lambda S c over the first ``n_steps`` Krylov states,
-    projected onto the retained singular subspaces of S ~ W_r Sigma_r V_r^H and
-    solved as the standard eigenproblem (W_r^H S V_r)^{-1} W_r^H T V_r y =
-    lambda y (Epperly, Lin and Nakatsukasa, SIAM J. Matrix Anal. Appl., 2022);
-    the Ritz coefficients are c = V_r y.
-
-    W_r^H S V_r equals Sigma_r only up to the rounding of the SVD, which
-    1/sigma_r amplifies: dividing by Sigma_r instead moved energies of the
-    12-spin test series at delta = 1e-8 by up to 2.2e-9 from QZ (two BLAS
-    threads), where solving with the computed product stays within 1.1e-10.
-    """
-    _check_steps("uvqpe", series, n_steps)
-    T, S = _toeplitz_pair(series, n_steps)
-    W, _, V, flags = _truncated_svd(S, delta)
-    if flags:
-        return KrylovEstimate("uvqpe", n_steps, delta, None, None, None, 0, flags)
-    Wh = W.conj().T
-    lam, vec = np.linalg.eig(np.linalg.solve(Wh @ S @ V, Wh @ T @ V))
-    energy, eigenvalue, reduced, flags = _pick_minimum(lam, vec, series.dt, band)
-    return KrylovEstimate("uvqpe", n_steps, delta, energy, eigenvalue, V @ reduced,
-                          V.shape[1], flags)
-
-
-def odmd(series: OverlapSeries, n_steps: int, delta: float, band=DEFAULT_BAND,
-         window: int | None = None, real_part: bool = False) -> KrylovEstimate:
-    """Hankel least-squares fit of the one-step propagator."""
-    _check_steps("odmd", series, n_steps)
-    X, Xp = _hankel_pair(series, n_steps, window, real_part)
-    U, sig, V, flags = _truncated_svd(X, delta)
-    if flags:
-        return KrylovEstimate("odmd", n_steps, delta, None, None, None, 0, flags)
-    A = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T)
-    lam, vec = np.linalg.eig(A)
-    energy, eigenvalue, ritz, flags = _pick_minimum(lam, vec, series.dt, band)
-    return KrylovEstimate("odmd", n_steps, delta, energy, eigenvalue, ritz,
-                          len(sig), flags)
-
-
 @dataclass(frozen=True)
 class SolverSpec:
-    solve: Callable[..., KrylovEstimate]
+    pair: str  # "toeplitz" (T, S; the pencil) | "hankel" (X, X'; the propagator)
     first_step: int  # smallest valid n_steps
     floquet_only: bool = False  # needs a two-direction Floquet series
 
 
 SOLVERS = {
-    "uvqpe": SolverSpec(uvqpe, 1),
-    "uvqpe_floquet": SolverSpec(uvqpe, 1, floquet_only=True),
-    "odmd": SolverSpec(odmd, 2),
+    "uvqpe": SolverSpec("toeplitz", 1),
+    "uvqpe_floquet": SolverSpec("toeplitz", 1, floquet_only=True),
+    "odmd": SolverSpec("hankel", 2),
 }
 
 
@@ -212,9 +153,68 @@ def solver_spec(algorithm: str, series_kind: str = "unitary") -> SolverSpec:
     return spec
 
 
-def solve(algorithm: str, series: OverlapSeries, n_steps: int, delta: float,
-          **kwargs) -> KrylovEstimate:
-    return solver_spec(algorithm, series.kind).solve(series, n_steps, delta, **kwargs)
+def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
+          window: int | None = None, real_part: bool = False) -> dict:
+    """{(n_steps, delta): [KrylovEstimate per run]} of ``algorithm`` over
+    ``runs``, ``steps`` and ``deltas``; ``window`` and ``real_part`` shape
+    odmd's Hankel pair.
+
+    Per n_steps one ``svd`` of the stacked S (Toeplitz) or X (Hankel) of
+    every run serves every delta.  The singular values come sorted, so the
+    kept ones are a prefix of length r, the retained rank, and the runs of
+    one rank share one stacked solve or propagator product and one stacked
+    ``eig``.  A run's matrices meet the same LAPACK and BLAS calls as when
+    solved alone, so no estimate depends on which runs share a stack.
+
+    * Toeplitz: the pencil (W_r^H T V_r, W_r^H S V_r) on the retained
+      singular subspaces of S ~ W_r Sigma_r V_r^H, solved as the standard
+      eigenproblem (W_r^H S V_r)^{-1} W_r^H T V_r.  W_r^H S V_r equals
+      Sigma_r only up to the rounding of the SVD, which 1/sigma_r
+      amplifies: dividing by Sigma_r instead moved energies of the 12-spin
+      test series at delta = 1e-8 by up to 2.2e-9 from QZ (two BLAS
+      threads), where solving with the computed product stays within
+      1.1e-10.
+    * Hankel: the one-step propagator A = X' X^+ with the truncated
+      pseudoinverse X^+ = V_r Sigma_r^{-1} U_r^H.
+
+    ``eigvals`` would differ from ``eig`` in the last bits (by 1.4e-14 on
+    the 150-step 12-spin S^z = 0 sector series).
+    """
+    spec = solver_spec(algorithm, "floquet" if all(s.kind == "floquet" for s in runs)
+                       else "unitary")
+    n_max = min(s.n_max for s in runs)
+    hankel = spec.pair == "hankel"
+    cells = {}
+    for n_steps in steps:
+        if not spec.first_step <= n_steps <= n_max:
+            raise ValueError(f"n_steps must be in [{spec.first_step}, {n_max}]")
+        if hankel:
+            basis, target = map(np.stack, zip(*(_hankel_pair(s, n_steps, window, real_part)
+                                               for s in runs)))
+        else:
+            target, basis = map(np.stack, zip(*(_toeplitz_pair(s, n_steps) for s in runs)))
+        U, sig, Vh = np.linalg.svd(basis, full_matrices=False)
+        # W_r^H and V_r below are views of U^H and V with the strides of a
+        # single matrix's truncated copies, so each product is the same BLAS call
+        Uh = np.conjugate(U.swapaxes(-1, -2), order="C")
+        V = np.conjugate(Vh, out=Vh).swapaxes(-1, -2)
+        del U
+        for delta in deltas:
+            ranks = np.count_nonzero(sig >= delta * sig[:, :1], axis=1)
+            cell = cells[n_steps, delta] = [_FILTERED] * len(runs)  # rank 0
+            for r in sorted(set(ranks.tolist()) - {0}):  # np.unique would import numpy.ma
+                group = np.flatnonzero(ranks == r)
+                pick = group if len(group) < len(runs) else slice(None)  # views, no copies
+                Wh, Vr = Uh[pick, :r], V[pick, :, :r]
+                if hankel:
+                    inverse = np.eye(r) * (1.0 / sig[pick, :r])[:, None, :]  # Sigma_r^{-1}
+                    reduced = target[pick] @ (Vr @ inverse @ Wh)
+                else:
+                    reduced = np.linalg.solve(Wh @ basis[pick] @ Vr, Wh @ target[pick] @ Vr)
+                lam = np.linalg.eig(reduced)[0]
+                for i, row in zip(group, lam):
+                    cell[i] = _pick_minimum(row, runs[i].dt, band, r)
+    return cells
 
 
 # -- CSV surfaces --------------------------------------------------------------

@@ -112,8 +112,8 @@ def estimate_sector_energies(ham, method: str = "uvqpe", delta: float | None = N
     energies: dict[int, float] = {}
     meta: dict[int, dict] = {}
     for sz in range(ham.lattice.n_triangles + 1):
-        estimate = krylov.solve(method, sector_series(ham, sz, dt, n_steps, sz0_cz_bonds),
-                                n_steps, delta)
+        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
         e_exact = ham.ground_state_energy(sector=float(sz))
         error = abs(estimate.energy - e_exact)
         energies[sz] = estimate.energy

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -214,14 +215,18 @@ class _Pass:
     """The gates of one circuit at one time, with or without the twirl layer.
     An error slot is one site of a gate with two or more sites, in gate
     order; ``slots`` holds the (gate index, site) of each.  ``state``, the
-    noiseless final state, and ``cdf``, its sampling CDF, are set by
-    ``_evolve_passes``."""
+    noiseless final state, is set by ``_evolve_passes``; ``cdf``, its
+    sampling CDF, is built where it is first read."""
 
     def __init__(self, gates: list):
         self.gates = gates
         self.slots = [(gi, q) for gi, g in enumerate(gates) if len(g.sites) >= 2
                       for q in g.sites]
-        self.state = self.cdf = None
+        self.state = None
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        return sampling_cdf(self.state)
 
 
 @dataclass(eq=False)
@@ -307,8 +312,8 @@ class _NoisyPool:
 
 def _evolve_passes(passes: list, shots: list, n: int) -> None:
     """Evolve the noiseless state of each of ``passes`` and the erring
-    ``shots`` that run them from |0..0>: set each pass's ``state`` and
-    ``cdf`` and each shot's ``sample``.
+    ``shots`` that run them from |0..0>: set each pass's ``state`` and each
+    shot's ``sample``.
 
     The rows of one (B, 2^n) batch are the noiseless state, row 0, and the
     erring shots that have joined it.  A shot joins at its first erring gate
@@ -369,7 +374,6 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
                 branches.setdefault(id(npass.gates[end]), []).append(npass)
             elif npass.state is None:
                 npass.state = batch[0].copy()
-                npass.cdf = sampling_cdf(npass.state)
         for row, shot in enumerate(shots, 1):
             if len(shot.npass.gates) == end:
                 shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
@@ -386,7 +390,7 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
 
 def _noiseless_pool(npass: _Pass, shots: int, streams, stream: tuple):
     """One noiseless pool: a function that draws its samples from the pass's
-    CDF on ``stream``, once ``_evolve_passes`` has set it."""
+    CDF on ``stream``, once ``_evolve_passes`` has set its state."""
     return lambda: sample_bitstrings(npass.cdf, shots, streams(stream))
 
 

@@ -2,7 +2,9 @@
 spectrum with its eigenvectors unfolded from the momentum blocks, the full
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
-overlaps of a Krylov estimate's Ritz vector with the exact eigenstates, kagome
+single-cell Krylov solvers that keep each estimate's eigenvalue and Ritz
+vector (the reference for ``krylov.sweep``), the overlaps of that Ritz vector
+with the exact eigenstates, kagome
 patches, the bond-by-bond Trotter scheme, analytic CNOT counts per Trotter
 step, predicted step counts, the magnetization M(h) read off a curve, and the
 mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
@@ -115,6 +117,86 @@ def subspace_overlap(psi: np.ndarray, spectrum) -> float:
         raise ValueError("state must be normalized")
     ov = spectrum.overlaps(psi)
     return float(np.sum(ov[spectrum.ground_subspace]))
+
+
+# -- single-cell Krylov solvers ----------------------------------------------
+
+@dataclass
+class RitzEstimate:
+    """One cell's estimate with the eigenvalue it came from and its Ritz
+    coefficients over the Krylov basis states."""
+
+    algorithm: str
+    n_steps: int
+    delta: float
+    energy: float | None
+    eigenvalue: complex | None
+    ritz: np.ndarray | None
+    retained_rank: int
+    flags: tuple[str, ...] = ()
+
+
+def _pick_minimum(lam: np.ndarray, vecs: np.ndarray, dt: float, band):
+    energies = -np.angle(lam) / dt
+    ok = (np.abs(lam) >= band[0]) & (np.abs(lam) <= band[1])
+    flags: tuple[str, ...] = ()
+    if not np.any(ok):
+        ok = np.ones_like(energies, dtype=bool)
+        flags = ("no_admissible_eigenvalue",)
+    i = int(np.argmin(np.where(ok, energies, np.inf)))
+    return float(energies[i]), complex(lam[i]), vecs[:, i], flags
+
+
+def truncated_svd(M: np.ndarray, delta: float):
+    """Thin SVD (U_r, sigma_r, V_r, flags) of M ~ U_r diag(sigma_r) V_r^H without
+    the singular values below delta * sigma_max; flags the case where none stay."""
+    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
+    keep = sig >= delta * sig[0]
+    flags = () if keep.any() else ("all_singular_values_filtered",)
+    return U[:, keep], sig[keep], Vh.conj().T[:, keep], flags
+
+
+def _check_steps(algorithm: str, series, n_steps: int) -> None:
+    first = krylov.SOLVERS[algorithm].first_step
+    if n_steps < first or n_steps > series.n_max:
+        raise ValueError(f"n_steps must be in [{first}, {series.n_max}]")
+
+
+def uvqpe(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND) -> RitzEstimate:
+    """Toeplitz GEVP T c = lambda S c over the first ``n_steps`` Krylov states,
+    solved as (W_r^H S V_r)^{-1} W_r^H T V_r y = lambda y on the retained
+    singular subspaces of S (``krylov.sweep``); the Ritz coefficients are
+    c = V_r y."""
+    _check_steps("uvqpe", series, n_steps)
+    T, S = krylov._toeplitz_pair(series, n_steps)
+    W, _, V, flags = truncated_svd(S, delta)
+    if flags:
+        return RitzEstimate("uvqpe", n_steps, delta, None, None, None, 0, flags)
+    Wh = W.conj().T
+    lam, vec = np.linalg.eig(np.linalg.solve(Wh @ S @ V, Wh @ T @ V))
+    energy, eigenvalue, reduced, flags = _pick_minimum(lam, vec, series.dt, band)
+    return RitzEstimate("uvqpe", n_steps, delta, energy, eigenvalue, V @ reduced,
+                        V.shape[1], flags)
+
+
+def odmd(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
+         window: int | None = None, real_part: bool = False) -> RitzEstimate:
+    """Hankel least-squares fit of the one-step propagator."""
+    _check_steps("odmd", series, n_steps)
+    X, Xp = krylov._hankel_pair(series, n_steps, window, real_part)
+    U, sig, V, flags = truncated_svd(X, delta)
+    if flags:
+        return RitzEstimate("odmd", n_steps, delta, None, None, None, 0, flags)
+    A = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T)
+    lam, vec = np.linalg.eig(A)
+    energy, eigenvalue, ritz, flags = _pick_minimum(lam, vec, series.dt, band)
+    return RitzEstimate("odmd", n_steps, delta, energy, eigenvalue, ritz, len(sig), flags)
+
+
+def solve(algorithm: str, series, n_steps: int, delta: float, **kwargs) -> RitzEstimate:
+    """One cell of ``krylov.sweep``, solved on its own."""
+    spec = krylov.solver_spec(algorithm, series.kind)
+    return (odmd if spec.pair == "hankel" else uvqpe)(series, n_steps, delta, **kwargs)
 
 
 # -- Ritz-vector diagnostics -------------------------------------------------

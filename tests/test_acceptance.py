@@ -17,18 +17,15 @@ from oracles import (
     exact_overlap,
     magnetization,
     matvec,
+    odmd,
     ritz_ground_overlap,
     ritz_overlaps,
     rng_stream,
     subspace_overlap,
-)
-from starkrylov.hamiltonian import SpinHamiltonian
-from starkrylov.krylov import (
-    _toeplitz_pair,
-    odmd,
-    solve,
     uvqpe,
 )
+from starkrylov.hamiltonian import SpinHamiltonian
+from starkrylov.krylov import _toeplitz_pair, sweep
 from starkrylov.lattice import build_star
 from starkrylov.magnet import (
     build_curve,
@@ -142,16 +139,17 @@ def test_criterion_4_fig5_convergence_ordering(stars, hams):
     counts = {}
     for algorithm in ("uvqpe", "odmd"):
         first = 1 if algorithm == "uvqpe" else 2
+        cells = sweep(algorithm, [series], range(first, 81), deltas)
         steps = {}
         for delta in deltas:
             hit = None
             for ns in range(first, 81):
-                est = solve(algorithm, series, ns, delta)
+                est, = cells[ns, delta]
                 if est.energy is not None and abs(est.energy + 12.0) < 1e-6:
                     hit = ns
                     break
             steps[delta] = hit
-            final = solve(algorithm, series, 50, delta)
+            final, = cells[50, delta]
             assert abs(final.energy + 12.0) < 0.05, (algorithm, delta)
         assert steps[1e-5] is not None
         ordered = [steps[d] if steps[d] is not None else 10 ** 9 for d in deltas]
@@ -210,14 +208,16 @@ def test_criterion_7_shot_noise_thresholds(stars, hams):
     plan = ShotPlan(1000)
     n_real = 100
     traces = {"uvqpe": {1e-1: [], 1e-2: []}, "odmd": {1e-1: [], 1e-2: []}}
-    for series, _ in overlap_series_sampled(prep, ExactEvolver(ham), ham, DT, 55,
-                                            plan, seed=2026, realizations=range(n_real)):
-        for algorithm in traces:
-            first = 1 if algorithm == "uvqpe" else 2
-            for delta in traces[algorithm]:
+    runs = [series for series, _ in overlap_series_sampled(
+        prep, ExactEvolver(ham), ham, DT, 55, plan, seed=2026, realizations=range(n_real))]
+    for algorithm in traces:
+        first = 1 if algorithm == "uvqpe" else 2
+        cells = sweep(algorithm, runs, range(first, 51), tuple(traces[algorithm]))
+        for delta in traces[algorithm]:
+            for r in range(n_real):
                 errs = []
                 for ns in range(first, 51):
-                    est = solve(algorithm, series, ns, delta)
+                    est = cells[ns, delta][r]
                     errs.append(np.inf if est.energy is None
                                 else abs(est.energy + 12.0))
                 traces[algorithm][delta].append(errs)

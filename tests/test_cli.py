@@ -219,18 +219,19 @@ def test_converge_exact_summary(tmp_path):
 
 
 def test_converge_solves_each_distinct_series_once(tmp_path, monkeypatch):
-    # the exact series stands for every realization, so each (solver, delta,
-    # step) cell solves it once; sampled realizations are solved one by one
-    solve, calls = starkrylov.krylov.solve, []
+    # the exact series stands for every realization, so each solver's sweep
+    # gets it once; sampled realizations are distinct runs of the sweep
+    sweep, calls = starkrylov.krylov.sweep, []
 
-    def counted_solve(*args, **kwargs):
-        calls.append(args[:3])
-        return solve(*args, **kwargs)
+    def counted_sweep(algorithm, runs, steps, deltas, *args):
+        calls.append((algorithm, runs, list(steps), list(deltas)))
+        return sweep(algorithm, runs, steps, deltas, *args)
 
-    monkeypatch.setattr(starkrylov.krylov, "solve", counted_solve)
+    monkeypatch.setattr(starkrylov.krylov, "sweep", counted_sweep)
     assert run(tmp_path, "converge", {"steps": 20, "realizations": 3}) == 0
-    # 3 deltas x (20 uvqpe + 19 odmd prefix lengths), not 3 x that
-    assert len(calls) == 3 * (20 + 19) == 117
+    # one sweep per solver, each over one run, 3 deltas and every prefix length
+    assert [(a, len(runs)) for a, runs, _, _ in calls] == [("uvqpe", 1), ("odmd", 1)]
+    assert [len(steps) * len(deltas) for _, _, steps, deltas in calls] == [3 * 20, 3 * 19]
     summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
     assert summary["realizations"] == 3
     assert (tmp_path / "out" / "convergence_spread.csv").exists()
@@ -238,7 +239,8 @@ def test_converge_solves_each_distinct_series_once(tmp_path, monkeypatch):
     cfg = {"steps": 6, "deltas": [0.1], "solvers": ["uvqpe"], "shots": {"total": 100},
            "realizations": 2}
     assert run(tmp_path, "converge", cfg) == 0
-    assert len(calls) == 2 * 6 and len({id(series) for _, series, _ in calls}) == 2
+    assert len(calls) == 1 and calls[0][2] == list(range(1, 7))
+    assert len({id(series) for series in calls[0][1]}) == 2
 
 
 def test_converge_summary_counts_flags(tmp_path):

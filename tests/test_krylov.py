@@ -7,25 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RitzEstimate,
     cluster_overlaps,
     diagonalize,
+    odmd,
     ritz_ground_overlap,
     ritz_overlaps,
+    solve,
     step_bounds,
+    truncated_svd,
+    uvqpe,
 )
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.krylov import (
     DEFAULT_BAND,
-    KrylovEstimate,
+    SOLVERS,
     OverlapSeries,
     _hankel_pair,
     _toeplitz_pair,
-    _truncated_svd,
-    odmd,
-    solve,
-    uvqpe,
+    sweep,
 )
 from starkrylov.lattice import build_star
+from starkrylov.magnet import sector_series, sector_solver_settings
 from starkrylov.mirror import (
     ExactEvolver,
     GateEvolver,
@@ -228,7 +231,7 @@ def _uvqpe_qz(series, n_steps, delta, band=DEFAULT_BAND):
     """Reference: QZ on the projected pencil (W^H T V, W^H S V), with the
     finite-eigenvalue mask it needed; returns (energy, ritz, rank, flags)."""
     T, S = _toeplitz_pair(series, n_steps)
-    W, _, V, flags = _truncated_svd(S, delta)
+    W, _, V, flags = truncated_svd(S, delta)
     if flags:
         return None, None, 0, flags
     lam, vec = scipy.linalg.eig(W.conj().T @ T @ V, W.conj().T @ S @ V)
@@ -273,8 +276,93 @@ def test_uvqpe_matches_qz_reference(series8, series12):
                 assert 1.0 - cos <= 1e-12, where
 
 
+def assert_sweep_matches_oracle(algorithm, runs, steps, deltas, **kwargs):
+    """Every cell of ``sweep`` equals the single-cell solve of its run."""
+    cells = sweep(algorithm, runs, steps, deltas, **kwargs)
+    assert sorted(cells) == sorted((ns, delta) for ns in steps for delta in deltas)
+    for (ns, delta), cell in cells.items():
+        assert len(cell) == len(runs)
+        for r, (series, est) in enumerate(zip(runs, cell)):
+            ref = solve(algorithm, series, ns, delta, **kwargs)
+            where = f"{algorithm} {kwargs} run {r} n_steps={ns} delta={delta:g}"
+            assert est.energy == ref.energy, where
+            assert est.retained_rank == ref.retained_rank, where
+            assert est.flags == ref.flags, where
+    return cells
+
+
+@pytest.fixture(scope="module")
+def sweep_runs(series8):
+    star = build_star(4)
+    ham = SpinHamiltonian(star)
+    prep = dressed_initial(star)
+
+    def sampled(evolver, kmax, total, seed, n):
+        return [series for series, _ in overlap_series_sampled(
+            prep, evolver, ham, DT, kmax, ShotPlan(total), seed=seed, realizations=range(n))]
+
+    return {
+        "exact": [series8],
+        "floquet": [overlap_series_exact(prep.state(), GateEvolver(ham), DT, 40)],
+        "sampled": sampled(ExactEvolver(ham), 30, 1000, 5, 4),
+        "sampled_floquet": sampled(GateEvolver(ham), 20, 500, 3, 3),
+    }
+
+
+SWEEP_DELTAS = (1e-14, 1e-6, 1e-2, 0.1, 2.0)
+
+
+@pytest.mark.parametrize("algorithm, runs, kwargs", [
+    ("uvqpe", "exact", {}),
+    ("odmd", "exact", {}),
+    ("odmd", "exact", {"real_part": True}),
+    ("uvqpe", "floquet", {}),
+    ("uvqpe_floquet", "floquet", {}),
+    ("odmd", "floquet", {"window": 6}),
+    ("uvqpe", "sampled", {}),
+    ("odmd", "sampled", {"window": 6}),
+    ("odmd", "sampled", {"real_part": True, "band": (0.7, 1.3)}),
+    ("uvqpe_floquet", "sampled_floquet", {}),
+    ("odmd", "sampled_floquet", {"window": 5, "real_part": True}),
+])
+def test_sweep_matches_single_cell_solves(sweep_runs, algorithm, runs, kwargs):
+    series = sweep_runs[runs]
+    first = max(SOLVERS[algorithm].first_step, kwargs.get("window") or 1)
+    steps = range(first, min(60, min(s.n_max for s in series)) + 1)
+    cells = assert_sweep_matches_oracle(algorithm, series, steps, SWEEP_DELTAS, **kwargs)
+    # a threshold above sigma_max filters every singular value of every run
+    for ns in steps:
+        for est in cells[ns, 2.0]:
+            assert est.energy is None and est.retained_rank == 0
+            assert est.flags == ("all_singular_values_filtered",)
+
+
+def test_sweep_stack_mixes_ranks(sweep_runs):
+    """Runs of one stack that keep different ranks at one delta get the
+    estimates that each run gets in a stack of its own."""
+    runs = sweep_runs["sampled"]
+    steps, deltas = range(10, 31), (1e-2, 0.1)
+    for algorithm in ("uvqpe", "odmd"):
+        cells = assert_sweep_matches_oracle(algorithm, runs, steps, deltas)
+        assert any(len({est.retained_rank for est in cell}) > 1 for cell in cells.values())
+        for r, series in enumerate(runs):
+            alone = sweep(algorithm, [series], steps, deltas)
+            assert all(alone[key][0] == cell[r] for key, cell in cells.items())
+
+
+def test_sweep_matches_single_cell_on_12_spin_sector_series():
+    # the 150-step S^z = 0 series of the 12-spin magnetization run, on which
+    # eigvals and eig give eigenvalues that differ in the last bits
+    star = build_star(6)
+    settings = sector_solver_settings(star)
+    series = sector_series(SpinHamiltonian(star), 0, settings["dt"], settings["n_steps"])
+    for algorithm in ("uvqpe", "odmd"):
+        assert_sweep_matches_oracle(algorithm, [series], [settings["n_steps"]],
+                                    [settings["delta"]])
+
+
 def test_ritz_requires_coefficients():
-    est = KrylovEstimate("uvqpe", 1, 1e-6, None, None, None, 0, ("flag",))
+    est = RitzEstimate("uvqpe", 1, 1e-6, None, None, None, 0, ("flag",))
     with pytest.raises(ValueError):
         ritz_overlaps(est, [], None)
 
@@ -305,6 +393,8 @@ def test_uvqpe_floquet_requires_both_directions():
     # the configuration name refuses a one-direction series
     with pytest.raises(ValueError, match="both directions"):
         solve("uvqpe_floquet", eigenstate_series(-3.0, 6), 3, 1e-6)
+    with pytest.raises(ValueError, match="both directions"):
+        sweep("uvqpe_floquet", [eigenstate_series(-3.0, 6)], [3], [1e-6])
 
 
 def test_floquet_agrees_with_unitary_to_second_order():
@@ -363,6 +453,10 @@ def test_solver_bounds_validation(series8):
         odmd(series8, 1, 1e-6)
     with pytest.raises(ValueError):
         solve("newton", series8, 3, 1e-6)
+    for algorithm, steps in (("uvqpe", [0, 3]), ("uvqpe", [3, 1000]), ("odmd", [1]),
+                             ("newton", [3])):
+        with pytest.raises(ValueError):
+            sweep(algorithm, [series8], steps, [1e-6])
 
 
 def test_step_bounds_examples():

@@ -501,6 +501,26 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     check(6, 2 * 6 * 6)
 
 
+def test_unsampled_passes_build_no_cdf(problem, monkeypatch):
+    # the EXACT cell and the allocation study read each pass's state, never
+    # its sampling CDF, so no CDF is built
+    _, ham, prep = problem
+    built = []
+
+    def counted_cdf(amps):
+        built.append(1)
+        return sampling_cdf(amps)
+
+    monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
+    for kind in ("exact", "floquet"):
+        circuits = _MirrorCircuits(prep, make_evolver(kind, ham, dt_step=DT))
+        [exact] = _estimate_cells(circuits, ham, 2 * DT, [EXACT])
+        assert exact.fractions[0] > 0
+    rows = allocation_study(prep, ham, [DT, 2 * DT], m_totals=(100,), f1_grid=(0.5,),
+                            n_realizations=3, seed=1)
+    assert rows and built == []
+
+
 @pytest.mark.parametrize("kind", ["trotter", "floquet"])
 @pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl"])
 def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl):
@@ -567,6 +587,8 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
     cdfs.clear()
     _evolve_passes([npass for npass, _ in passes.values()],
                    [shot for _, shots in passes.values() for shot in shots], prep.n_sites)
+    # a pass builds its CDF where it is first read
+    assert all(npass.cdf is not None for npass, _ in passes.values())
     together = sorted(cdfs)
     cdfs.clear()
     for m, (key, (npass, shots)) in enumerate(passes.items()):
