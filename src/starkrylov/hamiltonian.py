@@ -14,8 +14,10 @@ L_r) with m L_r divisible by N, in the states
 |r, m> = L_r^(-1/2) sum_{j < L_r} w^(-m j) T^j |r>, w = exp(2 pi i / N); it is
 built from the representatives' bond flips as
 H_m[r', r] = sum over flips of r onto T^j r' of 2 w^(m j) sqrt(L_r / L_r'),
-and is real for m = 0 and m = N/2.  Spectra, evolution and overlap series all
-go through the blocks, whose eigenvectors stay in block form.
+and is real for m = 0 and m = N/2; H_{N-m} = conj(H_m) on the same
+representatives, so one ``eigh`` gives both (w, v) and (w, conj(v)).  Spectra,
+evolution and overlap series all go through the blocks, whose eigenvectors
+stay in block form.
 """
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ class SpinHamiltonian:
     # -- spectra -----------------------------------------------------------
 
     def _sector_eig(self, n_down: int) -> _SectorBlocks:
-        """One ``eigh`` per momentum block of the sector, cached."""
+        """One ``eigh`` per conjugate pair of momentum blocks of the sector, cached."""
         if n_down in self._eigs:
             return self._eigs[n_down]
         basis = self._sectors[n_down]
@@ -127,6 +129,10 @@ class SpinHamiltonian:
         diag = zz - self.h_field * self._sz_of_ndown(n_down)
         blocks = []
         for m in range(n_rot):
+            if 2 * m > n_rot:  # H_{N-m} = conj(H_m) on the same keep: same w, conjugate v
+                _, keep, w, v = blocks[n_rot - m]
+                blocks.append((m, keep, w, v.conj()))
+                continue
             keep = np.nonzero(m * length % n_rot == 0)[0]
             h = np.zeros((len(reps), len(reps)), dtype=complex)
             np.add.at(h, (dst, src), amp * omega[hop, m])

@@ -22,11 +22,12 @@ eigenvalues with |lambda| inside an admissibility band around the unit
 circle and return the minimum admissible energy.
 
 A threshold delta below ``DELTA_FLOOR`` keeps singular values that are
-rounding noise of the SVD, whose spurious directions give eigenvalues far
-below the spectrum.  On exact 8- and 12-spin series, uvqpe gave energies up
-to 36 below the ground energy in some series at every delta up to 2e-15, and
-within 1e-9 of it in all of them from 5e-15 to 1e-13; the floor sits a
-factor 5 above the largest delta that failed.
+rounding noise of the decomposition, whose spurious directions give
+eigenvalues far below the spectrum.  On the exact 8- and 12-spin
+magnetization sector and dressed-state series, the last-step uvqpe energy
+lay 35.5 below the ground energy in some series at every delta up to 2e-15,
+and within 5.5e-10 of it in all of them from 5e-15 to 1e-13, with ``eigh``
+as with the SVD; the floor sits a factor 5 above the largest delta that failed.
 """
 from __future__ import annotations
 
@@ -159,31 +160,33 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
     ``runs``, ``steps`` and ``deltas``; ``window`` and ``real_part`` shape
     odmd's Hankel pair.
 
-    Per n_steps one ``svd`` of the stacked S (Toeplitz) or X (Hankel) of
-    every run serves every delta.  The singular values come sorted, so the
-    kept ones are a prefix of length r, the retained rank, and the runs of
-    one rank share one stacked solve or propagator product and one stacked
-    ``eig``.  A run's matrices meet the same LAPACK and BLAS calls as when
-    solved alone, so no estimate depends on which runs share a stack.
+    Per n_steps one decomposition of the stacked S (Toeplitz) or X (Hankel)
+    of every run serves every delta: ``eigh`` if every run is unitary (S
+    Hermitian; Klymko et al., PRX Quantum 3, 020323, 2022), its eigenpairs
+    in stable order of |lambda| descending, else ``svd``.  The kept singular
+    values (|lambda|) are a prefix of length r, the retained rank, and the
+    runs of one rank share one stacked solve or propagator product and one
+    stacked ``eigvals`` (no estimate reads an eigenvector).  A run's
+    matrices meet the same LAPACK and BLAS calls as when solved alone, so
+    no estimate depends on which runs share a stack.
 
     * Toeplitz: the pencil (W_r^H T V_r, W_r^H S V_r) on the retained
-      singular subspaces of S ~ W_r Sigma_r V_r^H, solved as the standard
+      singular subspaces of S ~ W_r Sigma_r V_r^H (under ``eigh``, W_r =
+      V_r = Q_r and Lambda_r for Sigma_r), solved as the standard
       eigenproblem (W_r^H S V_r)^{-1} W_r^H T V_r.  W_r^H S V_r equals
-      Sigma_r only up to the rounding of the SVD, which 1/sigma_r
-      amplifies: dividing by Sigma_r instead moved energies of the 12-spin
-      test series at delta = 1e-8 by up to 2.2e-9 from QZ (two BLAS
-      threads), where solving with the computed product stays within
-      1.1e-10.
+      Sigma_r only up to the rounding of the decomposition, which 1/sigma_r
+      amplifies: on the 12-spin test series at delta = 1e-8, dividing by
+      Sigma_r moved energies by up to 1.2e-9 from QZ on the same pencil
+      (2.2e-9 with the SVD), solving with the computed product by 1.1e-10;
+      on the 12-spin sectors at delta = 1e-14, by 2.3e-6 and 4.1e-8.
     * Hankel: the one-step propagator A = X' X^+ with the truncated
       pseudoinverse X^+ = V_r Sigma_r^{-1} U_r^H.
-
-    ``eigvals`` would differ from ``eig`` in the last bits (by 1.4e-14 on
-    the 150-step 12-spin S^z = 0 sector series).
     """
     spec = solver_spec(algorithm, "floquet" if all(s.kind == "floquet" for s in runs)
                        else "unitary")
     n_max = min(s.n_max for s in runs)
     hankel = spec.pair == "hankel"
+    hermitian = not hankel and all(s.kind == "unitary" for s in runs)
     cells = {}
     for n_steps in steps:
         if not spec.first_step <= n_steps <= n_max:
@@ -193,11 +196,17 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
                                                for s in runs)))
         else:
             target, basis = map(np.stack, zip(*(_toeplitz_pair(s, n_steps) for s in runs)))
-        U, sig, Vh = np.linalg.svd(basis, full_matrices=False)
+        if hermitian:  # S = Q Lambda Q^H, whose singular values are the |lambda|
+            lam, Q = np.linalg.eigh(basis)
+            order = np.argsort(-np.abs(lam), axis=-1, kind="stable")
+            sig = np.take_along_axis(np.abs(lam), order, axis=-1)
+            U = V = np.take_along_axis(Q, order[:, None, :], axis=-1)  # W_r = V_r = Q_r
+        else:
+            U, sig, Vh = np.linalg.svd(basis, full_matrices=False)
+            V = np.conjugate(Vh, out=Vh).swapaxes(-1, -2)
         # W_r^H and V_r below are views of U^H and V with the strides of a
         # single matrix's truncated copies, so each product is the same BLAS call
         Uh = np.conjugate(U.swapaxes(-1, -2), order="C")
-        V = np.conjugate(Vh, out=Vh).swapaxes(-1, -2)
         del U
         for delta in deltas:
             ranks = np.count_nonzero(sig >= delta * sig[:, :1], axis=1)
@@ -211,8 +220,7 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
                     reduced = target[pick] @ (Vr @ inverse @ Wh)
                 else:
                     reduced = np.linalg.solve(Wh @ basis[pick] @ Vr, Wh @ target[pick] @ Vr)
-                lam = np.linalg.eig(reduced)[0]
-                for i, row in zip(group, lam):
+                for i, row in zip(group, np.linalg.eigvals(reduced)):
                     cell[i] = _pick_minimum(row, runs[i].dt, band, r)
     return cells
 

@@ -3,10 +3,11 @@ spectrum with its eigenvectors unfolded from the momentum blocks, the full
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
 single-cell Krylov solvers that keep each estimate's eigenvalue and Ritz
-vector (the reference for ``krylov.sweep``), the overlaps of that Ritz vector
-with the exact eigenstates, kagome
-patches, the bond-by-bond Trotter scheme, analytic CNOT counts per Trotter
-step, predicted step counts, the magnetization M(h) read off a curve, and the
+vector (``krylov.sweep``'s former path: SVD and ``eig``), one sweep cell solved
+on its own with the sweep's decompositions (``sweep_cell``), the overlaps of
+that Ritz vector with the exact eigenstates, kagome patches, the
+bond-by-bond Trotter scheme, analytic CNOT counts per Trotter step,
+predicted step counts, the magnetization M(h) read off a curve, and the
 mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
 overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
 at a time, their all-zero probabilities, exact F1/F2/F3, one sampled
@@ -165,8 +166,8 @@ def _check_steps(algorithm: str, series, n_steps: int) -> None:
 def uvqpe(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND) -> RitzEstimate:
     """Toeplitz GEVP T c = lambda S c over the first ``n_steps`` Krylov states,
     solved as (W_r^H S V_r)^{-1} W_r^H T V_r y = lambda y on the retained
-    singular subspaces of S (``krylov.sweep``); the Ritz coefficients are
-    c = V_r y."""
+    singular subspaces of S (``krylov.sweep``'s former path); the Ritz
+    coefficients are c = V_r y."""
     _check_steps("uvqpe", series, n_steps)
     T, S = krylov._toeplitz_pair(series, n_steps)
     W, _, V, flags = truncated_svd(S, delta)
@@ -194,9 +195,42 @@ def odmd(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
 
 
 def solve(algorithm: str, series, n_steps: int, delta: float, **kwargs) -> RitzEstimate:
-    """One cell of ``krylov.sweep``, solved on its own."""
+    """One cell solved on its own by the former path of ``krylov.sweep``: the
+    SVD of S or X and ``eig`` with eigenvectors."""
     spec = krylov.solver_spec(algorithm, series.kind)
     return (odmd if spec.pair == "hankel" else uvqpe)(series, n_steps, delta, **kwargs)
+
+
+def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
+               window: int | None = None, real_part: bool = False) -> krylov.KrylovEstimate:
+    """One cell of ``krylov.sweep`` solved on its own, with the sweep's
+    decompositions: ``eigh`` of the Hermitian S of a unitary series, its
+    eigenpairs ordered by |lambda| descending and W_r = V_r = Q_r, the SVD of
+    S or X otherwise, and ``eigvals`` of the reduced matrix.  Each product
+    sees the operand layout it sees in the sweep."""
+    spec = krylov.solver_spec(algorithm, series.kind)
+    _check_steps(algorithm, series, n_steps)
+    if spec.pair == "hankel":
+        X, Xp = krylov._hankel_pair(series, n_steps, window, real_part)
+        U, sig, V, flags = truncated_svd(X, delta)
+        if flags:
+            return krylov._FILTERED
+        reduced, r = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T), len(sig)
+    else:
+        T, S = krylov._toeplitz_pair(series, n_steps)
+        if series.kind == "unitary":
+            lam, Q = np.linalg.eigh(S)
+            order = np.argsort(-np.abs(lam), kind="stable")
+            Q = Q[:, order]
+            r = np.count_nonzero(np.abs(lam)[order] >= delta * np.abs(lam[order[0]]))
+            Wh, V = np.conjugate(Q.T, order="C")[:r], Q[:, :r]
+        else:
+            W, _, V, _ = truncated_svd(S, delta)
+            Wh, r = W.conj().T, W.shape[1]
+        if r == 0:
+            return krylov._FILTERED
+        reduced = np.linalg.solve(Wh @ S @ V, Wh @ T @ V)
+    return krylov._pick_minimum(np.linalg.eigvals(reduced), series.dt, band, r)
 
 
 # -- Ritz-vector diagnostics -------------------------------------------------

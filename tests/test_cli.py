@@ -321,12 +321,13 @@ def test_cli_process_keeps_a_preset_blas_thread_count():
     assert started == _start_threads("import numpy", "2")
 
 
-def test_cli_imported_after_numpy_keeps_the_blas_thread_count():
+def test_cli_imported_after_numpy_keeps_the_blas_thread_count(blas_threads_before_pin):
     """An interpreter that loaded numpy first, as this one did, keeps its
-    OpenBLAS thread count when it imports the CLI."""
+    OpenBLAS thread count when it imports the CLI.  This process's count is
+    the one from before the test's one-thread pin."""
     preset = os.environ.get("OPENBLAS_NUM_THREADS")
     started = _start_threads("import numpy", preset)
-    assert started == f"{cli._openblas_threads()[0]()} {preset}"
+    assert started == f"{blas_threads_before_pin} {preset}"
 
 
 def test_converge_floquet_solver_requires_floquet_evolver(tmp_path):

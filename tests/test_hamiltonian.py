@@ -230,7 +230,7 @@ def test_autocorrelation_matches_evolve_loop(n_tri):
 
 
 @pytest.mark.parametrize("n_tri", [4, 6])
-@pytest.mark.parametrize("h", [0.0, 0.5])
+@pytest.mark.parametrize("h", [0.0, 0.5, 0.7])
 def test_momentum_blocks_match_dense_sectors(n_tri, h):
     # the rotation-momentum blocks against eigh of each full sector block
     star = build_star(n_tri)
@@ -255,6 +255,54 @@ def test_momentum_blocks_match_dense_sectors(n_tri, h):
     for psi, out, auto in zip(states, evolved, autocorrelations):
         assert np.max(np.abs(ham.evolve(psi, 0.6) - out)) <= 1e-12
         assert np.max(np.abs(ham.autocorrelation(psi, times) - auto)) <= 1e-12
+
+
+def _momentum_state(basis, rotation, rep, m, n_rot):
+    """|r, m> = L_r^(-1/2) sum_{j < L_r} w^(-m j) T^j |r> on the sector basis,
+    with the orbit of r walked bit by bit."""
+    pos = {int(b): i for i, b in enumerate(basis)}
+    orbit = [int(rep)]
+    while True:
+        nxt = sum(((orbit[-1] >> s) & 1) << t for s, t in enumerate(rotation))
+        if nxt == orbit[0]:
+            break
+        orbit.append(nxt)
+    out = np.zeros(len(basis), dtype=complex)
+    for j, b in enumerate(orbit):
+        out[pos[b]] += np.exp(-2j * np.pi * m * j / n_rot)
+    return out / np.sqrt(len(orbit))
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+@pytest.mark.parametrize("h", [0.0, 0.7])
+def test_conjugate_momentum_blocks_match_explicit_blocks(n_tri, h, monkeypatch):
+    """Block N - m reuses block m's eigenvalues and conjugate eigenvectors;
+    each pair member must still diagonalize the block B^H H B that its
+    momentum states B span, assembled from the dense sector block."""
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star, h_field=h)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    sectors = [ham._sector_eig(n_down) for n_down in range(star.n_sites + 1)]
+    monkeypatch.undo()
+    n_blocks = sum(len(sec.blocks) for sec in sectors)
+    assert len(calls) == sum(len(sec.blocks) // 2 + 1 for sec in sectors) < n_blocks
+    paired = 0
+    for n_down, sec in enumerate(sectors):
+        basis, n_rot = ham._sectors[n_down], len(sec.blocks)
+        dense = sector_block(ham, n_down)
+        reps = [basis[sec.orbit == r].min() for r in range(len(sec.scale))]
+        for m, keep, w, v in sec.blocks:
+            if 2 * m <= n_rot:
+                continue
+            paired += 1
+            B = np.stack([_momentum_state(basis, star.rotation, reps[r], m, n_rot)
+                          for r in keep], axis=1)
+            block = B.conj().T @ dense @ B
+            assert np.max(np.abs(w - np.linalg.eigh(block)[0])) <= 1e-12
+            assert np.linalg.norm(block @ v - v * w, 2) <= 1e-12
+    assert paired > 0
 
 
 def test_rotation_must_map_bonds_onto_bonds():

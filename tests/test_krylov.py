@@ -15,12 +15,14 @@ from oracles import (
     ritz_overlaps,
     solve,
     step_bounds,
+    sweep_cell,
     truncated_svd,
     uvqpe,
 )
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.krylov import (
     DEFAULT_BAND,
+    DELTA_FLOOR,
     SOLVERS,
     OverlapSeries,
     _hankel_pair,
@@ -277,13 +279,14 @@ def test_uvqpe_matches_qz_reference(series8, series12):
 
 
 def assert_sweep_matches_oracle(algorithm, runs, steps, deltas, **kwargs):
-    """Every cell of ``sweep`` equals the single-cell solve of its run."""
+    """Every cell of ``sweep`` equals the single-cell solve of its run with
+    the sweep's decompositions."""
     cells = sweep(algorithm, runs, steps, deltas, **kwargs)
     assert sorted(cells) == sorted((ns, delta) for ns in steps for delta in deltas)
     for (ns, delta), cell in cells.items():
         assert len(cell) == len(runs)
         for r, (series, est) in enumerate(zip(runs, cell)):
-            ref = solve(algorithm, series, ns, delta, **kwargs)
+            ref = sweep_cell(algorithm, series, ns, delta, **kwargs)
             where = f"{algorithm} {kwargs} run {r} n_steps={ns} delta={delta:g}"
             assert est.energy == ref.energy, where
             assert est.retained_rank == ref.retained_rank, where
@@ -351,14 +354,67 @@ def test_sweep_stack_mixes_ranks(sweep_runs):
 
 
 def test_sweep_matches_single_cell_on_12_spin_sector_series():
-    # the 150-step S^z = 0 series of the 12-spin magnetization run, on which
-    # eigvals and eig give eigenvalues that differ in the last bits
+    # the 150-step S^z = 0 series of the 12-spin magnetization run, whose
+    # 150 x 150 S is the largest matrix the CLI solves
     star = build_star(6)
     settings = sector_solver_settings(star)
     series = sector_series(SpinHamiltonian(star), 0, settings["dt"], settings["n_steps"])
     for algorithm in ("uvqpe", "odmd"):
         assert_sweep_matches_oracle(algorithm, [series], [settings["n_steps"]],
                                     [settings["delta"]])
+
+
+# |E_sweep - E_former| per delta.  The two paths project on the same retained
+# subspace, so they differ only by rounding, which 1 / sigma_r amplifies: the
+# largest differences measured on the series below were 1.8e-6 at DELTA_FLOOR
+# (an 8-spin sector series, at a prefix where S is rank-deficient), 1.6e-10 at
+# 1e-8, 1.5e-11 at 1e-6 and 6e-14 from 1e-3 up (one BLAS thread).
+FORMER_PATH_BOUND = {DELTA_FLOOR: 1e-5, 1e-8: 1e-9, 1e-6: 1e-10, 1e-3: 1e-12, 0.1: 1e-12,
+                     2.0: 0.0}
+
+
+@pytest.fixture(scope="module")
+def former_path_runs(series8, series12, sweep_runs):
+    """(runs, steps) for exact and sampled series of 8 and 12 spins: the
+    dressed ground-state series, every magnetization sector series, and
+    sampled realizations of the dressed state."""
+    cases = {"exact8": ([series8], range(1, 61)), "exact12": ([series12[2]], range(1, 41)),
+             "sampled8": (sweep_runs["sampled"], range(1, 31)),
+             "floquet8": (sweep_runs["floquet"], range(1, 41))}
+    for n_triangles, steps in ((4, range(1, 41)), (6, (12, 40, 97, 150))):
+        star = build_star(n_triangles)
+        ham = SpinHamiltonian(star)
+        settings = sector_solver_settings(star)
+        cases[f"sectors{2 * n_triangles}"] = (
+            [sector_series(ham, sz, settings["dt"], settings["n_steps"])
+             for sz in range(n_triangles + 1)], steps)
+    star, ham, _ = series12
+    cases["sampled12"] = ([s for s, _ in overlap_series_sampled(
+        dressed_initial(star), ExactEvolver(ham), ham, DT, 20, ShotPlan(1000), seed=5,
+        realizations=range(2))], range(1, 21))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["exact8", "exact12", "sampled8", "floquet8", "sectors8",
+                                  "sectors12", "sampled12"])
+def test_sweep_matches_former_path(former_path_runs, case):
+    """The sweep (eigh of a unitary series' S, eigvals) keeps every rank and
+    flag of the former path (SVD, eig) and moves energies within
+    ``FORMER_PATH_BOUND``."""
+    runs, steps = former_path_runs[case]
+    for algorithm in ("uvqpe", "odmd"):
+        cells = sweep(algorithm, runs, [ns for ns in steps if ns >= SOLVERS[algorithm].first_step],
+                      FORMER_PATH_BOUND)
+        for (ns, delta), cell in cells.items():
+            for r, (series, est) in enumerate(zip(runs, cell)):
+                ref = solve(algorithm, series, ns, delta)
+                where = f"{case} {algorithm} run {r} n_steps={ns} delta={delta:g}"
+                assert est.retained_rank == ref.retained_rank, where
+                assert est.flags == ref.flags, where
+                if ref.energy is None:
+                    assert est.energy is None, where
+                    continue
+                assert abs(est.energy - ref.energy) <= FORMER_PATH_BOUND[delta], where
 
 
 def test_ritz_requires_coefficients():

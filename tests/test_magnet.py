@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import magnetization, solve
+from oracles import magnetization, sweep_cell
 from starkrylov import krylov
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
@@ -23,7 +23,7 @@ def prefix_energies(ham, sz, dt, n_steps, delta, sz0_cz_bonds=None, method="uvqp
     """Solver energies at every valid prefix up to n_steps of the sector's series."""
     series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
     first = krylov.SOLVERS[method].first_step
-    return [solve(method, series, ns, delta).energy
+    return [sweep_cell(method, series, ns, delta).energy
             for ns in range(first, n_steps + 1)]
 
 
@@ -174,7 +174,7 @@ def test_one_solve_matches_all_prefix_loop(method):
         prep = dressed_initial(star) if sz == 0 else sector_initial(star, sz)
         series = overlap_series_exact(prep.state(), evolver, settings["dt"],
                                       settings["n_steps"])
-        trace = [solve(method, series, ns, settings["delta"]).energy
+        trace = [sweep_cell(method, series, ns, settings["delta"]).energy
                  for ns in range(first, settings["n_steps"] + 1)]
         assert energies[sz] == trace[-1]
         assert meta[sz]["final_error"] == abs(trace[-1] - meta[sz]["exact"])
