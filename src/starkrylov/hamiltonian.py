@@ -15,9 +15,12 @@ L_r) with m L_r divisible by N, in the states
 built from the representatives' bond flips as
 H_m[r', r] = sum over flips of r onto T^j r' of 2 w^(m j) sqrt(L_r / L_r'),
 and is real for m = 0 and m = N/2; H_{N-m} = conj(H_m) on the same
-representatives, so one ``eigh`` gives both (w, v) and (w, conj(v)).  Spectra,
-evolution and overlap series all go through the blocks, whose eigenvectors
-stay in block form.
+representatives, so one ``eigh`` of H_m serves the conjugate pair: block N-m
+stores block m's eigenvalues w and eigenvector array v itself, and reads its
+eigenvectors conj(v) through v (its projection is v^T, its evolution conj(v)
+applied where it is used).  Spectra, evolution and overlap series all go
+through the blocks, whose eigenvectors stay in block form; the exact overlap
+series holds one (times x eigenvalues) phase matrix per S^z sector.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import MAX_QUBITS as QUBIT_CAP
+
+_PHASE_ROWS = 64  # rows of the spectral sum's phase matrix per float outer product
 
 
 def _sector_indices(n: int) -> list[np.ndarray]:
@@ -40,15 +45,18 @@ def _sector_indices(n: int) -> list[np.ndarray]:
 
 @dataclass
 class _SectorBlocks:
-    """Momentum blocks (m, representatives admitting m, eigenvalues,
-    eigenvectors) of one S^z sector.  Sector basis state b is T^shift[b] of
-    representative orbit[b]; scale[r] = L_r^(-1/2); omega[j, m] = w^(j m)."""
+    """Momentum blocks (m, representatives admitting m, eigenvalues w,
+    eigenvector array v, conj) of one S^z sector: block m's eigenvectors are
+    v, or conj(v) when ``conj`` is set, and then v is the array of its
+    conjugate partner N - m, shared rather than copied.  Sector basis state b
+    is T^shift[b] of representative orbit[b]; scale[r] = L_r^(-1/2);
+    omega[j, m] = w^(j m)."""
 
     orbit: np.ndarray
     shift: np.ndarray
     scale: np.ndarray
     omega: np.ndarray
-    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, bool]]
     energies: np.ndarray  # every eigenvalue of the sector, ascending
 
     def fold(self, part: np.ndarray) -> np.ndarray:
@@ -130,15 +138,14 @@ class SpinHamiltonian:
         blocks = []
         for m in range(n_rot):
             if 2 * m > n_rot:  # H_{N-m} = conj(H_m) on the same keep: same w, conjugate v
-                _, keep, w, v = blocks[n_rot - m]
-                blocks.append((m, keep, w, v.conj()))
+                blocks.append((m, *blocks[n_rot - m][1:4], True))
                 continue
             keep = np.nonzero(m * length % n_rot == 0)[0]
             h = np.zeros((len(reps), len(reps)), dtype=complex)
             np.add.at(h, (dst, src), amp * omega[hop, m])
             h = h[np.ix_(keep, keep)] + np.diag(diag[keep])
-            blocks.append((m, keep, *np.linalg.eigh(h.real if 2 * m % n_rot == 0 else h)))
-        energies = np.sort(np.concatenate([w for _, _, w, _ in blocks]))
+            blocks.append((m, keep, *np.linalg.eigh(h.real if 2 * m % n_rot == 0 else h), False))
+        energies = np.sort(np.concatenate([w for _, _, w, _, _ in blocks]))
         self._eigs[n_down] = _SectorBlocks(orbit, shift, scale, omega, blocks, energies)
         return self._eigs[n_down]
 
@@ -165,15 +172,17 @@ class SpinHamiltonian:
             if np.any(part):
                 sec = self._sector_eig(n_down)
                 c = sec.fold(part)
-                yield basis, sec, [v.conj().T @ c[keep, m] for m, keep, _, v in sec.blocks]
+                # (conj v)^H = v^T: a conjugated block projects with its partner's v
+                yield basis, sec, [(v if conj else v.conj()).T @ c[keep, m]
+                                   for m, keep, _, v, conj in sec.blocks]
 
     def evolve(self, vec: np.ndarray, t: float) -> np.ndarray:
         """exp(-i H t) applied blockwise over S^z sectors and momenta."""
         out = np.zeros_like(vec, dtype=complex)
         for basis, sec, coeffs in self._projections(vec):
             c = np.zeros((len(sec.scale), len(sec.omega)), dtype=complex)
-            for (m, keep, w, v), a in zip(sec.blocks, coeffs):
-                c[keep, m] = v @ (np.exp(-1j * w * t) * a)
+            for (m, keep, w, v, conj), a in zip(sec.blocks, coeffs):
+                c[keep, m] = (v.conj() if conj else v) @ (np.exp(-1j * w * t) * a)
             out[basis] = sec.unfold(c)
         return out
 
@@ -182,13 +191,20 @@ class SpinHamiltonian:
 
         Summed from the block spectra as sum_i |<E_i|vec>|^2 exp(-i E_i t),
         one matrix product per S^z sector that ``vec`` touches, so no state
-        is evolved.
+        is evolved.  Each sector holds one (times x eigenvalues) phase
+        matrix, filled ``_PHASE_ROWS`` rows at a time and exponentiated in
+        place; the product stays one call, since a product split into row
+        blocks need not round the same.
         """
         times = np.asarray(times, dtype=float)
         out = np.zeros(times.shape, dtype=complex)
         for _, sec, coeffs in self._projections(vec):
-            w = np.concatenate([w for _, _, w, _ in sec.blocks])
-            out += np.exp(-1j * np.outer(times, w)) @ (np.abs(np.concatenate(coeffs)) ** 2)
+            w = np.concatenate([w for _, _, w, _, _ in sec.blocks])
+            phases = np.empty((len(times), len(w)), dtype=complex)
+            for i in range(0, len(times), _PHASE_ROWS):
+                rows = slice(i, i + _PHASE_ROWS)
+                np.multiply(-1j, np.outer(times[rows], w), out=phases[rows])
+            out += np.exp(phases, out=phases) @ (np.abs(np.concatenate(coeffs)) ** 2)
         return out
 
     # -- analytic quantities -------------------------------------------------

@@ -102,31 +102,27 @@ def _pick_minimum(lam: np.ndarray, dt: float, band, rank: int) -> KrylovEstimate
     return KrylovEstimate(float(energies[i]), rank, flags)
 
 
-def _toeplitz_pair(series: OverlapSeries, d: int):
-    """T_{jk} = s_{1+k-j} and S_{jk} = s_{k-j} for j, k < d.
+def _toeplitz_rows(series: OverlapSeries, d: int) -> np.ndarray:
+    """The d + 1 rows s_{1-j} .. s_{d-j}, j = 0 .. d, as a read-only view:
+    T_{jk} = s_{1+k-j} is rows 0 .. d-1 and S_{jk} = s_{k-j} rows 1 .. d.
 
-    Row j of T is s_{1-j} .. s_{d-j} and row j of S is row j + 1 of T, so
-    both are windows of d consecutive values of s_{1-d} .. s_d, read from
-    the last window back."""
+    Each row is a window of d consecutive values of s_{1-d} .. s_d, read
+    from the last window back."""
     pos = series.values[:d + 1]  # s_0 .. s_d
     neg = series.neg_values[1:d] if series.kind == "floquet" else pos[1:d].conj()
-    rows = sliding_window_view(np.concatenate([neg[::-1], pos]), d)[::-1]
-    return rows[:d].copy(), rows[1:].copy()
+    return sliding_window_view(np.concatenate([neg[::-1], pos]), d)[::-1]
 
 
-def _hankel_pair(series: OverlapSeries, n_steps: int, window: int | None = None,
-                 real_part: bool = False):
-    """X_{rc} = s_{r+c} and X'_{rc} = s_{r+c+1} over a window of d rows
-    (default ceil(n_steps / 2)) and n_steps - d + 1 columns: row r is the
-    window of n_steps - d + 1 values that starts at s_r (s_{r+1} for X')."""
+def _hankel_rows(series: OverlapSeries, n_steps: int, window: int | None = None,
+                 real_part: bool = False) -> np.ndarray:
+    """The d + 1 rows s_r .. s_{r+n_steps-d}, r = 0 .. d, as a read-only view,
+    for a window of d rows (default ceil(n_steps / 2)): X_{rc} = s_{r+c} is
+    rows 0 .. d-1 and X'_{rc} = s_{r+c+1} rows 1 .. d."""
     d = window if window is not None else ceil(n_steps / 2)
     if d < 1 or d > n_steps:
         raise ValueError("window does not fit the series length")
     data = series.values.real.astype(complex) if real_part else series.values
-    width = n_steps - d + 1
-    X = sliding_window_view(data[:n_steps], width).copy()
-    Xp = sliding_window_view(data[1:n_steps + 1], width).copy()
-    return X, Xp
+    return sliding_window_view(data[:n_steps + 1], n_steps - d + 1)
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,10 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
     ``runs``, ``steps`` and ``deltas``; ``window`` and ``real_part`` shape
     odmd's Hankel pair.
 
-    Per n_steps one decomposition of the stacked S (Toeplitz) or X (Hankel)
-    of every run serves every delta: ``eigh`` if every run is unitary (S
+    Per n_steps the pair of every run is two views of one stack of the
+    runs' d + 1 rows (``_toeplitz_rows``, ``_hankel_rows``), and one
+    decomposition of the stacked S (Toeplitz) or X (Hankel) serves every
+    delta: ``eigh`` if every run is unitary (S
     Hermitian; Klymko et al., PRX Quantum 3, 020323, 2022), its eigenpairs
     in stable order of |lambda| descending, else ``svd``.  The kept singular
     values (|lambda|) are a prefix of length r, the retained rank, and the
@@ -191,16 +189,16 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
     for n_steps in steps:
         if not spec.first_step <= n_steps <= n_max:
             raise ValueError(f"n_steps must be in [{spec.first_step}, {n_max}]")
-        if hankel:
-            basis, target = map(np.stack, zip(*(_hankel_pair(s, n_steps, window, real_part)
-                                               for s in runs)))
-        else:
-            target, basis = map(np.stack, zip(*(_toeplitz_pair(s, n_steps) for s in runs)))
+        rows = np.stack([_hankel_rows(s, n_steps, window, real_part) if hankel
+                         else _toeplitz_rows(s, n_steps) for s in runs])
+        first, second = rows[:, :-1], rows[:, 1:]
+        basis, target = (first, second) if hankel else (second, first)
         if hermitian:  # S = Q Lambda Q^H, whose singular values are the |lambda|
             lam, Q = np.linalg.eigh(basis)
             order = np.argsort(-np.abs(lam), axis=-1, kind="stable")
             sig = np.take_along_axis(np.abs(lam), order, axis=-1)
             U = V = np.take_along_axis(Q, order[:, None, :], axis=-1)  # W_r = V_r = Q_r
+            del Q
         else:
             U, sig, Vh = np.linalg.svd(basis, full_matrices=False)
             V = np.conjugate(Vh, out=Vh).swapaxes(-1, -2)

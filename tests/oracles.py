@@ -1,9 +1,13 @@
 """Reference constructions and diagnostics that only the tests use: a sector's
-spectrum with its eigenvectors unfolded from the momentum blocks, the full
+spectrum with its eigenvectors unfolded from the momentum blocks, the
+momentum blocks with an eigenvector array of their own each and the block
+projections, evolution and one-shot spectral sum on them (the former block
+storage and spectral sum of ``SpinHamiltonian``), the full
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
 single-cell Krylov solvers that keep each estimate's eigenvalue and Ritz
-vector (``krylov.sweep``'s former path: SVD and ``eig``), one sweep cell solved
+vector (``krylov.sweep``'s former path: SVD and ``eig``) on the Toeplitz and
+Hankel pairs as arrays of their own, one sweep cell solved
 on its own with the sweep's decompositions (``sweep_cell``), the overlaps of
 that Ritz vector with the exact eigenstates, kagome patches, the
 bond-by-bond Trotter scheme, analytic CNOT counts per Trotter step,
@@ -58,12 +62,53 @@ def diagonalize(ham, sz: float) -> SpectrumResult:
     n_down = ham._ndown_of_sz(sz)
     sec = ham._sector_eig(n_down)
     energies, vectors = [], []
-    for m, keep, w, v in sec.blocks:
+    for m, keep, w, v in explicit_blocks(sec):
         padded = np.zeros((len(sec.scale), len(w)), dtype=complex)
         padded[keep] = v * sec.scale[keep, None]
         vectors.append(sec.omega[sec.shift, m].conj()[:, None] * padded[sec.orbit])
         energies.append(w)
     return SpectrumResult(np.concatenate(energies), np.hstack(vectors), ham._sectors[n_down])
+
+
+def explicit_blocks(sec) -> list:
+    """(m, keep, w, v) of every momentum block of ``sec`` with the block's
+    own eigenvectors: an explicit ``v.conj()`` copy for a block that shares
+    its conjugate partner's array."""
+    return [(m, keep, w, v.conj() if conj else v) for m, keep, w, v, conj in sec.blocks]
+
+
+def block_projections(ham, vec: np.ndarray):
+    """(basis, sector, blocks, V^H <r, m|vec> per block) for each S^z sector
+    that ``vec`` touches, over ``explicit_blocks``."""
+    for n_down, basis in enumerate(ham._sectors):
+        part = vec[basis]
+        if np.any(part):
+            sec = ham._sector_eig(n_down)
+            blocks, c = explicit_blocks(sec), sec.fold(part)
+            yield basis, sec, blocks, [v.conj().T @ c[keep, m] for m, keep, _, v in blocks]
+
+
+def block_evolve(ham, vec: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) vec over ``explicit_blocks``."""
+    out = np.zeros_like(vec, dtype=complex)
+    for basis, sec, blocks, coeffs in block_projections(ham, vec):
+        c = np.zeros((len(sec.scale), len(sec.omega)), dtype=complex)
+        for (m, keep, w, v), a in zip(blocks, coeffs):
+            c[keep, m] = v @ (np.exp(-1j * w * t) * a)
+        out[basis] = sec.unfold(c)
+    return out
+
+
+def spectral_sum(ham, vec: np.ndarray, times) -> np.ndarray:
+    """<vec| exp(-i H t) |vec> per time as the one-shot sum
+    exp(-i outer(times, w)) @ weights of each sector over ``explicit_blocks``."""
+    times = np.asarray(times, dtype=float)
+    out = np.zeros(times.shape, dtype=complex)
+    for _, _, blocks, coeffs in block_projections(ham, vec):
+        w = np.concatenate([w for _, _, w, _ in blocks])
+        weights = np.abs(np.concatenate(coeffs)) ** 2
+        out += np.exp(-1j * np.outer(times, w)) @ weights
+    return out
 
 
 def sector_basis(ham, sz: float) -> np.ndarray:
@@ -122,6 +167,20 @@ def subspace_overlap(psi: np.ndarray, spectrum) -> float:
 
 # -- single-cell Krylov solvers ----------------------------------------------
 
+def toeplitz_pair(series, d: int):
+    """(T, S), T_{jk} = s_{1+k-j} and S_{jk} = s_{k-j} for j, k < d, as arrays
+    of their own: rows 0 .. d-1 and 1 .. d of ``krylov._toeplitz_rows``."""
+    rows = krylov._toeplitz_rows(series, d)
+    return rows[:-1].copy(), rows[1:].copy()
+
+
+def hankel_pair(series, n_steps: int, window: int | None = None, real_part: bool = False):
+    """(X, X'), X_{rc} = s_{r+c} and X'_{rc} = s_{r+c+1}, as arrays of their
+    own: rows 0 .. d-1 and 1 .. d of ``krylov._hankel_rows``."""
+    rows = krylov._hankel_rows(series, n_steps, window, real_part)
+    return rows[:-1].copy(), rows[1:].copy()
+
+
 @dataclass
 class RitzEstimate:
     """One cell's estimate with the eigenvalue it came from and its Ritz
@@ -169,7 +228,7 @@ def uvqpe(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND) -> RitzE
     singular subspaces of S (``krylov.sweep``'s former path); the Ritz
     coefficients are c = V_r y."""
     _check_steps("uvqpe", series, n_steps)
-    T, S = krylov._toeplitz_pair(series, n_steps)
+    T, S = toeplitz_pair(series, n_steps)
     W, _, V, flags = truncated_svd(S, delta)
     if flags:
         return RitzEstimate("uvqpe", n_steps, delta, None, None, None, 0, flags)
@@ -184,7 +243,7 @@ def odmd(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
          window: int | None = None, real_part: bool = False) -> RitzEstimate:
     """Hankel least-squares fit of the one-step propagator."""
     _check_steps("odmd", series, n_steps)
-    X, Xp = krylov._hankel_pair(series, n_steps, window, real_part)
+    X, Xp = hankel_pair(series, n_steps, window, real_part)
     U, sig, V, flags = truncated_svd(X, delta)
     if flags:
         return RitzEstimate("odmd", n_steps, delta, None, None, None, 0, flags)
@@ -211,13 +270,13 @@ def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.D
     spec = krylov.solver_spec(algorithm, series.kind)
     _check_steps(algorithm, series, n_steps)
     if spec.pair == "hankel":
-        X, Xp = krylov._hankel_pair(series, n_steps, window, real_part)
+        X, Xp = hankel_pair(series, n_steps, window, real_part)
         U, sig, V, flags = truncated_svd(X, delta)
         if flags:
             return krylov._FILTERED
         reduced, r = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T), len(sig)
     else:
-        T, S = krylov._toeplitz_pair(series, n_steps)
+        T, S = toeplitz_pair(series, n_steps)
         if series.kind == "unitary":
             lam, Q = np.linalg.eigh(S)
             order = np.argsort(-np.abs(lam), kind="stable")

@@ -22,10 +22,11 @@ from oracles import (
     ritz_overlaps,
     rng_stream,
     subspace_overlap,
+    toeplitz_pair,
     uvqpe,
 )
 from starkrylov.hamiltonian import SpinHamiltonian
-from starkrylov.krylov import _toeplitz_pair, sweep
+from starkrylov.krylov import sweep
 from starkrylov.lattice import build_star
 from starkrylov.magnet import (
     build_curve,
@@ -330,7 +331,7 @@ def test_criterion_11_property_suites(stars, hams):
 
     # Toeplitz structural identity on a sampled-series snippet
     series = overlap_series_exact(psi, ExactEvolver(ham), DT, 12)
-    T, S = _toeplitz_pair(series, 8)
+    T, S = toeplitz_pair(series, 8)
     for j in range(8):
         for k in range(8):
             assert T[j, k] == series.value(1 + k - j)

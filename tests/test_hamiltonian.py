@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    block_evolve,
+    block_projections,
     build_patch,
     dense_matrix,
     diagonalize,
     sector_basis,
     sector_block,
+    spectral_sum,
     subspace_overlap,
 )
 from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian, write_spectrum_csv
@@ -276,9 +279,10 @@ def _momentum_state(basis, rotation, rep, m, n_rot):
 @pytest.mark.parametrize("n_tri", [4, 6])
 @pytest.mark.parametrize("h", [0.0, 0.7])
 def test_conjugate_momentum_blocks_match_explicit_blocks(n_tri, h, monkeypatch):
-    """Block N - m reuses block m's eigenvalues and conjugate eigenvectors;
-    each pair member must still diagonalize the block B^H H B that its
-    momentum states B span, assembled from the dense sector block."""
+    """Block N - m reuses block m's eigenvalues and reads its eigenvectors as
+    the conjugate of block m's array; each pair member must still
+    diagonalize the block B^H H B that its momentum states B span, assembled
+    from the dense sector block."""
     star = build_star(n_tri)
     ham = SpinHamiltonian(star, h_field=h)
     calls = []
@@ -293,16 +297,66 @@ def test_conjugate_momentum_blocks_match_explicit_blocks(n_tri, h, monkeypatch):
         basis, n_rot = ham._sectors[n_down], len(sec.blocks)
         dense = sector_block(ham, n_down)
         reps = [basis[sec.orbit == r].min() for r in range(len(sec.scale))]
-        for m, keep, w, v in sec.blocks:
-            if 2 * m <= n_rot:
+        for m, keep, w, v, conj in sec.blocks:
+            assert conj == (2 * m > n_rot)
+            if not conj:
                 continue
             paired += 1
+            v = v.conj()
             B = np.stack([_momentum_state(basis, star.rotation, reps[r], m, n_rot)
                           for r in keep], axis=1)
             block = B.conj().T @ dense @ B
             assert np.max(np.abs(w - np.linalg.eigh(block)[0])) <= 1e-12
             assert np.linalg.norm(block @ v - v * w, 2) <= 1e-12
     assert paired > 0
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+@pytest.mark.parametrize("h", [0.0, 0.7])
+def test_conjugate_blocks_share_one_array(n_tri, h):
+    """Blocks m and N - m hold one eigenvector array between them, and the
+    projections and evolution that read it equal, bitwise, those over
+    explicit ``v.conj()`` copies."""
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star, h_field=h)
+    shared = 0
+    for n_down in range(star.n_sites + 1):
+        sec = ham._sector_eig(n_down)
+        n_rot = len(sec.blocks)
+        for m, keep, w, v, conj in sec.blocks:
+            if conj:
+                pm, pkeep, pw, pv, pconj = sec.blocks[n_rot - m]
+                assert pm == n_rot - m and not pconj
+                assert pkeep is keep and pw is w and pv is v and np.shares_memory(v, pv)
+                shared += 1
+    assert shared > 0
+    for psi in (_random_state(star.n_sites, 3), dressed_initial(star).state(),
+                pinwheel(star).state(), sector_initial(star, 1).state()):
+        found = list(ham._projections(psi))
+        expected = list(block_projections(ham, psi))
+        assert len(found) == len(expected)
+        for (basis, _, coeffs), (ref_basis, _, _, ref_coeffs) in zip(found, expected):
+            assert basis is ref_basis and len(coeffs) == len(ref_coeffs)
+            assert all(np.array_equal(a, b) for a, b in zip(coeffs, ref_coeffs))
+        for t in (0.6, -1.3):
+            assert np.array_equal(ham.evolve(psi, t), block_evolve(ham, psi, t))
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+def test_spectral_sum_matches_one_shot_reference(n_tri):
+    """The phase matrix filled in row blocks and exponentiated in place sums
+    to the same bits as the one-shot exp(-i outer(times, w)) @ weights, at
+    time counts on both sides of the fill block's edges."""
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star)
+    states = {"sector_sz1": sector_initial(star, 1).state(),
+              "dressed": dressed_initial(star).state(),
+              "random": _random_state(star.n_sites, 11)}
+    for name, psi in states.items():
+        for n_times in (1, 15, 16, 17, 65, 151):
+            times = np.arange(1, n_times + 1) * 0.09
+            assert np.array_equal(ham.autocorrelation(psi, times),
+                                  spectral_sum(ham, psi, times)), (name, n_times)
 
 
 def test_rotation_must_map_bonds_onto_bonds():

@@ -10,12 +10,14 @@ from oracles import (
     RitzEstimate,
     cluster_overlaps,
     diagonalize,
+    hankel_pair,
     odmd,
     ritz_ground_overlap,
     ritz_overlaps,
     solve,
     step_bounds,
     sweep_cell,
+    toeplitz_pair,
     truncated_svd,
     uvqpe,
 )
@@ -25,8 +27,6 @@ from starkrylov.krylov import (
     DELTA_FLOOR,
     SOLVERS,
     OverlapSeries,
-    _hankel_pair,
-    _toeplitz_pair,
     sweep,
 )
 from starkrylov.lattice import build_star
@@ -99,7 +99,7 @@ def test_toeplitz_structure():
                             kind="floquet")
     for series in (unitary, floquet):
         for d in (1, 2, 5, 6):
-            T, S = _toeplitz_pair(series, d)
+            T, S = toeplitz_pair(series, d)
             assert T.shape == S.shape == (d, d)
             for j in range(d):
                 for k in range(d):
@@ -107,7 +107,7 @@ def test_toeplitz_structure():
                     assert S[j, k] == series.value(k - j)
     assert floquet.value(-2) != np.conj(floquet.value(2))
     # constant diagonals
-    T, S = _toeplitz_pair(unitary, 5)
+    T, S = toeplitz_pair(unitary, 5)
     for off in range(-4, 5):
         d = np.diagonal(S, off)
         assert np.allclose(d, d[0])
@@ -120,7 +120,7 @@ def test_hankel_pair_structure(window, real_part):
     series = OverlapSeries(DT, random_values(rng, 9))
     data = series.values.real if real_part else series.values
     n_steps = 8
-    X, Xp = _hankel_pair(series, n_steps, window, real_part)
+    X, Xp = hankel_pair(series, n_steps, window, real_part)
     d = window if window is not None else 4
     assert X.shape == Xp.shape == (d, n_steps - d + 1)
     for r in range(X.shape[0]):
@@ -146,7 +146,7 @@ def test_window_assembly_matches_scipy(d):
                             kind="floquet")
     for series in (unitary, floquet):
         s = series.value
-        T, S = _toeplitz_pair(series, d)
+        T, S = toeplitz_pair(series, d)
         col = [s(1 - j) for j in range(d)]
         assert np.array_equal(T, scipy.linalg.toeplitz(col, [s(k + 1) for k in range(d)]))
         assert np.array_equal(S, scipy.linalg.toeplitz([s(-j) for j in range(d)],
@@ -154,7 +154,7 @@ def test_window_assembly_matches_scipy(d):
         for window in sorted({1, ceil(d / 2), d}):
             for real_part in (False, True):
                 data = series.values.real.astype(complex) if real_part else series.values
-                X, Xp = _hankel_pair(series, d, window, real_part)
+                X, Xp = hankel_pair(series, d, window, real_part)
                 assert np.array_equal(X, scipy.linalg.hankel(data[:window],
                                                              data[window - 1:d]))
                 assert np.array_equal(Xp, scipy.linalg.hankel(data[1:window + 1],
@@ -162,7 +162,7 @@ def test_window_assembly_matches_scipy(d):
 
 
 def test_overlap_matrix_hermitian_psd(series8):
-    _, S = _toeplitz_pair(series8, 30)
+    _, S = toeplitz_pair(series8, 30)
     assert np.linalg.norm(S - S.conj().T) < 1e-12
     assert np.linalg.eigvalsh(S).min() > -1e-10
 
@@ -232,7 +232,7 @@ def test_ritz_step_zero_matches_psi0(series8):
 def _uvqpe_qz(series, n_steps, delta, band=DEFAULT_BAND):
     """Reference: QZ on the projected pencil (W^H T V, W^H S V), with the
     finite-eigenvalue mask it needed; returns (energy, ritz, rank, flags)."""
-    T, S = _toeplitz_pair(series, n_steps)
+    T, S = toeplitz_pair(series, n_steps)
     W, _, V, flags = truncated_svd(S, delta)
     if flags:
         return None, None, 0, flags
@@ -341,15 +341,20 @@ def test_sweep_matches_single_cell_solves(sweep_runs, algorithm, runs, kwargs):
 
 
 def test_sweep_stack_mixes_ranks(sweep_runs):
-    """Runs of one stack that keep different ranks at one delta get the
-    estimates that each run gets in a stack of its own."""
-    runs = sweep_runs["sampled"]
-    steps, deltas = range(10, 31), (1e-2, 0.1)
-    for algorithm in ("uvqpe", "odmd"):
-        cells = assert_sweep_matches_oracle(algorithm, runs, steps, deltas)
-        assert any(len({est.retained_rank for est in cell}) > 1 for cell in cells.values())
+    """Runs of one stack that keep different ranks at one delta, some rank
+    kept by several runs, get bitwise the estimates that each run gets in a
+    stack of its own, for both solvers and both Toeplitz decompositions."""
+    for algorithm, name, kwargs in (("uvqpe", "sampled", {}), ("odmd", "sampled", {}),
+                                    ("odmd", "sampled", {"window": 6, "real_part": True}),
+                                    ("uvqpe_floquet", "sampled_floquet", {}),
+                                    ("odmd", "sampled_floquet", {"window": 5})):
+        runs = sweep_runs[name]
+        steps, deltas = range(10, min(30, min(s.n_max for s in runs)) + 1), (1e-2, 0.1)
+        cells = assert_sweep_matches_oracle(algorithm, runs, steps, deltas, **kwargs)
+        ranks = [[est.retained_rank for est in cell] for cell in cells.values()]
+        assert any(1 < len(set(rank)) < len(rank) for rank in ranks), (algorithm, kwargs)
         for r, series in enumerate(runs):
-            alone = sweep(algorithm, [series], steps, deltas)
+            alone = sweep(algorithm, [series], steps, deltas, **kwargs)
             assert all(alone[key][0] == cell[r] for key, cell in cells.items())
 
 
