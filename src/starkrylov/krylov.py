@@ -19,7 +19,7 @@ delta of a solver at once, dropping singular values below delta * sigma_max.
 
 Eigenvalues map to energies as E = -arg(lambda)/dt; estimates keep only
 eigenvalues with |lambda| inside an admissibility band around the unit
-circle and return the minimum admissible energy.
+circle and return the minimum admissible energy; ``cli`` writes them.
 
 A threshold delta below ``DELTA_FLOOR`` keeps singular values that are
 rounding noise of the decomposition, whose spurious directions give
@@ -31,7 +31,6 @@ as with the SVD; the floor sits a factor 5 above the largest delta that failed.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import ceil
 
@@ -221,20 +220,3 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
                 for i, row in zip(group, np.linalg.eigvals(reduced)):
                     cell[i] = _pick_minimum(row, runs[i].dt, band, r)
     return cells
-
-
-# -- CSV surfaces --------------------------------------------------------------
-
-def write_convergence_csv(path, rows) -> None:
-    """Rows of (algorithm, delta, step, energy, energy_error, retained_rank)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["algorithm", "delta", "step", "energy", "energy_error",
-                         "retained_rank"])
-        for algorithm, delta, step, energy, err, rank in rows:
-            writer.writerow([
-                algorithm, f"{delta:g}", step,
-                "" if energy is None else f"{energy:.12f}",
-                "" if err is None else f"{err:.12e}",
-                rank,
-            ])

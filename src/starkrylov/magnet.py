@@ -3,11 +3,10 @@
 Each S^z sector's ground energy varies linearly with the field,
 E_S(h) = E_S - h S, so the curve is the lower envelope of those lines over
 h >= 0: plateaus of constant magnetization separated by crossing fields
-h = (E_S' - E_S)/(S' - S).
+h = (E_S' - E_S)/(S' - S).  ``cli`` writes the curves and sector energies.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -120,23 +119,3 @@ def estimate_sector_energies(ham, method: str = "uvqpe", delta: float | None = N
         meta[sz] = {"converged": error <= 1e-3, "exact": e_exact, "final_error": error,
                     "retained_rank": estimate.retained_rank, "flags": estimate.flags}
     return energies, meta
-
-
-def write_curve_csv(path, curve: MagnetizationCurve) -> None:
-    """``h_start,h_end,Sz,energy_at_h_start`` rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["h_start", "h_end", "Sz", "energy_at_h_start"])
-        for p in curve.plateaus:
-            h_end = "inf" if math.isinf(p.h_end) else f"{p.h_end:.12f}"
-            writer.writerow([f"{p.h_start:.12f}", h_end, p.sz,
-                             f"{p.energy_at_h_start:.12f}"])
-
-
-def write_sector_csv(path, sector_energies) -> None:
-    """``sector,E0`` rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sector", "E0"])
-        for sz in sorted(sector_energies):
-            writer.writerow([sz, f"{sector_energies[sz]:.12f}"])

@@ -16,11 +16,11 @@ optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
 ``_estimate_cells`` builds the passes one time needs once, for all its cells:
 sampled, noisy and ``EXACT`` (the noiseless fractions and <psi0|W(t)|psi0>).
 ``_evolve_passes`` builds every state they read: each pass's noiseless state
-and the shots that draw an error, as rows of one batch.
+and the shots that draw an error, as rows of one batch.  Series, allocation
+and ablation results are returned as values; ``cli`` writes them.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -179,7 +179,7 @@ class _MirrorCircuits:
         """The twirl layer of ``angle``, checked for the reference branch:
         F2 and F3 carry it, and F1 shares the layer."""
         if angle not in self._twirls:
-            self._twirls[angle] = twirl_layer(self.n, angle, True)
+            self._twirls[angle] = twirl_layer(self.n, angle)
         return self._twirls[angle]
 
     def pass_gates(self, i: int, evolution: list, twirl_angle: float | None) -> list:
@@ -645,32 +645,3 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
             o_err = float("nan") if est.value is None else abs(est.value - exact.value)
             rows.append((t, mode, *f_errs, o_err))
     return rows
-
-
-# -- CSV surface ------------------------------------------------------------------------
-
-def write_overlap_csv(path, dt, series_values, estimates=None, mode="exact") -> None:
-    """``k,t,re,im,F1,F2,F3,discarded1,discarded2,discarded3,mode`` rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "t", "re", "im", "F1", "F2", "F3",
-                         "discarded1", "discarded2", "discarded3", "mode"])
-        for k, v in enumerate(series_values):
-            if estimates is not None and k >= 1:
-                est = estimates[k - 1]
-                fr = ["" if np.isnan(x) else f"{x:.9f}" for x in est.fractions]
-                dc = list(est.discards)
-            else:
-                fr, dc = ["", "", ""], ["", "", ""]
-            writer.writerow([k, f"{k * dt:.9f}", f"{v.real:.12e}", f"{v.imag:.12e}",
-                             *fr, *dc, mode])
-
-
-def write_allocation_csv(path, rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["m_total", "f1_fraction", "mode", "typical_error",
-                         "error_spread"])
-        for r in rows:
-            writer.writerow([r["m_total"], f"{r['f1_fraction']:.4f}", r["mode"],
-                             f"{r['typical_error']:.9e}", f"{r['error_spread']:.9e}"])

@@ -18,12 +18,12 @@ distribution of that noiseless row, the same one noiseless pools sample
 The draws are the same, in the same order, as a per-shot loop that applies
 the gates and draws ``rng.random()`` after each slot; ``tests/oracles.py``
 keeps that loop as the reference.  ``NoiseSpec`` is the ``noise`` section
-of the run configuration, and ``twirl_angle`` the one place that resolves
-its twirl angle.
+of the run configuration, ``twirl_angle`` the one place that resolves
+its twirl angle, and ``twirl_layer`` the one place that checks it against
+the reference branch.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,32 +78,17 @@ def postselect_f1(samples: np.ndarray, pairing, n_sites: int):
     return samples[keep], int(np.sum(~keep))
 
 
-def _fmt_err(x: float) -> str:
-    return "" if np.isnan(x) else f"{x:.9e}"
-
-
-def write_mitigation_csv(path, rows) -> None:
-    """Ablation rows of (t, mode, f1_err, f2_err, f3_err, overlap_err)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "mode", "f1_err", "f2_err", "f3_err", "overlap_err"])
-        for t, mode, e1, e2, e3, eo in rows:
-            writer.writerow([f"{t:.9f}", mode, _fmt_err(e1), _fmt_err(e2),
-                             _fmt_err(e3), _fmt_err(eo)])
-
-
-def twirl_layer(n_qubits: int, theta: float = np.pi / 2,
-                superposition_role: bool = False) -> list[GateOp]:
+def twirl_layer(n_qubits: int, theta: float = np.pi / 2) -> list[GateOp]:
     """R_z(theta) = diag(e^{i theta}, e^{-i theta}) on every qubit.
 
-    Circuits that carry a superposition with the all-up reference need theta
-    to be an integer multiple of 2*pi/n so both branches stay unaffected.
+    The mirror circuits carry a superposition with the all-up reference, so
+    theta must be an integer multiple of 2*pi/n to leave both branches
+    unaffected; any other angle raises ValueError.
     """
-    if superposition_role:
-        ratio = theta / (2 * np.pi / n_qubits)
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
-                f"twirl angle {theta:g} is not a multiple of 2*pi/{n_qubits} "
-                "and would dephase the reference branch"
-            )
+    ratio = theta / (2 * np.pi / n_qubits)
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ValueError(
+            f"twirl angle {theta:g} is not a multiple of 2*pi/{n_qubits} "
+            "and would dephase the reference branch"
+        )
     return [rz_gate(q, theta) for q in range(n_qubits)]

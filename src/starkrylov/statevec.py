@@ -174,7 +174,13 @@ def _monomial_index(n: int, sites: tuple[int, ...], pattern: tuple):
 
 
 # a (B, 2^n) batch larger than this many bytes goes through the kernel in
-# chunks of rows, so that a chunk's gathered block stays in cache
+# chunks of rows, so that a chunk's gathered block stays in cache.  Measured
+# (2 shared cores, Python 3.11.7, numpy 2.4.6, one BLAS thread): a 12-spin
+# noisy Floquet `overlaps` run (1,000 shots, p = 0.002, post-selection and
+# twirl, 2 steps) wrote the same bytes without the chunks, but took 2.63-2.87 s
+# of CPU against 2.53-2.70 s with them (six interleaved runs each) and peaked
+# at 56.2-56.5 MB RSS against 51.4-51.5 MB.  The 8-spin noisy runs never reach
+# it: their largest batch is 22-28 rows (at most 112 KiB) at seeds 0-10.
 _CHUNK_BYTES = 1 << 18
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,6 +205,39 @@ def test_overlaps_sampled_deterministic(tmp_path):
     first = (tmp_path / "out" / "overlaps.csv").read_bytes()
     assert run(tmp_path, "overlaps", cfg) == 0
     assert (tmp_path / "out" / "overlaps.csv").read_bytes() == first
+
+
+def test_missing_value_cells_pinned(tmp_path):
+    # a NaN fraction or ablation error and a None energy or error are empty
+    # cells; convergence.csv writes NaN as nan; the saturated h_end is inf
+    from starkrylov.magnet import MagnetizationCurve, Plateau
+    from starkrylov.mirror import OverlapEstimate
+
+    nan = float("nan")
+    cli._write_overlaps(tmp_path / "o.csv", 0.1, [1.0, 0.5 - 0.25j],
+                        [OverlapEstimate(0.5 - 0.25j, (0.4, nan, nan), (1, 0, 0))],
+                        "sampled")
+    assert (tmp_path / "o.csv").read_bytes() == (
+        b"k,t,re,im,F1,F2,F3,discarded1,discarded2,discarded3,mode\r\n"
+        b"0,0.000000000,1.000000000000e+00,0.000000000000e+00,,,,,,,sampled\r\n"
+        b"1,0.100000000,5.000000000000e-01,-2.500000000000e-01,0.400000000,,,1,0,0,"
+        b"sampled\r\n")
+    cli._write_ablation(tmp_path / "a.csv", [(0.1, "both", 0.25, nan, nan, nan)])
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"t,mode,f1_err,f2_err,f3_err,overlap_err\r\n"
+        b"0.100000000,both,2.500000000e-01,,,\r\n")
+    cli._write_convergence(tmp_path / "c.csv", [("odmd", 1e-3, 5, None, None, 0),
+                                                ("uvqpe", 0.1, 2, nan, nan, 1)])
+    assert (tmp_path / "c.csv").read_bytes() == (
+        b"algorithm,delta,step,energy,energy_error,retained_rank\r\n"
+        b"odmd,0.001,5,,,0\r\n"
+        b"uvqpe,0.1,2,nan,nan,1\r\n")
+    cli._write_curve(tmp_path / "m.csv", MagnetizationCurve(
+        (Plateau(0.0, 1.5, 0, -12.0), Plateau(1.5, math.inf, 1, -13.5))))
+    assert (tmp_path / "m.csv").read_bytes() == (
+        b"h_start,h_end,Sz,energy_at_h_start\r\n"
+        b"0.000000000000,1.500000000000,0,-12.000000000000\r\n"
+        b"1.500000000000,inf,1,-13.500000000000\r\n")
 
 
 def test_converge_exact_summary(tmp_path):

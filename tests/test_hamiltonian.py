@@ -15,7 +15,9 @@ from oracles import (
     spectral_sum,
     subspace_overlap,
 )
-from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian, write_spectrum_csv
+from starkrylov.cli import cmd_spectrum
+from starkrylov.config import RunConfig
+from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.prep import dressed_initial, pinwheel, reference_superposition, sector_initial
 
@@ -194,8 +196,11 @@ def test_evolve_blocks_match_dense_expm(tmp_path):
     w, vecs = np.linalg.eigh(dense_matrix(ham))
     expected = vecs @ (np.exp(-1j * w * 0.6) * (vecs.conj().T @ v))
     assert np.linalg.norm(ham.evolve(v, 0.6) - expected) < 1e-9
-    write_spectrum_csv(tmp_path / "s.csv", ham)
-    lines = (tmp_path / "s.csv").read_text().splitlines()
+    spectra = ham.sector_spectra()
+    assert np.allclose(np.sort(np.concatenate(list(spectra.values()))), w, atol=1e-9)
+    assert {sz: e[0] for sz, e in spectra.items()} == ham.sector_ground_energies()
+    cmd_spectrum(RunConfig(h_field=0.2), tmp_path)
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "sector,index,energy"
     assert len(lines) == 1 + 256
 

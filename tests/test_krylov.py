@@ -556,10 +556,10 @@ def test_real_part_only_mode():
 
 
 def test_csv_writers(tmp_path):
-    from starkrylov.krylov import write_convergence_csv
-    write_convergence_csv(tmp_path / "c.csv",
-                          [("uvqpe", 1e-3, 5, -11.9, 0.1, 4),
-                           ("odmd", 1e-3, 5, None, None, 0)])
+    from starkrylov.cli import _write_convergence
+    _write_convergence(tmp_path / "c.csv",
+                       [("uvqpe", 1e-3, 5, -11.9, 0.1, 4),
+                        ("odmd", 1e-3, 5, None, None, 0)])
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert lines[0].startswith("algorithm,delta,step")
     assert len(lines) == 3

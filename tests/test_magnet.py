@@ -5,6 +5,7 @@ import pytest
 
 from oracles import magnetization, sweep_cell
 from starkrylov import krylov
+from starkrylov.cli import _write_curve, _write_sectors
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.magnet import (
@@ -12,8 +13,6 @@ from starkrylov.magnet import (
     estimate_sector_energies,
     sector_series,
     sector_solver_settings,
-    write_curve_csv,
-    write_sector_csv,
 )
 from starkrylov.mirror import ExactEvolver, overlap_series_exact
 from starkrylov.prep import dressed_initial, sector_initial
@@ -193,9 +192,9 @@ def test_unconverged_sector_flagged():
 
 def test_csv_writers(tmp_path, ed_energies):
     curve = build_curve(ed_energies[4], 8)
-    write_curve_csv(tmp_path / "curve.csv", curve)
+    _write_curve(tmp_path / "curve.csv", curve)
     lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert lines[0] == "h_start,h_end,Sz,energy_at_h_start"
     assert lines[-1].split(",")[1] == "inf"
-    write_sector_csv(tmp_path / "sectors.csv", ed_energies[4])
+    _write_sectors(tmp_path / "sectors.csv", ed_energies[4])
     assert len((tmp_path / "sectors.csv").read_text().splitlines()) == 6

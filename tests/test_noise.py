@@ -101,9 +101,9 @@ def test_twirl_identity_cases(problem8):
 
 
 def test_twirl_angle_validation():
-    twirl_layer(8, np.pi / 2, superposition_role=True)
+    twirl_layer(8, np.pi / 2)
     with pytest.raises(ValueError, match="multiple"):
-        twirl_layer(10, np.pi / 2, superposition_role=True)
+        twirl_layer(10, np.pi / 2)
 
 
 def test_twirl_cancels_intersector_coherence(problem8):
@@ -177,13 +177,13 @@ def test_reference_superposition_twirl_is_identity(problem8):
     star, ham, prep = problem8
     sup = reference_superposition(prep, 1)
     psi = sup.state()
-    out = apply_circuit(psi, twirl_layer(8, np.pi / 2, superposition_role=True))
+    out = apply_circuit(psi, twirl_layer(8, np.pi / 2))
     assert abs(abs(np.vdot(out, psi)) - 1.0) < 1e-12
 
 
 def test_mitigation_ablation_rows_and_csv(problem8, tmp_path):
     from starkrylov.mirror import MITIGATION_MODES, ShotPlan, mitigation_ablation
-    from starkrylov.noise import write_mitigation_csv
+    from starkrylov.cli import _write_ablation
 
     star, ham, prep = problem8
     rows = mitigation_ablation(prep, ham, 0.1, 2, ShotPlan(60), NoiseSpec(2e-3),
@@ -193,7 +193,7 @@ def test_mitigation_ablation_rows_and_csv(problem8, tmp_path):
     assert modes == set(MITIGATION_MODES)
     for t, mode, e1, e2, e3, eo in rows:
         assert e1 >= 0 and eo >= 0
-    write_mitigation_csv(tmp_path / "m.csv", rows)
+    _write_ablation(tmp_path / "m.csv", rows)
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0] == "t,mode,f1_err,f2_err,f3_err,overlap_err"
     assert len(lines) == 1 + len(rows)
