@@ -7,8 +7,8 @@ whatever its BLAS thread count: ``main`` runs each command on one OpenBLAS
 thread and restores the previous count afterwards.
 
 Every output file is written here: its name, CSV or JSON schema and number
-formats sit next to the command that writes it.  A missing value (None, or the
-NaN fraction of a circuit with no shots) is an empty cell, except in
+formats sit next to the command that writes it.  A missing value (None, or a
+NaN left by a circuit with no shots) is an empty cell, except in
 ``convergence.csv``, where only None is.
 
 A process that imports this module before numpy (``python -m starkrylov.cli``,
@@ -44,6 +44,7 @@ from . import krylov, magnet, mirror
 from .config import ConfigError, RunConfig
 from .hamiltonian import SpinHamiltonian
 from .lattice import build_star
+from .prep import reference_superposition
 
 
 class NumericalFailure(RuntimeError):
@@ -268,6 +269,10 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
 def cmd_allocation(cfg: RunConfig, out: Path) -> None:
     star, ham = _build_problem(cfg)
     prep = cfg.initial_prep(star)
+    try:  # the study's fractions assume the reference superposition exists
+        reference_superposition(prep, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     spec = cfg.allocation
     times = [(k + 1) * cfg.dt for k in range(spec.n_times)]
     rows = mirror.allocation_study(prep, ham, times, spec.m_totals, spec.f1_grid,
@@ -275,11 +280,13 @@ def cmd_allocation(cfg: RunConfig, out: Path) -> None:
     _write_csv(out / "allocation.csv",
                ["m_total", "f1_fraction", "mode", "typical_error", "error_spread"],
                ([r["m_total"], f"{r['f1_fraction']:.4f}", r["mode"],
-                 f"{r['typical_error']:.9e}", f"{r['error_spread']:.9e}"] for r in rows))
-    best = {}
+                 _cell(r["typical_error"], ".9e"), _cell(r["error_spread"], ".9e")]
+                for r in rows))
+    best = {}  # a grid point whose F1 or F2/F3 circuits get no shots has no error
     for m in spec.m_totals:
-        sub = [r for r in rows if r["m_total"] == m and r["mode"] == "f1_sqrt"]
-        best[str(m)] = min(sub, key=lambda r: r["typical_error"])["f1_fraction"]
+        sub = [r for r in rows if r["m_total"] == m and r["mode"] == "f1_sqrt"
+               and not math.isnan(r["typical_error"])]
+        best[str(m)] = min(sub, key=lambda r: r["typical_error"])["f1_fraction"] if sub else None
     _write_json(out / "allocation_summary.json", {"best_f1_fraction_f1_sqrt": best})
 
 

@@ -13,8 +13,9 @@ complex overlap is recovered as
 optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
 (``ExactEvolver``, one step of a gate list) or m gate steps of t/m
 (``GateEvolver``: Trotter, or the single Floquet step F_t).
-``_estimate_cells`` builds the passes one time needs once, for all its cells:
-sampled, noisy and ``EXACT`` (the noiseless fractions and <psi0|W(t)|psi0>).
+``_estimate_cells`` builds the passes one time needs once, for all its
+sampled and noisy cells; the noiseless references, ``exact_overlaps`` and
+their ``mirror_fractions`` (the forward model above), need no circuit.
 ``_evolve_passes`` builds every state they read: each pass's noiseless state
 and the shots that draw an error, as rows of one batch.  Series, allocation
 and ablation results are returned as values; ``cli`` writes them.
@@ -193,6 +194,13 @@ class _MirrorCircuits:
 
 
 # -- reconstruction ---------------------------------------------------------------
+
+def mirror_fractions(value, e_ref: float, t):
+    """The noiseless (F1, F2, F3) of the overlap ``value`` at time t: the
+    forward model that ``reconstruct`` inverts."""
+    ref = np.exp(-1j * e_ref * t)
+    return np.abs(value) ** 2, np.abs(value + ref) ** 2 / 4, np.abs(ref - 1j * value) ** 2 / 4
+
 
 def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
                 magnitude_source: str = "f1_sqrt"):
@@ -394,20 +402,13 @@ def _noiseless_pool(npass: _Pass, shots: int, streams, stream: tuple):
     return lambda: sample_bitstrings(npass.cdf, shots, streams(stream))
 
 
-# the cell of the noiseless exact values (``_estimate_cells``)
-EXACT = object()
-
-
-def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan=None, streams=None,
+def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan: ShotPlan, streams,
                     magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
-    """The estimation cells at time t, one per entry of ``cells``: ``EXACT``,
-    or a (stream, noise) pair for a realization of a series step or a
-    mitigation mode of an ablation step.  Pool 0 of each circuit runs without
-    the twirl layer and pool 1 with it; circuit i's pool p draws from the
-    stream (*stream, i, p), or, noisy, shot j from (*stream, i, p, j).  The
-    ``EXACT`` cell draws nothing: its fractions are the untwirled passes'
-    all-zero probabilities, and its value <psi0|W(t)|psi0> comes from two more
-    passes, psi0's preparation with and without W(t), on F1's leading run.
+    """The estimation cells at time t, one per (stream, noise) pair of
+    ``cells``: a realization of a series step or a mitigation mode of an
+    ablation step.  Pool 0 of each circuit runs without the twirl layer and
+    pool 1 with it; circuit i's pool p draws from the stream (*stream, i, p),
+    or, noisy, shot j from (*stream, i, p, j).
 
     The evolver's gate list and each pass, one per (circuit, twirl) that a
     pool runs, are built once.  Pools run in three phases: noisy pools draw
@@ -416,7 +417,7 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan=None, streams
     draws or reads its samples.
     """
     evolution = circuits.evolver.gates(t)
-    passes: dict = {}  # (circuit, twirl angle), or a psi0 state's name -> _Pass
+    passes: dict = {}  # (circuit, twirl angle) -> _Pass
 
     def npass(i, angle):
         if (i, angle) not in passes:
@@ -425,15 +426,7 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan=None, streams
 
     erring: list[_ErringShot] = []
     drawn = []  # per cell, per circuit: its pools' sample functions
-    for cell in cells:
-        if cell is EXACT:
-            prep = list(circuits.preps[0].gates)
-            passes["psi0"], passes["W psi0"] = _Pass(prep), _Pass(prep + evolution)
-            for i in range(3):
-                npass(i, None)
-            drawn.append(None)
-            continue
-        stream, noise = cell
+    for stream, noise in cells:
         angle = twirl_angle(noise)
         noisy = noise is not None and noise.p_pauli > 0
         if noisy and circuits.evolver.kind == "exact":
@@ -457,18 +450,10 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan=None, streams
         drawn.append(circuit_pools)
     if passes:
         _evolve_passes(list(passes.values()), erring, circuits.n)
-    return [_exact_estimate(passes) if cell is EXACT else
-            _cell_estimate(circuits, ham, t, cell[1],
+    return [_cell_estimate(circuits, ham, t, noise,
                            [[samples() for samples in pools] for pools in circuit_pools],
                            magnitude_source)
-            for cell, circuit_pools in zip(cells, drawn)]
-
-
-def _exact_estimate(passes: dict) -> OverlapEstimate:
-    """The ``EXACT`` cell's estimate from the evolved passes of its time."""
-    fractions = tuple(float(np.abs(passes[i, None].state[0]) ** 2) for i in range(3))
-    value = complex(np.vdot(passes["psi0"].state, passes["W psi0"].state))
-    return OverlapEstimate(value, fractions, (0, 0, 0))
+            for (_, noise), circuit_pools in zip(cells, drawn)]
 
 
 def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_samples,
@@ -501,22 +486,24 @@ def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_samples,
 
 # -- series builders ----------------------------------------------------------------
 
+def exact_overlaps(psi0: np.ndarray, evolver, times) -> np.ndarray:
+    """<psi0|W(t)|psi0> for every t in ``times``, with no circuit: the
+    spectral sum for the exact evolver, psi0 evolved through each time's
+    gates for a gate evolver."""
+    if evolver.kind == "exact":
+        return evolver.ham.autocorrelation(psi0, times)
+    return np.array([np.vdot(psi0, apply_circuit(psi0, evolver.gates(t))) for t in times])
+
+
 def overlap_series_exact(psi0: np.ndarray, evolver, dt: float,
                          kmax: int) -> krylov.OverlapSeries:
-    """Series of direct inner products; Floquet evolvers fill both directions.
-    The exact evolver sums the series from the sector spectra in one call."""
-    if evolver.kind == "exact":
-        values = evolver.ham.autocorrelation(psi0, np.arange(1, kmax + 1) * dt)
-        return krylov.OverlapSeries(dt, np.concatenate([[1.0 + 0.0j], values]), None,
-                                    "exact", "unitary")
-
-    def direction(sign: int) -> np.ndarray:
-        return np.array([1.0 + 0.0j] + [np.vdot(psi0, apply_circuit(psi0, evolver.gates(k * dt)))
-                                        for k in range(sign, sign * (kmax + 1), sign)])
-
-    if evolver.kind == "floquet":
-        return krylov.OverlapSeries(dt, direction(1), direction(-1), "exact", "floquet")
-    return krylov.OverlapSeries(dt, direction(1), None, "exact", "unitary")
+    """Series of exact overlaps (``exact_overlaps``); Floquet evolvers fill
+    both directions."""
+    times = np.arange(1, kmax + 1) * dt
+    values = {sign: np.concatenate([[1.0 + 0.0j], exact_overlaps(psi0, evolver, sign * times)])
+              for sign in ((1, -1) if evolver.kind == "floquet" else (1,))}
+    kind = "floquet" if evolver.kind == "floquet" else "unitary"
+    return krylov.OverlapSeries(dt, values[1], values.get(-1), "exact", kind)
 
 
 def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
@@ -589,23 +576,23 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     """
     e_ref = ham.reference_energy()
     streams = _StreamOpener(seed)
-    circuits = _MirrorCircuits(psi0_prep, ExactEvolver(ham))
-    cells = [_estimate_cells(circuits, ham, t, [EXACT])[0] for t in times]
+    values = exact_overlaps(psi0_prep.state(), ExactEvolver(ham), times).tolist()
+    fractions = [mirror_fractions(value, e_ref, t) for value, t in zip(values, times)]
     modes = ("f1_sqrt", "eq19")
     rows = []
     for m_total in m_totals:
         for f1_frac in f1_grid:
             counts = allocation_plan(m_total, f1_frac).allocate()
             errs = {mode: [] for mode in modes}
-            for it, (t, exact) in enumerate(zip(times, cells)):
+            for it, (t, value, probs) in enumerate(zip(times, values, fractions)):
                 for r in range(n_realizations):
                     rng = streams((it, r, int(m_total), int(round(f1_frac * 1000))))
-                    for mode, o_m in zip(modes, _binomial_overlaps(rng, counts, exact.fractions,
+                    for mode, o_m in zip(modes, _binomial_overlaps(rng, counts, probs,
                                                                    e_ref, t, modes)):
-                        errs[mode].append(abs(o_m - exact.value) ** 2)
+                        errs[mode].append(abs(o_m - value) ** 2)
             for mode, e in errs.items():
                 e = np.array(e)
-                batches = e.reshape(len(cells), n_realizations)
+                batches = e.reshape(len(times), n_realizations)
                 batch_rms = np.sqrt(np.mean(batches, axis=1))
                 rows.append({
                     "m_total": int(m_total),
@@ -626,22 +613,25 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     """Per-step estimation error with each mitigation combination.
 
     Uses the single-step evolver (the hardware-style circuit) and compares
-    noisy sampled fractions and overlaps against the noiseless exact values,
-    the ``EXACT`` cell of each step, read from the passes the noisy cells evolve.
+    noisy sampled fractions and overlaps against each step's exact overlap
+    (``exact_overlaps``) and its fractions (``mirror_fractions``).
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
     circuits = _MirrorCircuits(psi0_prep, GateEvolver(ham))
     streams = _StreamOpener(seed)
     specs = [replace(noise, enable_postselect=mode in ("postselect", "both"),
                      enable_twirl=mode in ("twirl", "both")) for mode in MITIGATION_MODES]
+    times = [k * dt for k in range(1, kmax + 1)]
+    values = exact_overlaps(psi0_prep.state(), circuits.evolver, times).tolist()
+    e_ref = ham.reference_energy()
     rows = []
-    for k in range(1, kmax + 1):
-        t = k * dt
-        cells = [((k, m), spec) for m, spec in enumerate(specs)] + [EXACT]
-        *ests, exact = _estimate_cells(circuits, ham, t, cells, plan, streams, magnitude_source)
+    for k, t, value in zip(range(1, kmax + 1), times, values):
+        cells = [((k, m), spec) for m, spec in enumerate(specs)]
+        ests = _estimate_cells(circuits, ham, t, cells, plan, streams, magnitude_source)
+        fractions = mirror_fractions(value, e_ref, t)
         for mode, est in zip(MITIGATION_MODES, ests):
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")
-                      for f, fx in zip(est.fractions, exact.fractions)]
-            o_err = float("nan") if est.value is None else abs(est.value - exact.value)
+                      for f, fx in zip(est.fractions, fractions)]
+            o_err = float("nan") if est.value is None else abs(est.value - value)
             rows.append((t, mode, *f_errs, o_err))
     return rows

@@ -420,6 +420,38 @@ def test_allocation_small(tmp_path):
     assert "best_f1_fraction_f1_sqrt" in summary
 
 
+@pytest.mark.parametrize("n_triangles, sz", [(4, 4), (6, 6)])
+def test_allocation_from_state_without_dimers_exits_2(tmp_path, capsys, n_triangles, sz):
+    # the study's fractions assume the reference superposition, and the
+    # all-up sector state has no dimer to build it from; validate passes it,
+    # since an exact converge run from that state is valid
+    initial = {"kind": "sector", "sz": sz}
+    RunConfig(n_triangles=n_triangles, initial=InitialStateSpec(**initial)).validate()
+    assert run(tmp_path, "allocation", {"n_triangles": n_triangles, "initial": initial}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out" / "allocation.csv").exists()
+
+
+@pytest.mark.parametrize("grid, best", [([1.0, 0.5], 0.5), ([0.0, 0.5], 0.5), ([1.0], None)])
+def test_allocation_points_without_estimate(tmp_path, grid, best):
+    # at F1 fraction 0 or 1 one side's circuits get no shots: the point has
+    # no estimate, so its cells are empty and it is never the best fraction
+    cfg = {"allocation": {"m_totals": [100], "f1_grid": grid, "n_times": 2,
+                          "realizations": 5}}
+    assert run(tmp_path, "allocation", cfg) == 0
+    header, *rows = (tmp_path / "out" / "allocation.csv").read_text().splitlines()
+    assert len(rows) == 2 * len(grid)
+    for row in rows:
+        _, fraction, _, error, spread = row.split(",")
+        assert (error == spread == "") == (float(fraction) in (0.0, 1.0))
+        if error:
+            float(error), float(spread)
+    summary = json.loads((tmp_path / "out" / "allocation_summary.json").read_text())
+    assert summary == {"best_f1_fraction_f1_sqrt": {"100": best}}
+
+
 def test_seed_flag_overrides(tmp_path):
     cfg = {"steps": 3, "shots": {"total": 50}, "seed": 1}
     assert run(tmp_path, "overlaps", cfg, extra=("--seed", "2")) == 0

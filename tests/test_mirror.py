@@ -20,7 +20,6 @@ from starkrylov import statevec as statevec_module
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.mirror import (
-    EXACT,
     MITIGATION_MODES,
     ExactEvolver,
     GateEvolver,
@@ -33,14 +32,22 @@ from starkrylov.mirror import (
     _evolve_passes,
     _shared_run,
     allocation_study,
+    exact_overlaps,
     make_evolver,
+    mirror_fractions,
     mitigation_ablation,
     overlap_series_exact,
     overlap_series_sampled,
     reconstruct,
 )
 from starkrylov.noise import NoiseSpec, postselect_f1, twirl_angle, twirl_layer
-from starkrylov.prep import dressed_initial, invert, pinwheel, reference_superposition
+from starkrylov.prep import (
+    dressed_initial,
+    invert,
+    pinwheel,
+    reference_superposition,
+    sector_initial,
+)
 from starkrylov.statevec import (
     _StreamOpener,
     all_zero_fraction,
@@ -369,14 +376,16 @@ def test_batched_cells_match_cells_alone(problem, kind):
 
 def test_ablation_matches_per_mode_estimates(problem):
     # the ablation shares one set of mirror circuits across steps and modes;
-    # a fresh estimate per (step, mode) must give the same rows
+    # a fresh estimate per (step, mode) must give the same rows, against the
+    # oracle's exact overlaps and their closed-form fractions
     _, ham, prep = problem
     ev = GateEvolver(ham)
     plan, noise = ShotPlan(60), NoiseSpec(p_pauli=0.02)
     expected = []
     for k in (1, 2, 3):
         t = k * DT
-        exact_f, o_exact = exact_fractions(prep, ev, t), exact_overlap(prep.state(), ev, t)
+        o_exact = exact_overlap(prep.state(), ev, t)
+        exact_f = mirror_fractions(o_exact, ham.reference_energy(), t)
         for m, mode in enumerate(MITIGATION_MODES):
             spec = replace(noise, enable_postselect=mode in ("postselect", "both"),
                            enable_twirl=mode in ("twirl", "both"))
@@ -407,21 +416,25 @@ def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
 def test_exact_cells_equal_exact_overlap(problem, problem12, kind):
-    # the EXACT cell reads each untwirled pass's all-zero probability and
-    # takes <psi0|W(t)|psi0> from two more passes; its value and fractions
-    # must equal the oracle's.  Every pass's noiseless CDF and all-zero
-    # probability, twirled or not, must equal those of the mirrored states the
-    # oracle builds one at a time, bit for bit, on the 8- and the 12-spin star
+    # the exact references, <psi0|W(t)|psi0> from exact_overlaps and their
+    # closed-form fractions, must equal the oracle's overlap (bit for bit
+    # under a gate evolver) and the all-zero probabilities of the mirrored
+    # states it builds one at a time.  Every pass's noiseless CDF and
+    # all-zero probability, twirled or not, must equal those of the oracle's
+    # mirrored states bit for bit, on the 8- and the 12-spin star
     angle = np.pi / 2
     for star, ham, prep in (problem, problem12):
         ev = make_evolver(kind, ham, dt_step=DT)
         circuits = _MirrorCircuits(prep, ev)
         psi0 = prep.state()
         for t in (k * DT for k in (1, 2, 7, -3)):
-            [exact] = _estimate_cells(circuits, ham, t, [EXACT])
-            assert exact.value == exact_overlap(psi0, ev, t)
-            assert exact.fractions == exact_fractions(prep, ev, t)
-            assert exact.discards == (0, 0, 0) and exact.flags == ()
+            [value] = exact_overlaps(psi0, ev, [t])
+            if kind == "exact":
+                assert abs(value - exact_overlap(psi0, ev, t)) <= 1e-13
+            else:
+                assert value == exact_overlap(psi0, ev, t)
+            fractions = mirror_fractions(value, ham.reference_energy(), t)
+            assert np.allclose(fractions, exact_fractions(prep, ev, t), rtol=0, atol=1e-14)
             evolution = ev.gates(t)
             passes = {(i, a): _Pass(circuits.pass_gates(i, evolution, a))
                       for i in range(3) for a in (None, angle)}
@@ -437,7 +450,7 @@ def test_exact_cells_equal_exact_overlap(problem, problem12, kind):
 def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     # the mitigation modes of one time and the realizations of a series share
     # each (time, circuit, pool) pass, and each pass is evolved once per time;
-    # the ablation's exact cell reads the passes its noisy cells evolve
+    # the ablation's exact references evolve no pass
     _, ham, prep = problem
     evolved, pools, kernel_calls, steps = [], [], [], []
     evolve_passes, pool_init = mirror_module._evolve_passes, _NoisyPool.__init__
@@ -467,32 +480,30 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     monkeypatch.setattr(statevec_module, "_apply", counted_kernel)
     monkeypatch.setattr(mirror_module, "_estimate_cells", recorded_estimate)
 
-    def check(n_times, n_pools, n_exact=0):
-        # one evolution per time, of distinct passes with distinct gate lists;
-        # every pool runs one of them, and the rest are the exact cell's two
-        assert [len(passes) for passes in evolved] == [6 + n_exact] * n_times
+    def check(n_times, n_pools):
+        # one evolution per time, of distinct passes with distinct gate lists,
+        # each run by a pool
+        assert [len(passes) for passes in evolved] == [6] * n_times
         for passes in evolved:
-            assert len({tuple(map(id, npass.gates)) for npass in passes}) == 6 + n_exact
+            assert len({tuple(map(id, npass.gates)) for npass in passes}) == 6
         ids = [id(npass) for passes in evolved for npass in passes]
-        assert len(set(ids)) == len(ids) and set(map(id, pools)) <= set(ids)
-        assert len(set(ids) - set(map(id, pools))) == n_exact * n_times
+        assert len(set(ids)) == len(ids) and set(map(id, pools)) == set(ids)
         assert len(pools) == n_pools
 
     plan, noise = ShotPlan(60), NoiseSpec(p_pauli=0.02)
     mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4)
-    # per step: 3 circuits untwirled and 3 twirled, run by 18 mode pools, and
-    # the exact cell's psi0 and W(t) psi0
-    check(3, 3 * 18, n_exact=2)
-    # the exact cell adds no pass evolution and no kernel call: each step
-    # makes as many as its mode cells make without it
-    with_exact = steps[:]
+    # per step: 3 circuits untwirled and 3 twirled, run by 18 mode pools
+    check(3, 3 * 18)
+    # each step makes the pass evolutions and kernel calls of its mode cells
+    # estimated on their own
+    ablation_steps = steps[:]
     circuits = _MirrorCircuits(prep, GateEvolver(ham))
     for k in (1, 2, 3):
         modes = [((k, m), replace(noise, enable_postselect=mode in ("postselect", "both"),
                                   enable_twirl=mode in ("twirl", "both")))
                  for m, mode in enumerate(MITIGATION_MODES)]
         recorded_estimate(circuits, ham, k * DT, modes, plan, _StreamOpener(4))
-    assert steps[3:] == with_exact and [e for e, _ in with_exact] == [1, 1, 1]
+    assert steps[3:] == ablation_steps and [e for e, _ in ablation_steps] == [1, 1, 1]
     evolved.clear()
     pools.clear()
     overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, plan, seed=4,
@@ -502,23 +513,23 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
 
 
 def test_unsampled_passes_build_no_cdf(problem, monkeypatch):
-    # the EXACT cell and the allocation study read each pass's state, never
-    # its sampling CDF, so no CDF is built
+    # the allocation study takes its exact values and fractions from
+    # exact_overlaps and mirror_fractions: it evolves no pass and builds no CDF
     _, ham, prep = problem
-    built = []
+    built, evolved = [], []
 
     def counted_cdf(amps):
         built.append(1)
         return sampling_cdf(amps)
 
+    def recorded_evolve(passes, shots, n):
+        evolved.append(passes)
+
     monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
-    for kind in ("exact", "floquet"):
-        circuits = _MirrorCircuits(prep, make_evolver(kind, ham, dt_step=DT))
-        [exact] = _estimate_cells(circuits, ham, 2 * DT, [EXACT])
-        assert exact.fractions[0] > 0
+    monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
     rows = allocation_study(prep, ham, [DT, 2 * DT], m_totals=(100,), f1_grid=(0.5,),
                             n_realizations=3, seed=1)
-    assert rows and built == []
+    assert rows and built == [] and evolved == []
 
 
 @pytest.mark.parametrize("kind", ["trotter", "floquet"])
@@ -700,6 +711,50 @@ def test_exact_series_matches_per_step_overlaps(problem):
         loop = [exact_overlap(state, ev, k * DT) for k in range(1, 41)]
         assert series.values[0] == 1.0 and series.kind == "unitary"
         assert np.max(np.abs(series.values[1:] - loop)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
+def test_exact_overlaps_match_series_and_oracle(problem, kind):
+    # exact_overlaps is the series' one source in both directions, and equals
+    # the oracle's direct inner product: bit for bit under a gate evolver, and
+    # to the spectral sum's 1e-13 (test_autocorrelation_matches_evolve_loop)
+    # under the exact evolver
+    _, ham, prep = problem
+    ev = make_evolver(kind, ham, dt_step=DT)
+    psi0 = prep.state()
+    series = overlap_series_exact(psi0, ev, DT, 12)
+    times = np.arange(1, 13) * DT
+    for sign, values in ((1, series.values), (-1, series.neg_values)):
+        overlaps = exact_overlaps(psi0, ev, sign * times)
+        if values is not None:
+            assert np.array_equal(values[1:], overlaps)
+        oracle = np.array([exact_overlap(psi0, ev, sign * k * DT) for k in range(1, 13)])
+        if kind == "exact":
+            assert np.max(np.abs(overlaps - oracle)) <= 1e-13
+        else:
+            assert np.array_equal(overlaps, oracle)
+    assert (series.neg_values is not None) == (kind == "floquet")
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+@pytest.mark.parametrize("h", [0.0, 0.3])
+def test_mirror_fractions_match_circuit_fractions(n_tri, h):
+    # the closed-form fractions of the oracle's exact overlap against the
+    # all-zero probabilities of the mirrored states, built gate by gate: three
+    # initial states, three evolvers and five times, on each star and field
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star, h)
+    states = {"dressed": dressed_initial(star), "pinwheel": pinwheel(star),
+              "sector_sz1": sector_initial(star, 1)}
+    for name, prep in states.items():
+        psi0 = prep.state()
+        for kind in ("exact", "trotter", "floquet"):
+            ev = make_evolver(kind, ham, dt_step=DT)
+            for t in (0.1, 0.2, 0.5, 1.3, -0.3):
+                fractions = mirror_fractions(exact_overlap(psi0, ev, t),
+                                             ham.reference_energy(), t)
+                assert np.max(np.abs(np.subtract(fractions, exact_fractions(prep, ev, t)))) \
+                    <= 1e-14, (name, kind, t)
 
 
 def test_mirror_exact_series_matches_direct(problem):
