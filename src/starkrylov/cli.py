@@ -231,16 +231,15 @@ def _write_curve(path: Path, curve: magnet.MagnetizationCurve) -> None:
 
 def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     star = build_star(cfg.n_triangles)
-    ham = SpinHamiltonian(star)  # sector energies at h = 0
-    ed_energies = {sz: ham.ground_state_energy(sector=sz)
-                   for sz in range(star.n_sites // 2 + 1)}
+    spec = cfg.magnet
+    # one pass over the sectors at h = 0; meta carries each sector's ED energy
+    solver_energies, meta = magnet.estimate_sector_energies(
+        SpinHamiltonian(star), method=spec.solver, delta=spec.delta, n_steps=spec.n_steps,
+        dt=spec.dt)
+    ed_energies = {sz: meta[sz]["exact"] for sz in meta}
     ed_curve = magnet.build_curve(ed_energies, star.n_sites)
     _write_sectors(out / "sectors_ed.csv", ed_energies)
     _write_curve(out / "magnetization_ed.csv", ed_curve)
-
-    spec = cfg.magnet
-    solver_energies, meta = magnet.estimate_sector_energies(
-        ham, method=spec.solver, delta=spec.delta, n_steps=spec.n_steps, dt=spec.dt)
     unconverged = [sz for sz, m in meta.items() if not m["converged"]]
     _write_sectors(out / f"sectors_{spec.solver}.csv", solver_energies)
     summary = {

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import krylov
+from .hamiltonian import SpinHamiltonian
 from .mirror import ExactEvolver, overlap_series_exact
 from .prep import dressed_initial, sector_initial
 
@@ -88,17 +89,29 @@ def sector_series(ham, sz: int, dt: float, n_steps: int, sz0_cz_bonds=None):
     return overlap_series_exact(prep.state(), ExactEvolver(ham), dt, n_steps)
 
 
+def _sector_exact(lattice, sz: int, dt: float, n_steps: int, sz0_cz_bonds):
+    """(``sector_series``, ED ground energy) of sector ``sz`` on an h = 0
+    Hamiltonian of its own, whose sector blocks die on return."""
+    ham = SpinHamiltonian(lattice)
+    return (sector_series(ham, sz, dt, n_steps, sz0_cz_bonds),
+            ham.ground_state_energy(sector=float(sz)))
+
+
 def estimate_sector_energies(ham, method: str = "uvqpe", delta: float | None = None,
                              n_steps: int | None = None, dt: float | None = None,
                              sz0_cz_bonds=None):
     """One ``method`` solve of every S^z sector's ``sector_series`` at ``n_steps``.
 
     ``delta``, ``n_steps`` and ``dt`` default to
-    ``sector_solver_settings(ham.lattice)``.  Returns (energies, meta);
-    ``meta[sz]`` holds the exact sector ground energy, the estimate's error
-    against it, its retained rank and flags, and ``converged``: an error
-    above 1e-3 marks the sector unconverged, whether the solver settled on an
-    excited level or is still drifting.
+    ``sector_solver_settings(ham.lattice)``; ``ham`` gives the lattice and
+    must be the h = 0 Hamiltonian.  Each sector's blocks live on a
+    Hamiltonian of their own (``_sector_exact``): one sector's blocks are
+    alive at a time, and they are dropped before that sector's sweep.
+    Returns (energies, meta); ``meta[sz]`` holds ``exact``, the sector's ED
+    ground energy (the one ``cli`` writes), the estimate's error against it,
+    its retained rank and flags, and ``converged``: an error above 1e-3
+    marks the sector unconverged, whether the solver settled on an excited
+    level or is still drifting.
     """
     if ham.h_field != 0:
         raise ValueError("sector energies are estimated on the h = 0 Hamiltonian")
@@ -111,9 +124,8 @@ def estimate_sector_energies(ham, method: str = "uvqpe", delta: float | None = N
     energies: dict[int, float] = {}
     meta: dict[int, dict] = {}
     for sz in range(ham.lattice.n_triangles + 1):
-        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        series, e_exact = _sector_exact(ham.lattice, sz, dt, n_steps, sz0_cz_bonds)
         estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
-        e_exact = ham.ground_state_energy(sector=float(sz))
         error = abs(estimate.energy - e_exact)
         energies[sz] = estimate.energy
         meta[sz] = {"converged": error <= 1e-3, "exact": e_exact, "final_error": error,

@@ -11,7 +11,9 @@ Hankel pairs as arrays of their own, one sweep cell solved
 on its own with the sweep's decompositions (``sweep_cell``), the overlaps of
 that Ritz vector with the exact eigenstates, kagome patches, the
 bond-by-bond Trotter scheme, analytic CNOT counts per Trotter step,
-predicted step counts, the magnetization M(h) read off a curve, and the
+predicted step counts, the magnetization M(h) read off a curve, the sector
+energies from one shared Hamiltonian (the flow the one-pass estimate
+replaced), and the
 mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
 overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
 at a time, their all-zero probabilities, exact F1/F2/F3, one sampled
@@ -26,6 +28,7 @@ from math import ceil, log
 import numpy as np
 
 from starkrylov import krylov
+from starkrylov.magnet import sector_series, sector_solver_settings
 from starkrylov.mirror import _binomial_overlaps, _estimate_cells, _MirrorCircuits, reconstruct
 from starkrylov.noise import PAULI_NAMES, twirl_layer
 from starkrylov.prep import invert, reference_superposition
@@ -462,6 +465,29 @@ def magnetization(curve, h: float, per_site: bool = False) -> float:
         if p.h_start <= h < p.h_end:
             return 2 * p.sz / n_sites if per_site else float(p.sz)
     raise AssertionError("plateaus do not cover h >= 0")
+
+
+def shared_sector_energies(ham, method: str = "uvqpe", delta=None, n_steps=None, dt=None,
+                           sz0_cz_bonds=None):
+    """The magnetization flow that ``magnet.estimate_sector_energies`` replaced:
+    on the one h = 0 Hamiltonian ``ham``, every sector's ED first (the former
+    loop of ``cli.cmd_magnetization``), then each sector's series and sweep on
+    the blocks that ED cached.  Returns (ED energies, energies, meta)."""
+    settings = sector_solver_settings(ham.lattice)
+    delta = settings["delta"] if delta is None else delta
+    n_steps = settings["n_steps"] if n_steps is None else n_steps
+    dt = settings["dt"] if dt is None else dt
+    ed = {sz: ham.ground_state_energy(sector=sz) for sz in range(ham.n_sites // 2 + 1)}
+    energies, meta = {}, {}
+    for sz in range(ham.lattice.n_triangles + 1):
+        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
+        e_exact = ham.ground_state_energy(sector=float(sz))
+        error = abs(estimate.energy - e_exact)
+        energies[sz] = estimate.energy
+        meta[sz] = {"converged": error <= 1e-3, "exact": e_exact, "final_error": error,
+                    "retained_rank": estimate.retained_rank, "flags": estimate.flags}
+    return ed, energies, meta
 
 
 # -- mirror circuits ---------------------------------------------------------------

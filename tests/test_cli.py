@@ -388,11 +388,12 @@ def test_magnetization_8_spin(tmp_path):
 def test_magnetization_plateau_count_mismatch_is_inf(tmp_path, monkeypatch):
     # sector 3 raised by 5 drops a plateau: 3 solver crossings against ED's 4,
     # whose overlapping prefix alone would deviate by about 1.7
+    # the CLI reads the ED energies from meta, so the fake carries the true ones
     ham = SpinHamiltonian(build_star(4))
-    energies = {sz: ham.ground_state_energy(sector=float(sz)) for sz in range(5)}
-    energies[3] += 5.0
-    meta = {sz: {"converged": True, "exact": None, "final_error": 0.0,
-                 "retained_rank": 1, "flags": ()} for sz in energies}
+    exact = {sz: ham.ground_state_energy(sector=float(sz)) for sz in range(5)}
+    energies = {**exact, 3: exact[3] + 5.0}
+    meta = {sz: {"converged": True, "exact": e, "final_error": 0.0,
+                 "retained_rank": 1, "flags": ()} for sz, e in exact.items()}
     monkeypatch.setattr(starkrylov.magnet, "estimate_sector_energies",
                         lambda ham, **kwargs: (energies, meta))
     assert run(tmp_path, "magnetization") == 0
@@ -408,6 +409,9 @@ def test_magnetization_numerical_failure_exit(tmp_path):
     assert run(tmp_path, "magnetization", cfg) == 3
     summary = json.loads((tmp_path / "out" / "magnetization_summary.json").read_text())
     assert summary["unconverged_sectors"]
+    # the ED files are written before the failure is raised
+    assert (tmp_path / "out" / "sectors_ed.csv").exists()
+    assert (tmp_path / "out" / "magnetization_ed.csv").exists()
 
 
 def test_allocation_small(tmp_path):

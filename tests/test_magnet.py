@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from oracles import magnetization, sweep_cell
-from starkrylov import krylov
-from starkrylov.cli import _write_curve, _write_sectors
+from oracles import magnetization, shared_sector_energies, sweep_cell
+from starkrylov import hamiltonian, krylov
+from starkrylov.cli import _write_curve, _write_sectors, main
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.magnet import (
@@ -177,6 +179,73 @@ def test_one_solve_matches_all_prefix_loop(method):
                  for ns in range(first, settings["n_steps"] + 1)]
         assert energies[sz] == trace[-1]
         assert meta[sz]["final_error"] == abs(trace[-1] - meta[sz]["exact"])
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
+@pytest.mark.parametrize("method", ["uvqpe", "odmd"])
+@pytest.mark.parametrize("n_tri", [4, 6])
+def test_one_pass_matches_shared_hamiltonian_flow(n_tri, method, custom):
+    # reference: one shared Hamiltonian, every sector's ED first, then each
+    # sector's series and sweep on the cached blocks
+    star = build_star(n_tri)
+    settings = {}
+    if custom:
+        free = star.free_outer_bonds("cw")
+        settings = {"delta": 1e-3, "n_steps": 30, "dt": 0.15, "sz0_cz_bonds": free[1::2]}
+    ed, ref_energies, ref_meta = shared_sector_energies(SpinHamiltonian(star), method,
+                                                        **settings)
+    energies, meta = estimate_sector_energies(SpinHamiltonian(star), method, **settings)
+    assert energies == ref_energies
+    assert meta == ref_meta
+    assert {sz: m["exact"] for sz, m in meta.items()} == ed
+
+
+def test_cli_ed_files_match_shared_hamiltonian(tmp_path):
+    assert main(["magnetization", "--out", str(tmp_path / "out")]) == 0
+    ham = SpinHamiltonian(build_star(4))
+    ed = {sz: ham.ground_state_energy(sector=sz) for sz in range(5)}
+    _write_sectors(tmp_path / "sectors_ed.csv", ed)
+    _write_curve(tmp_path / "magnetization_ed.csv", build_curve(ed, 8))
+    for name in ("sectors_ed.csv", "magnetization_ed.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("entry", ["estimate", "cli"])
+def test_one_sector_blocks_alive_at_a_time(entry, tmp_path, monkeypatch):
+    # every _SectorBlocks registers a weak reference; with the collector off,
+    # a sector's blocks must die by reference count before the next sector's
+    # are built and before its own sweep starts
+    refs, alive_at_build, alive_at_sweep = [], [], []
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    class Tracked(hamiltonian._SectorBlocks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+            alive_at_build.append(alive())
+
+    sweep = krylov.sweep
+
+    def watched_sweep(*args, **kwargs):
+        alive_at_sweep.append(alive())
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "_SectorBlocks", Tracked)
+    monkeypatch.setattr(krylov, "sweep", watched_sweep)
+    gc.disable()
+    try:
+        if entry == "estimate":
+            estimate_sector_energies(SpinHamiltonian(build_star(6)))
+        else:  # the command makes no ED call beside the estimate's
+            (tmp_path / "config.json").write_text('{"n_triangles": 6}')
+            main(["magnetization", "--config", str(tmp_path / "config.json"),
+                  "--out", str(tmp_path / "out")])
+    finally:
+        gc.enable()
+    assert alive_at_build == [1] * 7
+    assert alive_at_sweep == [0] * 7
 
 
 def test_unconverged_sector_flagged():
