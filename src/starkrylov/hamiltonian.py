@@ -19,8 +19,11 @@ representatives, so one ``eigh`` of H_m serves the conjugate pair: block N-m
 stores block m's eigenvalues w and eigenvector array v itself, and reads its
 eigenvectors conj(v) through v (its projection is v^T, its evolution conj(v)
 applied where it is used).  Spectra, evolution and overlap series all go
-through the blocks, whose eigenvectors stay in block form; the exact overlap
-series holds one (times x eigenvalues) phase matrix per S^z sector.
+through the blocks, whose eigenvectors stay in block form.  The exact overlap
+series releases each sector's eigenvector arrays before it builds the
+sector's (times x eigenvalues) phase matrix; a released sector keeps its
+eigenvalues and is decomposed again, by the same ``eigh`` calls, when its
+eigenvectors are next read.
 """
 from __future__ import annotations
 
@@ -49,14 +52,18 @@ class _SectorBlocks:
     v, or conj(v) when ``conj`` is set, and then v is the array of its
     conjugate partner N - m, shared rather than copied.  Sector basis state b
     is T^shift[b] of representative orbit[b]; scale[r] = L_r^(-1/2);
-    omega[j, m] = w^(j m)."""
+    omega[j, m] = w^(j m).  ``release`` sets every v to None."""
 
     orbit: np.ndarray
     shift: np.ndarray
     scale: np.ndarray
     omega: np.ndarray
-    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, bool]]
+    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray | None, bool]]
     energies: np.ndarray  # every eigenvalue of the sector, ascending
+
+    def release(self) -> None:
+        """Drop the eigenvector arrays; energies and block eigenvalues stay."""
+        self.blocks = [(m, keep, w, None, conj) for m, keep, w, _, conj in self.blocks]
 
     def fold(self, part: np.ndarray) -> np.ndarray:
         """<r, m|part> as an (orbits, N) array, for amplitudes on the sector basis."""
@@ -101,10 +108,14 @@ class SpinHamiltonian:
 
     # -- spectra -----------------------------------------------------------
 
-    def _sector_eig(self, n_down: int) -> _SectorBlocks:
-        """One ``eigh`` per conjugate pair of momentum blocks of the sector, cached."""
-        if n_down in self._eigs:
-            return self._eigs[n_down]
+    def _sector_eig(self, n_down: int, vectors: bool = True) -> _SectorBlocks:
+        """One ``eigh`` per conjugate pair of momentum blocks of the sector,
+        cached; a sector whose eigenvectors were released is decomposed again
+        only when ``vectors`` asks for them."""
+        sec = self._eigs.get(n_down)
+        # block m = 0 never shares its partner's array: its v tells a released sector
+        if sec is not None and (not vectors or sec.blocks[0][3] is not None):
+            return sec
         basis = self._sectors[n_down]
         images = [basis]
         while True:
@@ -150,12 +161,13 @@ class SpinHamiltonian:
 
     def ground_state_energy(self, sector: float | None = None) -> float:
         if sector is not None:
-            return float(self._sector_eig(self._ndown_of_sz(sector)).energies[0])
-        return min(float(self._sector_eig(k).energies[0]) for k in range(self.n_sites + 1))
+            return float(self._sector_eig(self._ndown_of_sz(sector), False).energies[0])
+        return min(float(self._sector_eig(k, False).energies[0])
+                   for k in range(self.n_sites + 1))
 
     def sector_spectra(self) -> dict[float, np.ndarray]:
         """{S^z: every eigenvalue of the sector, ascending}, from S^z = n/2 down."""
-        return {self._sz_of_ndown(k): self._sector_eig(k).energies
+        return {self._sz_of_ndown(k): self._sector_eig(k, False).energies
                 for k in range(self.n_sites + 1)}
 
     def sector_ground_energies(self) -> dict[float, float]:
@@ -192,20 +204,26 @@ class SpinHamiltonian:
 
         Summed from the block spectra as sum_i |<E_i|vec>|^2 exp(-i E_i t),
         one matrix product per S^z sector that ``vec`` touches, so no state
-        is evolved.  Each sector holds one (times x eigenvalues) phase
-        matrix, filled ``_PHASE_ROWS`` rows at a time and exponentiated in
-        place; the product stays one call, since a product split into row
-        blocks need not round the same.
+        is evolved.  Each sector is first reduced to its eigenvalues and
+        weights, and its eigenvector arrays are released; only then is each
+        sector's (times x eigenvalues) phase matrix filled, ``_PHASE_ROWS``
+        rows at a time, and exponentiated in place, so no eigenvector is
+        alive beside it.  The product stays one call, since a product split
+        into row blocks need not round the same.
         """
         times = np.asarray(times, dtype=float)
-        out = np.zeros(times.shape, dtype=complex)
+        spectra = []
         for _, sec, coeffs in self._projections(vec):
-            w = np.concatenate([w for _, _, w, _, _ in sec.blocks])
+            spectra.append((np.concatenate([w for _, _, w, _, _ in sec.blocks]),
+                            np.abs(np.concatenate(coeffs)) ** 2))
+            sec.release()
+        out = np.zeros(times.shape, dtype=complex)
+        for w, weights in spectra:
             phases = np.empty((len(times), len(w)), dtype=complex)
             for i in range(0, len(times), _PHASE_ROWS):
                 rows = slice(i, i + _PHASE_ROWS)
                 np.multiply(-1j, np.outer(times[rows], w), out=phases[rows])
-            out += np.exp(phases, out=phases) @ (np.abs(np.concatenate(coeffs)) ** 2)
+            out += np.exp(phases, out=phases) @ weights
         return out
 
     # -- analytic quantities -------------------------------------------------

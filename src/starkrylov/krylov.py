@@ -90,17 +90,6 @@ class KrylovEstimate:
 _FILTERED = KrylovEstimate(None, 0, ("all_singular_values_filtered",))
 
 
-def _pick_minimum(lam: np.ndarray, dt: float, band, rank: int) -> KrylovEstimate:
-    energies = -np.angle(lam) / dt
-    ok = (np.abs(lam) >= band[0]) & (np.abs(lam) <= band[1])
-    flags: tuple[str, ...] = ()
-    if not np.any(ok):
-        ok = np.ones_like(energies, dtype=bool)
-        flags = ("no_admissible_eigenvalue",)
-    i = int(np.argmin(np.where(ok, energies, np.inf)))
-    return KrylovEstimate(float(energies[i]), rank, flags)
-
-
 def _toeplitz_rows(series: OverlapSeries, d: int) -> np.ndarray:
     """The d + 1 rows s_{1-j} .. s_{d-j}, j = 0 .. d, as a read-only view:
     T_{jk} = s_{1+k-j} is rows 0 .. d-1 and S_{jk} = s_{k-j} rows 1 .. d.
@@ -162,8 +151,9 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
     Hermitian; Klymko et al., PRX Quantum 3, 020323, 2022), its eigenpairs
     in stable order of |lambda| descending, else ``svd``.  The kept singular
     values (|lambda|) are a prefix of length r, the retained rank, and the
-    runs of one rank share one stacked solve or propagator product and one
-    stacked ``eigvals`` (no estimate reads an eigenvector).  A run's
+    runs of one rank share one stacked solve or propagator product, one
+    stacked ``eigvals`` (no estimate reads an eigenvector) and one array
+    pass that picks each run's estimate from its row of eigenvalues.  A run's
     matrices meet the same LAPACK and BLAS calls as when solved alone, so
     no estimate depends on which runs share a stack.
 
@@ -184,6 +174,7 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
     n_max = min(s.n_max for s in runs)
     hankel = spec.pair == "hankel"
     hermitian = not hankel and all(s.kind == "unitary" for s in runs)
+    dts = np.array([s.dt for s in runs])[:, None]
     cells = {}
     for n_steps in steps:
         if not spec.first_step <= n_steps <= n_max:
@@ -217,6 +208,16 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
                     reduced = target[pick] @ (Vr @ inverse @ Wh)
                 else:
                     reduced = np.linalg.solve(Wh @ basis[pick] @ Vr, Wh @ target[pick] @ Vr)
-                for i, row in zip(group, np.linalg.eigvals(reduced)):
-                    cell[i] = _pick_minimum(row, runs[i].dt, band, r)
+                # each row's minimum admissible energy, or its minimum energy
+                # (flagged) when no eigenvalue lies inside the band
+                lam = np.linalg.eigvals(reduced)
+                energies = -np.angle(lam) / dts[group]
+                ok = (np.abs(lam) >= band[0]) & (np.abs(lam) <= band[1])
+                none = ~ok.any(axis=1)
+                ok[none] = True
+                best = energies[np.arange(len(group)),
+                                np.argmin(np.where(ok, energies, np.inf), axis=1)]
+                for i, energy, flagged in zip(group, best.tolist(), none.tolist()):
+                    cell[i] = KrylovEstimate(energy, r,
+                                             ("no_admissible_eigenvalue",) if flagged else ())
     return cells

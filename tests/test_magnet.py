@@ -248,6 +248,43 @@ def test_one_sector_blocks_alive_at_a_time(entry, tmp_path, monkeypatch):
     assert alive_at_sweep == [0] * 7
 
 
+@pytest.mark.parametrize("entry", ["estimate", "cli"])
+def test_no_eigenvector_alive_beside_phase_matrix(entry, tmp_path, monkeypatch):
+    # every eigenvector array that _sector_eig returns registers a weak
+    # reference; with the collector off, none may be alive when the spectral
+    # sum allocates a sector's phase matrix (its one np.empty call)
+    refs, alive_at_phases = [], []
+    sector_eig = SpinHamiltonian._sector_eig
+
+    def tracked(self, *args, **kwargs):
+        sec = sector_eig(self, *args, **kwargs)
+        refs.extend(weakref.ref(v) for *_, v, _ in sec.blocks if v is not None)
+        return sec
+
+    class WatchedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            alive_at_phases.append(sum(ref() is not None for ref in refs))
+            return np.empty(*args, **kwargs)
+
+    monkeypatch.setattr(SpinHamiltonian, "_sector_eig", tracked)
+    monkeypatch.setattr(hamiltonian, "np", WatchedNumpy())
+    gc.disable()
+    try:
+        if entry == "estimate":
+            estimate_sector_energies(SpinHamiltonian(build_star(6)))
+        else:
+            (tmp_path / "config.json").write_text('{"n_triangles": 6}')
+            main(["magnetization", "--config", str(tmp_path / "config.json"),
+                  "--out", str(tmp_path / "out")])
+    finally:
+        gc.enable()
+    assert len(refs) >= 7
+    assert alive_at_phases == [0] * 7
+
+
 def test_unconverged_sector_flagged():
     # an aggressive threshold filters the tiny ground-state component of the
     # S^z=0 six-CZ-like state and parks the solver on an excited level
