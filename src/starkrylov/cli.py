@@ -86,7 +86,7 @@ def _series_for(cfg: RunConfig, star, ham):
         series = mirror.overlap_series_exact(prep.state(), evolver, cfg.dt, cfg.steps)
         return [(series, None)] * cfg.realizations
     return mirror.overlap_series_sampled(
-        prep, evolver, ham, cfg.dt, cfg.steps, cfg.shots, cfg.seed,
+        prep, evolver, cfg.dt, cfg.steps, cfg.shots, cfg.seed,
         noise=cfg.noise, realizations=range(cfg.realizations),
         magnitude_source=cfg.magnitude_source)
 
@@ -234,8 +234,7 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
     spec = cfg.magnet
     # one pass over the sectors at h = 0; meta carries each sector's ED energy
     solver_energies, meta = magnet.estimate_sector_energies(
-        SpinHamiltonian(star), method=spec.solver, delta=spec.delta, n_steps=spec.n_steps,
-        dt=spec.dt)
+        star, method=spec.solver, delta=spec.delta, n_steps=spec.n_steps, dt=spec.dt)
     ed_energies = {sz: meta[sz]["exact"] for sz in meta}
     ed_curve = magnet.build_curve(ed_energies, star.n_sites)
     _write_sectors(out / "sectors_ed.csv", ed_energies)

@@ -117,7 +117,7 @@ class RunConfig:
     noise: NoiseSpec | None = None  # None = noiseless
     realizations: int = 1
     magnitude_source: Literal["f1_sqrt", "eq19"] = "f1_sqrt"
-    eigenvalue_band: tuple[float, float] = (0.5, 1.5)
+    eigenvalue_band: tuple[float, float] = krylov.DEFAULT_BAND
     odmd_window: int | None = None
     odmd_real_part: bool = False
     reverse_trotter_groups: bool = False
@@ -171,9 +171,8 @@ class RunConfig:
         try:
             star = build_star(self.n_triangles)
             SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
-            series_kind = "floquet" if self.evolver == "floquet" else "unitary"
             for s in self.solvers:
-                first = krylov.solver_spec(s, series_kind).first_step
+                first = krylov.solver_spec(s, self.evolver == "floquet").first_step
                 if self.steps < first:
                     raise ValueError(f"steps must be >= {first} for {s}")
             prep = self.initial_prep(star)

@@ -28,6 +28,7 @@ eigenvectors are next read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,13 +37,18 @@ from .statevec import MAX_QUBITS as QUBIT_CAP
 _PHASE_ROWS = 64  # rows of the spectral sum's phase matrix per float outer product
 
 
-def _sector_indices(n: int) -> list[np.ndarray]:
-    """Basis indices grouped by number of down spins (popcount)."""
+@lru_cache(maxsize=None)
+def _sector_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Basis indices grouped by number of down spins (popcount), computed
+    once per site count and shared, read-only, by every Hamiltonian."""
     idx = np.arange(1 << n, dtype=np.int64)
     pop = np.zeros(1 << n, dtype=np.int64)
     for q in range(n):
         pop += (idx >> q) & 1
-    return [idx[pop == k] for k in range(n + 1)]
+    sectors = tuple(idx[pop == k] for k in range(n + 1))
+    for basis in sectors:
+        basis.flags.writeable = False
+    return sectors
 
 
 @dataclass

@@ -11,8 +11,9 @@ from a pair of matrices built on the first n_steps values:
 * ``odmd``: Hankel pair X_{rc} = s_{r+c}, X'_{rc} = s_{r+c+1}; eigenvalues of
   the one-step propagator A = X' X^+ with the truncated pseudoinverse.
 
-s_{-m} is conj(s_m) for a unitary series and the measured f_{-m} for a
-Floquet series.  ``SOLVERS`` maps configuration names to solvers;
+A series is Floquet exactly when it carries measured negative-direction
+values f_{-m}, which give s_{-m}; a unitary series carries none, and s_{-m}
+is conj(s_m).  ``SOLVERS`` maps configuration names to solvers;
 ``uvqpe_floquet`` is ``uvqpe`` on a two-direction Floquet series.  ``sweep``,
 the one solver core, solves every run (series), prefix length and threshold
 delta of a solver at once, dropping singular values below delta * sigma_max.
@@ -45,23 +46,20 @@ DELTA_FLOOR = 1e-14  # smallest threshold a configuration may ask for
 class OverlapSeries:
     dt: float
     values: np.ndarray  # s_0 .. s_K, s_0 = 1
-    neg_values: np.ndarray | None = None  # f_0 .. f_{-K} for the Floquet kind
-    provenance: str = "exact"
-    kind: str = "unitary"  # "unitary" | "floquet"
+    neg_values: np.ndarray | None = None  # f_0 .. f_{-K}: given iff the series is Floquet
+    sampled: bool = False  # estimated from shots rather than computed exactly
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         if self.neg_values is not None:
             self.neg_values = np.asarray(self.neg_values, dtype=complex)
-        if self.kind == "floquet" and self.neg_values is None:
-            raise ValueError("Floquet series requires measured negative-direction values")
-        if self.neg_values is not None and len(self.neg_values) != len(self.values):
-            raise ValueError("neg_values must have the same length as values")
+            if len(self.neg_values) != len(self.values):
+                raise ValueError("neg_values must have the same length as values")
         if abs(self.values[0] - 1.0) > 1e-6:
             raise ValueError("series must start at s_0 = 1")
         # the three-fraction reconstruction is bounded by 3/sqrt(2) ~ 2.12,
         # so anything past that is corrupt rather than noisy
-        slack = 1e-6 if self.provenance.startswith("exact") else 1.13
+        slack = 1.13 if self.sampled else 1e-6
         values = self.values if self.neg_values is None else np.concatenate(
             [self.values, self.neg_values])
         if np.max(np.abs(values)) > 1.0 + slack:
@@ -75,7 +73,7 @@ class OverlapSeries:
         """s_m, the element-wise reference for the array-built matrices."""
         if m >= 0:
             return complex(self.values[m])
-        if self.kind == "floquet":
+        if self.neg_values is not None:
             return complex(self.neg_values[-m])
         return complex(np.conj(self.values[-m]))
 
@@ -97,7 +95,7 @@ def _toeplitz_rows(series: OverlapSeries, d: int) -> np.ndarray:
     Each row is a window of d consecutive values of s_{1-d} .. s_d, read
     from the last window back."""
     pos = series.values[:d + 1]  # s_0 .. s_d
-    neg = series.neg_values[1:d] if series.kind == "floquet" else pos[1:d].conj()
+    neg = pos[1:d].conj() if series.neg_values is None else series.neg_values[1:d]
     return sliding_window_view(np.concatenate([neg[::-1], pos]), d)[::-1]
 
 
@@ -127,13 +125,14 @@ SOLVERS = {
 }
 
 
-def solver_spec(algorithm: str, series_kind: str = "unitary") -> SolverSpec:
-    """The ``SOLVERS`` entry for ``algorithm`` on a series of ``series_kind``."""
+def solver_spec(algorithm: str, floquet: bool = False) -> SolverSpec:
+    """The ``SOLVERS`` entry for ``algorithm`` on a Floquet series if
+    ``floquet``, else on a unitary one."""
     spec = SOLVERS.get(algorithm)
     if spec is None:
         raise ValueError(f"unknown Krylov method {algorithm!r}; "
                          f"expected one of {sorted(SOLVERS)}")
-    if spec.floquet_only and series_kind != "floquet":
+    if spec.floquet_only and not floquet:
         raise ValueError(f"{algorithm} needs a Floquet series with both directions")
     return spec
 
@@ -169,11 +168,10 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
     * Hankel: the one-step propagator A = X' X^+ with the truncated
       pseudoinverse X^+ = V_r Sigma_r^{-1} U_r^H.
     """
-    spec = solver_spec(algorithm, "floquet" if all(s.kind == "floquet" for s in runs)
-                       else "unitary")
+    spec = solver_spec(algorithm, all(s.neg_values is not None for s in runs))
     n_max = min(s.n_max for s in runs)
     hankel = spec.pair == "hankel"
-    hermitian = not hankel and all(s.kind == "unitary" for s in runs)
+    hermitian = not hankel and all(s.neg_values is None for s in runs)
     dts = np.array([s.dt for s in runs])[:, None]
     cells = {}
     for n_steps in steps:

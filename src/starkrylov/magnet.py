@@ -91,8 +91,10 @@ def sector_series(ham, sz: int, dt: float, n_steps: int, sz0_cz_bonds=None):
 
 def _sector_exact(lattice, sz: int, dt: float, n_steps: int, sz0_cz_bonds):
     """(``sector_series``, ED ground energy) of sector ``sz`` on an h = 0
-    Hamiltonian of its own, whose sector blocks die on return."""
+    Hamiltonian of its own, whose sector blocks die on return; ``dt`` is
+    checked against its admissibility bound before any ED."""
     ham = SpinHamiltonian(lattice)
+    ham.check_time_step(dt)
     # series first: its spectral sum releases the sector's eigenvectors and
     # the energy is read from the eigenvalues kept.  The tracemalloc peak is
     # the same in either order, but reading the energy first measured 39.6
@@ -101,34 +103,31 @@ def _sector_exact(lattice, sz: int, dt: float, n_steps: int, sz0_cz_bonds):
             ham.ground_state_energy(sector=float(sz)))
 
 
-def estimate_sector_energies(ham, method: str = "uvqpe", delta: float | None = None,
+def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None = None,
                              n_steps: int | None = None, dt: float | None = None,
                              sz0_cz_bonds=None):
-    """One ``method`` solve of every S^z sector's ``sector_series`` at ``n_steps``.
+    """One ``method`` solve of every S^z sector's ``sector_series`` at ``n_steps``
+    on ``lattice``.
 
     ``delta``, ``n_steps`` and ``dt`` default to
-    ``sector_solver_settings(ham.lattice)``; ``ham`` gives the lattice and
-    must be the h = 0 Hamiltonian.  Each sector's blocks live on a
-    Hamiltonian of their own (``_sector_exact``): one sector's blocks are
-    alive at a time, and they are dropped before that sector's sweep.
+    ``sector_solver_settings(lattice)``.  Each sector's blocks live on an
+    h = 0 Hamiltonian of their own (``_sector_exact``): one sector's blocks
+    are alive at a time, and they are dropped before that sector's sweep.
     Returns (energies, meta); ``meta[sz]`` holds ``exact``, the sector's ED
     ground energy (the one ``cli`` writes), the estimate's error against it,
     its retained rank and flags, and ``converged``: an error above 1e-3
     marks the sector unconverged, whether the solver settled on an excited
     level or is still drifting.
     """
-    if ham.h_field != 0:
-        raise ValueError("sector energies are estimated on the h = 0 Hamiltonian")
     krylov.solver_spec(method)  # an unknown or Floquet-only solver fails before any ED
-    settings = sector_solver_settings(ham.lattice)
+    settings = sector_solver_settings(lattice)
     delta = settings["delta"] if delta is None else delta
     n_steps = settings["n_steps"] if n_steps is None else n_steps
     dt = settings["dt"] if dt is None else dt
-    ham.check_time_step(dt)
     energies: dict[int, float] = {}
     meta: dict[int, dict] = {}
-    for sz in range(ham.lattice.n_triangles + 1):
-        series, e_exact = _sector_exact(ham.lattice, sz, dt, n_steps, sz0_cz_bonds)
+    for sz in range(lattice.n_triangles + 1):
+        series, e_exact = _sector_exact(lattice, sz, dt, n_steps, sz0_cz_bonds)
         estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
         error = abs(estimate.energy - e_exact)
         energies[sz] = estimate.energy

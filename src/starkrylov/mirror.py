@@ -402,7 +402,7 @@ def _noiseless_pool(npass: _Pass, shots: int, streams, stream: tuple):
     return lambda: sample_bitstrings(npass.cdf, shots, streams(stream))
 
 
-def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan: ShotPlan, streams,
+def _estimate_cells(circuits: _MirrorCircuits, t, cells, plan: ShotPlan, streams,
                     magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
     """The estimation cells at time t, one per (stream, noise) pair of
     ``cells``: a realization of a series step or a mitigation mode of an
@@ -450,15 +450,16 @@ def _estimate_cells(circuits: _MirrorCircuits, ham, t, cells, plan: ShotPlan, st
         drawn.append(circuit_pools)
     if passes:
         _evolve_passes(list(passes.values()), erring, circuits.n)
-    return [_cell_estimate(circuits, ham, t, noise,
+    return [_cell_estimate(circuits, t, noise,
                            [[samples() for samples in pools] for pools in circuit_pools],
                            magnitude_source)
             for (_, noise), circuit_pools in zip(cells, drawn)]
 
 
-def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_samples,
+def _cell_estimate(circuits: _MirrorCircuits, t, noise, circuit_samples,
                    magnitude_source) -> OverlapEstimate:
-    """The estimate of one cell from its pools' samples, per circuit."""
+    """The estimate of one cell from its pools' samples, per circuit; E_R is
+    the reference energy of the evolver's Hamiltonian."""
     fractions = [float("nan")] * 3
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
@@ -480,7 +481,8 @@ def _cell_estimate(circuits: _MirrorCircuits, ham, t, noise, circuit_samples,
     elif np.isnan(f2) or np.isnan(f3):
         value, more = complex(np.sqrt(max(f1, 0.0))), ("phase_unavailable",)
     else:
-        value, more = reconstruct(f1, f2, f3, ham.reference_energy(), t, magnitude_source)
+        value, more = reconstruct(f1, f2, f3, circuits.evolver.ham.reference_energy(), t,
+                                  magnitude_source)
     return OverlapEstimate(value, tuple(fractions), tuple(discards), flags + more)
 
 
@@ -502,11 +504,10 @@ def overlap_series_exact(psi0: np.ndarray, evolver, dt: float,
     times = np.arange(1, kmax + 1) * dt
     values = {sign: np.concatenate([[1.0 + 0.0j], exact_overlaps(psi0, evolver, sign * times)])
               for sign in ((1, -1) if evolver.kind == "floquet" else (1,))}
-    kind = "floquet" if evolver.kind == "floquet" else "unitary"
-    return krylov.OverlapSeries(dt, values[1], values.get(-1), "exact", kind)
+    return krylov.OverlapSeries(dt, values[1], values.get(-1))
 
 
-def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
+def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, dt: float,
                            kmax: int, plan: ShotPlan, seed: int,
                            noise: NoiseSpec | None = None, realizations=(0,),
                            magnitude_source: str = "f1_sqrt"):
@@ -522,14 +523,12 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
     realizations = tuple(realizations)
     circuits = _MirrorCircuits(psi0_prep, evolver)
     streams = _StreamOpener(seed)
-    noisy = noise is not None and noise.p_pauli > 0
 
     def direction(sign: int) -> list[list[OverlapEstimate]]:
         out: list[list[OverlapEstimate]] = [[] for _ in realizations]
         for k in range(sign, sign * (kmax + 1), sign):
             cells = [((r, k), noise) for r in realizations]
-            ests = _estimate_cells(circuits, ham, k * dt, cells, plan, streams,
-                                   magnitude_source)
+            ests = _estimate_cells(circuits, k * dt, cells, plan, streams, magnitude_source)
             for r, est, estimates in zip(realizations, ests, out):
                 if est.value is None:
                     raise EstimateUndefined(
@@ -542,11 +541,8 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, ham, dt: float,
 
     positive = direction(1)
     negative = direction(-1) if evolver.kind == "floquet" else [None] * len(realizations)
-    provenance = (f"noisy(p={noise.p_pauli:g}, M={plan.total}, seed={seed})"
-                  if noisy else f"sampled(M={plan.total}, seed={seed})")
-    kind = "floquet" if evolver.kind == "floquet" else "unitary"
     return [(krylov.OverlapSeries(dt, values(pos), None if neg is None else values(neg),
-                                  provenance, kind), pos)
+                                  sampled=True), pos)
             for pos, neg in zip(positive, negative)]
 
 
@@ -627,7 +623,7 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     rows = []
     for k, t, value in zip(range(1, kmax + 1), times, values):
         cells = [((k, m), spec) for m, spec in enumerate(specs)]
-        ests = _estimate_cells(circuits, ham, t, cells, plan, streams, magnitude_source)
+        ests = _estimate_cells(circuits, t, cells, plan, streams, magnitude_source)
         fractions = mirror_fractions(value, e_ref, t)
         for mode, est in zip(MITIGATION_MODES, ests):
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")

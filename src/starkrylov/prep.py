@@ -62,7 +62,6 @@ SECTOR_DIMERS = {
 class PrepCircuit:
     n_sites: int
     gates: tuple[GateOp, ...]
-    role: str  # psi0 | psi0_plus_ref | psi0_plus_i_ref
     dimer_pairs: tuple[tuple[int, int], ...] = ()
     cz_bonds: tuple[tuple[int, int], ...] = ()
 
@@ -84,7 +83,6 @@ def pinwheel(star: StarPlaquette, orientation: str = "cw") -> PrepCircuit:
     return PrepCircuit(
         n_sites=star.n_sites,
         gates=tuple(_dimer_gates(pairs)),
-        role="psi0",
         dimer_pairs=pairs,
     )
 
@@ -105,7 +103,6 @@ def dressed_initial(star: StarPlaquette, cz_bonds=None) -> PrepCircuit:
     return PrepCircuit(
         n_sites=star.n_sites,
         gates=tuple(gates),
-        role="psi0",
         dimer_pairs=base.dimer_pairs,
         cz_bonds=cz_bonds,
     )
@@ -124,7 +121,6 @@ def sector_initial(star: StarPlaquette, sz: int) -> PrepCircuit:
     return PrepCircuit(
         n_sites=star.n_sites,
         gates=tuple(_dimer_gates(pairs)),
-        role="psi0",
         dimer_pairs=pairs,
     )
 
@@ -137,7 +133,7 @@ def reference_superposition(psi0_prep: PrepCircuit, phase=1) -> PrepCircuit:
     """
     if phase not in (1, 1j):
         raise ValueError("phase must be 1 or 1j")
-    if psi0_prep.role != "psi0" or not psi0_prep.dimer_pairs:
+    if not psi0_prep.dimer_pairs:
         raise ValueError("reference superposition needs a dimer-product psi0 preparation")
     if abs(psi0_prep.state()[0]) > 1e-10:
         raise ValueError("psi0 is not orthogonal to the all-up reference state")
@@ -154,7 +150,6 @@ def reference_superposition(psi0_prep: PrepCircuit, phase=1) -> PrepCircuit:
     return PrepCircuit(
         n_sites=psi0_prep.n_sites,
         gates=tuple(gates),
-        role="psi0_plus_ref" if phase == 1 else "psi0_plus_i_ref",
         dimer_pairs=psi0_prep.dimer_pairs,
         cz_bonds=psi0_prep.cz_bonds,
     )
@@ -164,7 +159,6 @@ def invert(prep: PrepCircuit) -> PrepCircuit:
     return PrepCircuit(
         n_sites=prep.n_sites,
         gates=tuple(g.dagger() for g in reversed(prep.gates)),
-        role=prep.role + "_inverse",
         dimer_pairs=prep.dimer_pairs,
         cz_bonds=prep.cz_bonds,
     )

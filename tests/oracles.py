@@ -295,7 +295,7 @@ def odmd(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
 def solve(algorithm: str, series, n_steps: int, delta: float, **kwargs) -> RitzEstimate:
     """One cell solved on its own by the former path of ``krylov.sweep``: the
     SVD of S or X and ``eig`` with eigenvectors."""
-    spec = krylov.solver_spec(algorithm, series.kind)
+    spec = krylov.solver_spec(algorithm, series.neg_values is not None)
     return (odmd if spec.pair == "hankel" else uvqpe)(series, n_steps, delta, **kwargs)
 
 
@@ -306,7 +306,7 @@ def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.D
     eigenpairs ordered by |lambda| descending and W_r = V_r = Q_r, the SVD of
     S or X otherwise, and ``eigvals`` of the reduced matrix.  Each product
     sees the operand layout it sees in the sweep."""
-    spec = krylov.solver_spec(algorithm, series.kind)
+    spec = krylov.solver_spec(algorithm, series.neg_values is not None)
     _check_steps(algorithm, series, n_steps)
     if spec.pair == "hankel":
         X, Xp = hankel_pair(series, n_steps, window, real_part)
@@ -316,7 +316,7 @@ def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.D
         reduced, r = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T), len(sig)
     else:
         T, S = toeplitz_pair(series, n_steps)
-        if series.kind == "unitary":
+        if series.neg_values is None:
             lam, Q = np.linalg.eigh(S)
             order = np.argsort(-np.abs(lam), kind="stable")
             Q = Q[:, order]
@@ -571,7 +571,7 @@ def overlap_series_mirror_exact(psi0_prep, evolver, ham, dt: float, kmax: int,
     for k in range(1, kmax + 1):
         f1, f2, f3 = exact_fractions(psi0_prep, evolver, k * dt)
         values.append(reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
-    return krylov.OverlapSeries(dt, np.array(values), None, "exact_mirror", "unitary")
+    return krylov.OverlapSeries(dt, np.array(values))
 
 
 def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, seed: int,
@@ -591,7 +591,7 @@ def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, se
     return np.array(sigmas)
 
 
-def estimate_overlap(psi0_prep, evolver, ham, t: float, plan, seed: int, stream=(0,),
+def estimate_overlap(psi0_prep, evolver, t: float, plan, seed: int, stream=(0,),
                      noise=None, magnitude_source: str = "f1_sqrt"):
     """Sample the three mirrored circuits and reconstruct the overlap: one
     estimation cell on circuits of its own.
@@ -600,7 +600,7 @@ def estimate_overlap(psi0_prep, evolver, ham, t: float, plan, seed: int, stream=
     index, realization, ...); all randomness is a pure function of
     (seed, stream, circuit, shot), so cells can run in any order.
     """
-    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), ham, t, [(stream, noise)],
+    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), t, [(stream, noise)],
                                  plan, _StreamOpener(seed), magnitude_source)
     return estimate
 

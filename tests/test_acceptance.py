@@ -210,7 +210,7 @@ def test_criterion_7_shot_noise_thresholds(stars, hams):
     n_real = 100
     traces = {"uvqpe": {1e-1: [], 1e-2: []}, "odmd": {1e-1: [], 1e-2: []}}
     runs = [series for series, _ in overlap_series_sampled(
-        prep, ExactEvolver(ham), ham, DT, 55, plan, seed=2026, realizations=range(n_real))]
+        prep, ExactEvolver(ham), DT, 55, plan, seed=2026, realizations=range(n_real))]
     for algorithm in traces:
         first = 1 if algorithm == "uvqpe" else 2
         cells = sweep(algorithm, runs, range(first, 51), tuple(traces[algorithm]))
@@ -303,7 +303,7 @@ def test_criterion_10_magnetization_curves(stars, hams):
         settings = sector_solver_settings(stars[n_tri])
         if n_tri == 4:
             assert settings["n_steps"] <= 40
-        energies, meta = estimate_sector_energies(hams[n_tri], **settings)
+        energies, meta = estimate_sector_energies(stars[n_tri], **settings)
         assert all(m["converged"] for m in meta.values())
         solver_curve = build_curve(energies, 2 * n_tri)
         assert len(solver_curve.crossing_fields) == len(curves[n_tri].crossing_fields)

@@ -395,7 +395,7 @@ def test_magnetization_plateau_count_mismatch_is_inf(tmp_path, monkeypatch):
     meta = {sz: {"converged": True, "exact": e, "final_error": 0.0,
                  "retained_rank": 1, "flags": ()} for sz, e in exact.items()}
     monkeypatch.setattr(starkrylov.magnet, "estimate_sector_energies",
-                        lambda ham, **kwargs: (energies, meta))
+                        lambda lattice, **kwargs: (energies, meta))
     assert run(tmp_path, "magnetization") == 0
     summary = json.loads((tmp_path / "out" / "magnetization_summary.json").read_text())
     assert len(summary["crossing_fields_ed"]) == 4

@@ -102,6 +102,18 @@ def test_sector_dimensions():
         diagonalize(ham, 5.0)
 
 
+def test_hamiltonians_share_read_only_sector_indices():
+    # a magnetization run builds one Hamiltonian per sector on the same
+    # lattice: all of them, at any field, read one set of index arrays
+    star = build_star(6)
+    first, second = SpinHamiltonian(star), SpinHamiltonian(star, 0.7)
+    assert all(a is b for a, b in zip(first._sectors, second._sectors))
+    idx = np.arange(1 << 12)
+    for k, basis in enumerate(first._sectors):
+        assert not basis.flags.writeable
+        assert np.array_equal(basis, [i for i in idx if bin(i).count("1") == k])
+
+
 def test_polarized_sector_eigenvalue_with_field():
     h = 0.9
     ham = SpinHamiltonian(build_star(4), h_field=h)

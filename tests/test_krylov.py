@@ -27,6 +27,7 @@ from starkrylov.krylov import (
     DELTA_FLOOR,
     SOLVERS,
     OverlapSeries,
+    _toeplitz_rows,
     sweep,
 )
 from starkrylov.lattice import build_star
@@ -68,8 +69,6 @@ def test_series_validation():
         OverlapSeries(DT, np.array([0.5, 0.2]))
     s = eigenstate_series(-3.0, 5)
     assert s.value(-2) == np.conj(s.value(2))
-    with pytest.raises(ValueError, match="negative-direction"):
-        OverlapSeries(DT, np.ones(4), kind="floquet").value(-1)
 
 
 @pytest.mark.parametrize("n_steps", [1, 3, 8])
@@ -95,8 +94,7 @@ def test_toeplitz_structure():
     rng = np.random.default_rng(0)
     unitary = OverlapSeries(DT, random_values(rng, 6))
     # measured negative direction, independent of conj(values)
-    floquet = OverlapSeries(DT, random_values(rng, 6), random_values(rng, 6),
-                            kind="floquet")
+    floquet = OverlapSeries(DT, random_values(rng, 6), random_values(rng, 6))
     for series in (unitary, floquet):
         for d in (1, 2, 5, 6):
             T, S = toeplitz_pair(series, d)
@@ -111,6 +109,21 @@ def test_toeplitz_structure():
     for off in range(-4, 5):
         d = np.diagonal(S, off)
         assert np.allclose(d, d[0])
+
+
+def test_negative_values_make_a_floquet_series():
+    # a series is Floquet exactly when it carries negative-direction values:
+    # given without any other mark, they are the ones the solvers read
+    rng = np.random.default_rng(2)
+    values, neg = random_values(rng, 8), random_values(rng, 8)
+    d = 6
+    rows = _toeplitz_rows(OverlapSeries(DT, values, neg), d)
+    expected = [[values[m] if m >= 0 else neg[-m] for m in range(1 - j, d + 1 - j)]
+                for j in range(d + 1)]
+    assert (rows == np.array(expected)).all()
+    # the conjugate values given as negative ones build the unitary rows bit for bit
+    conj = _toeplitz_rows(OverlapSeries(DT, values, values.conj()), d)
+    assert conj.tobytes() == _toeplitz_rows(OverlapSeries(DT, values), d).tobytes()
 
 
 @pytest.mark.parametrize("window", [None, 3])
@@ -142,8 +155,7 @@ def test_window_assembly_matches_scipy(d):
     which assembled them before."""
     rng = np.random.default_rng(d)
     unitary = OverlapSeries(DT, random_values(rng, 150))
-    floquet = OverlapSeries(DT, random_values(rng, 150), random_values(rng, 150),
-                            kind="floquet")
+    floquet = OverlapSeries(DT, random_values(rng, 150), random_values(rng, 150))
     for series in (unitary, floquet):
         s = series.value
         T, S = toeplitz_pair(series, d)
@@ -257,7 +269,7 @@ def test_uvqpe_matches_qz_reference(series8, series12):
     psi = dressed_initial(star)
     floquet = overlap_series_exact(psi.state(), GateEvolver(ham), DT, 40)
     sampled = [series for series, _ in overlap_series_sampled(
-        psi, ExactEvolver(ham), ham, DT, 40, ShotPlan(1000), seed=5,
+        psi, ExactEvolver(ham), DT, 40, ShotPlan(1000), seed=5,
         realizations=range(3))]
     cases = {"exact8": series8, "exact12": series12[2], "floquet8": floquet}
     cases.update({f"sampled8_r{r}": s for r, s in enumerate(sampled)})
@@ -302,7 +314,7 @@ def sweep_runs(series8):
 
     def sampled(evolver, kmax, total, seed, n):
         return [series for series, _ in overlap_series_sampled(
-            prep, evolver, ham, DT, kmax, ShotPlan(total), seed=seed, realizations=range(n))]
+            prep, evolver, DT, kmax, ShotPlan(total), seed=seed, realizations=range(n))]
 
     return {
         "exact": [series8],
@@ -370,7 +382,7 @@ def test_stacked_minimum_pick_matches_per_row_pick(series8, sweep_runs, algorith
     prep = dressed_initial(star)
     runs = [series8, overlap_series_exact(prep.state(), ExactEvolver(ham), 0.13, 30),
             *sweep_runs["sampled"][:2],
-            *(s for s, _ in overlap_series_sampled(prep, ExactEvolver(ham), ham, 0.15, 30,
+            *(s for s, _ in overlap_series_sampled(prep, ExactEvolver(ham), 0.15, 30,
                                                    ShotPlan(1000), seed=7,
                                                    realizations=range(2)))]
     flagged, mixed_dt = [], False
@@ -424,7 +436,7 @@ def former_path_runs(series8, series12, sweep_runs):
              for sz in range(n_triangles + 1)], steps)
     star, ham, _ = series12
     cases["sampled12"] = ([s for s, _ in overlap_series_sampled(
-        dressed_initial(star), ExactEvolver(ham), ham, DT, 20, ShotPlan(1000), seed=5,
+        dressed_initial(star), ExactEvolver(ham), DT, 20, ShotPlan(1000), seed=5,
         realizations=range(2))], range(1, 21))
     return cases
 
@@ -476,10 +488,8 @@ def test_uvqpe_floquet_dressed_converges():
 
 def test_uvqpe_floquet_requires_both_directions():
     values = eigenstate_series(-3.0, 6).values
-    with pytest.raises(ValueError, match="negative-direction"):
-        OverlapSeries(DT, values, kind="floquet")
     with pytest.raises(ValueError, match="same length"):
-        OverlapSeries(DT, values, values[:-1].conj(), kind="floquet")
+        OverlapSeries(DT, values, values[:-1].conj())
     # the configuration name refuses a one-direction series
     with pytest.raises(ValueError, match="both directions"):
         solve("uvqpe_floquet", eigenstate_series(-3.0, 6), 3, 1e-6)
@@ -509,7 +519,7 @@ def test_sampled_noise_threshold_failure_modes():
     from starkrylov.mirror import ShotPlan, overlap_series_sampled
     failures = 0
     n_real = 12
-    for series, _ in overlap_series_sampled(prep, ExactEvolver(ham), ham, DT, 50,
+    for series, _ in overlap_series_sampled(prep, ExactEvolver(ham), DT, 50,
                                             ShotPlan(1000), seed=3,
                                             realizations=range(n_real)):
         est = uvqpe(series, 50, 1e-2)

@@ -165,7 +165,7 @@ def test_sampled_estimate_within_binomial_propagation(problem):
     ev = ExactEvolver(ham)
     t = 3 * DT
     plan = ShotPlan(10 ** 6, (1 / 3, 1 / 3, 1 / 3))
-    est = estimate_overlap(prep, ev, ham, t, plan, seed=5)
+    est = estimate_overlap(prep, ev, t, plan, seed=5)
     o_exact = exact_overlap(prep.state(), ev, t)
     # binomial propagation oracle for the f1_sqrt estimator
     m1, m2, m3 = plan.allocate()
@@ -183,16 +183,16 @@ def test_estimate_deterministic_and_stream_separated(problem):
     _, ham, prep = problem
     ev = ExactEvolver(ham)
     plan = ShotPlan(200)
-    a = estimate_overlap(prep, ev, ham, DT, plan, seed=3, stream=(0, 1))
-    b = estimate_overlap(prep, ev, ham, DT, plan, seed=3, stream=(0, 1))
-    c = estimate_overlap(prep, ev, ham, DT, plan, seed=3, stream=(0, 2))
+    a = estimate_overlap(prep, ev, DT, plan, seed=3, stream=(0, 1))
+    b = estimate_overlap(prep, ev, DT, plan, seed=3, stream=(0, 1))
+    c = estimate_overlap(prep, ev, DT, plan, seed=3, stream=(0, 2))
     assert a.value == b.value
     assert a.value != c.value
 
 
 def test_estimate_f1_only_plan_flags(problem):
     _, ham, prep = problem
-    est = estimate_overlap(prep, ExactEvolver(ham), ham, DT,
+    est = estimate_overlap(prep, ExactEvolver(ham), DT,
                            ShotPlan(100, (1.0, 0.0, 0.0)), seed=1)
     assert "phase_unavailable" in est.flags
     assert est.value is not None and abs(est.value.imag) < 1e-12
@@ -205,7 +205,7 @@ def test_eq19_estimator_unbiased(problem):
     o_exact = exact_overlap(prep.state(), ev, t)
     plan = ShotPlan(300, (1 / 3, 1 / 3, 1 / 3))
     vals = np.array([
-        estimate_overlap(prep, ev, ham, t, plan, seed=11, stream=(r,),
+        estimate_overlap(prep, ev, t, plan, seed=11, stream=(r,),
                          magnitude_source="eq19").value
         for r in range(1000)
     ])
@@ -219,7 +219,7 @@ def test_sampled_series_consistent_with_sigma_reference(problem):
     ev = ExactEvolver(ham)
     plan = ShotPlan(1000)
     kmax = 10
-    [(series, estimates)] = overlap_series_sampled(prep, ev, ham, DT, kmax, plan, seed=2)
+    [(series, estimates)] = overlap_series_sampled(prep, ev, DT, kmax, plan, seed=2)
     assert len(series.values) == kmax + 1
     assert len(estimates) == kmax
     exact = overlap_series_exact(prep.state(), ev, DT, kmax)
@@ -267,7 +267,7 @@ def test_shared_states_match_per_cell_reference(problem, kind, twirl):
     noise = (NoiseSpec(p_pauli=0.0, enable_postselect=True, enable_twirl=True)
              if twirl else None)
     kmax, realizations = 3, (0, 1, 2)
-    runs = overlap_series_sampled(prep, ev, ham, DT, kmax, plan, seed=9, noise=noise,
+    runs = overlap_series_sampled(prep, ev, DT, kmax, plan, seed=9, noise=noise,
                                   realizations=realizations)
     signs = (1, -1) if kind == "floquet" else (1,)
     for r, (series, estimates) in zip(realizations, runs):
@@ -277,14 +277,14 @@ def test_shared_states_match_per_cell_reference(problem, kind, twirl):
                 t = sign * k * DT
                 ref_f, ref_v = _per_cell_reference(prep, ev, ham, t, plan, 9,
                                                    (r, sign * k), noise)
-                est = estimate_overlap(prep, ev, ham, t, plan, seed=9,
+                est = estimate_overlap(prep, ev, t, plan, seed=9,
                                        stream=(r, sign * k), noise=noise)
                 assert est.fractions == ref_f and est.value == ref_v
                 assert values[k] == ref_v
                 if sign == 1:
                     assert estimates[k - 1].fractions == ref_f
         [(alone, alone_estimates)] = overlap_series_sampled(
-            prep, ev, ham, DT, kmax, plan, seed=9, noise=noise, realizations=(r,))
+            prep, ev, DT, kmax, plan, seed=9, noise=noise, realizations=(r,))
         assert np.array_equal(alone.values, series.values)
         if kind == "floquet":
             assert np.array_equal(alone.neg_values, series.neg_values)
@@ -364,11 +364,11 @@ def test_batched_cells_match_cells_alone(problem, kind):
                               enable_twirl=mode in ("twirl", "both")))
              for m, mode in enumerate(MITIGATION_MODES)]
     for cells in (realizations, modes):
-        batched = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, cells, plan,
+        batched = _estimate_cells(_MirrorCircuits(prep, ev), t, cells, plan,
                                   _StreamOpener(5), "f1_sqrt")
         assert len(batched) == len(cells)
         for (stream, spec), est in zip(cells, batched):
-            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), ham, t, [(stream, spec)],
+            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), t, [(stream, spec)],
                                       plan, _StreamOpener(5), "f1_sqrt")
             assert est == alone
             assert est.fractions == _noisy_cell_reference(prep, ev, t, plan, 5, stream, spec)
@@ -389,7 +389,7 @@ def test_ablation_matches_per_mode_estimates(problem):
         for m, mode in enumerate(MITIGATION_MODES):
             spec = replace(noise, enable_postselect=mode in ("postselect", "both"),
                            enable_twirl=mode in ("twirl", "both"))
-            est = estimate_overlap(prep, ev, ham, t, plan, seed=4, stream=(k, m),
+            est = estimate_overlap(prep, ev, t, plan, seed=4, stream=(k, m),
                                    noise=spec)
             expected.append((t, mode, *(abs(f - fx) for f, fx in zip(est.fractions, exact_f)),
                              abs(est.value - o_exact)))
@@ -408,7 +408,7 @@ def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
 
     monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
     monkeypatch.setattr(statevec_module, "sampling_cdf", counted_cdf)
-    overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, ShotPlan(60), seed=4,
+    overlap_series_sampled(prep, GateEvolver(ham), DT, 3, ShotPlan(60), seed=4,
                            noise=NoiseSpec(enable_twirl=True), realizations=(0, 1, 2))
     # 3 steps in each direction, 3 circuits, an untwirled and a twirled pool each
     assert len(built) == 2 * 3 * 3 * 2
@@ -502,11 +502,11 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
         modes = [((k, m), replace(noise, enable_postselect=mode in ("postselect", "both"),
                                   enable_twirl=mode in ("twirl", "both")))
                  for m, mode in enumerate(MITIGATION_MODES)]
-        recorded_estimate(circuits, ham, k * DT, modes, plan, _StreamOpener(4))
+        recorded_estimate(circuits, k * DT, modes, plan, _StreamOpener(4))
     assert steps[3:] == ablation_steps and [e for e, _ in ablation_steps] == [1, 1, 1]
     evolved.clear()
     pools.clear()
-    overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, plan, seed=4,
+    overlap_series_sampled(prep, GateEvolver(ham), DT, 3, plan, seed=4,
                            noise=replace(noise, enable_twirl=True), realizations=(0, 1))
     # 3 steps in each direction, 6 passes each, run by both realizations' pools
     check(6, 2 * 6 * 6)
@@ -674,7 +674,7 @@ def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
     noise = NoiseSpec(p_pauli=0.02, enable_twirl=True)
     for spec in (noise, replace(noise, p_pauli=0.0)):
         built.clear()
-        overlap_series_sampled(prep, GateEvolver(ham), ham, DT, 3, ShotPlan(12),
+        overlap_series_sampled(prep, GateEvolver(ham), DT, 3, ShotPlan(12),
                                seed=4, noise=spec, realizations=(0, 1))
         assert built == [(prep.n_sites, np.pi / 2)]
 
@@ -684,10 +684,10 @@ def test_noisy_series_realizations_match_single_cells(problem):
     ev = GateEvolver(ham)
     plan = ShotPlan(12)
     noise = NoiseSpec(p_pauli=0.02)
-    runs = overlap_series_sampled(prep, ev, ham, DT, 1, plan, seed=4, noise=noise,
+    runs = overlap_series_sampled(prep, ev, DT, 1, plan, seed=4, noise=noise,
                                   realizations=(0, 5))
     for r, (series, estimates) in zip((0, 5), runs):
-        pos, neg = (estimate_overlap(prep, ev, ham, sign * DT, plan, seed=4,
+        pos, neg = (estimate_overlap(prep, ev, sign * DT, plan, seed=4,
                                      stream=(r, sign), noise=noise) for sign in (1, -1))
         assert series.values[1] == pos.value and estimates[0].fractions == pos.fractions
         assert series.neg_values[1] == neg.value
@@ -697,7 +697,6 @@ def test_floquet_series_has_both_directions(problem):
     star, ham, prep = problem
     ev = GateEvolver(ham)
     series = overlap_series_exact(prep.state(), ev, DT, 4)
-    assert series.kind == "floquet"
     assert series.neg_values is not None
     assert abs(series.value(-2) - exact_overlap(prep.state(), ev, -2 * DT)) < 1e-12
 
@@ -709,7 +708,7 @@ def test_exact_series_matches_per_step_overlaps(problem):
     for state in (prep.state(), reference_superposition(prep, 1).state()):
         series = overlap_series_exact(state, ev, DT, 40)
         loop = [exact_overlap(state, ev, k * DT) for k in range(1, 41)]
-        assert series.values[0] == 1.0 and series.kind == "unitary"
+        assert series.values[0] == 1.0 and series.neg_values is None
         assert np.max(np.abs(series.values[1:] - loop)) <= 1e-13
 
 
@@ -781,7 +780,7 @@ def test_noise_requires_gate_evolver(problem):
     _, ham, prep = problem
     spec = NoiseSpec(p_pauli=0.01)
     with pytest.raises(ValueError, match="gate-based"):
-        estimate_overlap(prep, ExactEvolver(ham), ham, DT, ShotPlan(10), seed=0,
+        estimate_overlap(prep, ExactEvolver(ham), DT, ShotPlan(10), seed=0,
                          noise=spec)
 
 
@@ -817,7 +816,7 @@ def test_sector_error_discards_every_shot(problem):
             return self.inner.gates(t) + [x_gate(4)]
 
     spec = NoiseSpec(enable_postselect=True)
-    est = estimate_overlap(prep, LeakyEvolver(ham), ham, DT,
+    est = estimate_overlap(prep, LeakyEvolver(ham), DT,
                            ShotPlan(90, (1.0, 0.0, 0.0)), seed=1, noise=spec)
     assert est.value is None
     assert "all_shots_discarded" in est.flags

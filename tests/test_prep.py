@@ -192,6 +192,16 @@ def test_reference_superposition_rejects_wrong_sector(stars):
         reference_superposition(polarized, 1)
 
 
+@pytest.mark.parametrize("phase", [1, 1j])
+def test_reference_superposition_rejects_a_reference_superposition(stars, phase):
+    # a superposition keeps psi0's dimers, but its state overlaps the
+    # all-up reference, so it cannot be the psi0 of another superposition
+    sup = reference_superposition(dressed_initial(stars[4]), phase)
+    assert sup.dimer_pairs
+    with pytest.raises(ValueError, match="orthogonal"):
+        reference_superposition(sup, 1)
+
+
 def test_mapper_matrix_action():
     v11 = MAPPER_MATRIX @ np.array([0, 0, 0, 1.0])
     assert np.allclose(v11, [0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0])
