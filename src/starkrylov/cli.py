@@ -8,8 +8,7 @@ thread and restores the previous count afterwards.
 
 Every output file is written here: its name, CSV or JSON schema and number
 formats sit next to the command that writes it.  A missing value (None, or a
-NaN left by a circuit with no shots) is an empty cell, except in
-``convergence.csv``, where only None is.
+NaN left by a circuit with no shots) is an empty cell.
 
 A process that imports this module before numpy (``python -m starkrylov.cli``,
 the ``starkrylov`` script) starts OpenBLAS with one thread, so it never spawns
@@ -63,10 +62,10 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _cell(value, spec: str, nan_missing: bool = True) -> str:
+def _cell(value, spec: str) -> str:
     """``value`` in the format ``spec``, or an empty cell when it is missing:
-    None, or NaN unless ``nan_missing`` is False."""
-    if value is None or (nan_missing and math.isnan(value)):
+    None or NaN."""
+    if value is None or math.isnan(value):
         return ""
     return format(value, spec)
 
@@ -162,8 +161,7 @@ def _write_convergence(path: Path, rows) -> None:
     """Rows of (algorithm, delta, step, energy, energy_error, retained_rank)."""
     _write_csv(path, ["algorithm", "delta", "step", "energy", "energy_error",
                       "retained_rank"],
-               ([algorithm, f"{delta:g}", step, _cell(energy, ".12f", nan_missing=False),
-                 _cell(error, ".12e", nan_missing=False), rank]
+               ([algorithm, f"{delta:g}", step, f"{energy:.12f}", f"{error:.12e}", rank]
                 for algorithm, delta, step, energy, error, rank in rows))
 
 
@@ -187,11 +185,7 @@ def cmd_converge(cfg: RunConfig, out: Path) -> None:
             for ns in _solver_steps(cfg, solver):
                 cell = [solved[ns, delta][slot[id(series)]] for series in runs]
                 flag_counts.update(flag for est in cell for flag in est.flags)
-                energies = [est.energy for est in cell if est.energy is not None]
-                if not energies:
-                    csv_rows.append((solver, delta, ns, None, None, 0))
-                    spread_rows.append((solver, delta, ns, None, None, 0))
-                    continue
+                energies = [est.energy for est in cell]
                 mean_e = float(np.mean(energies))
                 mean_err = float(np.mean([abs(e - e_exact) for e in energies]))
                 rank = int(round(np.mean([est.retained_rank for est in cell])))

@@ -152,12 +152,10 @@ class RunConfig:
     def validate(self) -> None:
         """Check everything a command builds from the config, before any ED.
 
-        Thresholds (``deltas``, ``magnet.delta``) must lie in
-        [``krylov.DELTA_FLOOR``, 1]: below the floor the SVD keeps rounding
-        noise and the solvers report energies far below the spectrum (the
-        ``krylov`` module docstring gives the measurement); above 1 it keeps
-        no singular value.  Configs built in Python are re-parsed first, so
-        they get the type checks of ``from_dict``."""
+        Thresholds (``deltas``, ``magnet.delta``) must pass
+        ``krylov.check_deltas`` (the ``krylov`` module docstring says why).
+        Configs built in Python are re-parsed first, so they get the type
+        checks of ``from_dict``."""
         _parse(type(self), asdict(self), "")
         if self.steps < 1 or self.realizations < 1:
             raise ConfigError("steps and realizations must be >= 1")
@@ -166,9 +164,8 @@ class RunConfig:
         if self.odmd_window is not None and not 1 <= self.odmd_window <= self.steps:
             raise ConfigError(f"odmd_window must lie in [1, steps={self.steps}]")
         magnet_delta = () if self.magnet.delta is None else (self.magnet.delta,)
-        if not all(krylov.DELTA_FLOOR <= d <= 1 for d in (*self.deltas, *magnet_delta)):
-            raise ConfigError(f"deltas and magnet.delta must lie in [{krylov.DELTA_FLOOR:g}, 1]")
         try:
+            krylov.check_deltas((*self.deltas, *magnet_delta), "deltas and magnet.delta")
             star = build_star(self.n_triangles)
             SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
             for s in self.solvers:

@@ -17,6 +17,8 @@ is conj(s_m).  ``SOLVERS`` maps configuration names to solvers;
 ``uvqpe_floquet`` is ``uvqpe`` on a two-direction Floquet series.  ``sweep``,
 the one solver core, solves every run (series), prefix length and threshold
 delta of a solver at once, dropping singular values below delta * sigma_max.
+A delta in [``DELTA_FLOOR``, 1] (``check_deltas``) keeps sigma_max, so every
+cell has a retained rank of at least 1 and an energy.
 
 Eigenvalues map to energies as E = -arg(lambda)/dt; estimates keep only
 eigenvalues with |lambda| inside an admissibility band around the unit
@@ -80,12 +82,15 @@ class OverlapSeries:
 
 @dataclass(frozen=True)
 class KrylovEstimate:
-    energy: float | None
+    energy: float
     retained_rank: int
     flags: tuple[str, ...] = ()
 
 
-_FILTERED = KrylovEstimate(None, 0, ("all_singular_values_filtered",))
+def check_deltas(deltas, name: str) -> None:
+    """Refuse, naming ``name``, any threshold outside [``DELTA_FLOOR``, 1]."""
+    if not all(DELTA_FLOOR <= d <= 1 for d in deltas):
+        raise ValueError(f"{name} must lie in [{DELTA_FLOOR:g}, 1]")
 
 
 def _toeplitz_rows(series: OverlapSeries, d: int) -> np.ndarray:
@@ -169,6 +174,7 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
       pseudoinverse X^+ = V_r Sigma_r^{-1} U_r^H.
     """
     spec = solver_spec(algorithm, all(s.neg_values is not None for s in runs))
+    check_deltas(deltas, "delta")
     n_max = min(s.n_max for s in runs)
     hankel = spec.pair == "hankel"
     hermitian = not hankel and all(s.neg_values is None for s in runs)
@@ -196,8 +202,8 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
         del U
         for delta in deltas:
             ranks = np.count_nonzero(sig >= delta * sig[:, :1], axis=1)
-            cell = cells[n_steps, delta] = [_FILTERED] * len(runs)  # rank 0
-            for r in sorted(set(ranks.tolist()) - {0}):  # np.unique would import numpy.ma
+            cell = cells[n_steps, delta] = [None] * len(runs)  # each run has a rank group
+            for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
                 group = np.flatnonzero(ranks == r)
                 pick = group if len(group) < len(runs) else slice(None)  # views, no copies
                 Wh, Vr = Uh[pick, :r], V[pick, :, :r]

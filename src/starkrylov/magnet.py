@@ -122,6 +122,7 @@ def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None
     krylov.solver_spec(method)  # an unknown or Floquet-only solver fails before any ED
     settings = sector_solver_settings(lattice)
     delta = settings["delta"] if delta is None else delta
+    krylov.check_deltas([delta], "delta")  # so does a threshold out of range
     n_steps = settings["n_steps"] if n_steps is None else n_steps
     dt = settings["dt"] if dt is None else dt
     energies: dict[int, float] = {}

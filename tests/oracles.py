@@ -310,9 +310,7 @@ def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.D
     _check_steps(algorithm, series, n_steps)
     if spec.pair == "hankel":
         X, Xp = hankel_pair(series, n_steps, window, real_part)
-        U, sig, V, flags = truncated_svd(X, delta)
-        if flags:
-            return krylov._FILTERED
+        U, sig, V, _ = truncated_svd(X, delta)
         reduced, r = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T), len(sig)
     else:
         T, S = toeplitz_pair(series, n_steps)
@@ -325,9 +323,8 @@ def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.D
         else:
             W, _, V, _ = truncated_svd(S, delta)
             Wh, r = W.conj().T, W.shape[1]
-        if r == 0:
-            return krylov._FILTERED
         reduced = np.linalg.solve(Wh @ S @ V, Wh @ T @ V)
+    assert r >= 1, "sweep refuses a delta that keeps no singular value"
     return pick_minimum(np.linalg.eigvals(reduced), series.dt, band, r)
 
 

@@ -208,8 +208,8 @@ def test_overlaps_sampled_deterministic(tmp_path):
 
 
 def test_missing_value_cells_pinned(tmp_path):
-    # a NaN fraction or ablation error and a None energy or error are empty
-    # cells; convergence.csv writes NaN as nan; the saturated h_end is inf
+    # a NaN fraction or ablation error is an empty cell; convergence.csv,
+    # whose every cell has an energy, writes NaN as nan; the saturated h_end is inf
     from starkrylov.magnet import MagnetizationCurve, Plateau
     from starkrylov.mirror import OverlapEstimate
 
@@ -226,11 +226,9 @@ def test_missing_value_cells_pinned(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (
         b"t,mode,f1_err,f2_err,f3_err,overlap_err\r\n"
         b"0.100000000,both,2.500000000e-01,,,\r\n")
-    cli._write_convergence(tmp_path / "c.csv", [("odmd", 1e-3, 5, None, None, 0),
-                                                ("uvqpe", 0.1, 2, nan, nan, 1)])
+    cli._write_convergence(tmp_path / "c.csv", [("uvqpe", 0.1, 2, nan, nan, 1)])
     assert (tmp_path / "c.csv").read_bytes() == (
         b"algorithm,delta,step,energy,energy_error,retained_rank\r\n"
-        b"odmd,0.001,5,,,0\r\n"
         b"uvqpe,0.1,2,nan,nan,1\r\n")
     cli._write_curve(tmp_path / "m.csv", MagnetizationCurve(
         (Plateau(0.0, 1.5, 0, -12.0), Plateau(1.5, math.inf, 1, -13.5))))

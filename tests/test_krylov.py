@@ -1,9 +1,9 @@
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -324,7 +324,7 @@ def sweep_runs(series8):
     }
 
 
-SWEEP_DELTAS = (1e-14, 1e-6, 1e-2, 0.1, 2.0)
+SWEEP_DELTAS = (1e-14, 1e-6, 1e-2, 0.1)
 
 
 @pytest.mark.parametrize("algorithm, runs, kwargs", [
@@ -344,12 +344,7 @@ def test_sweep_matches_single_cell_solves(sweep_runs, algorithm, runs, kwargs):
     series = sweep_runs[runs]
     first = max(SOLVERS[algorithm].first_step, kwargs.get("window") or 1)
     steps = range(first, min(60, min(s.n_max for s in series)) + 1)
-    cells = assert_sweep_matches_oracle(algorithm, series, steps, SWEEP_DELTAS, **kwargs)
-    # a threshold above sigma_max filters every singular value of every run
-    for ns in steps:
-        for est in cells[ns, 2.0]:
-            assert est.energy is None and est.retained_rank == 0
-            assert est.flags == ("all_singular_values_filtered",)
+    assert_sweep_matches_oracle(algorithm, series, steps, SWEEP_DELTAS, **kwargs)
 
 
 def test_sweep_stack_mixes_ranks(sweep_runs):
@@ -399,6 +394,36 @@ def test_stacked_minimum_pick_matches_per_row_pick(series8, sweep_runs, algorith
     assert mixed_dt
 
 
+# (algorithm, runs, kwargs) for the every-cell-has-an-energy property
+CELL_ENERGY_CASES = (
+    ("uvqpe", "exact", {}),
+    ("uvqpe", "sampled", {}),
+    ("odmd", "exact", {"window": 6}),
+    ("odmd", "sampled", {"real_part": True}),
+    ("odmd", "floquet", {"window": 5, "real_part": True}),
+    ("uvqpe_floquet", "floquet", {}),
+    ("uvqpe_floquet", "sampled_floquet", {}),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.floats(min_value=DELTA_FLOOR, max_value=1.0), min_size=1, max_size=3))
+@example([DELTA_FLOOR, 1.0])
+def test_every_sweep_cell_has_an_energy(sweep_runs, deltas):
+    """For any delta in [DELTA_FLOOR, 1], sigma_max passes its own threshold,
+    so every cell of every run keeps a rank of at least 1 and has a finite
+    energy, on exact, sampled and Floquet series."""
+    for algorithm, name, kwargs in CELL_ENERGY_CASES:
+        runs = sweep_runs[name]
+        first = max(SOLVERS[algorithm].first_step, kwargs.get("window") or 1)
+        cells = sweep(algorithm, runs, range(first, 21), deltas, **kwargs)
+        for (ns, delta), cell in cells.items():
+            for est in cell:
+                where = f"{algorithm} {name} {kwargs} n_steps={ns} delta={delta!r}"
+                assert isinstance(est.energy, float) and isfinite(est.energy), where
+                assert est.retained_rank >= 1, where
+
+
 def test_sweep_matches_single_cell_on_12_spin_sector_series():
     # the 150-step S^z = 0 series of the 12-spin magnetization run, whose
     # 150 x 150 S is the largest matrix the CLI solves
@@ -415,8 +440,7 @@ def test_sweep_matches_single_cell_on_12_spin_sector_series():
 # largest differences measured on the series below were 1.8e-6 at DELTA_FLOOR
 # (an 8-spin sector series, at a prefix where S is rank-deficient), 1.6e-10 at
 # 1e-8, 1.5e-11 at 1e-6 and 6e-14 from 1e-3 up (one BLAS thread).
-FORMER_PATH_BOUND = {DELTA_FLOOR: 1e-5, 1e-8: 1e-9, 1e-6: 1e-10, 1e-3: 1e-12, 0.1: 1e-12,
-                     2.0: 0.0}
+FORMER_PATH_BOUND = {DELTA_FLOOR: 1e-5, 1e-8: 1e-9, 1e-6: 1e-10, 1e-3: 1e-12, 0.1: 1e-12}
 
 
 @pytest.fixture(scope="module")
@@ -457,9 +481,6 @@ def test_sweep_matches_former_path(former_path_runs, case):
                 where = f"{case} {algorithm} run {r} n_steps={ns} delta={delta:g}"
                 assert est.retained_rank == ref.retained_rank, where
                 assert est.flags == ref.flags, where
-                if ref.energy is None:
-                    assert est.energy is None, where
-                    continue
                 assert abs(est.energy - ref.energy) <= FORMER_PATH_BOUND[delta], where
 
 
@@ -529,10 +550,36 @@ def test_sampled_noise_threshold_failure_modes():
 
 
 def test_all_filtered_flag():
+    # a threshold above sigma_max would keep no singular value; the sweep
+    # refuses it rather than return a cell without an energy
     series = eigenstate_series(-1.0, 6)
-    est = uvqpe(series, 4, 2.0)  # threshold above sigma_max
-    assert est.energy is None
-    assert "all_singular_values_filtered" in est.flags
+    assert "all_singular_values_filtered" in uvqpe(series, 4, 2.0).flags  # the former path
+    with pytest.raises(ValueError, match="delta must lie in"):
+        sweep("uvqpe", [series], [4], [2.0])
+
+
+@pytest.mark.parametrize("delta", [0.0, 2.0, DELTA_FLOOR / 2, float("nan")])
+def test_sweep_refuses_delta_outside_range(delta, monkeypatch):
+    # refused before the first decomposition, whatever the other deltas
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("decomposed before the delta check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_decomposition)
+    monkeypatch.setattr(np.linalg, "svd", no_decomposition)
+    series = eigenstate_series(-1.0, 6)
+    for algorithm in ("uvqpe", "odmd"):
+        with pytest.raises(ValueError, match=r"delta must lie in \[1e-14, 1\]"):
+            sweep(algorithm, [series], [4], [0.1, delta])
+
+
+def test_sweep_accepts_delta_range_ends():
+    series = eigenstate_series(-1.0, 6)
+    for algorithm in ("uvqpe", "odmd"):
+        cells = sweep(algorithm, [series], [4], [1.0, DELTA_FLOOR])
+        for delta in (1.0, DELTA_FLOOR):
+            est, = cells[4, delta]
+            assert est.retained_rank >= 1 and abs(est.energy + 1.0) < 1e-9
+        assert cells[4, 1.0][0].retained_rank == 1  # sigma_max alone passes at delta = 1
 
 
 def test_admissibility_fallback_flag():
@@ -598,7 +645,7 @@ def test_csv_writers(tmp_path):
     from starkrylov.cli import _write_convergence
     _write_convergence(tmp_path / "c.csv",
                        [("uvqpe", 1e-3, 5, -11.9, 0.1, 4),
-                        ("odmd", 1e-3, 5, None, None, 0)])
+                        ("odmd", 1e-3, 5, -12.0, 1e-9, 3)])
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert lines[0].startswith("algorithm,delta,step")
     assert len(lines) == 3

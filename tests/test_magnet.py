@@ -120,6 +120,21 @@ def test_sector_estimates_reject_floquet_solver_and_field():
         estimate_sector_energies(build_star(4), method="uvqpe_floquet")
 
 
+@pytest.mark.parametrize("delta", [2.0, 0.0, krylov.DELTA_FLOOR / 2])
+def test_sector_estimates_reject_delta_before_any_hamiltonian(monkeypatch, delta):
+    # a threshold outside [DELTA_FLOOR, 1] is refused before the first sector's ED
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return SpinHamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr("starkrylov.magnet.SpinHamiltonian", counted)
+    with pytest.raises(ValueError, match=r"delta must lie in \[1e-14, 1\]"):
+        estimate_sector_energies(build_star(4), delta=delta)
+    assert built == []
+
+
 def test_sz0_dressing_override():
     # without CZ dressing the S^z = 0 state is the pinwheel, an exact ground state
     ham = SpinHamiltonian(build_star(4))
