@@ -34,8 +34,8 @@ import numpy as np  # noqa: E402  (OpenBLAS reads its thread count on load)
 if _ONE_THREAD_START:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
-# csv loads after numpy: loading its _csv extension first raised the peak RSS
-# of the noisy8 benchmark runs by about 0.08 MB on average
+# csv loads after numpy; the 0.08 MB more peak RSS once measured on noisy8 for
+# the other order is within the 0.2-0.45 MB heap-layout flips of that metric
 import csv  # noqa: E402
 import io  # noqa: E402
 

@@ -64,8 +64,9 @@ class OverlapSeries:
         slack = 1.13 if self.sampled else 1e-6
         values = self.values if self.neg_values is None else np.concatenate(
             [self.values, self.neg_values])
-        if np.max(np.abs(values)) > 1.0 + slack:
-            raise ValueError("overlap magnitudes exceed 1 beyond the noise slack")
+        if not np.max(np.abs(values)) <= 1.0 + slack:  # NaN fails it too
+            raise ValueError("overlap magnitudes must be finite and exceed 1 by at most "
+                             "the noise slack")
 
     @property
     def n_max(self) -> int:

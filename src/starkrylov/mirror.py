@@ -17,8 +17,9 @@ optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
 sampled and noisy cells; the noiseless references, ``exact_overlaps`` and
 their ``mirror_fractions`` (the forward model above), need no circuit.
 ``_evolve_passes`` builds every state they read: each pass's noiseless state
-and the shots that draw an error, as rows of one batch.  Series, allocation
-and ablation results are returned as values; ``cli`` writes them.
+and the shots that draw an error, as rows of batches of bounded size.
+Series, allocation and ablation results are returned as values; ``cli``
+writes them.
 """
 from __future__ import annotations
 
@@ -278,8 +279,7 @@ def _replay_errors(slots: list, streams, stream: tuple, first: int, p: float):
 
 
 # the most bytes one block of a pool's slot uniforms, or one batch of rows,
-# holds; the erring shots that would join a full batch evolve in a later batch
-# (``_evolve_group``)
+# holds; the erring shots run in waves that fit a batch (``_evolve_passes``)
 _BATCH_BYTES = 1 << 21
 
 
@@ -329,9 +329,18 @@ def _evolve_passes(passes: list, shots: list, n: int) -> None:
     its row after the error's gate.  Passes whose gate lists start with the
     same run of ``GateOp`` objects (compared by identity) share one batch, and
     so apply each gate of that run once, until their lists diverge.
+
+    A batch holds at most ``_BATCH_BYTES`` (and at least two rows), so memory
+    does not grow with the shot count: the shots, sorted by first erring
+    gate, are split up front into waves that leave one row for the noiseless
+    state, and each wave runs from |0..0>.  The first wave sets every pass's
+    ``state``; a later one follows only the passes its shots run.
     """
-    _evolve_group(passes, 0, zero_amps(n)[None],
-                  sorted(shots, key=lambda shot: shot.errors[0][0]))
+    row = zero_amps(n)
+    wave = max(2, _BATCH_BYTES // row.nbytes) - 1
+    shots = sorted(shots, key=lambda shot: shot.errors[0][0])
+    for first in range(0, max(len(shots), 1), wave):
+        _evolve_group(passes, 0, row[None], shots[first:first + wave])
 
 
 def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> None:
@@ -340,60 +349,43 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
     ``shots`` are the group's erring shots, sorted by first erring gate;
     ``batch`` holds the state after those gates: row 0 noiseless, and row
     1 + k for each shot k that erred among them.
-
-    A batch holds at most ``_BATCH_BYTES`` (and at least two rows), so memory
-    does not grow with the shot count.  The shots that would join a full
-    batch wait: once the batch has run through every pass, they run as the
-    next batch, which starts from a copy of row 0 before the first of their
-    first erring gates and follows only the passes they run.
     """
     gates = passes[0].gates
     end = min(_shared_run(gates, npass.gates) for npass in passes)
-    while True:
-        rows = max(2, _BATCH_BYTES // batch[0].nbytes)
-        waiting, resume = [], end
-        if len(shots) >= rows and shots[rows - 1].errors[0][0] < end:
-            shots, waiting = shots[:rows - 1], shots[rows - 1:]
-            resume = waiting[0].errors[0][0]
-        joined = len(batch) - 1
-        errors: dict[int, list] = {}  # gate index -> (row, site, Pauli name) after it
-        for row, shot in enumerate(shots, 1):
-            for gi, q, name in shot.errors:
-                errors.setdefault(gi, []).append((row, q, name))
-        for gi in range(start, end):
-            if gi == resume:
-                restart = batch[:1].copy()
-            step = gates[gi]
-            if step.sites:
-                batch = apply_gate_amps(batch, step)
-            else:  # the exact evolver's exp(-i H t)
-                batch = np.array([step.ham.evolve(row, step.t) for row in batch])
-            joining = joined
-            while joining < len(shots) and shots[joining].errors[0][0] == gi:
-                joining += 1
-            if joining > joined:
-                batch = np.concatenate([batch, np.repeat(batch[:1], joining - joined, axis=0)])
-                joined = joining
-            for row, q, name in errors.get(gi, ()):
-                batch[row] = apply_gate_amps(batch[row], pauli_gate(name, q))
-        branches: dict[int, list] = {}  # the passes that go on, by their next gate
-        for npass in passes:
-            if len(npass.gates) > end:
-                branches.setdefault(id(npass.gates[end]), []).append(npass)
-            elif npass.state is None:
-                npass.state = batch[0].copy()
-        for row, shot in enumerate(shots, 1):
-            if len(shot.npass.gates) == end:
-                shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
-                                                  side="right"))
-        for group in branches.values():
-            members = [k for k, shot in enumerate(shots) if shot.npass in group]
-            if members or any(npass.state is None for npass in group):
-                _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
-                              [shots[k] for k in members])
-        if not waiting:
-            return
-        start, batch, shots = resume, restart, waiting
+    joined = len(batch) - 1
+    errors: dict[int, list] = {}  # gate index -> (row, site, Pauli name) after it
+    for row, shot in enumerate(shots, 1):
+        for gi, q, name in shot.errors:
+            errors.setdefault(gi, []).append((row, q, name))
+    for gi in range(start, end):
+        step = gates[gi]
+        if step.sites:
+            batch = apply_gate_amps(batch, step)
+        else:  # the exact evolver's exp(-i H t)
+            batch = np.array([step.ham.evolve(row, step.t) for row in batch])
+        joining = joined
+        while joining < len(shots) and shots[joining].errors[0][0] == gi:
+            joining += 1
+        if joining > joined:
+            batch = np.concatenate([batch, np.repeat(batch[:1], joining - joined, axis=0)])
+            joined = joining
+        for row, q, name in errors.get(gi, ()):
+            batch[row] = apply_gate_amps(batch[row], pauli_gate(name, q))
+    branches: dict[int, list] = {}  # the passes that go on, by their next gate
+    for npass in passes:
+        if len(npass.gates) > end:
+            branches.setdefault(id(npass.gates[end]), []).append(npass)
+        elif npass.state is None:
+            npass.state = batch[0].copy()
+    for row, shot in enumerate(shots, 1):
+        if len(shot.npass.gates) == end:
+            shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
+                                              side="right"))
+    for group in branches.values():
+        members = [k for k, shot in enumerate(shots) if shot.npass in group]
+        if members or any(npass.state is None for npass in group):
+            _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
+                          [shots[k] for k in members])
 
 
 def _noiseless_pool(npass: _Pass, shots: int, streams, stream: tuple):

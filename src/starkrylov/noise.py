@@ -10,7 +10,7 @@ each gate with two or more sites, in gate order), compared against p; after
 a slot's uniform falls below p, one integer ``integers(3)`` picks its Pauli
 from ``PAULI_NAMES``, applied after the slot's gate.  The mirror estimator
 then draws one more uniform to sample the final state.  It does not run one
-trajectory at a time: the shots with an error evolve as rows of one batch
+trajectory at a time: the shots with an error evolve as rows of a batch
 with the noiseless state of their circuit, each joining it at its first
 erring gate, and a shot whose slot uniforms all reach p reads the
 distribution of that noiseless row, the same one noiseless pools sample

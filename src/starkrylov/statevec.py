@@ -7,8 +7,9 @@ Gate matrices are indexed with sites[0] as the most significant local bit,
 i.e. a CNOT on sites (c, t) is the textbook matrix in the |c t> basis.
 
 One kernel, ``apply_gate_amps``, applies a gate to a state or to every row of
-a batch, with the same arithmetic per row; ``apply_circuit`` loops it over a
-gate list.  The kernel has two paths:
+a batch in one call, with the same arithmetic per row whatever the batch
+size; the caller bounds its batches (``mirror._BATCH_BYTES``).
+``apply_circuit`` loops the kernel over a gate list.  It has two paths:
 
 - A general gate gathers the amplitudes into a (2^k, 2^(n-k)) block through a
   cached index, multiplies by the matrix and puts the result back in basis
@@ -173,18 +174,12 @@ def _monomial_index(n: int, sites: tuple[int, ...], pattern: tuple):
     return src, phase
 
 
-# a (B, 2^n) batch larger than this many bytes goes through the kernel in
-# chunks of rows, so that a chunk's gathered block stays in cache.  Measured
-# (2 shared cores, Python 3.11.7, numpy 2.4.6, one BLAS thread): a 12-spin
-# noisy Floquet `overlaps` run (1,000 shots, p = 0.002, post-selection and
-# twirl, 2 steps) wrote the same bytes without the chunks, but took 2.63-2.87 s
-# of CPU against 2.53-2.70 s with them (six interleaved runs each) and peaked
-# at 56.2-56.5 MB RSS against 51.4-51.5 MB.  The 8-spin noisy runs never reach
-# it: their largest batch is 22-28 rows (at most 112 KiB) at seeds 0-10.
-_CHUNK_BYTES = 1 << 18
-
-
-def _apply(amps: np.ndarray, gate: GateOp) -> np.ndarray:
+def apply_gate_amps(amps: np.ndarray, gate: GateOp) -> np.ndarray:
+    """The amplitudes of ``gate`` applied to ``amps``, as a new array: one
+    state of 2^n amplitudes, or a (B, 2^n) batch of them, one per row (the
+    module docstring describes the two paths).  Each row gets the same
+    products as a state alone: the general path's stacked matrix product runs
+    one gemm of the 1-D shape per row."""
     shape = amps.shape
     n = shape[-1].bit_length() - 1
     if gate.monomial is None:
@@ -196,21 +191,6 @@ def _apply(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     if phase is None:
         return amps.copy() if src is None else amps.take(src, axis=-1)
     return (amps if src is None else amps.take(src, axis=-1)) * phase
-
-
-def apply_gate_amps(amps: np.ndarray, gate: GateOp) -> np.ndarray:
-    """The amplitudes of ``gate`` applied to ``amps``, as a new array: one
-    state of 2^n amplitudes, or a (B, 2^n) batch of them, one per row (the
-    module docstring describes the two paths).  Each row gets the same
-    products as a state alone: the general path's stacked matrix product runs
-    one gemm of the 1-D shape per row."""
-    if amps.ndim == 1 or amps.nbytes <= _CHUNK_BYTES:
-        return _apply(amps, gate)
-    rows = max(1, _CHUNK_BYTES // amps[0].nbytes)
-    out = np.empty_like(amps)
-    for start in range(0, len(amps), rows):
-        out[start:start + rows] = _apply(amps[start:start + rows], gate)
-    return out
 
 
 def apply_circuit(amps: np.ndarray, gates) -> np.ndarray:

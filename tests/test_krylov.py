@@ -71,6 +71,20 @@ def test_series_validation():
     assert s.value(-2) == np.conj(s.value(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.1)])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_series_rejects_non_finite_values(bad, sampled):
+    # a NaN passes a plain magnitude bound (every comparison with it is
+    # False), and sweep would then fail inside LAPACK
+    values, neg = eigenstate_series(-3.0, 5).values, eigenstate_series(3.0, 5).values
+    OverlapSeries(DT, values, neg, sampled=sampled)
+    for which in range(2):
+        arrays = [values.copy(), neg.copy()]
+        arrays[which][3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OverlapSeries(DT, *arrays, sampled=sampled)
+
+
 @pytest.mark.parametrize("n_steps", [1, 3, 8])
 def test_uvqpe_exact_on_eigenstate(n_steps):
     series = eigenstate_series(-7.3, 10)

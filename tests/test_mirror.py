@@ -454,7 +454,7 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     _, ham, prep = problem
     evolved, pools, kernel_calls, steps = [], [], [], []
     evolve_passes, pool_init = mirror_module._evolve_passes, _NoisyPool.__init__
-    kernel, estimate = statevec_module._apply, mirror_module._estimate_cells
+    kernel, estimate = statevec_module.apply_gate_amps, mirror_module._estimate_cells
 
     def counted_kernel(amps, gate):
         kernel_calls.append(gate)
@@ -477,7 +477,8 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
 
     monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
     monkeypatch.setattr(_NoisyPool, "__init__", recorded_pool)
-    monkeypatch.setattr(statevec_module, "_apply", counted_kernel)
+    monkeypatch.setattr(statevec_module, "apply_gate_amps", counted_kernel)
+    monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "_estimate_cells", recorded_estimate)
 
     def check(n_times, n_pools):
@@ -658,6 +659,44 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
         assert [s.sample for s in pool.shots] == [s.sample for s in alone.shots]
         assert np.array_equal(pool.samples(), _per_shot_noisy_reference(
             pool.npass.gates, prep.n_sites, 30, NoiseSpec(p_pauli=p), 5, (m,)))
+
+
+def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch):
+    # at 12 spins the default bound holds 32 rows, so the erring shots of one
+    # Floquet time step run in waves of 31; with six pools whose erring shots
+    # span at least three waves, every pool must give the per-shot samples
+    _, ham, prep = problem12
+    evolver = make_evolver("floquet", ham, dt_step=DT)
+    circuits, evolution = _MirrorCircuits(prep, evolver), evolver.gates(DT)
+    shots, p = 15, 0.02
+    batches, waves = [], []
+    kernel, group = mirror_module.apply_gate_amps, mirror_module._evolve_group
+
+    def counted_kernel(amps, gate):
+        if amps.ndim == 2:
+            batches.append(len(amps))
+        return kernel(amps, gate)
+
+    def recorded_group(passes, start, batch, shots):
+        if passes is every_pass:  # a wave, not a branch of one
+            waves.append(len(shots))
+        group(passes, start, batch, shots)
+
+    monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
+    monkeypatch.setattr(mirror_module, "_evolve_group", recorded_group)
+    keys = [(i, a) for i in range(3) for a in (None, np.pi / 3)]
+    pools = [_NoisyPool(_Pass(circuits.pass_gates(i, evolution, a)), shots, p,
+                        _StreamOpener(8), (m,))
+             for m, (i, a) in enumerate(keys)]
+    erring = [shot for pool in pools for shot in pool.shots]
+    every_pass = [pool.npass for pool in pools]
+    _evolve_passes(every_pass, erring, prep.n_sites)
+    assert mirror_module._BATCH_BYTES // (16 << prep.n_sites) == 32
+    assert len(erring) > 62 and waves == [31, 31, len(erring) - 62]
+    assert max(batches) <= 32
+    for m, pool in enumerate(pools):
+        assert np.array_equal(pool.samples(), _per_shot_noisy_reference(
+            pool.npass.gates, prep.n_sites, shots, NoiseSpec(p_pauli=p), 8, (m,)))
 
 
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):

@@ -146,8 +146,9 @@ def test_monomial_kernel_equals_matmul_kernel(n):
 @pytest.mark.parametrize("n", [4, 8, 12])
 def test_batched_kernel_bitwise_equals_rows(n):
     # a (B, 2^n) batch gets, row by row, the very bytes the 1-D kernel gives
-    # each row alone, through the general and the monomial path; 17 and 65
-    # rows cross a chunk boundary (4 rows at 12 qubits, 64 at 8)
+    # each row alone, through the general and the monomial path, whatever the
+    # batch size; 65 rows at 12 qubits are twice the most rows the noisy
+    # sampler puts in one batch there
     rng = np.random.default_rng(300 + n)
     gates = _monomial_gates(n, rng)
     for k in (1, 2, 3):
