@@ -5,14 +5,14 @@ The dataclass annotations are the schema, so a new field needs only its
 annotation and default.  ``_parse`` reads them: a section dataclass takes an
 object without unknown keys, a ``tuple`` a list of that length, a ``Literal``
 one of its strings, ``X | None`` also null, an int no float or bool, and a
-float any finite real number but no bool.  The ``shots`` and ``noise``
-sections are the library's own ``mirror.ShotPlan`` and ``noise.NoiseSpec``;
-a ValueError from their checks is a configuration error."""
+float any real number within float range, kept as given, but no bool.  The
+``shots`` and ``noise`` sections are the library's own ``mirror.ShotPlan`` and
+``noise.NoiseSpec``; a ValueError from their checks is a configuration error."""
 from __future__ import annotations
 
 import itertools
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -20,7 +20,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import krylov
-from .hamiltonian import SpinHamiltonian
+from .hamiltonian import QUBIT_CAP, SpinHamiltonian
 from .lattice import build_star
 from .mirror import ShotPlan, allocation_plan
 from .noise import NoiseSpec, postselect_f1, twirl_angle, twirl_layer
@@ -55,7 +55,7 @@ class AllocationSpec:
 
 
 _SCALAR_NAMES = {int: "an integer", bool: "true or false",
-                 float: "a finite real number", str: "a string"}
+                 float: "a real number within float range", str: "a string"}
 
 
 def _has_type(value, kind) -> bool:
@@ -63,8 +63,8 @@ def _has_type(value, kind) -> bool:
         return type(value) is kind
     if kind is int:
         return isinstance(value, Integral)
-    if kind is float:
-        return isinstance(value, Real) and abs(value) < math.inf  # no NaN, no overflow
+    if kind is float:  # exact comparison: no NaN, no int that overflows a float
+        return isinstance(value, Real) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 
@@ -166,6 +166,8 @@ class RunConfig:
         magnet_delta = () if self.magnet.delta is None else (self.magnet.delta,)
         try:
             krylov.check_deltas((*self.deltas, *magnet_delta), "deltas and magnet.delta")
+            if 2 * self.n_triangles > QUBIT_CAP:  # 2 sites each, checked before build_star
+                raise ValueError(f"n_triangles must be at most {QUBIT_CAP // 2} (qubit cap)")
             star = build_star(self.n_triangles)
             SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
             for s in self.solvers:

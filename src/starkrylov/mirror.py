@@ -116,8 +116,8 @@ class ShotPlan:
     twirl_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.total < 1:
-            raise ValueError("total shots must be >= 1")
+        if not 1 <= self.total <= 2 ** 53:  # ``allocate`` holds the total exactly as a float
+            raise ValueError("total shots must lie in [1, 2**53]")
         if any(f < 0 for f in self.fractions) or abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must be nonnegative and sum to 1")
         if not 0.0 <= self.twirl_fraction <= 1.0:
@@ -283,39 +283,48 @@ def _replay_errors(slots: list, streams, stream: tuple, first: int, p: float):
 _BATCH_BYTES = 1 << 21
 
 
-class _NoisyPool:
-    """One noisy pool: shot j runs one Pauli trajectory through ``npass`` on
-    the stream (*stream, j).
+@dataclass(eq=False)
+class _Pool:
+    """The shots of one pool through ``npass``, drawn when it is built: shot
+    j samples by ``uniforms[j]``, except shot ``erring[k]``, which reads the
+    sample of ``shots[k]`` (``_noisy_pool``); ``samples`` reads them once
+    ``_evolve_passes`` has run."""
 
-    Construction draws every shot's streams.  The slot uniforms and one more
-    of every shot are drawn as one block (``_StreamOpener.uniforms``) per at
-    most ``_BATCH_BYTES`` of them.  A shot whose slot uniforms all reach p
-    draws nothing else, so its last uniform is its sample uniform.  A shot
-    with a hit becomes an ``_ErringShot``, with its errors replayed from its
-    stream (``_replay_errors``).  ``samples`` reads the shots' samples once
-    ``_evolve_passes`` has run.
-    """
-
-    def __init__(self, npass: _Pass, shots: int, p: float, streams, stream: tuple):
-        n_slots = len(npass.slots)
-        block = max(1, _BATCH_BYTES // (8 * (n_slots + 1)))
-        self.npass, self.uniforms = npass, np.empty(shots)
-        erring, self.shots = [], []
-        for start in range(0, shots, block):
-            u = streams.uniforms(stream, min(block, shots - start), n_slots + 1, start)
-            hit = u[:, :n_slots] < p
-            self.uniforms[start:start + len(u)] = u[:, n_slots]
-            rows = np.flatnonzero(hit.any(axis=1))
-            erring.append(start + rows)
-            self.shots += [_ErringShot(npass, *_replay_errors(npass.slots, streams,
-                                                              (*stream, start + j), first, p))
-                           for j, first in zip(rows, hit[rows].argmax(axis=1))]
-        self.erring = np.concatenate(erring)
+    npass: _Pass
+    uniforms: np.ndarray
+    erring: np.ndarray | tuple = ()
+    shots: list | tuple = ()
 
     def samples(self) -> np.ndarray:
-        samples = np.searchsorted(self.npass.cdf, self.uniforms, side="right")
-        samples[self.erring] = [shot.sample for shot in self.shots]
+        samples = sample_bitstrings(self.npass.cdf, self.uniforms)
+        if self.shots:
+            samples[self.erring] = [shot.sample for shot in self.shots]
         return samples
+
+
+def _noisy_pool(npass: _Pass, shots: int, p: float, streams, stream: tuple) -> _Pool:
+    """The noisy pool whose shot j runs one Pauli trajectory through ``npass``
+    on the stream (*stream, j).
+
+    The slot uniforms and one more of every shot are drawn as one block
+    (``_StreamOpener.uniforms``) per at most ``_BATCH_BYTES`` of them.  A shot
+    whose slot uniforms all reach p draws nothing else, so its last uniform is
+    its sample uniform.  A shot with a hit becomes an ``_ErringShot``, with its
+    errors replayed from its stream (``_replay_errors``).
+    """
+    n_slots = len(npass.slots)
+    block = max(1, _BATCH_BYTES // (8 * (n_slots + 1)))
+    uniforms, erring, erring_shots = np.empty(shots), [], []
+    for start in range(0, shots, block):
+        u = streams.uniforms(stream, min(block, shots - start), n_slots + 1, start)
+        hit = u[:, :n_slots] < p
+        uniforms[start:start + len(u)] = u[:, n_slots]
+        rows = np.flatnonzero(hit.any(axis=1))
+        erring.append(start + rows)
+        erring_shots += [_ErringShot(npass, *_replay_errors(npass.slots, streams,
+                                                             (*stream, start + j), first, p))
+                         for j, first in zip(rows, hit[rows].argmax(axis=1))]
+    return _Pool(npass, uniforms, np.concatenate(erring), erring_shots)
 
 
 def _evolve_passes(passes: list, shots: list, n: int) -> None:
@@ -379,19 +388,12 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
             npass.state = batch[0].copy()
     for row, shot in enumerate(shots, 1):
         if len(shot.npass.gates) == end:
-            shot.sample = int(np.searchsorted(sampling_cdf(batch[row]), shot.uniform,
-                                              side="right"))
+            shot.sample = int(sample_bitstrings(sampling_cdf(batch[row]), shot.uniform))
     for group in branches.values():
         members = [k for k, shot in enumerate(shots) if shot.npass in group]
         if members or any(npass.state is None for npass in group):
             _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
                           [shots[k] for k in members])
-
-
-def _noiseless_pool(npass: _Pass, shots: int, streams, stream: tuple):
-    """One noiseless pool: a function that draws its samples from the pass's
-    CDF on ``stream``, once ``_evolve_passes`` has set its state."""
-    return lambda: sample_bitstrings(npass.cdf, shots, streams(stream))
 
 
 def _estimate_cells(circuits: _MirrorCircuits, t, cells, plan: ShotPlan, streams,
@@ -403,10 +405,10 @@ def _estimate_cells(circuits: _MirrorCircuits, t, cells, plan: ShotPlan, streams
     or, noisy, shot j from (*stream, i, p, j).
 
     The evolver's gate list and each pass, one per (circuit, twirl) that a
-    pool runs, are built once.  Pools run in three phases: noisy pools draw
-    their shots' streams (``_NoisyPool``); the passes evolve their noiseless
-    states and erring shots in batches (``_evolve_passes``); then every pool
-    draws or reads its samples.
+    pool runs, are built once.  Pools run in three phases: every pool draws
+    its uniforms when it is built (``_Pool``, ``_noisy_pool``); the passes
+    evolve their noiseless states and erring shots in batches
+    (``_evolve_passes``); then every pool reads its samples by inverse CDF.
     """
     evolution = circuits.evolver.gates(t)
     passes: dict = {}  # (circuit, twirl angle) -> _Pass
@@ -417,7 +419,7 @@ def _estimate_cells(circuits: _MirrorCircuits, t, cells, plan: ShotPlan, streams
         return passes[i, angle]
 
     erring: list[_ErringShot] = []
-    drawn = []  # per cell, per circuit: its pools' sample functions
+    drawn = []  # per cell, per circuit: its pools
     for stream, noise in cells:
         angle = twirl_angle(noise)
         noisy = noise is not None and noise.p_pauli > 0
@@ -430,20 +432,16 @@ def _estimate_cells(circuits: _MirrorCircuits, t, cells, plan: ShotPlan, streams
             for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
                 if shots == 0:
                     continue
-                key, pool_angle = (*stream, i, pool), angle if pool else None
-                pool_pass = npass(i, pool_angle)
-                if noisy:
-                    noisy_pool = _NoisyPool(pool_pass, shots, noise.p_pauli, streams, key)
-                    erring += noisy_pool.shots
-                    pools.append(noisy_pool.samples)
-                else:
-                    pools.append(_noiseless_pool(pool_pass, shots, streams, key))
+                key, pool_pass = (*stream, i, pool), npass(i, angle if pool else None)
+                pools.append(_noisy_pool(pool_pass, shots, noise.p_pauli, streams, key) if noisy
+                             else _Pool(pool_pass, streams(key).random(shots)))
+                erring += pools[-1].shots
             circuit_pools.append(pools)
         drawn.append(circuit_pools)
     if passes:
         _evolve_passes(list(passes.values()), erring, circuits.n)
     return [_cell_estimate(circuits, t, noise,
-                           [[samples() for samples in pools] for pools in circuit_pools],
+                           [[pool.samples() for pool in pools] for pools in circuit_pools],
                            magnitude_source)
             for (_, noise), circuit_pools in zip(cells, drawn)]
 

@@ -12,9 +12,9 @@ from ``PAULI_NAMES``, applied after the slot's gate.  The mirror estimator
 then draws one more uniform to sample the final state.  It does not run one
 trajectory at a time: the shots with an error evolve as rows of a batch
 with the noiseless state of their circuit, each joining it at its first
-erring gate, and a shot whose slot uniforms all reach p reads the
-distribution of that noiseless row, the same one noiseless pools sample
-(``mirror._NoisyPool`` and ``mirror._evolve_passes``).
+erring gate, and a shot whose slot uniforms all reach p samples that
+noiseless row by the same inverse-CDF rule as a noiseless pool
+(``mirror._noisy_pool``, ``mirror._Pool`` and ``mirror._evolve_passes``).
 The draws are the same, in the same order, as a per-shot loop that applies
 the gates and draws ``rng.random()`` after each slot; ``tests/oracles.py``
 keeps that loop as the reference.  ``NoiseSpec`` is the ``noise`` section

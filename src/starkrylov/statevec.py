@@ -255,18 +255,17 @@ class _StreamOpener:
 
 
 def sampling_cdf(amps: np.ndarray) -> np.ndarray:
-    """Cumulative |amplitude|^2 normalized to end at 1: basis index
-    ``searchsorted(cdf, u, side="right")`` for a uniform u is one sample."""
+    """Cumulative |amplitude|^2 normalized to end at 1, the CDF that
+    ``sample_bitstrings`` samples."""
     cdf = np.cumsum(np.abs(amps) ** 2)
     return cdf / cdf[-1]
 
 
-def sample_bitstrings(cdf: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Basis-state indices drawn i.i.d. by inverse CDF from ``cdf`` (a
-    ``sampling_cdf``) with the first ``shots`` uniforms of ``rng``."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
+def sample_bitstrings(cdf: np.ndarray, uniforms) -> np.ndarray:
+    """The one inverse-CDF rule (``mirror._Pool``): uniform u draws from
+    ``cdf`` (a ``sampling_cdf``) the basis index that counts the CDF entries
+    at or below u, so a uniform on a step draws the next index."""
+    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
 
 
 def all_zero_fraction(samples: np.ndarray) -> float:

@@ -21,8 +21,9 @@ mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
 overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
 at a time, their all-zero probabilities, exact F1/F2/F3, one sampled
 estimation cell, the series reconstructed from exact fractions and the
-shot-noise reference curve; and the freshly keyed stream generator and the
-one-trajectory-at-a-time noise channel that the batched sampler replaces."""
+shot-noise reference curve; and the freshly keyed stream generator, the
+noiseless pool's former draw, and the one-trajectory-at-a-time noise channel
+that the batched sampler replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -613,6 +614,14 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
         word = (word * 0x9E3779B97F4A7C15 + int(part) + 1) % 2 ** 64
     key = np.array([int(seed) % 2 ** 64, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def noiseless_draw(cdf: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """The former noiseless pool's samples: the first ``shots`` uniforms of
+    ``rng``, the pool's stream opened after its pass evolved, sampled by
+    inverse CDF from ``cdf`` (``sample_bitstrings`` before it took the
+    uniforms themselves)."""
+    return np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
 
 
 def noisy_apply(amps: np.ndarray, gates, spec, rng: np.random.Generator) -> np.ndarray:

@@ -355,7 +355,8 @@ def test_criterion_11_property_suites(stars, hams):
         prep_n = dressed_initial(stars[n_tri])
         state = hams[n_tri].evolve(prep_n.state(), 0.4)
         state = apply_circuit(state, invert(prep_n).gates)
-        samples = sample_bitstrings(sampling_cdf(state), 10 ** 5, rng_stream(31, n_tri))
+        samples = sample_bitstrings(sampling_cdf(state),
+                                    rng_stream(31, n_tri).random(10 ** 5))
         _, dropped = postselect_f1(samples, prep_n.dimer_pairs,
                                    stars[n_tri].n_sites)
         assert dropped == 0

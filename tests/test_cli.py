@@ -11,10 +11,12 @@ import pytest
 
 import starkrylov
 from starkrylov import cli
+from starkrylov import config as config_module
 from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, InitialStateSpec, RunConfig
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
+from starkrylov.mirror import ShotPlan
 
 
 def run(tmp_path, command, config=None, extra=()):
@@ -51,6 +53,9 @@ def test_dt_bound_refused(tmp_path, capsys):
 
 def test_unknown_config_key_refused(tmp_path):
     assert run(tmp_path, "overlaps", {"lattice": "star"}) == 2
+
+
+BIG = 10 ** 400  # a JSON integer past float range: float(BIG) raises OverflowError
 
 
 @pytest.mark.parametrize("config", [
@@ -102,6 +107,15 @@ def test_unknown_config_key_refused(tmp_path):
     {"initial": {"kind": "sector", "sz": 1}, "evolver": "floquet", "steps": 2,
      "shots": {"total": 100}, "noise": {"enable_postselect": True}},
     {"initial": {"kind": "sector", "sz": 4}, "steps": 2, "shots": {"total": 100}},
+    {"h_field": BIG},
+    {"dt": BIG},
+    {"magnet": {"dt": BIG}},
+    {"evolver": "floquet", "steps": 2, "shots": {"total": 40},
+     "noise": {"enable_twirl": True, "twirl_angle": BIG}},
+    {"shots": {"total": 40, "fractions": [BIG, 0.3, 0.3]}},
+    {"allocation": {"f1_grid": [BIG]}},
+    {"shots": {"total": BIG}},
+    {"allocation": {"m_totals": [BIG]}},
     ("--threads", "0"),
     ("--threads", "-3"),
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
@@ -119,7 +133,10 @@ def test_unknown_config_key_refused(tmp_path):
         "seed-above-64-bits", "n-triangles-above-qubit-cap", "n-triangles-two",
         "noise-without-shots", "postselect-without-shots", "twirl-without-shots",
         "postselect-pairing-leaves-sites-out", "sampled-state-without-dimers",
-        "threads-zero", "threads-negative"])
+        "h-field-past-float-range", "dt-past-float-range", "magnet-dt-past-float-range",
+        "twirl-angle-past-float-range", "shot-fractions-past-float-range",
+        "f1-grid-past-float-range", "shot-total-past-float-range",
+        "m-totals-past-float-range", "threads-zero", "threads-negative"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     # a tuple row holds command-line arguments rather than a config
     extra = config if isinstance(config, tuple) else ()
@@ -128,6 +145,29 @@ def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # refused before ED or any output
+
+
+def test_float_fields_keep_the_value_as_given():
+    # a float field takes any number that converts to a finite float, and the
+    # echoed config keeps it as written; a shot total must stay exact as a float
+    cfg = RunConfig.from_dict({"h_field": 10 ** 300, "dt": 1})
+    assert cfg.h_field == 10 ** 300 and type(cfg.dt) is int
+    assert json.loads(cfg.to_json())["h_field"] == 10 ** 300
+    assert ShotPlan(2 ** 53).total == 2 ** 53
+    with pytest.raises(ValueError, match="total shots"):
+        ShotPlan(2 ** 53 + 1)
+
+
+def test_huge_n_triangles_exits_2_before_any_star(tmp_path, capsys, monkeypatch):
+    # the qubit cap is checked before build_star, whose tuples grow with n
+    def no_star(n_triangles):
+        raise AssertionError("build_star called")
+
+    monkeypatch.setattr(config_module, "build_star", no_star)
+    assert run(tmp_path, "spectrum", {"n_triangles": BIG}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: n_triangles must be at most 7")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "path-under-file"])

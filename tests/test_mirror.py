@@ -9,6 +9,7 @@ from oracles import (
     exact_fractions,
     exact_overlap,
     mirror_states,
+    noiseless_draw,
     noisy_apply,
     overlap_series_mirror_exact,
     rng_stream,
@@ -26,10 +27,11 @@ from starkrylov.mirror import (
     ShotPlan,
     _ErringShot,
     _MirrorCircuits,
-    _NoisyPool,
     _Pass,
+    _Pool,
     _estimate_cells,
     _evolve_passes,
+    _noisy_pool,
     _shared_run,
     allocation_study,
     exact_overlaps,
@@ -52,7 +54,6 @@ from starkrylov.statevec import (
     _StreamOpener,
     all_zero_fraction,
     apply_circuit,
-    sample_bitstrings,
     sampling_cdf,
     zero_amps,
 )
@@ -248,8 +249,8 @@ def _per_cell_reference(prep, evolver, ham, t, plan, seed, stream, noise):
             if pool:
                 state = apply_circuit(state, twirl_layer(prep.n_sites, twirl_angle(noise)))
             state = apply_circuit(state, invert(inv).gates)
-            pools.append(sample_bitstrings(sampling_cdf(state), shots,
-                                            rng_stream(seed, *stream, i, pool)))
+            pools.append(noiseless_draw(sampling_cdf(state), shots,
+                                        rng_stream(seed, *stream, i, pool)))
         samples = np.concatenate(pools)
         if i == 0 and noise is not None and noise.enable_postselect:
             samples, _ = postselect_f1(samples, prep.dimer_pairs, prep.n_sites)
@@ -291,6 +292,31 @@ def test_shared_states_match_per_cell_reference(problem, kind, twirl):
         assert [e.fractions for e in alone_estimates] == [e.fractions for e in estimates]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_noiseless_pool_matches_former_draw(seed):
+    # a noiseless pool draws its uniforms when it is built, before its pass
+    # evolves, and samples by inverse CDF afterwards: the samples the former
+    # pool drew from its stream opened after the pass evolved.  Some CDF steps
+    # lie exactly on the pool's uniforms; such a uniform draws the next index
+    gen = np.random.default_rng(seed)
+    n, shots = int(gen.integers(2, 7)), int(gen.integers(1, 300))
+    key = tuple(int(k) for k in gen.integers(0, 2 ** 32, size=int(gen.integers(1, 5))))
+    streams = _StreamOpener(seed)
+    pool = _Pool(_Pass([]), streams(key).random(shots))
+    streams((*key, 0)).random(shots)  # other pools' streams opened before it samples
+    amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    on_steps = gen.choice(pool.uniforms, min(shots, (1 << n) - 1) // 2, replace=False)
+    rest = gen.choice(sampling_cdf(amps)[:-1], (1 << n) - 1 - len(on_steps), replace=False)
+    cdf = np.append(np.sort(np.concatenate([on_steps, rest])), 1.0)
+    pool.npass.cdf = cdf  # the CDF its evolved state would set
+    samples = pool.samples()
+    assert np.array_equal(samples, noiseless_draw(cdf, shots, rng_stream(seed, *key)))
+    below = np.count_nonzero(cdf[None, :] <= pool.uniforms[:, None], axis=1)
+    assert np.array_equal(samples, below)
+    for u in on_steps:
+        assert samples[pool.uniforms == u][0] == np.flatnonzero(cdf == u)[-1] + 1
+
+
 def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream):
     """The per-shot loop the batched passes replace: every shot runs its whole
     trajectory from |0..0> and samples its own final state."""
@@ -314,7 +340,7 @@ def test_noisy_sampling_matches_per_shot_reference(problem, kind, twirl):
         noise = NoiseSpec(p_pauli=p)
         shots = 300 if p == 1e-3 else 60
         npass = _Pass(gates)
-        pool = _NoisyPool(npass, shots, p, _StreamOpener(6), (case, 1))
+        pool = _noisy_pool(npass, shots, p, _StreamOpener(6), (case, 1))
         _evolve_passes([npass], pool.shots, prep.n_sites)
         got = pool.samples()
         assert np.array_equal(got, _per_shot_noisy_reference(gates, prep.n_sites,
@@ -453,7 +479,7 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     # the ablation's exact references evolve no pass
     _, ham, prep = problem
     evolved, pools, kernel_calls, steps = [], [], [], []
-    evolve_passes, pool_init = mirror_module._evolve_passes, _NoisyPool.__init__
+    evolve_passes, noisy_pool = mirror_module._evolve_passes, mirror_module._noisy_pool
     kernel, estimate = statevec_module.apply_gate_amps, mirror_module._estimate_cells
 
     def counted_kernel(amps, gate):
@@ -471,12 +497,12 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
         evolved.append(passes)
         return evolve_passes(passes, shots, n)
 
-    def recorded_pool(self, npass, *args):
+    def recorded_pool(npass, *args):
         pools.append(npass)
-        pool_init(self, npass, *args)
+        return noisy_pool(npass, *args)
 
     monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
-    monkeypatch.setattr(_NoisyPool, "__init__", recorded_pool)
+    monkeypatch.setattr(mirror_module, "_noisy_pool", recorded_pool)
     monkeypatch.setattr(statevec_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "_estimate_cells", recorded_estimate)
@@ -563,7 +589,7 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
 
     def drawn(circuits, key, m, evolution):
         npass = _Pass(circuits.pass_gates(key[0], evolution, key[1]))
-        return npass, _NoisyPool(npass, 40, 0.05, _StreamOpener(3), (m,)).shots
+        return npass, _noisy_pool(npass, 40, 0.05, _StreamOpener(3), (m,)).shots
 
     # every gate of each distinct gate-list prefix is applied once, to the
     # whole batch; the six passes of one noisy8 time hold 258 gates, 92 of
@@ -630,8 +656,8 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
 
     def drawn():
         circuits, evolution = _MirrorCircuits(prep, evolver), evolver.gates(t)
-        pools = [_NoisyPool(_Pass(circuits.pass_gates(i, evolution, a)), 30, p,
-                            _StreamOpener(5), (m,))
+        pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, a)), 30, p,
+                             _StreamOpener(5), (m,))
                  for m, (i, a) in enumerate(keys)]
         _evolve_passes([pool.npass for pool in pools],
                        [shot for pool in pools for shot in pool.shots], prep.n_sites)
@@ -685,8 +711,8 @@ def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch)
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "_evolve_group", recorded_group)
     keys = [(i, a) for i in range(3) for a in (None, np.pi / 3)]
-    pools = [_NoisyPool(_Pass(circuits.pass_gates(i, evolution, a)), shots, p,
-                        _StreamOpener(8), (m,))
+    pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, a)), shots, p,
+                         _StreamOpener(8), (m,))
              for m, (i, a) in enumerate(keys)]
     erring = [shot for pool in pools for shot in pool.shots]
     every_pass = [pool.npass for pool in pools]

@@ -84,7 +84,7 @@ def test_postselect_zero_discard_noiseless(n_tri):
     prep = dressed_initial(star)
     state = ham.evolve(prep.state(), 0.3)
     state = apply_circuit(state, invert(prep).gates)
-    samples = sample_bitstrings(sampling_cdf(state), 10 ** 5, rng_stream(23, 0))
+    samples = sample_bitstrings(sampling_cdf(state), rng_stream(23, 0).random(10 ** 5))
     _, dropped = postselect_f1(samples, prep.dimer_pairs, star.n_sites)
     assert dropped == 0
 

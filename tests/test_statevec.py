@@ -240,13 +240,13 @@ def test_exact_evolution_eigenstate_phase(star8):
 
 
 def test_sampling_deterministic_states():
-    samples = sample_bitstrings(sampling_cdf(zero_amps(3)), 100, rng_stream(1, 0))
+    samples = sample_bitstrings(sampling_cdf(zero_amps(3)), rng_stream(1, 0).random(100))
     assert np.all(samples == 0)
 
 
 def test_sampling_binomial_fraction():
     plus = apply_gate_amps(zero_amps(1), h_gate(0))
-    samples = sample_bitstrings(sampling_cdf(plus), 10 ** 6, rng_stream(42, 0))
+    samples = sample_bitstrings(sampling_cdf(plus), rng_stream(42, 0).random(10 ** 6))
     # 4 sigma of a fair binomial with 1e6 draws is 0.002
     assert abs(all_zero_fraction(samples) - 0.5) < 0.002
 
@@ -256,7 +256,8 @@ def test_sampling_matches_evolved_amplitude(star8):
     psi = ham.evolve(pinwheel(star).state(), 0.1)
     p_exact = float(np.abs(psi[0]) ** 2)
     shots = 10 ** 5
-    frac = all_zero_fraction(sample_bitstrings(sampling_cdf(psi), shots, rng_stream(9, 0)))
+    uniforms = rng_stream(9, 0).random(shots)
+    frac = all_zero_fraction(sample_bitstrings(sampling_cdf(psi), uniforms))
     sigma = np.sqrt(max(p_exact * (1 - p_exact), 1e-12) / shots)
     assert abs(frac - p_exact) <= 5 * sigma + 1e-9
 
@@ -269,7 +270,7 @@ def total_variation(samples: np.ndarray, probs: np.ndarray) -> float:
 def test_sampling_total_variation_bound():
     psi = random_state(6, seed=11)
     shots = 4096
-    samples = sample_bitstrings(sampling_cdf(psi), shots, rng_stream(13, 0))
+    samples = sample_bitstrings(sampling_cdf(psi), rng_stream(13, 0).random(shots))
     probs = np.abs(psi) ** 2
     assert total_variation(samples, probs) < 4 * np.sqrt((1 << 6) / shots)
 
@@ -277,13 +278,14 @@ def test_sampling_total_variation_bound():
 def test_streams_reproducible_and_independent():
     psi = random_state(4, seed=20)
     streams = _StreamOpener(7)
-    a = sample_bitstrings(sampling_cdf(psi), 50, streams((1, 2)))
-    b = sample_bitstrings(sampling_cdf(psi), 50, streams((1, 2)))
+    a = sample_bitstrings(sampling_cdf(psi), streams((1, 2)).random(50))
+    b = sample_bitstrings(sampling_cdf(psi), streams((1, 2)).random(50))
     assert np.array_equal(a, b)
-    c = sample_bitstrings(sampling_cdf(psi), 50, streams((1, 3)))
+    c = sample_bitstrings(sampling_cdf(psi), streams((1, 3)).random(50))
     assert not np.array_equal(a, c)
     # drawing stream (1,3) first does not change stream (1,2)
-    assert np.array_equal(a, sample_bitstrings(sampling_cdf(psi), 50, streams((1, 2))))
+    assert np.array_equal(a, sample_bitstrings(sampling_cdf(psi),
+                                               streams((1, 2)).random(50)))
     r1 = _StreamOpener(7)((5,)).random(4)
     r2 = _StreamOpener(7)((5,)).random(4)
     assert np.array_equal(r1, r2)
