@@ -1,15 +1,19 @@
 """Classical post-processing of overlap time series.
 
-Two solvers extract the ground-state energy from s_k = <psi0| U(k dt) |psi0>,
-from a pair of matrices built on the first n_steps values:
+Two solvers extract the ground-state energy from s_k = <psi0| U(k dt) |psi0>.
+Each builds a pair (A, B) on the first n_steps values and solves one
+thresholded pencil, (A, B) on the retained singular subspaces of
+B ~ W_r Sigma_r V_r^H, as the standard eigenproblem
+(W_r^H B V_r)^{-1} W_r^H A V_r, so no QZ is needed (Epperly, Lin and
+Nakatsukasa, "A theory of quantum subspace diagonalization", SIAM J. Matrix
+Anal. Appl., 2022).  The solvers differ only in the pair:
 
-* ``uvqpe``: Toeplitz pair T_{jk} = s_{1+k-j}, S_{jk} = s_{k-j}; the
-  thresholded pencil (T, S) on the retained singular subspaces of S
-  (Epperly, Lin and Nakatsukasa, "A theory of quantum subspace
-  diagonalization", SIAM J. Matrix Anal. Appl., 2022), solved as a standard
-  eigenproblem, so no QZ is needed.
-* ``odmd``: Hankel pair X_{rc} = s_{r+c}, X'_{rc} = s_{r+c+1}; eigenvalues of
-  the one-step propagator A = X' X^+ with the truncated pseudoinverse.
+* ``uvqpe``: the Toeplitz pair (T, S), T_{jk} = s_{1+k-j}, S_{jk} = s_{k-j}.
+* ``odmd``: the Hankel pair (X', X), X_{rc} = s_{r+c}, X'_{rc} = s_{r+c+1}
+  (Shen et al., arXiv:2306.01858, 2023).  Its pencil has the nonzero
+  eigenvalues of the d x d propagator X' X^+ with the truncated pseudoinverse
+  (Tu et al., "On dynamic mode decomposition: theory and applications",
+  J. Comput. Dyn., 2014), without the d - r that are rounding noise.
 
 A series is Floquet exactly when it carries measured negative-direction
 values f_{-m}, which give s_{-m}; a unitary series carries none, and s_{-m}
@@ -119,7 +123,7 @@ def _hankel_rows(series: OverlapSeries, n_steps: int, window: int | None = None,
 
 @dataclass(frozen=True)
 class SolverSpec:
-    pair: str  # "toeplitz" (T, S; the pencil) | "hankel" (X, X'; the propagator)
+    pair: str  # "toeplitz" (T, S) | "hankel" (X', X): the pencil's rows
     first_step: int  # smallest valid n_steps
     floquet_only: bool = False  # needs a two-direction Floquet series
 
@@ -151,28 +155,23 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
 
     Per n_steps the pair of every run is two views of one stack of the
     runs' d + 1 rows (``_toeplitz_rows``, ``_hankel_rows``), and one
-    decomposition of the stacked S (Toeplitz) or X (Hankel) serves every
-    delta: ``eigh`` if every run is unitary (S
-    Hermitian; Klymko et al., PRX Quantum 3, 020323, 2022), its eigenpairs
-    in stable order of |lambda| descending, else ``svd``.  The kept singular
-    values (|lambda|) are a prefix of length r, the retained rank, and the
-    runs of one rank share one stacked solve or propagator product, one
+    decomposition of the stacked B (S or X) serves every delta: ``eigh`` if
+    every run is unitary (S Hermitian; Klymko et al., PRX Quantum 3, 020323,
+    2022), its eigenpairs in stable order of |lambda| descending, else
+    ``svd``.  The kept singular values (|lambda|) are a prefix of length r,
+    the retained rank, and the runs of one rank share one stacked solve, one
     stacked ``eigvals`` (no estimate reads an eigenvector) and one array
     pass that picks each run's estimate from its row of eigenvalues.  A run's
     matrices meet the same LAPACK and BLAS calls as when solved alone, so
     no estimate depends on which runs share a stack.
 
-    * Toeplitz: the pencil (W_r^H T V_r, W_r^H S V_r) on the retained
-      singular subspaces of S ~ W_r Sigma_r V_r^H (under ``eigh``, W_r =
-      V_r = Q_r and Lambda_r for Sigma_r), solved as the standard
-      eigenproblem (W_r^H S V_r)^{-1} W_r^H T V_r.  W_r^H S V_r equals
-      Sigma_r only up to the rounding of the decomposition, which 1/sigma_r
-      amplifies: on the 12-spin test series at delta = 1e-8, dividing by
-      Sigma_r moved energies by up to 1.2e-9 from QZ on the same pencil
-      (2.2e-9 with the SVD), solving with the computed product by 1.1e-10;
-      on the 12-spin sectors at delta = 1e-14, by 2.3e-6 and 4.1e-8.
-    * Hankel: the one-step propagator A = X' X^+ with the truncated
-      pseudoinverse X^+ = V_r Sigma_r^{-1} U_r^H.
+    Both pairs are solved as the one pencil of the module docstring, under
+    ``eigh`` with W_r = V_r = Q_r and Lambda_r for Sigma_r.  W_r^H B V_r
+    equals Sigma_r only up to the rounding of the decomposition, which
+    1/sigma_r amplifies: on the 12-spin test series at delta = 1e-8, dividing
+    by Sigma_r moved uvqpe energies by up to 1.2e-9 from QZ on the same
+    pencil (2.2e-9 with the SVD), solving with the computed product by
+    1.1e-10; on the 12-spin sectors at delta = 1e-14, by 2.3e-6 and 4.1e-8.
     """
     spec = solver_spec(algorithm, all(s.neg_values is not None for s in runs))
     check_deltas(deltas, "delta")
@@ -186,8 +185,7 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
             raise ValueError(f"n_steps must be in [{spec.first_step}, {n_max}]")
         rows = np.stack([_hankel_rows(s, n_steps, window, real_part) if hankel
                          else _toeplitz_rows(s, n_steps) for s in runs])
-        first, second = rows[:, :-1], rows[:, 1:]
-        basis, target = (first, second) if hankel else (second, first)
+        basis, target = (rows[:, :-1], rows[:, 1:]) if hankel else (rows[:, 1:], rows[:, :-1])
         if hermitian:  # S = Q Lambda Q^H, whose singular values are the |lambda|
             lam, Q = np.linalg.eigh(basis)
             order = np.argsort(-np.abs(lam), axis=-1, kind="stable")
@@ -208,11 +206,7 @@ def sweep(algorithm: str, runs: list, steps, deltas, band=DEFAULT_BAND,
                 group = np.flatnonzero(ranks == r)
                 pick = group if len(group) < len(runs) else slice(None)  # views, no copies
                 Wh, Vr = Uh[pick, :r], V[pick, :, :r]
-                if hankel:
-                    inverse = np.eye(r) * (1.0 / sig[pick, :r])[:, None, :]  # Sigma_r^{-1}
-                    reduced = target[pick] @ (Vr @ inverse @ Wh)
-                else:
-                    reduced = np.linalg.solve(Wh @ basis[pick] @ Vr, Wh @ target[pick] @ Vr)
+                reduced = np.linalg.solve(Wh @ basis[pick] @ Vr, Wh @ target[pick] @ Vr)
                 # each row's minimum admissible energy, or its minimum energy
                 # (flagged) when no eigenvalue lies inside the band
                 lam = np.linalg.eigvals(reduced)

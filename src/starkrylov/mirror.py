@@ -122,11 +122,15 @@ class ShotPlan:
             raise ValueError("fractions must be nonnegative and sum to 1")
         if not 0.0 <= self.twirl_fraction <= 1.0:
             raise ValueError("twirl fraction must lie in [0, 1]")
+        self.allocate()  # a sum within 1e-9 of 1 can still miss a large total
 
     def allocate(self) -> tuple[int, int, int]:
         raw = [f * self.total for f in self.fractions]
         counts = [int(np.floor(r)) for r in raw]
         rem = self.total - sum(counts)
+        if not 0 <= rem <= len(counts):
+            raise ValueError(f"fractions cannot split {self.total} shots: the floors of "
+                             f"their shares leave {rem} to hand out, not 0 to 3")
         order = np.argsort([c - r for c, r in zip(counts, raw)])
         for i in range(rem):
             counts[order[i]] += 1

@@ -8,9 +8,10 @@ keeps each sector's eigenvectors beside its phase matrix (the former
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
 single-cell Krylov solvers that keep each estimate's eigenvalue and Ritz
-vector (``krylov.sweep``'s former path: SVD and ``eig``) on the Toeplitz and
-Hankel pairs as arrays of their own, one sweep cell solved
-on its own with the sweep's decompositions (``sweep_cell``) and its estimate
+vector (``krylov.sweep``'s former path: SVD and ``eig``, and odmd's d x d
+propagator) on the Toeplitz and Hankel pairs as arrays of their own, one
+sweep cell solved on its own with the sweep's decompositions and one pencil
+(``sweep_eigenvalues``, ``sweep_cell``) and its estimate
 picked from one eigenvalue row (the sweep's former per-row pick), the overlaps of
 that Ritz vector with the exact eigenstates, kagome patches, the
 bond-by-bond Trotter scheme, analytic CNOT counts per Trotter step,
@@ -20,8 +21,9 @@ replaced), and the
 mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
 overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
 at a time, their all-zero probabilities, exact F1/F2/F3, one sampled
-estimation cell, the series reconstructed from exact fractions and the
-shot-noise reference curve; and the freshly keyed stream generator, the
+estimation cell, the series reconstructed from exact fractions, the
+shot-noise reference curve and the former shot split (``former_allocate``);
+and the freshly keyed stream generator, the
 noiseless pool's former draw, and the one-trajectory-at-a-time noise channel
 that the batched sampler replaces."""
 from __future__ import annotations
@@ -279,54 +281,73 @@ def uvqpe(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND) -> RitzE
                         V.shape[1], flags)
 
 
-def odmd(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
-         window: int | None = None, real_part: bool = False) -> RitzEstimate:
-    """Hankel least-squares fit of the one-step propagator."""
+def odmd_propagator(series, n_steps: int, delta: float, window: int | None = None,
+                    real_part: bool = False):
+    """(A, r): the d x d one-step propagator A = X' V_r Sigma_r^{-1} U_r^H of
+    ``krylov.sweep``'s former odmd path, whose rank is the retained rank r,
+    or (None, 0) when no singular value of X passes delta."""
     _check_steps("odmd", series, n_steps)
     X, Xp = hankel_pair(series, n_steps, window, real_part)
     U, sig, V, flags = truncated_svd(X, delta)
-    if flags:
-        return RitzEstimate("odmd", n_steps, delta, None, None, None, 0, flags)
-    A = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T)
+    return (None, 0) if flags else (Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T), len(sig))
+
+
+def odmd(series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
+         window: int | None = None, real_part: bool = False) -> RitzEstimate:
+    """Hankel least-squares fit of the one-step propagator: the minimum
+    admissible energy over all d eigenvalues of ``odmd_propagator``'s A, d - r
+    of them rounding noise (the former odmd path); the Ritz vectors are A's."""
+    A, r = odmd_propagator(series, n_steps, delta, window, real_part)
+    if A is None:
+        return RitzEstimate("odmd", n_steps, delta, None, None, None, 0,
+                            ("all_singular_values_filtered",))
     lam, vec = np.linalg.eig(A)
     energy, eigenvalue, ritz, flags = _pick_minimum(lam, vec, series.dt, band)
-    return RitzEstimate("odmd", n_steps, delta, energy, eigenvalue, ritz, len(sig), flags)
+    return RitzEstimate("odmd", n_steps, delta, energy, eigenvalue, ritz, r, flags)
 
 
 def solve(algorithm: str, series, n_steps: int, delta: float, **kwargs) -> RitzEstimate:
     """One cell solved on its own by the former path of ``krylov.sweep``: the
-    SVD of S or X and ``eig`` with eigenvectors."""
+    SVD of S or X and ``eig`` with eigenvectors (for odmd, of the d x d
+    propagator)."""
     spec = krylov.solver_spec(algorithm, series.neg_values is not None)
     return (odmd if spec.pair == "hankel" else uvqpe)(series, n_steps, delta, **kwargs)
 
 
-def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
-               window: int | None = None, real_part: bool = False) -> krylov.KrylovEstimate:
-    """One cell of ``krylov.sweep`` solved on its own, with the sweep's
-    decompositions: ``eigh`` of the Hermitian S of a unitary series, its
-    eigenpairs ordered by |lambda| descending and W_r = V_r = Q_r, the SVD of
-    S or X otherwise, and ``eigvals`` of the reduced matrix.  Each product
-    sees the operand layout it sees in the sweep."""
+def sweep_eigenvalues(algorithm: str, series, n_steps: int, delta: float,
+                      window: int | None = None, real_part: bool = False):
+    """(eigenvalues, r) of one cell of ``krylov.sweep`` solved on its own,
+    with the sweep's decompositions and its one pencil: the pair (A, B),
+    (T, S) or (X', X), on B's retained subspaces from ``eigh`` of the
+    Hermitian S of a unitary series, its eigenpairs ordered by |lambda|
+    descending and W_r = V_r = Q_r, or from the SVD of S or X otherwise, and
+    ``eigvals`` of (W_r^H B V_r)^{-1} W_r^H A V_r.  Each product sees the
+    operand layout it sees in the sweep."""
     spec = krylov.solver_spec(algorithm, series.neg_values is not None)
     _check_steps(algorithm, series, n_steps)
     if spec.pair == "hankel":
-        X, Xp = hankel_pair(series, n_steps, window, real_part)
-        U, sig, V, _ = truncated_svd(X, delta)
-        reduced, r = Xp @ (V @ np.diag(1.0 / sig) @ U.conj().T), len(sig)
+        B, A = hankel_pair(series, n_steps, window, real_part)
     else:
-        T, S = toeplitz_pair(series, n_steps)
-        if series.neg_values is None:
-            lam, Q = np.linalg.eigh(S)
-            order = np.argsort(-np.abs(lam), kind="stable")
-            Q = Q[:, order]
-            r = np.count_nonzero(np.abs(lam)[order] >= delta * np.abs(lam[order[0]]))
-            Wh, V = np.conjugate(Q.T, order="C")[:r], Q[:, :r]
-        else:
-            W, _, V, _ = truncated_svd(S, delta)
-            Wh, r = W.conj().T, W.shape[1]
-        reduced = np.linalg.solve(Wh @ S @ V, Wh @ T @ V)
+        A, B = toeplitz_pair(series, n_steps)
+    if spec.pair == "toeplitz" and series.neg_values is None:
+        lam, Q = np.linalg.eigh(B)
+        order = np.argsort(-np.abs(lam), kind="stable")
+        Q = Q[:, order]
+        r = np.count_nonzero(np.abs(lam)[order] >= delta * np.abs(lam[order[0]]))
+        Wh, V = np.conjugate(Q.T, order="C")[:r], Q[:, :r]
+    else:
+        W, _, V, _ = truncated_svd(B, delta)
+        Wh, r = W.conj().T, W.shape[1]
     assert r >= 1, "sweep refuses a delta that keeps no singular value"
-    return pick_minimum(np.linalg.eigvals(reduced), series.dt, band, r)
+    return np.linalg.eigvals(np.linalg.solve(Wh @ B @ V, Wh @ A @ V)), r
+
+
+def sweep_cell(algorithm: str, series, n_steps: int, delta: float, band=krylov.DEFAULT_BAND,
+               window: int | None = None, real_part: bool = False) -> krylov.KrylovEstimate:
+    """One cell of ``krylov.sweep`` solved on its own: the estimate picked
+    from ``sweep_eigenvalues``' row."""
+    lam, r = sweep_eigenvalues(algorithm, series, n_steps, delta, window, real_part)
+    return pick_minimum(lam, series.dt, band, r)
 
 
 # -- Ritz-vector diagnostics -------------------------------------------------
@@ -601,6 +622,19 @@ def estimate_overlap(psi0_prep, evolver, t: float, plan, seed: int, stream=(0,),
     [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), t, [(stream, noise)],
                                  plan, _StreamOpener(seed), magnitude_source)
     return estimate
+
+
+def former_allocate(total: int, fractions) -> tuple[int, ...]:
+    """The shot counts of ``mirror.ShotPlan.allocate`` before it refused a
+    split whose floors leave a remainder outside [0, 3]: floors, then one
+    more shot for each of the ``total - sum(floors)`` largest fractional
+    parts (an IndexError past three)."""
+    raw = [f * total for f in fractions]
+    counts = [int(np.floor(r)) for r in raw]
+    order = np.argsort([c - r for c, r in zip(counts, raw)])
+    for i in range(total - sum(counts)):
+        counts[order[i]] += 1
+    return tuple(counts)
 
 
 # -- streams and trajectories --------------------------------------------------------

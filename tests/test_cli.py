@@ -116,6 +116,8 @@ BIG = 10 ** 400  # a JSON integer past float range: float(BIG) raises OverflowEr
     {"allocation": {"f1_grid": [BIG]}},
     {"shots": {"total": BIG}},
     {"allocation": {"m_totals": [BIG]}},
+    {"shots": {"total": 10 ** 10, "fractions": [0.4, 0.3, 0.2999999995]}},
+    {"shots": {"total": 10 ** 10, "fractions": [0.4, 0.3, 0.3000000005]}},
     ("--threads", "0"),
     ("--threads", "-3"),
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
@@ -136,7 +138,8 @@ BIG = 10 ** 400  # a JSON integer past float range: float(BIG) raises OverflowEr
         "h-field-past-float-range", "dt-past-float-range", "magnet-dt-past-float-range",
         "twirl-angle-past-float-range", "shot-fractions-past-float-range",
         "f1-grid-past-float-range", "shot-total-past-float-range",
-        "m-totals-past-float-range", "threads-zero", "threads-negative"])
+        "m-totals-past-float-range", "shot-fractions-split-short-of-total",
+        "shot-fractions-split-past-total", "threads-zero", "threads-negative"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     # a tuple row holds command-line arguments rather than a config
     extra = config if isinstance(config, tuple) else ()

@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     estimate_overlap,
     evolve,
     exact_fractions,
     exact_overlap,
+    former_allocate,
     mirror_states,
     noiseless_draw,
     noisy_apply,
@@ -159,6 +162,28 @@ def test_shot_plan_allocation():
         ShotPlan(100, (0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
         ShotPlan(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 53), st.floats(0, 1), st.floats(0, 1), st.floats(-1e-9, 1e-9))
+@example(10 ** 10, 0.4, 0.5, -5e-10)
+@example(10 ** 10, 0.4, 0.5, 5e-10)
+def test_shot_plan_keeps_every_exact_split(total, f1, share, slack):
+    """A plan whose former counts sum to ``total`` keeps them; any other plan
+    is refused.  The examples are fractions within 1e-9 of summing to 1 that
+    miss 10^10 shots by whole shots: the former counts ran past the three
+    circuits on the first and handed out 10,000,000,004 shots on the second."""
+    fractions = (f1, (1 - f1) * share, (1 - f1) * (1 - share) + slack)
+    assume(fractions[2] >= 0 and abs(sum(fractions) - 1) <= 1e-9)  # else refused as before
+    try:
+        counts = former_allocate(total, fractions)
+    except IndexError:  # a remainder above 3
+        counts = None
+    if counts is not None and sum(counts) == total:
+        assert ShotPlan(total, fractions).allocate() == counts
+    else:
+        with pytest.raises(ValueError, match="cannot split"):
+            ShotPlan(total, fractions)
 
 
 def test_sampled_estimate_within_binomial_propagation(problem):
