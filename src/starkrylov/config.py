@@ -31,6 +31,11 @@ class ConfigError(ValueError):
     """Invalid configuration; commands exit with code 2."""
 
 
+# the most elements one array of a run may hold (``RunConfig.largest_arrays``):
+# 2^26, 1 GiB as complex128
+MAX_ELEMENTS = 1 << 26
+
+
 @dataclass
 class InitialStateSpec:
     kind: Literal["dressed", "pinwheel", "sector"] = "dressed"
@@ -149,11 +154,34 @@ class RunConfig:
             return dressed_initial(star, spec.cz_bonds)
         return sector_initial(star, spec.sz)
 
+    def largest_arrays(self) -> dict[str, int]:
+        """The element count of the largest array that the fields of each key
+        make a command build, in closed form, from the config alone: the list
+        of ``realizations`` series; the sweep's stack of d + 1 Toeplitz or
+        Hankel rows of d values per distinct series (sampled realizations,
+        or the one exact series), up to d = steps; a pool's one uniform per
+        shot; a magnetization sector's stack (n_steps None takes a default
+        of at most 150); and the allocation study's three (n_times,
+        realizations) fraction arrays.  Every other array is smaller, or comes
+        in blocks of bounded size (``mirror._BATCH_BYTES``)."""
+        series = self.realizations if self.shots is not None else 1
+        n_steps = self.magnet.n_steps or 0
+        return {
+            "realizations": self.realizations,
+            "steps and realizations": series * (self.steps + 1) * self.steps,
+            "shots.total": 0 if self.shots is None else self.shots.total,
+            "magnet.n_steps": (n_steps + 1) * n_steps,
+            "allocation.n_times and allocation.realizations":
+                3 * self.allocation.n_times * self.allocation.realizations,
+        }
+
     def validate(self) -> None:
         """Check everything a command builds from the config, before any ED.
 
         Thresholds (``deltas``, ``magnet.delta``) must pass
-        ``krylov.check_deltas`` (the ``krylov`` module docstring says why).
+        ``krylov.check_deltas`` (the ``krylov`` module docstring says why), and
+        no array of ``largest_arrays`` may exceed ``MAX_ELEMENTS``; that is
+        checked before any star or Hamiltonian is built.
         Configs built in Python are re-parsed first, so they get the type
         checks of ``from_dict``."""
         _parse(type(self), asdict(self), "")
@@ -161,6 +189,10 @@ class RunConfig:
             raise ConfigError("steps and realizations must be >= 1")
         if not 0 <= self.seed < 2 ** 64:  # the random streams key on 64 bits
             raise ConfigError("seed must lie in [0, 2**64 - 1]")
+        for names, size in self.largest_arrays().items():
+            if size > MAX_ELEMENTS:
+                raise ConfigError(f"{names} too large: an array of more than "
+                                  f"{MAX_ELEMENTS} elements")
         if self.odmd_window is not None and not 1 <= self.odmd_window <= self.steps:
             raise ConfigError(f"odmd_window must lie in [1, steps={self.steps}]")
         magnet_delta = () if self.magnet.delta is None else (self.magnet.delta,)

@@ -33,7 +33,6 @@ from .noise import PAULI_NAMES, NoiseSpec, postselect_f1, twirl_angle, twirl_lay
 from .prep import PrepCircuit, invert, reference_superposition
 from .statevec import (
     _StreamOpener,
-    all_zero_fraction,
     apply_circuit,
     apply_gate_amps,
     pauli_gate,
@@ -207,19 +206,26 @@ def mirror_fractions(value, e_ref: float, t):
     return np.abs(value) ** 2, np.abs(value + ref) ** 2 / 4, np.abs(ref - 1j * value) ** 2 / 4
 
 
-def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
-                magnitude_source: str = "f1_sqrt"):
-    """Complex overlap from the three fractions; returns (value, flags)."""
+def reconstruct(f1, f2, f3, e_ref: float, t, magnitude_source: str = "f1_sqrt"):
+    """Complex overlaps from the three fractions, element by element (scalars
+    are 0-d), and the mask of f1_sqrt values whose raw value is 0: they keep
+    the magnitude and have no phase.  Real products, with each part set on
+    its own, give every value the bits of the one complex expression."""
     if magnitude_source not in ("f1_sqrt", "eq19"):
         raise ValueError("magnitude_source must be 'f1_sqrt' or 'eq19'")
-    raw = (2.0 * f2 + 2.0j * f3 - (f1 + 1.0) * (1.0 + 1.0j) / 2.0) * np.exp(-1j * e_ref * t)
-    flags: tuple[str, ...] = ()
-    if magnitude_source == "eq19":
-        return complex(raw), flags
-    if abs(raw) < 1e-300:
-        flags = ("phase_degenerate",)
-        return complex(np.sqrt(max(f1, 0.0))), flags
-    return complex(np.sqrt(max(f1, 0.0)) * np.exp(1j * np.angle(raw))), flags
+    half = (f1 + 1.0) / 2.0
+    a, b = 2.0 * f2 - half, 2.0 * f3 - half
+    ref = np.exp(-1j * e_ref * t)
+    re, im = a * ref.real - b * ref.imag, a * ref.imag + b * ref.real
+    degenerate = (np.hypot(re, im) < 1e-300) & (magnitude_source == "f1_sqrt")
+    if magnitude_source == "f1_sqrt":
+        mag = np.sqrt(np.maximum(f1, 0.0))
+        unit = np.exp(1j * np.arctan2(im, re))
+        re = np.where(degenerate, mag, mag * unit.real - 0.0 * unit.imag)
+        im = np.where(degenerate, 0.0, mag * unit.imag + 0.0 * unit.real)
+    values = np.empty(np.shape(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values, degenerate
 
 
 # -- sampled estimation -------------------------------------------------------------
@@ -304,6 +310,14 @@ class _Pool:
         if self.shots:
             samples[self.erring] = [shot.sample for shot in self.shots]
         return samples
+
+    def zeros(self) -> np.ndarray:
+        """``samples() == 0`` with no search: uniform u draws index 0 exactly
+        when u < cdf[0]."""
+        zeros = self.uniforms < self.npass.cdf[0]
+        if self.shots:
+            zeros[self.erring] = [shot.sample == 0 for shot in self.shots]
+        return zeros
 
 
 def _noisy_pool(npass: _Pass, shots: int, p: float, streams, stream: tuple) -> _Pool:
@@ -444,30 +458,33 @@ def _estimate_cells(circuits: _MirrorCircuits, t, cells, plan: ShotPlan, streams
         drawn.append(circuit_pools)
     if passes:
         _evolve_passes(list(passes.values()), erring, circuits.n)
-    return [_cell_estimate(circuits, t, noise,
-                           [[pool.samples() for pool in pools] for pools in circuit_pools],
-                           magnitude_source)
+    return [_cell_estimate(circuits, t, noise, circuit_pools, magnitude_source)
             for (_, noise), circuit_pools in zip(cells, drawn)]
 
 
-def _cell_estimate(circuits: _MirrorCircuits, t, noise, circuit_samples,
+def _cell_estimate(circuits: _MirrorCircuits, t, noise, circuit_pools,
                    magnitude_source) -> OverlapEstimate:
-    """The estimate of one cell from its pools' samples, per circuit; E_R is
-    the reference energy of the evolver's Hamiltonian."""
+    """The estimate of one cell from its pools, per circuit; E_R is the
+    reference energy of the evolver's Hamiltonian.  A fraction counts the
+    shots that drew |0..0> (``_Pool.zeros``); only F1 under post-selection
+    reads the samples themselves."""
     fractions = [float("nan")] * 3
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
-    for i, pools in enumerate(circuit_samples):
+    for i, pools in enumerate(circuit_pools):
         if not pools:
             continue
-        samples = np.concatenate(pools)
         if i == 0 and noise is not None and noise.enable_postselect:
+            samples = np.concatenate([pool.samples() for pool in pools])
             samples, discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs,
                                                  circuits.n)
             if len(samples) == 0:
                 flags += ("all_shots_discarded",)
                 continue
-        fractions[i] = all_zero_fraction(samples)
+            zeros = samples == 0
+        else:
+            zeros = np.concatenate([pool.zeros() for pool in pools])
+        fractions[i] = np.count_nonzero(zeros) / len(zeros)
 
     f1, f2, f3 = fractions
     if np.isnan(f1):
@@ -475,8 +492,9 @@ def _cell_estimate(circuits: _MirrorCircuits, t, noise, circuit_samples,
     elif np.isnan(f2) or np.isnan(f3):
         value, more = complex(np.sqrt(max(f1, 0.0))), ("phase_unavailable",)
     else:
-        value, more = reconstruct(f1, f2, f3, circuits.evolver.ham.reference_energy(), t,
-                                  magnitude_source)
+        value, degenerate = reconstruct(f1, f2, f3, circuits.evolver.ham.reference_energy(),
+                                        t, magnitude_source)
+        value, more = complex(value), ("phase_degenerate",) if degenerate else ()
     return OverlapEstimate(value, tuple(fractions), tuple(discards), flags + more)
 
 
@@ -542,13 +560,6 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, dt: float,
 
 # -- shot-budget studies ---------------------------------------------------------------
 
-def _binomial_overlaps(rng, counts, probs, e_ref, t, modes) -> list[complex]:
-    """Draw F1, F2, F3 binomially in that order (nan for a circuit with no
-    shots) and reconstruct the overlap in each magnitude mode."""
-    f1, f2, f3 = (rng.binomial(m, p) / m if m else np.nan for m, p in zip(counts, probs))
-    return [reconstruct(f1, f2, f3, e_ref, t, mode)[0] for mode in modes]
-
-
 def allocation_plan(m_total: int, f1_frac: float) -> ShotPlan:
     """The plan of one allocation grid point: F1 gets f1_frac, F2 and F3 split the rest."""
     rest = (1.0 - f1_frac) / 2.0
@@ -559,37 +570,33 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
                      n_realizations: int, seed: int):
     """Typical overlap error per (shot budget, F1 fraction, magnitude mode).
 
-    The estimator error O_m - O is zero-mean up to the sqrt(F1) bias, so its
-    standard deviation over all (time, realization) cells is the RMS of
-    |O - O_m|; that is the typical error reported, along with its spread
-    over per-time batches.
+    Each point draws from its stream (m_total, round(1000 f1_fraction)) the
+    F1, F2 and F3 fractions, in that order, as binomial (time, realization)
+    arrays, nan for a circuit with no shots.  The error O_m - O is zero-mean
+    up to the sqrt(F1) bias, so the RMS of |O - O_m| over all cells is the
+    typical error reported, with its spread over per-time batches.
     """
     e_ref = ham.reference_energy()
     streams = _StreamOpener(seed)
-    values = exact_overlaps(psi0_prep.state(), ExactEvolver(ham), times).tolist()
-    fractions = [mirror_fractions(value, e_ref, t) for value, t in zip(values, times)]
-    modes = ("f1_sqrt", "eq19")
+    times = np.asarray(times, dtype=float)
+    values = exact_overlaps(psi0_prep.state(), ExactEvolver(ham), times)
+    probs = mirror_fractions(values, e_ref, times)
+    size = (len(times), n_realizations)
     rows = []
     for m_total in m_totals:
         for f1_frac in f1_grid:
-            counts = allocation_plan(m_total, f1_frac).allocate()
-            errs = {mode: [] for mode in modes}
-            for it, (t, value, probs) in enumerate(zip(times, values, fractions)):
-                for r in range(n_realizations):
-                    rng = streams((it, r, int(m_total), int(round(f1_frac * 1000))))
-                    for mode, o_m in zip(modes, _binomial_overlaps(rng, counts, probs,
-                                                                   e_ref, t, modes)):
-                        errs[mode].append(abs(o_m - value) ** 2)
-            for mode, e in errs.items():
-                e = np.array(e)
-                batches = e.reshape(len(times), n_realizations)
-                batch_rms = np.sqrt(np.mean(batches, axis=1))
+            rng = streams((int(m_total), int(round(f1_frac * 1000))))
+            fractions = [rng.binomial(m, p[:, None], size) / m if m else np.full(size, np.nan)
+                         for m, p in zip(allocation_plan(m_total, f1_frac).allocate(), probs)]
+            for mode in ("f1_sqrt", "eq19"):
+                estimates, _ = reconstruct(*fractions, e_ref, times[:, None], mode)
+                errors = np.abs(estimates - values[:, None]) ** 2
                 rows.append({
                     "m_total": int(m_total),
                     "f1_fraction": float(f1_frac),
                     "mode": mode,
-                    "typical_error": float(np.sqrt(np.mean(e))),
-                    "error_spread": float(np.std(batch_rms)),
+                    "typical_error": float(np.sqrt(np.mean(errors))),
+                    "error_spread": float(np.std(np.sqrt(np.mean(errors, axis=1)))),
                 })
     return rows
 

@@ -267,7 +267,3 @@ def sample_bitstrings(cdf: np.ndarray, uniforms) -> np.ndarray:
     at or below u, so a uniform on a step draws the next index."""
     return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
 
-
-def all_zero_fraction(samples: np.ndarray) -> float:
-    return float(np.mean(samples == 0)) if len(samples) else float("nan")
-

@@ -20,8 +20,10 @@ energies from one shared Hamiltonian (the flow the one-pass estimate
 replaced), and the
 mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
 overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
-at a time, their all-zero probabilities, exact F1/F2/F3, one sampled
-estimation cell, the series reconstructed from exact fractions, the
+at a time, their all-zero probabilities, the all-zero share of samples
+(``all_zero_fraction``), exact F1/F2/F3, one sampled
+estimation cell, the former scalar overlap reconstruction
+(``reconstruct``), the series reconstructed from exact fractions, the
 shot-noise reference curve and the former shot split (``former_allocate``);
 and the freshly keyed stream generator, the
 noiseless pool's former draw, and the one-trajectory-at-a-time noise channel
@@ -33,10 +35,10 @@ from math import ceil, log
 
 import numpy as np
 
-from starkrylov import krylov
+from starkrylov import krylov, mirror
 from starkrylov.hamiltonian import _PHASE_ROWS
 from starkrylov.magnet import sector_series, sector_solver_settings
-from starkrylov.mirror import _binomial_overlaps, _estimate_cells, _MirrorCircuits, reconstruct
+from starkrylov.mirror import _estimate_cells, _MirrorCircuits
 from starkrylov.noise import PAULI_NAMES, twirl_layer
 from starkrylov.prep import invert, reference_superposition
 from starkrylov.statevec import _StreamOpener, apply_circuit, apply_gate_amps, pauli_gate
@@ -572,6 +574,12 @@ def mirror_states(psi0_prep, evolver, t: float,
                  for prep, inverse in ((psi0_prep, psi0_prep), (u_r, u_r), (u_r, u_ri)))
 
 
+def all_zero_fraction(samples: np.ndarray) -> float:
+    """The share of ``samples`` that drew |0..0>, nan for no samples: the
+    former fraction rule of ``mirror._cell_estimate``."""
+    return float(np.mean(samples == 0)) if len(samples) else float("nan")
+
+
 def zero_probabilities(states) -> tuple[float, float, float]:
     """The all-zero probability |<0..0|s>|^2 of each state."""
     return tuple(float(np.abs(s[0]) ** 2) for s in states)
@@ -582,6 +590,21 @@ def exact_fractions(psi0_prep, evolver, t: float):
     return zero_probabilities(mirror_states(psi0_prep, evolver, t))
 
 
+def reconstruct(f1: float, f2: float, f3: float, e_ref: float, t: float,
+                magnitude_source: str = "f1_sqrt"):
+    """The former scalar ``mirror.reconstruct``, one complex expression per
+    overlap: the reference that the array form must match bit for bit.
+    Returns (value, flags)."""
+    if magnitude_source not in ("f1_sqrt", "eq19"):
+        raise ValueError("magnitude_source must be 'f1_sqrt' or 'eq19'")
+    raw = (2.0 * f2 + 2.0j * f3 - (f1 + 1.0) * (1.0 + 1.0j) / 2.0) * np.exp(-1j * e_ref * t)
+    if magnitude_source == "eq19":
+        return complex(raw), ()
+    if abs(raw) < 1e-300:
+        return complex(np.sqrt(max(f1, 0.0))), ("phase_degenerate",)
+    return complex(np.sqrt(max(f1, 0.0)) * np.exp(1j * np.angle(raw))), ()
+
+
 def overlap_series_mirror_exact(psi0_prep, evolver, ham, dt: float, kmax: int,
                                 magnitude_source: str = "f1_sqrt") -> krylov.OverlapSeries:
     """Series reconstructed from exact F1/F2/F3 (no sampling)."""
@@ -589,13 +612,15 @@ def overlap_series_mirror_exact(psi0_prep, evolver, ham, dt: float, kmax: int,
     values = [1.0 + 0.0j]
     for k in range(1, kmax + 1):
         f1, f2, f3 = exact_fractions(psi0_prep, evolver, k * dt)
-        values.append(reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
+        values.append(mirror.reconstruct(f1, f2, f3, e_ref, k * dt, magnitude_source)[0])
     return krylov.OverlapSeries(dt, np.array(values))
 
 
 def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, seed: int,
                          n_realizations: int = 100, magnitude_source: str = "f1_sqrt"):
-    """Per-step std of the noiseless sampled estimate over realizations."""
+    """Per-step std of the noiseless sampled estimate over realizations: each
+    (step, realization) draws F1, F2, F3 binomially in that order from the
+    stream (seed, k, r), nan for a circuit with no shots."""
     e_ref = ham.reference_energy()
     counts = plan.allocate()
     psi0 = psi0_prep.state()
@@ -603,9 +628,12 @@ def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, se
     for k in range(1, kmax + 1):
         t = k * dt
         probs, o_exact = exact_fractions(psi0_prep, evolver, t), exact_overlap(psi0, evolver, t)
-        errors = [abs(_binomial_overlaps(rng_stream(seed, k, r), counts, probs, e_ref, t,
-                                         (magnitude_source,))[0] - o_exact)
-                  for r in range(n_realizations)]
+        errors = []
+        for r in range(n_realizations):
+            rng = rng_stream(seed, k, r)
+            fractions = [rng.binomial(m, p) / m if m else np.nan for m, p in zip(counts, probs)]
+            estimate, _ = mirror.reconstruct(*fractions, e_ref, t, magnitude_source)
+            errors.append(abs(estimate - o_exact))
         sigmas.append(float(np.std(errors)))
     return np.array(sigmas)
 

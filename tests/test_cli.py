@@ -2,9 +2,13 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy  # noqa: F401  (before starkrylov.cli: this process keeps OpenBLAS's default threads)
 import pytest
@@ -171,6 +175,100 @@ def test_huge_n_triangles_exits_2_before_any_star(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("configuration error: n_triangles must be at most 7")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in this process once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("converge", {"steps": BIG}),
+    ("converge", {"steps": 10 ** 9}),
+    ("magnetization", {"magnet": {"n_steps": BIG}}),
+    ("overlaps", {"realizations": BIG}),
+    ("overlaps", {"realizations": 10 ** 8, "shots": {"total": 10}}),
+    ("allocation", {"allocation": {"n_times": BIG}}),
+    ("overlaps", {"shots": {"total": 10 ** 10}}),
+    ("allocation", {"allocation": {"realizations": BIG}}),
+], ids=["steps-big", "steps-1e9", "magnet-n-steps-big", "realizations-big",
+        "realizations-1e8-sampled", "allocation-n-times-big", "shots-total-1e10",
+        "allocation-realizations-big"])
+def test_sizes_past_the_element_budget_exit_2_before_any_hamiltonian(
+        tmp_path, capsys, monkeypatch, command, config):
+    # each config asks for an array larger than MAX_ELEMENTS: refused from the
+    # config alone, before a Hamiltonian is built or an output written
+    def no_hamiltonian(*args, **kwargs):
+        raise AssertionError("SpinHamiltonian built")
+
+    monkeypatch.setattr(SpinHamiltonian, "__init__", no_hamiltonian)
+    with time_limit(20):
+        assert run(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "too large" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _big_ints(kind):
+    """A JSON value of the annotation ``kind`` whose every integer is BIG, or
+    None when ``kind`` holds no integer."""
+    args = get_args(kind)
+    if type(None) in args:  # X | None
+        return _big_ints(args[0])
+    if kind is int:
+        return BIG
+    if get_origin(kind) is tuple:
+        items = [_big_ints(k) for k in (args[:1] if args[-1] is Ellipsis else args)]
+        return None if None in items else items
+    return None
+
+
+def _integer_fields(kind=RunConfig, prefix=()):
+    """(path, value) for each field of the config dataclasses that holds an
+    integer, read from their annotations as ``config._parse`` reads them."""
+    for f in fields(kind):
+        hint = get_type_hints(kind)[f.name]
+        section = next((k for k in (hint, *get_args(hint)) if is_dataclass(k)), None)
+        if section is not None:
+            yield from _integer_fields(section, (*prefix, f.name))
+        elif _big_ints(hint) is not None:
+            yield (*prefix, f.name), _big_ints(hint)
+
+
+INTEGER_FIELDS = list(_integer_fields())
+
+
+@pytest.mark.parametrize("path, value", INTEGER_FIELDS,
+                         ids=[".".join(path) for path, _ in INTEGER_FIELDS])
+def test_every_integer_field_at_10_to_the_400(tmp_path, capsys, path, value):
+    # a 401-digit integer in any integer field ends each command without a
+    # traceback, in time: refused (exit 2), or not read by the command (exit 0)
+    assert {("steps",), ("realizations",), ("shots", "total"), ("magnet", "n_steps"),
+            ("allocation", "n_times"), ("allocation", "realizations")} <= {
+                p for p, _ in INTEGER_FIELDS}
+    config = {}
+    *sections, name = path
+    leaf = config
+    for section in sections:
+        leaf = leaf.setdefault(section, {})
+    leaf[name] = value
+    for command in cli.COMMANDS:
+        (tmp_path / command).mkdir()
+        with time_limit(60):
+            code = run(tmp_path / command, command, config)
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, (command, err)
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "path-under-file"])

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_zero_fraction,
     estimate_overlap,
     evolve,
     exact_fractions,
@@ -15,6 +16,7 @@ from oracles import (
     noiseless_draw,
     noisy_apply,
     overlap_series_mirror_exact,
+    reconstruct as reference_reconstruct,
     rng_stream,
     shot_noise_reference,
     zero_probabilities,
@@ -32,6 +34,7 @@ from starkrylov.mirror import (
     _MirrorCircuits,
     _Pass,
     _Pool,
+    _cell_estimate,
     _estimate_cells,
     _evolve_passes,
     _noisy_pool,
@@ -55,7 +58,6 @@ from starkrylov.prep import (
 )
 from starkrylov.statevec import (
     _StreamOpener,
-    all_zero_fraction,
     apply_circuit,
     sampling_cdf,
     zero_amps,
@@ -118,6 +120,40 @@ def test_reconstruct_closed_form_inversion():
         assert abs(o - r * np.exp(1j * theta)) < 1e-12
     with pytest.raises(ValueError):
         reconstruct(f1, f2, f3, 0.0, 1.0, "other")
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of complex ``values`` as int64 words, so
+    that equal bits, zero signs included, compare equal."""
+    return np.stack([values.real, values.imag]).astype(float).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [10, 100, 1000])
+def test_reconstruct_matches_scalar_reference_bit_for_bit(m):
+    # every value of the array form has the bits of the former scalar
+    # expression (oracles.reconstruct), and the degenerate mask its flag;
+    # the first rows have f1 = 0, the next f2 = f3 = (f1 + 1)/4 (raw = 0)
+    rng = np.random.default_rng(m)
+    f1, f2, f3 = rng.integers(0, m + 1, size=(3, 100_000)) / m
+    f1[:1000] = 0.0
+    f2[1000:2000] = f3[1000:2000] = (f1[1000:2000] + 1.0) / 4.0
+    e_ref, t = -12.0 + m / 7, 0.1 * (m % 17 + 1)
+    for mode in ("f1_sqrt", "eq19"):
+        ref = [reference_reconstruct(*triple, e_ref, t, mode)
+               for triple in zip(f1.tolist(), f2.tolist(), f3.tolist())]
+        expected = np.array([value for value, _ in ref])
+        flags = np.array([flags == ("phase_degenerate",) for _, flags in ref])
+        assert flags[1000:2000].all() == (mode == "f1_sqrt")
+        values, degenerate = reconstruct(f1.reshape(100, -1), f2.reshape(100, -1),
+                                         f3.reshape(100, -1), e_ref, t, mode)
+        assert values.shape == degenerate.shape == (100, 1000)
+        np.testing.assert_array_equal(_bits(values.ravel()), _bits(expected))
+        np.testing.assert_array_equal(degenerate.ravel(), flags)
+        for i in range(0, 2000, 97):  # 0-d: scalar fractions give 0-d results
+            value, flag = reconstruct(f1[i].item(), f2[i].item(), f3[i].item(), e_ref, t, mode)
+            assert value.shape == flag.shape == ()
+            np.testing.assert_array_equal(_bits(value), _bits(expected[i]))
+            assert bool(flag) == flags[i]
 
 
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
@@ -340,6 +376,76 @@ def test_noiseless_pool_matches_former_draw(seed):
     assert np.array_equal(samples, below)
     for u in on_steps:
         assert samples[pool.uniforms == u][0] == np.flatnonzero(cdf == u)[-1] + 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_mask_matches_samples(seed):
+    # a pool's zero mask is samples() == 0 without the search: a uniform
+    # exactly at cdf[0] draws index 1 and the float below it index 0; every
+    # third state has no |0..0> amplitude, so cdf[0] = 0 and no shot draws it
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(1, 7))
+    npass = _Pass([])
+    npass.state = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    if seed % 3 == 0:
+        npass.state[0] = 0.0
+    c0 = npass.cdf[0]
+    edges = [c0, c0, np.nextafter(c0, 0.0), np.nextafter(c0, 1.0), 0.0]
+    uniforms = gen.permutation(np.concatenate([gen.random(200), edges]))
+    pool = _Pool(npass, uniforms)
+    zeros, samples = pool.zeros(), pool.samples()
+    assert zeros.dtype == bool and np.array_equal(zeros, samples == 0)
+    assert (samples[uniforms == c0] == 1).all()
+    assert zeros[uniforms == np.nextafter(c0, 0.0)].all() == (c0 > 0)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+def test_noisy_zero_mask_matches_samples(problem, p):
+    # an erring shot's entry is its own sample == 0, whatever its uniform
+    # says against the noiseless cdf[0]; at p = 0.05 some shots err and some
+    # do not, and some erring shots' entries differ from the uniform's
+    _, ham, prep = problem
+    circuits = _MirrorCircuits(prep, make_evolver("floquet", ham))
+    evolution = circuits.evolver.gates(2 * DT)
+    pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, None)), 60, p,
+                         _StreamOpener(4), (i,))
+             for i in range(3)]
+    _evolve_passes([pool.npass for pool in pools],
+                   [shot for pool in pools for shot in pool.shots], prep.n_sites)
+    overridden = 0
+    for pool in pools:
+        assert pool.shots
+        assert np.array_equal(pool.zeros(), pool.samples() == 0)
+        by_uniform = pool.uniforms[pool.erring] < pool.npass.cdf[0]
+        overridden += np.count_nonzero(by_uniform != [s.sample == 0 for s in pool.shots])
+    assert overridden > 0
+    if p == 0.05:
+        assert all(len(pool.shots) < 60 for pool in pools)
+
+
+@pytest.mark.parametrize("mode", ["f1_sqrt", "eq19"])
+def test_cell_estimate_flags_phase_degenerate(problem, mode):
+    # F1 draws |0..0> on every shot, F2 and F3 on half of theirs, so the raw
+    # value 2 F2 - (F1 + 1)/2 + i (2 F3 - (F1 + 1)/2) is 0: under f1_sqrt it
+    # has no phase, and the cell keeps the magnitude sqrt(F1)
+    _, ham, prep = problem
+    circuits = _MirrorCircuits(prep, ExactEvolver(ham))
+
+    def pool(zero_weight, uniforms):
+        npass = _Pass([])
+        npass.state = np.sqrt([zero_weight, 1.0 - zero_weight]).astype(complex)
+        return _Pool(npass, np.array(uniforms))
+
+    est = _cell_estimate(circuits, DT, None,
+                         [[pool(1.0, [0.1, 0.6, 0.9])],
+                          [pool(0.5, [0.2, 0.7]), pool(0.5, [0.4, 0.9])],
+                          [pool(0.5, [0.3, 0.3, 0.8, 0.6])]], mode)
+    assert est.fractions == (1.0, 0.5, 0.5)
+    assert type(est.value) is complex
+    if mode == "f1_sqrt":
+        assert est.value == 1 + 0j and est.flags == ("phase_degenerate",)
+    else:
+        assert est.value == 0 and est.flags == ()
 
 
 def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream):

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rng_stream
+from oracles import all_zero_fraction, rng_stream
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
 from starkrylov.prep import MAPPER_MATRIX, pinwheel
 from starkrylov.statevec import (
     GateOp,
     _StreamOpener,
-    all_zero_fraction,
     apply_circuit,
     apply_gate_amps,
     cnot_gate,
