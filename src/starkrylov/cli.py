@@ -43,7 +43,6 @@ from . import krylov, magnet, mirror
 from .config import ConfigError, RunConfig
 from .hamiltonian import SpinHamiltonian
 from .lattice import build_star
-from .prep import reference_superposition
 
 
 class NumericalFailure(RuntimeError):
@@ -261,10 +260,6 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
 def cmd_allocation(cfg: RunConfig, out: Path) -> None:
     star, ham = _build_problem(cfg)
     prep = cfg.initial_prep(star)
-    try:  # the study's fractions assume the reference superposition exists
-        reference_superposition(prep, 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     spec = cfg.allocation
     times = [(k + 1) * cfg.dt for k in range(spec.n_times)]
     rows = mirror.allocation_study(prep, ham, times, spec.m_totals, spec.f1_grid,
@@ -339,7 +334,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.validate()
+        cfg.validate(args.command)
         out = args.out
         try:
             out.mkdir(parents=True, exist_ok=True)

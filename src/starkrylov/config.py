@@ -175,13 +175,15 @@ class RunConfig:
                 3 * self.allocation.n_times * self.allocation.realizations,
         }
 
-    def validate(self) -> None:
+    def validate(self, command: str | None = None) -> None:
         """Check everything a command builds from the config, before any ED.
 
         Thresholds (``deltas``, ``magnet.delta``) must pass
         ``krylov.check_deltas`` (the ``krylov`` module docstring says why), and
         no array of ``largest_arrays`` may exceed ``MAX_ELEMENTS``; that is
-        checked before any star or Hamiltonian is built.
+        checked before any star or Hamiltonian is built.  The initial state's
+        reference superposition must exist for ``shots`` and for the
+        ``allocation`` study, whose fractions are the mirror circuits'.
         Configs built in Python are re-parsed first, so they get the type
         checks of ``from_dict``."""
         _parse(type(self), asdict(self), "")
@@ -216,10 +218,10 @@ class RunConfig:
             if self.shots is None and (noise.p_pauli > 0 or noise.enable_postselect
                                        or noise.enable_twirl):
                 raise ValueError("noise.p_pauli > 0, post-selection and twirl need shots")
-            if self.shots is not None:  # the mirror circuits' own checks
+            if self.shots is not None or command == "allocation":
                 reference_superposition(prep, 1)
-                if noise.enable_postselect:
-                    postselect_f1(np.zeros(0, dtype=np.int64), prep.dimer_pairs, star.n_sites)
+            if self.shots is not None and noise.enable_postselect:
+                postselect_f1(np.zeros(0, dtype=np.int64), prep.dimer_pairs, star.n_sites)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:  # magnetization solves exact unitary series at h = 0

@@ -21,9 +21,9 @@ eigenvectors conj(v) through v (its projection is v^T, its evolution conj(v)
 applied where it is used).  Spectra, evolution and overlap series all go
 through the blocks, whose eigenvectors stay in block form.  The exact overlap
 series releases each sector's eigenvector arrays before it builds the
-sector's (times x eigenvalues) phase matrix; a released sector keeps its
-eigenvalues and is decomposed again, by the same ``eigh`` calls, when its
-eigenvectors are next read.
+sector's phase matrix, the exact path's one memory bound; a released sector
+keeps its eigenvalues and index arrays and is decomposed again, by the same
+``eigh`` calls, when its eigenvectors are next read.
 """
 from __future__ import annotations
 
@@ -33,8 +33,6 @@ from functools import lru_cache
 import numpy as np
 
 from .statevec import MAX_QUBITS as QUBIT_CAP
-
-_PHASE_ROWS = 64  # rows of the spectral sum's phase matrix per float outer product
 
 
 @lru_cache(maxsize=None)
@@ -212,10 +210,10 @@ class SpinHamiltonian:
         one matrix product per S^z sector that ``vec`` touches, so no state
         is evolved.  Each sector is first reduced to its eigenvalues and
         weights, and its eigenvector arrays are released; only then is each
-        sector's (times x eigenvalues) phase matrix filled, ``_PHASE_ROWS``
-        rows at a time, and exponentiated in place, so no eigenvector is
-        alive beside it.  The product stays one call, since a product split
-        into row blocks need not round the same.
+        sector's (times x eigenvalues) phase matrix written, once, as -t E_i
+        into the imaginary view of a complex zero array and exponentiated in
+        place.  The product stays one call, since a product split into row
+        blocks need not round the same.
         """
         times = np.asarray(times, dtype=float)
         spectra = []
@@ -225,10 +223,8 @@ class SpinHamiltonian:
             sec.release()
         out = np.zeros(times.shape, dtype=complex)
         for w, weights in spectra:
-            phases = np.empty((len(times), len(w)), dtype=complex)
-            for i in range(0, len(times), _PHASE_ROWS):
-                rows = slice(i, i + _PHASE_ROWS)
-                np.multiply(-1j, np.outer(times[rows], w), out=phases[rows])
+            phases = np.zeros((len(times), len(w)), dtype=complex)
+            np.outer(-times, w, out=phases.imag)
             out += np.exp(phases, out=phases) @ weights
         return out
 

@@ -3,7 +3,8 @@
 Each S^z sector's ground energy varies linearly with the field,
 E_S(h) = E_S - h S, so the curve is the lower envelope of those lines over
 h >= 0: plateaus of constant magnetization separated by crossing fields
-h = (E_S' - E_S)/(S' - S).  ``cli`` writes the curves and sector energies.
+h = (E_S' - E_S)/(S' - S).  ``estimate_sector_energies`` reads every sector
+from one h = 0 Hamiltonian; ``cli`` writes the curves and sector energies.
 """
 from __future__ import annotations
 
@@ -89,20 +90,6 @@ def sector_series(ham, sz: int, dt: float, n_steps: int, sz0_cz_bonds=None):
     return overlap_series_exact(prep.state(), ExactEvolver(ham), dt, n_steps)
 
 
-def _sector_exact(lattice, sz: int, dt: float, n_steps: int, sz0_cz_bonds):
-    """(``sector_series``, ED ground energy) of sector ``sz`` on an h = 0
-    Hamiltonian of its own, whose sector blocks die on return; ``dt`` is
-    checked against its admissibility bound before any ED."""
-    ham = SpinHamiltonian(lattice)
-    ham.check_time_step(dt)
-    # series first: its spectral sum releases the sector's eigenvectors and
-    # the energy is read from the eigenvalues kept.  Either order has the same
-    # tracemalloc peak; the 39.6 against 39.3 MB peak RSS once measured on
-    # magnet12 is within the 0.45 MB heap-layout flips of that metric
-    return (sector_series(ham, sz, dt, n_steps, sz0_cz_bonds),
-            ham.ground_state_energy(sector=float(sz)))
-
-
 def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None = None,
                              n_steps: int | None = None, dt: float | None = None,
                              sz0_cz_bonds=None):
@@ -110,14 +97,14 @@ def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None
     on ``lattice``.
 
     ``delta``, ``n_steps`` and ``dt`` default to
-    ``sector_solver_settings(lattice)``.  Each sector's blocks live on an
-    h = 0 Hamiltonian of their own (``_sector_exact``): one sector's blocks
-    are alive at a time, and they are dropped before that sector's sweep.
-    Returns (energies, meta); ``meta[sz]`` holds ``exact``, the sector's ED
-    ground energy (the one ``cli`` writes), the estimate's error against it,
-    its retained rank and flags, and ``converged``: an error above 1e-3
-    marks the sector unconverged, whether the solver settled on an excited
-    level or is still drifting.
+    ``sector_solver_settings(lattice)``; ``dt`` is checked before any ED.  One
+    h = 0 Hamiltonian serves every sector, series before ED energy: the series
+    releases the sector's eigenvectors, so one sector's are alive at a time
+    and none at a sweep.  Returns (energies, meta); ``meta[sz]`` holds
+    ``exact``, the sector's ED ground energy (the one ``cli`` writes), the
+    estimate's error against it, its retained rank and flags, and
+    ``converged``: an error above 1e-3 marks the sector unconverged, whether
+    the solver settled on an excited level or is still drifting.
     """
     krylov.solver_spec(method)  # an unknown or Floquet-only solver fails before any ED
     settings = sector_solver_settings(lattice)
@@ -125,10 +112,12 @@ def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None
     krylov.check_deltas([delta], "delta")  # so does a threshold out of range
     n_steps = settings["n_steps"] if n_steps is None else n_steps
     dt = settings["dt"] if dt is None else dt
-    energies: dict[int, float] = {}
-    meta: dict[int, dict] = {}
+    ham = SpinHamiltonian(lattice)
+    ham.check_time_step(dt)
+    energies, meta = {}, {}
     for sz in range(lattice.n_triangles + 1):
-        series, e_exact = _sector_exact(lattice, sz, dt, n_steps, sz0_cz_bonds)
+        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        e_exact = ham.ground_state_energy(sector=float(sz))
         estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
         error = abs(estimate.energy - e_exact)
         energies[sz] = estimate.energy

@@ -414,21 +414,21 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
                           [shots[k] for k in members])
 
 
-def _estimate_cells(circuits: _MirrorCircuits, t, cells, plan: ShotPlan, streams,
-                    magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
+def _estimate_cells(circuits: _MirrorCircuits, t, evolution: list, cells, plan: ShotPlan,
+                    streams, magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
     """The estimation cells at time t, one per (stream, noise) pair of
     ``cells``: a realization of a series step or a mitigation mode of an
     ablation step.  Pool 0 of each circuit runs without the twirl layer and
     pool 1 with it; circuit i's pool p draws from the stream (*stream, i, p),
     or, noisy, shot j from (*stream, i, p, j).
 
-    The evolver's gate list and each pass, one per (circuit, twirl) that a
-    pool runs, are built once.  Pools run in three phases: every pool draws
-    its uniforms when it is built (``_Pool``, ``_noisy_pool``); the passes
-    evolve their noiseless states and erring shots in batches
-    (``_evolve_passes``); then every pool reads its samples by inverse CDF.
+    Each pass, one per (circuit, twirl) that a pool runs, is built once on
+    ``evolution``, the caller's gate list of W(t).  Pools run in three phases:
+    every pool draws its uniforms when it is built (``_Pool``,
+    ``_noisy_pool``); the passes evolve their noiseless states and erring
+    shots in batches (``_evolve_passes``); then every pool reads its samples
+    by inverse CDF.
     """
-    evolution = circuits.evolver.gates(t)
     passes: dict = {}  # (circuit, twirl angle) -> _Pass
 
     def npass(i, angle):
@@ -540,7 +540,8 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, dt: float,
         out: list[list[OverlapEstimate]] = [[] for _ in realizations]
         for k in range(sign, sign * (kmax + 1), sign):
             cells = [((r, k), noise) for r in realizations]
-            ests = _estimate_cells(circuits, k * dt, cells, plan, streams, magnitude_source)
+            ests = _estimate_cells(circuits, k * dt, circuits.evolver.gates(k * dt), cells,
+                                   plan, streams, magnitude_source)
             for r, est, estimates in zip(realizations, ests, out):
                 if est.value is None:
                     raise EstimateUndefined(
@@ -611,20 +612,23 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
 
     Uses the single-step evolver (the hardware-style circuit) and compares
     noisy sampled fractions and overlaps against each step's exact overlap
-    (``exact_overlaps``) and its fractions (``mirror_fractions``).
+    and its fractions (``mirror_fractions``); the exact overlap, psi0 evolved
+    through the step's gates, and the four mode cells read one gate list.
     Returns rows (t, mode, f1_err, f2_err, f3_err, overlap_err).
     """
     circuits = _MirrorCircuits(psi0_prep, GateEvolver(ham))
     streams = _StreamOpener(seed)
     specs = [replace(noise, enable_postselect=mode in ("postselect", "both"),
                      enable_twirl=mode in ("twirl", "both")) for mode in MITIGATION_MODES]
-    times = [k * dt for k in range(1, kmax + 1)]
-    values = exact_overlaps(psi0_prep.state(), circuits.evolver, times).tolist()
+    psi0 = psi0_prep.state()
     e_ref = ham.reference_energy()
     rows = []
-    for k, t, value in zip(range(1, kmax + 1), times, values):
+    for k in range(1, kmax + 1):
+        t = k * dt
+        evolution = circuits.evolver.gates(t)
+        value = complex(np.vdot(psi0, apply_circuit(psi0, evolution)))
         cells = [((k, m), spec) for m, spec in enumerate(specs)]
-        ests = _estimate_cells(circuits, t, cells, plan, streams, magnitude_source)
+        ests = _estimate_cells(circuits, t, evolution, cells, plan, streams, magnitude_source)
         fractions = mirror_fractions(value, e_ref, t)
         for mode, est in zip(MITIGATION_MODES, ests):
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")

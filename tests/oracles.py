@@ -3,8 +3,8 @@ spectrum with its eigenvectors unfolded from the momentum blocks, the
 momentum blocks with an eigenvector array of their own each and the block
 projections, evolution and one-shot spectral sum on them (the former block
 storage and spectral sum of ``SpinHamiltonian``), the spectral sum that
-keeps each sector's eigenvectors beside its phase matrix (the former
-``autocorrelation``), the full
+keeps each sector's eigenvectors beside its phase matrix, filled
+``_PHASE_ROWS`` rows at a time (the former ``autocorrelation``), the full
 S^z sector blocks of a ``SpinHamiltonian`` built by bitwise accumulation, the
 2^n matrix, products with it, the ground-subspace weight of a state, the
 single-cell Krylov solvers that keep each estimate's eigenvalue and Ritz
@@ -16,8 +16,9 @@ picked from one eigenvalue row (the sweep's former per-row pick), the overlaps o
 that Ritz vector with the exact eigenstates, kagome patches, the
 bond-by-bond Trotter scheme, analytic CNOT counts per Trotter step,
 predicted step counts, the magnetization M(h) read off a curve, the sector
-energies from one shared Hamiltonian (the flow the one-pass estimate
-replaced), and the
+energies from one shared Hamiltonian with every ED first (the flow the
+one-pass estimate replaced) and from one Hamiltonian per sector (the former
+one-pass estimate), and the
 mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
 overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
 at a time, their all-zero probabilities, the all-zero share of samples
@@ -36,7 +37,7 @@ from math import ceil, log
 import numpy as np
 
 from starkrylov import krylov, mirror
-from starkrylov.hamiltonian import _PHASE_ROWS
+from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.magnet import sector_series, sector_solver_settings
 from starkrylov.mirror import _estimate_cells, _MirrorCircuits
 from starkrylov.noise import PAULI_NAMES, twirl_layer
@@ -121,6 +122,9 @@ def spectral_sum(ham, vec: np.ndarray, times) -> np.ndarray:
         weights = np.abs(np.concatenate(coeffs)) ** 2
         out += np.exp(-1j * np.outer(times, w)) @ weights
     return out
+
+
+_PHASE_ROWS = 64  # rows of the former phase-matrix fill per float outer product
 
 
 def held_autocorrelation(ham, vec: np.ndarray, times) -> np.ndarray:
@@ -547,6 +551,30 @@ def shared_sector_energies(ham, method: str = "uvqpe", delta=None, n_steps=None,
     return ed, energies, meta
 
 
+def per_sector_energies(lattice, method: str = "uvqpe", delta=None, n_steps=None, dt=None,
+                        sz0_cz_bonds=None):
+    """The former pass of ``magnet.estimate_sector_energies``: each sector's
+    series and then its ED ground energy on an h = 0 Hamiltonian of its own,
+    whose ``dt`` is checked before its ED, then the sector's sweep.
+    Returns (energies, meta)."""
+    settings = sector_solver_settings(lattice)
+    delta = settings["delta"] if delta is None else delta
+    n_steps = settings["n_steps"] if n_steps is None else n_steps
+    dt = settings["dt"] if dt is None else dt
+    energies, meta = {}, {}
+    for sz in range(lattice.n_triangles + 1):
+        ham = SpinHamiltonian(lattice)
+        ham.check_time_step(dt)
+        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        e_exact = ham.ground_state_energy(sector=float(sz))
+        estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
+        error = abs(estimate.energy - e_exact)
+        energies[sz] = estimate.energy
+        meta[sz] = {"converged": error <= 1e-3, "exact": e_exact, "final_error": error,
+                    "retained_rank": estimate.retained_rank, "flags": estimate.flags}
+    return energies, meta
+
+
 # -- mirror circuits ---------------------------------------------------------------
 
 def evolve(evolver, amps: np.ndarray, t: float) -> np.ndarray:
@@ -647,8 +675,8 @@ def estimate_overlap(psi0_prep, evolver, t: float, plan, seed: int, stream=(0,),
     index, realization, ...); all randomness is a pure function of
     (seed, stream, circuit, shot), so cells can run in any order.
     """
-    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), t, [(stream, noise)],
-                                 plan, _StreamOpener(seed), magnitude_source)
+    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), t, evolver.gates(t),
+                                 [(stream, noise)], plan, _StreamOpener(seed), magnitude_source)
     return estimate
 
 

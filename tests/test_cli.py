@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -309,6 +310,29 @@ def test_bench_tracer_installs_against_src():
     ]), os.environ.get("OPENBLAS_NUM_THREADS"))
 
 
+def test_bench_tracer_names_exist_in_src():
+    """The names bench/tracer.py reads, taken from the file itself and with no
+    scipy: ``import starkrylov.cli`` loads every module of its ``LAYERS``, and
+    every attribute path of ``COUNTED_ONLY`` resolves, so a rename in the
+    package fails here and not first in the benchmark's traced run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    loaded = json.loads(_fresh_interpreter(
+        "import json, sys, starkrylov.cli; print(json.dumps(sorted(sys.modules)))",
+        os.environ.get("OPENBLAS_NUM_THREADS")))
+    assert {f"starkrylov.{layer}" for layer in tracer.LAYERS} <= set(loaded)
+    assert {"krylov.OverlapSeries.value", "statevec.GateOp.__post_init__"} <= set(
+        tracer.COUNTED_ONLY)
+    for path in tracer.COUNTED_ONLY:
+        layer, *attrs = path.split(".")
+        obj = importlib.import_module(f"starkrylov.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), path
+
+
 def test_commands_run_without_scipy(tmp_path):
     """numpy is the only runtime dependency: spectrum and a short converge
     exit 0 in an interpreter where importing scipy fails."""
@@ -566,15 +590,33 @@ def test_allocation_small(tmp_path):
 @pytest.mark.parametrize("n_triangles, sz", [(4, 4), (6, 6)])
 def test_allocation_from_state_without_dimers_exits_2(tmp_path, capsys, n_triangles, sz):
     # the study's fractions assume the reference superposition, and the
-    # all-up sector state has no dimer to build it from; validate passes it,
-    # since an exact converge run from that state is valid
+    # all-up sector state has no dimer to build it from; validate passes it
+    # for other commands, since an exact converge run from that state is valid
     initial = {"kind": "sector", "sz": sz}
     RunConfig(n_triangles=n_triangles, initial=InitialStateSpec(**initial)).validate()
     assert run(tmp_path, "allocation", {"n_triangles": n_triangles, "initial": initial}) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (tmp_path / "out" / "allocation.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_allocation_without_dimers_refused_before_output(tmp_path, capsys, monkeypatch):
+    # validate refuses the state for the allocation study only, before main
+    # creates --out or writes run_config.json, and before any Hamiltonian
+    cfg = RunConfig(initial=InitialStateSpec(kind="sector", sz=4))
+    for command in (None, "spectrum", "overlaps", "converge", "magnetization"):
+        cfg.validate(command)
+    with pytest.raises(ConfigError, match="dimer"):
+        cfg.validate("allocation")
+
+    def no_hamiltonian(*args, **kwargs):
+        raise AssertionError("SpinHamiltonian built")
+
+    monkeypatch.setattr(cli, "SpinHamiltonian", no_hamiltonian)
+    assert run(tmp_path, "allocation", {"initial": {"kind": "sector", "sz": 4}}) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("grid, best", [([1.0, 0.5], 0.5), ([0.0, 0.5], 0.5), ([1.0], None)])

@@ -363,9 +363,9 @@ def test_conjugate_blocks_share_one_array(n_tri, h):
 
 @pytest.mark.parametrize("n_tri", [4, 6])
 def test_spectral_sum_matches_one_shot_reference(n_tri):
-    """The phase matrix filled in row blocks and exponentiated in place sums
-    to the same bits as the one-shot exp(-i outer(times, w)) @ weights, at
-    time counts on both sides of the fill block's edges."""
+    """The phase matrix written into a complex zero array's imaginary view
+    and exponentiated in place sums to the same bits as the one-shot
+    exp(-i outer(times, w)) @ weights, at time counts from 1 to 151."""
     star = build_star(n_tri)
     ham = SpinHamiltonian(star)
     states = {"sector_sz1": sector_initial(star, 1).state(),
@@ -403,13 +403,38 @@ def test_autocorrelation_matches_held_eigenvector_path(n_tri, h):
         assert np.array_equal(_bits(ham.autocorrelation(psi, times)), expected), name
 
 
+# signed zeros, subnormals of both signs, the smallest normal, and ordinary
+# times of both signs: 2 + 4 + 1 + 141 rows, past two of the former fill's
+# 64-row blocks
+EDGE_TIMES = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
+                              np.finfo(float).tiny], np.arange(-70, 71) * 0.17])
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+@pytest.mark.parametrize("h", [0.0, 0.5])
+def test_autocorrelation_bytes_match_former_fill(n_tri, h):
+    """The phase matrix written once, as -t E into the imaginary view of a
+    complex zero array, gives the bytes of the former fill, -1j times the
+    float outer product in 64-row blocks (``held_autocorrelation``): both
+    have +0 real parts and -(t E) imaginary parts, signed zeros included."""
+    star = build_star(n_tri)
+    states = {"sector_sz1": sector_initial(star, 1).state(),
+              "dressed": dressed_initial(star).state(),
+              "random": _random_state(star.n_sites, 3)}
+    for name, psi in states.items():
+        found = SpinHamiltonian(star, h_field=h).autocorrelation(psi, EDGE_TIMES)
+        expected = held_autocorrelation(SpinHamiltonian(star, h_field=h), psi, EDGE_TIMES)
+        assert found.tobytes() == expected.tobytes(), name
+
+
 def test_magnetization_sector_series_match_held_eigenvector_path(monkeypatch):
-    # the 7 sector series of the 12-spin magnetization run, each on a
-    # Hamiltonian of its own as the command builds them
+    # the 7 sector series of the 12-spin magnetization run, all on one
+    # Hamiltonian as the command builds them
     star = build_star(6)
     settings = sector_solver_settings(star)
     args = settings["dt"], settings["n_steps"]
-    found = [sector_series(SpinHamiltonian(star), sz, *args).values for sz in range(7)]
+    ham = SpinHamiltonian(star)
+    found = [sector_series(ham, sz, *args).values for sz in range(7)]
     monkeypatch.setattr(SpinHamiltonian, "autocorrelation", held_autocorrelation)
     for sz, values in enumerate(found):
         expected = sector_series(SpinHamiltonian(star), sz, *args).values

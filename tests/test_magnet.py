@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import magnetization, shared_sector_energies, sweep_cell
-from starkrylov import hamiltonian, krylov
+from oracles import magnetization, per_sector_energies, shared_sector_energies, sweep_cell
+from starkrylov import hamiltonian, krylov, magnet
 from starkrylov.cli import _write_curve, _write_sectors, main
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
@@ -221,12 +221,44 @@ def test_cli_ed_files_match_shared_hamiltonian(tmp_path):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+@pytest.mark.parametrize("method", ["uvqpe", "odmd"])
+@pytest.mark.parametrize("n_tri", [4, 6])
+def test_one_hamiltonian_matches_hamiltonian_per_sector(n_tri, method, monkeypatch):
+    # reference: the former pass, each sector's series and ED energy on an
+    # h = 0 Hamiltonian of its own; the pass builds one Hamiltonian in all
+    star = build_star(n_tri)
+    ref_energies, ref_meta = per_sector_energies(star, method)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return SpinHamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(magnet, "SpinHamiltonian", counted)
+    energies, meta = estimate_sector_energies(star, method)
+    assert energies == ref_energies
+    assert meta == ref_meta
+    assert built == [(star,)]
+
+
+def _run_magnetization_12(entry, tmp_path):
+    if entry == "estimate":
+        estimate_sector_energies(build_star(6))
+    else:  # the command makes no ED call beside the estimate's
+        (tmp_path / "config.json").write_text('{"n_triangles": 6}')
+        main(["magnetization", "--config", str(tmp_path / "config.json"),
+              "--out", str(tmp_path / "out")])
+
+
 @pytest.mark.parametrize("entry", ["estimate", "cli"])
 def test_one_sector_blocks_alive_at_a_time(entry, tmp_path, monkeypatch):
-    # every _SectorBlocks registers a weak reference; with the collector off,
-    # a sector's blocks must die by reference count before the next sector's
-    # are built and before its own sweep starts
-    refs, alive_at_build, alive_at_sweep = [], [], []
+    # every _SectorBlocks registers weak references to its eigenvector
+    # arrays; with the collector off, no earlier sector's array may be alive
+    # when a sector's blocks are built, and none at any sweep.  The released
+    # sectors that the one Hamiltonian keeps hold their eigenvalues and index
+    # arrays only: at most 48 bytes per basis state beside the N x N table
+    # omega (the 924-state sector's eigenvectors take about 1.6 kB per state)
+    refs, alive_at_build, alive_at_sweep, sectors = [], [], [], []
 
     def alive():
         return sum(ref() is not None for ref in refs)
@@ -234,8 +266,9 @@ def test_one_sector_blocks_alive_at_a_time(entry, tmp_path, monkeypatch):
     class Tracked(hamiltonian._SectorBlocks):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            refs.append(weakref.ref(self))
             alive_at_build.append(alive())
+            refs.extend(weakref.ref(v) for *_, v, _ in self.blocks)
+            sectors.append(self)
 
     sweep = krylov.sweep
 
@@ -247,25 +280,29 @@ def test_one_sector_blocks_alive_at_a_time(entry, tmp_path, monkeypatch):
     monkeypatch.setattr(krylov, "sweep", watched_sweep)
     gc.disable()
     try:
-        if entry == "estimate":
-            estimate_sector_energies(build_star(6))
-        else:  # the command makes no ED call beside the estimate's
-            (tmp_path / "config.json").write_text('{"n_triangles": 6}')
-            main(["magnetization", "--config", str(tmp_path / "config.json"),
-                  "--out", str(tmp_path / "out")])
+        _run_magnetization_12(entry, tmp_path)
     finally:
         gc.enable()
-    assert alive_at_build == [1] * 7
+    assert alive_at_build == [0] * 7
     assert alive_at_sweep == [0] * 7
+    assert sorted(len(sec.energies) for sec in sectors) == sorted(
+        math.comb(12, k) for k in range(7))
+    for sec in sectors:
+        assert all(v is None for *_, v, _ in sec.blocks)
+        kept = {id(a): a for a in (sec.orbit, sec.shift, sec.scale, sec.energies)}
+        kept.update((id(a), a) for _, keep, w, _, _ in sec.blocks for a in (keep, w))
+        assert sum(a.nbytes for a in kept.values()) <= 48 * len(sec.energies)
 
 
 @pytest.mark.parametrize("entry", ["estimate", "cli"])
 def test_no_eigenvector_alive_beside_phase_matrix(entry, tmp_path, monkeypatch):
     # every eigenvector array that _sector_eig returns registers a weak
     # reference; with the collector off, none may be alive when the spectral
-    # sum allocates a sector's phase matrix (its one np.empty call)
+    # sum allocates a sector's phase matrix, its one np.zeros call of shape
+    # (times, sector dimension)
     refs, alive_at_phases = [], []
     sector_eig = SpinHamiltonian._sector_eig
+    n_times = sector_solver_settings(build_star(6))["n_steps"]
 
     def tracked(self, *args, **kwargs):
         sec = sector_eig(self, *args, **kwargs)
@@ -276,24 +313,21 @@ def test_no_eigenvector_alive_beside_phase_matrix(entry, tmp_path, monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def empty(self, *args, **kwargs):
-            alive_at_phases.append(sum(ref() is not None for ref in refs))
-            return np.empty(*args, **kwargs)
+        def zeros(self, shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 2 and shape[0] == n_times:
+                alive_at_phases.append((shape[1], sum(ref() is not None for ref in refs)))
+            return np.zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(SpinHamiltonian, "_sector_eig", tracked)
     monkeypatch.setattr(hamiltonian, "np", WatchedNumpy())
     gc.disable()
     try:
-        if entry == "estimate":
-            estimate_sector_energies(build_star(6))
-        else:
-            (tmp_path / "config.json").write_text('{"n_triangles": 6}')
-            main(["magnetization", "--config", str(tmp_path / "config.json"),
-                  "--out", str(tmp_path / "out")])
+        _run_magnetization_12(entry, tmp_path)
     finally:
         gc.enable()
     assert len(refs) >= 7
-    assert alive_at_phases == [0] * 7
+    # S^z = 0 .. 6: sector dimensions C(12, 6 - S^z)
+    assert alive_at_phases == [(math.comb(12, 6 - sz), 0) for sz in range(7)]
 
 
 def test_unconverged_sector_flagged():

@@ -521,12 +521,12 @@ def test_batched_cells_match_cells_alone(problem, kind):
                               enable_twirl=mode in ("twirl", "both")))
              for m, mode in enumerate(MITIGATION_MODES)]
     for cells in (realizations, modes):
-        batched = _estimate_cells(_MirrorCircuits(prep, ev), t, cells, plan,
+        batched = _estimate_cells(_MirrorCircuits(prep, ev), t, ev.gates(t), cells, plan,
                                   _StreamOpener(5), "f1_sqrt")
         assert len(batched) == len(cells)
         for (stream, spec), est in zip(cells, batched):
-            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), t, [(stream, spec)],
-                                      plan, _StreamOpener(5), "f1_sqrt")
+            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), t, ev.gates(t),
+                                      [(stream, spec)], plan, _StreamOpener(5), "f1_sqrt")
             assert est == alone
             assert est.fractions == _noisy_cell_reference(prep, ev, t, plan, 5, stream, spec)
 
@@ -551,6 +551,23 @@ def test_ablation_matches_per_mode_estimates(problem):
             expected.append((t, mode, *(abs(f - fx) for f, fx in zip(est.fractions, exact_f)),
                              abs(est.value - o_exact)))
     assert mitigation_ablation(prep, ham, DT, 3, plan, noise, seed=4) == expected
+
+
+def test_ablation_builds_each_step_gates_once(problem, monkeypatch):
+    # the exact reference and the four mode cells of a step read one gate
+    # list: one gates(t) call per step (test_ablation_matches_per_mode_estimates
+    # checks the rows)
+    _, ham, prep = problem
+    calls = []
+    gates = GateEvolver.gates
+
+    def counted(self, t):
+        calls.append(t)
+        return gates(self, t)
+
+    monkeypatch.setattr(GateEvolver, "gates", counted)
+    mitigation_ablation(prep, ham, DT, 3, ShotPlan(60), NoiseSpec(p_pauli=0.02), seed=4)
+    assert calls == [k * DT for k in (1, 2, 3)]
 
 
 def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
@@ -660,7 +677,8 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
         modes = [((k, m), replace(noise, enable_postselect=mode in ("postselect", "both"),
                                   enable_twirl=mode in ("twirl", "both")))
                  for m, mode in enumerate(MITIGATION_MODES)]
-        recorded_estimate(circuits, k * DT, modes, plan, _StreamOpener(4))
+        recorded_estimate(circuits, k * DT, circuits.evolver.gates(k * DT), modes, plan,
+                          _StreamOpener(4))
     assert steps[3:] == ablation_steps and [e for e, _ in ablation_steps] == [1, 1, 1]
     evolved.clear()
     pools.clear()
