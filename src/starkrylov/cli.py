@@ -14,11 +14,14 @@ A process that imports this module before numpy (``python -m starkrylov.cli``,
 the ``starkrylov`` script) starts OpenBLAS with one thread, so it never spawns
 the thread pool that ``main`` would leave idle.  ``OPENBLAS_NUM_THREADS`` is
 set only while numpy loads, and only when unset, so a count the user chose is
-kept and child processes see the environment unchanged.
+kept and child processes see the environment unchanged.  Such a process ends
+``main`` with ``gc.freeze()``, so the garbage collections at its exit skip
+the run's objects.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -26,7 +29,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-_ONE_THREAD_START = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+_FRESH_PROCESS = "numpy" not in sys.modules
+_ONE_THREAD_START = _FRESH_PROCESS and "OPENBLAS_NUM_THREADS" not in os.environ
 if _ONE_THREAD_START:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402  (OpenBLAS reads its thread count on load)
@@ -40,9 +44,7 @@ import csv  # noqa: E402
 import io  # noqa: E402
 
 from . import krylov, magnet, mirror
-from .config import ConfigError, RunConfig
-from .hamiltonian import SpinHamiltonian
-from .lattice import build_star
+from .config import Build, ConfigError, RunConfig
 
 
 class NumericalFailure(RuntimeError):
@@ -69,22 +71,17 @@ def _cell(value, spec: str) -> str:
     return format(value, spec)
 
 
-def _build_problem(cfg: RunConfig):
-    star = build_star(cfg.n_triangles)
-    return star, SpinHamiltonian(star, cfg.h_field)
-
-
-def _series_for(cfg: RunConfig, star, ham):
-    """One (series, estimates) pair per realization; the exact series has no
-    estimates and stands for every realization."""
-    prep = cfg.initial_prep(star)
-    evolver = mirror.make_evolver(cfg.evolver, ham, dt_step=cfg.dt,
+def _series_for(cfg: RunConfig, build: Build):
+    """One (series, estimates) pair per distinct series of the run: a sampled
+    series per realization, or the one exact series, which has no estimates
+    and stands for every realization."""
+    evolver = mirror.make_evolver(cfg.evolver, build.ham, dt_step=cfg.dt,
                                   reverse_groups=cfg.reverse_trotter_groups)
     if cfg.shots is None:
-        series = mirror.overlap_series_exact(prep.state(), evolver, cfg.dt, cfg.steps)
-        return [(series, None)] * cfg.realizations
+        series = mirror.overlap_series_exact(build.prep.state(), evolver, cfg.dt, cfg.steps)
+        return [(series, None)]
     return mirror.overlap_series_sampled(
-        prep, evolver, cfg.dt, cfg.steps, cfg.shots, cfg.seed,
+        build.prep, evolver, cfg.dt, cfg.steps, cfg.shots, cfg.seed,
         noise=cfg.noise, realizations=range(cfg.realizations),
         magnitude_source=cfg.magnitude_source)
 
@@ -97,8 +94,8 @@ def _solver_steps(cfg: RunConfig, solver: str) -> range:
     return range(first, cfg.steps + 1)
 
 
-def cmd_spectrum(cfg: RunConfig, out: Path) -> None:
-    star, ham = _build_problem(cfg)
+def cmd_spectrum(cfg: RunConfig, build: Build, out: Path) -> None:
+    star, ham, _ = build
     _write_csv(out / "spectrum.csv", ["sector", "index", "energy"],
                ([f"{sz:g}", i, f"{e:.12f}"] for sz, energies in ham.sector_spectra().items()
                 for i, e in enumerate(energies)))
@@ -134,25 +131,20 @@ def _write_ablation(path: Path, rows) -> None:
                 for t, mode, *errors in rows))
 
 
-def cmd_overlaps(cfg: RunConfig, out: Path) -> None:
-    star, ham = _build_problem(cfg)
-    if cfg.shots is None:
-        series, _ = _series_for(cfg, star, ham)[0]
-        _write_overlaps(out / "overlaps.csv", cfg.dt, series.values, None, "exact")
-        if series.neg_values is not None:
-            _write_overlaps(out / "overlaps_negative.csv", -cfg.dt, series.neg_values,
-                            None, "exact")
-        return
-    mode = "noisy" if (cfg.noise is not None and cfg.noise.p_pauli > 0) else "sampled"
-    for r, (series, estimates) in enumerate(_series_for(cfg, star, ham)):
-        name = "overlaps.csv" if cfg.realizations == 1 else f"overlaps_r{r:03d}.csv"
+def cmd_overlaps(cfg: RunConfig, build: Build, out: Path) -> None:
+    mode = ("exact" if cfg.shots is None
+            else "noisy" if cfg.noise is not None and cfg.noise.p_pauli > 0 else "sampled")
+    runs = _series_for(cfg, build)
+    for r, (series, estimates) in enumerate(runs):
+        name = "overlaps.csv" if len(runs) == 1 else f"overlaps_r{r:03d}.csv"
         _write_overlaps(out / name, cfg.dt, series.values, estimates, mode)
+        if mode == "exact" and series.neg_values is not None:
+            _write_overlaps(out / "overlaps_negative.csv", -cfg.dt, series.neg_values, None, mode)
     if mode == "noisy":
         # emulator-style ablation over at most 20 time steps (4 mitigation
         # combinations per step, each a full trajectory-sampled estimate)
-        rows = mirror.mitigation_ablation(cfg.initial_prep(star), ham, cfg.dt,
-                                          min(cfg.steps, 20), cfg.shots,
-                                          cfg.noise, cfg.seed, cfg.magnitude_source)
+        rows = mirror.mitigation_ablation(build.prep, build.ham, cfg.dt, min(cfg.steps, 20),
+                                          cfg.shots, cfg.noise, cfg.seed, cfg.magnitude_source)
         _write_ablation(out / "mitigation_ablation.csv", rows)
 
 
@@ -164,25 +156,23 @@ def _write_convergence(path: Path, rows) -> None:
                 for algorithm, delta, step, energy, error, rank in rows))
 
 
-def cmd_converge(cfg: RunConfig, out: Path) -> None:
-    star, ham = _build_problem(cfg)
+def cmd_converge(cfg: RunConfig, build: Build, out: Path) -> None:
     sector = cfg.initial.sz if cfg.initial.kind == "sector" else 0
-    e_exact = ham.ground_state_energy(sector=float(sector))
-    runs = [series for series, _ in _series_for(cfg, star, ham)]
-    distinct = {id(series): series for series in runs}  # an exact series serves every run
-    slot = {key: i for i, key in enumerate(distinct)}
+    e_exact = build.ham.ground_state_energy(sector=float(sector))
+    runs = [series for series, _ in _series_for(cfg, build)]
+    repeat = cfg.realizations // len(runs)  # the exact series' cell stands for every run
     csv_rows = []
     spread_rows = []
     summary = {}
     for solver in cfg.solvers:
-        solved = krylov.sweep(solver, list(distinct.values()), _solver_steps(cfg, solver),
+        solved = krylov.sweep(solver, runs, _solver_steps(cfg, solver),
                               cfg.deltas, tuple(cfg.eigenvalue_band), cfg.odmd_window,
                               cfg.odmd_real_part)
         for delta in cfg.deltas:
             steps_to_tol = None
             flag_counts: Counter = Counter()
             for ns in _solver_steps(cfg, solver):
-                cell = [solved[ns, delta][slot[id(series)]] for series in runs]
+                cell = solved[ns, delta] * repeat
                 flag_counts.update(flag for est in cell for flag in est.flags)
                 energies = [est.energy for est in cell]
                 mean_e = float(np.mean(energies))
@@ -222,14 +212,13 @@ def _write_curve(path: Path, curve: magnet.MagnetizationCurve) -> None:
                 for p in curve.plateaus))
 
 
-def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
-    star = build_star(cfg.n_triangles)
+def cmd_magnetization(cfg: RunConfig, build: Build, out: Path) -> None:
     spec = cfg.magnet
     # one pass over the sectors at h = 0; meta carries each sector's ED energy
     solver_energies, meta = magnet.estimate_sector_energies(
-        star, method=spec.solver, delta=spec.delta, n_steps=spec.n_steps, dt=spec.dt)
+        build.star, method=spec.solver, delta=spec.delta, n_steps=spec.n_steps, dt=spec.dt)
     ed_energies = {sz: meta[sz]["exact"] for sz in meta}
-    ed_curve = magnet.build_curve(ed_energies, star.n_sites)
+    ed_curve = magnet.build_curve(ed_energies, build.star.n_sites)
     _write_sectors(out / "sectors_ed.csv", ed_energies)
     _write_curve(out / "magnetization_ed.csv", ed_curve)
     unconverged = [sz for sz, m in meta.items() if not m["converged"]]
@@ -242,7 +231,7 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
         "unconverged_sectors": unconverged,
     }
     if not unconverged:
-        solver_curve = magnet.build_curve(solver_energies, star.n_sites)
+        solver_curve = magnet.build_curve(solver_energies, build.star.n_sites)
         _write_curve(out / f"magnetization_{spec.solver}.csv", solver_curve)
         ed_fields, solver_fields = ed_curve.crossing_fields, solver_curve.crossing_fields
         summary[f"crossing_fields_{spec.solver}"] = list(solver_fields)
@@ -257,12 +246,10 @@ def cmd_magnetization(cfg: RunConfig, out: Path) -> None:
         raise NumericalFailure(f"sectors did not converge: {unconverged}")
 
 
-def cmd_allocation(cfg: RunConfig, out: Path) -> None:
-    star, ham = _build_problem(cfg)
-    prep = cfg.initial_prep(star)
+def cmd_allocation(cfg: RunConfig, build: Build, out: Path) -> None:
     spec = cfg.allocation
     times = [(k + 1) * cfg.dt for k in range(spec.n_times)]
-    rows = mirror.allocation_study(prep, ham, times, spec.m_totals, spec.f1_grid,
+    rows = mirror.allocation_study(build.prep, build.ham, times, spec.m_totals, spec.f1_grid,
                                    spec.realizations, cfg.seed)
     _write_csv(out / "allocation.csv",
                ["m_total", "f1_fraction", "mode", "typical_error", "error_spread"],
@@ -334,14 +321,14 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.validate(args.command)
+        build = cfg.validate(args.command)
         out = args.out
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
             raise ConfigError(f"cannot create the output directory {out}: {exc.strerror}") from exc
         (out / "run_config.json").write_text(cfg.to_json())
-        COMMANDS[args.command](cfg, out)
+        COMMANDS[args.command](cfg, build, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -351,6 +338,8 @@ def main(argv=None) -> int:
     finally:
         if blas:
             blas[1](previous)
+        if _FRESH_PROCESS:
+            gc.freeze()
     return 0
 
 

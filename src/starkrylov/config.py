@@ -15,13 +15,13 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import krylov
 from .hamiltonian import QUBIT_CAP, SpinHamiltonian
-from .lattice import build_star
+from .lattice import StarPlaquette, build_star
 from .mirror import ShotPlan, allocation_plan
 from .noise import NoiseSpec, postselect_f1, twirl_angle, twirl_layer
 from .prep import PrepCircuit, dressed_initial, pinwheel, reference_superposition, sector_initial
@@ -34,6 +34,12 @@ class ConfigError(ValueError):
 # the most elements one array of a run may hold (``RunConfig.largest_arrays``):
 # 2^26, 1 GiB as complex128
 MAX_ELEMENTS = 1 << 26
+
+
+class Build(NamedTuple):  # what RunConfig.validate built; the command runs on it
+    star: StarPlaquette
+    ham: SpinHamiltonian  # at the config's h_field
+    prep: PrepCircuit  # the initial state's preparation
 
 
 @dataclass
@@ -175,8 +181,10 @@ class RunConfig:
                 3 * self.allocation.n_times * self.allocation.realizations,
         }
 
-    def validate(self, command: str | None = None) -> None:
-        """Check everything a command builds from the config, before any ED.
+    def validate(self, command: str | None = None) -> Build:
+        """Check everything a command builds from the config, before any ED,
+        and return the star, Hamiltonian and initial preparation built for the
+        checks: ``cli.main`` runs the command on them, so a run builds each once.
 
         Thresholds (``deltas``, ``magnet.delta``) must pass
         ``krylov.check_deltas`` (the ``krylov`` module docstring says why), and
@@ -203,7 +211,8 @@ class RunConfig:
             if 2 * self.n_triangles > QUBIT_CAP:  # 2 sites each, checked before build_star
                 raise ValueError(f"n_triangles must be at most {QUBIT_CAP // 2} (qubit cap)")
             star = build_star(self.n_triangles)
-            SpinHamiltonian(star, self.h_field).check_time_step(self.dt)
+            ham = SpinHamiltonian(star, self.h_field)
+            ham.check_time_step(self.dt)
             for s in self.solvers:
                 first = krylov.solver_spec(s, self.evolver == "floquet").first_step
                 if self.steps < first:
@@ -243,3 +252,4 @@ class RunConfig:
         lo, hi = self.eigenvalue_band
         if not 0 < lo < 1 < hi:
             raise ConfigError("eigenvalue_band must bracket the unit circle")
+        return Build(star, ham, prep)

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -446,17 +447,53 @@ def test_converge_summary_counts_flags(tmp_path):
     summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
     assert summary["uvqpe:delta=1e-06"]["flag_counts"] == {}
     # a band that excludes the unit circle is refused by validate, so the
-    # command runs directly: every cell's estimate carries the flag
+    # command runs directly, on the build of the valid config it differs from
+    # only in the band: every cell's estimate carries the flag
     bad = RunConfig.from_dict({**cfg, "eigenvalue_band": [1.5, 2.0]})
     with pytest.raises(ConfigError, match="unit circle"):
         bad.validate()
-    cmd_converge(bad, tmp_path)
+    cmd_converge(bad, RunConfig.from_dict(cfg).validate("converge"), tmp_path)
     summary = json.loads((tmp_path / "convergence_summary.json").read_text())
     assert summary["uvqpe:delta=1e-06"]["flag_counts"] == {"no_admissible_eigenvalue": 6}
     assert summary["odmd:delta=1e-06"]["flag_counts"] == {"no_admissible_eigenvalue": 5}
     header, *rows = (tmp_path / "convergence.csv").read_text().splitlines()
     assert header == "algorithm,delta,step,energy,energy_error,retained_rank"
     assert len(rows) == 6 + 5
+
+
+NOISY = {"evolver": "floquet", "steps": 2, "shots": {"total": 40},
+         "noise": {"p_pauli": 0.002, "enable_postselect": True, "enable_twirl": True}}
+
+
+@pytest.mark.parametrize("command, config, hamiltonians", [
+    ("spectrum", {}, 1),
+    ("converge", {"steps": 6, "deltas": [0.1], "realizations": 3}, 1),
+    ("allocation", {"allocation": {"m_totals": [100], "n_times": 2, "realizations": 5}}, 1),
+    ("overlaps", {"steps": 4}, 1),
+    ("overlaps", NOISY, 1),
+    ("magnetization", {}, 2),
+], ids=["spectrum", "converge", "allocation", "overlaps-exact", "overlaps-noisy",
+        "magnetization"])
+def test_each_run_builds_once(tmp_path, monkeypatch, command, config, hamiltonians):
+    """The command runs on the star, Hamiltonian and initial preparation that
+    validate built: one of each per run, plus the h = 0 Hamiltonian of the
+    magnetization pass (``magnet.estimate_sector_energies``)."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in [m for n, m in list(sys.modules.items()) if n.startswith("starkrylov")]:
+        if getattr(module, "build_star", None) is build_star:
+            monkeypatch.setattr(module, "build_star", counted("star", build_star))
+    monkeypatch.setattr(SpinHamiltonian, "__init__",
+                        counted("hamiltonian", SpinHamiltonian.__init__))
+    monkeypatch.setattr(RunConfig, "initial_prep", counted("prep", RunConfig.initial_prep))
+    assert run(tmp_path, command, config) == 0
+    assert counts == {"star": 1, "hamiltonian": hamiltonians, "prep": 1}
 
 
 def test_converge_sampled_threads_match(tmp_path):
@@ -477,7 +514,7 @@ def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
     get, set_ = blas
     before = get()
     seen = []
-    monkeypatch.setitem(cli.COMMANDS, "spectrum", lambda cfg, out: seen.append(get()))
+    monkeypatch.setitem(cli.COMMANDS, "spectrum", lambda cfg, build, out: seen.append(get()))
     set_(2)
     try:
         assert run(tmp_path, "spectrum") == 0
@@ -486,6 +523,22 @@ def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
         assert seen == [1] and get() == 2
     finally:
         set_(before)
+
+
+@pytest.mark.parametrize("first, openblas_threads, frozen", [
+    ("", None, True), ("", "2", True), ("import numpy", None, False),
+], ids=["fresh", "fresh-preset-threads", "numpy-first"])
+def test_main_freezes_only_a_fresh_cli_process(tmp_path, first, openblas_threads, frozen):
+    """Imported before numpy, the CLI ends main with gc.freeze(), whatever
+    OPENBLAS_NUM_THREADS says; a caller that loaded numpy first (this suite,
+    a notebook) keeps its objects collectable.  The collector stays on."""
+    code = "\n".join([
+        "import gc", first, "from starkrylov.cli import main",
+        "print(gc.get_freeze_count())",
+        f"assert main(['spectrum', '--out', {str(tmp_path / 'out')!r}]) == 0",
+        "print(gc.get_freeze_count() > 0, gc.isenabled())",
+    ])
+    assert _fresh_interpreter(code, openblas_threads).split() == ["0", str(frozen), "True"]
 
 
 def _start_threads(first: str, openblas_threads: str | None) -> str:
@@ -603,17 +656,17 @@ def test_allocation_from_state_without_dimers_exits_2(tmp_path, capsys, n_triang
 
 def test_allocation_without_dimers_refused_before_output(tmp_path, capsys, monkeypatch):
     # validate refuses the state for the allocation study only, before main
-    # creates --out or writes run_config.json, and before any Hamiltonian
+    # creates --out or writes run_config.json, and before the command runs
     cfg = RunConfig(initial=InitialStateSpec(kind="sector", sz=4))
     for command in (None, "spectrum", "overlaps", "converge", "magnetization"):
         cfg.validate(command)
     with pytest.raises(ConfigError, match="dimer"):
         cfg.validate("allocation")
 
-    def no_hamiltonian(*args, **kwargs):
-        raise AssertionError("SpinHamiltonian built")
+    def no_command(*args, **kwargs):
+        raise AssertionError("allocation command ran")
 
-    monkeypatch.setattr(cli, "SpinHamiltonian", no_hamiltonian)
+    monkeypatch.setitem(cli.COMMANDS, "allocation", no_command)
     assert run(tmp_path, "allocation", {"initial": {"kind": "sector", "sz": 4}}) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not (tmp_path / "out").exists()

@@ -213,7 +213,8 @@ def test_evolve_blocks_match_dense_expm(tmp_path):
     spectra = ham.sector_spectra()
     assert np.allclose(np.sort(np.concatenate(list(spectra.values()))), w, atol=1e-9)
     assert {sz: e[0] for sz, e in spectra.items()} == ham.sector_ground_energies()
-    cmd_spectrum(RunConfig(h_field=0.2), tmp_path)
+    cfg = RunConfig(h_field=0.2)
+    cmd_spectrum(cfg, cfg.validate("spectrum"), tmp_path)
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "sector,index,energy"
     assert len(lines) == 1 + 256
