@@ -86,14 +86,6 @@ def _series_for(cfg: RunConfig, build: Build):
         magnitude_source=cfg.magnitude_source)
 
 
-def _solver_steps(cfg: RunConfig, solver: str) -> range:
-    """Valid prefix lengths; an ODMD window of d rows needs at least d steps."""
-    first = krylov.SOLVERS[solver].first_step
-    if solver == "odmd" and cfg.odmd_window is not None:
-        first = max(first, cfg.odmd_window)
-    return range(first, cfg.steps + 1)
-
-
 def cmd_spectrum(cfg: RunConfig, build: Build, out: Path) -> None:
     star, ham, _ = build
     _write_csv(out / "spectrum.csv", ["sector", "index", "energy"],
@@ -165,13 +157,13 @@ def cmd_converge(cfg: RunConfig, build: Build, out: Path) -> None:
     spread_rows = []
     summary = {}
     for solver in cfg.solvers:
-        solved = krylov.sweep(solver, runs, _solver_steps(cfg, solver),
-                              cfg.deltas, tuple(cfg.eigenvalue_band), cfg.odmd_window,
-                              cfg.odmd_real_part)
+        steps = krylov.SOLVERS[solver].steps(cfg.steps, cfg.odmd_window)
+        solved = krylov.sweep(solver, runs, steps, cfg.deltas, tuple(cfg.eigenvalue_band),
+                              cfg.odmd_window, cfg.odmd_real_part)
         for delta in cfg.deltas:
             steps_to_tol = None
             flag_counts: Counter = Counter()
-            for ns in _solver_steps(cfg, solver):
+            for ns in steps:
                 cell = solved[ns, delta] * repeat
                 flag_counts.update(flag for est in cell for flag in est.flags)
                 energies = [est.energy for est in cell]

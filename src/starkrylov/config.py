@@ -6,8 +6,10 @@ annotation and default.  ``_parse`` reads them: a section dataclass takes an
 object without unknown keys, a ``tuple`` a list of that length, a ``Literal``
 one of its strings, ``X | None`` also null, an int no float or bool, and a
 float any real number within float range, kept as given, but no bool.  The
-``shots`` and ``noise`` sections are the library's own ``mirror.ShotPlan`` and
-``noise.NoiseSpec``; a ValueError from their checks is a configuration error."""
+sections ``shots`` (``mirror.ShotPlan``), ``noise`` (``noise.NoiseSpec``) and
+``allocation`` check themselves; a ValueError of theirs is a configuration
+error.  ``RunConfig.validate`` checks the rest, ``magnet.sector_solver_settings``
+the ``magnet`` solver, threshold, first step and h = 0 time step for it."""
 from __future__ import annotations
 
 import itertools
@@ -20,8 +22,9 @@ from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import krylov
-from .hamiltonian import QUBIT_CAP, SpinHamiltonian
+from .hamiltonian import QUBIT_CAP, SpinHamiltonian, check_time_step
 from .lattice import StarPlaquette, build_star
+from .magnet import sector_solver_settings
 from .mirror import ShotPlan, allocation_plan
 from .noise import NoiseSpec, postselect_f1, twirl_angle, twirl_layer
 from .prep import PrepCircuit, dressed_initial, pinwheel, reference_superposition, sector_initial
@@ -63,6 +66,12 @@ class AllocationSpec:
     f1_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 1.0 / 3.0, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     n_times: int = 10
     realizations: int = 100
+
+    def __post_init__(self):
+        if self.n_times < 1 or self.realizations < 1 or not self.f1_grid:
+            raise ValueError("needs n_times >= 1, realizations >= 1 and an f1_grid")
+        for m_total, f1_frac in itertools.product(self.m_totals, self.f1_grid):
+            allocation_plan(m_total, f1_frac)  # as allocation_study builds it
 
 
 _SCALAR_NAMES = {int: "an integer", bool: "true or false",
@@ -166,9 +175,9 @@ class RunConfig:
         of ``realizations`` series; the sweep's stack of d + 1 Toeplitz or
         Hankel rows of d values per distinct series (sampled realizations,
         or the one exact series), up to d = steps; a pool's one uniform per
-        shot; a magnetization sector's stack (n_steps None takes a default
-        of at most 150); and the allocation study's three (n_times,
-        realizations) fraction arrays.  Every other array is smaller, or comes
+        shot; a magnetization sector's stack (n_steps None takes the default
+        of ``magnet.sector_solver_settings``, at most 150); and the allocation
+        study's three (n_times, realizations) fraction arrays.  Every other array is smaller, or comes
         in blocks of bounded size (``mirror._BATCH_BYTES``)."""
         series = self.realizations if self.shots is not None else 1
         n_steps = self.magnet.n_steps or 0
@@ -186,14 +195,14 @@ class RunConfig:
         and return the star, Hamiltonian and initial preparation built for the
         checks: ``cli.main`` runs the command on them, so a run builds each once.
 
-        Thresholds (``deltas``, ``magnet.delta``) must pass
-        ``krylov.check_deltas`` (the ``krylov`` module docstring says why), and
-        no array of ``largest_arrays`` may exceed ``MAX_ELEMENTS``; that is
-        checked before any star or Hamiltonian is built.  The initial state's
-        reference superposition must exist for ``shots`` and for the
-        ``allocation`` study, whose fractions are the mirror circuits'.
-        Configs built in Python are re-parsed first, so they get the type
-        checks of ``from_dict``."""
+        ``deltas`` must pass ``krylov.check_deltas`` (the ``krylov`` module
+        docstring says why), and the ``magnet`` section
+        ``magnet.sector_solver_settings``.  No array of ``largest_arrays`` may
+        exceed ``MAX_ELEMENTS``, checked before any star or Hamiltonian is
+        built.  The initial state's reference superposition must exist for
+        ``shots`` and for the ``allocation`` study, whose fractions are the
+        mirror circuits'.  Configs built in Python are re-parsed first, so
+        they get the type checks of ``from_dict``."""
         _parse(type(self), asdict(self), "")
         if self.steps < 1 or self.realizations < 1:
             raise ConfigError("steps and realizations must be >= 1")
@@ -205,14 +214,13 @@ class RunConfig:
                                   f"{MAX_ELEMENTS} elements")
         if self.odmd_window is not None and not 1 <= self.odmd_window <= self.steps:
             raise ConfigError(f"odmd_window must lie in [1, steps={self.steps}]")
-        magnet_delta = () if self.magnet.delta is None else (self.magnet.delta,)
         try:
-            krylov.check_deltas((*self.deltas, *magnet_delta), "deltas and magnet.delta")
+            krylov.check_deltas(self.deltas, "deltas")
             if 2 * self.n_triangles > QUBIT_CAP:  # 2 sites each, checked before build_star
                 raise ValueError(f"n_triangles must be at most {QUBIT_CAP // 2} (qubit cap)")
             star = build_star(self.n_triangles)
+            check_time_step(star, self.dt, self.h_field)
             ham = SpinHamiltonian(star, self.h_field)
-            ham.check_time_step(self.dt)
             for s in self.solvers:
                 first = krylov.solver_spec(s, self.evolver == "floquet").first_step
                 if self.steps < first:
@@ -233,22 +241,11 @@ class RunConfig:
                 postselect_f1(np.zeros(0, dtype=np.int64), prep.dimer_pairs, star.n_sites)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        spec = self.magnet
         try:  # magnetization solves exact unitary series at h = 0
-            first = krylov.solver_spec(self.magnet.solver).first_step
-            if self.magnet.n_steps is not None and self.magnet.n_steps < first:
-                raise ValueError(f"n_steps must be >= {first} for {self.magnet.solver}")
-            if self.magnet.dt is not None:
-                SpinHamiltonian(star).check_time_step(self.magnet.dt)
+            sector_solver_settings(star, spec.solver, spec.delta, spec.n_steps, spec.dt)
         except ValueError as exc:
             raise ConfigError(f"magnet: {exc}") from exc
-        spec = self.allocation
-        try:
-            if spec.n_times < 1 or spec.realizations < 1 or not spec.f1_grid:
-                raise ValueError("needs n_times >= 1, realizations >= 1 and an f1_grid")
-            for m_total, f1_frac in itertools.product(spec.m_totals, spec.f1_grid):
-                allocation_plan(m_total, f1_frac)  # as allocation_study builds it
-        except ValueError as exc:
-            raise ConfigError(f"allocation: {exc}") from exc
         lo, hi = self.eigenvalue_band
         if not 0 < lo < 1 < hi:
             raise ConfigError("eigenvalue_band must bracket the unit circle")

@@ -49,6 +49,21 @@ def _sector_indices(n: int) -> tuple[np.ndarray, ...]:
     return sectors
 
 
+def norm_bound(lattice, h_field: float = 0.0) -> float:
+    """The bound 3*N_tri + |h|*n/2 on ||H|| at ``h_field``: every eigenvalue lies within it."""
+    return 3.0 * lattice.n_triangles + abs(float(h_field)) * lattice.n_sites / 2.0
+
+
+def check_time_step(lattice, dt: float, h_field: float = 0.0) -> None:
+    """Raise ValueError unless 0 < dt < pi/||H||, the admissibility bound
+    that keeps every eigenphase E dt inside (-pi, pi)."""
+    dt_max = np.pi / norm_bound(lattice, h_field)
+    if not 0 < dt < dt_max:
+        raise ValueError(f"dt={dt:g} violates the admissibility bound 0 < dt < "
+                         f"{dt_max:.6g} (the spectral bound for {lattice.n_sites} "
+                         f"sites at h={float(h_field):g})")
+
+
 @dataclass
 class _SectorBlocks:
     """Momentum blocks (m, representatives admitting m, eigenvalues w,
@@ -229,19 +244,6 @@ class SpinHamiltonian:
         return out
 
     # -- analytic quantities -------------------------------------------------
-
-    def norm_bound(self) -> float:
-        """The bound 3*N_tri + |h|*n/2 on ||H||: every eigenvalue lies within it."""
-        return 3.0 * self.lattice.n_triangles + abs(self.h_field) * self.n_sites / 2.0
-
-    def check_time_step(self, dt: float) -> None:
-        """Raise ValueError unless 0 < dt < pi/||H||, the admissibility bound
-        that keeps every eigenphase E dt inside (-pi, pi)."""
-        dt_max = np.pi / self.norm_bound()
-        if not 0 < dt < dt_max:
-            raise ValueError(f"dt={dt:g} violates the admissibility bound 0 < dt < "
-                             f"{dt_max:.6g} (the spectral bound for {self.n_sites} "
-                             f"sites at h={self.h_field:g})")
 
     def reference_energy(self) -> float:
         """Energy of the fully polarized all-up state (the all-zero bitstring)."""

@@ -127,6 +127,11 @@ class SolverSpec:
     first_step: int  # smallest valid n_steps
     floquet_only: bool = False  # needs a two-direction Floquet series
 
+    def steps(self, n_max: int, window: int | None = None) -> range:
+        """The valid prefix lengths up to ``n_max``; a Hankel ``window`` of d rows needs d steps."""
+        rows = window if self.pair == "hankel" and window is not None else 0
+        return range(max(self.first_step, rows), n_max + 1)
+
 
 SOLVERS = {
     "uvqpe": SolverSpec("toeplitz", 1),

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import krylov
-from .hamiltonian import SpinHamiltonian
+from .hamiltonian import SpinHamiltonian, check_time_step
 from .mirror import ExactEvolver, overlap_series_exact
 from .prep import dressed_initial, sector_initial
 
@@ -61,19 +61,29 @@ def build_curve(sector_energies: dict[int, float], n_sites: int) -> Magnetizatio
     return MagnetizationCurve(tuple(plateaus))
 
 
-def sector_solver_settings(star) -> dict:
-    """Per-lattice solver defaults that converge every sector.
+def sector_solver_settings(lattice, method: str = "uvqpe", delta: float | None = None,
+                           n_steps: int | None = None, dt: float | None = None) -> dict:
+    """The settings {dt, n_steps, delta} of a ``method`` pass on ``lattice``,
+    each None taking its per-lattice default, checked before any ED: ValueError
+    for an unknown or Floquet-only ``method``, ``delta`` outside [DELTA_FLOOR, 1],
+    ``n_steps`` below the solver's first step or ``dt`` past the h = 0 bound.
 
     Both stars use a time step near their admissibility bound: the 8-spin
     star then reaches machine precision in every sector within 20 steps,
     while the 12-spin star still needs a long horizon for its slow
     S^z = 1, 2 sectors (near-degenerate low-lying levels).
     """
-    if star.n_triangles == 6:
-        # delta below 1e-6 keeps the near-degenerate S^z=1 estimate from
-        # jittering between the ground level and its 0.016-gap neighbors
-        return {"dt": 0.17, "n_steps": 150, "delta": 1e-8}
-    return {"dt": 0.2, "n_steps": 40, "delta": 1e-6}
+    first = krylov.solver_spec(method).first_step
+    # 12 spins: delta below 1e-6 keeps the near-degenerate S^z=1 estimate from
+    # jittering between the ground level and its 0.016-gap neighbors
+    defaults = (0.17, 150, 1e-8) if lattice.n_triangles == 6 else (0.2, 40, 1e-6)
+    settings = {key: default if value is None else value for key, value, default
+                in zip(("dt", "n_steps", "delta"), (dt, n_steps, delta), defaults)}
+    krylov.check_deltas([settings["delta"]], "delta")
+    if settings["n_steps"] < first:
+        raise ValueError(f"n_steps must be >= {first} for {method}")
+    check_time_step(lattice, settings["dt"])
+    return settings
 
 
 def sector_series(ham, sz: int, dt: float, n_steps: int, sz0_cz_bonds=None):
@@ -96,9 +106,9 @@ def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None
     """One ``method`` solve of every S^z sector's ``sector_series`` at ``n_steps``
     on ``lattice``.
 
-    ``delta``, ``n_steps`` and ``dt`` default to
-    ``sector_solver_settings(lattice)``; ``dt`` is checked before any ED.  One
-    h = 0 Hamiltonian serves every sector, series before ED energy: the series
+    ``sector_solver_settings`` resolves and checks ``method``, ``delta``,
+    ``n_steps`` and ``dt`` before any Hamiltonian is built.  One h = 0
+    Hamiltonian serves every sector, series before ED energy: the series
     releases the sector's eigenvectors, so one sector's are alive at a time
     and none at a sweep.  Returns (energies, meta); ``meta[sz]`` holds
     ``exact``, the sector's ED ground energy (the one ``cli`` writes), the
@@ -106,14 +116,8 @@ def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None
     ``converged``: an error above 1e-3 marks the sector unconverged, whether
     the solver settled on an excited level or is still drifting.
     """
-    krylov.solver_spec(method)  # an unknown or Floquet-only solver fails before any ED
-    settings = sector_solver_settings(lattice)
-    delta = settings["delta"] if delta is None else delta
-    krylov.check_deltas([delta], "delta")  # so does a threshold out of range
-    n_steps = settings["n_steps"] if n_steps is None else n_steps
-    dt = settings["dt"] if dt is None else dt
+    dt, n_steps, delta = sector_solver_settings(lattice, method, delta, n_steps, dt).values()
     ham = SpinHamiltonian(lattice)
-    ham.check_time_step(dt)
     energies, meta = {}, {}
     for sz in range(lattice.n_triangles + 1):
         series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)

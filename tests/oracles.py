@@ -37,7 +37,7 @@ from math import ceil, log
 import numpy as np
 
 from starkrylov import krylov, mirror
-from starkrylov.hamiltonian import SpinHamiltonian
+from starkrylov.hamiltonian import SpinHamiltonian, check_time_step
 from starkrylov.magnet import sector_series, sector_solver_settings
 from starkrylov.mirror import _estimate_cells, _MirrorCircuits
 from starkrylov.noise import PAULI_NAMES, twirl_layer
@@ -564,7 +564,7 @@ def per_sector_energies(lattice, method: str = "uvqpe", delta=None, n_steps=None
     energies, meta = {}, {}
     for sz in range(lattice.n_triangles + 1):
         ham = SpinHamiltonian(lattice)
-        ham.check_time_step(dt)
+        check_time_step(lattice, dt)
         series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
         e_exact = ham.ground_state_energy(sector=float(sz))
         estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]

@@ -10,13 +10,15 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy  # noqa: F401  (before starkrylov.cli: this process keeps OpenBLAS's default threads)
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starkrylov
-from starkrylov import cli
+from starkrylov import cli, krylov
 from starkrylov import config as config_module
 from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, InitialStateSpec, RunConfig
@@ -273,6 +275,52 @@ def test_every_integer_field_at_10_to_the_400(tmp_path, capsys, path, value):
         assert code in (0, 2) and "Traceback" not in err, (command, err)
 
 
+JUNK = st.sampled_from([None, True, "x", math.nan, math.inf, -math.inf, BIG, -BIG, 2.5, [], {}])
+
+
+def _drawn(kind, junk: bool = True):
+    """A strategy of values for the annotation ``kind``, read as
+    ``config._parse`` reads it: valid and boundary values (NaN and inf among
+    the floats, 401-digit integers among the ints) and, with ``junk``, wrong
+    types (``JUNK``) anywhere."""
+    args = get_args(kind)
+    if type(None) in args:  # X | None
+        return st.none() | _drawn(args[0], junk)
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        valid = st.fixed_dictionaries(
+            {}, optional={f.name: _drawn(hints[f.name], junk) for f in fields(kind)})
+    elif get_origin(kind) is tuple and args[-1] is Ellipsis:
+        valid = st.lists(_drawn(args[0], junk), max_size=4)
+    elif get_origin(kind) is tuple:
+        valid = st.tuples(*(_drawn(k, junk) for k in args)).map(list)
+    elif get_origin(kind) is Literal:
+        valid = st.sampled_from(args)
+    else:
+        valid = {
+            int: st.integers(-2, 8) | st.integers(9, 200) | st.sampled_from(
+                [2 ** 53, 2 ** 53 + 1, 2 ** 64 - 1, 2 ** 64, 10 ** 9, BIG, -BIG]),
+            float: st.floats() | st.sampled_from(
+                [0.0, krylov.DELTA_FLOOR, 1.0, 0.1, 0.17, 0.2, math.pi / 12, 1e308, -1e308]),
+            bool: st.booleans(),
+            str: st.sampled_from(sorted(krylov.SOLVERS)),
+        }[kind]
+    return valid | JUNK if junk else valid
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(cli.COMMANDS)), _drawn(RunConfig, junk=False) | _drawn(RunConfig))
+def test_validate_returns_a_build_or_a_configuration_error(command, raw):
+    # the exit-2 contract in process: a drawn config, valid or not, validates
+    # to the build its command runs on or raises ConfigError, never another
+    # exception, whichever check (a section's own, validate's or magnet's) it meets
+    try:
+        build = RunConfig.from_dict(raw).validate(command)
+    except ConfigError:
+        return
+    assert isinstance(build, config_module.Build)
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "path-under-file"])
 def test_out_naming_a_file_exits_2(tmp_path, capsys, below):
     blocker = tmp_path / "blocker"
@@ -472,12 +520,14 @@ NOISY = {"evolver": "floquet", "steps": 2, "shots": {"total": 40},
     ("overlaps", {"steps": 4}, 1),
     ("overlaps", NOISY, 1),
     ("magnetization", {}, 2),
+    ("magnetization", {"magnet": {"dt": 0.2}}, 2),
 ], ids=["spectrum", "converge", "allocation", "overlaps-exact", "overlaps-noisy",
-        "magnetization"])
+        "magnetization", "magnetization-magnet-dt"])
 def test_each_run_builds_once(tmp_path, monkeypatch, command, config, hamiltonians):
     """The command runs on the star, Hamiltonian and initial preparation that
     validate built: one of each per run, plus the h = 0 Hamiltonian of the
-    magnetization pass (``magnet.estimate_sector_energies``)."""
+    magnetization pass (``magnet.estimate_sector_energies``); ``magnet.dt`` is
+    checked on the star, with no Hamiltonian of its own."""
     counts = Counter()
 
     def counted(name, fn):

@@ -18,7 +18,7 @@ from oracles import (
 )
 from starkrylov.cli import cmd_spectrum
 from starkrylov.config import RunConfig
-from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian
+from starkrylov.hamiltonian import QUBIT_CAP, SpinHamiltonian, check_time_step, norm_bound
 from starkrylov.lattice import build_star
 from starkrylov.magnet import sector_series, sector_solver_settings
 from starkrylov.prep import dressed_initial, pinwheel, reference_superposition, sector_initial
@@ -134,7 +134,7 @@ def test_commutes_with_total_sz():
 
 def test_eigen_residuals_and_bounds():
     ham = SpinHamiltonian(build_star(4), h_field=0.5)
-    bound = ham.norm_bound()
+    bound = norm_bound(ham.lattice, ham.h_field)
     H = dense_matrix(ham)
     n_pairs = 0
     for k in range(9):
@@ -153,18 +153,18 @@ def test_eigen_residuals_and_bounds():
     "n_tri,h,bound", [(4, 0.0, 12.0), (6, 0.0, 18.0), (4, 1.0, 16.0)]
 )
 def test_spectral_bounds_values(n_tri, h, bound):
-    ham = SpinHamiltonian(build_star(n_tri), h_field=h)
-    assert ham.norm_bound() == bound
-    ham.check_time_step(np.pi / bound * (1 - 1e-12))  # dt_max = pi / bound
+    star = build_star(n_tri)
+    assert norm_bound(star, h) == bound
+    check_time_step(star, np.pi / bound * (1 - 1e-12), h)  # dt_max = pi / bound
     with pytest.raises(ValueError, match="admissibility"):
-        ham.check_time_step(np.pi / bound)
+        check_time_step(star, np.pi / bound, h)
 
 
 def test_dt_max_8_spin_value():
-    ham = SpinHamiltonian(build_star(4))
-    ham.check_time_step(2 * np.pi / 24 - 1e-12)
+    star = build_star(4)
+    check_time_step(star, 2 * np.pi / 24 - 1e-12)
     with pytest.raises(ValueError, match=f"{2 * np.pi / 24:.6g}"):
-        ham.check_time_step(2 * np.pi / 24)
+        check_time_step(star, 2 * np.pi / 24)
 
 
 @pytest.mark.parametrize(

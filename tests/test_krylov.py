@@ -751,6 +751,17 @@ def test_solver_bounds_validation(series8):
             sweep(algorithm, [series8], steps, [1e-6])
 
 
+@pytest.mark.parametrize("algorithm, window, first", [
+    ("uvqpe", None, 1), ("uvqpe", 4, 1), ("odmd", None, 2), ("odmd", 1, 2), ("odmd", 4, 4)])
+def test_solver_steps_start_where_sweep_accepts(series8, algorithm, window, first):
+    # the prefix rule: from the solver's first step, and from d for a Hankel window of d rows
+    steps = SOLVERS[algorithm].steps(6, window)
+    assert steps == range(first, 7)
+    sweep(algorithm, [series8], steps, [1e-6], window=window)
+    with pytest.raises(ValueError):
+        sweep(algorithm, [series8], [first - 1], [1e-6], window=window)
+
+
 def test_step_bounds_examples():
     j, d = step_bounds(24.0, 1.0, 1e-2, 2.0, DT)
     assert j == 1

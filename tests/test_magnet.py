@@ -120,9 +120,9 @@ def test_sector_estimates_reject_floquet_solver_and_field():
         estimate_sector_energies(build_star(4), method="uvqpe_floquet")
 
 
-@pytest.mark.parametrize("delta", [2.0, 0.0, krylov.DELTA_FLOOR / 2])
-def test_sector_estimates_reject_delta_before_any_hamiltonian(monkeypatch, delta):
-    # a threshold outside [DELTA_FLOOR, 1] is refused before the first sector's ED
+@pytest.fixture
+def built_hamiltonians(monkeypatch):
+    """The argument tuples of every SpinHamiltonian that magnet builds."""
     built = []
 
     def counted(*args, **kwargs):
@@ -130,9 +130,29 @@ def test_sector_estimates_reject_delta_before_any_hamiltonian(monkeypatch, delta
         return SpinHamiltonian(*args, **kwargs)
 
     monkeypatch.setattr("starkrylov.magnet.SpinHamiltonian", counted)
+    return built
+
+
+@pytest.mark.parametrize("delta", [2.0, 0.0, krylov.DELTA_FLOOR / 2])
+def test_sector_estimates_reject_delta_before_any_hamiltonian(built_hamiltonians, delta):
+    # a threshold outside [DELTA_FLOOR, 1] is refused before the first sector's ED
     with pytest.raises(ValueError, match=r"delta must lie in \[1e-14, 1\]"):
         estimate_sector_energies(build_star(4), delta=delta)
-    assert built == []
+    assert built_hamiltonians == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"method": "odmd", "n_steps": 1}, "n_steps must be >= 2 for odmd"),
+    ({"dt": 0.3}, r"dt=0.3 violates the admissibility bound 0 < dt < 0.261799 "
+                  r"\(the spectral bound for 8 sites at h=0\)"),
+], ids=["odmd-n-steps-below-first-step", "dt-past-bound"])
+def test_sector_estimates_reject_steps_and_dt_before_any_hamiltonian(built_hamiltonians,
+                                                                     kwargs, message):
+    # n_steps and dt are refused before the h = 0 Hamiltonian and its ED, not
+    # first in the sweep or on a built Hamiltonian
+    with pytest.raises(ValueError, match=message):
+        estimate_sector_energies(build_star(4), **kwargs)
+    assert built_hamiltonians == []
 
 
 def test_sz0_dressing_override():
