@@ -228,7 +228,7 @@ class RunConfig:
             prep = self.initial_prep(star)
             noise = self.noise or NoiseSpec()
             if noise.enable_twirl:
-                twirl_layer(star.n_sites, twirl_angle(noise))
+                twirl_layer(star.n_sites, twirl_angle(noise), len(prep.dimer_pairs))
             if noise.p_pauli > 0 and self.evolver == "exact":
                 raise ValueError("noise.p_pauli > 0 needs a gate-based evolver "
                                  "(trotter or floquet)")

@@ -17,13 +17,12 @@ H_m[r', r] = sum over flips of r onto T^j r' of 2 w^(m j) sqrt(L_r / L_r'),
 and is real for m = 0 and m = N/2; H_{N-m} = conj(H_m) on the same
 representatives, so one ``eigh`` of H_m serves the conjugate pair: block N-m
 stores block m's eigenvalues w and eigenvector array v itself, and reads its
-eigenvectors conj(v) through v (its projection is v^T, its evolution conj(v)
-applied where it is used).  Spectra, evolution and overlap series all go
-through the blocks, whose eigenvectors stay in block form.  The exact overlap
-series releases each sector's eigenvector arrays before it builds the
-sector's phase matrix, the exact path's one memory bound; a released sector
-keeps its eigenvalues and index arrays and is decomposed again, by the same
-``eigh`` calls, when its eigenvectors are next read.
+eigenvectors conj(v) through v (its projection is v^T).  Spectra and overlap
+series go through the blocks, whose eigenvectors stay in block form.  The
+exact overlap series releases each sector's eigenvector arrays before it
+builds the sector's phase matrix, the exact path's one memory bound; a
+released sector keeps its eigenvalues and index arrays and is decomposed
+again, by the same ``eigh`` calls, when its eigenvectors are next read.
 """
 from __future__ import annotations
 
@@ -89,10 +88,6 @@ class _SectorBlocks:
         a = np.zeros((len(self.scale), len(self.omega)), dtype=complex)
         a[self.orbit, self.shift] = part
         return (a @ self.omega) * self.scale[:, None]
-
-    def unfold(self, c: np.ndarray) -> np.ndarray:
-        """Amplitudes on the sector basis of sum_{r, m} c[r, m] |r, m>."""
-        return ((c * self.scale[:, None]) @ self.omega.conj())[self.orbit, self.shift]
 
 
 class SpinHamiltonian:
@@ -207,16 +202,6 @@ class SpinHamiltonian:
                 # (conj v)^H = v^T: a conjugated block projects with its partner's v
                 yield basis, sec, [(v if conj else v.conj()).T @ c[keep, m]
                                    for m, keep, _, v, conj in sec.blocks]
-
-    def evolve(self, vec: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) applied blockwise over S^z sectors and momenta."""
-        out = np.zeros_like(vec, dtype=complex)
-        for basis, sec, coeffs in self._projections(vec):
-            c = np.zeros((len(sec.scale), len(sec.omega)), dtype=complex)
-            for (m, keep, w, v, conj), a in zip(sec.blocks, coeffs):
-                c[keep, m] = (v.conj() if conj else v) @ (np.exp(-1j * w * t) * a)
-            out[basis] = sec.unfold(c)
-        return out
 
     def autocorrelation(self, vec: np.ndarray, times) -> np.ndarray:
         """<vec| exp(-i H t) |vec> for every t in ``times``.

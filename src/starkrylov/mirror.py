@@ -11,20 +11,17 @@ with O = r e^{i theta} and E_R the analytic reference-state energy.  The
 complex overlap is recovered as
   O = [2 F2 + 2i F3 - (F1 + 1)(i + 1)/2] e^{-i E_R t},
 optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
-(``ExactEvolver``, one step of a gate list) or m gate steps of t/m
-(``GateEvolver``: Trotter, or the single Floquet step F_t).
-``_estimate_cells`` builds the passes one time needs once, for all its
-sampled and noisy cells; the noiseless references, ``exact_overlaps`` and
-their ``mirror_fractions`` (the forward model above), need no circuit.
-``_evolve_passes`` builds every state they read: each pass's noiseless state
-and the shots that draw an error, as rows of batches of bounded size.
+(``ExactEvolver``) or m gate steps of t/m (``GateEvolver``: Trotter, or the
+single Floquet step F_t).  Either W conserves S^z and has |0..0> as an
+eigenstate, so the noiseless fractions are ``mirror_fractions`` of O(t), the
+forward model above.  Only shots that draw a Pauli error run a circuit
+(``_evolve_passes``).
 Series, allocation and ablation results are returned as values; ``cli``
 writes them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -51,27 +48,12 @@ class EstimateUndefined(RuntimeError):
 # -- evolvers -----------------------------------------------------------------
 
 class ExactEvolver:
-    """W(t) = exp(-i H t) via the sector eigendecomposition."""
+    """W(t) = exp(-i H t) via the sector eigendecomposition; it has no gates."""
 
     kind = "exact"
 
     def __init__(self, ham):
         self.ham = ham
-
-    def gates(self, t: float) -> list:
-        return [_Evolution(self.ham, t)]
-
-
-class _Evolution:
-    """exp(-i H t) as one step of a gate list.  It acts on no sites, so it
-    has no error slot (``_Pass``), and ``ham.evolve`` applies it to each row
-    of a batch (``_evolve_group``); noisy cells refuse the exact evolver, so
-    the noiseless row is the only one it meets."""
-
-    sites = ()
-
-    def __init__(self, ham, t: float):
-        self.ham, self.t = ham, t
 
 
 class GateEvolver:
@@ -162,7 +144,7 @@ class _MirrorCircuits:
     The preparations U0, U_R, U_Ri and their inverses are built once, and so
     is the twirl layer of each angle; ``pass_gates`` puts them around the
     gate list of one time.  The circuits hold nothing per time: each
-    ``_estimate_cells`` call builds its time's gate list and passes.
+    ``_estimate_cells`` call builds its time's passes.
 
     The gate lists of the passes share gate objects: F2 and F3 apply the
     same U_R preparation and evolution, the twirled F2 and F3 the same twirl
@@ -181,10 +163,10 @@ class _MirrorCircuits:
         self._twirls: dict[float, list] = {}
 
     def _twirl(self, angle: float) -> list:
-        """The twirl layer of ``angle``, checked for the reference branch:
-        F2 and F3 carry it, and F1 shares the layer."""
+        """The twirl layer of ``angle``, checked for the reference branch (one
+        down spin per dimer): F2 and F3 carry it, and F1 shares the layer."""
         if angle not in self._twirls:
-            self._twirls[angle] = twirl_layer(self.n, angle)
+            self._twirls[angle] = twirl_layer(self.n, angle, len(self.preps[0].dimer_pairs))
         return self._twirls[angle]
 
     def pass_gates(self, i: int, evolution: list, twirl_angle: float | None) -> list:
@@ -233,19 +215,12 @@ def reconstruct(f1, f2, f3, e_ref: float, t, magnitude_source: str = "f1_sqrt"):
 class _Pass:
     """The gates of one circuit at one time, with or without the twirl layer.
     An error slot is one site of a gate with two or more sites, in gate
-    order; ``slots`` holds the (gate index, site) of each.  ``state``, the
-    noiseless final state, is set by ``_evolve_passes``; ``cdf``, its
-    sampling CDF, is built where it is first read."""
+    order; ``slots`` holds the (gate index, site) of each."""
 
     def __init__(self, gates: list):
         self.gates = gates
         self.slots = [(gi, q) for gi, g in enumerate(gates) if len(g.sites) >= 2
                       for q in g.sites]
-        self.state = None
-
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        return sampling_cdf(self.state)
 
 
 @dataclass(eq=False)
@@ -295,26 +270,18 @@ _BATCH_BYTES = 1 << 21
 
 @dataclass(eq=False)
 class _Pool:
-    """The shots of one pool through ``npass``, drawn when it is built: shot
-    j samples by ``uniforms[j]``, except shot ``erring[k]``, which reads the
-    sample of ``shots[k]`` (``_noisy_pool``); ``samples`` reads them once
-    ``_evolve_passes`` has run."""
+    """The shots of one pool, drawn when it is built: shot j samples by
+    ``uniforms[j]``, except shot ``erring[k]``, which reads the sample of
+    ``shots[k]`` (``_noisy_pool``)."""
 
-    npass: _Pass
     uniforms: np.ndarray
     erring: np.ndarray | tuple = ()
     shots: list | tuple = ()
 
-    def samples(self) -> np.ndarray:
-        samples = sample_bitstrings(self.npass.cdf, self.uniforms)
-        if self.shots:
-            samples[self.erring] = [shot.sample for shot in self.shots]
-        return samples
-
-    def zeros(self) -> np.ndarray:
-        """``samples() == 0`` with no search: uniform u draws index 0 exactly
-        when u < cdf[0]."""
-        zeros = self.uniforms < self.npass.cdf[0]
+    def zeros(self, p_zero: float) -> np.ndarray:
+        """Which shots drew |0..0>: by inverse CDF, an error-free uniform u
+        exactly when u < ``p_zero``, the noiseless all-zero probability."""
+        zeros = self.uniforms < p_zero
         if self.shots:
             zeros[self.erring] = [shot.sample == 0 for shot in self.shots]
         return zeros
@@ -342,13 +309,12 @@ def _noisy_pool(npass: _Pass, shots: int, p: float, streams, stream: tuple) -> _
         erring_shots += [_ErringShot(npass, *_replay_errors(npass.slots, streams,
                                                              (*stream, start + j), first, p))
                          for j, first in zip(rows, hit[rows].argmax(axis=1))]
-    return _Pool(npass, uniforms, np.concatenate(erring), erring_shots)
+    return _Pool(uniforms, np.concatenate(erring), erring_shots)
 
 
-def _evolve_passes(passes: list, shots: list, n: int) -> None:
-    """Evolve the noiseless state of each of ``passes`` and the erring
-    ``shots`` that run them from |0..0>: set each pass's ``state`` and each
-    shot's ``sample``.
+def _evolve_passes(shots: list, n: int) -> None:
+    """Evolve the erring ``shots`` from |0..0> through their passes and set
+    each shot's ``sample``.
 
     The rows of one (B, 2^n) batch are the noiseless state, row 0, and the
     erring shots that have joined it.  A shot joins at its first erring gate
@@ -360,14 +326,14 @@ def _evolve_passes(passes: list, shots: list, n: int) -> None:
     A batch holds at most ``_BATCH_BYTES`` (and at least two rows), so memory
     does not grow with the shot count: the shots, sorted by first erring
     gate, are split up front into waves that leave one row for the noiseless
-    state, and each wave runs from |0..0>.  The first wave sets every pass's
-    ``state``; a later one follows only the passes its shots run.
+    state, and each wave runs from |0..0> through the passes its shots run.
     """
     row = zero_amps(n)
     wave = max(2, _BATCH_BYTES // row.nbytes) - 1
     shots = sorted(shots, key=lambda shot: shot.errors[0][0])
-    for first in range(0, max(len(shots), 1), wave):
-        _evolve_group(passes, 0, row[None], shots[first:first + wave])
+    for first in range(0, len(shots), wave):
+        group = shots[first:first + wave]
+        _evolve_group(list(dict.fromkeys(shot.npass for shot in group)), 0, row[None], group)
 
 
 def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> None:
@@ -385,11 +351,7 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
         for gi, q, name in shot.errors:
             errors.setdefault(gi, []).append((row, q, name))
     for gi in range(start, end):
-        step = gates[gi]
-        if step.sites:
-            batch = apply_gate_amps(batch, step)
-        else:  # the exact evolver's exp(-i H t)
-            batch = np.array([step.ham.evolve(row, step.t) for row in batch])
+        batch = apply_gate_amps(batch, gates[gi])
         joining = joined
         while joining < len(shots) and shots[joining].errors[0][0] == gi:
             joining += 1
@@ -402,33 +364,30 @@ def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> N
     for npass in passes:
         if len(npass.gates) > end:
             branches.setdefault(id(npass.gates[end]), []).append(npass)
-        elif npass.state is None:
-            npass.state = batch[0].copy()
     for row, shot in enumerate(shots, 1):
         if len(shot.npass.gates) == end:
             shot.sample = int(sample_bitstrings(sampling_cdf(batch[row]), shot.uniform))
     for group in branches.values():
         members = [k for k, shot in enumerate(shots) if shot.npass in group]
-        if members or any(npass.state is None for npass in group):
-            _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
-                          [shots[k] for k in members])
+        _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
+                      [shots[k] for k in members])
 
 
-def _estimate_cells(circuits: _MirrorCircuits, t, evolution: list, cells, plan: ShotPlan,
-                    streams, magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
+def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None, cells,
+                    plan: ShotPlan, streams, magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
     """The estimation cells at time t, one per (stream, noise) pair of
     ``cells``: a realization of a series step or a mitigation mode of an
     ablation step.  Pool 0 of each circuit runs without the twirl layer and
     pool 1 with it; circuit i's pool p draws from the stream (*stream, i, p),
     or, noisy, shot j from (*stream, i, p, j).
 
-    Each pass, one per (circuit, twirl) that a pool runs, is built once on
-    ``evolution``, the caller's gate list of W(t).  Pools run in three phases:
-    every pool draws its uniforms when it is built (``_Pool``,
-    ``_noisy_pool``); the passes evolve their noiseless states and erring
-    shots in batches (``_evolve_passes``); then every pool reads its samples
-    by inverse CDF.
+    An error-free shot reads p_i = ``mirror_fractions`` of ``value`` = O(t),
+    twirled or not (``twirl_layer`` admits no angle that moves it).  Each
+    pass, one per (circuit, twirl) that a noisy pool runs, is built once on
+    ``evolution``, the gate list of W(t), and ``_evolve_passes`` runs the
+    erring shots of every cell.
     """
+    probs = mirror_fractions(value, circuits.evolver.ham.reference_energy(), t)
     passes: dict = {}  # (circuit, twirl angle) -> _Pass
 
     def npass(i, angle):
@@ -440,6 +399,8 @@ def _estimate_cells(circuits: _MirrorCircuits, t, evolution: list, cells, plan: 
     drawn = []  # per cell, per circuit: its pools
     for stream, noise in cells:
         angle = twirl_angle(noise)
+        if angle is not None:
+            circuits._twirl(angle)  # checked whether or not a circuit runs
         noisy = noise is not None and noise.p_pauli > 0
         if noisy and circuits.evolver.kind == "exact":
             raise ValueError("gate-based evolver required (exact evolution has no error slots)")
@@ -450,41 +411,41 @@ def _estimate_cells(circuits: _MirrorCircuits, t, evolution: list, cells, plan: 
             for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
                 if shots == 0:
                     continue
-                key, pool_pass = (*stream, i, pool), npass(i, angle if pool else None)
-                pools.append(_noisy_pool(pool_pass, shots, noise.p_pauli, streams, key) if noisy
-                             else _Pool(pool_pass, streams(key).random(shots)))
+                key = (*stream, i, pool)
+                pools.append(_noisy_pool(npass(i, angle if pool else None), shots,
+                                         noise.p_pauli, streams, key) if noisy
+                             else _Pool(streams(key).random(shots)))
                 erring += pools[-1].shots
             circuit_pools.append(pools)
         drawn.append(circuit_pools)
-    if passes:
-        _evolve_passes(list(passes.values()), erring, circuits.n)
-    return [_cell_estimate(circuits, t, noise, circuit_pools, magnitude_source)
+    _evolve_passes(erring, circuits.n)
+    return [_cell_estimate(circuits, t, noise, probs, circuit_pools, magnitude_source)
             for (_, noise), circuit_pools in zip(cells, drawn)]
 
 
-def _cell_estimate(circuits: _MirrorCircuits, t, noise, circuit_pools,
+def _cell_estimate(circuits: _MirrorCircuits, t, noise, probs, circuit_pools,
                    magnitude_source) -> OverlapEstimate:
     """The estimate of one cell from its pools, per circuit; E_R is the
     reference energy of the evolver's Hamiltonian.  A fraction counts the
-    shots that drew |0..0> (``_Pool.zeros``); only F1 under post-selection
-    reads the samples themselves."""
+    shots that drew |0..0> (``_Pool.zeros``).  F1 under post-selection keeps
+    every error-free shot (the noiseless F1 state has no amplitude on a
+    discarded string) and drops the erring shots the rule discards."""
     fractions = [float("nan")] * 3
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
     for i, pools in enumerate(circuit_pools):
         if not pools:
             continue
+        kept = sum(len(pool.uniforms) for pool in pools)
         if i == 0 and noise is not None and noise.enable_postselect:
-            samples = np.concatenate([pool.samples() for pool in pools])
-            samples, discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs,
-                                                 circuits.n)
-            if len(samples) == 0:
+            samples = np.array([shot.sample for pool in pools for shot in pool.shots],
+                               dtype=np.int64)
+            discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs, circuits.n)[1]
+            kept -= discards[0]
+            if kept == 0:
                 flags += ("all_shots_discarded",)
                 continue
-            zeros = samples == 0
-        else:
-            zeros = np.concatenate([pool.zeros() for pool in pools])
-        fractions[i] = np.count_nonzero(zeros) / len(zeros)
+        fractions[i] = sum(np.count_nonzero(pool.zeros(probs[i])) for pool in pools) / kept
 
     f1, f2, f3 = fractions
     if np.isnan(f1):
@@ -509,6 +470,16 @@ def exact_overlaps(psi0: np.ndarray, evolver, times) -> np.ndarray:
     return np.array([np.vdot(psi0, apply_circuit(psi0, evolver.gates(t))) for t in times])
 
 
+def _forward_model(psi0: np.ndarray, evolver, times):
+    """(O(t), gate list of W(t)) per t in ``times``: one ``exact_overlaps``
+    call and no gates for the exact evolver, else each time's gates, built
+    once for its overlap and its noisy passes."""
+    if evolver.kind == "exact":
+        return zip(exact_overlaps(psi0, evolver, times), [None] * len(times))
+    return ((np.vdot(psi0, apply_circuit(psi0, gates)), gates)
+            for gates in map(evolver.gates, times))
+
+
 def overlap_series_exact(psi0: np.ndarray, evolver, dt: float,
                          kmax: int) -> krylov.OverlapSeries:
     """Series of exact overlaps (``exact_overlaps``); Floquet evolvers fill
@@ -527,21 +498,25 @@ def overlap_series_sampled(psi0_prep: PrepCircuit, evolver, dt: float,
     pair per entry of ``realizations``.
 
     Times run in the outer loop, and all realizations at a time are estimated
-    together (``_estimate_cells``): each draws from what the circuits build
-    once at that time, on its own streams (r, k, circuit, pool).  For Floquet
+    together (``_estimate_cells``): each draws from what ``_forward_model``
+    gives at that time, on its own streams (r, k, circuit, pool).  For Floquet
     evolvers the negative-direction values are sampled from the
     reversed-step circuits under the same plan.
     """
     realizations = tuple(realizations)
     circuits = _MirrorCircuits(psi0_prep, evolver)
     streams = _StreamOpener(seed)
+    psi0 = psi0_prep.state()
 
     def direction(sign: int) -> list[list[OverlapEstimate]]:
         out: list[list[OverlapEstimate]] = [[] for _ in realizations]
-        for k in range(sign, sign * (kmax + 1), sign):
+        steps = range(sign, sign * (kmax + 1), sign)
+        times = [k * dt for k in steps]
+        for k, t, (value, evolution) in zip(steps, times,
+                                            _forward_model(psi0, evolver, times)):
             cells = [((r, k), noise) for r in realizations]
-            ests = _estimate_cells(circuits, k * dt, circuits.evolver.gates(k * dt), cells,
-                                   plan, streams, magnitude_source)
+            ests = _estimate_cells(circuits, t, value, evolution, cells, plan, streams,
+                                   magnitude_source)
             for r, est, estimates in zip(realizations, ests, out):
                 if est.value is None:
                     raise EstimateUndefined(
@@ -620,15 +595,16 @@ def mitigation_ablation(psi0_prep: PrepCircuit, ham, dt: float, kmax: int,
     streams = _StreamOpener(seed)
     specs = [replace(noise, enable_postselect=mode in ("postselect", "both"),
                      enable_twirl=mode in ("twirl", "both")) for mode in MITIGATION_MODES]
-    psi0 = psi0_prep.state()
     e_ref = ham.reference_energy()
+    steps = range(1, kmax + 1)
+    times = [k * dt for k in steps]
     rows = []
-    for k in range(1, kmax + 1):
-        t = k * dt
-        evolution = circuits.evolver.gates(t)
-        value = complex(np.vdot(psi0, apply_circuit(psi0, evolution)))
+    for k, t, (value, evolution) in zip(steps, times, _forward_model(
+            psi0_prep.state(), circuits.evolver, times)):
+        value = complex(value)
         cells = [((k, m), spec) for m, spec in enumerate(specs)]
-        ests = _estimate_cells(circuits, t, evolution, cells, plan, streams, magnitude_source)
+        ests = _estimate_cells(circuits, t, value, evolution, cells, plan, streams,
+                               magnitude_source)
         fractions = mirror_fractions(value, e_ref, t)
         for mode, est in zip(MITIGATION_MODES, ests):
             f_errs = [abs(f - fx) if not np.isnan(f) else float("nan")

@@ -12,15 +12,15 @@ from ``PAULI_NAMES``, applied after the slot's gate.  The mirror estimator
 then draws one more uniform to sample the final state.  It does not run one
 trajectory at a time: the shots with an error evolve as rows of a batch
 with the noiseless state of their circuit, each joining it at its first
-erring gate, and a shot whose slot uniforms all reach p samples that
-noiseless row by the same inverse-CDF rule as a noiseless pool
-(``mirror._noisy_pool``, ``mirror._Pool`` and ``mirror._evolve_passes``).
+erring gate; a shot whose slot uniforms all reach p runs no circuit, and
+its last uniform is read against the noiseless all-zero probability, as a
+noiseless shot's is (``mirror._noisy_pool``, ``mirror._Pool``).
 The draws are the same, in the same order, as a per-shot loop that applies
 the gates and draws ``rng.random()`` after each slot; ``tests/oracles.py``
 keeps that loop as the reference.  ``NoiseSpec`` is the ``noise`` section
 of the run configuration, ``twirl_angle`` the one place that resolves
 its twirl angle, and ``twirl_layer`` the one place that checks it against
-the reference branch.
+the reference branch: a multiple of pi over its down-spin count.
 """
 from __future__ import annotations
 
@@ -78,17 +78,16 @@ def postselect_f1(samples: np.ndarray, pairing, n_sites: int):
     return samples[keep], int(np.sum(~keep))
 
 
-def twirl_layer(n_qubits: int, theta: float = np.pi / 2) -> list[GateOp]:
+def twirl_layer(n_qubits: int, theta: float, n_down: int) -> list[GateOp]:
     """R_z(theta) = diag(e^{i theta}, e^{-i theta}) on every qubit.
 
-    The mirror circuits carry a superposition with the all-up reference, so
-    theta must be an integer multiple of 2*pi/n to leave both branches
-    unaffected; any other angle raises ValueError.
+    It turns the psi0 branch of a reference superposition, of ``n_down`` down
+    spins, by e^{2 i theta n_down} against the all-up branch, so theta must
+    be a multiple of pi/n_down (2*pi/n at S^z = 0); any other angle raises
+    ValueError.
     """
-    ratio = theta / (2 * np.pi / n_qubits)
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(
-            f"twirl angle {theta:g} is not a multiple of 2*pi/{n_qubits} "
-            "and would dephase the reference branch"
-        )
+    ratio = float(theta) * n_down / np.pi
+    if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
+        raise ValueError(f"twirl angle {theta:g} is not a multiple of pi/{n_down} and "
+                         f"would dephase the reference branch of {n_down} down spins")
     return [rz_gate(q, theta) for q in range(n_qubits)]

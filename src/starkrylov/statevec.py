@@ -262,7 +262,7 @@ def sampling_cdf(amps: np.ndarray) -> np.ndarray:
 
 
 def sample_bitstrings(cdf: np.ndarray, uniforms) -> np.ndarray:
-    """The one inverse-CDF rule (``mirror._Pool``): uniform u draws from
+    """The one inverse-CDF rule (``mirror._evolve_group``): uniform u draws from
     ``cdf`` (a ``sampling_cdf``) the basis index that counts the CDF entries
     at or below u, so a uniform on a step draws the next index."""
     return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)

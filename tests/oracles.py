@@ -1,5 +1,7 @@
 """Reference constructions and diagnostics that only the tests use: a sector's
-spectrum with its eigenvectors unfolded from the momentum blocks, the
+spectrum with its eigenvectors unfolded from the momentum blocks, exp(-i H t)
+applied to a state through the blocks (the former ``SpinHamiltonian.evolve``
+and ``_SectorBlocks.unfold``), the
 momentum blocks with an eigenvector array of their own each and the block
 projections, evolution and one-shot spectral sum on them (the former block
 storage and spectral sum of ``SpinHamiltonian``), the spectral sum that
@@ -22,8 +24,9 @@ one-pass estimate), and the
 mirror-circuit quantities: W(t) applied to one state (``evolve``), the exact
 overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
 at a time, their all-zero probabilities, the all-zero share of samples
-(``all_zero_fraction``), exact F1/F2/F3, one sampled
-estimation cell, the former scalar overlap reconstruction
+(``all_zero_fraction``), exact F1/F2/F3, the string probabilities of a gate
+list under the Pauli channel from a density matrix (``channel_state``),
+sampled estimation cells, the former scalar overlap reconstruction
 (``reconstruct``), the series reconstructed from exact fractions, the
 shot-noise reference curve and the former shot split (``former_allocate``);
 and the freshly keyed stream generator, the
@@ -39,10 +42,19 @@ import numpy as np
 from starkrylov import krylov, mirror
 from starkrylov.hamiltonian import SpinHamiltonian, check_time_step
 from starkrylov.magnet import sector_series, sector_solver_settings
-from starkrylov.mirror import _estimate_cells, _MirrorCircuits
-from starkrylov.noise import PAULI_NAMES, twirl_layer
+from starkrylov.mirror import _estimate_cells, _MirrorCircuits, exact_overlaps
+from starkrylov.noise import PAULI_NAMES
 from starkrylov.prep import invert, reference_superposition
-from starkrylov.statevec import _StreamOpener, apply_circuit, apply_gate_amps, pauli_gate
+from starkrylov.statevec import (
+    PAULIS,
+    GateOp,
+    _StreamOpener,
+    apply_circuit,
+    apply_gate_amps,
+    pauli_gate,
+    rz_gate,
+    zero_amps,
+)
 from starkrylov.trotter import TrotterScheme
 
 DEGENERACY_RTOL = 1e-9
@@ -83,6 +95,22 @@ def diagonalize(ham, sz: float) -> SpectrumResult:
     return SpectrumResult(np.concatenate(energies), np.hstack(vectors), ham._sectors[n_down])
 
 
+def unfold(sec, c: np.ndarray) -> np.ndarray:
+    """Amplitudes on the sector basis of sum_{r, m} c[r, m] |r, m>."""
+    return ((c * sec.scale[:, None]) @ sec.omega.conj())[sec.orbit, sec.shift]
+
+
+def spectral_evolve(ham, vec: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) applied blockwise over S^z sectors and momenta."""
+    out = np.zeros_like(vec, dtype=complex)
+    for basis, sec, coeffs in ham._projections(vec):
+        c = np.zeros((len(sec.scale), len(sec.omega)), dtype=complex)
+        for (m, keep, w, v, conj), a in zip(sec.blocks, coeffs):
+            c[keep, m] = (v.conj() if conj else v) @ (np.exp(-1j * w * t) * a)
+        out[basis] = unfold(sec, c)
+    return out
+
+
 def explicit_blocks(sec) -> list:
     """(m, keep, w, v) of every momentum block of ``sec`` with the block's
     own eigenvectors: an explicit ``v.conj()`` copy for a block that shares
@@ -108,7 +136,7 @@ def block_evolve(ham, vec: np.ndarray, t: float) -> np.ndarray:
         c = np.zeros((len(sec.scale), len(sec.omega)), dtype=complex)
         for (m, keep, w, v), a in zip(blocks, coeffs):
             c[keep, m] = v @ (np.exp(-1j * w * t) * a)
-        out[basis] = sec.unfold(c)
+        out[basis] = unfold(sec, c)
     return out
 
 
@@ -578,10 +606,10 @@ def per_sector_energies(lattice, method: str = "uvqpe", delta=None, n_steps=None
 # -- mirror circuits ---------------------------------------------------------------
 
 def evolve(evolver, amps: np.ndarray, t: float) -> np.ndarray:
-    """W(t) applied to one state: ``ham.evolve`` for the exact evolver, the
-    evolver's gate list of t otherwise."""
+    """W(t) applied to one state: ``spectral_evolve`` for the exact evolver,
+    the evolver's gate list of t otherwise."""
     if evolver.kind == "exact":
-        return evolver.ham.evolve(amps, t)
+        return spectral_evolve(evolver.ham, amps, t)
     return apply_circuit(amps, evolver.gates(t))
 
 
@@ -594,9 +622,11 @@ def mirror_states(psi0_prep, evolver, t: float,
                   twirl_angle: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three mirrored states |0(t)>, |0_R(t)>, |0_Ri(t)>, each built on
     its own: its preparation's state, evolved by ``evolve``, then the twirl
-    layer when ``twirl_angle`` is given, then the inverse preparation."""
+    layer, R_z(twirl_angle) on every qubit with no check of the angle, when
+    ``twirl_angle`` is given, then the inverse preparation."""
     u_r, u_ri = reference_superposition(psi0_prep, 1), reference_superposition(psi0_prep, 1j)
-    layer = [] if twirl_angle is None else twirl_layer(psi0_prep.n_sites, twirl_angle)
+    layer = ([] if twirl_angle is None
+             else [rz_gate(q, twirl_angle) for q in range(psi0_prep.n_sites)])
     return tuple(apply_circuit(apply_circuit(evolve(evolver, prep.state(), t), layer),
                                invert(inverse).gates)
                  for prep, inverse in ((psi0_prep, psi0_prep), (u_r, u_r), (u_r, u_ri)))
@@ -666,17 +696,28 @@ def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, se
     return np.array(sigmas)
 
 
+def estimate_cells(circuits, t: float, cells, plan, streams, magnitude_source="f1_sqrt"):
+    """``mirror._estimate_cells`` at time t alone: its overlap from
+    ``exact_overlaps`` under the exact evolver, from psi0 evolved through the
+    time's gate list, which the noisy passes read too, otherwise."""
+    evolver, psi0 = circuits.evolver, circuits.preps[0].state()
+    evolution = None if evolver.kind == "exact" else evolver.gates(t)
+    value = (exact_overlaps(psi0, evolver, [t])[0] if evolution is None
+             else np.vdot(psi0, apply_circuit(psi0, evolution)))
+    return _estimate_cells(circuits, t, value, evolution, cells, plan, streams, magnitude_source)
+
+
 def estimate_overlap(psi0_prep, evolver, t: float, plan, seed: int, stream=(0,),
                      noise=None, magnitude_source: str = "f1_sqrt"):
     """Sample the three mirrored circuits and reconstruct the overlap: one
-    estimation cell on circuits of its own.
+    estimation cell on circuits of its own (``estimate_cells``).
 
     ``stream`` is a tuple of integers naming this estimation cell (time
     index, realization, ...); all randomness is a pure function of
     (seed, stream, circuit, shot), so cells can run in any order.
     """
-    [estimate] = _estimate_cells(_MirrorCircuits(psi0_prep, evolver), t, evolver.gates(t),
-                                 [(stream, noise)], plan, _StreamOpener(seed), magnitude_source)
+    [estimate] = estimate_cells(_MirrorCircuits(psi0_prep, evolver), t, [(stream, noise)],
+                                plan, _StreamOpener(seed), magnitude_source)
     return estimate
 
 
@@ -712,6 +753,36 @@ def noiseless_draw(cdf: np.ndarray, shots: int, rng: np.random.Generator) -> np.
     inverse CDF from ``cdf`` (``sample_bitstrings`` before it took the
     uniforms themselves)."""
     return np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
+
+
+def channel_state(gates, n: int, p: float, rho=None) -> np.ndarray:
+    """The density matrix of ``gates`` applied to ``rho`` (default
+    |0..0><0..0|) under the Pauli channel of the ``noise`` module: each gate
+    maps rho to U rho U^dag, and after a gate with two or more sites each of
+    its sites maps rho to (1 - p) rho + (p/3) sum_P P rho P over P = X, Y, Z.
+    rho is held as the 2n-qubit vector of its entries, rho[i, j] at index
+    i 2^n + j, so U rho U^dag is ``apply_gate_amps`` of U on the row qubits
+    (sites q + n) and of conj(U) on the column qubits (sites q), and P rho P
+    one gate of P (x) conj(P) on both.  ``channel_probabilities`` reads its
+    diagonal."""
+    def conjugated(vec, gate):
+        vec = apply_gate_amps(vec, GateOp(tuple(q + n for q in gate.sites), gate.matrix))
+        return apply_gate_amps(vec, GateOp(gate.sites, gate.matrix.conj()))
+
+    vec = zero_amps(2 * n) if rho is None else rho
+    for gate in gates:
+        vec = conjugated(vec, gate)
+        for q in gate.sites if len(gate.sites) >= 2 else ():
+            vec = (1 - p) * vec + p / 3 * sum(
+                apply_gate_amps(vec, GateOp((q + n, q), np.kron(pauli, pauli.conj())))
+                for pauli in map(PAULIS.get, PAULI_NAMES))
+    return vec
+
+
+def channel_probabilities(rho: np.ndarray) -> np.ndarray:
+    """The basis-string probabilities of a ``channel_state``."""
+    n = rho.size.bit_length() // 2
+    return rho.reshape(1 << n, 1 << n).diagonal().real.copy()
 
 
 def noisy_apply(amps: np.ndarray, gates, spec, rng: np.random.Generator) -> np.ndarray:

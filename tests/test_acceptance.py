@@ -21,6 +21,7 @@ from oracles import (
     ritz_ground_overlap,
     ritz_overlaps,
     rng_stream,
+    spectral_evolve,
     subspace_overlap,
     toeplitz_pair,
     uvqpe,
@@ -171,7 +172,7 @@ def test_criterion_5_low_overlap_excursion(stars, hams):
     stuck = uvqpe(series, 50, 1e-1)
     assert stuck.energy - (-18.0) > 0.1
     spec = diagonalize(ham, 0.0)
-    basis = [ham.evolve(psi, k * DT) for k in range(61)]
+    basis = [spectral_evolve(ham, psi, k * DT) for k in range(61)]
     excited_seen = False
     for ns in range(5, 21):
         est = uvqpe(series, ns, 1e-6)
@@ -278,7 +279,7 @@ def test_criterion_9_twirling_identity(stars, hams):
         return float(np.abs(apply_circuit(state, final)[0]) ** 2)
 
     averaged = 0.5 * (p_zero(mixed)
-                      + p_zero(apply_circuit(mixed, twirl_layer(8, np.pi / 2))))
+                      + p_zero(apply_circuit(mixed, twirl_layer(8, np.pi / 2, 4))))
     diagonal = abs(a) ** 2 * p_zero(psi0) + abs(b) ** 2 * p_zero(leak)
     assert abs(averaged - diagonal) < 1e-10
     report(9, "two-term twirl average reproduces the diagonal sector mixture "
@@ -322,7 +323,7 @@ def test_criterion_11_property_suites(stars, hams):
     idx = np.arange(256)
     outside = sum(((idx >> q) & 1) for q in range(8)) != 4
     for out in (
-        ham.evolve(psi, 0.9),
+        spectral_evolve(ham, psi, 0.9),
         evolve(GateEvolver(ham, 0.9 / 3), psi, 0.9),
         apply_circuit(psi, step_unitaries(bond_scheme(star), ham, 0.9 / 3) * 3),
         evolve(GateEvolver(ham), psi, 0.9),
@@ -344,7 +345,7 @@ def test_criterion_11_property_suites(stars, hams):
     rng = np.random.default_rng(1)
     amps = rng.normal(size=256) + 1j * rng.normal(size=256)
     rnd = amps / np.linalg.norm(amps)
-    exact = ham.evolve(rnd, 1.0)
+    exact = spectral_evolve(ham, rnd, 1.0)
     ms = np.array([4, 8, 16, 32, 64])
     errs = [np.linalg.norm(evolve(GateEvolver(ham, 1.0 / m), rnd, 1.0) - exact) for m in ms]
     slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
@@ -353,7 +354,7 @@ def test_criterion_11_property_suites(stars, hams):
     # post-selection zero-discard on noiseless runs, both plaquettes
     for n_tri in (4, 6):
         prep_n = dressed_initial(stars[n_tri])
-        state = hams[n_tri].evolve(prep_n.state(), 0.4)
+        state = spectral_evolve(hams[n_tri], prep_n.state(), 0.4)
         state = apply_circuit(state, invert(prep_n).gates)
         samples = sample_bitstrings(sampling_cdf(state),
                                     rng_stream(31, n_tri).random(10 ** 5))

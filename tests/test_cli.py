@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkrylov
-from starkrylov import cli, krylov
+from starkrylov import cli, krylov, mirror
 from starkrylov import config as config_module
 from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, InitialStateSpec, RunConfig
@@ -128,6 +128,10 @@ BIG = 10 ** 400  # a JSON integer past float range: float(BIG) raises OverflowEr
     {"shots": {"total": 10 ** 10, "fractions": [0.4, 0.3, 0.3000000005]}},
     ("--threads", "0"),
     ("--threads", "-3"),
+    {"initial": {"kind": "sector", "sz": 1}, "steps": 6, "shots": {"total": 200000},
+     "noise": {"enable_twirl": True}},
+    {"evolver": "floquet", "steps": 2, "shots": {"total": 40},
+     "noise": {"enable_twirl": True, "twirl_angle": 1.7e308}},
 ], ids=["magnet-solver-unknown", "magnet-solver-floquet", "magnet-dt-bound",
         "magnet-dt-zero", "magnet-n-steps", "nested-unknown-key",
         "shots-fractions-sum", "shots-total-zero", "noise-p-above-one",
@@ -147,7 +151,8 @@ BIG = 10 ** 400  # a JSON integer past float range: float(BIG) raises OverflowEr
         "twirl-angle-past-float-range", "shot-fractions-past-float-range",
         "f1-grid-past-float-range", "shot-total-past-float-range",
         "m-totals-past-float-range", "shot-fractions-split-short-of-total",
-        "shot-fractions-split-past-total", "threads-zero", "threads-negative"])
+        "shot-fractions-split-past-total", "threads-zero", "threads-negative",
+        "twirl-dephases-odd-sz-sector", "twirl-angle-near-float-max"])
 def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     # a tuple row holds command-line arguments rather than a config
     extra = config if isinstance(config, tuple) else ()
@@ -156,6 +161,56 @@ def test_config_errors_exit_2_before_any_work(tmp_path, capsys, config):
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # refused before ED or any output
+
+
+def test_twirl_from_an_odd_sz_sector_exits_2(tmp_path, capsys):
+    # the default twirl angle pi/2 turns the psi0 branch of the S^z = 1
+    # sector state, three down spins on 8 sites, by e^{3 i pi} against the
+    # all-up branch: refused, naming the angles that keep it
+    config = {"initial": {"kind": "sector", "sz": 1}, "steps": 6, "shots": {"total": 200000},
+              "noise": {"enable_twirl": True}}
+    assert run(tmp_path, "overlaps", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: twirl angle 1.5708 is not a multiple of pi/3")
+    assert not (tmp_path / "out").exists()
+    config["noise"]["twirl_angle"] = math.pi / 3
+    config["shots"]["total"] = 300
+    assert run(tmp_path, "overlaps", config) == 0
+
+
+@pytest.mark.parametrize("command", ["overlaps", "converge"])
+@pytest.mark.parametrize("evolver", ["exact", "trotter", "floquet"])
+def test_noiseless_sampled_runs_evolve_no_circuit(tmp_path, monkeypatch, command, evolver):
+    # a noiseless sampled run, twirled and post-selected, reads every
+    # error-free shot against the forward model: no gate is applied inside
+    # _evolve_passes.  A noisy Floquet run applies some there
+    inside, calls = [False], []
+    kernel, evolve_passes = mirror.apply_gate_amps, mirror._evolve_passes
+
+    def counted_kernel(amps, gate):
+        if inside[0]:
+            calls.append(gate)
+        return kernel(amps, gate)
+
+    def recorded(shots, n):
+        inside[0] = True
+        try:
+            return evolve_passes(shots, n)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(mirror, "apply_gate_amps", counted_kernel)
+    monkeypatch.setattr(mirror, "_evolve_passes", recorded)
+    noise = {"enable_twirl": True, "enable_postselect": True}
+    config = {"evolver": evolver, "steps": 8, "shots": {"total": 300}, "realizations": 2,
+              "noise": noise}
+    assert run(tmp_path, command, config) == 0
+    assert calls == []
+    if evolver == "floquet":
+        noise["p_pauli"] = 0.01
+        (tmp_path / "noisy").mkdir()
+        assert run(tmp_path / "noisy", command, config) == 0
+        assert calls
 
 
 def test_float_fields_keep_the_value_as_given():

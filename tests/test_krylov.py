@@ -17,6 +17,7 @@ from oracles import (
     ritz_ground_overlap,
     ritz_overlaps,
     solve,
+    spectral_evolve,
     step_bounds,
     sweep_cell,
     sweep_eigenvalues,
@@ -236,7 +237,7 @@ def test_ritz_trace_12_spin(series12):
     star, ham, series = series12
     spec = diagonalize(ham, 0.0)
     psi = dressed_initial(star).state()
-    basis = [ham.evolve(psi, k * DT) for k in range(61)]
+    basis = [spectral_evolve(ham, psi, k * DT) for k in range(61)]
     est10 = uvqpe(series, 10, 1e-6)
     rows = ritz_overlaps(est10, basis[:10], spec)
     clusters = cluster_overlaps(rows)
@@ -359,8 +360,7 @@ SWEEP_DELTAS = (1e-14, 1e-6, 1e-2, 0.1)
 ])
 def test_sweep_matches_single_cell_solves(sweep_runs, algorithm, runs, kwargs):
     series = sweep_runs[runs]
-    first = max(SOLVERS[algorithm].first_step, kwargs.get("window") or 1)
-    steps = range(first, min(60, min(s.n_max for s in series)) + 1)
+    steps = SOLVERS[algorithm].steps(min(60, min(s.n_max for s in series)), kwargs.get("window"))
     assert_sweep_matches_oracle(algorithm, series, steps, SWEEP_DELTAS, **kwargs)
 
 
@@ -432,8 +432,8 @@ def test_every_sweep_cell_has_an_energy(sweep_runs, deltas):
     energy, on exact, sampled and Floquet series."""
     for algorithm, name, kwargs in CELL_ENERGY_CASES:
         runs = sweep_runs[name]
-        first = max(SOLVERS[algorithm].first_step, kwargs.get("window") or 1)
-        cells = sweep(algorithm, runs, range(first, 21), deltas, **kwargs)
+        cells = sweep(algorithm, runs, SOLVERS[algorithm].steps(20, kwargs.get("window")),
+                      deltas, **kwargs)
         for (ns, delta), cell in cells.items():
             for est in cell:
                 where = f"{algorithm} {name} {kwargs} n_steps={ns} delta={delta!r}"
@@ -547,7 +547,8 @@ def test_odmd_window_and_real_part_match_former_path(former_path_runs, case, kwa
     1e-9.  The sampled real-part runs have 42 such cells per delta below 0.1
     (71 with window 5)."""
     runs, steps = former_path_runs[case]
-    steps = [ns for ns in steps if ns >= max(SOLVERS["odmd"].first_step, kwargs.get("window", 1))]
+    valid = SOLVERS["odmd"].steps(max(steps), kwargs.get("window"))
+    steps = [ns for ns in steps if ns in valid]
     cells = sweep("odmd", runs, steps, ODMD_FORMER_PATH_BOUND, **kwargs)
     for (ns, delta), cell in cells.items():
         for r, (series, est) in enumerate(zip(runs, cell)):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_zero_fraction,
+    estimate_cells,
     estimate_overlap,
     evolve,
     exact_fractions,
@@ -19,6 +20,7 @@ from oracles import (
     reconstruct as reference_reconstruct,
     rng_stream,
     shot_noise_reference,
+    spectral_evolve,
     zero_probabilities,
 )
 from starkrylov import mirror as mirror_module
@@ -35,7 +37,6 @@ from starkrylov.mirror import (
     _Pass,
     _Pool,
     _cell_estimate,
-    _estimate_cells,
     _evolve_passes,
     _noisy_pool,
     _shared_run,
@@ -59,6 +60,7 @@ from starkrylov.prep import (
 from starkrylov.statevec import (
     _StreamOpener,
     apply_circuit,
+    sample_bitstrings,
     sampling_cdf,
     zero_amps,
 )
@@ -308,7 +310,8 @@ def _per_cell_reference(prep, evolver, ham, t, plan, seed, stream, noise):
                 continue
             state = evolve(evolver, p.state(), t)
             if pool:
-                state = apply_circuit(state, twirl_layer(prep.n_sites, twirl_angle(noise)))
+                state = apply_circuit(state, twirl_layer(prep.n_sites, twirl_angle(noise),
+                                                         len(prep.dimer_pairs)))
             state = apply_circuit(state, invert(inv).gates)
             pools.append(noiseless_draw(sampling_cdf(state), shots,
                                         rng_stream(seed, *stream, i, pool)))
@@ -355,23 +358,25 @@ def test_shared_states_match_per_cell_reference(problem, kind, twirl):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_noiseless_pool_matches_former_draw(seed):
-    # a noiseless pool draws its uniforms when it is built, before its pass
-    # evolves, and samples by inverse CDF afterwards: the samples the former
-    # pool drew from its stream opened after the pass evolved.  Some CDF steps
-    # lie exactly on the pool's uniforms; such a uniform draws the next index
+    # a noiseless pool draws its uniforms when it is built, and its zeros
+    # are the zeros of the samples the former pool drew by inverse CDF from
+    # its stream opened after its pass evolved: sample_bitstrings on the
+    # pool's uniforms gives those samples.  Some CDF steps lie exactly on the
+    # pool's uniforms, cdf[0] among them when it is drawn; such a uniform
+    # draws the next index
     gen = np.random.default_rng(seed)
     n, shots = int(gen.integers(2, 7)), int(gen.integers(1, 300))
     key = tuple(int(k) for k in gen.integers(0, 2 ** 32, size=int(gen.integers(1, 5))))
     streams = _StreamOpener(seed)
-    pool = _Pool(_Pass([]), streams(key).random(shots))
-    streams((*key, 0)).random(shots)  # other pools' streams opened before it samples
+    pool = _Pool(streams(key).random(shots))
+    streams((*key, 0)).random(shots)  # other pools' streams opened before it counts
     amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
     on_steps = gen.choice(pool.uniforms, min(shots, (1 << n) - 1) // 2, replace=False)
     rest = gen.choice(sampling_cdf(amps)[:-1], (1 << n) - 1 - len(on_steps), replace=False)
     cdf = np.append(np.sort(np.concatenate([on_steps, rest])), 1.0)
-    pool.npass.cdf = cdf  # the CDF its evolved state would set
-    samples = pool.samples()
+    samples = sample_bitstrings(cdf, pool.uniforms)
     assert np.array_equal(samples, noiseless_draw(cdf, shots, rng_stream(seed, *key)))
+    assert np.array_equal(pool.zeros(cdf[0]), samples == 0)
     below = np.count_nonzero(cdf[None, :] <= pool.uniforms[:, None], axis=1)
     assert np.array_equal(samples, below)
     for u in on_steps:
@@ -385,38 +390,56 @@ def test_zero_mask_matches_samples(seed):
     # third state has no |0..0> amplitude, so cdf[0] = 0 and no shot draws it
     gen = np.random.default_rng(seed)
     n = int(gen.integers(1, 7))
-    npass = _Pass([])
-    npass.state = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    state = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
     if seed % 3 == 0:
-        npass.state[0] = 0.0
-    c0 = npass.cdf[0]
+        state[0] = 0.0
+    cdf = sampling_cdf(state)
+    c0 = cdf[0]
     edges = [c0, c0, np.nextafter(c0, 0.0), np.nextafter(c0, 1.0), 0.0]
     uniforms = gen.permutation(np.concatenate([gen.random(200), edges]))
-    pool = _Pool(npass, uniforms)
-    zeros, samples = pool.zeros(), pool.samples()
+    pool = _Pool(uniforms)
+    zeros, samples = pool.zeros(c0), sample_bitstrings(cdf, uniforms)
     assert zeros.dtype == bool and np.array_equal(zeros, samples == 0)
     assert (samples[uniforms == c0] == 1).all()
     assert zeros[uniforms == np.nextafter(c0, 0.0)].all() == (c0 > 0)
 
 
+def _noiseless_zero(gates: list, n: int) -> float:
+    """The former rule's all-zero probability of a pass: cdf[0] of its
+    noiseless state, evolved from |0..0> through ``gates``."""
+    return sampling_cdf(apply_circuit(zero_amps(n), gates))[0]
+
+
+def _assert_pool_matches(pool, p_zero, reference):
+    """A pool against per-shot ``reference`` samples: each erring shot's
+    sample, and every shot's zero, the error-free ones read against the
+    noiseless all-zero probability ``p_zero``."""
+    assert [shot.sample for shot in pool.shots] == reference[pool.erring].tolist()
+    assert np.array_equal(pool.zeros(p_zero), reference == 0)
+
+
 @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
 def test_noisy_zero_mask_matches_samples(problem, p):
     # an erring shot's entry is its own sample == 0, whatever its uniform
-    # says against the noiseless cdf[0]; at p = 0.05 some shots err and some
-    # do not, and some erring shots' entries differ from the uniform's
+    # says against the noiseless cdf[0]; an error-free shot's entry is its
+    # uniform against it.  At p = 0.05 some shots err and some do not, and
+    # some erring shots' entries differ from the uniform's
     _, ham, prep = problem
     circuits = _MirrorCircuits(prep, make_evolver("floquet", ham))
     evolution = circuits.evolver.gates(2 * DT)
     pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, None)), 60, p,
                          _StreamOpener(4), (i,))
              for i in range(3)]
-    _evolve_passes([pool.npass for pool in pools],
-                   [shot for pool in pools for shot in pool.shots], prep.n_sites)
+    _evolve_passes([shot for pool in pools for shot in pool.shots], prep.n_sites)
     overridden = 0
-    for pool in pools:
+    for i, pool in enumerate(pools):
         assert pool.shots
-        assert np.array_equal(pool.zeros(), pool.samples() == 0)
-        by_uniform = pool.uniforms[pool.erring] < pool.npass.cdf[0]
+        c0 = _noiseless_zero(pool.shots[0].npass.gates, prep.n_sites)
+        zeros, free = pool.zeros(c0), np.ones(60, dtype=bool)
+        free[pool.erring] = False
+        assert np.array_equal(zeros[pool.erring], [s.sample == 0 for s in pool.shots])
+        assert np.array_equal(zeros[free], pool.uniforms[free] < c0)
+        by_uniform = pool.uniforms[pool.erring] < c0
         overridden += np.count_nonzero(by_uniform != [s.sample == 0 for s in pool.shots])
     assert overridden > 0
     if p == 0.05:
@@ -430,16 +453,10 @@ def test_cell_estimate_flags_phase_degenerate(problem, mode):
     # has no phase, and the cell keeps the magnitude sqrt(F1)
     _, ham, prep = problem
     circuits = _MirrorCircuits(prep, ExactEvolver(ham))
-
-    def pool(zero_weight, uniforms):
-        npass = _Pass([])
-        npass.state = np.sqrt([zero_weight, 1.0 - zero_weight]).astype(complex)
-        return _Pool(npass, np.array(uniforms))
-
-    est = _cell_estimate(circuits, DT, None,
-                         [[pool(1.0, [0.1, 0.6, 0.9])],
-                          [pool(0.5, [0.2, 0.7]), pool(0.5, [0.4, 0.9])],
-                          [pool(0.5, [0.3, 0.3, 0.8, 0.6])]], mode)
+    est = _cell_estimate(circuits, DT, None, (1.0, 0.5, 0.5),
+                         [[_Pool(np.array([0.1, 0.6, 0.9]))],
+                          [_Pool(np.array([0.2, 0.7])), _Pool(np.array([0.4, 0.9]))],
+                          [_Pool(np.array([0.3, 0.3, 0.8, 0.6]))]], mode)
     assert est.fractions == (1.0, 0.5, 0.5)
     assert type(est.value) is complex
     if mode == "f1_sqrt":
@@ -472,10 +489,10 @@ def test_noisy_sampling_matches_per_shot_reference(problem, kind, twirl):
         shots = 300 if p == 1e-3 else 60
         npass = _Pass(gates)
         pool = _noisy_pool(npass, shots, p, _StreamOpener(6), (case, 1))
-        _evolve_passes([npass], pool.shots, prep.n_sites)
-        got = pool.samples()
-        assert np.array_equal(got, _per_shot_noisy_reference(gates, prep.n_sites,
-                                                             shots, noise, 6, (case, 1)))
+        _evolve_passes(pool.shots, prep.n_sites)
+        _assert_pool_matches(pool, _noiseless_zero(gates, prep.n_sites),
+                             _per_shot_noisy_reference(gates, prep.n_sites, shots, noise, 6,
+                                                       (case, 1)))
         # p = 1e-3 runs both branches: error-free shots and shots that join the
         # batch at an erring gate; p = 0.5 replays several errors per shot; at
         # p = 1 every shot errs at every slot, from its first on
@@ -521,12 +538,11 @@ def test_batched_cells_match_cells_alone(problem, kind):
                               enable_twirl=mode in ("twirl", "both")))
              for m, mode in enumerate(MITIGATION_MODES)]
     for cells in (realizations, modes):
-        batched = _estimate_cells(_MirrorCircuits(prep, ev), t, ev.gates(t), cells, plan,
-                                  _StreamOpener(5), "f1_sqrt")
+        batched = estimate_cells(_MirrorCircuits(prep, ev), t, cells, plan, _StreamOpener(5))
         assert len(batched) == len(cells)
         for (stream, spec), est in zip(cells, batched):
-            [alone] = _estimate_cells(_MirrorCircuits(prep, ev), t, ev.gates(t),
-                                      [(stream, spec)], plan, _StreamOpener(5), "f1_sqrt")
+            [alone] = estimate_cells(_MirrorCircuits(prep, ev), t, [(stream, spec)], plan,
+                                     _StreamOpener(5))
             assert est == alone
             assert est.fractions == _noisy_cell_reference(prep, ev, t, plan, 5, stream, spec)
 
@@ -571,21 +587,32 @@ def test_ablation_builds_each_step_gates_once(problem, monkeypatch):
 
 
 def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
-    # the realizations of a noiseless sampled series share the CDF of each
-    # (time, circuit, pool) mirrored state
+    # a CDF is built once for each erring shot, the one it samples, and for
+    # nothing else: a noiseless sampled series, twirled, of three
+    # realizations builds none
     _, ham, prep = problem
-    built = []
+    built, erring = [], []
+    noisy_pool = mirror_module._noisy_pool
 
     def counted_cdf(amps):
         built.append(1)
         return sampling_cdf(amps)
 
+    def recorded_pool(*args):
+        pool = noisy_pool(*args)
+        erring.extend(pool.shots)
+        return pool
+
     monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
     monkeypatch.setattr(statevec_module, "sampling_cdf", counted_cdf)
-    overlap_series_sampled(prep, GateEvolver(ham), DT, 3, ShotPlan(60), seed=4,
-                           noise=NoiseSpec(enable_twirl=True), realizations=(0, 1, 2))
-    # 3 steps in each direction, 3 circuits, an untwirled and a twirled pool each
-    assert len(built) == 2 * 3 * 3 * 2
+    monkeypatch.setattr(mirror_module, "_noisy_pool", recorded_pool)
+    noise = NoiseSpec(enable_twirl=True)
+    for spec in (noise, replace(noise, p_pauli=0.02)):
+        built.clear()
+        overlap_series_sampled(prep, GateEvolver(ham), DT, 3, ShotPlan(60), seed=4,
+                               noise=spec, realizations=(0, 1, 2))
+        assert len(built) == len(erring)
+    assert erring
 
 
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
@@ -593,13 +620,11 @@ def test_exact_cells_equal_exact_overlap(problem, problem12, kind):
     # the exact references, <psi0|W(t)|psi0> from exact_overlaps and their
     # closed-form fractions, must equal the oracle's overlap (bit for bit
     # under a gate evolver) and the all-zero probabilities of the mirrored
-    # states it builds one at a time.  Every pass's noiseless CDF and
-    # all-zero probability, twirled or not, must equal those of the oracle's
-    # mirrored states bit for bit, on the 8- and the 12-spin star
+    # states it builds one at a time, twirled or not: the noiseless
+    # fractions every error-free shot reads, on the 8- and the 12-spin star
     angle = np.pi / 2
     for star, ham, prep in (problem, problem12):
         ev = make_evolver(kind, ham, dt_step=DT)
-        circuits = _MirrorCircuits(prep, ev)
         psi0 = prep.state()
         for t in (k * DT for k in (1, 2, 7, -3)):
             [value] = exact_overlaps(psi0, ev, [t])
@@ -609,16 +634,9 @@ def test_exact_cells_equal_exact_overlap(problem, problem12, kind):
                 assert value == exact_overlap(psi0, ev, t)
             fractions = mirror_fractions(value, ham.reference_energy(), t)
             assert np.allclose(fractions, exact_fractions(prep, ev, t), rtol=0, atol=1e-14)
-            evolution = ev.gates(t)
-            passes = {(i, a): _Pass(circuits.pass_gates(i, evolution, a))
-                      for i in range(3) for a in (None, angle)}
-            _evolve_passes(list(passes.values()), [], star.n_sites)
             for pass_angle in (None, angle):
-                states = mirror_states(prep, ev, t, pass_angle)
-                for i, zero in enumerate(zero_probabilities(states)):
-                    npass = passes[i, pass_angle]
-                    assert np.array_equal(npass.cdf, sampling_cdf(states[i]))
-                    assert float(np.abs(npass.state[0]) ** 2) == zero
+                zeros = zero_probabilities(mirror_states(prep, ev, t, pass_angle))
+                assert np.allclose(fractions, zeros, rtol=0, atol=1e-14)
 
 
 def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
@@ -641,9 +659,9 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
         steps.append((len(evolved) - evolutions, len(kernel_calls) - calls))
         return estimates
 
-    def recorded_evolve(passes, shots, n):
-        evolved.append(passes)
-        return evolve_passes(passes, shots, n)
+    def recorded_evolve(shots, n):
+        evolved.append(list(dict.fromkeys(shot.npass for shot in shots)))
+        return evolve_passes(shots, n)
 
     def recorded_pool(npass, *args):
         pools.append(npass)
@@ -657,7 +675,7 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
 
     def check(n_times, n_pools):
         # one evolution per time, of distinct passes with distinct gate lists,
-        # each run by a pool
+        # each run by a pool and by erring shots
         assert [len(passes) for passes in evolved] == [6] * n_times
         for passes in evolved:
             assert len({tuple(map(id, npass.gates)) for npass in passes}) == 6
@@ -677,8 +695,9 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
         modes = [((k, m), replace(noise, enable_postselect=mode in ("postselect", "both"),
                                   enable_twirl=mode in ("twirl", "both")))
                  for m, mode in enumerate(MITIGATION_MODES)]
-        recorded_estimate(circuits, k * DT, circuits.evolver.gates(k * DT), modes, plan,
-                          _StreamOpener(4))
+        evolution = circuits.evolver.gates(k * DT)
+        value = np.vdot(prep.state(), apply_circuit(prep.state(), evolution))
+        recorded_estimate(circuits, k * DT, value, evolution, modes, plan, _StreamOpener(4))
     assert steps[3:] == ablation_steps and [e for e, _ in ablation_steps] == [1, 1, 1]
     evolved.clear()
     pools.clear()
@@ -698,8 +717,8 @@ def test_unsampled_passes_build_no_cdf(problem, monkeypatch):
         built.append(1)
         return sampling_cdf(amps)
 
-    def recorded_evolve(passes, shots, n):
-        evolved.append(passes)
+    def recorded_evolve(shots, n):
+        evolved.append(shots)
 
     monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
     monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
@@ -712,7 +731,8 @@ def test_unsampled_passes_build_no_cdf(problem, monkeypatch):
 @pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl"])
 def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl):
     # passes evolve as one batch over the leading run of gate objects their
-    # lists share; each pass must give what it gives evolved alone
+    # lists share; each pass's erring shots must give what they give evolved
+    # alone
     _, ham, prep = problem
     evolver = make_evolver(kind, ham, dt_step=DT)
     t, angle = 2 * DT, np.pi / 2 if twirl else None
@@ -740,11 +760,13 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
         npass = _Pass(circuits.pass_gates(key[0], evolution, key[1]))
         return npass, _noisy_pool(npass, 40, 0.05, _StreamOpener(3), (m,)).shots
 
-    # every gate of each distinct gate-list prefix is applied once, to the
-    # whole batch; the six passes of one noisy8 time hold 258 gates, 92 of
-    # them shared
+    # with one erring shot per pass that joins after gate 0, every gate of
+    # each distinct gate-list prefix is applied once, to the whole batch;
+    # the six passes of one noisy8 time hold 258 gates, 92 of them shared
     passes = {key: _Pass(circuits.pass_gates(key[0], evolution, key[1])) for key in keys}
-    _evolve_passes(list(passes.values()), [], prep.n_sites)
+    shots = [_ErringShot(npass, [(0, npass.gates[0].sites[0], "Y")], 0.5)
+             for npass in passes.values()]
+    _evolve_passes(shots, prep.n_sites)
     prefixes = {tuple(map(id, npass.gates[:k])) for npass in passes.values()
                 for k in range(1, len(npass.gates) + 1)}
     total = sum(len(npass.gates) for npass in passes.values())
@@ -753,38 +775,38 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
         assert (total, len(rows)) == (258, 166)
 
     # F3 shares the U_R preparation and the evolution (and, twirled, the twirl
-    # layer) with F2.  With one erring shot per pass that joins after gate 0,
-    # the noiseless row and the shots of every F2 and F3 pass ride in one
-    # batch through the rest of the U_R preparation and the evolution
+    # layer) with F2: the noiseless row and the shots of every F2 and F3 pass
+    # ride in one batch through the rest of the U_R preparation and the
+    # evolution
     shared = len(circuits.preps[1].gates) + len(evolver.gates(t))
     for a in angles:
         layer = 0 if a is None else prep.n_sites
         assert _shared_run(passes[(1, a)].gates, passes[(2, a)].gates) == shared + layer
-    shots = [_ErringShot(npass, [(0, npass.gates[0].sites[0], "Y")], 0.5)
-             for npass in passes.values()]
-    rows.clear()
-    _evolve_passes(list(passes.values()), shots, prep.n_sites)
     assert rows.count(1 + 2 * len(angles)) == shared - 1
 
-    # with the shots the pools draw, each pass's noiseless CDF, its shots'
-    # samples and the final states behind them equal the pass built alone, on
-    # circuits of its own, and evolved alone
+    # a pass that no erring shot runs is not evolved: the F1 passes alone
+    # apply their own gates once each
+    rows.clear()
+    f1 = [passes[0, a] for a in angles]
+    _evolve_passes([shot for shot in shots if shot.npass in f1], prep.n_sites)
+    assert len(rows) == len({tuple(map(id, npass.gates[:k])) for npass in f1
+                             for k in range(1, len(npass.gates) + 1)})
+
+    # with the shots the pools draw, each pass's shots' samples and the final
+    # states behind them equal those of the pass built alone, on circuits of
+    # its own, and evolved alone
     passes = {key: drawn(circuits, key, m, evolution) for m, key in enumerate(keys)}
     assert all(shots for _, shots in passes.values())
     cdfs.clear()
-    _evolve_passes([npass for npass, _ in passes.values()],
-                   [shot for _, shots in passes.values() for shot in shots], prep.n_sites)
-    # a pass builds its CDF where it is first read
-    assert all(npass.cdf is not None for npass, _ in passes.values())
+    _evolve_passes([shot for _, shots in passes.values() for shot in shots], prep.n_sites)
     together = sorted(cdfs)
+    assert len(together) == sum(len(shots) for _, shots in passes.values())
     cdfs.clear()
     for m, (key, (npass, shots)) in enumerate(passes.items()):
         alone, alone_shots = drawn(_MirrorCircuits(prep, evolver), key, m, evolver.gates(t))
         assert [g.label for g in alone.gates] == [g.label for g in npass.gates]
         assert alone.slots == npass.slots
-        _evolve_passes([alone], alone_shots, prep.n_sites)
-        assert np.array_equal(alone.state, npass.state)
-        assert np.array_equal(alone.cdf, npass.cdf)
+        _evolve_passes(alone_shots, prep.n_sites)
         assert [s.errors for s in alone_shots] == [s.errors for s in shots]
         assert [s.sample for s in alone_shots] == [s.sample for s in shots]
     assert sorted(cdfs) == together
@@ -795,9 +817,8 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
 def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
     # with a batch of at most `rows` rows, the erring shots that do not fit
     # evolve in later batches, and with rows < 7 some pools draw their slot
-    # uniforms in more than one block; every pass's noiseless CDF and every
-    # shot's sample must equal the one-batch evolution and the per-shot
-    # reference
+    # uniforms in more than one block; every shot's uniform and sample must
+    # equal the one-batch evolution's and the per-shot reference's
     _, ham, prep = problem
     evolver = make_evolver(kind, ham, dt_step=DT)
     t, angle, p = 2 * DT, np.pi / 2, 0.05
@@ -808,8 +829,7 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
         pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, a)), 30, p,
                              _StreamOpener(5), (m,))
                  for m, (i, a) in enumerate(keys)]
-        _evolve_passes([pool.npass for pool in pools],
-                       [shot for pool in pools for shot in pool.shots], prep.n_sites)
+        _evolve_passes([shot for pool in pools for shot in pool.shots], prep.n_sites)
         return pools
 
     one_batch = drawn()
@@ -827,13 +847,16 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
     bounded = drawn()
     assert max(batches) == rows
     if rows < 7:
-        assert any(8 * (len(pool.npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
+        assert any(8 * (len(pool.shots[0].npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
                    for pool in bounded)
     for m, (pool, alone) in enumerate(zip(bounded, one_batch)):
-        assert np.array_equal(pool.npass.cdf, alone.npass.cdf)
+        gates = pool.shots[0].npass.gates
+        assert np.array_equal(pool.uniforms, alone.uniforms)
+        assert np.array_equal(pool.erring, alone.erring)
         assert [s.sample for s in pool.shots] == [s.sample for s in alone.shots]
-        assert np.array_equal(pool.samples(), _per_shot_noisy_reference(
-            pool.npass.gates, prep.n_sites, 30, NoiseSpec(p_pauli=p), 5, (m,)))
+        _assert_pool_matches(pool, _noiseless_zero(gates, prep.n_sites),
+                             _per_shot_noisy_reference(gates, prep.n_sites, 30,
+                                                       NoiseSpec(p_pauli=p), 5, (m,)))
 
 
 def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch):
@@ -844,7 +867,7 @@ def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch)
     evolver = make_evolver("floquet", ham, dt_step=DT)
     circuits, evolution = _MirrorCircuits(prep, evolver), evolver.gates(DT)
     shots, p = 15, 0.02
-    batches, waves = [], []
+    batches, waves, depth = [], [], [0]
     kernel, group = mirror_module.apply_gate_amps, mirror_module._evolve_group
 
     def counted_kernel(amps, gate):
@@ -853,9 +876,13 @@ def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch)
         return kernel(amps, gate)
 
     def recorded_group(passes, start, batch, shots):
-        if passes is every_pass:  # a wave, not a branch of one
+        if depth[0] == 0:  # a wave, not a branch of one
             waves.append(len(shots))
-        group(passes, start, batch, shots)
+        depth[0] += 1
+        try:
+            group(passes, start, batch, shots)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "_evolve_group", recorded_group)
@@ -864,14 +891,15 @@ def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch)
                          _StreamOpener(8), (m,))
              for m, (i, a) in enumerate(keys)]
     erring = [shot for pool in pools for shot in pool.shots]
-    every_pass = [pool.npass for pool in pools]
-    _evolve_passes(every_pass, erring, prep.n_sites)
+    _evolve_passes(erring, prep.n_sites)
     assert mirror_module._BATCH_BYTES // (16 << prep.n_sites) == 32
     assert len(erring) > 62 and waves == [31, 31, len(erring) - 62]
     assert max(batches) <= 32
-    for m, pool in enumerate(pools):
-        assert np.array_equal(pool.samples(), _per_shot_noisy_reference(
-            pool.npass.gates, prep.n_sites, shots, NoiseSpec(p_pauli=p), 8, (m,)))
+    for m, (pool, (i, a)) in enumerate(zip(pools, keys)):
+        gates = circuits.pass_gates(i, evolution, a)
+        _assert_pool_matches(pool, _noiseless_zero(gates, prep.n_sites),
+                             _per_shot_noisy_reference(gates, prep.n_sites, shots,
+                                                       NoiseSpec(p_pauli=p), 8, (m,)))
 
 
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
@@ -890,7 +918,7 @@ def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
         built.clear()
         overlap_series_sampled(prep, GateEvolver(ham), DT, 3, ShotPlan(12),
                                seed=4, noise=spec, realizations=(0, 1))
-        assert built == [(prep.n_sites, np.pi / 2)]
+        assert built == [(prep.n_sites, np.pi / 2, len(prep.dimer_pairs))]
 
 
 def test_noisy_series_realizations_match_single_cells(problem):
@@ -1013,25 +1041,151 @@ def test_allocation_study_small(problem):
 
 
 def test_sector_error_discards_every_shot(problem):
-    # a spin flip during evolution moves the state one sector over; the
-    # pair-parity rule then rejects every measured string deterministically
-    from starkrylov.noise import NoiseSpec
-    from starkrylov.statevec import x_gate
-
+    # a spin flip on the second site of a dimer pair, after the F1 circuit's
+    # last gate, moves the state one sector over; the pair-parity rule then
+    # rejects every measured string deterministically.  Every F1 shot of the
+    # cell carries that error
     star, ham, prep = problem
-
-    class LeakyEvolver:
-        kind = "floquet"
-
-        def __init__(self, ham):
-            self.inner = GateEvolver(ham)
-
-        def gates(self, t):
-            return self.inner.gates(t) + [x_gate(4)]
-
-    spec = NoiseSpec(enable_postselect=True)
-    est = estimate_overlap(prep, LeakyEvolver(ham), DT,
-                           ShotPlan(90, (1.0, 0.0, 0.0)), seed=1, noise=spec)
+    circuits = _MirrorCircuits(prep, GateEvolver(ham))
+    npass = _Pass(circuits.pass_gates(0, circuits.evolver.gates(DT), None))
+    flip = (len(npass.gates) - 1, prep.dimer_pairs[0][1], "X")
+    uniforms = _StreamOpener(1)((0,)).random(90)
+    shots = [_ErringShot(npass, [flip], u) for u in uniforms]
+    _evolve_passes(shots, prep.n_sites)
+    est = _cell_estimate(circuits, DT, NoiseSpec(enable_postselect=True), (0.5, 0.5, 0.5),
+                         [[_Pool(uniforms, np.arange(90), shots)], [], []], "f1_sqrt")
     assert est.value is None
     assert "all_shots_discarded" in est.flags
     assert est.discards[0] == 90
+
+
+def _sampled_preps(star) -> dict:
+    """Every initial state with a reference superposition: the dressed and
+    pinwheel states and the sector states of S^z = 1 to N - 1."""
+    return {"dressed": dressed_initial(star), "pinwheel": pinwheel(star),
+            **{f"sector_sz{sz}": sector_initial(star, sz) for sz in range(1, star.n_triangles)}}
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+def test_twirl_check_admits_exactly_the_angles_that_keep_the_fractions(n_tri):
+    # twirl_layer admits an angle for a psi0 branch of n_down down spins
+    # exactly when the twirled noiseless F2 and F3 all-zero probabilities
+    # equal the untwirled ones (to 1e-12) at every time, for every state
+    # with a reference superposition and every evolver.  The layer multiplies
+    # basis state b by e^{i theta (n_up - n_down)} (R_z on every qubit),
+    # written here from the popcount; the all-zero amplitude of U^dag x is
+    # <U 0|x>.  At S^z = 1 the former rule (a multiple of 2 pi/n) admits
+    # pi/2, which moves F2 and F3
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star)
+    n = star.n_sites
+    spin = n - 2 * np.array([bin(b).count("1") for b in range(1 << n)])
+    angles = np.pi * np.arange(-30, 121) / 60
+    admits: dict = {}
+    for name, prep in _sampled_preps(star).items():
+        n_down = len(prep.dimer_pairs)
+        for angle in angles:
+            if (n_down, angle) not in admits:
+                try:
+                    twirl_layer(n, angle, n_down)
+                    admits[n_down, angle] = True
+                except ValueError:
+                    admits[n_down, angle] = False
+        u_r = reference_superposition(prep, 1).state()
+        u_ri = reference_superposition(prep, 1j).state()
+        for kind in ("exact", "trotter", "floquet"):
+            ev = make_evolver(kind, ham, dt_step=DT)
+            kept = np.ones(len(angles), dtype=bool)
+            for t in (0.3, 0.7, 1.3):
+                evolved = evolve(ev, u_r, t)
+                twirled = evolved[None, :] * np.exp(1j * np.outer(angles, spin))
+                for ref in (u_r, u_ri):
+                    plain = np.abs(np.vdot(ref, evolved)) ** 2
+                    moved = np.abs(twirled @ ref.conj()) ** 2 - plain
+                    kept &= np.abs(moved) <= 1e-12
+            assert [admits[n_down, a] for a in angles] == kept.tolist(), (name, kind)
+            assert kept.sum() > 1
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+def test_noiseless_f1_state_has_no_odd_parity_amplitude(n_tri):
+    # post-selection keeps every error-free F1 shot because the noiseless F1
+    # state, twirled or not, has exactly zero amplitude on every string the
+    # pair-parity rule discards: both full dimer states, three evolvers,
+    # h = 0 and 0.7
+    star = build_star(n_tri)
+    strings = np.arange(1 << star.n_sites)
+    for h in (0.0, 0.7):
+        ham = SpinHamiltonian(star, h)
+        for prep in (dressed_initial(star), pinwheel(star)):
+            kept, _ = postselect_f1(strings, prep.dimer_pairs, star.n_sites)
+            odd = np.setdiff1d(strings, kept)
+            assert len(odd) == len(strings) // 2
+            twirl = twirl_layer(star.n_sites, np.pi / 2, len(prep.dimer_pairs))
+            for kind in ("exact", "trotter", "floquet"):
+                ev = make_evolver(kind, ham, dt_step=DT)
+                for t in (0.1, 0.7, -1.3):
+                    evolved = evolve(ev, prep.state(), t)
+                    for state in (evolved, apply_circuit(evolved, twirl)):
+                        f1 = apply_circuit(state, invert(prep).gates)
+                        assert np.count_nonzero(f1[odd]) == 0, (h, kind, t)
+
+
+def _former_zero_probability(circuits, t, i, angle):
+    """cdf[0] of circuit i's noiseless state at time t, the former count
+    rule's threshold: its preparation, W(t) (``spectral_evolve`` under the
+    exact evolver), the twirl layer of ``angle`` and its inverse preparation
+    applied to |0..0>, and the CDF of ``sampling_cdf``."""
+    ev = circuits.evolver
+    state = apply_circuit(zero_amps(circuits.n), circuits.preps[i].gates)
+    state = (spectral_evolve(ev.ham, state, t) if ev.kind == "exact"
+             else apply_circuit(state, ev.gates(t)))
+    if angle is not None:
+        state = apply_circuit(state, circuits._twirl(angle))
+    return sampling_cdf(apply_circuit(state, circuits.inverses[i]))[0]
+
+
+@pytest.mark.parametrize("n_tri", [4, 6])
+@pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
+def test_forward_model_counts_match_the_evolved_state_rule(n_tri, kind, monkeypatch):
+    # every pool's error-free shots count the same zeros under p_i, the
+    # forward model's all-zero probability, as under the former rule,
+    # u < cdf[0] of the pass's evolved noiseless state: series runs with the
+    # twirl and post-selection at p = 0, 0.001 and 0.5 (p = 0 alone under
+    # the exact evolver).  The two thresholds differ by rounding only, so no
+    # uniform may fall between them; the smallest |u - p_i| is reported
+    star = build_star(n_tri)
+    ham = SpinHamiltonian(star)
+    prep = dressed_initial(star)
+    ev = make_evolver(kind, ham, dt_step=DT)
+    cells, estimate = [], mirror_module._cell_estimate
+
+    def recorded(circuits, t, noise, probs, circuit_pools, magnitude_source):
+        cells.append((circuits, t, noise, probs, circuit_pools))
+        return estimate(circuits, t, noise, probs, circuit_pools, magnitude_source)
+
+    monkeypatch.setattr(mirror_module, "_cell_estimate", recorded)
+    rates = (0.0,) if kind == "exact" else (0.0, 0.001, 0.5)
+    for p in rates:
+        total = {0.0: 30000 if n_tri == 4 else 6000, 0.001: 1500 if n_tri == 4 else 300,
+                 0.5: 30}[p]
+        noise = NoiseSpec(p_pauli=p, enable_postselect=True, enable_twirl=True)
+        overlap_series_sampled(prep, ev, DT, 2, ShotPlan(total), seed=n_tri, noise=noise,
+                               realizations=(0, 1))
+    margin, counted, former, gap = np.inf, 0, {}, 0.0
+    for circuits, t, noise, probs, circuit_pools in cells:
+        for i, pools in enumerate(circuit_pools):
+            for pool, angle in zip(pools, (None, twirl_angle(noise))):
+                if (t, i, angle) not in former:
+                    former[t, i, angle] = _former_zero_probability(circuits, t, i, angle)
+                gap = max(gap, abs(probs[i] - former[t, i, angle]))
+                u = np.delete(pool.uniforms, np.asarray(pool.erring, dtype=int))
+                assert (np.count_nonzero(u < probs[i])
+                        == np.count_nonzero(u < former[t, i, angle])), (t, i, angle)
+                if len(u):
+                    margin = min(margin, float(np.min(np.abs(u - probs[i]))))
+                counted += len(u)
+    assert len(former) == (2 if kind == "floquet" else 1) * 2 * 3 * 2
+    assert counted > 0
+    print(f"{n_tri} triangles, {kind}: {counted} error-free shots, smallest |u - p_i| "
+          f"{margin:.3g}, largest |p_i - cdf[0]| {gap:.3g}")

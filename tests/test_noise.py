@@ -1,14 +1,30 @@
 import numpy as np
 import pytest
 
-from oracles import noisy_apply, rng_stream
+from oracles import (
+    channel_probabilities,
+    channel_state,
+    estimate_overlap,
+    noisy_apply,
+    rng_stream,
+    spectral_evolve,
+)
 from starkrylov.hamiltonian import SpinHamiltonian
 from starkrylov.lattice import build_star
-from starkrylov.mirror import GateEvolver
+from starkrylov.mirror import (
+    GateEvolver,
+    ShotPlan,
+    _evolve_passes,
+    _MirrorCircuits,
+    _noisy_pool,
+    _Pass,
+    make_evolver,
+)
 from starkrylov.noise import NoiseSpec, postselect_f1, twirl_layer
 from starkrylov.prep import dressed_initial, invert, reference_superposition
 from starkrylov.statevec import (
     GateOp,
+    _StreamOpener,
     apply_circuit,
     sample_bitstrings,
     sampling_cdf,
@@ -82,7 +98,7 @@ def test_postselect_zero_discard_noiseless(n_tri):
     star = build_star(n_tri)
     ham = SpinHamiltonian(star)
     prep = dressed_initial(star)
-    state = ham.evolve(prep.state(), 0.3)
+    state = spectral_evolve(ham, prep.state(), 0.3)
     state = apply_circuit(state, invert(prep).gates)
     samples = sample_bitstrings(sampling_cdf(state), rng_stream(23, 0).random(10 ** 5))
     _, dropped = postselect_f1(samples, prep.dimer_pairs, star.n_sites)
@@ -92,18 +108,23 @@ def test_postselect_zero_discard_noiseless(n_tri):
 def test_twirl_identity_cases(problem8):
     star, ham, prep = problem8
     psi = prep.state()  # pure S^z = 0
-    twirled = apply_circuit(psi, twirl_layer(8, np.pi / 2))
+    twirled = apply_circuit(psi, twirl_layer(8, np.pi / 2, 4))
     p0 = np.abs(apply_circuit(psi, invert(prep).gates)[0]) ** 2
     p1 = np.abs(apply_circuit(twirled, invert(prep).gates)[0]) ** 2
     assert abs(p0 - p1) < 1e-12
-    zero = apply_circuit(psi, twirl_layer(8, 0.0))
+    zero = apply_circuit(psi, twirl_layer(8, 0.0, 4))
     assert np.linalg.norm(zero - psi) < 1e-12
 
 
 def test_twirl_angle_validation():
-    twirl_layer(8, np.pi / 2)
+    # the angle must be a multiple of pi/n_down, n_down the psi0 branch's
+    # down-spin count: 2 pi/n at S^z = 0, and not pi/2 for three down spins
+    twirl_layer(8, np.pi / 2, 4)
+    twirl_layer(8, np.pi / 3, 3)
     with pytest.raises(ValueError, match="multiple"):
-        twirl_layer(10, np.pi / 2)
+        twirl_layer(10, np.pi / 2, 5)
+    with pytest.raises(ValueError, match=r"multiple of pi/3 "):
+        twirl_layer(8, np.pi / 2, 3)
 
 
 def test_twirl_cancels_intersector_coherence(problem8):
@@ -126,7 +147,7 @@ def test_twirl_cancels_intersector_coherence(problem8):
         return float(np.abs(apply_circuit(state, final)[0]) ** 2)
 
     p_plain = all_zero_prob(mixed)
-    p_twirl = all_zero_prob(apply_circuit(mixed, twirl_layer(8, np.pi / 2)))
+    p_twirl = all_zero_prob(apply_circuit(mixed, twirl_layer(8, np.pi / 2, 4)))
     averaged = 0.5 * (p_plain + p_twirl)
     psi0_only = all_zero_prob(psi0)
     leak_only = all_zero_prob(leak)
@@ -177,7 +198,7 @@ def test_reference_superposition_twirl_is_identity(problem8):
     star, ham, prep = problem8
     sup = reference_superposition(prep, 1)
     psi = sup.state()
-    out = apply_circuit(psi, twirl_layer(8, np.pi / 2))
+    out = apply_circuit(psi, twirl_layer(8, np.pi / 2, 4))
     assert abs(abs(np.vdot(out, psi)) - 1.0) < 1e-12
 
 
@@ -197,3 +218,81 @@ def test_mitigation_ablation_rows_and_csv(problem8, tmp_path):
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0] == "t,mode,f1_err,f2_err,f3_err,overlap_err"
     assert len(lines) == 1 + len(rows)
+
+
+# the channel test's point: 8 spins at t = 0.3 and p = 0.03, 2000 shots per
+# circuit.  There 4 sigma is at most 0.022 on a fraction, and an F2 or F3
+# fraction moves by that much when p moves by about 0.008, 27% of the rate
+CHANNEL_T, CHANNEL_P, CHANNEL_SHOTS = 0.3, 0.03, 6000
+
+
+@pytest.mark.parametrize("kind", ["floquet", "trotter"])
+def test_noisy_fractions_match_the_exact_channel(problem8, kind):
+    # every sampled fraction of a noisy cell, with and without the twirl,
+    # lies within 4 sigma of its value under the Pauli channel, from the
+    # density matrix (oracles.channel_state).  A circuit's pools are weighed
+    # by their shots; under post-selection F1 is the ratio of zero mass to
+    # kept mass, with the delta method's sigma
+    star, ham, prep = problem8
+    ev = make_evolver(kind, ham, dt_step=0.1)
+    circuits = _MirrorCircuits(prep, ev)
+    evolution = ev.gates(CHANNEL_T)
+    plan = ShotPlan(CHANNEL_SHOTS, (1 / 3, 1 / 3, 1 / 3))
+    kept, _ = postselect_f1(np.arange(1 << star.n_sites), prep.dimer_pairs, star.n_sites)
+    # the passes share their preparation and evolution, F2 and F3 all of it
+    evolved = [channel_state(list(circuits.preps[i].gates) + evolution, star.n_sites,
+                             CHANNEL_P) for i in (0, 1)]
+    for twirl in (False, True):
+        angle = np.pi / 2 if twirl else None
+        noise = NoiseSpec(CHANNEL_P, enable_postselect=twirl, enable_twirl=twirl)
+        est = estimate_overlap(prep, ev, CHANNEL_T, plan, seed=7, noise=noise)
+        for i, m_i in enumerate(plan.allocate()):
+            n_twirled = int(round(m_i * plan.twirl_fraction)) if twirl else 0
+            pools = []
+            for pool_angle, shots in ((None, m_i - n_twirled), (angle, n_twirled)):
+                layer = [] if pool_angle is None else circuits._twirl(pool_angle)
+                assert (list(circuits.preps[i].gates) + evolution + layer
+                        + list(circuits.inverses[i])) == circuits.pass_gates(i, evolution,
+                                                                             pool_angle)
+                probs = channel_probabilities(channel_state(
+                    layer + list(circuits.inverses[i]), star.n_sites, CHANNEL_P,
+                    evolved[min(i, 1)]))
+                pools.append((shots, probs[0], probs[kept].sum() if i == 0 and twirl else 1.0))
+            zero = sum(m * z for m, z, _ in pools)
+            mass = sum(m * k for m, _, k in pools)
+            value = zero / mass
+            # a shot's zero indicator minus value times its kept indicator
+            var = sum(m * (z - 2 * value * z + value ** 2 * k - (z - value * k) ** 2)
+                      for m, z, k in pools)
+            sigma = np.sqrt(var) / mass
+            assert abs(est.fractions[i] - value) <= 4 * sigma, (twirl, i, est.fractions[i],
+                                                                 value, sigma)
+
+
+def test_erring_samples_match_the_exact_channel(problem8):
+    # the shots of a noisy pool that draw an error sample the channel's
+    # erring part: its string probabilities less the error-free branch,
+    # (1 - p)^S times the noiseless state's for S error slots, over
+    # 1 - (1 - p)^S.  Their chi-square over the strings expected at least 10
+    # times, the rest pooled, stays within 4 sigma of its degrees of freedom
+    # (232, bound 318; it reads 202).  This sees where an error acts, which
+    # the fractions barely do: with each error applied before its gate, the
+    # F1 pass's fractions move by less than 1e-4, and this chi-square reads 437
+    star, ham, prep = problem8
+    n, p = star.n_sites, 0.01
+    ev = GateEvolver(ham)
+    gates = _MirrorCircuits(prep, ev).pass_gates(0, ev.gates(CHANNEL_T), None)
+    npass = _Pass(gates)
+    pool = _noisy_pool(npass, 24000, p, _StreamOpener(11), (0,))
+    _evolve_passes(pool.shots, n)
+    free = (1 - p) ** len(npass.slots)
+    clean = np.abs(apply_circuit(zero_amps(n), gates)) ** 2
+    erring = (channel_probabilities(channel_state(gates, n, p)) - free * clean) / (1 - free)
+    expected = erring * len(pool.shots)
+    observed = np.bincount([shot.sample for shot in pool.shots], minlength=1 << n)
+    bins = expected >= 10
+    e = np.append(expected[bins], expected[~bins].sum())
+    o = np.append(observed[bins], observed[~bins].sum())
+    dof = len(e) - 1
+    chi2 = float(np.sum((o - e) ** 2 / e))
+    assert chi2 <= dof + 4 * np.sqrt(2 * dof), (chi2, dof)
