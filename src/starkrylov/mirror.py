@@ -14,8 +14,9 @@ optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
 (``ExactEvolver``) or m gate steps of t/m (``GateEvolver``: Trotter, or the
 single Floquet step F_t).  Either W conserves S^z and has |0..0> as an
 eigenstate, so the noiseless fractions are ``mirror_fractions`` of O(t), the
-forward model above.  Only shots that draw a Pauli error run a circuit
-(``_evolve_passes``).
+forward model above.  A noiseless circuit's zero count is one binomial draw
+at its fraction (``noiseless_fractions``); under noise, only shots that draw
+a Pauli error run a circuit (``_evolve_passes``).
 Series, allocation and ablation results are returned as values; ``cli``
 writes them.
 """
@@ -186,6 +187,15 @@ def mirror_fractions(value, e_ref: float, t):
     forward model that ``reconstruct`` inverts."""
     ref = np.exp(-1j * e_ref * t)
     return np.abs(value) ** 2, np.abs(value + ref) ** 2 / 4, np.abs(ref - 1j * value) ** 2 / 4
+
+
+def noiseless_fractions(rng, counts, probs, size=()) -> list:
+    """The noiseless (F1, F2, F3) of circuits of ``counts`` shots: circuit i's
+    zero count is one ``binomial(counts[i], probs[i])`` of shape ``size``,
+    drawn in circuit order from ``rng``, with p_i, ``mirror_fractions``,
+    clipped to [0, 1] against rounding; nan for a circuit with no shots."""
+    return [rng.binomial(m, np.clip(p, 0.0, 1.0), size) / m if m else np.full(size, np.nan)
+            for m, p in zip(counts, probs)]
 
 
 def reconstruct(f1, f2, f3, e_ref: float, t, magnitude_source: str = "f1_sqrt"):
@@ -377,15 +387,15 @@ def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None,
                     plan: ShotPlan, streams, magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
     """The estimation cells at time t, one per (stream, noise) pair of
     ``cells``: a realization of a series step or a mitigation mode of an
-    ablation step.  Pool 0 of each circuit runs without the twirl layer and
-    pool 1 with it; circuit i's pool p draws from the stream (*stream, i, p),
-    or, noisy, shot j from (*stream, i, p, j).
-
-    An error-free shot reads p_i = ``mirror_fractions`` of ``value`` = O(t),
-    twirled or not (``twirl_layer`` admits no angle that moves it).  Each
-    pass, one per (circuit, twirl) that a noisy pool runs, is built once on
-    ``evolution``, the gate list of W(t), and ``_evolve_passes`` runs the
-    erring shots of every cell.
+    ablation step.  Circuit i's noiseless all-zero probability is p_i =
+    ``mirror_fractions`` of ``value`` = O(t), twirled or not (``twirl_layer``
+    admits no angle that moves it).  A noiseless cell (no noise, or p = 0)
+    draws its zero counts from its stream (``noiseless_fractions``).  A noisy
+    cell's circuit i runs pool 0 without the twirl layer and pool 1 with it,
+    shot j from the stream (*stream, i, pool, j); an error-free shot reads
+    p_i.  Each pass, one per (circuit, twirl) that a noisy pool runs, is built
+    once on ``evolution``, the gate list of W(t), and ``_evolve_passes`` runs
+    the erring shots of every cell.
     """
     probs = mirror_fractions(value, circuits.evolver.ham.reference_energy(), t)
     passes: dict = {}  # (circuit, twirl angle) -> _Pass
@@ -396,48 +406,46 @@ def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None,
         return passes[i, angle]
 
     erring: list[_ErringShot] = []
-    drawn = []  # per cell, per circuit: its pools
+    drawn = []  # per cell: its noiseless fractions, or nan and its pools per circuit
     for stream, noise in cells:
         angle = twirl_angle(noise)
         if angle is not None:
             circuits._twirl(angle)  # checked whether or not a circuit runs
-        noisy = noise is not None and noise.p_pauli > 0
-        if noisy and circuits.evolver.kind == "exact":
+        if noise is None or noise.p_pauli == 0:
+            drawn.append((noiseless_fractions(streams(stream), plan.allocate(), probs), ()))
+            continue
+        if circuits.evolver.kind == "exact":
             raise ValueError("gate-based evolver required (exact evolution has no error slots)")
         circuit_pools = []
         for i, m_i in enumerate(plan.allocate()):
             n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
-            pools = []
-            for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
-                if shots == 0:
-                    continue
-                key = (*stream, i, pool)
-                pools.append(_noisy_pool(npass(i, angle if pool else None), shots,
-                                         noise.p_pauli, streams, key) if noisy
-                             else _Pool(streams(key).random(shots)))
-                erring += pools[-1].shots
-            circuit_pools.append(pools)
-        drawn.append(circuit_pools)
+            circuit_pools.append([_noisy_pool(npass(i, angle if pool else None), shots,
+                                              noise.p_pauli, streams, (*stream, i, pool))
+                                  for pool, shots in enumerate((m_i - n_twirled, n_twirled))
+                                  if shots])
+            erring += [shot for pool in circuit_pools[-1] for shot in pool.shots]
+        drawn.append(([float("nan")] * 3, circuit_pools))
     _evolve_passes(erring, circuits.n)
-    return [_cell_estimate(circuits, t, noise, probs, circuit_pools, magnitude_source)
-            for (_, noise), circuit_pools in zip(cells, drawn)]
+    return [_cell_estimate(circuits, t, noise, probs, *cell, magnitude_source)
+            for (_, noise), cell in zip(cells, drawn)]
 
 
-def _cell_estimate(circuits: _MirrorCircuits, t, noise, probs, circuit_pools,
+def _cell_estimate(circuits: _MirrorCircuits, t, noise, probs, fractions, circuit_pools,
                    magnitude_source) -> OverlapEstimate:
-    """The estimate of one cell from its pools, per circuit; E_R is the
-    reference energy of the evolver's Hamiltonian.  A fraction counts the
-    shots that drew |0..0> (``_Pool.zeros``).  F1 under post-selection keeps
-    every error-free shot (the noiseless F1 state has no amplitude on a
-    discarded string) and drops the erring shots the rule discards."""
-    fractions = [float("nan")] * 3
+    """The estimate of one cell from its ``fractions``: a noiseless cell's
+    binomial ones, or nan where a noisy cell counts, per circuit, the shots of
+    its pools that drew |0..0> (``_Pool.zeros``).  F1 under post-selection
+    keeps every error-free shot (the noiseless F1 state has no amplitude on a
+    discarded string) and drops the erring shots the rule discards.  E_R is
+    the reference energy of the evolver's Hamiltonian."""
+    fractions = [float(f) for f in fractions]
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
     for i, pools in enumerate(circuit_pools):
         if not pools:
             continue
         kept = sum(len(pool.uniforms) for pool in pools)
-        if i == 0 and noise is not None and noise.enable_postselect:
+        if i == 0 and noise.enable_postselect:
             samples = np.array([shot.sample for pool in pools for shot in pool.shots],
                                dtype=np.int64)
             discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs, circuits.n)[1]
@@ -547,8 +555,8 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     """Typical overlap error per (shot budget, F1 fraction, magnitude mode).
 
     Each point draws from its stream (m_total, round(1000 f1_fraction)) the
-    F1, F2 and F3 fractions, in that order, as binomial (time, realization)
-    arrays, nan for a circuit with no shots.  The error O_m - O is zero-mean
+    F1, F2 and F3 fractions as (time, realization) arrays
+    (``noiseless_fractions``).  The error O_m - O is zero-mean
     up to the sqrt(F1) bias, so the RMS of |O - O_m| over all cells is the
     typical error reported, with its spread over per-time batches.
     """
@@ -556,14 +564,14 @@ def allocation_study(psi0_prep: PrepCircuit, ham, times, m_totals, f1_grid,
     streams = _StreamOpener(seed)
     times = np.asarray(times, dtype=float)
     values = exact_overlaps(psi0_prep.state(), ExactEvolver(ham), times)
-    probs = mirror_fractions(values, e_ref, times)
+    probs = mirror_fractions(values[:, None], e_ref, times[:, None])
     size = (len(times), n_realizations)
     rows = []
     for m_total in m_totals:
         for f1_frac in f1_grid:
             rng = streams((int(m_total), int(round(f1_frac * 1000))))
-            fractions = [rng.binomial(m, p[:, None], size) / m if m else np.full(size, np.nan)
-                         for m, p in zip(allocation_plan(m_total, f1_frac).allocate(), probs)]
+            fractions = noiseless_fractions(rng, allocation_plan(m_total, f1_frac).allocate(),
+                                            probs, size)
             for mode in ("f1_sqrt", "eq19"):
                 estimates, _ = reconstruct(*fractions, e_ref, times[:, None], mode)
                 errors = np.abs(estimates - values[:, None]) ** 2

@@ -26,11 +26,12 @@ overlap <psi0|W(t)|psi0> (``exact_overlap``), mirrored states built one state
 at a time, their all-zero probabilities, the all-zero share of samples
 (``all_zero_fraction``), exact F1/F2/F3, the string probabilities of a gate
 list under the Pauli channel from a density matrix (``channel_state``),
-sampled estimation cells, the former scalar overlap reconstruction
-(``reconstruct``), the series reconstructed from exact fractions, the
-shot-noise reference curve and the former shot split (``former_allocate``);
+sampled estimation cells, the noiseless count rule (``binomial_fractions``),
+the former scalar overlap reconstruction (``reconstruct``), the series
+reconstructed from exact fractions, the shot-noise reference curve and the
+former shot split (``former_allocate``);
 and the freshly keyed stream generator, the
-noiseless pool's former draw, and the one-trajectory-at-a-time noise channel
+former noiseless pool's draw, and the one-trajectory-at-a-time noise channel
 that the batched sampler replaces."""
 from __future__ import annotations
 
@@ -677,8 +678,8 @@ def overlap_series_mirror_exact(psi0_prep, evolver, ham, dt: float, kmax: int,
 def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, seed: int,
                          n_realizations: int = 100, magnitude_source: str = "f1_sqrt"):
     """Per-step std of the noiseless sampled estimate over realizations: each
-    (step, realization) draws F1, F2, F3 binomially in that order from the
-    stream (seed, k, r), nan for a circuit with no shots."""
+    (step, realization) draws its fractions from the stream (seed, k, r)
+    (``binomial_fractions``)."""
     e_ref = ham.reference_energy()
     counts = plan.allocate()
     psi0 = psi0_prep.state()
@@ -688,12 +689,21 @@ def shot_noise_reference(psi0_prep, evolver, ham, dt: float, kmax: int, plan, se
         probs, o_exact = exact_fractions(psi0_prep, evolver, t), exact_overlap(psi0, evolver, t)
         errors = []
         for r in range(n_realizations):
-            rng = rng_stream(seed, k, r)
-            fractions = [rng.binomial(m, p) / m if m else np.nan for m, p in zip(counts, probs)]
+            fractions = binomial_fractions(seed, (k, r), counts, probs)
             estimate, _ = mirror.reconstruct(*fractions, e_ref, t, magnitude_source)
             errors.append(abs(estimate - o_exact))
         sigmas.append(float(np.std(errors)))
     return np.array(sigmas)
+
+
+def binomial_fractions(seed: int, stream, counts, probs) -> tuple:
+    """The noiseless count rule of one cell: circuit i's zero count is one
+    binomial(counts[i], p_i), with p_i = probs[i] clipped to [0, 1], drawn in
+    circuit order from ``rng_stream(seed, *stream)``; the fraction is that
+    count over counts[i], nan for a circuit with no shots."""
+    rng = rng_stream(seed, *stream)
+    return tuple(rng.binomial(m, min(max(p, 0.0), 1.0)) / m if m else float("nan")
+                 for m, p in zip(counts, probs))
 
 
 def estimate_cells(circuits, t: float, cells, plan, streams, magnitude_source="f1_sqrt"):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -181,11 +182,21 @@ def test_twirl_from_an_odd_sz_sector_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["overlaps", "converge"])
 @pytest.mark.parametrize("evolver", ["exact", "trotter", "floquet"])
 def test_noiseless_sampled_runs_evolve_no_circuit(tmp_path, monkeypatch, command, evolver):
-    # a noiseless sampled run, twirled and post-selected, reads every
-    # error-free shot against the forward model: no gate is applied inside
-    # _evolve_passes.  A noisy Floquet run applies some there
-    inside, calls = [False], []
+    # a noiseless sampled run, twirled and post-selected, draws each
+    # circuit's zero count as one binomial: it calls _noisy_pool never,
+    # builds no _Pool and applies no gate inside _evolve_passes.  A noisy
+    # Floquet run draws pools and applies gates there
+    inside, calls, noisy_pools, pools = [False], [], [], []
     kernel, evolve_passes = mirror.apply_gate_amps, mirror._evolve_passes
+    noisy_pool, pool_class = mirror._noisy_pool, mirror._Pool
+
+    def recorded_noisy_pool(*args):
+        noisy_pools.append(args)
+        return noisy_pool(*args)
+
+    def recorded_pool(*args):
+        pools.append(args)
+        return pool_class(*args)
 
     def counted_kernel(amps, gate):
         if inside[0]:
@@ -201,16 +212,18 @@ def test_noiseless_sampled_runs_evolve_no_circuit(tmp_path, monkeypatch, command
 
     monkeypatch.setattr(mirror, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror, "_evolve_passes", recorded)
+    monkeypatch.setattr(mirror, "_noisy_pool", recorded_noisy_pool)
+    monkeypatch.setattr(mirror, "_Pool", recorded_pool)
     noise = {"enable_twirl": True, "enable_postselect": True}
     config = {"evolver": evolver, "steps": 8, "shots": {"total": 300}, "realizations": 2,
               "noise": noise}
     assert run(tmp_path, command, config) == 0
-    assert calls == []
+    assert calls == [] and noisy_pools == [] and pools == []
     if evolver == "floquet":
         noise["p_pauli"] = 0.01
         (tmp_path / "noisy").mkdir()
         assert run(tmp_path / "noisy", command, config) == 0
-        assert calls
+        assert calls and noisy_pools and len(pools) == len(noisy_pools)
 
 
 def test_float_fields_keep_the_value_as_given():
@@ -743,6 +756,20 @@ def test_allocation_small(tmp_path):
     assert len(rows) == 1 + 3 * 2  # grid x modes
     summary = json.loads((tmp_path / "out" / "allocation_summary.json").read_text())
     assert "best_f1_fraction_f1_sqrt" in summary
+
+
+def test_allocation_from_the_12_spin_pinwheel(tmp_path):
+    # the exact evolver's F1 = |O|^2 of the 12-spin pinwheel state exceeds 1
+    # by rounding (up to 1.8e-15), which a binomial draw refuses; the count
+    # rule clips it, and every grid point has a finite error
+    cfg = {"n_triangles": 6, "initial": {"kind": "pinwheel"},
+           "allocation": {"m_totals": [100], "f1_grid": [0.2, 0.5], "n_times": 3,
+                          "realizations": 5}}
+    assert run(tmp_path, "allocation", cfg) == 0
+    with open(tmp_path / "out" / "allocation.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2 * 2
+    assert all(math.isfinite(float(row["typical_error"])) for row in rows)
 
 
 @pytest.mark.parametrize("n_triangles, sz", [(4, 4), (6, 6)])

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_zero_fraction,
+    binomial_fractions,
     estimate_cells,
     estimate_overlap,
     evolve,
@@ -45,6 +47,7 @@ from starkrylov.mirror import (
     make_evolver,
     mirror_fractions,
     mitigation_ablation,
+    noiseless_fractions,
     overlap_series_exact,
     overlap_series_sampled,
     reconstruct,
@@ -294,74 +297,118 @@ def test_sampled_series_consistent_with_sigma_reference(problem):
     assert np.mean(errs) > np.mean(sigma) / 5
 
 
-def _per_cell_reference(prep, evolver, ham, t, plan, seed, stream, noise):
-    """The per-cell procedure the shared mirrored states replace: each sampled
-    pool prepares its circuit's state, evolves it, twirls it, inverts it and
-    samples it on the stream (*stream, circuit, pool)."""
-    u_r, u_ri = reference_superposition(prep, 1), reference_superposition(prep, 1j)
-    twirl_on = noise is not None and noise.enable_twirl
-    fractions = []
-    for i, ((p, inv), m_i) in enumerate(zip(((prep, prep), (u_r, u_r), (u_r, u_ri)),
-                                            plan.allocate())):
-        n_twirled = int(round(m_i * plan.twirl_fraction)) if twirl_on else 0
-        pools = []
-        for pool, shots in enumerate((m_i - n_twirled, n_twirled)):
-            if shots == 0:
-                continue
-            state = evolve(evolver, p.state(), t)
-            if pool:
-                state = apply_circuit(state, twirl_layer(prep.n_sites, twirl_angle(noise),
-                                                         len(prep.dimer_pairs)))
-            state = apply_circuit(state, invert(inv).gates)
-            pools.append(noiseless_draw(sampling_cdf(state), shots,
-                                        rng_stream(seed, *stream, i, pool)))
-        samples = np.concatenate(pools)
-        if i == 0 and noise is not None and noise.enable_postselect:
-            samples, _ = postselect_f1(samples, prep.dimer_pairs, prep.n_sites)
-        fractions.append(all_zero_fraction(samples))
-    value, _ = reconstruct(*fractions, ham.reference_energy(), t)
-    return tuple(fractions), value
-
-
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
 @pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl-p0"])
-def test_shared_states_match_per_cell_reference(problem, kind, twirl):
-    _, ham, prep = problem
-    ev = make_evolver(kind, ham, dt_step=DT)
+def test_shared_states_match_per_cell_reference(problem, problem12, kind, twirl):
+    # every noiseless estimate, with no noise or at p = 0 with the twirl and
+    # post-selection, follows the one noiseless count rule: each circuit's
+    # zero count is one binomial at the all-zero probability of its mirrored
+    # state, built by the oracle one state at a time, drawn in circuit order
+    # from the cell's stream (r, k), and its value is the scalar
+    # reconstruction of those fractions.  Realizations 0-2 of a series, on
+    # both stars and in both Floquet directions, match it, as do the cell
+    # estimated alone and each realization's series run alone
     plan = ShotPlan(201, twirl_fraction=0.5)
     noise = (NoiseSpec(p_pauli=0.0, enable_postselect=True, enable_twirl=True)
              if twirl else None)
     kmax, realizations = 3, (0, 1, 2)
-    runs = overlap_series_sampled(prep, ev, DT, kmax, plan, seed=9, noise=noise,
-                                  realizations=realizations)
-    signs = (1, -1) if kind == "floquet" else (1,)
-    for r, (series, estimates) in zip(realizations, runs):
-        for sign in signs:
-            values = series.values if sign == 1 else series.neg_values
+    for _, ham, prep in (problem, problem12):
+        ev = make_evolver(kind, ham, dt_step=DT)
+        runs = overlap_series_sampled(prep, ev, DT, kmax, plan, seed=9, noise=noise,
+                                      realizations=realizations)
+        for sign in (1, -1) if kind == "floquet" else (1,):
             for k in range(1, kmax + 1):
                 t = sign * k * DT
-                ref_f, ref_v = _per_cell_reference(prep, ev, ham, t, plan, 9,
-                                                   (r, sign * k), noise)
-                est = estimate_overlap(prep, ev, t, plan, seed=9,
-                                       stream=(r, sign * k), noise=noise)
-                assert est.fractions == ref_f and est.value == ref_v
-                assert values[k] == ref_v
-                if sign == 1:
-                    assert estimates[k - 1].fractions == ref_f
-        [(alone, alone_estimates)] = overlap_series_sampled(
-            prep, ev, DT, kmax, plan, seed=9, noise=noise, realizations=(r,))
-        assert np.array_equal(alone.values, series.values)
-        if kind == "floquet":
-            assert np.array_equal(alone.neg_values, series.neg_values)
-        assert [e.fractions for e in alone_estimates] == [e.fractions for e in estimates]
+                probs = exact_fractions(prep, ev, t)
+                for r, (series, estimates) in zip(realizations, runs):
+                    ref_f = binomial_fractions(9, (r, sign * k), plan.allocate(), probs)
+                    ref_v, ref_flags = reference_reconstruct(*ref_f, ham.reference_energy(), t)
+                    est = estimate_overlap(prep, ev, t, plan, seed=9, stream=(r, sign * k),
+                                           noise=noise)
+                    assert est.fractions == ref_f and est.value == ref_v
+                    assert est.flags == ref_flags and est.discards == (0, 0, 0)
+                    assert (series.values if sign == 1 else series.neg_values)[k] == ref_v
+                    if sign == 1:
+                        assert estimates[k - 1].fractions == ref_f
+        for r, (series, estimates) in zip(realizations, runs):
+            [(alone, alone_estimates)] = overlap_series_sampled(
+                prep, ev, DT, kmax, plan, seed=9, noise=noise, realizations=(r,))
+            assert np.array_equal(alone.values, series.values)
+            if kind == "floquet":
+                assert np.array_equal(alone.neg_values, series.neg_values)
+            assert [e.fractions for e in alone_estimates] == [e.fractions for e in estimates]
+
+
+def test_noiseless_twirl_checks_its_angle_without_a_pool(monkeypatch):
+    # at p = 0 no pool is drawn, but the twirl angle is still checked for
+    # the state it twirls: pi/2 from the S^z = 1 sector state, three down
+    # spins, is refused although no circuit runs, under every evolver
+    def no_pool(*args):
+        raise AssertionError("noisy pool drawn")
+
+    monkeypatch.setattr(mirror_module, "_noisy_pool", no_pool)
+    star = build_star(4)
+    ham = SpinHamiltonian(star)
+    noise = NoiseSpec(p_pauli=0.0, enable_twirl=True)
+    for kind in ("exact", "trotter", "floquet"):
+        ev = make_evolver(kind, ham, dt_step=DT)
+        with pytest.raises(ValueError, match=r"not a multiple of pi/3 "):
+            overlap_series_sampled(sector_initial(star, 1), ev, DT, 2, ShotPlan(100), seed=0,
+                                   noise=noise)
+        overlap_series_sampled(sector_initial(star, 1), ev, DT, 2, ShotPlan(100), seed=0,
+                               noise=replace(noise, twirl_angle=np.pi / 3))
+
+
+def test_noiseless_counts_follow_the_binomial(problem):
+    # over 3,000 realizations of a noiseless Floquet cell at p = 0 with the
+    # twirl and post-selection, each circuit's zero count follows
+    # Binomial(m_i, p_i), p_i the oracle's all-zero probability of its
+    # mirrored state: the chi-square over the counts expected at least 10
+    # times, the rest pooled, stays within 4 sigma of its degrees of freedom
+    # (2, 10 and 10, bounds 10, 28 and 28; they read 6.8, 9.1 and 10.2)
+    _, ham, prep = problem
+    ev = GateEvolver(ham)
+    plan = ShotPlan(60)
+    noise = NoiseSpec(p_pauli=0.0, enable_postselect=True, enable_twirl=True)
+    runs = overlap_series_sampled(prep, ev, 3 * DT, 1, plan, seed=5, noise=noise,
+                                  realizations=range(3000))
+    for i, (m, p) in enumerate(zip(plan.allocate(), exact_fractions(prep, ev, 3 * DT))):
+        counts = np.rint([estimates[0].fractions[i] * m for _, estimates in runs]).astype(int)
+        pmf = np.array([math.comb(m, c) * p ** c * (1 - p) ** (m - c) for c in range(m + 1)])
+        expected = pmf * len(runs)
+        observed = np.bincount(counts, minlength=m + 1)
+        bins = expected >= 10
+        e = np.append(expected[bins], expected[~bins].sum())
+        o = np.append(observed[bins], observed[~bins].sum())
+        dof = len(e) - 1
+        chi2 = float(np.sum((o - e) ** 2 / e))
+        print(f"circuit {i}: chi-square {chi2:.1f} over {dof} degrees of freedom")
+        assert chi2 <= dof + 4 * np.sqrt(2 * dof), (i, chi2, dof)
+
+
+def test_noiseless_fractions_clip_rounding():
+    # the forward model can leave [0, 1] by rounding (F1 = |O|^2 reads up to
+    # 1 + 1.8e-15 for the 12-spin pinwheel state): p = 1 + 2e-15 counts every
+    # shot and p = -1e-17 or 0 none, as scalars and as arrays; a circuit with
+    # no shots draws nothing and reads nan
+    rng = np.random.default_rng(0)
+    f1, f2, f3 = noiseless_fractions(rng, (7, 5, 0), (1 + 2e-15, 0.0, 0.5))
+    assert (f1, f2) == (1.0, 0.0) and np.isnan(f3)
+    probs = (np.full((2, 1), 1 + 2e-15), np.array([[-1e-17], [0.0]]), np.full((2, 1), 0.3))
+    f1, f2, f3 = noiseless_fractions(rng, (7, 5, 0), probs, (2, 3))
+    assert (f1 == 1.0).all() and (f2 == 0.0).all() and np.isnan(f3).all()
+    assert f3.shape == (2, 3)
+    state = rng.bit_generator.state
+    noiseless_fractions(rng, (0, 0, 0), (0.5, 0.5, 0.5))
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_noiseless_pool_matches_former_draw(seed):
-    # a noiseless pool draws its uniforms when it is built, and its zeros
-    # are the zeros of the samples the former pool drew by inverse CDF from
-    # its stream opened after its pass evolved: sample_bitstrings on the
-    # pool's uniforms gives those samples.  Some CDF steps lie exactly on the
+    # a pool of error-free shots draws its uniforms when it is built, and its
+    # zeros are the zeros of the samples the former noiseless pool drew by
+    # inverse CDF from its stream opened after its pass evolved:
+    # sample_bitstrings on the pool's uniforms gives those samples.  Some CDF steps lie exactly on the
     # pool's uniforms, cdf[0] among them when it is drawn; such a uniform
     # draws the next index
     gen = np.random.default_rng(seed)
@@ -450,10 +497,12 @@ def test_noisy_zero_mask_matches_samples(problem, p):
 def test_cell_estimate_flags_phase_degenerate(problem, mode):
     # F1 draws |0..0> on every shot, F2 and F3 on half of theirs, so the raw
     # value 2 F2 - (F1 + 1)/2 + i (2 F3 - (F1 + 1)/2) is 0: under f1_sqrt it
-    # has no phase, and the cell keeps the magnitude sqrt(F1)
+    # has no phase, and the cell keeps the magnitude sqrt(F1).  The fractions
+    # are counted from pools of error-free shots
     _, ham, prep = problem
-    circuits = _MirrorCircuits(prep, ExactEvolver(ham))
-    est = _cell_estimate(circuits, DT, None, (1.0, 0.5, 0.5),
+    circuits = _MirrorCircuits(prep, GateEvolver(ham))
+    est = _cell_estimate(circuits, DT, NoiseSpec(p_pauli=0.01), (1.0, 0.5, 0.5),
+                         [float("nan")] * 3,
                          [[_Pool(np.array([0.1, 0.6, 0.9]))],
                           [_Pool(np.array([0.2, 0.7])), _Pool(np.array([0.4, 0.9]))],
                           [_Pool(np.array([0.3, 0.3, 0.8, 0.6]))]], mode)
@@ -1053,7 +1102,8 @@ def test_sector_error_discards_every_shot(problem):
     shots = [_ErringShot(npass, [flip], u) for u in uniforms]
     _evolve_passes(shots, prep.n_sites)
     est = _cell_estimate(circuits, DT, NoiseSpec(enable_postselect=True), (0.5, 0.5, 0.5),
-                         [[_Pool(uniforms, np.arange(90), shots)], [], []], "f1_sqrt")
+                         [float("nan")] * 3, [[_Pool(uniforms, np.arange(90), shots)], [], []],
+                         "f1_sqrt")
     assert est.value is None
     assert "all_shots_discarded" in est.flags
     assert est.discards[0] == 90
@@ -1148,21 +1198,24 @@ def _former_zero_probability(circuits, t, i, angle):
 @pytest.mark.parametrize("n_tri", [4, 6])
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
 def test_forward_model_counts_match_the_evolved_state_rule(n_tri, kind, monkeypatch):
-    # every pool's error-free shots count the same zeros under p_i, the
+    # every noisy pool's error-free shots count the same zeros under p_i, the
     # forward model's all-zero probability, as under the former rule,
     # u < cdf[0] of the pass's evolved noiseless state: series runs with the
-    # twirl and post-selection at p = 0, 0.001 and 0.5 (p = 0 alone under
-    # the exact evolver).  The two thresholds differ by rounding only, so no
-    # uniform may fall between them; the smallest |u - p_i| is reported
+    # twirl and post-selection at p = 0.001 and 0.5 under the gate evolvers.
+    # The two thresholds differ by rounding only, so no uniform may fall
+    # between them; the smallest |u - p_i| is reported.  At p = 0, under
+    # every evolver, no cell draws a pool, and each circuit's zero count is
+    # the noiseless count rule's at the mirrored state's all-zero probability
     star = build_star(n_tri)
     ham = SpinHamiltonian(star)
     prep = dressed_initial(star)
     ev = make_evolver(kind, ham, dt_step=DT)
     cells, estimate = [], mirror_module._cell_estimate
 
-    def recorded(circuits, t, noise, probs, circuit_pools, magnitude_source):
-        cells.append((circuits, t, noise, probs, circuit_pools))
-        return estimate(circuits, t, noise, probs, circuit_pools, magnitude_source)
+    def recorded(circuits, t, noise, probs, fractions, circuit_pools, magnitude_source):
+        if circuit_pools:
+            cells.append((circuits, t, noise, probs, circuit_pools))
+        return estimate(circuits, t, noise, probs, fractions, circuit_pools, magnitude_source)
 
     monkeypatch.setattr(mirror_module, "_cell_estimate", recorded)
     rates = (0.0,) if kind == "exact" else (0.0, 0.001, 0.5)
@@ -1170,10 +1223,18 @@ def test_forward_model_counts_match_the_evolved_state_rule(n_tri, kind, monkeypa
         total = {0.0: 30000 if n_tri == 4 else 6000, 0.001: 1500 if n_tri == 4 else 300,
                  0.5: 30}[p]
         noise = NoiseSpec(p_pauli=p, enable_postselect=True, enable_twirl=True)
-        overlap_series_sampled(prep, ev, DT, 2, ShotPlan(total), seed=n_tri, noise=noise,
-                               realizations=(0, 1))
+        runs = overlap_series_sampled(prep, ev, DT, 2, ShotPlan(total), seed=n_tri,
+                                      noise=noise, realizations=(0, 1))
+        if p == 0:
+            assert not cells
+            for r, (_, estimates) in enumerate(runs):
+                for k, est in enumerate(estimates, 1):
+                    assert est.fractions == binomial_fractions(
+                        n_tri, (r, k), ShotPlan(total).allocate(),
+                        exact_fractions(prep, ev, k * DT)), (r, k)
     margin, counted, former, gap = np.inf, 0, {}, 0.0
     for circuits, t, noise, probs, circuit_pools in cells:
+        assert noise.p_pauli > 0
         for i, pools in enumerate(circuit_pools):
             for pool, angle in zip(pools, (None, twirl_angle(noise))):
                 if (t, i, angle) not in former:
@@ -1185,6 +1246,9 @@ def test_forward_model_counts_match_the_evolved_state_rule(n_tri, kind, monkeypa
                 if len(u):
                     margin = min(margin, float(np.min(np.abs(u - probs[i]))))
                 counted += len(u)
+    if kind == "exact":
+        assert not former
+        return
     assert len(former) == (2 if kind == "floquet" else 1) * 2 * 3 * 2
     assert counted > 0
     print(f"{n_tri} triangles, {kind}: {counted} error-free shots, smallest |u - p_i| "
