@@ -174,9 +174,10 @@ class RunConfig:
         make a command build, in closed form, from the config alone: the list
         of ``realizations`` series; the sweep's stack of d + 1 Toeplitz or
         Hankel rows of d values per distinct series (sampled realizations,
-        or the one exact series), up to d = steps; a noisy pool's one uniform per
-        shot, bounded for noiseless runs too; a magnetization sector's stack (n_steps
-        None: ``magnet.sector_solver_settings``'s default, at most 150); the allocation
+        or the one exact series), up to d = steps; a noisy pool's erring-shot
+        list, at most one entry per shot, bounded for noiseless runs too; a
+        magnetization sector's stack (n_steps None:
+        ``magnet.sector_solver_settings``'s default, at most 150); the allocation
         study's three (n_times, realizations) fraction arrays.  Every other array is
         smaller, or comes in blocks of bounded size (``mirror._BATCH_BYTES``)."""
         series = self.realizations if self.shots is not None else 1

@@ -14,9 +14,11 @@ optionally replacing the magnitude by sqrt(F1).  W(t) is exp(-i H t)
 (``ExactEvolver``) or m gate steps of t/m (``GateEvolver``: Trotter, or the
 single Floquet step F_t).  Either W conserves S^z and has |0..0> as an
 eigenstate, so the noiseless fractions are ``mirror_fractions`` of O(t), the
-forward model above.  A noiseless circuit's zero count is one binomial draw
-at its fraction (``noiseless_fractions``); under noise, only shots that draw
-a Pauli error run a circuit (``_evolve_passes``).
+forward model above.  A circuit keeps one statistic, the number of shots
+that read |0..0>.  A noiseless circuit draws it as one binomial at its
+fraction (``noiseless_fractions``).  Under noise, an error-free shot counts
+by its sample uniform against the fraction (``_noisy_pool``), and only the
+shots that draw a Pauli error run a circuit (``_evolve_passes``).
 Series, allocation and ablation results are returned as values; ``cli``
 writes them.
 """
@@ -278,48 +280,33 @@ def _replay_errors(slots: list, streams, stream: tuple, first: int, p: float):
 _BATCH_BYTES = 1 << 21
 
 
-@dataclass(eq=False)
-class _Pool:
-    """The shots of one pool, drawn when it is built: shot j samples by
-    ``uniforms[j]``, except shot ``erring[k]``, which reads the sample of
-    ``shots[k]`` (``_noisy_pool``)."""
-
-    uniforms: np.ndarray
-    erring: np.ndarray | tuple = ()
-    shots: list | tuple = ()
-
-    def zeros(self, p_zero: float) -> np.ndarray:
-        """Which shots drew |0..0>: by inverse CDF, an error-free uniform u
-        exactly when u < ``p_zero``, the noiseless all-zero probability."""
-        zeros = self.uniforms < p_zero
-        if self.shots:
-            zeros[self.erring] = [shot.sample == 0 for shot in self.shots]
-        return zeros
-
-
-def _noisy_pool(npass: _Pass, shots: int, p: float, streams, stream: tuple) -> _Pool:
+def _noisy_pool(npass: _Pass, shots: int, p: float, p_zero: float, streams,
+                stream: tuple) -> tuple[int, list]:
     """The noisy pool whose shot j runs one Pauli trajectory through ``npass``
-    on the stream (*stream, j).
+    on the stream (*stream, j), as (zeros, erring shots).
 
     The slot uniforms and one more of every shot are drawn as one block
     (``_StreamOpener.uniforms``) per at most ``_BATCH_BYTES`` of them.  A shot
     whose slot uniforms all reach p draws nothing else, so its last uniform is
-    its sample uniform.  A shot with a hit becomes an ``_ErringShot``, with its
-    errors replayed from its stream (``_replay_errors``).
+    its sample uniform: by inverse CDF it draws |0..0> exactly when that
+    uniform lies below ``p_zero``, the noiseless all-zero probability, and
+    ``zeros`` counts those shots.  A shot with a hit becomes an
+    ``_ErringShot``, with its errors replayed from its stream
+    (``_replay_errors``) and its sample left to ``_evolve_passes``.
     """
     n_slots = len(npass.slots)
     block = max(1, _BATCH_BYTES // (8 * (n_slots + 1)))
-    uniforms, erring, erring_shots = np.empty(shots), [], []
+    zeros, erring = 0, []
     for start in range(0, shots, block):
         u = streams.uniforms(stream, min(block, shots - start), n_slots + 1, start)
         hit = u[:, :n_slots] < p
-        uniforms[start:start + len(u)] = u[:, n_slots]
-        rows = np.flatnonzero(hit.any(axis=1))
-        erring.append(start + rows)
-        erring_shots += [_ErringShot(npass, *_replay_errors(npass.slots, streams,
-                                                             (*stream, start + j), first, p))
-                         for j, first in zip(rows, hit[rows].argmax(axis=1))]
-    return _Pool(uniforms, np.concatenate(erring), erring_shots)
+        erred = hit.any(axis=1)
+        zeros += np.count_nonzero(u[~erred, n_slots] < p_zero)
+        rows = np.flatnonzero(erred)
+        erring += [_ErringShot(npass, *_replay_errors(npass.slots, streams,
+                                                      (*stream, start + j), first, p))
+                   for j, first in zip(rows, hit[rows].argmax(axis=1))]
+    return zeros, erring
 
 
 def _evolve_passes(shots: list, n: int) -> None:
@@ -387,17 +374,19 @@ def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None,
                     plan: ShotPlan, streams, magnitude_source="f1_sqrt") -> list[OverlapEstimate]:
     """The estimation cells at time t, one per (stream, noise) pair of
     ``cells``: a realization of a series step or a mitigation mode of an
-    ablation step.  Circuit i's noiseless all-zero probability is p_i =
-    ``mirror_fractions`` of ``value`` = O(t), twirled or not (``twirl_layer``
-    admits no angle that moves it).  A noiseless cell (no noise, or p = 0)
+    ablation step.  The plan's shot counts, E_R and each circuit's noiseless
+    all-zero probability p_i = ``mirror_fractions`` of ``value`` = O(t),
+    twirled or not (``twirl_layer`` admits no angle that moves it), are
+    worked out once for all cells.  A noiseless cell (no noise, or p = 0)
     draws its zero counts from its stream (``noiseless_fractions``).  A noisy
     cell's circuit i runs pool 0 without the twirl layer and pool 1 with it,
-    shot j from the stream (*stream, i, pool, j); an error-free shot reads
-    p_i.  Each pass, one per (circuit, twirl) that a noisy pool runs, is built
-    once on ``evolution``, the gate list of W(t), and ``_evolve_passes`` runs
-    the erring shots of every cell.
+    shot j from the stream (*stream, i, pool, j), and its error-free shots
+    count against p_i (``_noisy_pool``).  Each pass, one per (circuit, twirl)
+    that a noisy pool runs, is built once on ``evolution``, the gate list of
+    W(t), and ``_evolve_passes`` runs the erring shots of every cell.
     """
-    probs = mirror_fractions(value, circuits.evolver.ham.reference_energy(), t)
+    counts, e_ref = plan.allocate(), circuits.evolver.ham.reference_energy()
+    probs = mirror_fractions(value, e_ref, t)
     passes: dict = {}  # (circuit, twirl angle) -> _Pass
 
     def npass(i, angle):
@@ -406,54 +395,53 @@ def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None,
         return passes[i, angle]
 
     erring: list[_ErringShot] = []
-    drawn = []  # per cell: its noiseless fractions, or nan and its pools per circuit
+    drawn = []  # per cell: its noiseless fractions, or nan and its noisy circuits' counts
     for stream, noise in cells:
         angle = twirl_angle(noise)
         if angle is not None:
             circuits._twirl(angle)  # checked whether or not a circuit runs
         if noise is None or noise.p_pauli == 0:
-            drawn.append((noiseless_fractions(streams(stream), plan.allocate(), probs), ()))
+            drawn.append((noiseless_fractions(streams(stream), counts, probs), ()))
             continue
         if circuits.evolver.kind == "exact":
             raise ValueError("gate-based evolver required (exact evolution has no error slots)")
-        circuit_pools = []
-        for i, m_i in enumerate(plan.allocate()):
+        circuit_counts = []
+        for i, m_i in enumerate(counts):
             n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
-            circuit_pools.append([_noisy_pool(npass(i, angle if pool else None), shots,
-                                              noise.p_pauli, streams, (*stream, i, pool))
-                                  for pool, shots in enumerate((m_i - n_twirled, n_twirled))
-                                  if shots])
-            erring += [shot for pool in circuit_pools[-1] for shot in pool.shots]
-        drawn.append(([float("nan")] * 3, circuit_pools))
+            pools = [_noisy_pool(npass(i, angle if pool else None), shots, noise.p_pauli,
+                                 probs[i], streams, (*stream, i, pool))
+                     for pool, shots in enumerate((m_i - n_twirled, n_twirled)) if shots]
+            circuit_counts.append((m_i, sum(zeros for zeros, _ in pools),
+                                   [shot for _, shots in pools for shot in shots]))
+            erring += circuit_counts[-1][2]
+        drawn.append(([float("nan")] * 3, circuit_counts))
     _evolve_passes(erring, circuits.n)
-    return [_cell_estimate(circuits, t, noise, probs, *cell, magnitude_source)
+    return [_cell_estimate(circuits, t, noise, e_ref, *cell, magnitude_source)
             for (_, noise), cell in zip(cells, drawn)]
 
 
-def _cell_estimate(circuits: _MirrorCircuits, t, noise, probs, fractions, circuit_pools,
-                   magnitude_source) -> OverlapEstimate:
+def _cell_estimate(circuits: _MirrorCircuits, t, noise, e_ref: float, fractions,
+                   circuit_counts, magnitude_source) -> OverlapEstimate:
     """The estimate of one cell from its ``fractions``: a noiseless cell's
-    binomial ones, or nan where a noisy cell counts, per circuit, the shots of
-    its pools that drew |0..0> (``_Pool.zeros``).  F1 under post-selection
-    keeps every error-free shot (the noiseless F1 state has no amplitude on a
-    discarded string) and drops the erring shots the rule discards.  E_R is
-    the reference energy of the evolver's Hamiltonian."""
+    binomial ones, or nan where a noisy cell gives, per circuit, its shot
+    count, its error-free shots that drew |0..0> and its erring shots
+    (``_noisy_pool``).  Circuit i's fraction is then (zeros + erring shots
+    with sample 0) / kept, and nan when it keeps no shot.  F1 under
+    post-selection keeps every error-free shot (the noiseless F1 state has no
+    amplitude on a discarded string) and drops the erring shots the rule
+    discards.  E_R is the reference energy of the evolver's Hamiltonian."""
     fractions = [float(f) for f in fractions]
     discards = [0, 0, 0]
     flags: tuple[str, ...] = ()
-    for i, pools in enumerate(circuit_pools):
-        if not pools:
-            continue
-        kept = sum(len(pool.uniforms) for pool in pools)
-        if i == 0 and noise.enable_postselect:
-            samples = np.array([shot.sample for pool in pools for shot in pool.shots],
-                               dtype=np.int64)
+    for i, (kept, zeros, erring) in enumerate(circuit_counts):
+        if i == 0 and noise.enable_postselect and kept:
+            samples = np.array([shot.sample for shot in erring], dtype=np.int64)
             discards[0] = postselect_f1(samples, circuits.preps[0].dimer_pairs, circuits.n)[1]
             kept -= discards[0]
             if kept == 0:
                 flags += ("all_shots_discarded",)
-                continue
-        fractions[i] = sum(np.count_nonzero(pool.zeros(probs[i])) for pool in pools) / kept
+        if kept:
+            fractions[i] = (zeros + sum(shot.sample == 0 for shot in erring)) / kept
 
     f1, f2, f3 = fractions
     if np.isnan(f1):
@@ -461,8 +449,7 @@ def _cell_estimate(circuits: _MirrorCircuits, t, noise, probs, fractions, circui
     elif np.isnan(f2) or np.isnan(f3):
         value, more = complex(np.sqrt(max(f1, 0.0))), ("phase_unavailable",)
     else:
-        value, degenerate = reconstruct(f1, f2, f3, circuits.evolver.ham.reference_energy(),
-                                        t, magnitude_source)
+        value, degenerate = reconstruct(f1, f2, f3, e_ref, t, magnitude_source)
         value, more = complex(value), ("phase_degenerate",) if degenerate else ()
     return OverlapEstimate(value, tuple(fractions), tuple(discards), flags + more)
 
@@ -475,7 +462,7 @@ def exact_overlaps(psi0: np.ndarray, evolver, times) -> np.ndarray:
     gates for a gate evolver."""
     if evolver.kind == "exact":
         return evolver.ham.autocorrelation(psi0, times)
-    return np.array([np.vdot(psi0, apply_circuit(psi0, evolver.gates(t))) for t in times])
+    return np.array([value for value, _ in _forward_model(psi0, evolver, times)])
 
 
 def _forward_model(psi0: np.ndarray, evolver, times):

@@ -13,9 +13,9 @@ then draws one more uniform to sample the final state.  It does not run one
 trajectory at a time: the shots with an error evolve as rows of a batch
 with the noiseless state of their circuit, each joining it at its first
 erring gate; a shot whose slot uniforms all reach p runs no circuit, and
-its last uniform is read against the noiseless all-zero probability
-(``mirror._noisy_pool``, ``mirror._Pool``).  At p = 0 no shot is drawn: a
-circuit's zero count is one binomial (``mirror.noiseless_fractions``).
+its last uniform is counted against the noiseless all-zero probability
+(``mirror._noisy_pool``).  At p = 0 no shot is drawn: a circuit's zero count
+is one binomial (``mirror.noiseless_fractions``).
 The draws are the same, in the same order, as a per-shot loop that applies
 the gates and draws ``rng.random()`` after each slot; ``tests/oracles.py``
 keeps that loop as the reference.  ``NoiseSpec`` is the ``noise`` section

@@ -31,8 +31,10 @@ the former scalar overlap reconstruction (``reconstruct``), the series
 reconstructed from exact fractions, the shot-noise reference curve and the
 former shot split (``former_allocate``);
 and the freshly keyed stream generator, the
-former noiseless pool's draw, and the one-trajectory-at-a-time noise channel
-that the batched sampler replaces."""
+former noiseless pool's draw, the former noisy pool's uniforms, erring
+shots and zero mask (``former_pool``, ``former_pool_zeros``: the reference
+for the zero counts of ``mirror._noisy_pool``), and the
+one-trajectory-at-a-time noise channel that the batched sampler replaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -763,6 +765,27 @@ def noiseless_draw(cdf: np.ndarray, shots: int, rng: np.random.Generator) -> np.
     inverse CDF from ``cdf`` (``sample_bitstrings`` before it took the
     uniforms themselves)."""
     return np.searchsorted(cdf, rng.random(shots), side="right").astype(np.int64)
+
+
+def former_pool(seed: int, stream, n_slots: int, shots: int, p: float):
+    """The former ``mirror._Pool`` fields of a noisy pool of ``shots`` shots
+    through a pass of ``n_slots`` error slots: each shot's sample uniform,
+    the last of the n_slots + 1 uniforms its stream (seed, *stream, j) starts
+    with, and the indices of the erring shots, whose slot uniforms fall below
+    p.  An erring shot samples by a uniform of its own (``noisy_apply``)."""
+    block = np.array([rng_stream(seed, *stream, j).random(n_slots + 1) for j in range(shots)])
+    block = block.reshape(shots, n_slots + 1)
+    return block[:, n_slots], np.flatnonzero((block[:, :n_slots] < p).any(axis=1))
+
+
+def former_pool_zeros(uniforms, erring, samples, p_zero) -> np.ndarray:
+    """The former ``mirror._Pool.zeros`` rule: which shots drew |0..0>.  By
+    inverse CDF, an error-free shot does exactly when its uniform lies below
+    ``p_zero``, the noiseless all-zero probability; shot ``erring[k]`` does
+    when its own sample ``samples[k]`` is 0, whatever its uniform says."""
+    zeros = np.asarray(uniforms) < p_zero
+    zeros[np.asarray(erring, dtype=int)] = np.asarray(samples) == 0
+    return zeros
 
 
 def channel_state(gates, n: int, p: float, rho=None) -> np.ndarray:

@@ -183,20 +183,18 @@ def test_twirl_from_an_odd_sz_sector_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("evolver", ["exact", "trotter", "floquet"])
 def test_noiseless_sampled_runs_evolve_no_circuit(tmp_path, monkeypatch, command, evolver):
     # a noiseless sampled run, twirled and post-selected, draws each
-    # circuit's zero count as one binomial: it calls _noisy_pool never,
-    # builds no _Pool and applies no gate inside _evolve_passes.  A noisy
-    # Floquet run draws pools and applies gates there
-    inside, calls, noisy_pools, pools = [False], [], [], []
+    # circuit's zero count as one binomial: it calls _noisy_pool never and
+    # applies no gate inside _evolve_passes.  A noisy Floquet run draws
+    # pools, each a zero count and erring shots that fit its shots, and
+    # applies gates there
+    inside, calls, noisy_pools = [False], [], []
     kernel, evolve_passes = mirror.apply_gate_amps, mirror._evolve_passes
-    noisy_pool, pool_class = mirror._noisy_pool, mirror._Pool
+    noisy_pool = mirror._noisy_pool
 
-    def recorded_noisy_pool(*args):
-        noisy_pools.append(args)
-        return noisy_pool(*args)
-
-    def recorded_pool(*args):
-        pools.append(args)
-        return pool_class(*args)
+    def recorded_noisy_pool(npass, shots, *args):
+        pool = noisy_pool(npass, shots, *args)
+        noisy_pools.append((shots, *pool))
+        return pool
 
     def counted_kernel(amps, gate):
         if inside[0]:
@@ -213,17 +211,29 @@ def test_noiseless_sampled_runs_evolve_no_circuit(tmp_path, monkeypatch, command
     monkeypatch.setattr(mirror, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror, "_evolve_passes", recorded)
     monkeypatch.setattr(mirror, "_noisy_pool", recorded_noisy_pool)
-    monkeypatch.setattr(mirror, "_Pool", recorded_pool)
     noise = {"enable_twirl": True, "enable_postselect": True}
     config = {"evolver": evolver, "steps": 8, "shots": {"total": 300}, "realizations": 2,
               "noise": noise}
     assert run(tmp_path, command, config) == 0
-    assert calls == [] and noisy_pools == [] and pools == []
+    assert calls == [] and noisy_pools == []
     if evolver == "floquet":
         noise["p_pauli"] = 0.01
         (tmp_path / "noisy").mkdir()
         assert run(tmp_path / "noisy", command, config) == 0
-        assert calls and noisy_pools and len(pools) == len(noisy_pools)
+        assert calls and noisy_pools
+        assert all(0 <= zeros <= shots - len(erring) for shots, zeros, erring in noisy_pools)
+
+
+def test_undefined_estimate_exits_3(tmp_path, capsys):
+    # at p = 1 every F1 shot errs, and at seed 0 post-selection discards all
+    # five at step 1: the estimate has no magnitude, and the run exits 3 with
+    # one line that names the step, the realization and the flags
+    config = {"evolver": "floquet", "steps": 2, "shots": {"total": 5},
+              "noise": {"p_pauli": 1.0, "enable_postselect": True}}
+    assert run(tmp_path, "overlaps", config) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: estimate undefined at step 1 of realization 0: "
+        "('all_shots_discarded', 'magnitude_unavailable')\n")
 
 
 def test_float_fields_keep_the_value_as_given():

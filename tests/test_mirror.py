@@ -15,6 +15,8 @@ from oracles import (
     exact_fractions,
     exact_overlap,
     former_allocate,
+    former_pool,
+    former_pool_zeros,
     mirror_states,
     noiseless_draw,
     noisy_apply,
@@ -37,7 +39,6 @@ from starkrylov.mirror import (
     _ErringShot,
     _MirrorCircuits,
     _Pass,
-    _Pool,
     _cell_estimate,
     _evolve_passes,
     _noisy_pool,
@@ -61,6 +62,7 @@ from starkrylov.prep import (
     sector_initial,
 )
 from starkrylov.statevec import (
+    GateOp,
     _StreamOpener,
     apply_circuit,
     sample_bitstrings,
@@ -405,34 +407,36 @@ def test_noiseless_fractions_clip_rounding():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_noiseless_pool_matches_former_draw(seed):
-    # a pool of error-free shots draws its uniforms when it is built, and its
-    # zeros are the zeros of the samples the former noiseless pool drew by
-    # inverse CDF from its stream opened after its pass evolved:
-    # sample_bitstrings on the pool's uniforms gives those samples.  Some CDF steps lie exactly on the
-    # pool's uniforms, cdf[0] among them when it is drawn; such a uniform
-    # draws the next index
+    # error-free shots' uniforms drawn from a stream before other streams are
+    # opened, and their zeros under the former mask rule
+    # (``former_pool_zeros``), are the zeros of the samples the former
+    # noiseless pool drew by inverse CDF from its stream opened after its
+    # pass evolved: sample_bitstrings on the uniforms gives those samples.
+    # Some CDF steps lie exactly on the uniforms, cdf[0] among them when it is
+    # drawn; such a uniform draws the next index
     gen = np.random.default_rng(seed)
     n, shots = int(gen.integers(2, 7)), int(gen.integers(1, 300))
     key = tuple(int(k) for k in gen.integers(0, 2 ** 32, size=int(gen.integers(1, 5))))
     streams = _StreamOpener(seed)
-    pool = _Pool(streams(key).random(shots))
+    uniforms = streams(key).random(shots)
     streams((*key, 0)).random(shots)  # other pools' streams opened before it counts
     amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
-    on_steps = gen.choice(pool.uniforms, min(shots, (1 << n) - 1) // 2, replace=False)
+    on_steps = gen.choice(uniforms, min(shots, (1 << n) - 1) // 2, replace=False)
     rest = gen.choice(sampling_cdf(amps)[:-1], (1 << n) - 1 - len(on_steps), replace=False)
     cdf = np.append(np.sort(np.concatenate([on_steps, rest])), 1.0)
-    samples = sample_bitstrings(cdf, pool.uniforms)
+    samples = sample_bitstrings(cdf, uniforms)
     assert np.array_equal(samples, noiseless_draw(cdf, shots, rng_stream(seed, *key)))
-    assert np.array_equal(pool.zeros(cdf[0]), samples == 0)
-    below = np.count_nonzero(cdf[None, :] <= pool.uniforms[:, None], axis=1)
+    assert np.array_equal(former_pool_zeros(uniforms, [], [], cdf[0]), samples == 0)
+    below = np.count_nonzero(cdf[None, :] <= uniforms[:, None], axis=1)
     assert np.array_equal(samples, below)
     for u in on_steps:
-        assert samples[pool.uniforms == u][0] == np.flatnonzero(cdf == u)[-1] + 1
+        assert samples[uniforms == u][0] == np.flatnonzero(cdf == u)[-1] + 1
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_zero_mask_matches_samples(seed):
-    # a pool's zero mask is samples() == 0 without the search: a uniform
+    # the zero mask of error-free shots (``former_pool_zeros``, the rule a
+    # pool counts by) is samples() == 0 without the search: a uniform
     # exactly at cdf[0] draws index 1 and the float below it index 0; every
     # third state has no |0..0> amplitude, so cdf[0] = 0 and no shot draws it
     gen = np.random.default_rng(seed)
@@ -444,8 +448,7 @@ def test_zero_mask_matches_samples(seed):
     c0 = cdf[0]
     edges = [c0, c0, np.nextafter(c0, 0.0), np.nextafter(c0, 1.0), 0.0]
     uniforms = gen.permutation(np.concatenate([gen.random(200), edges]))
-    pool = _Pool(uniforms)
-    zeros, samples = pool.zeros(c0), sample_bitstrings(cdf, uniforms)
+    zeros, samples = former_pool_zeros(uniforms, [], [], c0), sample_bitstrings(cdf, uniforms)
     assert zeros.dtype == bool and np.array_equal(zeros, samples == 0)
     assert (samples[uniforms == c0] == 1).all()
     assert zeros[uniforms == np.nextafter(c0, 0.0)].all() == (c0 > 0)
@@ -457,40 +460,103 @@ def _noiseless_zero(gates: list, n: int) -> float:
     return sampling_cdf(apply_circuit(zero_amps(n), gates))[0]
 
 
-def _assert_pool_matches(pool, p_zero, reference):
-    """A pool against per-shot ``reference`` samples: each erring shot's
-    sample, and every shot's zero, the error-free ones read against the
-    noiseless all-zero probability ``p_zero``."""
-    assert [shot.sample for shot in pool.shots] == reference[pool.erring].tolist()
-    assert np.array_equal(pool.zeros(p_zero), reference == 0)
+def _assert_pool_matches(pool, n_slots, p, seed, stream, p_zero, reference):
+    """A pool, (zero count, erring shots), of a pass with ``n_slots`` error
+    slots, drawn at rate p and ``p_zero`` from the streams (seed, *stream, j),
+    against per-shot ``reference`` samples: the erring shots are the former
+    pool's (``former_pool``) and sample the reference's samples, the former
+    mask (``former_pool_zeros``) is the reference's zeros, and the zero count
+    with the erring shots' zeros counts them."""
+    zeros, shots = pool
+    uniforms, erring = former_pool(seed, stream, n_slots, len(reference), p)
+    samples = [shot.sample for shot in shots]
+    assert samples == reference[erring].tolist()
+    assert np.array_equal(former_pool_zeros(uniforms, erring, samples, p_zero), reference == 0)
+    assert zeros + samples.count(0) == np.count_nonzero(reference == 0)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
 def test_noisy_zero_mask_matches_samples(problem, p):
-    # an erring shot's entry is its own sample == 0, whatever its uniform
-    # says against the noiseless cdf[0]; an error-free shot's entry is its
-    # uniform against it.  At p = 0.05 some shots err and some do not, and
-    # some erring shots' entries differ from the uniform's
+    # under the former mask rule (``former_pool_zeros``) an erring shot's
+    # entry is its own sample == 0, whatever its uniform says against the
+    # noiseless cdf[0]; an error-free shot's entry is its uniform against it.
+    # A pool's zero count is the mask's error-free entries, and with its
+    # erring shots' zeros the whole mask's.  At p = 0.05 some shots err and
+    # some do not, and some erring shots' entries differ from the uniform's
     _, ham, prep = problem
     circuits = _MirrorCircuits(prep, make_evolver("floquet", ham))
     evolution = circuits.evolver.gates(2 * DT)
-    pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, None)), 60, p,
-                         _StreamOpener(4), (i,))
-             for i in range(3)]
-    _evolve_passes([shot for pool in pools for shot in pool.shots], prep.n_sites)
+    passes = [_Pass(circuits.pass_gates(i, evolution, None)) for i in range(3)]
+    c0s = [_noiseless_zero(npass.gates, prep.n_sites) for npass in passes]
+    pools = [_noisy_pool(npass, 60, p, c0, _StreamOpener(4), (i,))
+             for i, (npass, c0) in enumerate(zip(passes, c0s))]
+    _evolve_passes([shot for _, shots in pools for shot in shots], prep.n_sites)
     overridden = 0
-    for i, pool in enumerate(pools):
-        assert pool.shots
-        c0 = _noiseless_zero(pool.shots[0].npass.gates, prep.n_sites)
-        zeros, free = pool.zeros(c0), np.ones(60, dtype=bool)
-        free[pool.erring] = False
-        assert np.array_equal(zeros[pool.erring], [s.sample == 0 for s in pool.shots])
-        assert np.array_equal(zeros[free], pool.uniforms[free] < c0)
-        by_uniform = pool.uniforms[pool.erring] < c0
-        overridden += np.count_nonzero(by_uniform != [s.sample == 0 for s in pool.shots])
+    for i, ((count, shots), npass, c0) in enumerate(zip(pools, passes, c0s)):
+        assert shots
+        uniforms, erring = former_pool(4, (i,), len(npass.slots), 60, p)
+        samples = [shot.sample for shot in shots]
+        zeros, free = former_pool_zeros(uniforms, erring, samples, c0), np.ones(60, dtype=bool)
+        free[erring] = False
+        assert np.array_equal(zeros[erring], [s == 0 for s in samples])
+        assert np.array_equal(zeros[free], uniforms[free] < c0)
+        assert count == np.count_nonzero(zeros[free])
+        assert count + samples.count(0) == np.count_nonzero(zeros)
+        by_uniform = uniforms[erring] < c0
+        overridden += np.count_nonzero(by_uniform != [s == 0 for s in samples])
     assert overridden > 0
     if p == 0.05:
-        assert all(len(pool.shots) < 60 for pool in pools)
+        assert all(len(shots) < 60 for _, shots in pools)
+
+
+def _random_pass(gen, n: int) -> _Pass:
+    """A pass of random unitaries, each on one to three random sites of n."""
+    gates = []
+    for _ in range(int(gen.integers(1, 12))):
+        k = int(gen.integers(1, min(n, 3) + 1))
+        z = gen.normal(size=(1 << k, 1 << k)) + 1j * gen.normal(size=(1 << k, 1 << k))
+        gates.append(GateOp(tuple(int(q) for q in gen.choice(n, k, replace=False)),
+                            np.linalg.qr(z)[0]))
+    return _Pass(gates)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [0.001, 0.05, 0.5, 1.0])
+def test_noisy_pool_counts_match_the_former_mask(p, seed):
+    # the differential test of a pool's zero count against the former mask
+    # rule (``former_pool``, ``former_pool_zeros``) on random passes: the
+    # pool's erring shots are the former pool's, its count is the mask's
+    # error-free entries, and with its erring shots' zeros the whole mask's,
+    # at p_zero = 0, 1, a random value and the pass's noiseless cdf[0], where
+    # the shots match the per-shot reference too.  By inverse CDF, p_zero set
+    # exactly to an error-free shot's sample uniform does not count that shot,
+    # and the next float above it does
+    gen = np.random.default_rng(seed)
+    n, shots = int(gen.integers(2, 6)), int(gen.integers(1, 400))
+    npass, stream = _random_pass(gen, n), (seed, int(gen.integers(0, 2 ** 32)))
+    uniforms, erring = former_pool(seed, stream, len(npass.slots), shots, p)
+    free = np.delete(uniforms, erring)
+    c0 = _noiseless_zero(npass.gates, n)
+    edges = [0.0, 1.0, float(gen.random()), c0]
+    if len(free):
+        edges += [free[0], np.nextafter(free[0], 1.0)]
+    pools = []
+    for p_zero in edges:
+        pools.append(_noisy_pool(npass, shots, p, p_zero, _StreamOpener(seed), stream))
+        zeros, erring_shots = pools[-1]
+        _evolve_passes(erring_shots, n)
+        samples = [shot.sample for shot in erring_shots]
+        mask = former_pool_zeros(uniforms, erring, samples, p_zero)
+        assert len(samples) == len(erring)
+        assert zeros == np.count_nonzero(np.delete(mask, erring))
+        assert zeros + samples.count(0) == np.count_nonzero(mask)
+    _assert_pool_matches(pools[3], len(npass.slots), p, seed, stream, c0,
+                         _per_shot_noisy_reference(npass.gates, n, shots, NoiseSpec(p_pauli=p),
+                                                   seed, stream))
+    counts = [zeros for zeros, _ in pools]
+    assert counts[:2] == [0, len(free)]
+    if len(free):
+        assert counts[5] == counts[4] + 1
 
 
 @pytest.mark.parametrize("mode", ["f1_sqrt", "eq19"])
@@ -498,14 +564,12 @@ def test_cell_estimate_flags_phase_degenerate(problem, mode):
     # F1 draws |0..0> on every shot, F2 and F3 on half of theirs, so the raw
     # value 2 F2 - (F1 + 1)/2 + i (2 F3 - (F1 + 1)/2) is 0: under f1_sqrt it
     # has no phase, and the cell keeps the magnitude sqrt(F1).  The fractions
-    # are counted from pools of error-free shots
+    # are counted from circuits of error-free shots: F1's 3 shots all count,
+    # and 2 of the 4 shots of F2 and of F3
     _, ham, prep = problem
     circuits = _MirrorCircuits(prep, GateEvolver(ham))
-    est = _cell_estimate(circuits, DT, NoiseSpec(p_pauli=0.01), (1.0, 0.5, 0.5),
-                         [float("nan")] * 3,
-                         [[_Pool(np.array([0.1, 0.6, 0.9]))],
-                          [_Pool(np.array([0.2, 0.7])), _Pool(np.array([0.4, 0.9]))],
-                          [_Pool(np.array([0.3, 0.3, 0.8, 0.6]))]], mode)
+    est = _cell_estimate(circuits, DT, NoiseSpec(p_pauli=0.01), ham.reference_energy(),
+                         [float("nan")] * 3, [(3, 3, []), (4, 2, []), (4, 2, [])], mode)
     assert est.fractions == (1.0, 0.5, 0.5)
     assert type(est.value) is complex
     if mode == "f1_sqrt":
@@ -536,22 +600,23 @@ def test_noisy_sampling_matches_per_shot_reference(problem, kind, twirl):
         gates = circuits.pass_gates(case % 3, evolution, np.pi / 2 if twirl else None)
         noise = NoiseSpec(p_pauli=p)
         shots = 300 if p == 1e-3 else 60
-        npass = _Pass(gates)
-        pool = _noisy_pool(npass, shots, p, _StreamOpener(6), (case, 1))
-        _evolve_passes(pool.shots, prep.n_sites)
-        _assert_pool_matches(pool, _noiseless_zero(gates, prep.n_sites),
+        npass, c0 = _Pass(gates), _noiseless_zero(gates, prep.n_sites)
+        pool = _noisy_pool(npass, shots, p, c0, _StreamOpener(6), (case, 1))
+        erring = pool[1]
+        _evolve_passes(erring, prep.n_sites)
+        _assert_pool_matches(pool, len(npass.slots), p, 6, (case, 1), c0,
                              _per_shot_noisy_reference(gates, prep.n_sites, shots, noise, 6,
                                                        (case, 1)))
         # p = 1e-3 runs both branches: error-free shots and shots that join the
         # batch at an erring gate; p = 0.5 replays several errors per shot; at
         # p = 1 every shot errs at every slot, from its first on
         if p == 1e-3:
-            assert 0 < len(pool.shots) < shots
+            assert 0 < len(erring) < shots
         if p == 0.5:
-            assert max(len(shot.errors) for shot in pool.shots) > 1
+            assert max(len(shot.errors) for shot in erring) > 1
         if p == 1.0:
-            assert len(pool.shots) == shots
-            assert all([e[:2] for e in shot.errors] == npass.slots for shot in pool.shots)
+            assert len(erring) == shots
+            assert all([e[:2] for e in shot.errors] == npass.slots for shot in erring)
 
 
 def _noisy_cell_reference(prep, evolver, t, plan, seed, stream, noise):
@@ -649,7 +714,7 @@ def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
 
     def recorded_pool(*args):
         pool = noisy_pool(*args)
-        erring.extend(pool.shots)
+        erring.extend(pool[1])
         return pool
 
     monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
@@ -807,7 +872,7 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
 
     def drawn(circuits, key, m, evolution):
         npass = _Pass(circuits.pass_gates(key[0], evolution, key[1]))
-        return npass, _noisy_pool(npass, 40, 0.05, _StreamOpener(3), (m,)).shots
+        return npass, _noisy_pool(npass, 40, 0.05, 0.0, _StreamOpener(3), (m,))[1]
 
     # with one erring shot per pass that joins after gate 0, every gate of
     # each distinct gate-list prefix is applied once, to the whole batch;
@@ -875,14 +940,15 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
 
     def drawn():
         circuits, evolution = _MirrorCircuits(prep, evolver), evolver.gates(t)
-        pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, a)), 30, p,
-                             _StreamOpener(5), (m,))
-                 for m, (i, a) in enumerate(keys)]
-        _evolve_passes([shot for pool in pools for shot in pool.shots], prep.n_sites)
-        return pools
+        passes = [_Pass(circuits.pass_gates(i, evolution, a)) for i, a in keys]
+        c0s = [_noiseless_zero(npass.gates, prep.n_sites) for npass in passes]
+        pools = [_noisy_pool(npass, 30, p, c0, _StreamOpener(5), (m,))
+                 for m, (npass, c0) in enumerate(zip(passes, c0s))]
+        _evolve_passes([shot for _, shots in pools for shot in shots], prep.n_sites)
+        return list(zip(passes, c0s, pools))
 
     one_batch = drawn()
-    assert max(len(pool.shots) for pool in one_batch) > rows
+    assert max(len(shots) for _, _, (_, shots) in one_batch) > rows
     batches = []
     kernel = mirror_module.apply_gate_amps
 
@@ -896,15 +962,15 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
     bounded = drawn()
     assert max(batches) == rows
     if rows < 7:
-        assert any(8 * (len(pool.shots[0].npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
-                   for pool in bounded)
-    for m, (pool, alone) in enumerate(zip(bounded, one_batch)):
-        gates = pool.shots[0].npass.gates
-        assert np.array_equal(pool.uniforms, alone.uniforms)
-        assert np.array_equal(pool.erring, alone.erring)
-        assert [s.sample for s in pool.shots] == [s.sample for s in alone.shots]
-        _assert_pool_matches(pool, _noiseless_zero(gates, prep.n_sites),
-                             _per_shot_noisy_reference(gates, prep.n_sites, 30,
+        assert any(8 * (len(npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
+                   for npass, _, _ in bounded)
+    for m, ((npass, c0, pool), (_, _, alone)) in enumerate(zip(bounded, one_batch)):
+        assert pool[0] == alone[0]
+        assert ([(s.errors, s.uniform) for s in pool[1]]
+                == [(s.errors, s.uniform) for s in alone[1]])
+        assert [s.sample for s in pool[1]] == [s.sample for s in alone[1]]
+        _assert_pool_matches(pool, len(npass.slots), p, 5, (m,), c0,
+                             _per_shot_noisy_reference(npass.gates, prep.n_sites, 30,
                                                        NoiseSpec(p_pauli=p), 5, (m,)))
 
 
@@ -936,18 +1002,18 @@ def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch)
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "_evolve_group", recorded_group)
     keys = [(i, a) for i in range(3) for a in (None, np.pi / 3)]
-    pools = [_noisy_pool(_Pass(circuits.pass_gates(i, evolution, a)), shots, p,
-                         _StreamOpener(8), (m,))
-             for m, (i, a) in enumerate(keys)]
-    erring = [shot for pool in pools for shot in pool.shots]
+    passes = [_Pass(circuits.pass_gates(i, evolution, a)) for i, a in keys]
+    c0s = [_noiseless_zero(npass.gates, prep.n_sites) for npass in passes]
+    pools = [_noisy_pool(npass, shots, p, c0, _StreamOpener(8), (m,))
+             for m, (npass, c0) in enumerate(zip(passes, c0s))]
+    erring = [shot for _, pool_shots in pools for shot in pool_shots]
     _evolve_passes(erring, prep.n_sites)
     assert mirror_module._BATCH_BYTES // (16 << prep.n_sites) == 32
     assert len(erring) > 62 and waves == [31, 31, len(erring) - 62]
     assert max(batches) <= 32
-    for m, (pool, (i, a)) in enumerate(zip(pools, keys)):
-        gates = circuits.pass_gates(i, evolution, a)
-        _assert_pool_matches(pool, _noiseless_zero(gates, prep.n_sites),
-                             _per_shot_noisy_reference(gates, prep.n_sites, shots,
+    for m, (pool, npass, c0) in enumerate(zip(pools, passes, c0s)):
+        _assert_pool_matches(pool, len(npass.slots), p, 8, (m,), c0,
+                             _per_shot_noisy_reference(npass.gates, prep.n_sites, shots,
                                                        NoiseSpec(p_pauli=p), 8, (m,)))
 
 
@@ -1101,9 +1167,8 @@ def test_sector_error_discards_every_shot(problem):
     uniforms = _StreamOpener(1)((0,)).random(90)
     shots = [_ErringShot(npass, [flip], u) for u in uniforms]
     _evolve_passes(shots, prep.n_sites)
-    est = _cell_estimate(circuits, DT, NoiseSpec(enable_postselect=True), (0.5, 0.5, 0.5),
-                         [float("nan")] * 3, [[_Pool(uniforms, np.arange(90), shots)], [], []],
-                         "f1_sqrt")
+    est = _cell_estimate(circuits, DT, NoiseSpec(enable_postselect=True), ham.reference_energy(),
+                         [float("nan")] * 3, [(90, 0, shots), (0, 0, []), (0, 0, [])], "f1_sqrt")
     assert est.value is None
     assert "all_shots_discarded" in est.flags
     assert est.discards[0] == 90
@@ -1210,14 +1275,14 @@ def test_forward_model_counts_match_the_evolved_state_rule(n_tri, kind, monkeypa
     ham = SpinHamiltonian(star)
     prep = dressed_initial(star)
     ev = make_evolver(kind, ham, dt_step=DT)
-    cells, estimate = [], mirror_module._cell_estimate
+    pools, noisy_pool = [], mirror_module._noisy_pool
 
-    def recorded(circuits, t, noise, probs, fractions, circuit_pools, magnitude_source):
-        if circuit_pools:
-            cells.append((circuits, t, noise, probs, circuit_pools))
-        return estimate(circuits, t, noise, probs, fractions, circuit_pools, magnitude_source)
+    def recorded(npass, shots, p, p_zero, streams, stream):
+        pool = noisy_pool(npass, shots, p, p_zero, streams, stream)
+        pools.append((npass, shots, p, p_zero, stream, pool[0]))
+        return pool
 
-    monkeypatch.setattr(mirror_module, "_cell_estimate", recorded)
+    monkeypatch.setattr(mirror_module, "_noisy_pool", recorded)
     rates = (0.0,) if kind == "exact" else (0.0, 0.001, 0.5)
     for p in rates:
         total = {0.0: 30000 if n_tri == 4 else 6000, 0.001: 1500 if n_tri == 4 else 300,
@@ -1226,26 +1291,28 @@ def test_forward_model_counts_match_the_evolved_state_rule(n_tri, kind, monkeypa
         runs = overlap_series_sampled(prep, ev, DT, 2, ShotPlan(total), seed=n_tri,
                                       noise=noise, realizations=(0, 1))
         if p == 0:
-            assert not cells
+            assert not pools
             for r, (_, estimates) in enumerate(runs):
                 for k, est in enumerate(estimates, 1):
                     assert est.fractions == binomial_fractions(
                         n_tri, (r, k), ShotPlan(total).allocate(),
                         exact_fractions(prep, ev, k * DT)), (r, k)
+    circuits = _MirrorCircuits(prep, ev)
     margin, counted, former, gap = np.inf, 0, {}, 0.0
-    for circuits, t, noise, probs, circuit_pools in cells:
-        assert noise.p_pauli > 0
-        for i, pools in enumerate(circuit_pools):
-            for pool, angle in zip(pools, (None, twirl_angle(noise))):
-                if (t, i, angle) not in former:
-                    former[t, i, angle] = _former_zero_probability(circuits, t, i, angle)
-                gap = max(gap, abs(probs[i] - former[t, i, angle]))
-                u = np.delete(pool.uniforms, np.asarray(pool.erring, dtype=int))
-                assert (np.count_nonzero(u < probs[i])
-                        == np.count_nonzero(u < former[t, i, angle])), (t, i, angle)
-                if len(u):
-                    margin = min(margin, float(np.min(np.abs(u - probs[i]))))
-                counted += len(u)
+    for npass, shots, p, p_zero, stream, zeros in pools:
+        assert p > 0
+        _, k, i, pool = stream
+        t, angle = k * DT, (None, twirl_angle(noise))[pool]
+        if (t, i, angle) not in former:
+            former[t, i, angle] = _former_zero_probability(circuits, t, i, angle)
+        gap = max(gap, abs(p_zero - former[t, i, angle]))
+        uniforms, erring = former_pool(n_tri, stream, len(npass.slots), shots, p)
+        u = np.delete(uniforms, erring)
+        assert (zeros == np.count_nonzero(u < p_zero)
+                == np.count_nonzero(u < former[t, i, angle])), (t, i, angle)
+        if len(u):
+            margin = min(margin, float(np.min(np.abs(u - p_zero))))
+        counted += len(u)
     if kind == "exact":
         assert not former
         return

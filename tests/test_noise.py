@@ -283,13 +283,13 @@ def test_erring_samples_match_the_exact_channel(problem8):
     ev = GateEvolver(ham)
     gates = _MirrorCircuits(prep, ev).pass_gates(0, ev.gates(CHANNEL_T), None)
     npass = _Pass(gates)
-    pool = _noisy_pool(npass, 24000, p, _StreamOpener(11), (0,))
-    _evolve_passes(pool.shots, n)
+    _, shots = _noisy_pool(npass, 24000, p, 0.0, _StreamOpener(11), (0,))
+    _evolve_passes(shots, n)
     free = (1 - p) ** len(npass.slots)
     clean = np.abs(apply_circuit(zero_amps(n), gates)) ** 2
     erring = (channel_probabilities(channel_state(gates, n, p)) - free * clean) / (1 - free)
-    expected = erring * len(pool.shots)
-    observed = np.bincount([shot.sample for shot in pool.shots], minlength=1 << n)
+    expected = erring * len(shots)
+    observed = np.bincount([shot.sample for shot in shots], minlength=1 << n)
     bins = expected >= 10
     e = np.append(expected[bins], expected[~bins].sum())
     o = np.append(observed[bins], observed[~bins].sum())
