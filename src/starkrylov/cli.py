@@ -149,9 +149,10 @@ def _write_convergence(path: Path, rows) -> None:
 
 
 def cmd_converge(cfg: RunConfig, build: Build, out: Path) -> None:
+    runs = [series for series, _ in _series_for(cfg, build)]
+    # after the series, whose spectral sum keeps the sector's energies: one ED
     sector = cfg.initial.sz if cfg.initial.kind == "sector" else 0
     e_exact = build.ham.ground_state_energy(sector=float(sector))
-    runs = [series for series, _ in _series_for(cfg, build)]
     repeat = cfg.realizations // len(runs)  # the exact series' cell stands for every run
     csv_rows = []
     spread_rows = []

@@ -17,12 +17,14 @@ H_m[r', r] = sum over flips of r onto T^j r' of 2 w^(m j) sqrt(L_r / L_r'),
 and is real for m = 0 and m = N/2; H_{N-m} = conj(H_m) on the same
 representatives, so one ``eigh`` of H_m serves the conjugate pair: block N-m
 stores block m's eigenvalues w and eigenvector array v itself, and reads its
-eigenvectors conj(v) through v (its projection is v^T).  Spectra and overlap
-series go through the blocks, whose eigenvectors stay in block form.  The
-exact overlap series releases each sector's eigenvector arrays before it
-builds the sector's phase matrix, the exact path's one memory bound; a
-released sector keeps its eigenvalues and index arrays and is decomposed
-again, by the same ``eigh`` calls, when its eigenvectors are next read.
+eigenvectors conj(v) through v (its projection is v^T).
+
+A Hamiltonian keeps each decomposed sector's sorted energies and nothing
+else.  The eigenvectors, in block form, go to their one reader, the
+projection inside ``autocorrelation``, and die there, before the sector's
+phase matrix is built: the exact path's one memory bound.  Spectra and ground
+energies read the kept energies, so a sector whose energies are read before
+its series is decomposed twice, by the same ``eigh`` calls.
 """
 from __future__ import annotations
 
@@ -70,18 +72,14 @@ class _SectorBlocks:
     v, or conj(v) when ``conj`` is set, and then v is the array of its
     conjugate partner N - m, shared rather than copied.  Sector basis state b
     is T^shift[b] of representative orbit[b]; scale[r] = L_r^(-1/2);
-    omega[j, m] = w^(j m).  ``release`` sets every v to None."""
+    omega[j, m] = w^(j m)."""
 
     orbit: np.ndarray
     shift: np.ndarray
     scale: np.ndarray
     omega: np.ndarray
-    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray | None, bool]]
+    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, bool]]
     energies: np.ndarray  # every eigenvalue of the sector, ascending
-
-    def release(self) -> None:
-        """Drop the eigenvector arrays; energies and block eigenvalues stay."""
-        self.blocks = [(m, keep, w, None, conj) for m, keep, w, _, conj in self.blocks]
 
     def fold(self, part: np.ndarray) -> np.ndarray:
         """<r, m|part> as an (orbits, N) array, for amplitudes on the sector basis."""
@@ -101,7 +99,7 @@ class SpinHamiltonian:
         self.n_sites = lattice.n_sites
         self.dim = 1 << self.n_sites
         self._sectors = _sector_indices(self.n_sites)
-        self._eigs: dict[int, _SectorBlocks] = {}
+        self._energies: dict[int, np.ndarray] = {}  # n_down -> sorted sector energies
         rot = tuple(getattr(lattice, "rotation", None) or range(self.n_sites))
         if (sorted(rot) != list(range(self.n_sites)) or set(map(frozenset, lattice.bonds))
                 != {frozenset((rot[i], rot[j])) for i, j in lattice.bonds}):
@@ -122,14 +120,9 @@ class SpinHamiltonian:
 
     # -- spectra -----------------------------------------------------------
 
-    def _sector_eig(self, n_down: int, vectors: bool = True) -> _SectorBlocks:
-        """One ``eigh`` per conjugate pair of momentum blocks of the sector,
-        cached; a sector whose eigenvectors were released is decomposed again
-        only when ``vectors`` asks for them."""
-        sec = self._eigs.get(n_down)
-        # block m = 0 never shares its partner's array: its v tells a released sector
-        if sec is not None and (not vectors or sec.blocks[0][3] is not None):
-            return sec
+    def _decompose(self, n_down: int) -> _SectorBlocks:
+        """The sector's momentum blocks, from one ``eigh`` per conjugate pair;
+        of them the Hamiltonian keeps only the sorted energies."""
         basis = self._sectors[n_down]
         images = [basis]
         while True:
@@ -170,57 +163,54 @@ class SpinHamiltonian:
             h = h[np.ix_(keep, keep)] + np.diag(diag[keep])
             blocks.append((m, keep, *np.linalg.eigh(h.real if 2 * m % n_rot == 0 else h), False))
         energies = np.sort(np.concatenate([w for _, _, w, _, _ in blocks]))
-        self._eigs[n_down] = _SectorBlocks(orbit, shift, scale, omega, blocks, energies)
-        return self._eigs[n_down]
+        self._energies[n_down] = energies
+        return _SectorBlocks(orbit, shift, scale, omega, blocks, energies)
+
+    def _sector_energies(self, n_down: int) -> np.ndarray:
+        energies = self._energies.get(n_down)
+        return self._decompose(n_down).energies if energies is None else energies
 
     def ground_state_energy(self, sector: float | None = None) -> float:
         if sector is not None:
-            return float(self._sector_eig(self._ndown_of_sz(sector), False).energies[0])
-        return min(float(self._sector_eig(k, False).energies[0])
-                   for k in range(self.n_sites + 1))
+            return float(self._sector_energies(self._ndown_of_sz(sector))[0])
+        return min(float(self._sector_energies(k)[0]) for k in range(self.n_sites + 1))
 
     def sector_spectra(self) -> dict[float, np.ndarray]:
         """{S^z: every eigenvalue of the sector, ascending}, from S^z = n/2 down."""
-        return {self._sz_of_ndown(k): self._sector_eig(k, False).energies
-                for k in range(self.n_sites + 1)}
+        return {self._sz_of_ndown(k): self._sector_energies(k) for k in range(self.n_sites + 1)}
 
     def sector_ground_energies(self) -> dict[float, float]:
         return {sz: float(energies[0]) for sz, energies in self.sector_spectra().items()}
 
     # -- operators on vectors ----------------------------------------------
 
-    def _projections(self, vec: np.ndarray):
-        """(basis, blocks, V^H <r, m|vec> per block) for each S^z sector that
-        ``vec`` touches."""
-        if len(vec) != self.dim:
-            raise ValueError("state dimension does not match Hamiltonian")
-        for n_down, basis in enumerate(self._sectors):
-            part = vec[basis]
-            if np.any(part):
-                sec = self._sector_eig(n_down)
-                c = sec.fold(part)
-                # (conj v)^H = v^T: a conjugated block projects with its partner's v
-                yield basis, sec, [(v if conj else v.conj()).T @ c[keep, m]
-                                   for m, keep, _, v, conj in sec.blocks]
+    def _sector_weights(self, n_down: int, part: np.ndarray):
+        """(eigenvalues, |<E_i|part>|^2) of sector ``n_down``, block by block,
+        for amplitudes ``part`` on its basis; its eigenvectors die on return."""
+        sec = self._decompose(n_down)
+        c = sec.fold(part)
+        # (conj v)^H = v^T: a conjugated block projects with its partner's v
+        coeffs = [(v if conj else v.conj()).T @ c[keep, m] for m, keep, _, v, conj in sec.blocks]
+        return (np.concatenate([w for _, _, w, _, _ in sec.blocks]),
+                np.abs(np.concatenate(coeffs)) ** 2)
 
     def autocorrelation(self, vec: np.ndarray, times) -> np.ndarray:
         """<vec| exp(-i H t) |vec> for every t in ``times``.
 
         Summed from the block spectra as sum_i |<E_i|vec>|^2 exp(-i E_i t),
         one matrix product per S^z sector that ``vec`` touches, so no state
-        is evolved.  Each sector is first reduced to its eigenvalues and
-        weights, and its eigenvector arrays are released; only then is each
-        sector's (times x eigenvalues) phase matrix written, once, as -t E_i
-        into the imaginary view of a complex zero array and exponentiated in
-        place.  The product stays one call, since a product split into row
-        blocks need not round the same.
+        is evolved.  Each touched sector is decomposed and reduced to its
+        eigenvalues and weights (``_sector_weights``), where its eigenvectors
+        die; only then is each sector's (times x eigenvalues) phase matrix
+        written, once, as -t E_i into the imaginary view of a complex zero
+        array and exponentiated in place.  The product stays one call, since
+        a product split into row blocks need not round the same.
         """
+        if len(vec) != self.dim:
+            raise ValueError("state dimension does not match Hamiltonian")
         times = np.asarray(times, dtype=float)
-        spectra = []
-        for _, sec, coeffs in self._projections(vec):
-            spectra.append((np.concatenate([w for _, _, w, _, _ in sec.blocks]),
-                            np.abs(np.concatenate(coeffs)) ** 2))
-            sec.release()
+        spectra = [self._sector_weights(k, part) for k, basis in enumerate(self._sectors)
+                   if np.any(part := vec[basis])]
         out = np.zeros(times.shape, dtype=complex)
         for w, weights in spectra:
             phases = np.zeros((len(times), len(w)), dtype=complex)

@@ -101,16 +101,16 @@ def sector_series(ham, sz: int, dt: float, n_steps: int, sz0_cz_bonds=None):
 
 
 def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None = None,
-                             n_steps: int | None = None, dt: float | None = None,
-                             sz0_cz_bonds=None):
-    """One ``method`` solve of every S^z sector's ``sector_series`` at ``n_steps``
-    on ``lattice``.
+                             n_steps: int | None = None, dt: float | None = None):
+    """One ``method`` solve of every S^z sector's ``sector_series`` (its
+    default S^z = 0 state) at ``n_steps`` on ``lattice``.
 
     ``sector_solver_settings`` resolves and checks ``method``, ``delta``,
     ``n_steps`` and ``dt`` before any Hamiltonian is built.  One h = 0
     Hamiltonian serves every sector, series before ED energy: the series
-    releases the sector's eigenvectors, so one sector's are alive at a time
-    and none at a sweep.  Returns (energies, meta); ``meta[sz]`` holds
+    decomposes the sector once, and its eigenvectors die within it, so one
+    sector's are alive at a time and none at a sweep; the ED energy reads the
+    energies it kept.  Returns (energies, meta); ``meta[sz]`` holds
     ``exact``, the sector's ED ground energy (the one ``cli`` writes), the
     estimate's error against it, its retained rank and flags, and
     ``converged``: an error above 1e-3 marks the sector unconverged, whether
@@ -120,7 +120,7 @@ def estimate_sector_energies(lattice, method: str = "uvqpe", delta: float | None
     ham = SpinHamiltonian(lattice)
     energies, meta = {}, {}
     for sz in range(lattice.n_triangles + 1):
-        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        series = sector_series(ham, sz, dt, n_steps)
         e_exact = ham.ground_state_energy(sector=float(sz))
         estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
         error = abs(estimate.energy - e_exact)

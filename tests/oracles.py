@@ -1,7 +1,10 @@
-"""Reference constructions and diagnostics that only the tests use: a sector's
-spectrum with its eigenvectors unfolded from the momentum blocks, exp(-i H t)
-applied to a state through the blocks (the former ``SpinHamiltonian.evolve``
-and ``_SectorBlocks.unfold``), the
+"""Reference constructions and diagnostics that only the tests use, on the
+momentum blocks that ``SpinHamiltonian._decompose`` returns, eigenvectors
+included, made once per Hamiltonian and sector (``decomposed``): a sector's
+spectrum with its eigenvectors unfolded from the blocks, the block
+projections of a state (the former ``SpinHamiltonian._projections``),
+exp(-i H t) applied to a state through the blocks (the former
+``SpinHamiltonian.evolve`` and ``_SectorBlocks.unfold``), the
 momentum blocks with an eigenvector array of their own each and the block
 projections, evolution and one-shot spectral sum on them (the former block
 storage and spectral sum of ``SpinHamiltonian``), the spectral sum that
@@ -37,6 +40,7 @@ for the zero counts of ``mirror._noisy_pool``), and the
 one-trajectory-at-a-time noise channel that the batched sampler replaces."""
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import ceil, log
 
@@ -84,11 +88,24 @@ class SpectrumResult:
         return np.abs(self.vectors.conj().T @ psi[self.basis]) ** 2
 
 
+_DECOMPOSED = weakref.WeakKeyDictionary()  # Hamiltonian -> {n_down: its blocks}
+
+
+def decomposed(ham, n_down: int):
+    """``ham._decompose(n_down)``, made once per Hamiltonian and sector and
+    kept while ``ham`` lives, so that an oracle that evolves a state at many
+    times decomposes each sector once."""
+    sectors = _DECOMPOSED.setdefault(ham, {})
+    if n_down not in sectors:
+        sectors[n_down] = ham._decompose(n_down)
+    return sectors[n_down]
+
+
 def diagonalize(ham, sz: float) -> SpectrumResult:
     """Sector sz's spectrum with the momentum-block eigenvectors of
-    ``ham._sector_eig`` unfolded onto the sector basis (complex, d x d)."""
+    ``decomposed`` unfolded onto the sector basis (complex, d x d)."""
     n_down = ham._ndown_of_sz(sz)
-    sec = ham._sector_eig(n_down)
+    sec = decomposed(ham, n_down)
     energies, vectors = [], []
     for m, keep, w, v in explicit_blocks(sec):
         padded = np.zeros((len(sec.scale), len(w)), dtype=complex)
@@ -103,10 +120,25 @@ def unfold(sec, c: np.ndarray) -> np.ndarray:
     return ((c * sec.scale[:, None]) @ sec.omega.conj())[sec.orbit, sec.shift]
 
 
+def projections(ham, vec: np.ndarray):
+    """(basis, blocks, V^H <r, m|vec> per block) for each S^z sector that
+    ``vec`` touches, on the blocks of ``decomposed``: a conjugated block
+    projects with its partner's array v as v^T."""
+    if len(vec) != ham.dim:
+        raise ValueError("state dimension does not match Hamiltonian")
+    for n_down, basis in enumerate(ham._sectors):
+        part = vec[basis]
+        if np.any(part):
+            sec = decomposed(ham, n_down)
+            c = sec.fold(part)
+            yield basis, sec, [(v if conj else v.conj()).T @ c[keep, m]
+                               for m, keep, _, v, conj in sec.blocks]
+
+
 def spectral_evolve(ham, vec: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) applied blockwise over S^z sectors and momenta."""
     out = np.zeros_like(vec, dtype=complex)
-    for basis, sec, coeffs in ham._projections(vec):
+    for basis, sec, coeffs in projections(ham, vec):
         c = np.zeros((len(sec.scale), len(sec.omega)), dtype=complex)
         for (m, keep, w, v, conj), a in zip(sec.blocks, coeffs):
             c[keep, m] = (v.conj() if conj else v) @ (np.exp(-1j * w * t) * a)
@@ -127,7 +159,7 @@ def block_projections(ham, vec: np.ndarray):
     for n_down, basis in enumerate(ham._sectors):
         part = vec[basis]
         if np.any(part):
-            sec = ham._sector_eig(n_down)
+            sec = decomposed(ham, n_down)
             blocks, c = explicit_blocks(sec), sec.fold(part)
             yield basis, sec, blocks, [v.conj().T @ c[keep, m] for m, keep, _, v in blocks]
 
@@ -162,10 +194,10 @@ def held_autocorrelation(ham, vec: np.ndarray, times) -> np.ndarray:
     """<vec| exp(-i H t) |vec> per time by the former path of
     ``SpinHamiltonian.autocorrelation``: each sector's phase matrix is filled
     ``_PHASE_ROWS`` rows at a time, exponentiated in place and summed while
-    the sector's eigenvectors stay cached beside it."""
+    the sector's eigenvectors stay alive beside it."""
     times = np.asarray(times, dtype=float)
     out = np.zeros(times.shape, dtype=complex)
-    for _, sec, coeffs in ham._projections(vec):
+    for _, sec, coeffs in projections(ham, vec):
         w = np.concatenate([w for _, _, w, _, _ in sec.blocks])
         phases = np.empty((len(times), len(w)), dtype=complex)
         for i in range(0, len(times), _PHASE_ROWS):
@@ -559,12 +591,11 @@ def magnetization(curve, h: float, per_site: bool = False) -> float:
     raise AssertionError("plateaus do not cover h >= 0")
 
 
-def shared_sector_energies(ham, method: str = "uvqpe", delta=None, n_steps=None, dt=None,
-                           sz0_cz_bonds=None):
+def shared_sector_energies(ham, method: str = "uvqpe", delta=None, n_steps=None, dt=None):
     """The magnetization flow that ``magnet.estimate_sector_energies`` replaced:
     on the one h = 0 Hamiltonian ``ham``, every sector's ED first (the former
-    loop of ``cli.cmd_magnetization``), then each sector's series and sweep on
-    the blocks that ED cached.  Returns (ED energies, energies, meta)."""
+    loop of ``cli.cmd_magnetization``), then each sector's series, which
+    decomposes the sector again, and sweep.  Returns (ED energies, energies, meta)."""
     settings = sector_solver_settings(ham.lattice)
     delta = settings["delta"] if delta is None else delta
     n_steps = settings["n_steps"] if n_steps is None else n_steps
@@ -572,7 +603,7 @@ def shared_sector_energies(ham, method: str = "uvqpe", delta=None, n_steps=None,
     ed = {sz: ham.ground_state_energy(sector=sz) for sz in range(ham.n_sites // 2 + 1)}
     energies, meta = {}, {}
     for sz in range(ham.lattice.n_triangles + 1):
-        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        series = sector_series(ham, sz, dt, n_steps)
         estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
         e_exact = ham.ground_state_energy(sector=float(sz))
         error = abs(estimate.energy - e_exact)
@@ -582,8 +613,7 @@ def shared_sector_energies(ham, method: str = "uvqpe", delta=None, n_steps=None,
     return ed, energies, meta
 
 
-def per_sector_energies(lattice, method: str = "uvqpe", delta=None, n_steps=None, dt=None,
-                        sz0_cz_bonds=None):
+def per_sector_energies(lattice, method: str = "uvqpe", delta=None, n_steps=None, dt=None):
     """The former pass of ``magnet.estimate_sector_energies``: each sector's
     series and then its ED ground energy on an h = 0 Hamiltonian of its own,
     whose ``dt`` is checked before its ED, then the sector's sweep.
@@ -596,7 +626,7 @@ def per_sector_energies(lattice, method: str = "uvqpe", delta=None, n_steps=None
     for sz in range(lattice.n_triangles + 1):
         ham = SpinHamiltonian(lattice)
         check_time_step(lattice, dt)
-        series = sector_series(ham, sz, dt, n_steps, sz0_cz_bonds)
+        series = sector_series(ham, sz, dt, n_steps)
         e_exact = ham.ground_state_energy(sector=float(sz))
         estimate, = krylov.sweep(method, [series], [n_steps], [delta])[n_steps, delta]
         error = abs(estimate.energy - e_exact)

@@ -309,7 +309,7 @@ def test_conjugate_momentum_blocks_match_explicit_blocks(n_tri, h, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    sectors = [ham._sector_eig(n_down) for n_down in range(star.n_sites + 1)]
+    sectors = [ham._decompose(n_down) for n_down in range(star.n_sites + 1)]
     monkeypatch.undo()
     n_blocks = sum(len(sec.blocks) for sec in sectors)
     assert len(calls) == sum(len(sec.blocks) // 2 + 1 for sec in sectors) < n_blocks
@@ -336,13 +336,13 @@ def test_conjugate_momentum_blocks_match_explicit_blocks(n_tri, h, monkeypatch):
 @pytest.mark.parametrize("h", [0.0, 0.7])
 def test_conjugate_blocks_share_one_array(n_tri, h):
     """Blocks m and N - m hold one eigenvector array between them, and the
-    projections and evolution that read it equal, bitwise, those over
+    sector weights and evolution that read it equal, bitwise, those over
     explicit ``v.conj()`` copies."""
     star = build_star(n_tri)
     ham = SpinHamiltonian(star, h_field=h)
     shared = 0
     for n_down in range(star.n_sites + 1):
-        sec = ham._sector_eig(n_down)
+        sec = ham._decompose(n_down)
         n_rot = len(sec.blocks)
         for m, keep, w, v, conj in sec.blocks:
             if conj:
@@ -353,12 +353,14 @@ def test_conjugate_blocks_share_one_array(n_tri, h):
     assert shared > 0
     for psi in (_random_state(star.n_sites, 3), dressed_initial(star).state(),
                 pinwheel(star).state(), sector_initial(star, 1).state()):
-        found = list(ham._projections(psi))
+        touched = [k for k, basis in enumerate(ham._sectors) if np.any(psi[basis])]
         expected = list(block_projections(ham, psi))
-        assert len(found) == len(expected)
-        for (basis, _, coeffs), (ref_basis, _, _, ref_coeffs) in zip(found, expected):
-            assert basis is ref_basis and len(coeffs) == len(ref_coeffs)
-            assert all(np.array_equal(a, b) for a, b in zip(coeffs, ref_coeffs))
+        assert len(touched) == len(expected)
+        for n_down, (basis, _, blocks, coeffs) in zip(touched, expected):
+            assert basis is ham._sectors[n_down]
+            w, weights = ham._sector_weights(n_down, psi[basis])
+            assert np.array_equal(w, np.concatenate([w for _, _, w, _ in blocks]))
+            assert np.array_equal(weights, np.abs(np.concatenate(coeffs)) ** 2)
         for t in (0.6, -1.3):
             assert np.array_equal(spectral_evolve(ham, psi, t), block_evolve(ham, psi, t))
 
@@ -387,10 +389,10 @@ def _bits(values: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n_tri", [4, 6])
 @pytest.mark.parametrize("h", [0.0, 0.7])
 def test_autocorrelation_matches_held_eigenvector_path(n_tri, h):
-    """The spectral sum that releases each sector's eigenvectors before its
-    phase matrix is built sums to the bits of the former path, which keeps
-    them cached beside it, on states in one sector and in several; a second
-    call, which decomposes the released sectors again, gives the same bits."""
+    """The spectral sum whose eigenvectors die with each sector's projection,
+    before its phase matrix is built, sums to the bits of the former path,
+    which keeps them beside it, on states in one sector and in several; a
+    second call, which decomposes the sectors again, gives the same bits."""
     star = build_star(n_tri)
     times = np.arange(1, 152) * 0.17
     states = {"sector_sz1": sector_initial(star, 1).state(),
@@ -444,17 +446,19 @@ def test_magnetization_sector_series_match_held_eigenvector_path(monkeypatch):
 
 
 @pytest.mark.parametrize("n_tri", [4, 6])
-def test_released_sectors_keep_spectra_and_decompose_again_for_vectors(n_tri, monkeypatch):
-    """After ``autocorrelation`` the touched sectors hold no eigenvector
-    array: spectra and ground energies read the kept eigenvalues with no
-    ``eigh`` call, and ``evolve`` decomposes them again into the arrays a
-    fresh Hamiltonian builds."""
+def test_autocorrelation_keeps_only_energies(n_tri, monkeypatch):
+    """After ``autocorrelation`` the Hamiltonian keeps every touched sector's
+    sorted energies, 8 bytes per basis state, and nothing else: spectra and
+    ground energies read them with no ``eigh`` call, and a second
+    ``autocorrelation`` decomposes the sectors again, to the same bits and
+    to the blocks a fresh Hamiltonian builds."""
     star = build_star(n_tri)
     psi = _random_state(star.n_sites, 9)  # touches every sector
     times = np.arange(1, 31) * 0.17
     ham, fresh = SpinHamiltonian(star), SpinHamiltonian(star)
-    ham.autocorrelation(psi, times)
-    assert all(v is None for sec in ham._eigs.values() for *_, v, _ in sec.blocks)
+    first = ham.autocorrelation(psi, times)
+    assert sorted(ham._energies) == list(range(star.n_sites + 1))
+    assert sum(e.nbytes for e in ham._energies.values()) == 8 * ham.dim
     expected = fresh.sector_spectra()
     sectors = (0.0, 1.0, -2.0)
     ground = [fresh.ground_state_energy(sector=sz) for sz in sectors]
@@ -468,13 +472,10 @@ def test_released_sectors_keep_spectra_and_decompose_again_for_vectors(n_tri, mo
     assert [ham.ground_state_energy(sector=sz) for sz in sectors] == ground
     assert ham.sector_ground_energies() == fresh.sector_ground_energies()
     assert calls == []
-    for sector_state in (dressed_initial(star).state(), sector_initial(star, 1).state()):
-        ham.autocorrelation(sector_state, times)
-        for t in (0.6, -1.3):
-            assert np.array_equal(spectral_evolve(ham, sector_state, t),
-                                  spectral_evolve(fresh, sector_state, t))
-    assert len(calls) > 0  # the released sectors were decomposed again
-    assert np.array_equal(spectral_evolve(ham, psi, 0.6), spectral_evolve(fresh, psi, 0.6))
+    assert np.array_equal(_bits(ham.autocorrelation(psi, times)), _bits(first))
+    assert len(calls) > 0  # the sectors were decomposed again
+    for t in (0.6, -1.3):
+        assert np.array_equal(spectral_evolve(ham, psi, t), spectral_evolve(fresh, psi, t))
 
 
 def test_rotation_must_map_bonds_onto_bonds():
@@ -488,5 +489,5 @@ def test_rotation_must_map_bonds_onto_bonds():
     twice = SpinHamiltonian(replace(star, rotation=tuple(star.rotation[s] for s in star.rotation)))
     ham = SpinHamiltonian(star)
     for n_down in range(star.n_sites + 1):
-        assert np.max(np.abs(twice._sector_eig(n_down).energies
-                             - ham._sector_eig(n_down).energies)) <= 1e-12
+        assert np.max(np.abs(twice._decompose(n_down).energies
+                             - ham._decompose(n_down).energies)) <= 1e-12

@@ -217,12 +217,9 @@ def test_one_solve_matches_all_prefix_loop(method):
 @pytest.mark.parametrize("n_tri", [4, 6])
 def test_one_pass_matches_shared_hamiltonian_flow(n_tri, method, custom):
     # reference: one shared Hamiltonian, every sector's ED first, then each
-    # sector's series and sweep on the cached blocks
+    # sector's series, which decomposes the sector again, and sweep
     star = build_star(n_tri)
-    settings = {}
-    if custom:
-        free = star.free_outer_bonds("cw")
-        settings = {"delta": 1e-3, "n_steps": 30, "dt": 0.15, "sz0_cz_bonds": free[1::2]}
+    settings = {"delta": 1e-3, "n_steps": 30, "dt": 0.15} if custom else {}
     ed, ref_energies, ref_meta = shared_sector_energies(SpinHamiltonian(star), method,
                                                         **settings)
     energies, meta = estimate_sector_energies(star, method, **settings)
@@ -272,23 +269,24 @@ def _run_magnetization_12(entry, tmp_path):
 
 @pytest.mark.parametrize("entry", ["estimate", "cli"])
 def test_one_sector_blocks_alive_at_a_time(entry, tmp_path, monkeypatch):
-    # every _SectorBlocks registers weak references to its eigenvector
-    # arrays; with the collector off, no earlier sector's array may be alive
-    # when a sector's blocks are built, and none at any sweep.  The released
-    # sectors that the one Hamiltonian keeps hold their eigenvalues and index
-    # arrays only: at most 48 bytes per basis state beside the N x N table
-    # omega (the 924-state sector's eigenvectors take about 1.6 kB per state)
-    refs, alive_at_build, alive_at_sweep, sectors = [], [], [], []
+    # every eigenvector array that _decompose returns registers a weak
+    # reference; with the collector off, no earlier sector's array may be
+    # alive when a sector has been decomposed, none at any sweep and none
+    # after the run.  The one h = 0 Hamiltonian keeps each sector's sorted
+    # energies only: 8 bytes per basis state (the 924-state sector's
+    # eigenvectors take about 1.6 kB per state)
+    refs, alive_at_build, alive_at_sweep, hams = [], [], [], set()
+    decompose = SpinHamiltonian._decompose
 
     def alive():
         return sum(ref() is not None for ref in refs)
 
-    class Tracked(hamiltonian._SectorBlocks):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            alive_at_build.append(alive())
-            refs.extend(weakref.ref(v) for *_, v, _ in self.blocks)
-            sectors.append(self)
+    def tracked(self, n_down):
+        sec = decompose(self, n_down)
+        alive_at_build.append(alive())
+        refs.extend(weakref.ref(v) for *_, v, _ in sec.blocks)
+        hams.add(self)
+        return sec
 
     sweep = krylov.sweep
 
@@ -296,37 +294,35 @@ def test_one_sector_blocks_alive_at_a_time(entry, tmp_path, monkeypatch):
         alive_at_sweep.append(alive())
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(hamiltonian, "_SectorBlocks", Tracked)
+    monkeypatch.setattr(SpinHamiltonian, "_decompose", tracked)
     monkeypatch.setattr(krylov, "sweep", watched_sweep)
     gc.disable()
     try:
         _run_magnetization_12(entry, tmp_path)
+        assert alive() == 0
     finally:
         gc.enable()
     assert alive_at_build == [0] * 7
     assert alive_at_sweep == [0] * 7
-    assert sorted(len(sec.energies) for sec in sectors) == sorted(
-        math.comb(12, k) for k in range(7))
-    for sec in sectors:
-        assert all(v is None for *_, v, _ in sec.blocks)
-        kept = {id(a): a for a in (sec.orbit, sec.shift, sec.scale, sec.energies)}
-        kept.update((id(a), a) for _, keep, w, _, _ in sec.blocks for a in (keep, w))
-        assert sum(a.nbytes for a in kept.values()) <= 48 * len(sec.energies)
+    ham, = hams
+    kept = list(ham._energies.values())
+    assert sorted(map(len, kept)) == sorted(math.comb(12, k) for k in range(7))
+    assert all(a.nbytes <= 8 * len(a) for a in kept)
 
 
 @pytest.mark.parametrize("entry", ["estimate", "cli"])
 def test_no_eigenvector_alive_beside_phase_matrix(entry, tmp_path, monkeypatch):
-    # every eigenvector array that _sector_eig returns registers a weak
+    # every eigenvector array that _decompose returns registers a weak
     # reference; with the collector off, none may be alive when the spectral
     # sum allocates a sector's phase matrix, its one np.zeros call of shape
     # (times, sector dimension)
     refs, alive_at_phases = [], []
-    sector_eig = SpinHamiltonian._sector_eig
+    decompose = SpinHamiltonian._decompose
     n_times = sector_solver_settings(build_star(6))["n_steps"]
 
-    def tracked(self, *args, **kwargs):
-        sec = sector_eig(self, *args, **kwargs)
-        refs.extend(weakref.ref(v) for *_, v, _ in sec.blocks if v is not None)
+    def tracked(self, n_down):
+        sec = decompose(self, n_down)
+        refs.extend(weakref.ref(v) for *_, v, _ in sec.blocks)
         return sec
 
     class WatchedNumpy:
@@ -338,7 +334,7 @@ def test_no_eigenvector_alive_beside_phase_matrix(entry, tmp_path, monkeypatch):
                 alive_at_phases.append((shape[1], sum(ref() is not None for ref in refs)))
             return np.zeros(shape, *args, **kwargs)
 
-    monkeypatch.setattr(SpinHamiltonian, "_sector_eig", tracked)
+    monkeypatch.setattr(SpinHamiltonian, "_decompose", tracked)
     monkeypatch.setattr(hamiltonian, "np", WatchedNumpy())
     gc.disable()
     try:
@@ -351,12 +347,9 @@ def test_no_eigenvector_alive_beside_phase_matrix(entry, tmp_path, monkeypatch):
 
 
 def test_unconverged_sector_flagged():
-    # an aggressive threshold filters the tiny ground-state component of the
-    # S^z=0 six-CZ-like state and parks the solver on an excited level
-    star = build_star(6)
-    free = star.free_outer_bonds("cw")
-    energies, meta = estimate_sector_energies(star, delta=0.1, n_steps=60, dt=0.1,
-                                              sz0_cz_bonds=free)
+    # an aggressive threshold filters the small ground-state component of the
+    # S^z=0 state and parks the solver on an excited level
+    energies, meta = estimate_sector_energies(build_star(6), delta=0.1, n_steps=60, dt=0.1)
     assert meta[0]["converged"] is False
     assert meta[0]["final_error"] > 0.1
 

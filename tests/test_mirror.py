@@ -18,7 +18,6 @@ from oracles import (
     former_pool,
     former_pool_zeros,
     mirror_states,
-    noiseless_draw,
     noisy_apply,
     overlap_series_mirror_exact,
     reconstruct as reference_reconstruct,
@@ -65,7 +64,6 @@ from starkrylov.statevec import (
     GateOp,
     _StreamOpener,
     apply_circuit,
-    sample_bitstrings,
     sampling_cdf,
     zero_amps,
 )
@@ -403,55 +401,6 @@ def test_noiseless_fractions_clip_rounding():
     state = rng.bit_generator.state
     noiseless_fractions(rng, (0, 0, 0), (0.5, 0.5, 0.5))
     assert rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_noiseless_pool_matches_former_draw(seed):
-    # error-free shots' uniforms drawn from a stream before other streams are
-    # opened, and their zeros under the former mask rule
-    # (``former_pool_zeros``), are the zeros of the samples the former
-    # noiseless pool drew by inverse CDF from its stream opened after its
-    # pass evolved: sample_bitstrings on the uniforms gives those samples.
-    # Some CDF steps lie exactly on the uniforms, cdf[0] among them when it is
-    # drawn; such a uniform draws the next index
-    gen = np.random.default_rng(seed)
-    n, shots = int(gen.integers(2, 7)), int(gen.integers(1, 300))
-    key = tuple(int(k) for k in gen.integers(0, 2 ** 32, size=int(gen.integers(1, 5))))
-    streams = _StreamOpener(seed)
-    uniforms = streams(key).random(shots)
-    streams((*key, 0)).random(shots)  # other pools' streams opened before it counts
-    amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
-    on_steps = gen.choice(uniforms, min(shots, (1 << n) - 1) // 2, replace=False)
-    rest = gen.choice(sampling_cdf(amps)[:-1], (1 << n) - 1 - len(on_steps), replace=False)
-    cdf = np.append(np.sort(np.concatenate([on_steps, rest])), 1.0)
-    samples = sample_bitstrings(cdf, uniforms)
-    assert np.array_equal(samples, noiseless_draw(cdf, shots, rng_stream(seed, *key)))
-    assert np.array_equal(former_pool_zeros(uniforms, [], [], cdf[0]), samples == 0)
-    below = np.count_nonzero(cdf[None, :] <= uniforms[:, None], axis=1)
-    assert np.array_equal(samples, below)
-    for u in on_steps:
-        assert samples[uniforms == u][0] == np.flatnonzero(cdf == u)[-1] + 1
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_zero_mask_matches_samples(seed):
-    # the zero mask of error-free shots (``former_pool_zeros``, the rule a
-    # pool counts by) is samples() == 0 without the search: a uniform
-    # exactly at cdf[0] draws index 1 and the float below it index 0; every
-    # third state has no |0..0> amplitude, so cdf[0] = 0 and no shot draws it
-    gen = np.random.default_rng(seed)
-    n = int(gen.integers(1, 7))
-    state = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
-    if seed % 3 == 0:
-        state[0] = 0.0
-    cdf = sampling_cdf(state)
-    c0 = cdf[0]
-    edges = [c0, c0, np.nextafter(c0, 0.0), np.nextafter(c0, 1.0), 0.0]
-    uniforms = gen.permutation(np.concatenate([gen.random(200), edges]))
-    zeros, samples = former_pool_zeros(uniforms, [], [], c0), sample_bitstrings(cdf, uniforms)
-    assert zeros.dtype == bool and np.array_equal(zeros, samples == 0)
-    assert (samples[uniforms == c0] == 1).all()
-    assert zeros[uniforms == np.nextafter(c0, 0.0)].all() == (c0 > 0)
 
 
 def _noiseless_zero(gates: list, n: int) -> float:
