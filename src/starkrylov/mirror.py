@@ -18,12 +18,13 @@ forward model above.  A circuit keeps one statistic, the number of shots
 that read |0..0>.  A noiseless circuit draws it as one binomial at its
 fraction (``noiseless_fractions``).  Under noise, an error-free shot counts
 by its sample uniform against the fraction (``_noisy_pool``), and only the
-shots that draw a Pauli error run a circuit (``_evolve_passes``).
-Series, allocation and ablation results are returned as values; ``cli``
-writes them.
+shots that draw a Pauli error run a circuit, to their last error unless
+their whole sample is read (``_sample_erring``).  Series, allocation and
+ablation results are returned as values; ``cli`` writes them.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,16 +132,6 @@ class OverlapEstimate:
 
 # -- the three mirror circuits ----------------------------------------------------
 
-def _shared_run(a: list, b: list) -> int:
-    """The length of the leading run of identical objects of a and b."""
-    run = 0
-    for x, y in zip(a, b):
-        if x is not y:
-            break
-        run += 1
-    return run
-
-
 class _MirrorCircuits:
     """F1, F2, F3 circuits of one psi0 preparation under one evolver.
 
@@ -148,12 +139,6 @@ class _MirrorCircuits:
     is the twirl layer of each angle; ``pass_gates`` puts them around the
     gate list of one time.  The circuits hold nothing per time: each
     ``_estimate_cells`` call builds its time's passes.
-
-    The gate lists of the passes share gate objects: F2 and F3 apply the
-    same U_R preparation and evolution, the twirled F2 and F3 the same twirl
-    layer after them, and a twirled pass equals its untwirled pass up to the
-    layer.  ``_evolve_passes`` applies each leading run of identical gate
-    objects once for all the passes that share it.
     """
 
     def __init__(self, psi0_prep: PrepCircuit, evolver):
@@ -238,12 +223,14 @@ class _Pass:
 @dataclass(eq=False)
 class _ErringShot:
     """A shot with an error: its pass, its errors as (gate index, site, Pauli
-    name) in stream order, the uniform that samples its final state, and its
-    sample, set by ``_evolve_passes``."""
+    name) in stream order, the uniform that samples its final state, whether
+    its whole sample is read, and its sample (``_sample_erring``): the basis
+    index drawn, or, read only for |0..0>, 0 there and -1 elsewhere."""
 
     npass: _Pass
     errors: list
     uniform: float
+    whole: bool
     sample: int = -1
 
 
@@ -275,13 +262,13 @@ def _replay_errors(slots: list, streams, stream: tuple, first: int, p: float):
         picks.append(int(rng.integers(len(PAULI_NAMES))))
 
 
-# the most bytes one block of a pool's slot uniforms, or one batch of rows,
-# holds; the erring shots run in waves that fit a batch (``_evolve_passes``)
+# the most bytes one block of a pool's slot uniforms, or one pass's kept
+# backward states, holds (``_noisy_pool``, ``_backward_states``)
 _BATCH_BYTES = 1 << 21
 
 
 def _noisy_pool(npass: _Pass, shots: int, p: float, p_zero: float, streams,
-                stream: tuple) -> tuple[int, list]:
+                stream: tuple, whole: bool) -> tuple[int, list]:
     """The noisy pool whose shot j runs one Pauli trajectory through ``npass``
     on the stream (*stream, j), as (zeros, erring shots).
 
@@ -291,8 +278,8 @@ def _noisy_pool(npass: _Pass, shots: int, p: float, p_zero: float, streams,
     its sample uniform: by inverse CDF it draws |0..0> exactly when that
     uniform lies below ``p_zero``, the noiseless all-zero probability, and
     ``zeros`` counts those shots.  A shot with a hit becomes an
-    ``_ErringShot``, with its errors replayed from its stream
-    (``_replay_errors``) and its sample left to ``_evolve_passes``.
+    ``_ErringShot`` of the kind ``whole`` says, with its errors replayed from
+    its stream (``_replay_errors``) and its sample left to ``_sample_erring``.
     """
     n_slots = len(npass.slots)
     block = max(1, _BATCH_BYTES // (8 * (n_slots + 1)))
@@ -304,70 +291,64 @@ def _noisy_pool(npass: _Pass, shots: int, p: float, p_zero: float, streams,
         zeros += np.count_nonzero(u[~erred, n_slots] < p_zero)
         rows = np.flatnonzero(erred)
         erring += [_ErringShot(npass, *_replay_errors(npass.slots, streams,
-                                                      (*stream, start + j), first, p))
+                                                      (*stream, start + j), first, p), whole)
                    for j, first in zip(rows, hit[rows].argmax(axis=1))]
     return zeros, erring
 
 
-def _evolve_passes(shots: list, n: int) -> None:
-    """Evolve the erring ``shots`` from |0..0> through their passes and set
-    each shot's ``sample``.
+def _backward_states(gates: list, needed: list, n: int) -> dict:
+    """{g: chi_g} for the kept gates g of ``needed``, sorted gate indices:
+    chi_g is |0..0> swept back through the inverses of the gates after g, so
+    <chi_g|row> is the |0..0> amplitude of a row after gate g run to the pass
+    end (the adjoint method of Jones and Gacon, arXiv:2009.02823).  The kept
+    states hold at most ``_BATCH_BYTES``: when ``needed`` has more gates, the
+    kept ones are spread evenly over it from its last, so each needed gate has
+    a kept one at or after it."""
+    picks = min(len(needed), max(1, _BATCH_BYTES // (16 << n)))
+    chis, chi, at = {}, zero_amps(n), len(gates) - 1
+    for g in (needed[-1 - j * len(needed) // picks] for j in range(picks)):
+        chi = apply_circuit(chi, [gate.inverse for gate in gates[at:g:-1]])
+        chis[g], at = chi, g
+    return chis
 
-    The rows of one (B, 2^n) batch are the noiseless state, row 0, and the
-    erring shots that have joined it.  A shot joins at its first erring gate
-    as a copy of row 0 after that gate, and each of its errors is a Pauli on
-    its row after the error's gate.  Passes whose gate lists start with the
-    same run of ``GateOp`` objects (compared by identity) share one batch, and
-    so apply each gate of that run once, until their lists diverge.
 
-    A batch holds at most ``_BATCH_BYTES`` (and at least two rows), so memory
-    does not grow with the shot count: the shots, sorted by first erring
-    gate, are split up front into waves that leave one row for the noiseless
-    state, and each wave runs from |0..0> through the passes its shots run.
+def _sample_erring(shots: list, n: int) -> None:
+    """Set each erring shot's ``sample``, one pass at a time.
+
+    The pass's noiseless state sweeps forward from |0..0>, and each shot runs
+    alone as one row taken from it at the shot's first erring gate; each of
+    its errors is a Pauli on its row after the error's gate.  A whole-sample
+    shot runs to the pass end and samples its row by inverse CDF.  A
+    zero-only shot stops at its last error, or runs on to the next gate g
+    with a kept backward state (``_backward_states``), and draws |0..0> when
+    its uniform lies below p0 = |<chi_g|row>|^2 / <row|row>: up to rounding
+    the cdf[0] of its row run to the pass end.  So memory holds the
+    noiseless state, one row and the kept states, whatever the shot count.
     """
-    row = zero_amps(n)
-    wave = max(2, _BATCH_BYTES // row.nbytes) - 1
-    shots = sorted(shots, key=lambda shot: shot.errors[0][0])
-    for first in range(0, len(shots), wave):
-        group = shots[first:first + wave]
-        _evolve_group(list(dict.fromkeys(shot.npass for shot in group)), 0, row[None], group)
-
-
-def _evolve_group(passes: list, start: int, batch: np.ndarray, shots: list) -> None:
-    """Evolve a group of ``passes`` that share their first ``start`` gates.
-
-    ``shots`` are the group's erring shots, sorted by first erring gate;
-    ``batch`` holds the state after those gates: row 0 noiseless, and row
-    1 + k for each shot k that erred among them.
-    """
-    gates = passes[0].gates
-    end = min(_shared_run(gates, npass.gates) for npass in passes)
-    joined = len(batch) - 1
-    errors: dict[int, list] = {}  # gate index -> (row, site, Pauli name) after it
-    for row, shot in enumerate(shots, 1):
-        for gi, q, name in shot.errors:
-            errors.setdefault(gi, []).append((row, q, name))
-    for gi in range(start, end):
-        batch = apply_gate_amps(batch, gates[gi])
-        joining = joined
-        while joining < len(shots) and shots[joining].errors[0][0] == gi:
-            joining += 1
-        if joining > joined:
-            batch = np.concatenate([batch, np.repeat(batch[:1], joining - joined, axis=0)])
-            joined = joining
-        for row, q, name in errors.get(gi, ()):
-            batch[row] = apply_gate_amps(batch[row], pauli_gate(name, q))
-    branches: dict[int, list] = {}  # the passes that go on, by their next gate
-    for npass in passes:
-        if len(npass.gates) > end:
-            branches.setdefault(id(npass.gates[end]), []).append(npass)
-    for row, shot in enumerate(shots, 1):
-        if len(shot.npass.gates) == end:
-            shot.sample = int(sample_bitstrings(sampling_cdf(batch[row]), shot.uniform))
-    for group in branches.values():
-        members = [k for k, shot in enumerate(shots) if shot.npass in group]
-        _evolve_group(group, end, batch[[0] + [k + 1 for k in members if k < joined]],
-                      [shots[k] for k in members])
+    passes: dict = {}
+    for shot in shots:
+        passes.setdefault(shot.npass, []).append(shot)
+    for npass, pass_shots in passes.items():
+        gates = npass.gates
+        chis = _backward_states(
+            gates, sorted({shot.errors[-1][0] for shot in pass_shots if not shot.whole}), n)
+        kept = sorted(chis)
+        pass_shots.sort(key=lambda shot: shot.errors[0][0])
+        state, done = zero_amps(n), -1  # the noiseless state after gate ``done``
+        for shot in pass_shots:
+            first = shot.errors[0][0]
+            state, done = apply_circuit(state, gates[done + 1:first + 1]), first
+            row, at = state, first  # the shot's row after gate ``at``
+            for g, q, name in shot.errors:
+                row = apply_gate_amps(apply_circuit(row, gates[at + 1:g + 1]), pauli_gate(name, q))
+                at = g
+            end = len(gates) - 1 if shot.whole else kept[bisect_left(kept, at)]
+            row = apply_circuit(row, gates[at + 1:end + 1])
+            if shot.whole:
+                shot.sample = int(sample_bitstrings(sampling_cdf(row), shot.uniform))
+            else:
+                p0 = abs(np.vdot(chis[end], row)) ** 2 / np.vdot(row, row).real
+                shot.sample = 0 if shot.uniform < p0 else -1
 
 
 def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None, cells,
@@ -381,9 +362,10 @@ def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None,
     draws its zero counts from its stream (``noiseless_fractions``).  A noisy
     cell's circuit i runs pool 0 without the twirl layer and pool 1 with it,
     shot j from the stream (*stream, i, pool, j), and its error-free shots
-    count against p_i (``_noisy_pool``).  Each pass, one per (circuit, twirl)
-    that a noisy pool runs, is built once on ``evolution``, the gate list of
-    W(t), and ``_evolve_passes`` runs the erring shots of every cell.
+    count against p_i (``_noisy_pool``); its erring shots are whole-sample in
+    F1 under post-selection, whose rule reads the string.  Each pass, one per
+    (circuit, twirl) that a noisy pool runs, is built once on ``evolution``,
+    W(t)'s gate list, and ``_sample_erring`` runs every cell's erring shots.
     """
     counts, e_ref = plan.allocate(), circuits.evolver.ham.reference_energy()
     probs = mirror_fractions(value, e_ref, t)
@@ -409,13 +391,14 @@ def _estimate_cells(circuits: _MirrorCircuits, t, value, evolution: list | None,
         for i, m_i in enumerate(counts):
             n_twirled = int(round(m_i * plan.twirl_fraction)) if angle is not None else 0
             pools = [_noisy_pool(npass(i, angle if pool else None), shots, noise.p_pauli,
-                                 probs[i], streams, (*stream, i, pool))
+                                 probs[i], streams, (*stream, i, pool),
+                                 i == 0 and noise.enable_postselect)
                      for pool, shots in enumerate((m_i - n_twirled, n_twirled)) if shots]
             circuit_counts.append((m_i, sum(zeros for zeros, _ in pools),
                                    [shot for _, shots in pools for shot in shots]))
             erring += circuit_counts[-1][2]
         drawn.append(([float("nan")] * 3, circuit_counts))
-    _evolve_passes(erring, circuits.n)
+    _sample_erring(erring, circuits.n)
     return [_cell_estimate(circuits, t, noise, e_ref, *cell, magnitude_source)
             for (_, noise), cell in zip(cells, drawn)]
 

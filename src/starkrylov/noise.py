@@ -9,13 +9,12 @@ Stream contract of one trajectory: one uniform per error slot (each site of
 each gate with two or more sites, in gate order), compared against p; after
 a slot's uniform falls below p, one integer ``integers(3)`` picks its Pauli
 from ``PAULI_NAMES``, applied after the slot's gate.  The mirror estimator
-then draws one more uniform to sample the final state.  It does not run one
-trajectory at a time: the shots with an error evolve as rows of a batch
-with the noiseless state of their circuit, each joining it at its first
-erring gate; a shot whose slot uniforms all reach p runs no circuit, and
-its last uniform is counted against the noiseless all-zero probability
-(``mirror._noisy_pool``).  At p = 0 no shot is drawn: a circuit's zero count
-is one binomial (``mirror.noiseless_fractions``).
+then draws one more uniform to sample the final state.  A shot whose slot
+uniforms all reach p runs no circuit: its last uniform is counted against
+the noiseless all-zero probability (``mirror._noisy_pool``).  A shot with an
+error runs as one row from its first erring gate, to its last error if read
+only for |0..0> (``mirror._sample_erring``).  At p = 0 no shot is drawn: a
+circuit's zero count is one binomial (``mirror.noiseless_fractions``).
 The draws are the same, in the same order, as a per-shot loop that applies
 the gates and draws ``rng.random()`` after each slot; ``tests/oracles.py``
 keeps that loop as the reference.  ``NoiseSpec`` is the ``noise`` section

@@ -158,7 +158,7 @@ def reference_superposition(psi0_prep: PrepCircuit, phase=1) -> PrepCircuit:
 def invert(prep: PrepCircuit) -> PrepCircuit:
     return PrepCircuit(
         n_sites=prep.n_sites,
-        gates=tuple(g.dagger() for g in reversed(prep.gates)),
+        gates=tuple(g.inverse for g in reversed(prep.gates)),
         dimer_pairs=prep.dimer_pairs,
         cz_bonds=prep.cz_bonds,
     )

@@ -8,8 +8,7 @@ i.e. a CNOT on sites (c, t) is the textbook matrix in the |c t> basis.
 
 One kernel, ``apply_gate_amps``, applies a gate to a state or to every row of
 a batch in one call, with the same arithmetic per row whatever the batch
-size; the caller bounds its batches (``mirror._BATCH_BYTES``).
-``apply_circuit`` loops the kernel over a gate list.  It has two paths:
+size.  ``apply_circuit`` loops the kernel over a gate list.  It has two paths:
 
 - A general gate gathers the amplitudes into a (2^k, 2^(n-k)) block through a
   cached index, multiplies by the matrix and puts the result back in basis
@@ -28,7 +27,7 @@ size; the caller bounds its batches (``mirror._BATCH_BYTES``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,8 +93,13 @@ class GateOp:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "monomial", _monomial_pattern(m))
 
-    def dagger(self) -> "GateOp":
-        return GateOp(self.sites, self.matrix.conj().T, self.label + "+")
+    @cached_property
+    def inverse(self) -> "GateOp":
+        """The adjoint gate, built once per gate, whose own inverse is this
+        gate: ``prep.invert`` and a pass's backward sweep read it."""
+        inverse = GateOp(self.sites, self.matrix.conj().T, self.label + "+")
+        inverse.__dict__["inverse"] = self  # where cached_property keeps it
+        return inverse
 
 
 def x_gate(q: int) -> GateOp:
@@ -262,8 +266,8 @@ def sampling_cdf(amps: np.ndarray) -> np.ndarray:
 
 
 def sample_bitstrings(cdf: np.ndarray, uniforms) -> np.ndarray:
-    """The one inverse-CDF rule (``mirror._evolve_group``): uniform u draws from
-    ``cdf`` (a ``sampling_cdf``) the basis index that counts the CDF entries
-    at or below u, so a uniform on a step draws the next index."""
+    """The one inverse-CDF rule (``mirror._sample_erring``): uniform u draws
+    from ``cdf`` (a ``sampling_cdf``) the basis index that counts the CDF
+    entries at or below u, so a uniform on a step draws the next index."""
     return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
 

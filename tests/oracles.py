@@ -37,7 +37,7 @@ and the freshly keyed stream generator, the
 former noiseless pool's draw, the former noisy pool's uniforms, erring
 shots and zero mask (``former_pool``, ``former_pool_zeros``: the reference
 for the zero counts of ``mirror._noisy_pool``), and the
-one-trajectory-at-a-time noise channel that the batched sampler replaces."""
+one-trajectory-at-a-time noise channel that the pooled sampler replaces."""
 from __future__ import annotations
 
 import weakref
@@ -852,7 +852,7 @@ def noisy_apply(amps: np.ndarray, gates, spec, rng: np.random.Generator) -> np.n
     """One Pauli trajectory, one gate and one draw at a time: apply ``gates``
     to ``amps``, and after each gate with two or more sites draw one uniform
     per site, and a Pauli on that site when the uniform falls below p.  The
-    reference for the batched trajectories of ``mirror._evolve_passes``."""
+    reference for the erring shots of ``mirror._sample_erring``."""
     for g in gates:
         amps = apply_gate_amps(amps, g)
         if spec.p_pauli > 0 and len(g.sites) >= 2:

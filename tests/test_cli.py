@@ -2,26 +2,28 @@ import csv
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import weakref
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy  # noqa: F401  (before starkrylov.cli: this process keeps OpenBLAS's default threads)
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starkrylov
-from starkrylov import cli, krylov, mirror
+from starkrylov import cli, krylov, mirror, statevec
 from starkrylov import config as config_module
 from starkrylov.cli import cmd_converge, main
 from starkrylov.config import ConfigError, InitialStateSpec, RunConfig
@@ -186,11 +188,11 @@ def test_twirl_from_an_odd_sz_sector_exits_2(tmp_path, capsys):
 def test_noiseless_sampled_runs_evolve_no_circuit(tmp_path, monkeypatch, command, evolver):
     # a noiseless sampled run, twirled and post-selected, draws each
     # circuit's zero count as one binomial: it calls _noisy_pool never and
-    # applies no gate inside _evolve_passes.  A noisy Floquet run draws
+    # applies no gate inside _sample_erring.  A noisy Floquet run draws
     # pools, each a zero count and erring shots that fit its shots, and
     # applies gates there
     inside, calls, noisy_pools = [False], [], []
-    kernel, evolve_passes = mirror.apply_gate_amps, mirror._evolve_passes
+    kernel, sample_erring = mirror.apply_gate_amps, mirror._sample_erring
     noisy_pool = mirror._noisy_pool
 
     def recorded_noisy_pool(npass, shots, *args):
@@ -206,12 +208,13 @@ def test_noiseless_sampled_runs_evolve_no_circuit(tmp_path, monkeypatch, command
     def recorded(shots, n):
         inside[0] = True
         try:
-            return evolve_passes(shots, n)
+            return sample_erring(shots, n)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(mirror, "apply_gate_amps", counted_kernel)
-    monkeypatch.setattr(mirror, "_evolve_passes", recorded)
+    monkeypatch.setattr(statevec, "apply_gate_amps", counted_kernel)
+    monkeypatch.setattr(mirror, "_sample_erring", recorded)
     monkeypatch.setattr(mirror, "_noisy_pool", recorded_noisy_pool)
     noise = {"enable_twirl": True, "enable_postselect": True}
     config = {"evolver": evolver, "steps": 8, "shots": {"total": 300}, "realizations": 2,
@@ -399,6 +402,90 @@ def test_validate_returns_a_build_or_a_configuration_error(command, raw):
     except ConfigError:
         return
     assert isinstance(build, config_module.Build)
+
+
+def _small(low: int, high: int, refused: bool):
+    """An integer work field: ``low`` to ``high``, or with ``refused`` also a
+    refused value (below 1, 401 digits, past 64 bits, or not an integer)."""
+    valid = st.integers(low, high)
+    return valid | st.integers(-1, 0) | st.sampled_from([BIG, -BIG, 2 ** 64]) | JUNK \
+        if refused else valid
+
+
+# configs that mostly run: a few fields, each from values a run accepts
+RUNNABLE = st.fixed_dictionaries({}, optional={
+    "evolver": st.sampled_from(["exact", "trotter", "floquet"]),
+    "initial": st.sampled_from([{"kind": "pinwheel"}, {"kind": "sector", "sz": 2}]),
+    "shots": st.fixed_dictionaries({}),
+    "noise": st.fixed_dictionaries({}, optional={
+        "enable_postselect": st.booleans(), "enable_twirl": st.booleans()}),
+    "magnitude_source": st.sampled_from(["f1_sqrt", "eq19"]),
+    "solvers": st.sampled_from([["uvqpe"], ["odmd"], ["uvqpe_floquet"]]),
+    "odmd_real_part": st.booleans(),
+    "reverse_trotter_groups": st.booleans(),
+    "magnet": st.fixed_dictionaries({}, optional={"solver": st.sampled_from(["uvqpe", "odmd"])}),
+})
+
+
+@st.composite
+def _small_configs(draw):
+    """A config drawn as ``_drawn(RunConfig)`` draws it, or from ``RUNNABLE``,
+    with its work fields small: 8 spins, at most 6 steps, 200 shots and 2
+    realizations, a magnet series of at most 6 steps, an allocation of at most
+    3 times, 200 shots and 2 realizations, and p at most 0.003; a drawn config
+    draws them refused too."""
+    refused = draw(st.booleans())
+    raw = draw(_drawn(RunConfig, junk=False) | _drawn(RunConfig) if refused else RUNNABLE)
+    if not isinstance(raw, dict):
+        return raw
+    raw.update(steps=draw(_small(2, 6, refused)), realizations=draw(_small(1, 2, refused)),
+               n_triangles=draw(st.just(4) | st.sampled_from([0, 5, BIG]) | JUNK
+                                if refused else st.just(4)))
+    p_pauli = st.sampled_from([0.0, 0.001, 0.003])
+    for section, key, work in (
+            ("shots", "total", _small(1, 200, refused)),
+            ("magnet", "n_steps", _small(2, 6, refused)),
+            ("allocation", "n_times", _small(1, 3, refused)),
+            ("allocation", "realizations", _small(1, 2, refused)),
+            ("allocation", "m_totals", st.lists(_small(1, 200, refused), max_size=3)),
+            ("noise", "p_pauli", p_pauli | st.sampled_from([-0.1, 1.5, math.nan])
+             if refused else p_pauli)):
+        if section in ("magnet", "allocation") and section not in raw:
+            raw[section] = {}
+        if isinstance(raw.get(section), dict):
+            raw[section][key] = draw(work)
+    return raw
+
+
+# a file each command writes whenever it exits 0
+WRITES = {"spectrum": "spectrum.csv", "overlaps": "run_config.json",
+          "converge": "convergence.csv", "magnetization": "magnetization_ed.csv",
+          "allocation": "allocation.csv"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(cli.COMMANDS)), _small_configs())
+@example("converge", {"steps": BIG, "realizations": BIG, "shots": {"total": BIG}})
+@example("overlaps", {"steps": 2, "shots": {"total": 200},
+                      "noise": {"enable_twirl": True, "twirl_angle": 1.7e308}})
+@example("allocation", {"n_triangles": 6, "initial": {"kind": "pinwheel"},
+                        "allocation": {"m_totals": [100], "n_times": 1, "realizations": 1}})
+def test_small_runs_exit_0_2_or_3(command, raw):
+    # whole runs in process: a drawn config, valid or not, exits 0 and writes
+    # its command's files, 2 with exactly one "configuration error:" line, or
+    # 3, and no exception escapes.  The examples exited 1 once: 401-digit
+    # integers, a twirl angle whose ratio to pi overflows, and the 12-spin
+    # pinwheel allocation, whose F1 exceeded 1 by rounding
+    assert set(WRITES) == set(cli.COMMANDS)
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+        code = run(Path(tmp), command, json.dumps(raw))
+        written = sorted(p.name for p in (Path(tmp) / "out").glob("*"))
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code == 0:
+        assert WRITES[command] in written
+    if code == 2:
+        assert err.getvalue().startswith("configuration error:")
+        assert err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "path-under-file"])

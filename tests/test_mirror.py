@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,10 +39,10 @@ from starkrylov.mirror import (
     _ErringShot,
     _MirrorCircuits,
     _Pass,
+    _backward_states,
     _cell_estimate,
-    _evolve_passes,
     _noisy_pool,
-    _shared_run,
+    _sample_erring,
     allocation_study,
     exact_overlaps,
     make_evolver,
@@ -64,6 +65,7 @@ from starkrylov.statevec import (
     GateOp,
     _StreamOpener,
     apply_circuit,
+    pauli_gate,
     sampling_cdf,
     zero_amps,
 )
@@ -413,13 +415,18 @@ def _assert_pool_matches(pool, n_slots, p, seed, stream, p_zero, reference):
     """A pool, (zero count, erring shots), of a pass with ``n_slots`` error
     slots, drawn at rate p and ``p_zero`` from the streams (seed, *stream, j),
     against per-shot ``reference`` samples: the erring shots are the former
-    pool's (``former_pool``) and sample the reference's samples, the former
-    mask (``former_pool_zeros``) is the reference's zeros, and the zero count
-    with the erring shots' zeros counts them."""
+    pool's (``former_pool``) and sample the reference's samples (whole-sample
+    shots), or read 0 exactly where it reads 0 and -1 elsewhere (zero-only
+    shots), the former mask (``former_pool_zeros``) is the reference's zeros,
+    and the zero count with the erring shots' zeros counts them."""
     zeros, shots = pool
     uniforms, erring = former_pool(seed, stream, n_slots, len(reference), p)
     samples = [shot.sample for shot in shots]
-    assert samples == reference[erring].tolist()
+    assert len({shot.whole for shot in shots}) <= 1
+    if shots and shots[0].whole:
+        assert samples == reference[erring].tolist()
+    else:
+        assert samples == np.where(reference[erring] == 0, 0, -1).tolist()
     assert np.array_equal(former_pool_zeros(uniforms, erring, samples, p_zero), reference == 0)
     assert zeros + samples.count(0) == np.count_nonzero(reference == 0)
 
@@ -430,20 +437,21 @@ def test_noisy_zero_mask_matches_samples(problem, p):
     # entry is its own sample == 0, whatever its uniform says against the
     # noiseless cdf[0]; an error-free shot's entry is its uniform against it.
     # A pool's zero count is the mask's error-free entries, and with its
-    # erring shots' zeros the whole mask's.  At p = 0.05 some shots err and
-    # some do not, and some erring shots' entries differ from the uniform's
+    # erring shots' zeros the whole mask's, for whole-sample and zero-only
+    # shots alike.  At p = 0.05 some shots err and some do not, and some
+    # erring shots' entries differ from the uniform's
     _, ham, prep = problem
     circuits = _MirrorCircuits(prep, make_evolver("floquet", ham))
     evolution = circuits.evolver.gates(2 * DT)
     passes = [_Pass(circuits.pass_gates(i, evolution, None)) for i in range(3)]
     c0s = [_noiseless_zero(npass.gates, prep.n_sites) for npass in passes]
-    pools = [_noisy_pool(npass, 60, p, c0, _StreamOpener(4), (i,))
-             for i, (npass, c0) in enumerate(zip(passes, c0s))]
-    _evolve_passes([shot for _, shots in pools for shot in shots], prep.n_sites)
+    pools = [_noisy_pool(npass, 60, p, c0, _StreamOpener(4), (i % 3,), i >= 3)
+             for i, (npass, c0) in enumerate(zip(passes * 2, c0s * 2))]
+    _sample_erring([shot for _, shots in pools for shot in shots], prep.n_sites)
     overridden = 0
-    for i, ((count, shots), npass, c0) in enumerate(zip(pools, passes, c0s)):
+    for i, ((count, shots), npass, c0) in enumerate(zip(pools, passes * 2, c0s * 2)):
         assert shots
-        uniforms, erring = former_pool(4, (i,), len(npass.slots), 60, p)
+        uniforms, erring = former_pool(4, (i % 3,), len(npass.slots), 60, p)
         samples = [shot.sample for shot in shots]
         zeros, free = former_pool_zeros(uniforms, erring, samples, c0), np.ones(60, dtype=bool)
         free[erring] = False
@@ -454,6 +462,8 @@ def test_noisy_zero_mask_matches_samples(problem, p):
         by_uniform = uniforms[erring] < c0
         overridden += np.count_nonzero(by_uniform != [s == 0 for s in samples])
     assert overridden > 0
+    for (_, zero_only), (_, whole) in zip(pools[:3], pools[3:]):
+        assert [s.sample == 0 for s in zero_only] == [s.sample == 0 for s in whole]
     if p == 0.05:
         assert all(len(shots) < 60 for _, shots in pools)
 
@@ -477,9 +487,9 @@ def test_noisy_pool_counts_match_the_former_mask(p, seed):
     # pool's erring shots are the former pool's, its count is the mask's
     # error-free entries, and with its erring shots' zeros the whole mask's,
     # at p_zero = 0, 1, a random value and the pass's noiseless cdf[0], where
-    # the shots match the per-shot reference too.  By inverse CDF, p_zero set
-    # exactly to an error-free shot's sample uniform does not count that shot,
-    # and the next float above it does
+    # the shots of either kind match the per-shot reference too.  By inverse
+    # CDF, p_zero set exactly to an error-free shot's sample uniform does not
+    # count that shot, and the next float above it does
     gen = np.random.default_rng(seed)
     n, shots = int(gen.integers(2, 6)), int(gen.integers(1, 400))
     npass, stream = _random_pass(gen, n), (seed, int(gen.integers(0, 2 ** 32)))
@@ -491,17 +501,20 @@ def test_noisy_pool_counts_match_the_former_mask(p, seed):
         edges += [free[0], np.nextafter(free[0], 1.0)]
     pools = []
     for p_zero in edges:
-        pools.append(_noisy_pool(npass, shots, p, p_zero, _StreamOpener(seed), stream))
+        pools.append(_noisy_pool(npass, shots, p, p_zero, _StreamOpener(seed), stream, True))
         zeros, erring_shots = pools[-1]
-        _evolve_passes(erring_shots, n)
+        _sample_erring(erring_shots, n)
         samples = [shot.sample for shot in erring_shots]
         mask = former_pool_zeros(uniforms, erring, samples, p_zero)
         assert len(samples) == len(erring)
         assert zeros == np.count_nonzero(np.delete(mask, erring))
         assert zeros + samples.count(0) == np.count_nonzero(mask)
-    _assert_pool_matches(pools[3], len(npass.slots), p, seed, stream, c0,
-                         _per_shot_noisy_reference(npass.gates, n, shots, NoiseSpec(p_pauli=p),
-                                                   seed, stream))
+    reference = _per_shot_noisy_reference(npass.gates, n, shots, NoiseSpec(p_pauli=p), seed,
+                                          stream)
+    zero_only = _noisy_pool(npass, shots, p, c0, _StreamOpener(seed), stream, False)
+    _sample_erring(zero_only[1], n)
+    for pool in (pools[3], zero_only):
+        _assert_pool_matches(pool, len(npass.slots), p, seed, stream, c0, reference)
     counts = [zeros for zeros, _ in pools]
     assert counts[:2] == [0, len(free)]
     if len(free):
@@ -527,15 +540,20 @@ def test_cell_estimate_flags_phase_degenerate(problem, mode):
         assert est.value == 0 and est.flags == ()
 
 
-def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream):
-    """The per-shot loop the batched passes replace: every shot runs its whole
-    trajectory from |0..0> and samples its own final state."""
+def _per_shot_noisy_reference(gates, n, shots, noise, seed, stream, margins=None):
+    """The per-shot loop that ``_sample_erring`` replaces: every shot runs its
+    whole trajectory from |0..0> and samples its own final state.  A
+    ``margins`` list gains each shot's |u - cdf[0]|: its sample uniform
+    against its final state's all-zero probability."""
     samples = np.empty(shots, dtype=np.int64)
     for j in range(shots):
         rng = rng_stream(seed, *stream, j)
         state = noisy_apply(zero_amps(n), gates, noise, rng)
         cdf = np.cumsum(np.abs(state) ** 2)
-        samples[j] = np.searchsorted(cdf / cdf[-1], rng.random(), side="right")
+        cdf, u = cdf / cdf[-1], rng.random()
+        samples[j] = np.searchsorted(cdf, u, side="right")
+        if margins is not None:
+            margins.append(abs(u - cdf[0]))
     return samples
 
 
@@ -550,15 +568,16 @@ def test_noisy_sampling_matches_per_shot_reference(problem, kind, twirl):
         noise = NoiseSpec(p_pauli=p)
         shots = 300 if p == 1e-3 else 60
         npass, c0 = _Pass(gates), _noiseless_zero(gates, prep.n_sites)
-        pool = _noisy_pool(npass, shots, p, c0, _StreamOpener(6), (case, 1))
-        erring = pool[1]
-        _evolve_passes(erring, prep.n_sites)
-        _assert_pool_matches(pool, len(npass.slots), p, 6, (case, 1), c0,
-                             _per_shot_noisy_reference(gates, prep.n_sites, shots, noise, 6,
-                                                       (case, 1)))
-        # p = 1e-3 runs both branches: error-free shots and shots that join the
-        # batch at an erring gate; p = 0.5 replays several errors per shot; at
-        # p = 1 every shot errs at every slot, from its first on
+        reference = _per_shot_noisy_reference(gates, prep.n_sites, shots, noise, 6, (case, 1))
+        for whole in (True, False):
+            pool = _noisy_pool(npass, shots, p, c0, _StreamOpener(6), (case, 1), whole)
+            erring = pool[1]
+            _sample_erring(erring, prep.n_sites)
+            _assert_pool_matches(pool, len(npass.slots), p, 6, (case, 1), c0, reference)
+        # p = 1e-3 runs both branches: error-free shots and shots that leave
+        # the noiseless state at an erring gate; p = 0.5 replays several
+        # errors per shot; at p = 1 every shot errs at every slot, from its
+        # first on
         if p == 1e-3:
             assert 0 < len(erring) < shots
         if p == 0.5:
@@ -650,9 +669,10 @@ def test_ablation_builds_each_step_gates_once(problem, monkeypatch):
 
 
 def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
-    # a CDF is built once for each erring shot, the one it samples, and for
-    # nothing else: a noiseless sampled series, twirled, of three
-    # realizations builds none
+    # a CDF is built once for each whole-sample erring shot (F1 under
+    # post-selection), the one it samples, and for nothing else: a zero-only
+    # shot builds none, and neither does a noiseless sampled series, twirled,
+    # of three realizations
     _, ham, prep = problem
     built, erring = [], []
     noisy_pool = mirror_module._noisy_pool
@@ -670,12 +690,15 @@ def test_series_builds_each_sampling_cdf_once(problem, monkeypatch):
     monkeypatch.setattr(statevec_module, "sampling_cdf", counted_cdf)
     monkeypatch.setattr(mirror_module, "_noisy_pool", recorded_pool)
     noise = NoiseSpec(enable_twirl=True)
-    for spec in (noise, replace(noise, p_pauli=0.02)):
+    for spec in (noise, replace(noise, p_pauli=0.02),
+                 replace(noise, p_pauli=0.02, enable_postselect=True)):
         built.clear()
+        erring.clear()
         overlap_series_sampled(prep, GateEvolver(ham), DT, 3, ShotPlan(60), seed=4,
                                noise=spec, realizations=(0, 1, 2))
-        assert len(built) == len(erring)
-    assert erring
+        assert len(built) == sum(shot.whole for shot in erring)
+        assert (erring != []) == (spec.p_pauli > 0)
+    assert 0 < len(built) < len(erring)
 
 
 @pytest.mark.parametrize("kind", ["exact", "trotter", "floquet"])
@@ -708,7 +731,7 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
     # the ablation's exact references evolve no pass
     _, ham, prep = problem
     evolved, pools, kernel_calls, steps = [], [], [], []
-    evolve_passes, noisy_pool = mirror_module._evolve_passes, mirror_module._noisy_pool
+    sample_erring, noisy_pool = mirror_module._sample_erring, mirror_module._noisy_pool
     kernel, estimate = statevec_module.apply_gate_amps, mirror_module._estimate_cells
 
     def counted_kernel(amps, gate):
@@ -724,13 +747,13 @@ def test_noiseless_pass_built_once_per_circuit_and_time(problem, monkeypatch):
 
     def recorded_evolve(shots, n):
         evolved.append(list(dict.fromkeys(shot.npass for shot in shots)))
-        return evolve_passes(shots, n)
+        return sample_erring(shots, n)
 
     def recorded_pool(npass, *args):
         pools.append(npass)
         return noisy_pool(npass, *args)
 
-    monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
+    monkeypatch.setattr(mirror_module, "_sample_erring", recorded_evolve)
     monkeypatch.setattr(mirror_module, "_noisy_pool", recorded_pool)
     monkeypatch.setattr(statevec_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
@@ -784,7 +807,7 @@ def test_unsampled_passes_build_no_cdf(problem, monkeypatch):
         evolved.append(shots)
 
     monkeypatch.setattr(mirror_module, "sampling_cdf", counted_cdf)
-    monkeypatch.setattr(mirror_module, "_evolve_passes", recorded_evolve)
+    monkeypatch.setattr(mirror_module, "_sample_erring", recorded_evolve)
     rows = allocation_study(prep, ham, [DT, 2 * DT], m_totals=(100,), f1_grid=(0.5,),
                             n_realizations=3, seed=1)
     assert rows and built == [] and evolved == []
@@ -792,84 +815,78 @@ def test_unsampled_passes_build_no_cdf(problem, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["trotter", "floquet"])
 @pytest.mark.parametrize("twirl", [False, True], ids=["plain", "twirl"])
-def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl):
-    # passes evolve as one batch over the leading run of gate objects their
-    # lists share; each pass's erring shots must give what they give evolved
-    # alone
+def test_passes_run_together_match_passes_alone(problem, monkeypatch, kind, twirl):
+    # each pass runs its own erring shots, each as one row taken from the
+    # pass's noiseless state at its first erring gate.  With one shot per
+    # pass that errs after gate 0, a whole-sample shot applies gate 0, its
+    # Pauli and every later gate once, and a zero-only shot applies the
+    # inverses of the later gates, from the last back, then gate 0 and its
+    # Pauli, and runs no row gate past its last error; a pass that no erring
+    # shot runs applies no gate
     _, ham, prep = problem
     evolver = make_evolver(kind, ham, dt_step=DT)
     t, angle = 2 * DT, np.pi / 2 if twirl else None
     angles = list(dict.fromkeys((None, angle)))
     keys = [(i, a) for i in range(3) for a in angles]
     circuits = _MirrorCircuits(prep, evolver)
-    rows, cdfs = [], []
-    kernel, cdf = mirror_module.apply_gate_amps, mirror_module.sampling_cdf
+    applied, cdfs = [], []
+    kernel, cdf = statevec_module.apply_gate_amps, mirror_module.sampling_cdf
 
     def counted_kernel(amps, gate):
-        if amps.ndim == 2:  # a gate on a batch, not a Pauli on one row
-            rows.append(len(amps))
+        applied.append(gate)
         return kernel(amps, gate)
 
     def recorded_cdf(amps):
         cdfs.append(amps.tobytes())
         return cdf(amps)
 
+    monkeypatch.setattr(statevec_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
     monkeypatch.setattr(mirror_module, "sampling_cdf", recorded_cdf)
 
     evolution = evolver.gates(t)
+    passes = {key: _Pass(circuits.pass_gates(key[0], evolution, key[1])) for key in keys}
+    for whole in (True, False):
+        for npass in passes.values():
+            error = pauli_gate("Y", npass.gates[0].sites[0])
+            applied.clear()
+            _sample_erring([_ErringShot(npass, [(0, error.sites[0], "Y")], 0.5, whole)],
+                           prep.n_sites)
+            rest = npass.gates[1:]
+            expected = (npass.gates[:1] + [error] + rest if whole else
+                        [g.inverse for g in reversed(rest)] + npass.gates[:1] + [error])
+            assert list(map(id, applied)) == list(map(id, expected))
+            assert all(g.inverse.inverse is g for g in rest)
+
+    # the F1 passes alone apply their own gates and nothing else
+    f1 = [passes[0, a] for a in angles]
+    applied.clear()
+    _sample_erring([_ErringShot(npass, [(0, npass.gates[0].sites[0], "Y")], 0.5, True)
+                    for npass in f1], prep.n_sites)
+    assert len(applied) == sum(len(npass.gates) + 1 for npass in f1)
+    assert {id(g) for g in applied} <= {id(g) for npass in f1 for g in npass.gates} | {
+        id(pauli_gate("Y", npass.gates[0].sites[0])) for npass in f1}
 
     def drawn(circuits, key, m, evolution):
         npass = _Pass(circuits.pass_gates(key[0], evolution, key[1]))
-        return npass, _noisy_pool(npass, 40, 0.05, 0.0, _StreamOpener(3), (m,))[1]
+        return npass, _noisy_pool(npass, 40, 0.05, 0.0, _StreamOpener(3), (m,), m % 2 == 0)[1]
 
-    # with one erring shot per pass that joins after gate 0, every gate of
-    # each distinct gate-list prefix is applied once, to the whole batch;
-    # the six passes of one noisy8 time hold 258 gates, 92 of them shared
-    passes = {key: _Pass(circuits.pass_gates(key[0], evolution, key[1])) for key in keys}
-    shots = [_ErringShot(npass, [(0, npass.gates[0].sites[0], "Y")], 0.5)
-             for npass in passes.values()]
-    _evolve_passes(shots, prep.n_sites)
-    prefixes = {tuple(map(id, npass.gates[:k])) for npass in passes.values()
-                for k in range(1, len(npass.gates) + 1)}
-    total = sum(len(npass.gates) for npass in passes.values())
-    assert len(rows) == len(prefixes) < total
-    if kind == "floquet" and twirl:
-        assert (total, len(rows)) == (258, 166)
-
-    # F3 shares the U_R preparation and the evolution (and, twirled, the twirl
-    # layer) with F2: the noiseless row and the shots of every F2 and F3 pass
-    # ride in one batch through the rest of the U_R preparation and the
-    # evolution
-    shared = len(circuits.preps[1].gates) + len(evolver.gates(t))
-    for a in angles:
-        layer = 0 if a is None else prep.n_sites
-        assert _shared_run(passes[(1, a)].gates, passes[(2, a)].gates) == shared + layer
-    assert rows.count(1 + 2 * len(angles)) == shared - 1
-
-    # a pass that no erring shot runs is not evolved: the F1 passes alone
-    # apply their own gates once each
-    rows.clear()
-    f1 = [passes[0, a] for a in angles]
-    _evolve_passes([shot for shot in shots if shot.npass in f1], prep.n_sites)
-    assert len(rows) == len({tuple(map(id, npass.gates[:k])) for npass in f1
-                             for k in range(1, len(npass.gates) + 1)})
-
-    # with the shots the pools draw, each pass's shots' samples and the final
-    # states behind them equal those of the pass built alone, on circuits of
-    # its own, and evolved alone
+    # with the shots the pools draw, whole-sample and zero-only, each pass's
+    # shots' samples, and the final states behind the whole-sample ones,
+    # equal those of the pass built alone, on circuits of its own, and run
+    # alone
     passes = {key: drawn(circuits, key, m, evolution) for m, key in enumerate(keys)}
     assert all(shots for _, shots in passes.values())
     cdfs.clear()
-    _evolve_passes([shot for _, shots in passes.values() for shot in shots], prep.n_sites)
+    _sample_erring([shot for _, shots in passes.values() for shot in shots], prep.n_sites)
     together = sorted(cdfs)
-    assert len(together) == sum(len(shots) for _, shots in passes.values())
+    assert len(together) == sum(shot.whole for _, shots in passes.values() for shot in shots)
     cdfs.clear()
     for m, (key, (npass, shots)) in enumerate(passes.items()):
         alone, alone_shots = drawn(_MirrorCircuits(prep, evolver), key, m, evolver.gates(t))
         assert [g.label for g in alone.gates] == [g.label for g in npass.gates]
         assert alone.slots == npass.slots
-        _evolve_passes(alone_shots, prep.n_sites)
+        _sample_erring(alone_shots, prep.n_sites)
         assert [s.errors for s in alone_shots] == [s.errors for s in shots]
         assert [s.sample for s in alone_shots] == [s.sample for s in shots]
     assert sorted(cdfs) == together
@@ -878,92 +895,172 @@ def test_noiseless_passes_share_prefix_states(problem, monkeypatch, kind, twirl)
 @pytest.mark.parametrize("kind", ["trotter", "floquet"])
 @pytest.mark.parametrize("rows", [2, 3, 7])
 def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
-    # with a batch of at most `rows` rows, the erring shots that do not fit
-    # evolve in later batches, and with rows < 7 some pools draw their slot
-    # uniforms in more than one block; every shot's uniform and sample must
-    # equal the one-batch evolution's and the per-shot reference's
+    # with ``_BATCH_BYTES`` at `rows` rows of 2^n amplitudes, a pass keeps at
+    # most `rows` backward states, fewer than its zero-only shots' last-error
+    # gates, and a shot whose last error has none runs on to the next kept
+    # one; with rows < 7 some pools draw their slot uniforms in more than one
+    # block too.  Every shot's errors, uniform and sample, of either kind,
+    # must equal those at the default bound and the per-shot reference's
     _, ham, prep = problem
     evolver = make_evolver(kind, ham, dt_step=DT)
     t, angle, p = 2 * DT, np.pi / 2, 0.05
     keys = [(i, a) for i in range(3) for a in (None, angle)]
 
-    def drawn():
+    def drawn(whole):
         circuits, evolution = _MirrorCircuits(prep, evolver), evolver.gates(t)
         passes = [_Pass(circuits.pass_gates(i, evolution, a)) for i, a in keys]
         c0s = [_noiseless_zero(npass.gates, prep.n_sites) for npass in passes]
-        pools = [_noisy_pool(npass, 30, p, c0, _StreamOpener(5), (m,))
+        pools = [_noisy_pool(npass, 30, p, c0, _StreamOpener(5), (m,), whole)
                  for m, (npass, c0) in enumerate(zip(passes, c0s))]
-        _evolve_passes([shot for _, shots in pools for shot in shots], prep.n_sites)
+        _sample_erring([shot for _, shots in pools for shot in shots], prep.n_sites)
         return list(zip(passes, c0s, pools))
 
-    one_batch = drawn()
-    assert max(len(shots) for _, _, (_, shots) in one_batch) > rows
-    batches = []
-    kernel = mirror_module.apply_gate_amps
+    at_default = {whole: drawn(whole) for whole in (True, False)}
+    needed, kept = [], []
+    backward = mirror_module._backward_states
 
-    def counted_kernel(amps, gate):
-        if amps.ndim == 2:
-            batches.append(len(amps))
-        return kernel(amps, gate)
+    def recorded_backward(gates, needs, n):
+        chis = backward(gates, needs, n)
+        needed.append(len(needs))
+        kept.append(len(chis))
+        return chis
 
-    monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
+    monkeypatch.setattr(mirror_module, "_backward_states", recorded_backward)
     monkeypatch.setattr(mirror_module, "_BATCH_BYTES", rows * 16 << prep.n_sites)
-    bounded = drawn()
-    assert max(batches) == rows
-    if rows < 7:
-        assert any(8 * (len(npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
-                   for npass, _, _ in bounded)
-    for m, ((npass, c0, pool), (_, _, alone)) in enumerate(zip(bounded, one_batch)):
-        assert pool[0] == alone[0]
-        assert ([(s.errors, s.uniform) for s in pool[1]]
-                == [(s.errors, s.uniform) for s in alone[1]])
-        assert [s.sample for s in pool[1]] == [s.sample for s in alone[1]]
-        _assert_pool_matches(pool, len(npass.slots), p, 5, (m,), c0,
-                             _per_shot_noisy_reference(npass.gates, prep.n_sites, 30,
-                                                       NoiseSpec(p_pauli=p), 5, (m,)))
+    for whole, one_batch in at_default.items():
+        bounded = drawn(whole)
+        if rows < 7:
+            assert any(8 * (len(npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
+                       for npass, _, _ in bounded)
+        for m, ((npass, c0, pool), (_, _, alone)) in enumerate(zip(bounded, one_batch)):
+            assert pool[0] == alone[0]
+            assert ([(s.errors, s.uniform) for s in pool[1]]
+                    == [(s.errors, s.uniform) for s in alone[1]])
+            assert [s.sample for s in pool[1]] == [s.sample for s in alone[1]]
+            _assert_pool_matches(pool, len(npass.slots), p, 5, (m,), c0,
+                                 _per_shot_noisy_reference(npass.gates, prep.n_sites, 30,
+                                                           NoiseSpec(p_pauli=p), 5, (m,)))
+    assert max(kept) == rows < max(needed)
 
 
-def test_waves_at_default_bound_match_per_shot_reference(problem12, monkeypatch):
-    # at 12 spins the default bound holds 32 rows, so the erring shots of one
-    # Floquet time step run in waves of 31; with six pools whose erring shots
-    # span at least three waves, every pool must give the per-shot samples
+def test_default_budget_at_12_spins_matches_per_shot_reference(problem12):
+    # at 12 spins the default bound keeps 32 backward states: six pools of
+    # one Floquet time step, and an F2 pool whose zero-only shots' last errors
+    # sit at more than 32 gates, must give the per-shot samples, for
+    # whole-sample and zero-only shots alike
     _, ham, prep = problem12
     evolver = make_evolver("floquet", ham, dt_step=DT)
     circuits, evolution = _MirrorCircuits(prep, evolver), evolver.gates(DT)
-    shots, p = 15, 0.02
-    batches, waves, depth = [], [], [0]
-    kernel, group = mirror_module.apply_gate_amps, mirror_module._evolve_group
-
-    def counted_kernel(amps, gate):
-        if amps.ndim == 2:
-            batches.append(len(amps))
-        return kernel(amps, gate)
-
-    def recorded_group(passes, start, batch, shots):
-        if depth[0] == 0:  # a wave, not a branch of one
-            waves.append(len(shots))
-        depth[0] += 1
-        try:
-            group(passes, start, batch, shots)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(mirror_module, "apply_gate_amps", counted_kernel)
-    monkeypatch.setattr(mirror_module, "_evolve_group", recorded_group)
     keys = [(i, a) for i in range(3) for a in (None, np.pi / 3)]
-    passes = [_Pass(circuits.pass_gates(i, evolution, a)) for i, a in keys]
-    c0s = [_noiseless_zero(npass.gates, prep.n_sites) for npass in passes]
-    pools = [_noisy_pool(npass, shots, p, c0, _StreamOpener(8), (m,))
-             for m, (npass, c0) in enumerate(zip(passes, c0s))]
-    erring = [shot for _, pool_shots in pools for shot in pool_shots]
-    _evolve_passes(erring, prep.n_sites)
+    cases = [(_Pass(circuits.pass_gates(i, evolution, a)), 15, 0.02) for i, a in keys]
+    cases.append((cases[2][0], 150, 0.01))
     assert mirror_module._BATCH_BYTES // (16 << prep.n_sites) == 32
-    assert len(erring) > 62 and waves == [31, 31, len(erring) - 62]
-    assert max(batches) <= 32
-    for m, (pool, npass, c0) in enumerate(zip(pools, passes, c0s)):
-        _assert_pool_matches(pool, len(npass.slots), p, 8, (m,), c0,
-                             _per_shot_noisy_reference(npass.gates, prep.n_sites, shots,
-                                                       NoiseSpec(p_pauli=p), 8, (m,)))
+    for m, (npass, shots, p) in enumerate(cases):
+        c0 = _noiseless_zero(npass.gates, prep.n_sites)
+        reference = _per_shot_noisy_reference(npass.gates, prep.n_sites, shots,
+                                              NoiseSpec(p_pauli=p), 8, (m,))
+        for whole in (True, False):
+            pool = _noisy_pool(npass, shots, p, c0, _StreamOpener(8), (m,), whole)
+            _sample_erring(pool[1], prep.n_sites)
+            _assert_pool_matches(pool, len(npass.slots), p, 8, (m,), c0, reference)
+    assert len({shot.errors[-1][0] for shot in pool[1]}) > 32
+
+
+def test_zero_only_shots_decide_as_rows_run_to_the_pass_end(problem, problem12, monkeypatch):
+    # the differential test of the stop at the last error, on random passes
+    # of 1- to 3-site gates at p = 0.001, 0.05, 0.5 and 1, and on the F1, F2
+    # and F3 passes of both stars under Floquet and Trotter: every zero-only
+    # shot reads 0 exactly when its row, run to the pass end, samples |0..0>,
+    # and every whole-sample shot samples what that row samples (the
+    # per-shot loop of ``noisy_apply``), at the default bound and with a few
+    # kept backward states, where a shot runs on to the next kept one.  p0
+    # and the end row's cdf[0] differ by rounding only, so no uniform may
+    # fall between them; the smallest |u - p0| is reported
+    cases = []
+    for seed in range(4):
+        for p in (0.001, 0.05, 0.5, 1.0):
+            gen = np.random.default_rng([seed, int(p * 1000)])
+            n, shots = int(gen.integers(2, 6)), int(gen.integers(1, 150))
+            cases.append((_random_pass(gen, n).gates, n, shots, p))
+    for star, ham, prep in (problem, problem12):
+        for kind in ("floquet", "trotter"):
+            circuits = _MirrorCircuits(prep, make_evolver(kind, ham, dt_step=DT))
+            evolution = circuits.evolver.gates(3 * DT)
+            cases += [(circuits.pass_gates(i, evolution, np.pi / 2 if i else None),
+                       star.n_sites, 30 if star.n_sites == 8 else 12, 0.05) for i in range(3)]
+    margin, decided = np.inf, 0
+    for m, (gates, n, shots, p) in enumerate(cases):
+        npass, noise, stream = _Pass(gates), NoiseSpec(p_pauli=p), (m, 2)
+        c0 = _noiseless_zero(gates, n)
+        margins = []
+        reference = _per_shot_noisy_reference(gates, n, shots, noise, 9, stream, margins)
+        for whole, states in ((True, None), (False, None), (False, 1), (False, 3)):
+            if states is not None:
+                monkeypatch.setattr(mirror_module, "_BATCH_BYTES", states * 16 << n)
+            pool = _noisy_pool(npass, shots, p, c0, _StreamOpener(9), stream, whole)
+            _sample_erring(pool[1], n)
+            _assert_pool_matches(pool, len(npass.slots), p, 9, stream, c0, reference)
+            monkeypatch.undo()
+        _, erring = former_pool(9, stream, len(npass.slots), shots, p)
+        margin = min([margin] + [margins[j] for j in erring])
+        decided += len(erring)
+    assert decided > 500
+    print(f"{decided} erring shots, smallest |u - p0| {margin:.3g}")
+
+
+def test_erring_memory_does_not_grow_with_the_shot_count(problem12):
+    # the peak traced memory of one pass's erring shots, the 12-spin Floquet
+    # F2 pass at p = 0.002, zero-only with a tenth as many whole-sample
+    # ones, grows by less than one row of 2^n amplitudes when the pass's
+    # shot count grows tenfold: it holds the noiseless state, one row and the
+    # kept backward states, which fill their budget at either count
+    _, ham, prep = problem12
+    circuits = _MirrorCircuits(prep, GateEvolver(ham))
+    npass = _Pass(circuits.pass_gates(1, circuits.evolver.gates(DT), None))
+    row, peaks = 16 << prep.n_sites, []
+    draws = [[shot for whole, count in ((False, shots), (True, shots // 10))
+              for shot in _noisy_pool(npass, count, 0.002, 0.0, _StreamOpener(2),
+                                      (whole,), whole)[1]] for shots in (1000, 10000)]
+    _sample_erring(draws[0], prep.n_sites)  # fills the kernel's index caches, which stay
+    for erring in draws:
+        assert len({shot.errors[-1][0] for shot in erring if not shot.whole}) > 32
+        tracemalloc.start()
+        try:
+            _sample_erring(erring, prep.n_sites)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + row
+    assert peaks[1] < mirror_module._BATCH_BYTES + 8 * row
+    print(f"peak traced bytes at 1x and 10x shots: {peaks}")
+
+
+def test_long_pass_keeps_its_backward_states_within_the_budget(problem12):
+    # a 12-spin Trotter F1 pass at t = 6 holds 420 gates.  With every gate
+    # needed, the backward sweep keeps 32 states, 2 MiB: the last gate's and
+    # then one every 420/32 gates at most, each the rest of the pass inverted
+    # on |0..0>.  Its zero-only shots, whose last errors sit at more than 32
+    # gates, read what their rows run to the pass end read
+    _, ham, prep = problem12
+    n = prep.n_sites
+    evolver = make_evolver("trotter", ham, dt_step=DT)
+    gates = _MirrorCircuits(prep, evolver).pass_gates(0, evolver.gates(6.0), None)
+    assert len(gates) == 420
+    chis = _backward_states(gates, list(range(len(gates))), n)
+    kept = sorted(chis)
+    assert len(kept) == 32 and sum(chi.nbytes for chi in chis.values()) == mirror_module._BATCH_BYTES
+    assert kept[-1] == len(gates) - 1 and max(np.diff([-1] + kept)) <= -(-len(gates) // 32)
+    gen = np.random.default_rng(6)
+    state = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    for g in kept[:2] + kept[-2:]:
+        assert abs(np.vdot(chis[g], state) - apply_circuit(state, gates[g + 1:])[0]) < 1e-12
+    npass, p = _Pass(gates), 0.002
+    c0 = _noiseless_zero(gates, n)
+    pool = _noisy_pool(npass, 60, p, c0, _StreamOpener(6), (0,), False)
+    assert len({shot.errors[-1][0] for shot in pool[1]}) > 32
+    _sample_erring(pool[1], n)
+    _assert_pool_matches(pool, len(npass.slots), p, 6, (0,), c0,
+                         _per_shot_noisy_reference(gates, n, 60, NoiseSpec(p_pauli=p), 6, (0,)))
 
 
 def test_twirl_layers_built_once_per_circuits(problem, monkeypatch):
@@ -1114,8 +1211,8 @@ def test_sector_error_discards_every_shot(problem):
     npass = _Pass(circuits.pass_gates(0, circuits.evolver.gates(DT), None))
     flip = (len(npass.gates) - 1, prep.dimer_pairs[0][1], "X")
     uniforms = _StreamOpener(1)((0,)).random(90)
-    shots = [_ErringShot(npass, [flip], u) for u in uniforms]
-    _evolve_passes(shots, prep.n_sites)
+    shots = [_ErringShot(npass, [flip], u, True) for u in uniforms]
+    _sample_erring(shots, prep.n_sites)
     est = _cell_estimate(circuits, DT, NoiseSpec(enable_postselect=True), ham.reference_energy(),
                          [float("nan")] * 3, [(90, 0, shots), (0, 0, []), (0, 0, [])], "f1_sqrt")
     assert est.value is None
@@ -1226,8 +1323,8 @@ def test_forward_model_counts_match_the_evolved_state_rule(n_tri, kind, monkeypa
     ev = make_evolver(kind, ham, dt_step=DT)
     pools, noisy_pool = [], mirror_module._noisy_pool
 
-    def recorded(npass, shots, p, p_zero, streams, stream):
-        pool = noisy_pool(npass, shots, p, p_zero, streams, stream)
+    def recorded(npass, shots, p, p_zero, streams, stream, whole):
+        pool = noisy_pool(npass, shots, p, p_zero, streams, stream, whole)
         pools.append((npass, shots, p, p_zero, stream, pool[0]))
         return pool
 

@@ -14,10 +14,10 @@ from starkrylov.lattice import build_star
 from starkrylov.mirror import (
     GateEvolver,
     ShotPlan,
-    _evolve_passes,
     _MirrorCircuits,
     _noisy_pool,
     _Pass,
+    _sample_erring,
     make_evolver,
 )
 from starkrylov.noise import NoiseSpec, postselect_f1, twirl_layer
@@ -269,30 +269,49 @@ def test_noisy_fractions_match_the_exact_channel(problem8, kind):
                                                                  value, sigma)
 
 
-def test_erring_samples_match_the_exact_channel(problem8):
-    # the shots of a noisy pool that draw an error sample the channel's
-    # erring part: its string probabilities less the error-free branch,
-    # (1 - p)^S times the noiseless state's for S error slots, over
-    # 1 - (1 - p)^S.  Their chi-square over the strings expected at least 10
-    # times, the rest pooled, stays within 4 sigma of its degrees of freedom
-    # (232, bound 318; it reads 202).  This sees where an error acts, which
-    # the fractions barely do: with each error applied before its gate, the
-    # F1 pass's fractions move by less than 1e-4, and this chi-square reads 437
+def _erring_channel(problem8, whole):
+    """The erring shots of a noisy F1 pool of 24000 shots at p = 0.01 (F1
+    under post-selection when ``whole``, so they sample whole strings), and
+    the channel's erring string probabilities: its string probabilities
+    less the error-free branch, (1 - p)^S times the noiseless state's for S
+    error slots, over 1 - (1 - p)^S."""
     star, ham, prep = problem8
     n, p = star.n_sites, 0.01
     ev = GateEvolver(ham)
     gates = _MirrorCircuits(prep, ev).pass_gates(0, ev.gates(CHANNEL_T), None)
     npass = _Pass(gates)
-    _, shots = _noisy_pool(npass, 24000, p, 0.0, _StreamOpener(11), (0,))
-    _evolve_passes(shots, n)
+    _, shots = _noisy_pool(npass, 24000, p, 0.0, _StreamOpener(11), (0,), whole)
+    _sample_erring(shots, n)
     free = (1 - p) ** len(npass.slots)
     clean = np.abs(apply_circuit(zero_amps(n), gates)) ** 2
-    erring = (channel_probabilities(channel_state(gates, n, p)) - free * clean) / (1 - free)
+    return shots, (channel_probabilities(channel_state(gates, n, p)) - free * clean) / (1 - free)
+
+
+def test_erring_samples_match_the_exact_channel(problem8):
+    # the whole-sample shots of a noisy pool that draw an error sample the
+    # channel's erring part (``_erring_channel``).  Their chi-square over the
+    # strings expected at least 10 times, the rest pooled, stays within 4
+    # sigma of its degrees of freedom (232, bound 318; it reads 202).  This
+    # sees where an error acts, which the fractions barely do: with each
+    # error applied before its gate, the F1 pass's fractions move by less
+    # than 1e-4, and this chi-square reads 437
+    shots, erring = _erring_channel(problem8, True)
     expected = erring * len(shots)
-    observed = np.bincount([shot.sample for shot in shots], minlength=1 << n)
+    observed = np.bincount([shot.sample for shot in shots], minlength=len(erring))
     bins = expected >= 10
     e = np.append(expected[bins], expected[~bins].sum())
     o = np.append(observed[bins], observed[~bins].sum())
     dof = len(e) - 1
     chi2 = float(np.sum((o - e) ** 2 / e))
     assert chi2 <= dof + 4 * np.sqrt(2 * dof), (chi2, dof)
+
+
+def test_erring_zero_only_shots_match_the_exact_channel(problem8):
+    # the zero-only shots of the same pool, which stop at their last error,
+    # count as zeros at the channel's erring |0..0> probability, within 4
+    # sigma of the binomial over the erring shots
+    shots, erring = _erring_channel(problem8, False)
+    zeros = sum(shot.sample == 0 for shot in shots)
+    assert {shot.sample for shot in shots} == {0, -1}
+    sigma = np.sqrt(len(shots) * erring[0] * (1 - erring[0]))
+    assert abs(zeros - len(shots) * erring[0]) <= 4 * sigma, (zeros, len(shots), erring[0])

@@ -109,7 +109,7 @@ def _signed_permutation(k, rng):
 
 def _monomial_gates(n, rng):
     """X, Y, Z, CNOT both ways, CZ, SWAP, iSWAP and random 2- and 3-site
-    signed permutations, with their daggers, on random ascending and
+    signed permutations, with their inverses, on random ascending and
     descending sites."""
     gates = []
     for k in range(1, min(3, n) + 1):
@@ -122,7 +122,7 @@ def _monomial_gates(n, rng):
                           GateOp(sites, _ISWAP)]
             if k >= 2:
                 gates.append(GateOp(sites, _signed_permutation(k, rng)))
-    return gates + [g.dagger() for g in gates]
+    return gates + [g.inverse for g in gates]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -152,8 +152,7 @@ def test_monomial_kernel_equals_matmul_kernel(n):
 def test_batched_kernel_bitwise_equals_rows(n):
     # a (B, 2^n) batch gets, row by row, the very bytes the 1-D kernel gives
     # each row alone, through the general and the monomial path, whatever the
-    # batch size; 65 rows at 12 qubits are twice the most rows the noisy
-    # sampler puts in one batch there
+    # batch size, 65 rows at 12 qubits among them
     rng = np.random.default_rng(300 + n)
     gates = _monomial_gates(n, rng)
     for k in (1, 2, 3):
