@@ -179,7 +179,7 @@ class RunConfig:
         magnetization sector's stack (n_steps None:
         ``magnet.sector_solver_settings``'s default, at most 150); the allocation
         study's three (n_times, realizations) fraction arrays.  Every other array is
-        smaller, or bounded by ``mirror._BATCH_BYTES``: uniforms, backward states."""
+        smaller, or held in blocks of ``mirror._BLOCK_BYTES``: uniforms, backward states."""
         series = self.realizations if self.shots is not None else 1
         n_steps = self.magnet.n_steps or 0
         return {

@@ -262,9 +262,9 @@ def _replay_errors(slots: list, streams, stream: tuple, first: int, p: float):
         picks.append(int(rng.integers(len(PAULI_NAMES))))
 
 
-# the most bytes one block of a pool's slot uniforms, or one pass's kept
-# backward states, holds (``_noisy_pool``, ``_backward_states``)
-_BATCH_BYTES = 1 << 21
+# the most bytes one block holds: a block of a pool's slot uniforms
+# (``_noisy_pool``) or a pass's kept backward states (``_backward_states``)
+_BLOCK_BYTES = 1 << 21
 
 
 def _noisy_pool(npass: _Pass, shots: int, p: float, p_zero: float, streams,
@@ -273,7 +273,7 @@ def _noisy_pool(npass: _Pass, shots: int, p: float, p_zero: float, streams,
     on the stream (*stream, j), as (zeros, erring shots).
 
     The slot uniforms and one more of every shot are drawn as one block
-    (``_StreamOpener.uniforms``) per at most ``_BATCH_BYTES`` of them.  A shot
+    (``_StreamOpener.uniforms``) per at most ``_BLOCK_BYTES`` of them.  A shot
     whose slot uniforms all reach p draws nothing else, so its last uniform is
     its sample uniform: by inverse CDF it draws |0..0> exactly when that
     uniform lies below ``p_zero``, the noiseless all-zero probability, and
@@ -282,7 +282,7 @@ def _noisy_pool(npass: _Pass, shots: int, p: float, p_zero: float, streams,
     its stream (``_replay_errors``) and its sample left to ``_sample_erring``.
     """
     n_slots = len(npass.slots)
-    block = max(1, _BATCH_BYTES // (8 * (n_slots + 1)))
+    block = max(1, _BLOCK_BYTES // (8 * (n_slots + 1)))
     zeros, erring = 0, []
     for start in range(0, shots, block):
         u = streams.uniforms(stream, min(block, shots - start), n_slots + 1, start)
@@ -301,10 +301,10 @@ def _backward_states(gates: list, needed: list, n: int) -> dict:
     chi_g is |0..0> swept back through the inverses of the gates after g, so
     <chi_g|row> is the |0..0> amplitude of a row after gate g run to the pass
     end (the adjoint method of Jones and Gacon, arXiv:2009.02823).  The kept
-    states hold at most ``_BATCH_BYTES``: when ``needed`` has more gates, the
+    states hold at most ``_BLOCK_BYTES``: when ``needed`` has more gates, the
     kept ones are spread evenly over it from its last, so each needed gate has
     a kept one at or after it."""
-    picks = min(len(needed), max(1, _BATCH_BYTES // (16 << n)))
+    picks = min(len(needed), max(1, _BLOCK_BYTES // (16 << n)))
     chis, chi, at = {}, zero_amps(n), len(gates) - 1
     for g in (needed[-1 - j * len(needed) // picks] for j in range(picks)):
         chi = apply_circuit(chi, [gate.inverse for gate in gates[at:g:-1]])

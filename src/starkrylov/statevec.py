@@ -1,22 +1,20 @@
-"""Dense statevector engine; a state is a raw 1-D array of 2^n complex amplitudes,
-and a batch of states a (B, 2^n) array with one state per row.
+"""Dense statevector engine; a state is a raw 1-D array of 2^n complex amplitudes.
 
 Bit convention: site i is bit i of the basis index, bit 0 least significant;
 bit value 1 is spin down (S^z = -1/2), so the all-zero state is all-up.
 Gate matrices are indexed with sites[0] as the most significant local bit,
 i.e. a CNOT on sites (c, t) is the textbook matrix in the |c t> basis.
 
-One kernel, ``apply_gate_amps``, applies a gate to a state or to every row of
-a batch in one call, with the same arithmetic per row whatever the batch
-size.  ``apply_circuit`` loops the kernel over a gate list.  It has two paths:
+One kernel, ``apply_gate_amps``, applies a gate to one state, and
+``apply_circuit`` loops it over a gate list.  The kernel has two paths:
 
 - A general gate gathers the amplitudes into a (2^k, 2^(n-k)) block through a
   cached index, multiplies by the matrix and puts the result back in basis
   order through the inverse index.
 - A monomial gate, one whose matrix has exactly one nonzero in each row and
   column and every nonzero exactly 1, -1, 1j or -1j (X, Y, Z, CNOT, CZ), is a
-  signed permutation of the basis.  It is applied as ``amps[..., src]``,
-  ``amps * phase`` or ``amps[..., src] * phase`` from full-length arrays cached
+  signed permutation of the basis.  It is applied as ``amps[src]``,
+  ``amps * phase`` or ``amps[src] * phase`` from full-length arrays cached
   per (n, sites, pattern).  Every product with 0, +-1 or +-i is exact in
   IEEE arithmetic, and adding the zero terms of the matrix product changes
   at most the sign of a zero, so both paths give the same amplitudes up to
@@ -88,7 +86,9 @@ class GateOp:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (1 << k, 1 << k):
             raise ValueError(f"matrix shape {m.shape} does not match {k} sites")
-        if np.linalg.norm(m.conj().T @ m - np.eye(1 << k)) > UNITARY_TOL:
+        # first: a NaN norm passes the tolerance test, and inf warns in the product
+        if (not np.isfinite(m).all()
+                or np.linalg.norm(m.conj().T @ m - np.eye(1 << k)) > UNITARY_TOL):
             raise ValueError(f"gate {self.label!r} is not unitary")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "monomial", _monomial_pattern(m))
@@ -179,22 +179,17 @@ def _monomial_index(n: int, sites: tuple[int, ...], pattern: tuple):
 
 
 def apply_gate_amps(amps: np.ndarray, gate: GateOp) -> np.ndarray:
-    """The amplitudes of ``gate`` applied to ``amps``, as a new array: one
-    state of 2^n amplitudes, or a (B, 2^n) batch of them, one per row (the
-    module docstring describes the two paths).  Each row gets the same
-    products as a state alone: the general path's stacked matrix product runs
-    one gemm of the 1-D shape per row."""
-    shape = amps.shape
-    n = shape[-1].bit_length() - 1
+    """The amplitudes of ``gate`` applied to the state ``amps``, a 1-D array
+    of 2^n amplitudes, as a new array (the module docstring describes the
+    two paths)."""
+    n = len(amps).bit_length() - 1
     if gate.monomial is None:
         gather, scatter = _general_index(n, gate.sites)
-        block = amps.take(gather, axis=-1)
-        block.shape = shape[:-1] + (len(gate.matrix), -1)
-        return (gate.matrix @ block).reshape(shape).take(scatter, axis=-1)
+        return (gate.matrix @ amps.take(gather).reshape(len(gate.matrix), -1)).take(scatter)
     src, phase = _monomial_index(n, gate.sites, gate.monomial)
     if phase is None:
-        return amps.copy() if src is None else amps.take(src, axis=-1)
-    return (amps if src is None else amps.take(src, axis=-1)) * phase
+        return amps.copy() if src is None else amps.take(src)
+    return (amps if src is None else amps.take(src)) * phase
 
 
 def apply_circuit(amps: np.ndarray, gates) -> np.ndarray:

@@ -895,7 +895,7 @@ def test_passes_run_together_match_passes_alone(problem, monkeypatch, kind, twir
 @pytest.mark.parametrize("kind", ["trotter", "floquet"])
 @pytest.mark.parametrize("rows", [2, 3, 7])
 def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
-    # with ``_BATCH_BYTES`` at `rows` rows of 2^n amplitudes, a pass keeps at
+    # with ``_BLOCK_BYTES`` at `rows` rows of 2^n amplitudes, a pass keeps at
     # most `rows` backward states, fewer than its zero-only shots' last-error
     # gates, and a shot whose last error has none runs on to the next kept
     # one; with rows < 7 some pools draw their slot uniforms in more than one
@@ -926,11 +926,11 @@ def test_batch_rows_bounded(problem, monkeypatch, kind, rows):
         return chis
 
     monkeypatch.setattr(mirror_module, "_backward_states", recorded_backward)
-    monkeypatch.setattr(mirror_module, "_BATCH_BYTES", rows * 16 << prep.n_sites)
+    monkeypatch.setattr(mirror_module, "_BLOCK_BYTES", rows * 16 << prep.n_sites)
     for whole, one_batch in at_default.items():
         bounded = drawn(whole)
         if rows < 7:
-            assert any(8 * (len(npass.slots) + 1) * 30 > mirror_module._BATCH_BYTES
+            assert any(8 * (len(npass.slots) + 1) * 30 > mirror_module._BLOCK_BYTES
                        for npass, _, _ in bounded)
         for m, ((npass, c0, pool), (_, _, alone)) in enumerate(zip(bounded, one_batch)):
             assert pool[0] == alone[0]
@@ -954,7 +954,7 @@ def test_default_budget_at_12_spins_matches_per_shot_reference(problem12):
     keys = [(i, a) for i in range(3) for a in (None, np.pi / 3)]
     cases = [(_Pass(circuits.pass_gates(i, evolution, a)), 15, 0.02) for i, a in keys]
     cases.append((cases[2][0], 150, 0.01))
-    assert mirror_module._BATCH_BYTES // (16 << prep.n_sites) == 32
+    assert mirror_module._BLOCK_BYTES // (16 << prep.n_sites) == 32
     for m, (npass, shots, p) in enumerate(cases):
         c0 = _noiseless_zero(npass.gates, prep.n_sites)
         reference = _per_shot_noisy_reference(npass.gates, prep.n_sites, shots,
@@ -996,7 +996,7 @@ def test_zero_only_shots_decide_as_rows_run_to_the_pass_end(problem, problem12, 
         reference = _per_shot_noisy_reference(gates, n, shots, noise, 9, stream, margins)
         for whole, states in ((True, None), (False, None), (False, 1), (False, 3)):
             if states is not None:
-                monkeypatch.setattr(mirror_module, "_BATCH_BYTES", states * 16 << n)
+                monkeypatch.setattr(mirror_module, "_BLOCK_BYTES", states * 16 << n)
             pool = _noisy_pool(npass, shots, p, c0, _StreamOpener(9), stream, whole)
             _sample_erring(pool[1], n)
             _assert_pool_matches(pool, len(npass.slots), p, 9, stream, c0, reference)
@@ -1031,7 +1031,7 @@ def test_erring_memory_does_not_grow_with_the_shot_count(problem12):
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + row
-    assert peaks[1] < mirror_module._BATCH_BYTES + 8 * row
+    assert peaks[1] < mirror_module._BLOCK_BYTES + 8 * row
     print(f"peak traced bytes at 1x and 10x shots: {peaks}")
 
 
@@ -1048,7 +1048,7 @@ def test_long_pass_keeps_its_backward_states_within_the_budget(problem12):
     assert len(gates) == 420
     chis = _backward_states(gates, list(range(len(gates))), n)
     kept = sorted(chis)
-    assert len(kept) == 32 and sum(chi.nbytes for chi in chis.values()) == mirror_module._BATCH_BYTES
+    assert len(kept) == 32 and sum(chi.nbytes for chi in chis.values()) == mirror_module._BLOCK_BYTES
     assert kept[-1] == len(gates) - 1 and max(np.diff([-1] + kept)) <= -(-len(gates) // 32)
     gen = np.random.default_rng(6)
     state = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)

@@ -64,6 +64,9 @@ def test_h_twice_is_identity():
 def test_rejects_non_unitary_and_bad_sites():
     with pytest.raises(ValueError, match="unitary"):
         GateOp((0,), np.array([[1, 0], [0, 2]], dtype=complex), "bad")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unitary"):
+            GateOp((0,), np.array([[bad, 0], [0, 1]], dtype=complex), "non-finite")
     with pytest.raises(ValueError, match="distinct"):
         GateOp((1, 1), np.eye(4, dtype=complex), "dup")
     with pytest.raises(ValueError, match="range"):
@@ -82,7 +85,7 @@ def _moveaxis_apply(amps, gate):
     return np.ascontiguousarray(tensor).reshape(-1)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", [*range(1, 11), 12])
 def test_gather_kernel_bitwise_equals_moveaxis_kernel(n):
     rng = np.random.default_rng(100 + n)
     for k in range(1, min(3, n) + 1):
@@ -92,7 +95,7 @@ def test_gather_kernel_bitwise_equals_moveaxis_kernel(n):
                 psi = random_state(n, seed=1000 * n + 10 * k + trial)
                 gate = GateOp(sites, random_unitary(1 << k, rng))
                 out = apply_gate_amps(psi, gate)
-                assert np.array_equal(out, _moveaxis_apply(psi, gate))
+                assert out.tobytes() == _moveaxis_apply(psi, gate).tobytes()
                 assert out is not psi
 
 
@@ -125,7 +128,7 @@ def _monomial_gates(n, rng):
     return gates + [g.inverse for g in gates]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", [*range(1, 11), 12])
 def test_monomial_kernel_equals_matmul_kernel(n):
     # products with 0, +-1 and +-i are exact, so the permutation-phase path
     # equals the matrix product up to the sign of zeros
@@ -146,27 +149,6 @@ def test_monomial_kernel_equals_matmul_kernel(n):
     for gate in (h_gate(0), rz_gate(0, np.pi / 2), phase_gate(0, np.pi / 2),
                  GateOp((0, 1), MAPPER_MATRIX), GateOp((0,), random_unitary(2, rng))):
         assert gate.monomial is None, gate.label
-
-
-@pytest.mark.parametrize("n", [4, 8, 12])
-def test_batched_kernel_bitwise_equals_rows(n):
-    # a (B, 2^n) batch gets, row by row, the very bytes the 1-D kernel gives
-    # each row alone, through the general and the monomial path, whatever the
-    # batch size, 65 rows at 12 qubits among them
-    rng = np.random.default_rng(300 + n)
-    gates = _monomial_gates(n, rng)
-    for k in (1, 2, 3):
-        chosen = [int(q) for q in rng.choice(n, size=k, replace=False)]
-        for sites in (tuple(sorted(chosen)), tuple(chosen)):
-            gates.append(GateOp(sites, random_unitary(1 << k, rng)))
-    for rows in (1, 2, 3, 17, 65):
-        batch = np.array([random_state(n, seed=rows * 100 + r) for r in range(rows)])
-        for gate in gates:
-            out = apply_gate_amps(batch, gate)
-            assert out.shape == batch.shape and out is not batch
-            for row, amps in zip(out, batch):
-                assert row.tobytes() == apply_gate_amps(amps, gate).tobytes(), gate.label
-    assert [g.monomial is None for g in gates].count(True) == 6
 
 
 def test_gather_kernel_still_rejects_bad_sites():
